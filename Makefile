@@ -5,7 +5,7 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict clean
+.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e clean
 
 ## check: everything CI gates a PR on
 check: fmt vet mdcheck examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
@@ -84,22 +84,28 @@ fig-smoke:
 	$(GO) run ./cmd/paxosbench -fig all -scale 0.01 -txns 60 -q
 
 ## shards-smoke: the horizontal-scaling sweep at smoke scale (CI "bench" job;
-## the speedup column is informational at this scale — the pinned assertion
-## is TestShardsScaling)
+## the speedup column is informational at this scale), then the pinned
+## 8-groups >= 2.5x floor: TestShardsScaling's wall-clock ratio is enforced
+## only under -tags perfgate, i.e. here, not in tier-1 `go test ./...`
 shards-smoke:
 	$(GO) run ./cmd/paxosbench -fig shards -scale 0.01 -txns 240 -q
+	$(GO) test -tags perfgate -count=1 -run 'TestShardsScaling' ./internal/bench
 
 ## saturation-smoke: the overload sweep at smoke scale (CI "bench" job;
-## every run ends with the quiesce-aware serializability check — the
-## plateau/p99 assertion is TestSaturationPlateau)
+## every run ends with the quiesce-aware serializability check), then
+## TestSaturationPlateau with its plateau/p99 wall-clock ratios enforced
+## (-tags perfgate)
 saturation-smoke:
 	$(GO) run ./cmd/paxosbench -fig saturation -scale 0.01 -txns 240 -q
+	$(GO) test -tags perfgate -count=1 -run 'TestSaturationPlateau' ./internal/bench
 
 ## durability-smoke: the fsync-policy sweep on the disk engine (CI "bench"
-## job; runs at real fsync cost, no sim scaling — the batch ≥ 3x sync
-## assertion is TestDurabilityBatchAbsorption)
+## job; runs at real fsync cost, no sim scaling), then
+## TestDurabilityBatchAbsorption with its batch >= 3x sync throughput ratio
+## enforced (-tags perfgate; its fsync-count checks run in tier-1 too)
 durability-smoke:
 	$(GO) run ./cmd/paxosbench -fig durability -txns 240 -q
+	$(GO) test -tags perfgate -count=1 -run 'TestDurabilityBatchAbsorption' ./internal/bench
 
 ## migration-fig-smoke: the online 8->12 grow under routed load at smoke
 ## scale (CI "bench" job; the bounded-pause and never-stalls assertions are
@@ -126,5 +132,18 @@ bench-compare:
 bench-compare-strict:
 	$(MAKE) bench-compare STRICT=1
 
+## bench-e2e: the end-to-end benchmark BENCHMARK.json declares
+## (benchmarks/README.md): four workloads on the real stack, each printing
+## the seven gated metrics and passing its own correctness gate or exiting
+## nonzero. 15 s is the run length the gate uses; CI passes E2E_SECONDS=2 to get
+## the correctness gate alone. Build outputs land in .bench_build/.
+E2E_SECONDS ?= 15
+bench-e2e:
+	bash benchmarks/run.sh --workload commit-mem --seed 1 --seconds $(E2E_SECONDS) --trace 0
+	bash benchmarks/run.sh --workload commit-durable --seed 1 --seconds $(E2E_SECONDS) --trace 0
+	bash benchmarks/run.sh --workload read-scan --seed 1 --seconds $(E2E_SECONDS) --trace 0
+	bash benchmarks/run.sh --workload wan-contended --seed 1 --seconds $(E2E_SECONDS) --trace 0
+
 clean:
 	rm -f bench.out BENCH_ci.json bench-compare.out BENCH_compare.json cover.txt
+	rm -rf .bench_build

@@ -54,6 +54,8 @@ func TestDurabilityBatchAbsorption(t *testing.T) {
 		t.Errorf("batch policy barely absorbed: %d fsyncs for %d writes (want <= writes/3)", batch.fsyncs, batch.writes)
 	}
 	if batch.perSec < 3*sync.perSec {
-		t.Errorf("batch throughput %.0f writes/sec < 3x sync %.0f writes/sec", batch.perSec, sync.perSec)
+		// The one wall-clock comparison here; the fsync counts above are
+		// machine-independent and stay enforced in tier-1.
+		perfGate(t, "batch throughput %.0f writes/sec < 3x sync %.0f writes/sec", batch.perSec, sync.perSec)
 	}
 }

@@ -18,7 +18,9 @@ func TestShardsQuick(t *testing.T) {
 // TestShardsScaling pins the PR's horizontal-scaling claim: at the paper's
 // default sim scale, 8 groups must deliver at least 2.5x the aggregate
 // commits/sec of 1 group under the same fixed offered load (ISSUE 5
-// acceptance; the measured figure runs around 4-6x). It is a performance
+// acceptance; the measured figure runs around 4-6x). The ratio is of two
+// wall-clock runs, so it is a perfGate: tier-1 checks the runs and their
+// histories, `make shards-smoke` enforces the floor. It is a performance
 // assertion, so it does not run under the race detector: race
 // instrumentation makes the sim CPU-bound instead of latency-bound and the
 // ratio it would measure is the instrumentation's, not the system's. The
@@ -59,6 +61,6 @@ func TestShardsScaling(t *testing.T) {
 	t.Logf("shards scaling: 1 group %.0f commits/sec, 8 groups %.0f commits/sec (%.2fx, floor %.1fx)",
 		r1, r8, ratio, floor)
 	if ratio < floor {
-		t.Errorf("8-group speedup %.2fx below the %.1fx floor", ratio, floor)
+		perfGate(t, "8-group speedup %.2fx below the %.1fx floor", ratio, floor)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 
+	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
 )
@@ -71,7 +72,7 @@ func (s *Service) Status(group string) GroupStatus {
 		LastApplied: last,
 		CompactedTo: s.CompactedTo(group),
 		LogEntries:  len(s.LogSnapshot(group)),
-		DataKeys:    len(s.store.KeysWithPrefix(replog.DataPrefix(group))),
+		DataKeys:    s.countRows(replog.DataPrefix(group)),
 		Leader:      s.Leader(group, last+1),
 		Epoch:       epoch.Epoch,
 		Master:      epoch.Master,
@@ -97,6 +98,14 @@ func (s *Service) Status(group string) GroupStatus {
 		st.ScrubCorrupt = corrupt
 	}
 	return st
+}
+
+// countRows counts the rows under prefix (short by the unwalked rest if the
+// store closes mid-walk).
+func (s *Service) countRows(prefix string) int {
+	n := 0
+	_ = s.store.WalkPrefix(prefix, kvstore.Latest, func(kvstore.ScanRow) { n++ })
+	return n
 }
 
 // handleStats serves a status request; the reply payload is JSON.

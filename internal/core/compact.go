@@ -33,10 +33,6 @@ import (
 // compacted log position.
 const errCompacted = "compacted"
 
-// compactScanPage sizes the ordered-index pages the compaction scavenge and
-// snapshot builder walk the data region with.
-const compactScanPage = 512
-
 // Compact scavenges everything strictly below the given horizon: old data
 // item versions, decided log entries, Paxos acceptor state, and leader
 // claims. The horizon is clamped to the locally applied position. It
@@ -57,23 +53,15 @@ func (s *Service) Compact(group string, horizon int64) (int64, error) {
 		// Paged over the ordered index instead of sorting every key.
 		fence := lg.ScanFenceAt(to)
 		tombGC := fence.Active()
-		after := ""
-		for {
-			rows, more, err := s.store.ScanPrefix(prefix, after, compactScanPage, kvstore.Latest)
-			if err != nil {
-				return // store closed mid-compaction; nothing to scavenge
+		err := s.store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+			if tombGC && fence.Tombstoned(row.Key[len(prefix):]) {
+				s.store.Delete(row.Key)
+				return
 			}
-			for _, row := range rows {
-				if tombGC && fence.Tombstoned(row.Key[len(prefix):]) {
-					s.store.Delete(row.Key)
-					continue
-				}
-				s.store.GC(row.Key, to)
-			}
-			if !more {
-				break
-			}
-			after = rows[len(rows)-1].Key
+			s.store.GC(row.Key, to)
+		})
+		if err != nil {
+			return // store closed mid-compaction; nothing to scavenge
 		}
 		// Acceptor and claim rows strictly below the horizon disappear
 		// (replog drops the log rows themselves).
@@ -127,20 +115,9 @@ func (s *Service) buildSnapshot(group string) ([]byte, error) {
 		// One pass over the ordered index at the horizon replaces the old
 		// sort-every-key-then-point-read loop; each page arrives already
 		// resolved at the horizon.
-		after := ""
-		for {
-			rows, more, err := s.store.ScanPrefix(prefix, after, compactScanPage, horizon)
-			if err != nil {
-				return err
-			}
-			for _, row := range rows {
-				snap.Rows = append(snap.Rows, snapshotRow{Key: row.Key[len(prefix):], TS: row.TS, Val: row.Val["v"]})
-			}
-			if !more {
-				return nil
-			}
-			after = rows[len(rows)-1].Key
-		}
+		return s.store.WalkPrefix(prefix, horizon, func(row kvstore.ScanRow) {
+			snap.Rows = append(snap.Rows, snapshotRow{Key: row.Key[len(prefix):], TS: row.TS, Val: row.Val.Get("v")})
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +145,7 @@ func (s *Service) installSnapshot(blob []byte) error {
 	writes := make([]kvstore.BatchWrite, 0, len(snap.Rows))
 	for _, row := range snap.Rows {
 		writes = append(writes, kvstore.BatchWrite{
-			Key: dataKey(snap.Group, row.Key), Value: kvstore.Value{"v": row.Val}, TS: row.TS,
+			Key: dataKey(snap.Group, row.Key), Value: kvstore.PackAttrs("v", row.Val), TS: row.TS,
 		})
 	}
 	if err := s.store.ApplyBatch(writes); err != nil {

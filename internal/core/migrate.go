@@ -106,8 +106,8 @@ const rangeSnapshotExamineBudget = 2048
 // Keys/Vals, TS echoing the pin and Found flagging more pages.
 //
 // Pages walk the store's ordered index from the cursor — each request costs
-// O(page) index work, not a full-store key sort (the old per-page
-// KeysWithPrefix walk made an N-row backfill quadratic). The pin is
+// O(page) index work, not a full-store key sort (which would make an N-row
+// backfill quadratic). The pin is
 // registered with the replog (PinReads) so a compaction between pages
 // cannot GC the versions later pages still read.
 func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
@@ -138,7 +138,7 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 			examined++
 			if set.Moves(bare) && row.TS > req.Pos {
 				resp.Keys = append(resp.Keys, bare)
-				resp.Vals = append(resp.Vals, row.Val["v"])
+				resp.Vals = append(resp.Vals, row.Val.Get("v"))
 			}
 			if len(resp.Keys) >= rangeSnapshotPageRows || examined >= rangeSnapshotExamineBudget {
 				resp.Key = bare

@@ -428,12 +428,16 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 				ps.reply(refusal)
 				continue
 			}
-			ok, err := p.admit(ctx, ps.txn, pos, entry)
+			verdict, at, err := p.admit(ctx, ps.txn, pos, entry)
 			switch {
 			case err != nil:
 				ps.reply(network.Status(false, err.Error()))
-			case !ok:
+			case verdict == admitConflict:
 				ps.reply(network.Status(false, masterConflict))
+			case verdict == admitInFlight:
+				ps.reply(network.Status(false, errDuplicateInFlight))
+			case verdict == admitDecided:
+				go p.settleDuplicate(ps, at)
 			default:
 				entry.Txns = append(entry.Txns, ps.txn.Clone())
 				members = append(members, ps)
@@ -502,32 +506,96 @@ func (p *pipeline) nextPos() int64 {
 	return pos + 1
 }
 
+// admission is admit's verdict on one submission.
+type admission int
+
+const (
+	admitOK       admission = iota // place it in the entry under construction
+	admitConflict                  // a later entry wrote a key it read: abort
+	// admitInFlight and admitDecided mark a resubmission (invariant W5): an
+	// entry above the transaction's read position already carries its ID —
+	// still replicating, or decided at the returned position. A client that
+	// lost a verdict resubmits the same transaction; placing it again would
+	// commit it twice.
+	admitInFlight
+	admitDecided
+)
+
+// errDuplicateInFlight refuses a resubmission whose earlier attempt is still
+// replicating: its fate is not known yet, so there is nothing to answer and
+// nothing safe to place. Retryable after a beat.
+const errDuplicateInFlight = "duplicate of a submission still in flight"
+
 // admit runs the speculative fine-grained conflict check for txn competing
 // at pos with entrySoFar admitted ahead of it in the same entry: the
 // transaction aborts iff some entry after its read position — or an earlier
 // transaction in its own entry — wrote a key it read. A hole below the
 // decided ceiling is resolved before checking so admission never runs
-// against unknown history.
-func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar wal.Entry) (bool, error) {
+// against unknown history. The same walk finds an earlier attempt of txn
+// itself (a resubmission carries the same read position, so every earlier
+// placement lies inside the walked range); one that was fenced at apply
+// committed nothing and is stepped over.
+func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar wal.Entry) (admission, int64, error) {
 	for q := txn.ReadPos + 1; q < pos; q++ {
-		prev, ok := p.win.Entry(q)
+		prev, inFlight := p.win.Entry(q)
+		ok := inFlight
 		if !ok {
 			prev, ok = p.lg.Entry(q)
 		}
 		if !ok {
 			var err error
 			if prev, err = p.resolveHole(ctx, q); err != nil {
-				return false, fmt.Errorf("log hole at %d: %v", q, err)
+				return admitOK, 0, fmt.Errorf("log hole at %d: %v", q, err)
 			}
 		}
+		if txn.ID != "" && prev.Contains(txn.ID) {
+			switch {
+			case inFlight:
+				return admitInFlight, q, nil
+			case q > p.lg.Applied() || !p.lg.Voided(q):
+				return admitDecided, q, nil
+			}
+			continue
+		}
 		if txn.ReadsAny(prev.WriteKeys()) {
-			return false, nil
+			return admitConflict, 0, nil
 		}
 	}
-	if txn.ReadsAny(entrySoFar.WriteKeys()) {
-		return false, nil
+	if txn.ID != "" && entrySoFar.Contains(txn.ID) {
+		return admitInFlight, pos, nil
 	}
-	return true, nil
+	if txn.ReadsAny(entrySoFar.WriteKeys()) {
+		return admitConflict, 0, nil
+	}
+	return admitOK, 0, nil
+}
+
+// settleDuplicate answers a resubmission with the verdict its earlier
+// attempt, decided at pos, earned: the apply-time record says whether that
+// entry was fenced (nothing committed; the caller may resubmit, and admit
+// will step over the fenced entry), voided by a migration rule, or
+// committed.
+func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*p.svc.timeout)
+	defer cancel()
+	if err := p.lg.WaitApplied(ctx, pos); err != nil {
+		ps.reply(network.Status(false, "earlier attempt's verdict unavailable: "+err.Error()))
+		return
+	}
+	entry, _ := p.lg.Entry(pos)
+	switch to, moved := p.lg.MovedTxn(pos, ps.txn.ID); {
+	case p.lg.Voided(pos):
+		ps.reply(network.Status(false, "earlier attempt was fenced; resubmit"))
+	case moved && to == "":
+		ps.reply(migratingReply())
+	case moved:
+		ps.reply(movedReply(to))
+	default:
+		ps.reply(network.Message{
+			Kind: network.KindValue, OK: true, TS: pos,
+			Combined: len(entry.Txns) > 1, Epoch: entry.Epoch,
+		})
+	}
 }
 
 // resolveHole learns the decided value at a position below the decided

@@ -126,7 +126,7 @@ func (s *Service) handleScan(req network.Message) network.Message {
 				}
 			}
 			resp.Keys = append(resp.Keys, bare)
-			resp.Vals = append(resp.Vals, row.Val["v"])
+			resp.Vals = append(resp.Vals, row.Val.Get("v"))
 			resp.Founds = append(resp.Founds, active && fence.MovedIn(bare))
 			if len(resp.Keys) >= limit {
 				resp.Key, resp.Found = bare, true

@@ -385,14 +385,14 @@ func (s *Service) handleRead(req network.Message) network.Message {
 	if refusal, fenced := s.readFence(req.Group, ts, req.Key); fenced {
 		return refusal
 	}
-	v, _, err := s.store.Read(dataKey(req.Group, req.Key), ts)
+	v, _, err := s.store.ReadPacked(dataKey(req.Group, req.Key), ts)
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return network.Message{Kind: network.KindValue, OK: true, Found: false, TS: ts}
 	}
 	if err != nil {
 		return network.Status(false, err.Error())
 	}
-	return network.Message{Kind: network.KindValue, OK: true, Found: true, Value: v["v"], TS: ts}
+	return network.Message{Kind: network.KindValue, OK: true, Found: true, Value: v.Get("v"), TS: ts}
 }
 
 // handleReadMulti serves a batched multi-key read at one log position: one
@@ -424,7 +424,7 @@ func (s *Service) handleReadMulti(req network.Message) network.Message {
 	}
 	for i, r := range results {
 		if r.Found {
-			resp.Vals[i] = r.Value["v"]
+			resp.Vals[i] = r.Value.Get("v")
 			resp.Founds[i] = true
 		}
 	}
@@ -494,14 +494,14 @@ func (s *Service) handleClaim(req network.Message) network.Message {
 		return network.Message{Kind: network.KindStatus, OK: false, Err: "not leader", Value: leader}
 	}
 	token := req.Value
-	err := s.store.CheckAndWrite(claimKey(req.Group, req.Pos), "owner", "", kvstore.Value{"owner": token})
+	err := s.store.CheckAndWrite(claimKey(req.Group, req.Pos), "owner", "", kvstore.PackAttrs("owner", token))
 	if err == nil {
 		return network.Status(true, "")
 	}
 	if errors.Is(err, kvstore.ErrCheckFailed) {
 		// Idempotent for the same client (duplicate claim message).
-		v, _, rerr := s.store.Read(claimKey(req.Group, req.Pos), kvstore.Latest)
-		if rerr == nil && v["owner"] == token {
+		v, _, rerr := s.store.ReadPacked(claimKey(req.Group, req.Pos), kvstore.Latest)
+		if rerr == nil && v.Get("owner") == token {
 			return network.Status(true, "")
 		}
 		return network.Status(false, "position already claimed")

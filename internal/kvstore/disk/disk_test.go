@@ -69,7 +69,7 @@ func mutHistory(n, nkeys int) []kvstore.Mutation {
 			Op:    kvstore.OpWrite,
 			Key:   "key-" + strconv.Itoa(i%nkeys),
 			TS:    int64(i),
-			Value: kvstore.Value{"attr": "v" + strconv.Itoa(i), "pad": "xxxxxxxx"},
+			Value: kvstore.Pack(kvstore.Value{"attr": "v" + strconv.Itoa(i), "pad": "xxxxxxxx"}),
 		}
 	}
 	return muts
@@ -86,7 +86,7 @@ func expectState(t *testing.T, s *kvstore.Store, muts []kvstore.Mutation, j int)
 		if err != nil {
 			t.Fatalf("prefix %d: read %s@%d: %v", j, m.Key, m.TS, err)
 		}
-		if ts != m.TS || !v.Equal(m.Value) {
+		if ts != m.TS || !v.Equal(m.Value.Unpack()) {
 			t.Fatalf("prefix %d: read %s@%d = (%v, %d), want (%v, %d)", j, m.Key, m.TS, v, ts, m.Value, m.TS)
 		}
 	}
@@ -247,7 +247,7 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 		expectState(t, s2, muts, len(muts))
 		// Replay everything again on top of the recovered image.
 		for _, m := range muts {
-			if err := s2.ApplyMutation(kvstore.Mutation{Op: m.Op, Key: m.Key, TS: m.TS, Value: m.Value.Clone()}); err != nil {
+			if err := s2.ApplyMutation(kvstore.Mutation{Op: m.Op, Key: m.Key, TS: m.TS, Value: m.Value}); err != nil {
 				t.Fatalf("round %d: second replay: %v", round, err)
 			}
 		}
@@ -440,7 +440,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-recovery write %s@%d lost: %v", m.Key, m.TS, err)
 		}
-		if ts != m.TS || !v.Equal(m.Value) {
+		if ts != m.TS || !v.Equal(m.Value.Unpack()) {
 			t.Fatalf("post-recovery write %s@%d = (%v, %d), want (%v, %d)", m.Key, m.TS, v, ts, m.Value, m.TS)
 		}
 	}
@@ -465,7 +465,7 @@ func TestOpenSnapshotBeyondLogEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot claims seq 30; the WAL ends at seq 10.
-	if err := writeSnapshot(osFS{}, dir, 30, ref); err != nil {
+	if err := writeSnapshot(osFS{}, dir, 30, ref, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -491,7 +491,7 @@ func TestOpenSnapshotBeyondLogEnd(t *testing.T) {
 		t.Fatalf("write after guarded recovery lost on the next recovery: %v", err)
 	}
 	for _, m := range muts {
-		if v, ts, err := s2.Read(m.Key, m.TS); err != nil || ts != m.TS || !v.Equal(m.Value) {
+		if v, ts, err := s2.Read(m.Key, m.TS); err != nil || ts != m.TS || !v.Equal(m.Value.Unpack()) {
 			t.Fatalf("snapshot state %s@%d = (%v, %d, %v), want (%v, %d)", m.Key, m.TS, v, ts, err, m.Value, m.TS)
 		}
 	}

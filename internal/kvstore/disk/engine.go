@@ -339,11 +339,20 @@ func (e *Engine) maybeSnapshot() {
 // get assigned sequence numbers <= S that the next recovery would silently
 // skip. flushed records, by contrast, are durable before S is captured, so
 // snapSeq can never exceed the log end a crash leaves behind.
+//
+// Writers keep running during Store.Save, so the image also reflects some
+// mutations past S whose records may still be queued. The snapshot is
+// published only after those records are flushed too (syncAppended): a
+// batch's records are queued in order and its later rows can be captured
+// while its earlier ones were not, so without the flush a crash could
+// recover a later row of a batch from the snapshot with the earlier rows'
+// records lost — for the replicated log's apply batch, a meta row claiming
+// positions whose data writes are gone (invariant D3).
 func (e *Engine) snapshot() error {
 	e.mu.Lock()
 	s := e.flushed
 	e.mu.Unlock()
-	if err := writeSnapshot(e.fs, e.dir, s, e.store); err != nil {
+	if err := writeSnapshot(e.fs, e.dir, s, e.store, e.syncAppended); err != nil {
 		return err
 	}
 	removed, err := compactTo(e.fs, e.dir, s)
@@ -352,6 +361,14 @@ func (e *Engine) snapshot() error {
 	}
 	e.opts.Logf("disk: snapshot seq=%d dir=%s removed_segments=%d", s, e.dir, removed)
 	return nil
+}
+
+// syncAppended makes every record appended so far durable, whatever the
+// sync policy.
+func (e *Engine) syncAppended() error {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	return e.flush(false)
 }
 
 // fail records the first failure; the engine (and the store above it,
@@ -427,9 +444,12 @@ func (e *Engine) Close() error {
 // The on-disk state is exactly what a kill -9 plus machine reset would
 // leave; reopen the directory with Open to recover.
 func (e *Engine) Crash() {
+	// Wait for a running snapshot before taking flushMu: it flushes the log
+	// before publishing. One that starts after the wait blocks on that flush
+	// until the engine is poisoned, and then abandons its temp file.
+	e.snapWG.Wait()
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	e.snapWG.Wait()
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = ErrCrashed
@@ -484,7 +504,9 @@ func syncDir(fs FS, dir string) error {
 
 // writeSnapshot durably writes snap-<seq>.snap via temp file + rename + dir
 // fsync, so a crash at any point leaves either no snapshot or a complete one.
-func writeSnapshot(fs FS, dir string, seq uint64, s *kvstore.Store) error {
+// publish runs once the image is captured and must succeed before the
+// snapshot becomes visible to recovery.
+func writeSnapshot(fs FS, dir string, seq uint64, s *kvstore.Store, publish func() error) error {
 	tmp, err := fs.CreateTemp(dir, ".disk-snap-*")
 	if err != nil {
 		return fmt.Errorf("disk: snapshot temp: %w", err)
@@ -500,6 +522,9 @@ func writeSnapshot(fs FS, dir string, seq uint64, s *kvstore.Store) error {
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("disk: snapshot close: %w", err)
+	}
+	if err := publish(); err != nil {
+		return err
 	}
 	if err := fs.Rename(tmp.Name(), filepath.Join(dir, snapshotName(seq))); err != nil {
 		return fmt.Errorf("disk: snapshot rename: %w", err)

@@ -184,16 +184,16 @@ func TestEveryOpCrashReplayOverFaultFS(t *testing.T) {
 				t.Fatalf("caw = (%v, %v)", v, err)
 			}
 		}},
-		{"Update", func(t *testing.T, s *kvstore.Store) {
-			err := s.Update("upd", func(cur kvstore.Value) (kvstore.Value, error) {
-				return kvstore.Value{"n": "42"}, nil
+		{"Replace", func(t *testing.T, s *kvstore.Store) {
+			err := s.ApplyBatch([]kvstore.BatchWrite{
+				{Key: "base", Value: kvstore.Value{"n": "42"}, TS: 9, Replace: true},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}, func(t *testing.T, s *kvstore.Store) {
-			if v, _, err := s.Read("upd", kvstore.Latest); err != nil || v["n"] != "42" {
-				t.Fatalf("upd = (%v, %v)", v, err)
+			if v, _, err := s.Read("base", kvstore.Latest); err != nil || v["n"] != "42" || s.Versions("base") != 1 {
+				t.Fatalf("base = (%v, %v), %d versions", v, err, s.Versions("base"))
 			}
 		}},
 		{"GC", func(t *testing.T, s *kvstore.Store) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -24,12 +23,15 @@ import (
 //
 // with per-op fields:
 //
-//	OpWrite:  varint(ts) | uvarint(nattrs) | nattrs × (uvarint-len attr, uvarint-len value)
-//	OpDelete: (nothing)
-//	OpGC:     varint(keepFrom)
+//	OpWrite:   varint(ts) | uvarint(nattrs) | nattrs × (uvarint-len attr, uvarint-len value)
+//	OpDelete:  (nothing)
+//	OpGC:      varint(keepFrom)
+//	OpReplace: as OpWrite
 //
-// Attributes are encoded in sorted order so identical mutations encode to
-// identical bytes. The op byte values are kvstore.Op constants, which are
+// The attribute block — everything after the timestamp — is the store's own
+// in-memory form of a version (kvstore.Packed, attributes strictly
+// ascending), so encoding copies it and decoding validates it; no map is
+// built either way. The op byte values are kvstore.Op constants, which are
 // frozen (renumbering them would corrupt every existing log).
 
 // maxRecordBytes bounds a single record. A length prefix beyond it is treated
@@ -45,21 +47,9 @@ func appendRecord(dst []byte, m kvstore.Mutation) []byte {
 	p = binary.AppendUvarint(p, uint64(len(m.Key)))
 	p = append(p, m.Key...)
 	switch m.Op {
-	case kvstore.OpWrite:
+	case kvstore.OpWrite, kvstore.OpReplace:
 		p = binary.AppendVarint(p, m.TS)
-		p = binary.AppendUvarint(p, uint64(len(m.Value)))
-		attrs := make([]string, 0, len(m.Value))
-		for k := range m.Value {
-			attrs = append(attrs, k)
-		}
-		sort.Strings(attrs)
-		for _, k := range attrs {
-			p = binary.AppendUvarint(p, uint64(len(k)))
-			p = append(p, k...)
-			v := m.Value[k]
-			p = binary.AppendUvarint(p, uint64(len(v)))
-			p = append(p, v...)
-		}
+		p = append(p, m.Value.Block()...)
 	case kvstore.OpDelete:
 		// key only
 	case kvstore.OpGC:
@@ -123,30 +113,15 @@ func decodePayload(p []byte) (kvstore.Mutation, error) {
 	}
 	m.Key = key
 	switch m.Op {
-	case kvstore.OpWrite:
+	case kvstore.OpWrite, kvstore.OpReplace:
 		ts, n := binary.Varint(p)
 		if n <= 0 {
 			return m, errors.New("disk: record ts")
 		}
-		p = p[n:]
 		m.TS = ts
-		nattrs, n := binary.Uvarint(p)
-		if n <= 0 || nattrs > uint64(len(p)) {
-			return m, errors.New("disk: record attr count")
+		if m.Value, err = kvstore.ParsePacked(p[n:]); err != nil {
+			return m, fmt.Errorf("disk: record value: %w", err)
 		}
-		p = p[n:]
-		val := make(kvstore.Value, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			var k, v string
-			if k, p, err = decodeString(p); err != nil {
-				return m, fmt.Errorf("disk: record attr: %w", err)
-			}
-			if v, p, err = decodeString(p); err != nil {
-				return m, fmt.Errorf("disk: record attr value: %w", err)
-			}
-			val[k] = v
-		}
-		m.Value = val
 	case kvstore.OpDelete:
 		// key only
 	case kvstore.OpGC:

@@ -1,0 +1,141 @@
+package disk
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"io"
+	"runtime"
+	"testing"
+
+	"paxoscp/internal/kvstore"
+)
+
+// goldenRecords are appendRecord's bytes as emitted by commit b87221d, when
+// a version was a map the encoder sorted and walked. The store now hands the
+// encoder the attribute block ready-made; a data directory written before
+// the change must stay readable and one written after it must be
+// indistinguishable, so these bytes may never move.
+var goldenRecords = []struct {
+	m   kvstore.Mutation
+	hex string
+}{
+	{kvstore.Mutation{Op: kvstore.OpWrite, Key: "data/g0/k1", TS: 7, Value: kvstore.Pack(kvstore.Value{"v": "hello"})},
+		"164fd27ab0010a646174612f67302f6b310e0101760568656c6c6f"},
+	{kvstore.Mutation{Op: kvstore.OpWrite, Key: "paxos/g0/12", TS: 3,
+		Value: kvstore.Pack(kvstore.Value{"seq": "4", "nextBal": "0", "voteBal": "0", "voteVal": "\x00\x01\xffbytes"})},
+		"3a817d5474010b7061786f732f67302f31320604076e65787442616c013003736571013407766f746542616c013007766f746556616c080001ff6279746573"},
+	{kvstore.Mutation{Op: kvstore.OpWrite, Key: "empty", TS: 0, Value: kvstore.Pack(kvstore.Value{})},
+		"0994f5d9920105656d7074790000"},
+	{kvstore.Mutation{Op: kvstore.OpWrite, Key: "k", TS: -1 << 40, Value: kvstore.Pack(kvstore.Value{"": "", "a": ""})},
+		"0f9327bbd601016bffffffffff3f020000016100"},
+	{kvstore.Mutation{Op: kvstore.OpDelete, Key: "log/g0/5"},
+		"0af8c2483602086c6f672f67302f35"},
+	{kvstore.Mutation{Op: kvstore.OpGC, Key: "data/g0/k1", TS: 9},
+		"0d6759bd33030a646174612f67302f6b3112"},
+}
+
+func TestRecordBytesGolden(t *testing.T) {
+	for _, g := range goldenRecords {
+		got := appendRecord(nil, g.m)
+		if hex.EncodeToString(got) != g.hex {
+			t.Errorf("%v %s@%d encodes to\n  %x, want\n  %s", g.m.Op, g.m.Key, g.m.TS, got, g.hex)
+		}
+		back, err := readRecord(bufio.NewReader(bytes.NewReader(got)))
+		if err != nil || back != g.m {
+			t.Errorf("%v %s@%d reads back as %+v (%v)", g.m.Op, g.m.Key, g.m.TS, back, err)
+		}
+	}
+	// The acceptor's map-free constructor must land on the same bytes.
+	direct := goldenRecords[1].m
+	direct.Value = kvstore.PackAttrs("nextBal", "0", "seq", "4", "voteBal", "0", "voteVal", "\x00\x01\xffbytes")
+	if got := appendRecord(nil, direct); hex.EncodeToString(got) != goldenRecords[1].hex {
+		t.Errorf("PackAttrs row encodes to %x", got)
+	}
+	// OpReplace shares OpWrite's layout under its own op byte.
+	w, r := goldenRecords[0].m, goldenRecords[0].m
+	r.Op = kvstore.OpReplace
+	wb, rb := appendRecord(nil, w), appendRecord(nil, r)
+	if back, err := readRecord(bufio.NewReader(bytes.NewReader(rb))); err != nil || back != r {
+		t.Errorf("OpReplace reads back as %+v (%v)", back, err)
+	}
+	const opAt = 5 // length prefix (1) + crc (4)
+	if len(wb) != len(rb) || !bytes.Equal(wb[opAt+1:], rb[opAt+1:]) || rb[opAt] != byte(kvstore.OpReplace) {
+		t.Errorf("OpReplace record %x does not mirror OpWrite record %x", rb, wb)
+	}
+}
+
+// TestLengthPrefixBoundsAllocation: a length prefix past maxRecordBytes is
+// refused as a torn record before anything is allocated for it.
+func TestLengthPrefixBoundsAllocation(t *testing.T) {
+	seg := binary.AppendUvarint(nil, maxRecordBytes+1)
+	seg = append(seg, "crc.and a few payload bytes"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readRecord(bufio.NewReader(bytes.NewReader(seg)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errTorn) {
+		t.Fatalf("err = %v, want a torn-record error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte segment allocated %d bytes", len(seg), grew)
+	}
+}
+
+func fuzzSeeds(f *testing.F, payloadOnly bool) {
+	for _, g := range goldenRecords {
+		rec := appendRecord(nil, g.m)
+		if payloadOnly {
+			rec = rec[5:] // these records all have a one-byte length prefix
+		}
+		f.Add(rec)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})         // length prefix far past maxRecordBytes
+	f.Add([]byte{1, 1, 'k', 0, 0xff, 0xff, 0xff, 0x0f}) // OpWrite claiming 2^28 attributes
+}
+
+// FuzzDecodePayload: a payload that passed its checksum is still only
+// bytes. Whatever they hold, decoding returns a mutation or an error — no
+// panic, nothing sized by a count or length the payload merely claims — and
+// an accepted mutation re-encodes to the payload it came from.
+func FuzzDecodePayload(f *testing.F) {
+	fuzzSeeds(f, true)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := decodePayload(payload)
+		if err != nil {
+			return
+		}
+		if n := len(m.Value.Unpack()); n > len(payload) {
+			t.Fatalf("%d attributes decoded from %d bytes", n, len(payload))
+		}
+		rec := appendRecord(nil, m)
+		back, err := readRecord(bufio.NewReader(bytes.NewReader(rec)))
+		if err != nil || back != m {
+			t.Fatalf("accepted mutation %+v does not survive a re-encode: %+v (%v)", m, back, err)
+		}
+	})
+}
+
+// FuzzReadRecord: a segment file is whatever the disk returns. Reading
+// records off arbitrary bytes ends in EOF, a torn-record error or a
+// corruption error, never a panic; TestLengthPrefixBoundsAllocation pins
+// what a lying length prefix can make the reader allocate.
+func FuzzReadRecord(f *testing.F) {
+	fuzzSeeds(f, false)
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		r := bufio.NewReader(bytes.NewReader(seg))
+		for i := 0; i <= len(seg); i++ {
+			_, err := readRecord(r)
+			if err == io.EOF || errors.Is(err, errTorn) {
+				return
+			}
+			if err != nil {
+				return // checksum held but the payload is malformed: corruption
+			}
+		}
+		t.Fatalf("read more records than the segment has bytes (%d)", len(seg))
+	})
+}

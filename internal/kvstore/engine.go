@@ -15,8 +15,7 @@ import "fmt"
 //     row (or shard) lock, exactly as before;
 //  2. still under that lock, Append the corresponding Mutation records to
 //     the engine — Append only encodes and assigns sequence numbers, it
-//     never blocks on I/O, and the engine encodes before returning so the
-//     caller's maps are never retained;
+//     never blocks on I/O;
 //  3. release the lock, then Sync to the returned sequence number;
 //  4. only then return success to the caller.
 //
@@ -30,7 +29,8 @@ import "fmt"
 // sequence number S reflects every logged mutation <= S, which is what lets
 // the disk engine truncate log segments behind a snapshot (DESIGN.md §14).
 // Replay is idempotent (invariant D2): OpWrite carries an explicit version
-// timestamp and re-applies with WriteIdempotent semantics, so recovery may
+// timestamp and re-applies with WriteIdempotent semantics, and OpReplace
+// leaves the row at the last replace record replayed, so recovery may
 // replay records already reflected in a snapshot, partial tails of batches,
 // or the same segment twice without changing the outcome.
 
@@ -41,15 +41,18 @@ type Op uint8
 // never renumber.
 const (
 	// OpWrite creates (idempotently) the version TS of row Key with
-	// contents Value. All write-family operations — Write, WriteIdempotent,
-	// CheckAndWrite, Update, ApplyBatch — log as OpWrite with the timestamp
-	// they resolved.
+	// contents Value. Write, WriteIdempotent, CheckAndWrite and ApplyBatch's
+	// idempotent elements log as OpWrite with the timestamp they resolved.
 	OpWrite Op = 1
 	// OpDelete removes row Key and all its versions (compaction scavenge).
 	OpDelete Op = 2
 	// OpGC discards versions of Key older than the newest one at or below
 	// TS, mirroring Store.GC's keepFrom.
 	OpGC Op = 3
+	// OpReplace makes (TS, Value) the only version of row Key (ApplyBatch's
+	// replace-latest elements). Replay discards whatever history the row
+	// had, so a row written this way recovers with one version too.
+	OpReplace Op = 4
 )
 
 // Mutation is one durable row mutation, the unit the engine logs and the
@@ -57,12 +60,12 @@ const (
 type Mutation struct {
 	Op  Op
 	Key string
-	// TS is the version timestamp for OpWrite and the keepFrom horizon for
-	// OpGC; unused for OpDelete.
+	// TS is the version timestamp for OpWrite and OpReplace and the keepFrom
+	// horizon for OpGC; unused for OpDelete.
 	TS int64
-	// Value is the version contents for OpWrite; nil otherwise. The engine
-	// must not retain it past Append.
-	Value Value
+	// Value is the version contents for OpWrite and OpReplace, in stored
+	// form: the engine copies Value.Block() into its record as is.
+	Value Packed
 }
 
 // Engine is a durability backend behind a Store. Implementations must be
@@ -178,11 +181,17 @@ func (s *Store) ApplyMutation(m Mutation) error {
 	case OpWrite:
 		r := s.getRow(m.Key, true)
 		r.mu.Lock()
-		_, err := r.applyIdempotent(m.TS, m.Value, false)
+		_, err := r.applyIdempotent(m.TS, m.Value)
 		r.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w key=%q", err, m.Key)
 		}
+		return nil
+	case OpReplace:
+		r := s.getRow(m.Key, true)
+		r.mu.Lock()
+		r.replace(m.TS, m.Value)
+		r.mu.Unlock()
 		return nil
 	case OpDelete:
 		sh := s.shards[shardFor(m.Key)]

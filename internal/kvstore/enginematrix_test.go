@@ -1,6 +1,7 @@
 package kvstore_test
 
 import (
+	"bytes"
 	"testing"
 
 	"paxoscp/internal/kvstore"
@@ -16,5 +17,26 @@ func TestMemoryEngineConformance(t *testing.T) {
 		s := kvstore.New()
 		t.Cleanup(s.Close)
 		return s
+	})
+}
+
+// TestMemoryEngineRecovery runs the restart contracts against the in-memory
+// backend, whose restart is a snapshot Save and Load.
+func TestMemoryEngineRecovery(t *testing.T) {
+	storetest.RunRecovery(t, func(t *testing.T) (*kvstore.Store, func() *kvstore.Store) {
+		s := kvstore.New()
+		t.Cleanup(s.Close)
+		return s, func() *kvstore.Store {
+			var buf bytes.Buffer
+			if err := s.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := kvstore.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s2.Close)
+			return s2
+		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -54,16 +53,16 @@ func (v Value) Equal(o Value) bool {
 	return true
 }
 
-// Version is a single timestamped version of a row.
-type Version struct {
-	Timestamp int64
-	Value     Value
+// version is one timestamped version of a row as the store holds it.
+type version struct {
+	ts  int64
+	val Packed
 }
 
 // row holds all versions of one key, sorted by ascending timestamp.
 type row struct {
 	mu       sync.Mutex
-	versions []Version
+	versions []version
 	// gone marks a row Delete removed from its shard map. A writer that
 	// pinned the row pointer before the delete must not mutate the orphaned
 	// object (the mutation would be invisible to readers yet still reach the
@@ -74,19 +73,22 @@ type row struct {
 
 // latest returns the newest version, or nil if none exist.
 // Caller must hold row.mu.
-func (r *row) latest() *Version {
+func (r *row) latest() *version {
 	if len(r.versions) == 0 {
 		return nil
 	}
 	return &r.versions[len(r.versions)-1]
 }
 
-// at returns the newest version with Timestamp <= ts, or nil.
-// Caller must hold row.mu.
-func (r *row) at(ts int64) *Version {
-	// Binary search for the first version with Timestamp > ts.
+// at returns the newest version with timestamp <= ts, or nil; a negative ts
+// (Latest) means the newest version. Caller must hold row.mu.
+func (r *row) at(ts int64) *version {
+	if ts < 0 {
+		return r.latest()
+	}
+	// Binary search for the first version with timestamp > ts.
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > ts
+		return r.versions[i].ts > ts
 	})
 	if i == 0 {
 		return nil
@@ -234,27 +236,34 @@ func (s *Store) mutGate() error {
 
 // Read returns the most recent version of key with a timestamp less than or
 // equal to ts. Pass Latest (or any negative ts) to read the most recent
-// version regardless of timestamp. The returned Value is a copy.
+// version regardless of timestamp. The returned Value is unpacked for the
+// caller, who owns it.
 func (s *Store) Read(key string, ts int64) (Value, int64, error) {
+	p, vts, err := s.ReadPacked(key, ts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.Unpack(), vts, nil
+}
+
+// ReadPacked is Read without the unpacking: it returns the version's stored
+// contents, which are immutable and therefore shared, not copied. Callers
+// that want one attribute (Packed.Get) never pay for a map.
+func (s *Store) ReadPacked(key string, ts int64) (Packed, int64, error) {
 	if s.isClosed() {
-		return nil, 0, ErrClosed
+		return Packed{}, 0, ErrClosed
 	}
 	r := s.getRow(key, false)
 	if r == nil {
-		return nil, 0, ErrNotFound
+		return Packed{}, 0, ErrNotFound
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var v *Version
-	if ts < 0 {
-		v = r.latest()
-	} else {
-		v = r.at(ts)
-	}
+	v := r.at(ts)
 	if v == nil {
-		return nil, 0, ErrNotFound
+		return Packed{}, 0, ErrNotFound
 	}
-	return v.Value.Clone(), v.Timestamp, nil
+	return v.val, v.ts, nil
 }
 
 // Latest may be passed as the timestamp to Read to fetch the most recent
@@ -263,8 +272,9 @@ const Latest int64 = -1
 
 // MultiResult is one key's outcome in a ReadMulti call.
 type MultiResult struct {
-	// Value is a copy of the version's contents; nil when !Found.
-	Value Value
+	// Value is the version's stored contents (immutable, shared with the
+	// store); zero when !Found.
+	Value Packed
 	// TS is the found version's timestamp.
 	TS int64
 	// Found reports whether a version existed at or before the requested
@@ -314,18 +324,29 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 			continue
 		}
 		r.mu.Lock()
-		var v *Version
-		if ts < 0 {
-			v = r.latest()
-		} else {
-			v = r.at(ts)
-		}
-		if v != nil {
-			out[i] = MultiResult{Value: v.Value.Clone(), TS: v.Timestamp, Found: true}
+		if v := r.at(ts); v != nil {
+			out[i] = MultiResult{Value: v.val, TS: v.ts, Found: true}
 		}
 		r.mu.Unlock()
 	}
 	return out, nil
+}
+
+// logUnlock finishes a single-row mutation: still under r.mu it appends m to
+// the engine (when one is attached), then releases the row and waits for the
+// record to be durable. Appending under the row lock is what pins the WAL
+// order of a row's mutations to their apply order (engine.go).
+func (s *Store) logUnlock(r *row, m Mutation) error {
+	if s.engine == nil {
+		r.mu.Unlock()
+		return nil
+	}
+	seq, err := s.appendMut(m)
+	r.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.syncMut(seq)
 }
 
 // Write creates a new version of key with the given timestamp. If a version
@@ -334,40 +355,27 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 // have the store assign a timestamp one greater than the current maximum.
 // Writing the same timestamp twice is rejected (timestamps are log positions
 // and each position is written once).
-func (s *Store) Write(key string, value Value, ts int64) (int64, error) {
+func (s *Store) Write(key string, value Contents, ts int64) (int64, error) {
 	if err := s.mutGate(); err != nil {
 		return 0, err
 	}
+	stored := packOf(value)
 	r := s.lockRow(key)
 	last := r.latest()
 	if ts < 0 {
 		ts = 0
 		if last != nil {
-			ts = last.Timestamp + 1
+			ts = last.ts + 1
 		}
-	} else if last != nil && last.Timestamp >= ts {
-		have := last.Timestamp
+	} else if last != nil && last.ts >= ts {
+		have := last.ts
 		r.mu.Unlock()
 		return 0, fmt.Errorf("%w: have ts=%d, write ts=%d key=%q",
 			ErrStaleWrite, have, ts, key)
 	}
-	stored := value.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
-	var seq uint64
-	logged := false
-	if s.engine != nil {
-		sq, err := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
-		if err != nil {
-			r.mu.Unlock()
-			return 0, err
-		}
-		seq, logged = sq, true
-	}
-	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return 0, err
-		}
+	r.versions = append(r.versions, version{ts: ts, val: stored})
+	if err := s.logUnlock(r, Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored}); err != nil {
+		return 0, err
 	}
 	return ts, nil
 }
@@ -375,12 +383,12 @@ func (s *Store) Write(key string, value Value, ts int64) (int64, error) {
 // checkIdempotent reports whether applying (ts, value) idempotently would
 // conflict: a version already exists at ts with a different value.
 // Caller must hold r.mu.
-func (r *row) checkIdempotent(ts int64, value Value) error {
+func (r *row) checkIdempotent(ts int64, value Packed) error {
 	last := r.latest()
-	if last == nil || last.Timestamp < ts {
+	if last == nil || last.ts < ts {
 		return nil // appends past the tail never conflict
 	}
-	if v := r.at(ts); v != nil && v.Timestamp == ts && !v.Value.Equal(value) {
+	if v := r.at(ts); v != nil && v.ts == ts && v.val != value {
 		return fmt.Errorf("%w: conflicting rewrite of ts=%d", ErrStaleWrite, ts)
 	}
 	return nil
@@ -388,23 +396,18 @@ func (r *row) checkIdempotent(ts int64, value Value) error {
 
 // applyIdempotent inserts (ts, value) keeping versions ordered by timestamp.
 // Re-writing an existing timestamp with an identical value is a no-op; a
-// different value is a conflict. When clone is false the row takes ownership
-// of value (the batched apply path hands over freshly built maps; everything
-// else must pass clone=true to preserve the store's copy-on-write contract).
-// The changed result reports whether the row actually mutated — duplicate
-// deliveries return false, which the engine-logging callers use to keep
-// replayed apply messages out of the write-ahead log. Caller must hold r.mu.
-func (r *row) applyIdempotent(ts int64, value Value, clone bool) (changed bool, err error) {
-	if clone {
-		value = value.Clone()
-	}
+// different value is a conflict. The changed result reports whether the row
+// actually mutated — duplicate deliveries return false, which the
+// engine-logging callers use to keep replayed apply messages out of the
+// write-ahead log. Caller must hold r.mu.
+func (r *row) applyIdempotent(ts int64, value Packed) (changed bool, err error) {
 	last := r.latest()
-	if last == nil || last.Timestamp < ts {
-		r.versions = append(r.versions, Version{Timestamp: ts, Value: value})
+	if last == nil || last.ts < ts {
+		r.versions = append(r.versions, version{ts: ts, val: value})
 		return true, nil
 	}
-	if v := r.at(ts); v != nil && v.Timestamp == ts {
-		if v.Value.Equal(value) {
+	if v := r.at(ts); v != nil && v.ts == ts {
+		if v.val == value {
 			return false, nil
 		}
 		return false, fmt.Errorf("%w: conflicting rewrite of ts=%d", ErrStaleWrite, ts)
@@ -412,77 +415,85 @@ func (r *row) applyIdempotent(ts int64, value Value, clone bool) (changed bool, 
 	// A newer version exists but this exact timestamp was never written:
 	// insert in order to keep historical reads correct.
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > ts
+		return r.versions[i].ts > ts
 	})
-	r.versions = append(r.versions, Version{})
+	r.versions = append(r.versions, version{})
 	copy(r.versions[i+1:], r.versions[i:])
-	r.versions[i] = Version{Timestamp: ts, Value: value}
+	r.versions[i] = version{ts: ts, val: value}
 	return true, nil
+}
+
+// replace makes (ts, value) the row's only version, reporting whether the
+// row changed. Caller must hold r.mu.
+func (r *row) replace(ts int64, value Packed) (changed bool) {
+	v := version{ts: ts, val: value}
+	if len(r.versions) != 1 {
+		r.versions = []version{v} // drops the history's backing array too
+		return true
+	}
+	if r.versions[0] == v {
+		return false
+	}
+	r.versions[0] = v
+	return true
 }
 
 // WriteIdempotent is Write except that re-writing an existing timestamp with
 // an identical value succeeds silently. The WAL apply path uses this so that
 // replayed log entries (after recovery or duplicated apply messages) are
 // harmless.
-func (s *Store) WriteIdempotent(key string, value Value, ts int64) error {
+func (s *Store) WriteIdempotent(key string, value Contents, ts int64) error {
 	if err := s.mutGate(); err != nil {
 		return err
 	}
 	if ts < 0 {
 		return fmt.Errorf("kvstore: WriteIdempotent requires explicit timestamp")
 	}
+	stored := packOf(value)
 	r := s.lockRow(key)
-	changed, err := r.applyIdempotent(ts, value, true)
+	changed, err := r.applyIdempotent(ts, stored)
 	if err != nil {
 		r.mu.Unlock()
 		return fmt.Errorf("%w key=%q", err, key)
 	}
 	// Duplicate deliveries (changed == false) left the image untouched, so
 	// they are already represented in the log and are not re-logged.
-	var seq uint64
-	logged := false
-	if changed && s.engine != nil {
-		sq, aerr := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: value})
-		if aerr != nil {
-			r.mu.Unlock()
-			return aerr
-		}
-		seq, logged = sq, true
+	if !changed {
+		r.mu.Unlock()
+		return nil
 	}
-	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.logUnlock(r, Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
 }
 
-// BatchWrite is one idempotent, explicitly-timestamped write in an
-// ApplyBatch call.
+// BatchWrite is one explicitly-timestamped write in an ApplyBatch call:
+// idempotent (WriteIdempotent semantics) by default, or — with Replace set —
+// a replace-latest write that leaves (TS, Value) as the row's only version.
+// Replace suits a row that is only ever read at Latest (the replicated
+// log's meta row): it keeps no history, in memory or through recovery.
 type BatchWrite struct {
-	Key   string
-	Value Value
-	TS    int64
+	Key     string
+	Value   Contents
+	TS      int64
+	Replace bool
 }
 
-// ApplyBatch applies a batch of idempotent versioned writes (WriteIdempotent
-// semantics per element) with one shard-lock acquisition per touched shard,
-// instead of the per-key shard lookup that a loop of Write calls pays. The
-// replicated-log apply path (internal/replog) uses it to land all writes of
-// a batch of contiguous decided log entries in one pass.
+// ApplyBatch applies a batch of explicitly-timestamped writes with one
+// shard-lock acquisition per touched shard, instead of the per-key shard
+// lookup that a loop of Write calls pays. The replicated-log apply path
+// (internal/replog) uses it to land all writes of a batch of contiguous
+// decided log entries, and the meta row recording them, in one pass.
 //
-// The store takes ownership of each element's Value: unlike every other
-// write operation it is NOT cloned, so callers must hand over maps they will
-// not mutate afterwards (the apply path builds them fresh per batch).
-//
-// Every write is validated before any row is mutated, so a batch that
-// conflicts with the existing state applies nothing. Under concurrent
+// Every idempotent write is validated before any row is mutated, so a batch
+// that conflicts with the existing state applies nothing. Under concurrent
 // non-identical writers a batch may still fail partway (applied elements are
 // idempotent, so retrying the same batch is harmless); cross-row visibility
 // is never atomic — readers may observe a prefix of the batch. The log layer
 // gates visibility through its applied watermark instead, which only
 // advances after ApplyBatch returns (see internal/replog and DESIGN.md §4).
+//
+// Elements are applied, and logged to the engine, in slice order, and one
+// Sync covers them all: when a later element of a batch is durable, so is
+// every earlier one.
 func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	if err := s.mutGate(); err != nil {
 		return err
@@ -519,11 +530,17 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 		}
 		sh.mu.Unlock()
 	}
-	// Validate everything first so a conflicting batch mutates nothing.
+	// Pack once, and validate everything first so a conflicting batch
+	// mutates nothing.
+	vals := make([]Packed, len(writes))
 	for i := range writes {
+		vals[i] = packOf(writes[i].Value)
+		if writes[i].Replace {
+			continue
+		}
 		r := s.lockPinned(rows[i], writes[i].Key)
 		rows[i] = r
-		err := r.checkIdempotent(writes[i].TS, writes[i].Value)
+		err := r.checkIdempotent(writes[i].TS, vals[i])
 		r.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w key=%q", err, writes[i].Key)
@@ -540,16 +557,20 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	logged := false
 	for i := range writes {
 		r := s.lockPinned(rows[i], writes[i].Key)
-		rows[i] = r
-		changed, err := r.applyIdempotent(writes[i].TS, writes[i].Value, false)
-		if err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("%w key=%q", err, writes[i].Key)
+		m := Mutation{Op: OpWrite, Key: writes[i].Key, TS: writes[i].TS, Value: vals[i]}
+		var changed bool
+		if writes[i].Replace {
+			m.Op = OpReplace
+			changed = r.replace(m.TS, m.Value)
+		} else {
+			var err error
+			if changed, err = r.applyIdempotent(m.TS, m.Value); err != nil {
+				r.mu.Unlock()
+				return fmt.Errorf("%w key=%q", err, writes[i].Key)
+			}
 		}
 		if changed && s.engine != nil {
-			sq, aerr := s.appendMut(Mutation{
-				Op: OpWrite, Key: writes[i].Key, TS: writes[i].TS, Value: writes[i].Value,
-			})
+			sq, aerr := s.appendMut(m)
 			if aerr != nil {
 				r.mu.Unlock()
 				return aerr
@@ -574,85 +595,24 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 //
 // This is the operation Algorithm 1 of the paper relies on to make Paxos
 // acceptor state transitions atomic.
-func (s *Store) CheckAndWrite(key, testAttr, testValue string, value Value) error {
+func (s *Store) CheckAndWrite(key, testAttr, testValue string, value Contents) error {
 	if err := s.mutGate(); err != nil {
 		return err
 	}
+	stored := packOf(value)
 	r := s.lockRow(key)
 	cur := ""
-	last := r.latest()
-	if last != nil {
-		cur = last.Value[testAttr]
+	ts := int64(0)
+	if last := r.latest(); last != nil {
+		cur = last.val.Get(testAttr)
+		ts = last.ts + 1
 	}
 	if cur != testValue {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: attr %q is %q, want %q", ErrCheckFailed, testAttr, cur, testValue)
 	}
-	ts := int64(0)
-	if last != nil {
-		ts = last.Timestamp + 1
-	}
-	stored := value.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
-	var seq uint64
-	logged := false
-	if s.engine != nil {
-		sq, err := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
-		if err != nil {
-			r.mu.Unlock()
-			return err
-		}
-		seq, logged = sq, true
-	}
-	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Update atomically reads the latest version of key and replaces it with the
-// value returned by fn. fn receives a copy of the latest value (nil if the
-// row is empty) and returns the replacement value, or an error to abort.
-// Update exists for maintenance paths (GC bookkeeping, tooling); the Paxos
-// protocol itself uses only Read/Write/CheckAndWrite per the paper.
-func (s *Store) Update(key string, fn func(Value) (Value, error)) error {
-	if err := s.mutGate(); err != nil {
-		return err
-	}
-	r := s.lockRow(key)
-	var cur Value
-	var ts int64
-	if last := r.latest(); last != nil {
-		cur = last.Value.Clone()
-		ts = last.Timestamp + 1
-	}
-	next, err := fn(cur)
-	if err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	stored := next.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
-	var seq uint64
-	logged := false
-	if s.engine != nil {
-		sq, aerr := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
-		if aerr != nil {
-			r.mu.Unlock()
-			return aerr
-		}
-		seq, logged = sq, true
-	}
-	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.versions = append(r.versions, version{ts: ts, val: stored})
+	return s.logUnlock(r, Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
 }
 
 // Versions returns the number of stored versions for key.
@@ -685,17 +645,11 @@ func (s *Store) GC(key string, keepFrom int64) int {
 	// versions reappear), never correctness, so engine failures surface via
 	// the sticky fail-stop flag rather than a return value here. Appended
 	// under the row lock so replay scavenges in apply order.
-	var seq uint64
-	logged := false
-	if dropped > 0 && s.engine != nil {
-		if sq, err := s.appendMut(Mutation{Op: OpGC, Key: key, TS: keepFrom}); err == nil {
-			seq, logged = sq, true
-		}
+	if dropped == 0 {
+		r.mu.Unlock()
+		return 0
 	}
-	r.mu.Unlock()
-	if logged {
-		_ = s.syncMut(seq)
-	}
+	_ = s.logUnlock(r, Mutation{Op: OpGC, Key: key, TS: keepFrom})
 	return dropped
 }
 
@@ -715,7 +669,7 @@ func (s *Store) gcRow(key string, keepFrom int64) int {
 // keepFrom. Caller must hold r.mu.
 func (r *row) gc(keepFrom int64) int {
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > keepFrom
+		return r.versions[i].ts > keepFrom
 	})
 	// Keep the version at keepFrom itself (index i-1) so reads at keepFrom
 	// still resolve.
@@ -724,7 +678,7 @@ func (r *row) gc(keepFrom int64) int {
 		return 0
 	}
 	dropped := cut
-	r.versions = append([]Version(nil), r.versions[cut:]...)
+	r.versions = append([]version(nil), r.versions[cut:]...)
 	return dropped
 }
 
@@ -764,48 +718,6 @@ func (s *Store) Delete(key string) {
 	if logged {
 		_ = s.syncMut(seq)
 	}
-}
-
-// KeysWithPrefix returns all keys starting with prefix, sorted.
-func (s *Store) KeysWithPrefix(prefix string) []string {
-	var keys []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, r := range sh.rows {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			r.mu.Lock()
-			n := len(r.versions)
-			r.mu.Unlock()
-			if n > 0 {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Keys returns all keys with at least one version, in unspecified order.
-// Intended for tooling and tests.
-func (s *Store) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, r := range sh.rows {
-			r.mu.Lock()
-			n := len(r.versions)
-			r.mu.Unlock()
-			if n > 0 {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Len returns the number of keys with at least one version.

@@ -170,33 +170,23 @@ func TestCheckAndWriteMissingAttrTreatedAsEmpty(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
+func TestApplyBatchReplace(t *testing.T) {
 	s := New()
-	err := s.Update("ctr", func(v Value) (Value, error) {
-		if v != nil {
-			t.Fatalf("first Update got non-nil %v", v)
+	for ts := int64(0); ts < 3; ts++ {
+		if _, err := s.Write("row", Value{"n": fmt.Sprint(ts)}, ts); err != nil {
+			t.Fatal(err)
 		}
-		return Value{"n": "1"}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	err = s.Update("ctr", func(v Value) (Value, error) {
-		if v["n"] != "1" {
-			t.Fatalf("second Update got %v", v)
+	// A replace-latest write discards the history, whatever its timestamp.
+	for _, ts := range []int64{7, 7, 2} {
+		w := BatchWrite{Key: "row", Value: Value{"n": fmt.Sprint("r", ts)}, TS: ts, Replace: true}
+		if err := s.ApplyBatch([]BatchWrite{w}); err != nil {
+			t.Fatal(err)
 		}
-		return Value{"n": "2"}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("abort")
-	if err := s.Update("ctr", func(Value) (Value, error) { return nil, sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("Update abort: err = %v", err)
-	}
-	v, _, _ := s.Read("ctr", Latest)
-	if v["n"] != "2" {
-		t.Fatalf("aborted Update changed row: %v", v)
+		v, vts, err := s.Read("row", Latest)
+		if err != nil || vts != ts || v["n"] != fmt.Sprint("r", ts) || s.Versions("row") != 1 {
+			t.Fatalf("after replace at %d: %v@%d (%d versions) %v", ts, v, vts, s.Versions("row"), err)
+		}
 	}
 }
 
@@ -253,9 +243,9 @@ func TestKeysAndLen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := s.Keys()
+	keys := scanKeys(t, s, "")
 	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("Keys = %v", keys)
+		t.Fatalf("keys = %v", keys)
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
@@ -282,22 +272,43 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestKeysWithPrefix(t *testing.T) {
+// scanKeys returns every key under prefix, paging ScanPrefix two rows at a
+// time so the cursor logic is exercised too.
+func scanKeys(t *testing.T, s *Store, prefix string) []string {
+	t.Helper()
+	var keys []string
+	after := ""
+	for {
+		rows, more, err := s.ScanPrefix(prefix, after, 2, Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			keys = append(keys, r.Key)
+		}
+		if !more {
+			return keys
+		}
+		after = rows[len(rows)-1].Key
+	}
+}
+
+func TestScanPrefixKeys(t *testing.T) {
 	s := New()
 	for _, k := range []string{"log/g/1", "log/g/2", "log/other/1", "data/g/x"} {
 		if _, err := s.Write(k, Value{"v": "1"}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := s.KeysWithPrefix("log/g/")
+	got := scanKeys(t, s, "log/g/")
 	if len(got) != 2 || got[0] != "log/g/1" || got[1] != "log/g/2" {
-		t.Fatalf("KeysWithPrefix = %v", got)
+		t.Fatalf("keys under log/g/ = %v", got)
 	}
-	if got := s.KeysWithPrefix("nope/"); len(got) != 0 {
+	if got := scanKeys(t, s, "nope/"); len(got) != 0 {
 		t.Fatalf("unexpected matches: %v", got)
 	}
 	// A prefix equal to a full key matches that key.
-	if got := s.KeysWithPrefix("data/g/x"); len(got) != 1 {
+	if got := scanKeys(t, s, "data/g/x"); len(got) != 1 {
 		t.Fatalf("exact prefix = %v", got)
 	}
 }

@@ -41,7 +41,7 @@ func TestReadMultiMatchesRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got[i].Found || got[i].TS != vts || !got[i].Value.Equal(v) {
+			if !got[i].Found || got[i].TS != vts || !got[i].Value.Unpack().Equal(v) {
 				t.Fatalf("ts=%d key=%s: ReadMulti %+v, Read %v@%d", ts, k, got[i], v, vts)
 			}
 		}
@@ -66,7 +66,7 @@ func TestReadMultiReturnsCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res[0].Value["v"] = "mutated"
+	res[0].Value.Unpack()["v"] = "mutated"
 	if v, _, _ := s.Read("a", Latest); v["v"] != "1" {
 		t.Fatal("ReadMulti leaked internal storage")
 	}

@@ -18,6 +18,14 @@ import (
 // persistMagic guards against loading unrelated gob streams.
 const persistMagic = "paxoscp-kvstore-v1"
 
+// Version is one timestamped version of a row in the snapshot format, which
+// keeps the contents as a map: the format predates the packed in-memory form
+// and is unchanged by it, so Save unpacks and Load packs.
+type Version struct {
+	Timestamp int64
+	Value     Value
+}
+
 type persistedRow struct {
 	Key      string
 	Versions []Version
@@ -35,20 +43,25 @@ func (s *Store) Save(w io.Writer) error {
 		return ErrClosed
 	}
 	out := persistedStore{Magic: persistMagic}
-	for _, key := range s.Keys() {
-		r := s.getRow(key, false)
+	// The walk names the rows; each row's whole history is then captured
+	// under its lock.
+	err := s.WalkPrefix("", Latest, func(sr ScanRow) {
+		r := s.getRow(sr.Key, false)
 		if r == nil {
-			continue
+			return // deleted since its page was gathered
 		}
 		r.mu.Lock()
 		versions := make([]Version, len(r.versions))
 		for i, v := range r.versions {
-			versions[i] = Version{Timestamp: v.Timestamp, Value: v.Value.Clone()}
+			versions[i] = Version{Timestamp: v.ts, Value: v.val.Unpack()}
 		}
 		r.mu.Unlock()
 		if len(versions) > 0 {
-			out.Rows = append(out.Rows, persistedRow{Key: key, Versions: versions})
+			out.Rows = append(out.Rows, persistedRow{Key: sr.Key, Versions: versions})
 		}
+	})
+	if err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
 	if err := gob.NewEncoder(bw).Encode(out); err != nil {
@@ -69,7 +82,9 @@ func Load(r io.Reader) (*Store, error) {
 	s := New()
 	for _, pr := range in.Rows {
 		row := s.getRow(pr.Key, true)
-		row.versions = append(row.versions, pr.Versions...)
+		for _, v := range pr.Versions {
+			row.versions = append(row.versions, version{ts: v.Timestamp, val: Pack(v.Value)})
+		}
 	}
 	return s, nil
 }

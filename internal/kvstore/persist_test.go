@@ -25,7 +25,7 @@ func populated(t *testing.T) *Store {
 
 func assertEqualStores(t *testing.T, a, b *Store) {
 	t.Helper()
-	ka, kb := a.Keys(), b.Keys()
+	ka, kb := scanKeys(t, a, ""), scanKeys(t, b, "")
 	if len(ka) != len(kb) {
 		t.Fatalf("key counts differ: %d vs %d", len(ka), len(kb))
 	}

@@ -14,9 +14,9 @@ import (
 // fold into base amortized — triggered by inserts when delta outgrows
 // indexDeltaCap, and by scans, which fold a delta above scanDeltaCap (or a
 // ghost-heavy base) before walking so no page ever sorts an unbounded
-// buffer. Compared to the sort-everything Keys/KeysWithPrefix paths, a page
-// of L rows costs O(L log) plus amortized maintenance, independent of store
-// size — the property the migration backfill regression test pins.
+// buffer. A page of L rows costs O(L log) plus amortized maintenance,
+// independent of store size — the property the migration backfill
+// regression test pins.
 
 const (
 	// indexDeltaCap bounds the unsorted insert buffer on the insert path:
@@ -170,7 +170,7 @@ func (sh *shard) gatherScan(prefix, after string, max int) ([]scanCand, bool) {
 // ScanRow is one visible row returned by ScanPrefix.
 type ScanRow struct {
 	Key string
-	Val Value
+	Val Packed // stored contents: immutable, shared with the store
 	TS  int64
 }
 
@@ -243,14 +243,8 @@ func (s *Store) ScanPrefix(prefix, after string, limit int, ts int64) ([]ScanRow
 			if r == nil {
 				continue
 			}
-			var v *Version
-			if ts < 0 {
-				v = r.latest()
-			} else {
-				v = r.at(ts)
-			}
-			if v != nil {
-				out = append(out, ScanRow{Key: c.key, Val: v.Value.Clone(), TS: v.Timestamp})
+			if v := r.at(ts); v != nil {
+				out = append(out, ScanRow{Key: c.key, Val: v.val, TS: v.ts})
 			}
 			r.mu.Unlock()
 			if len(out) == want {
@@ -263,6 +257,31 @@ func (s *Store) ScanPrefix(prefix, after string, limit int, ts int64) ([]ScanRow
 		if after < bound {
 			after = bound
 		}
+	}
+}
+
+// walkPage sizes the pages WalkPrefix reads the ordered index in.
+const walkPage = 512
+
+// WalkPrefix calls fn with every row under prefix visible at ts, in
+// ascending key order, reading the ordered index one ScanPrefix page at a
+// time — so a walk costs O(rows) and holds no lock between pages, whatever
+// the store's size. fn may mutate the store (compaction deletes rows as it
+// walks); per-page semantics are ScanPrefix's.
+func (s *Store) WalkPrefix(prefix string, ts int64, fn func(ScanRow)) error {
+	after := ""
+	for {
+		rows, more, err := s.ScanPrefix(prefix, after, walkPage, ts)
+		if err != nil {
+			return err
+		}
+		for _, row := range rows {
+			fn(row)
+		}
+		if !more {
+			return nil
+		}
+		after = rows[len(rows)-1].Key
 	}
 }
 

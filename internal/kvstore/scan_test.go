@@ -103,24 +103,28 @@ func TestScanExaminedLinear(t *testing.T) {
 
 // TestScanConcurrentCreateSorted hammers row creation while scanning at
 // Latest: every page must stay sorted and duplicate-free even as the
-// unsorted delta buffer churns underneath.
+// unsorted delta buffer churns underneath. The writer gets a budget of rows
+// per scan round rather than free rein: unthrottled, it outran a scanner
+// starved of CPU, every round then walked a bigger table, and the test took
+// a minute or more on a loaded machine instead of a tenth of a second.
 func TestScanConcurrentCreateSorted(t *testing.T) {
+	const rounds, rowsPerRound = 20, 200
 	s := New()
-	stop := make(chan struct{})
+	budget := make(chan struct{}, rounds) // one token per scan round; sized to the sends
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(7))
-		for ts := int64(1); ; ts++ {
-			select {
-			case <-stop:
-				return
-			default:
+		ts := int64(0)
+		for range budget {
+			for i := 0; i < rowsPerRound; i++ {
+				ts++
+				s.WriteIdempotent(fmt.Sprintf("s/r%06d", rng.Intn(100000)), Value{"v": "x"}, ts)
 			}
-			s.WriteIdempotent(fmt.Sprintf("s/r%06d", rng.Intn(100000)), Value{"v": "x"}, ts)
 		}
 	}()
-	for round := 0; round < 50; round++ {
+	for round := 0; round < rounds; round++ {
+		budget <- struct{}{}
 		after := ""
 		prev := ""
 		for {
@@ -140,6 +144,6 @@ func TestScanConcurrentCreateSorted(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
+	close(budget)
 	<-done
 }

@@ -71,7 +71,7 @@ func scanBasic(t *testing.T, s *kvstore.Store) {
 	}
 	for i, r := range rows {
 		want := fmt.Sprintf("a/k%02d", i)
-		if r.Key != want || r.Val["v"] != fmt.Sprint(i) {
+		if r.Key != want || r.Val.Get("v") != fmt.Sprint(i) {
 			t.Fatalf("row %d = %q %v, want %q", i, r.Key, r.Val, want)
 		}
 	}
@@ -128,7 +128,7 @@ func scanDeleteRecreate(t *testing.T, s *kvstore.Store) {
 		if _, dup := seen[r.Key]; dup {
 			t.Fatalf("key %q returned twice", r.Key)
 		}
-		seen[r.Key] = r.Val["v"]
+		seen[r.Key] = r.Val.Get("v")
 	}
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("d/k%02d", i)
@@ -164,7 +164,7 @@ func scanPinnedTS(t *testing.T, s *kvstore.Store) {
 	if len(rows) != 2 || rows[0].Key != "t/a" || rows[1].Key != "t/c" {
 		t.Fatalf("scan@3 = %+v, want t/a and t/c", rows)
 	}
-	if rows[0].TS != 1 || rows[1].TS != 2 || rows[1].Val["v"] != "c2" {
+	if rows[0].TS != 1 || rows[1].TS != 2 || rows[1].Val.Get("v") != "c2" {
 		t.Fatalf("scan@3 versions = %+v", rows)
 	}
 }
@@ -255,7 +255,7 @@ func scanOracleUnderChurn(t *testing.T, s *kvstore.Store) {
 			if _, dup := got[r.Key]; dup {
 				t.Errorf("page=%d: key %q twice", page, r.Key)
 			}
-			got[r.Key] = r.Val["v"]
+			got[r.Key] = r.Val.Get("v")
 		}
 		if len(got) != len(oracle) {
 			t.Errorf("page=%d: scan@%d saw %d keys, oracle has %d", page, pin, len(got), len(oracle))

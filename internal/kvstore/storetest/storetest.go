@@ -6,12 +6,16 @@
 package storetest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"paxoscp/internal/kvstore"
+	"paxoscp/internal/replog"
+	"paxoscp/internal/wal"
 )
 
 // Factory returns a fresh store for one subtest. The factory is responsible
@@ -31,6 +35,60 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("WriteFamily", func(t *testing.T) { writeFamily(t, factory(t)) })
 	t.Run("ClosedStore", func(t *testing.T) { closedStore(t, factory(t)) })
 	runScan(t, factory)
+}
+
+// RecoveryFactory returns a fresh store and a function that stops it the
+// hard way and returns what a restart recovers: power loss and WAL replay
+// for the disk engine, a Save/Load round trip for the in-memory one.
+type RecoveryFactory func(t *testing.T) (s *kvstore.Store, reopen func() *kvstore.Store)
+
+// RunRecovery exercises the contracts that span a restart.
+func RunRecovery(t *testing.T, factory RecoveryFactory) {
+	t.Run("MetaRowHoldsOneVersion", func(t *testing.T) {
+		s, reopen := factory(t)
+		metaRowOneVersion(t, s, reopen)
+	})
+}
+
+// metaRowOneVersion drives a replicated log through many drains — each one
+// batch of data writes plus the replace-latest meta row — and checks the
+// meta row never accumulates history, live or through recovery, and that
+// the recovered row still describes the recovered data.
+func metaRowOneVersion(t *testing.T, s *kvstore.Store, reopen func() *kvstore.Store) {
+	const drains = 200
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	lg := replog.Open(s, "g")
+	for pos := int64(1); pos <= drains; pos++ {
+		txn := wal.Txn{ID: fmt.Sprint("t", pos), Writes: map[string]string{
+			"hot": fmt.Sprint(pos), fmt.Sprint("k", pos%7): fmt.Sprint(pos),
+		}}
+		if _, err := lg.Append(pos, wal.Encode(wal.NewEntry(txn))); err != nil {
+			t.Fatal(err)
+		}
+		// Waiting per position makes every append its own drain.
+		if err := lg.WaitApplied(ctx, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg.Close()
+	meta := replog.MetaKey("g")
+	if n := s.Versions(meta); n != 1 {
+		t.Fatalf("meta row holds %d versions after %d drains, want 1", n, drains)
+	}
+
+	s2 := reopen()
+	if n := s2.Versions(meta); n != 1 {
+		t.Fatalf("meta row holds %d versions after recovery, want 1", n)
+	}
+	lg2 := replog.Open(s2, "g")
+	defer lg2.Close()
+	if got := lg2.Applied(); got != drains {
+		t.Fatalf("recovered watermark = %d, want %d", got, drains)
+	}
+	if v, ts, err := s2.Read(replog.DataKey("g", "hot"), kvstore.Latest); err != nil || ts != drains || v["v"] != fmt.Sprint(drains) {
+		t.Fatalf("recovered hot row = %v@%d %v, want %d@%d", v, ts, err, drains, drains)
+	}
 }
 
 func batchBasic(t *testing.T, s *kvstore.Store) {
@@ -192,8 +250,8 @@ func batchConcurrentDisjoint(t *testing.T, s *kvstore.Store) {
 }
 
 // writeFamily covers the non-batch mutating operations every backend must
-// support identically: Write, WriteIdempotent, CheckAndWrite, Update, GC,
-// Delete.
+// support identically: Write, WriteIdempotent, CheckAndWrite, a
+// replace-latest batch element, GC, Delete.
 func writeFamily(t *testing.T, s *kvstore.Store) {
 	if _, err := s.Write("w", kvstore.Value{"v": "1"}, 1); err != nil {
 		t.Fatal(err)
@@ -210,14 +268,13 @@ func writeFamily(t *testing.T, s *kvstore.Store) {
 	if err := s.CheckAndWrite("caw", "state", "wrong", kvstore.Value{"state": "x"}); !errors.Is(err, kvstore.ErrCheckFailed) {
 		t.Fatalf("check: err=%v, want ErrCheckFailed", err)
 	}
-	if err := s.Update("caw", func(v kvstore.Value) (kvstore.Value, error) {
-		v["state"] = "updated"
-		return v, nil
+	if err := s.ApplyBatch([]kvstore.BatchWrite{
+		{Key: "caw", Value: kvstore.Value{"state": "replaced"}, TS: 9, Replace: true},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, err := s.Read("caw", kvstore.Latest); err != nil || v["state"] != "updated" {
-		t.Fatalf("caw = %v %v", v, err)
+	if v, ts, err := s.Read("caw", kvstore.Latest); err != nil || ts != 9 || v["state"] != "replaced" || s.Versions("caw") != 1 {
+		t.Fatalf("caw = %v@%d (%d versions) %v", v, ts, s.Versions("caw"), err)
 	}
 	for ts := int64(2); ts <= 6; ts++ {
 		if err := s.WriteIdempotent("w", kvstore.Value{"v": fmt.Sprint(ts)}, ts); err != nil {

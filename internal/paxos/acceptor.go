@@ -61,7 +61,7 @@ func parseBallot(s string) int64 {
 }
 
 func (a *Acceptor) load(group string, pos int64) (acceptorState, error) {
-	v, _, err := a.store.Read(StateKey(group, pos), kvstore.Latest)
+	v, _, err := a.store.ReadPacked(StateKey(group, pos), kvstore.Latest)
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return acceptorState{seq: 0, nextBal: NilBallot, voteBal: NilBallot}, nil
 	}
@@ -69,12 +69,12 @@ func (a *Acceptor) load(group string, pos int64) (acceptorState, error) {
 		return acceptorState{}, err
 	}
 	st := acceptorState{
-		seq:     parseSeq(v["seq"]),
-		nextBal: parseBallot(v["nextBal"]),
-		voteBal: parseBallot(v["voteBal"]),
+		seq:     parseSeq(v.Get("seq")),
+		nextBal: parseBallot(v.Get("nextBal")),
+		voteBal: parseBallot(v.Get("voteBal")),
 	}
 	if st.voteBal != NilBallot {
-		st.voteVal = []byte(v["voteVal"])
+		st.voteVal = []byte(v.Get("voteVal"))
 	}
 	return st, nil
 }
@@ -94,13 +94,13 @@ func (a *Acceptor) cas(group string, pos int64, old acceptorState, next acceptor
 	if old.seq > 0 {
 		testSeq = strconv.FormatInt(old.seq, 10)
 	}
-	val := kvstore.Value{
-		"seq":     strconv.FormatInt(old.seq+1, 10),
-		"nextBal": strconv.FormatInt(next.nextBal, 10),
-	}
+	// Packed directly, names ascending: the row is written on every prepare
+	// and accept, and a map built only to be encoded is pure garbage.
+	nextBal, seq := strconv.FormatInt(next.nextBal, 10), strconv.FormatInt(old.seq+1, 10)
+	val := kvstore.PackAttrs("nextBal", nextBal, "seq", seq)
 	if next.voteBal != NilBallot {
-		val["voteBal"] = strconv.FormatInt(next.voteBal, 10)
-		val["voteVal"] = string(next.voteVal)
+		val = kvstore.PackAttrs("nextBal", nextBal, "seq", seq,
+			"voteBal", strconv.FormatInt(next.voteBal, 10), "voteVal", string(next.voteVal))
 	}
 	err := a.store.CheckAndWrite(StateKey(group, pos), "seq", testSeq, val)
 	if errors.Is(err, kvstore.ErrCheckFailed) {

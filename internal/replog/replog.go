@@ -34,10 +34,12 @@ type Log struct {
 	// ioMu orders bulk store mutations against watermark movement: the
 	// apply goroutine's batch+meta write and snapshot installation.
 	ioMu sync.Mutex
-	// batch is drain's reusable write buffer (guarded by ioMu). The Value
-	// maps inside are handed to the store (ApplyBatch takes ownership);
-	// only the slice header is reused.
+	// batch is drain's reusable write buffer (guarded by ioMu).
 	batch []kvstore.BatchWrite
+	// meta is the meta row's contents as last written (guarded by ioMu).
+	// Every writer of the row holds ioMu, so each composes the next contents
+	// from this copy instead of reading the row back.
+	meta metaRow
 
 	// mu guards the fields below. Critical sections are short; the apply
 	// goroutine does its store I/O outside mu.
@@ -92,6 +94,57 @@ type EpochState struct {
 	Pos    int64
 }
 
+// metaRow is the contents of a group's meta row (keys.go): the applied
+// watermark, the compaction horizon, the prevailing epoch state and the
+// encoded handoff records. The row is only ever read at Latest, by Open, so
+// it is written replace-latest and holds one version.
+type metaRow struct {
+	last, compacted int64
+	epoch           EpochState
+	migrations      string // encodeMigrations form; "" = none
+}
+
+// write returns the batch element that makes m the group's meta row.
+func (m metaRow) write(group string) kvstore.BatchWrite {
+	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
+	return kvstore.BatchWrite{
+		Key: MetaKey(group), TS: m.last, Replace: true,
+		Value: kvstore.PackAttrs(
+			"compacted", itoa(m.compacted),
+			"epoch", itoa(m.epoch.Epoch),
+			"epochpos", itoa(m.epoch.Pos),
+			"last", itoa(m.last),
+			"master", m.epoch.Master,
+			"migrations", m.migrations),
+	}
+}
+
+// readMeta decodes a meta row; absent attributes (rows written before the
+// epoch or migration fields existed) read as zero.
+func readMeta(v kvstore.Packed) metaRow {
+	atoi := func(attr string) int64 {
+		n, _ := strconv.ParseInt(v.Get(attr), 10, 64)
+		return n
+	}
+	return metaRow{
+		last: atoi("last"), compacted: atoi("compacted"),
+		epoch:      EpochState{Epoch: atoi("epoch"), Master: v.Get("master"), Pos: atoi("epochpos")},
+		migrations: v.Get("migrations"),
+	}
+}
+
+// scanLogRows calls fn with the position and encoded entry of every log row
+// the store holds for group. It stops early, without error, if the store
+// closes mid-walk.
+func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, entry string)) {
+	prefix := LogPrefix(group)
+	_ = store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+		if pos, err := strconv.ParseInt(row.Key[len(prefix):], 10, 64); err == nil {
+			fn(pos, row.Val.Get("entry"))
+		}
+	})
+}
+
 // Open returns the Log for (store, group), rebuilding its in-memory state
 // from the store's rows: the watermark and compaction horizon from the meta
 // row, and any decided-but-unapplied entries (written durably before a
@@ -118,33 +171,24 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		stopCh:    make(chan struct{}),
 		renewedAt: time.Now(),
 	}
-	if v, _, err := store.Read(MetaKey(group), kvstore.Latest); err == nil {
-		l.applied, _ = strconv.ParseInt(v["last"], 10, 64)
-		l.compacted, _ = strconv.ParseInt(v["compacted"], 10, 64)
-		l.epoch.Epoch, _ = strconv.ParseInt(v["epoch"], 10, 64)
-		l.epoch.Pos, _ = strconv.ParseInt(v["epochpos"], 10, 64)
-		l.epoch.Master = v["master"]
-		l.mig.rebuild(group, decodeMigrations(v["migrations"]))
+	if v, _, err := store.ReadPacked(MetaKey(group), kvstore.Latest); err == nil {
+		l.meta = readMeta(v)
+		l.applied, l.compacted, l.epoch = l.meta.last, l.meta.compacted, l.meta.epoch
+		l.mig.rebuild(group, decodeMigrations(l.meta.migrations))
 	}
 	l.decidedMax = l.applied
 	// Recover decided entries above the watermark into the pending set.
-	prefix := LogPrefix(group)
-	for _, key := range store.KeysWithPrefix(prefix) {
-		pos, err := strconv.ParseInt(key[len(prefix):], 10, 64)
-		if err != nil || pos <= l.applied {
-			continue
+	scanLogRows(store, group, func(pos int64, raw string) {
+		if pos <= l.applied {
+			return
 		}
-		raw, _, err := store.Read(key, kvstore.Latest)
-		if err != nil {
-			continue
-		}
-		if entry, err := wal.Decode([]byte(raw["entry"])); err == nil {
+		if entry, err := wal.Decode([]byte(raw)); err == nil {
 			l.pending[pos] = entry
 			if pos > l.decidedMax {
 				l.decidedMax = pos
 			}
 		}
-	}
+	})
 	// Drain recovered entries synchronously so a restarted replica surfaces
 	// a fully advanced watermark before it serves its first request.
 	if len(l.pending) > 0 {
@@ -240,7 +284,7 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
-	if err := l.store.WriteIdempotent(LogKey(l.group, pos), kvstore.Value{"entry": string(entryBytes)}, 0); err != nil {
+	if err := l.store.WriteIdempotent(LogKey(l.group, pos), kvstore.PackAttrs("entry", string(entryBytes)), 0); err != nil {
 		return 0, fmt.Errorf("replog: store entry %s/%d: %w", l.group, pos, err)
 	}
 	l.mu.Lock()
@@ -303,7 +347,7 @@ func (l *Log) Has(pos int64) bool {
 	if inPending || inCache {
 		return true
 	}
-	_, _, err := l.store.Read(LogKey(l.group, pos), kvstore.Latest)
+	_, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
 	return err == nil
 }
 
@@ -323,11 +367,11 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 		return e, true
 	}
 	l.mu.Unlock()
-	raw, _, err := l.store.Read(LogKey(l.group, pos), kvstore.Latest)
+	raw, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
 	if err != nil {
 		return wal.Entry{}, false
 	}
-	entry, err := wal.Decode([]byte(raw["entry"]))
+	entry, err := wal.Decode([]byte(raw.Get("entry")))
 	if err != nil {
 		return wal.Entry{}, false
 	}
@@ -340,27 +384,22 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 // EntryBytes returns the encoded decided entry at pos, for serving catch-up
 // fetches.
 func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
-	raw, _, err := l.store.Read(LogKey(l.group, pos), kvstore.Latest)
+	raw, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
 	if err != nil {
 		return nil, false
 	}
-	return []byte(raw["entry"]), true
+	return []byte(raw.Get("entry")), true
 }
 
 // Snapshot returns every decided log entry known locally, keyed by position.
 // Entries are deep copies; intended for the history checker and tooling.
 func (l *Log) Snapshot() map[int64]wal.Entry {
 	out := make(map[int64]wal.Entry)
-	prefix := LogPrefix(l.group)
-	for _, key := range l.store.KeysWithPrefix(prefix) {
-		pos, err := strconv.ParseInt(key[len(prefix):], 10, 64)
-		if err != nil {
-			continue
+	scanLogRows(l.store, l.group, func(pos int64, raw string) {
+		if entry, err := wal.Decode([]byte(raw)); err == nil {
+			out[pos] = entry
 		}
-		if entry, ok := l.Entry(pos); ok {
-			out[pos] = entry.Clone()
-		}
-	}
+	})
 	l.mu.Lock()
 	for pos, entry := range l.pending {
 		if _, ok := out[pos]; !ok {
@@ -432,14 +471,9 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 	for pos := prev + 1; pos < horizon; pos++ {
 		l.store.Delete(LogKey(l.group, pos))
 	}
-	err := l.store.Update(MetaKey(l.group), func(cur kvstore.Value) (kvstore.Value, error) {
-		if cur == nil {
-			cur = kvstore.Value{}
-		}
-		cur["compacted"] = strconv.FormatInt(horizon, 10)
-		return cur, nil
-	})
-	if err != nil {
+	meta := l.meta
+	meta.compacted = horizon
+	if err := l.writeMeta(meta); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
@@ -458,6 +492,15 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 	}
 	l.mu.Unlock()
 	return horizon, nil
+}
+
+// writeMeta replaces the meta row with m. Caller must hold ioMu.
+func (l *Log) writeMeta(m metaRow) error {
+	if err := l.store.ApplyBatch([]kvstore.BatchWrite{m.write(l.group)}); err != nil {
+		return err
+	}
+	l.meta = m
+	return nil
 }
 
 // InstallSnapshot jumps the watermark and compaction horizon to a peer
@@ -481,24 +524,16 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 	if epoch.Epoch < l.epoch.Epoch {
 		epoch = l.epoch
 	}
+	// The snapshot's record list extends ours (both are prefixes of the same
+	// log's handoff sequence); adopt the longer one.
+	adoptMig := len(mig.Records) > len(l.mig.records)
 	l.mu.Unlock()
-	err := l.store.Update(MetaKey(l.group), func(cur kvstore.Value) (kvstore.Value, error) {
-		if cur == nil {
-			cur = kvstore.Value{}
-		}
-		cur["last"] = strconv.FormatInt(horizon, 10)
-		cur["compacted"] = strconv.FormatInt(horizon, 10)
-		if epoch.Epoch > 0 {
-			cur["epoch"] = strconv.FormatInt(epoch.Epoch, 10)
-			cur["epochpos"] = strconv.FormatInt(epoch.Pos, 10)
-			cur["master"] = epoch.Master
-		}
-		if len(mig.Records) > 0 {
-			cur["migrations"] = encodeMigrations(mig.Records)
-		}
-		return cur, nil
-	})
-	if err != nil {
+	meta := l.meta
+	meta.last, meta.compacted, meta.epoch = horizon, horizon, epoch
+	if adoptMig {
+		meta.migrations = encodeMigrations(mig.Records)
+	}
+	if err := l.writeMeta(meta); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -515,9 +550,7 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 		l.epoch = epoch
 		l.renewedAt = time.Now()
 	}
-	if len(mig.Records) > len(l.mig.records) {
-		// The snapshot's record list extends ours (both are prefixes of the
-		// same log's handoff sequence); replay the longer one.
+	if adoptMig {
 		l.mig.rebuild(l.group, mig.Records)
 	}
 	for pos := range l.pending {
@@ -593,8 +626,10 @@ func (l *Log) run() {
 }
 
 // drain applies every run of contiguous pending positions above the
-// watermark: one kvstore.ApplyBatch for all their writes and one meta-row
-// update per run, then a single watermark advance that wakes every waiter.
+// watermark: one kvstore.ApplyBatch carrying all their writes and, last, the
+// meta row that records them, then a single watermark advance that wakes
+// every waiter. The batch is logged in order under one sync, so a durable
+// meta row implies the data records below it are durable (invariant D3).
 // An apply failure (e.g. store closed during shutdown) is sticky and
 // surfaces through WaitApplied and Append.
 //
@@ -699,28 +734,20 @@ func (l *Log) drain() {
 			}
 			for k, v := range entryWrites {
 				writes = append(writes, kvstore.BatchWrite{
-					Key: DataKey(l.group, k), Value: kvstore.Value{"v": v}, TS: p,
+					Key: DataKey(l.group, k), Value: kvstore.PackAttrs("v", v), TS: p,
 				})
 			}
 		}
+		meta := l.meta
+		meta.last, meta.epoch = pos, epoch
+		if migDirty {
+			meta.migrations = encodeMigrations(mig.records)
+		}
+		writes = append(writes, meta.write(l.group))
 		l.batch = writes
 		err := l.store.ApplyBatch(writes)
 		if err == nil {
-			err = l.store.Update(MetaKey(l.group), func(cur kvstore.Value) (kvstore.Value, error) {
-				if cur == nil {
-					cur = kvstore.Value{}
-				}
-				cur["last"] = strconv.FormatInt(pos, 10)
-				if epoch.Epoch > 0 {
-					cur["epoch"] = strconv.FormatInt(epoch.Epoch, 10)
-					cur["epochpos"] = strconv.FormatInt(epoch.Pos, 10)
-					cur["master"] = epoch.Master
-				}
-				if migDirty {
-					cur["migrations"] = encodeMigrations(mig.records)
-				}
-				return cur, nil
-			})
+			l.meta = meta
 		}
 
 		l.mu.Lock()

@@ -387,7 +387,7 @@ func TestLogSnapshotListsPendingAndApplied(t *testing.T) {
 
 // BenchmarkApplyThroughput compares the replog batched-async apply pipeline
 // against a reimplementation of the seed's synchronous path (one
-// WriteIdempotent per data key plus one meta-row Update per position, under
+// WriteIdempotent per data key plus one meta-row version per position, under
 // one mutex). Entries carry 4 writes each; appenders deliver bursts of 32
 // positions and wait for the watermark, as the commit fan-in does.
 func BenchmarkApplyThroughput(b *testing.B) {
@@ -442,13 +442,7 @@ func BenchmarkApplyThroughput(b *testing.B) {
 				}
 			}
 			last = pos
-			return store.Update(MetaKey("g"), func(cur kvstore.Value) (kvstore.Value, error) {
-				if cur == nil {
-					cur = kvstore.Value{}
-				}
-				cur["last"] = strconv.FormatInt(last, 10)
-				return cur, nil
-			})
+			return store.WriteIdempotent(MetaKey("g"), kvstore.Value{"last": strconv.FormatInt(last, 10)}, last)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
