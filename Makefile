@@ -5,7 +5,7 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e clean
+.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
 
 ## check: everything CI gates a PR on
 check: fmt vet mdcheck examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
@@ -144,6 +144,24 @@ bench-e2e:
 	bash benchmarks/run.sh --workload read-scan --seed 1 --seconds $(E2E_SECONDS) --trace 0
 	bash benchmarks/run.sh --workload wan-contended --seed 1 --seconds $(E2E_SECONDS) --trace 0
 
+## bench-pairs: the measurement a perf claim rests on (ROADMAP: "no gain is
+## claimed without the named metric moving past its NOISE.md spread"): PAIRS
+## alternating pairs of bench-e2e's command per workload, on PARENT and on
+## the working tree, summarised into BENCH_$(N).json — per metric each side's
+## median and quartiles, the change of the medians, the pairs the change won.
+## PARENT's files are extracted under .bench_build/pairs/parent and built
+## there. TRACE=1 runs the traced benchmark and fills the file's
+## traced_<workload> sections; everything else already in the file is kept.
+## Ten pairs of all four workloads take about 40 minutes.
+PARENT ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?= commit-mem commit-durable read-scan wan-contended
+TRACE ?= 0
+N ?= pairs
+bench-pairs:
+	$(GO) run ./cmd/paxosbench -pairs $(PAIRS) -parent $(PARENT) -workloads "$(WORKLOADS)" \
+		$(if $(filter 1,$(TRACE)),-trace) -o BENCH_$(N).json
+
 clean:
-	rm -f bench.out BENCH_ci.json bench-compare.out BENCH_compare.json cover.txt
+	rm -f bench.out BENCH_ci.json bench-compare.out BENCH_compare.json BENCH_pairs.json cover.txt
 	rm -rf .bench_build

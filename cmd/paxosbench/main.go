@@ -9,6 +9,7 @@
 //	paxosbench -fig all -scale 0.02
 //	paxosbench -benchjson bench.out -o BENCH_ci.json   # go-bench -> JSON report
 //	paxosbench -compare BENCH_3.json -against BENCH_ci.json   # regression diff
+//	paxosbench -pairs 10 -parent HEAD -o BENCH_17.json        # make bench-pairs
 //
 // Figures: 4a, 4b, 5a, 5b, 6, 7, 8, ablation, promo, msgs, leader,
 // pipeline, reads, scans, failover, avail, shards, saturation, durability,
@@ -20,6 +21,10 @@
 // -compare diffs two such reports and flags metrics that moved more than
 // -threshold (default 20%) in the wrong direction; it exits zero unless
 // -strict is set, so CI can surface the diff without blocking.
+//
+// -pairs runs the end-to-end benchmark BENCHMARK.json declares on -parent
+// and on the working tree in alternating pairs and merges the summary into
+// the -o report (pairs.go; `make bench-pairs`).
 //
 // Latencies are simulated at -scale times real time and reported scaled
 // back to paper-equivalent milliseconds.
@@ -45,14 +50,26 @@ func main() {
 		seed      = flag.Int64("seed", 42, "random seed")
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		benchJSON = flag.String("benchjson", "", "convert `go test -bench` output (file, or - for stdin) to a JSON report and exit")
-		out       = flag.String("o", "BENCH_ci.json", "output path for -benchjson")
+		out       = flag.String("o", "BENCH_ci.json", "output path for -benchjson and -pairs")
 		benchCtx  = flag.String("context", "ci", "context label recorded in the -benchjson report")
 		compare   = flag.String("compare", "", "baseline JSON report to diff -against (exit 0 unless -strict)")
 		against   = flag.String("against", "BENCH_ci.json", "fresh JSON report compared to the -compare baseline")
 		threshold = flag.Float64("threshold", 0.20, "relative change flagged as a regression by -compare")
 		strict    = flag.Bool("strict", false, "exit 1 when -compare finds regressions")
+		pairs     = flag.Int("pairs", 0, "run this many alternating parent/change pairs of benchmarks/run.sh per workload, merge the summary into -o, and exit")
+		parent    = flag.String("parent", "", "-pairs: git ref of the parent commit")
+		workloads = flag.String("workloads", "commit-mem commit-durable read-scan wan-contended", "-pairs: workloads to run, space separated")
+		traced    = flag.Bool("trace", false, "-pairs: traced runs (per-layer metrics) instead of untraced ones")
 	)
 	flag.Parse()
+
+	if *pairs > 0 {
+		if err := runPairs(*parent, *pairs, strings.Fields(*workloads), *traced, *out); err != nil {
+			fmt.Fprintf(os.Stderr, "paxosbench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, *out, *benchCtx); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"paxoscp/internal/core"
 	"paxoscp/internal/history"
+	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 )
@@ -257,4 +258,68 @@ func TestCrashRestartNemesis(t *testing.T) {
 	}
 	t.Logf("CP: %d/%d committed through %d kill-9 crash/restart cycles", committed, workers*txnsPerWorker, crashes)
 	checkHistory(t, c, "g", rec)
+}
+
+// TestDurableCommitFsyncsPerReplica counts, without a clock, the flushes a
+// durable Master-protocol commit waits for: two per replica — the acceptor's
+// vote, then the apply batch, which carries the entry's log row, its data
+// writes and the watermark under one sync (DESIGN.md §14). The log row used
+// to be flushed on its own between the two, three per replica; a fourth
+// serial sync point anywhere on the path shows here as 4N.
+func TestDurableCommitFsyncsPerReplica(t *testing.T) {
+	c := New(Config{
+		Topology:  MustPaperTopology("VVV"),
+		NetConfig: network.SimConfig{Seed: 11, Scale: 0.002},
+		Timeout:   500 * time.Millisecond,
+		DataDir:   t.TempDir(),
+		DiskOptions: func(string) disk.Options {
+			return disk.Options{Fsync: disk.SyncBatch, Logf: func(string, ...any) {}}
+		},
+	})
+	defer c.Close()
+	ctx := context.Background()
+	cl := c.NewClient("V1", core.Config{Protocol: core.Master, MasterDC: "V1", Seed: 1})
+	commit := func(i int) {
+		t.Helper()
+		tx, err := cl.Begin(ctx, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 4; w++ {
+			tx.Write(fmt.Sprintf("k%d", (i+w)%16), fmt.Sprintf("v%d", i))
+		}
+		if res, err := tx.Commit(ctx); err != nil || res.Status != stats.Committed {
+			t.Fatalf("commit %d: %+v %v", i, res, err)
+		}
+	}
+	// The client is acknowledged at a majority; the count starts and ends
+	// with every replica having applied everything.
+	settle := func() {
+		t.Helper()
+		waitUntil(t, 5*time.Second, "every replica to apply every commit", func() bool {
+			want := c.Service("V1").LastApplied("g")
+			return c.Service("V2").LastApplied("g") == want && c.Service("V3").LastApplied("g") == want
+		})
+	}
+	commit(0) // claims mastership
+	settle()
+	before := make(map[string]uint64)
+	for _, dc := range c.DCs() {
+		before[dc] = c.Engine(dc).Fsyncs()
+	}
+	const n = 25
+	for i := 1; i <= n; i++ {
+		commit(i)
+	}
+	settle()
+	// One serial client: a replica's flushes do not overlap, so every sync
+	// point is one fsync. The slack allows a stray one (a late duplicate).
+	const slack = 2
+	for _, dc := range c.DCs() {
+		got := c.Engine(dc).Fsyncs() - before[dc]
+		t.Logf("%s: %d fsyncs for %d commits", dc, got, n)
+		if got > 2*n+slack {
+			t.Errorf("%s: %d fsyncs for %d commits, want at most 2 per commit (+%d)", dc, got, n, slack)
+		}
+	}
 }

@@ -100,6 +100,15 @@ type Service struct {
 	pipeMu     sync.Mutex
 	pipelines  map[string]*pipeline
 	pipeClosed bool
+
+	// Gap-triggered catch-up (fillGapLater): gapWatch marks the groups with
+	// a watch running, bg counts the watches, and bgCtx — cancelled by Close,
+	// under bgMu — stops them.
+	bgMu     sync.Mutex
+	gapWatch map[string]bool
+	bg       sync.WaitGroup
+	bgCtx    context.Context
+	bgCancel context.CancelFunc
 }
 
 // ServiceOption configures a Service.
@@ -202,7 +211,9 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		claimLocks:    make(map[string]*sync.Mutex),
 		claimHist:     make(map[string]*claimHistory),
 		pipelines:     make(map[string]*pipeline),
+		gapWatch:      make(map[string]bool),
 	}
+	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 	for _, o := range opts {
 		o(s)
 	}
@@ -234,10 +245,13 @@ func (s *Service) EnsureGroups(groups ...string) {
 	}
 }
 
-// Close stops the per-group submit pipelines (queued submissions fail) and
-// apply goroutines. Durable state is untouched; a new Service over the same
-// store resumes where this one stopped.
+// Close stops the per-group submit pipelines (queued submissions fail), the
+// gap watches and the apply goroutines. Durable state is untouched; a new
+// Service over the same store resumes where this one stopped.
 func (s *Service) Close() {
+	s.bgMu.Lock()
+	s.bgCancel()
+	s.bgMu.Unlock()
 	s.pipeMu.Lock()
 	s.pipeClosed = true
 	pipes := make([]*pipeline, 0, len(s.pipelines))
@@ -249,6 +263,8 @@ func (s *Service) Close() {
 		p.close()
 	}
 	s.logs.Close()
+	// After the logs: a watch blocked in ApplyDecided returns once they close.
+	s.bg.Wait()
 	s.disp.close()
 }
 
@@ -294,7 +310,8 @@ func (s *Service) Handler() network.Handler {
 
 // --- log application ---------------------------------------------------
 
-// handleApply stores a decided entry and advances the applied horizon.
+// handleApply lands a decided entry in the local log; the reply is what the
+// proposer counts toward its apply majority (see ApplyDecided, R2).
 func (s *Service) handleApply(req network.Message) network.Message {
 	if err := s.ApplyDecided(req.Group, req.Pos, req.Payload); err != nil {
 		return network.Status(false, err.Error())
@@ -302,12 +319,18 @@ func (s *Service) handleApply(req network.Message) network.Message {
 	return network.Status(true, "")
 }
 
-// ApplyDecided records the decided entry for (group, pos) in the local log
-// and waits until every newly contiguous entry's writes have reached the
-// data rows (the apply goroutine batches them; see internal/replog). It is
-// idempotent: duplicated apply messages and replays are harmless. An entry
-// above a log gap is recorded and queued but not waited for — the gap is
-// filled by catch-up.
+// ApplyDecided hands the decided entry for (group, pos) to the local log and
+// waits for the apply batch that makes it durable (internal/replog): the
+// batch writes the entry's log row and, when pos is contiguous with the
+// watermark, the data writes of every newly contiguous entry and the
+// watermark itself. Returning nil means the log row of pos is durable under
+// the engine's sync policy (invariant R2) — the master counts a peer's reply
+// toward the majority it acknowledges on — and, unless pos is above a log
+// gap, that the watermark covers it. An entry above a gap is logged and
+// queued but its application is not waited for: the gap is filled by
+// catch-up, which ApplyDecided starts itself if the gap outlives a timeout
+// (fillGapLater). It is idempotent: duplicated apply messages and replays
+// are harmless.
 func (s *Service) ApplyDecided(group string, pos int64, entryBytes []byte) error {
 	if pos < 1 {
 		return fmt.Errorf("core: apply at invalid position %d", pos)
@@ -318,7 +341,9 @@ func (s *Service) ApplyDecided(group string, pos int64, entryBytes []byte) error
 		return fmt.Errorf("core: apply %s/%d: %w", group, pos, err)
 	}
 	if horizon < pos {
-		return nil // gapped: positions below pos are still missing
+		// Gapped: positions below pos are still missing.
+		s.fillGapLater(group)
+		return lg.WaitLogged(context.Background(), pos)
 	}
 	return lg.WaitApplied(context.Background(), horizon)
 }
@@ -542,9 +567,19 @@ func (s *Service) Leader(group string, pos int64) string {
 // running a Paxos instance for the position ("If a Transaction Service does
 // not receive all Paxos messages for a log position ... it executes a Paxos
 // instance for the missing log entry to learn the winning value", §4.1).
-// Entries already decided locally are not re-fetched; the caller blocks on
-// the replog watermark until the apply goroutine has landed them.
 func (s *Service) CatchUp(ctx context.Context, group string, target int64) error {
+	return s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+		return s.learn(ctx, group, pos, false)
+	})
+}
+
+// advance brings the local watermark to target. Entries already decided
+// locally are not obtained again — the caller blocks on the replog watermark
+// until the apply goroutine has landed them; each missing one comes from get
+// and is applied; and where get reports that the peers have compacted past
+// the position, a snapshot is installed and per-entry catch-up resumes above
+// its horizon.
+func (s *Service) advance(ctx context.Context, group string, target int64, get func(pos int64) (wal.Entry, error)) error {
 	lg := s.log(group)
 	for {
 		pos := lg.Applied() + 1
@@ -557,10 +592,8 @@ func (s *Service) CatchUp(ctx context.Context, group string, target int64) error
 			}
 			continue
 		}
-		entry, err := s.learn(ctx, group, pos, false)
+		entry, err := get(pos)
 		if errors.Is(err, errSnapshotRequired) {
-			// The peers compacted past this position; install a snapshot
-			// and resume per-entry catch-up above its horizon.
 			if err := s.fetchSnapshot(ctx, group); err != nil {
 				return fmt.Errorf("core: snapshot catch-up %s: %w", group, err)
 			}
@@ -573,6 +606,44 @@ func (s *Service) CatchUp(ctx context.Context, group string, target int64) error
 			return err
 		}
 	}
+}
+
+// fillGapLater arms the group's gap watch. A replica that misses one apply
+// message sits behind the gap — entries above it queue, logged but not
+// applied — and nothing but a read at a higher position or Recover would
+// notice. So if the watermark is still below a locally decided position one
+// service timeout from now, the watch fetches the missing entries from
+// peers. Fetch only: driving a Paxos instance from here would raise ballots
+// under live proposers, so a position no peer has learned yet is left to the
+// master's resolveHole, a read's CatchUp or Recover. One watch per group
+// runs at a time and makes one attempt; a later gapped entry re-arms it.
+func (s *Service) fillGapLater(group string) {
+	if s.transport == nil {
+		return
+	}
+	s.bgMu.Lock()
+	if s.bgCtx.Err() != nil || s.gapWatch[group] {
+		s.bgMu.Unlock()
+		return
+	}
+	s.gapWatch[group] = true
+	s.bg.Add(1)
+	s.bgMu.Unlock()
+	go func() {
+		defer s.bg.Done()
+		defer func() {
+			s.bgMu.Lock()
+			delete(s.gapWatch, group)
+			s.bgMu.Unlock()
+		}()
+		if sleepCtx(s.bgCtx, s.timeout) != nil {
+			return
+		}
+		// Best effort: a failed fetch leaves the gap for the next trigger.
+		_ = s.advance(s.bgCtx, group, s.log(group).DecidedMax(), func(pos int64) (wal.Entry, error) {
+			return s.fetchDecided(s.bgCtx, group, pos)
+		})
+	}()
 }
 
 // Recover replays the recovery procedure after an outage: it asks every peer
@@ -595,30 +666,11 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 			}
 		}
 	}
-	for {
-		pos := lg.Applied() + 1
-		if pos > target {
-			break
-		}
-		if lg.Has(pos) {
-			if err := lg.WaitApplied(ctx, pos); err != nil {
-				return err
-			}
-			continue
-		}
-		entry, err := s.learn(ctx, group, pos, true)
-		if errors.Is(err, errSnapshotRequired) {
-			if err := s.fetchSnapshot(ctx, group); err != nil {
-				return fmt.Errorf("core: snapshot recovery %s: %w", group, err)
-			}
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("core: recover %s/%d: %w", group, pos, err)
-		}
-		if err := s.ApplyDecided(group, pos, wal.Encode(entry)); err != nil {
-			return err
-		}
+	err := s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+		return s.learn(ctx, group, pos, true)
+	})
+	if err != nil {
+		return fmt.Errorf("core: recover %s: %w", group, err)
 	}
 
 	// Probe past every peer's applied horizon: a transaction whose accept
@@ -665,36 +717,9 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 	if s.transport == nil {
 		return wal.Entry{}, fmt.Errorf("position %d not decided locally and no peers", pos)
 	}
-	// Fast path: a peer already knows the decided entry. The last peer that
-	// served a fetch goes first — during bulk catch-up an unreachable peer
-	// earlier in the list would otherwise cost one timeout per position.
-	peers := s.transport.Peers()
-	if last, ok := s.fetchPeer.Load().(string); ok && len(peers) > 1 {
-		order := make([]string, 0, len(peers))
-		order = append(order, last)
-		for _, dc := range peers {
-			if dc != last {
-				order = append(order, dc)
-			}
-		}
-		peers = order
-	}
-	for _, dc := range peers {
-		if dc == s.dc {
-			continue
-		}
-		cctx, cancel := context.WithTimeout(ctx, s.timeout)
-		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindFetchLog, Group: group, Pos: pos})
-		cancel()
-		if err == nil && resp.OK {
-			if entry, derr := wal.Decode(resp.Payload); derr == nil {
-				s.fetchPeer.Store(dc)
-				return entry, nil
-			}
-		}
-		if err == nil && !resp.OK && resp.Err == errCompacted {
-			return wal.Entry{}, errSnapshotRequired
-		}
+	// Fast path: a peer already knows the decided entry.
+	if entry, err := s.fetchDecided(ctx, group, pos); !errors.Is(err, errNotFetched) {
+		return entry, err
 	}
 	// Drive the Paxos instance to completion.
 	prop := &paxos.Proposer{Transport: s.transport, Timeout: s.timeout}
@@ -736,6 +761,46 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 		return entry, nil
 	}
 	return wal.Entry{}, fmt.Errorf("could not learn position %d", pos)
+}
+
+// errNotFetched reports that no reachable peer served the decided entry.
+var errNotFetched = errors.New("core: no peer holds the decided entry")
+
+// fetchDecided asks the peers for the decided entry at pos (KindFetchLog):
+// errNotFetched when none of them has it, errSnapshotRequired when one has
+// compacted past it. The last peer that served a fetch goes first — during
+// bulk catch-up an unreachable peer earlier in the list would otherwise cost
+// one timeout per position.
+func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wal.Entry, error) {
+	peers := s.transport.Peers()
+	if last, ok := s.fetchPeer.Load().(string); ok && len(peers) > 1 {
+		order := make([]string, 0, len(peers))
+		order = append(order, last)
+		for _, dc := range peers {
+			if dc != last {
+				order = append(order, dc)
+			}
+		}
+		peers = order
+	}
+	for _, dc := range peers {
+		if dc == s.dc {
+			continue
+		}
+		cctx, cancel := context.WithTimeout(ctx, s.timeout)
+		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindFetchLog, Group: group, Pos: pos})
+		cancel()
+		if err == nil && resp.OK {
+			if entry, derr := wal.Decode(resp.Payload); derr == nil {
+				s.fetchPeer.Store(dc)
+				return entry, nil
+			}
+		}
+		if err == nil && !resp.OK && resp.Err == errCompacted {
+			return wal.Entry{}, errSnapshotRequired
+		}
+	}
+	return wal.Entry{}, errNotFetched
 }
 
 func maxInt64(a, b int64) int64 {

@@ -196,6 +196,29 @@ func TestEveryOpCrashReplayOverFaultFS(t *testing.T) {
 				t.Fatalf("base = (%v, %v), %d versions", v, err, s.Versions("base"))
 			}
 		}},
+		// The replicated log's apply batch (replog's drain): a decided
+		// entry's log row, its data write, and the replace-latest meta row
+		// that records both — one batch, one sync.
+		{"LogRowBatch", func(t *testing.T, s *kvstore.Store) {
+			err := s.ApplyBatch([]kvstore.BatchWrite{
+				{Key: "log/g/6", Value: kvstore.PackAttrs("entry", "decided-bytes")},
+				{Key: "base", Value: kvstore.PackAttrs("v", "6"), TS: 6},
+				{Key: "meta/g", Value: kvstore.PackAttrs("last", "6"), TS: 6, Replace: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, s *kvstore.Store) {
+			if v, _, err := s.ReadPacked("log/g/6", kvstore.Latest); err != nil || v.Get("entry") != "decided-bytes" {
+				t.Fatalf("log row = (%v, %v)", v, err)
+			}
+			if v, ts, err := s.ReadPacked("base", kvstore.Latest); err != nil || ts != 6 || v.Get("v") != "6" {
+				t.Fatalf("base = (%v, %d, %v)", v, ts, err)
+			}
+			if v, _, err := s.ReadPacked("meta/g", kvstore.Latest); err != nil || v.Get("last") != "6" || s.Versions("meta/g") != 1 {
+				t.Fatalf("meta row = (%v, %v), %d versions", v, err, s.Versions("meta/g"))
+			}
+		}},
 		{"GC", func(t *testing.T, s *kvstore.Store) {
 			if dropped := s.GC("base", 4); dropped != 3 {
 				t.Fatalf("GC dropped %d, want 3", dropped)

@@ -84,8 +84,8 @@ func readRecord(r *bufio.Reader) (kvstore.Mutation, error) {
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
 		return kvstore.Mutation{}, fmt.Errorf("%w: checksum: %v", errTorn, err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readBody(r, int(n))
+	if err != nil {
 		return kvstore.Mutation{}, fmt.Errorf("%w: body: %v", errTorn, err)
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
@@ -98,6 +98,30 @@ func readRecord(r *bufio.Reader) (kvstore.Mutation, error) {
 		return kvstore.Mutation{}, err
 	}
 	return m, nil
+}
+
+// bodyStep is the most readBody allocates before any of the body has
+// arrived. Ordinary records are far smaller and still cost one exact
+// allocation.
+const bodyStep = 64 << 10
+
+// readBody reads a record's n-byte body. The buffer is sized by the bytes
+// that have arrived, not by what the length prefix claims: bodyStep at most
+// to begin with, then no more than doubling what is already filled. A
+// corrupt prefix under maxRecordBytes in a short tail therefore costs
+// bodyStep, not the 64 MB it asks for.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyStep))
+	for filled := 0; ; {
+		m, err := io.ReadFull(r, buf[filled:])
+		if err != nil {
+			return nil, err
+		}
+		if filled += m; filled == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-filled, filled))...)
+	}
 }
 
 func decodePayload(p []byte) (kvstore.Mutation, error) {

@@ -6,8 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"paxoscp/internal/kvstore"
@@ -67,20 +67,55 @@ func TestRecordBytesGolden(t *testing.T) {
 	}
 }
 
-// TestLengthPrefixBoundsAllocation: a length prefix past maxRecordBytes is
-// refused as a torn record before anything is allocated for it.
-func TestLengthPrefixBoundsAllocation(t *testing.T) {
-	seg := binary.AppendUvarint(nil, maxRecordBytes+1)
-	seg = append(seg, "crc.and a few payload bytes"...)
+// allocatedBy reports the bytes fn allocated (other goroutines' allocations
+// included; the tests using it run nothing else).
+func allocatedBy(fn func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readRecord(bufio.NewReader(bytes.NewReader(seg)))
+	fn()
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, errTorn) {
-		t.Fatalf("err = %v, want a torn-record error", err)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readSlack is what reading a segment may allocate beyond a small multiple of
+// its length: one bodyStep for a body that never arrives, the bufio.Reader,
+// and the error values.
+const readSlack = bodyStep + 16<<10
+
+// TestLengthPrefixBoundsAllocation: a length prefix past maxRecordBytes is
+// refused as a torn record before anything is allocated for it, and one just
+// under it — plausible, so the body is read — still allocates by what the
+// short tail delivers, not by the 64 MB it claims.
+func TestLengthPrefixBoundsAllocation(t *testing.T) {
+	for _, claim := range []uint64{maxRecordBytes + 1, maxRecordBytes} {
+		seg := binary.AppendUvarint(nil, claim)
+		seg = append(seg, "crc.and a few payload bytes"...)
+		var err error
+		grew := allocatedBy(func() { _, err = readRecord(bufio.NewReader(bytes.NewReader(seg))) })
+		if !errors.Is(err, errTorn) {
+			t.Fatalf("claim %d: err = %v, want a torn-record error", claim, err)
+		}
+		if grew > readSlack {
+			t.Fatalf("claim %d: reading a %d-byte segment allocated %d bytes", claim, len(seg), grew)
+		}
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("reading a %d-byte segment allocated %d bytes", len(seg), grew)
+}
+
+// TestLargeRecordRoundTrip takes a record through every growth step of
+// readBody: a body several times bodyStep reads back intact, and a tear
+// anywhere inside it is still a torn record.
+func TestLargeRecordRoundTrip(t *testing.T) {
+	m := kvstore.Mutation{Op: kvstore.OpWrite, Key: "big", TS: 3,
+		Value: kvstore.PackAttrs("v", strings.Repeat("0123456789abcdef", 5*bodyStep/16))}
+	rec := appendRecord(nil, m)
+	back, err := readRecord(bufio.NewReader(bytes.NewReader(rec)))
+	if err != nil || back != m {
+		t.Fatalf("large record did not round-trip: err %v", err)
+	}
+	for _, cut := range []int{bodyStep / 2, bodyStep + 9, 3 * bodyStep, len(rec) - 1} {
+		if _, err := readRecord(bufio.NewReader(bytes.NewReader(rec[:cut]))); !errors.Is(err, errTorn) {
+			t.Fatalf("record cut at %d of %d: err = %v, want a torn-record error", cut, len(rec), err)
+		}
 	}
 }
 
@@ -121,21 +156,30 @@ func FuzzDecodePayload(f *testing.F) {
 
 // FuzzReadRecord: a segment file is whatever the disk returns. Reading
 // records off arbitrary bytes ends in EOF, a torn-record error or a
-// corruption error, never a panic; TestLengthPrefixBoundsAllocation pins
-// what a lying length prefix can make the reader allocate.
+// corruption error, never a panic, and allocates by the bytes the segment
+// holds — each body, its decoded key and value, a buffer at most doubled —
+// plus a constant, whatever its length prefixes claim.
 func FuzzReadRecord(f *testing.F) {
 	fuzzSeeds(f, false)
+	f.Add(binary.AppendUvarint(nil, maxRecordBytes)) // plausible length, no body
 	f.Fuzz(func(t *testing.T, seg []byte) {
-		r := bufio.NewReader(bytes.NewReader(seg))
-		for i := 0; i <= len(seg); i++ {
-			_, err := readRecord(r)
-			if err == io.EOF || errors.Is(err, errTorn) {
-				return
+		ended := false
+		grew := allocatedBy(func() {
+			r := bufio.NewReader(bytes.NewReader(seg))
+			for i := 0; i <= len(seg); i++ {
+				// EOF, a torn record, or a checksum that held over a
+				// malformed payload (corruption) all end the segment.
+				if _, err := readRecord(r); err != nil {
+					ended = true
+					return
+				}
 			}
-			if err != nil {
-				return // checksum held but the payload is malformed: corruption
-			}
+		})
+		if !ended {
+			t.Fatalf("read more records than the segment has bytes (%d)", len(seg))
 		}
-		t.Fatalf("read more records than the segment has bytes (%d)", len(seg))
+		if limit := uint64(4*len(seg) + readSlack); grew > limit {
+			t.Fatalf("reading a %d-byte segment allocated %d bytes, limit %d", len(seg), grew, limit)
+		}
 	})
 }

@@ -12,14 +12,22 @@
 // Service, and meta-row round trips on every read-position request. The Log
 // keeps the same durable row layout (see keys.go) — services stay stateless
 // in the paper's sense, a restart rebuilds the Log from the store, and on a
-// disk-backed store (DESIGN.md §14) that covers real crashes: the drain
-// logs a run's data batch before its meta-row watermark update, so a
-// recovered watermark never leads its recovered data (invariant D3) — but the
+// disk-backed store (DESIGN.md §14) that covers real crashes — but the
 // hot-path state (watermark, pending entries, decoded cache) lives in
-// memory, readers block on the watermark through WaitApplied instead of
-// polling the meta row, and application is batched: one kvstore.ApplyBatch
-// and one meta-row update per drained run of contiguous positions, however
-// many apply messages delivered them.
+// memory, and readers block on the watermark through WaitApplied instead of
+// polling the meta row.
+//
+// The apply goroutine is the only writer of a decided entry's durable state.
+// Append validates an entry, refuses a second value for a decided position
+// (invariant R1) and queues it, in memory; the drain lands one
+// kvstore.ApplyBatch — one sync — per pass, however many apply messages
+// delivered the entries: the log rows of everything queued since the last
+// pass, then the data writes of the contiguous run above the watermark,
+// then the meta row that records the run. That order is what recovery
+// trusts: a recovered watermark never leads its log rows or its data
+// (invariant D3), and a waiter released by a pass — WaitApplied, or
+// WaitLogged for an entry still above a gap — has its log row durable
+// (invariant R2).
 //
 // # Epoch fencing
 //

@@ -1,10 +1,13 @@
 package replog
 
 import (
+	"os"
+	"strconv"
 	"testing"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
+	"paxoscp/internal/kvstore/disk/faultfs"
 )
 
 // reopen simulates power loss and recovery for a disk-backed log: crash the
@@ -122,5 +125,142 @@ func TestInterruptedInstallRecoversBehindData(t *testing.T) {
 	}
 	if got := l2.Applied(); got != 7 {
 		t.Fatalf("watermark after retried install = %d, want 7", got)
+	}
+}
+
+// applyDecided is what core.Service.ApplyDecided does with a Log: append,
+// then wait for the batch that makes the entry durable — the watermark when
+// pos is contiguous, its log row alone when it sits above a gap.
+func applyDecided(t *testing.T, l *Log, pos int64, entry []byte) error {
+	t.Helper()
+	h, err := l.Append(pos, entry)
+	if err != nil {
+		return err
+	}
+	if h < pos {
+		return l.WaitLogged(waitCtx(t), pos)
+	}
+	return l.WaitApplied(waitCtx(t), h)
+}
+
+// TestAcknowledgedEntrySurvivesPowerLoss pins invariant R2 where it is
+// cashed in: an entry whose apply was acknowledged is in the log a replica
+// recovers after losing power, whether it arrived in order or above a gap.
+// Append itself writes nothing, so this holds only because the waits release
+// after the drain's batch — log row included — is flushed.
+func TestAcknowledgedEntrySurvivesPowerLoss(t *testing.T) {
+	entry := func(pos int64) []byte {
+		return testEntry("t"+strconv.FormatInt(pos, 10), pos-1, map[string]string{"x": strconv.FormatInt(pos, 10)})
+	}
+	for _, tc := range []struct {
+		name        string
+		arrival     []int64
+		wantApplied int64
+	}{
+		{"contiguous", []int64{1, 2}, 2},
+		{"gapped", []int64{2, 3}, 0},
+		{"gap filled last", []int64{2, 3, 1}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, eng, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := Open(store, "g")
+			for _, pos := range tc.arrival {
+				if err := applyDecided(t, l, pos, entry(pos)); err != nil {
+					t.Fatalf("apply %d: %v", pos, err)
+				}
+			}
+			l2, _, _ := reopen(t, dir, eng, store, l)
+			snap := l2.Snapshot()
+			for _, pos := range tc.arrival {
+				if e, ok := snap[pos]; !ok || !e.Contains("t"+strconv.FormatInt(pos, 10)) {
+					t.Errorf("acknowledged entry %d missing from the recovered log: %v", pos, snap)
+				}
+			}
+			if got := l2.Applied(); got != tc.wantApplied {
+				t.Errorf("recovered watermark = %d, want %d", got, tc.wantApplied)
+			}
+		})
+	}
+}
+
+// TestTornBatchRecoversByRedrain tears a drain's batch between its log rows
+// and its meta row — the power fails while the kernel copies the buffer —
+// and checks the widened D3: what recovers is the old watermark under the new
+// log rows, never a watermark over a missing row, and Open re-drains the rows
+// to the state the whole batch would have left.
+func TestTornBatchRecoversByRedrain(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.New(nil)
+	store, _, err := disk.Open(dir, disk.Options{FS: inj, Fsync: disk.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Open(store, "g")
+	entry := func(pos int64) []byte {
+		return testEntry("t"+strconv.FormatInt(pos, 10), 0, map[string]string{"x": strconv.FormatInt(pos, 10)})
+	}
+	walBytes := func() int64 {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, e := range ents {
+			if info, err := e.Info(); err == nil {
+				n += info.Size()
+			}
+		}
+		return n
+	}
+	if err := applyDecided(t, l, 1, entry(1)); err != nil {
+		t.Fatal(err)
+	}
+	// An entry above the gap at 2 is logged alone: its batch is one log-row
+	// record, which sizes the record of the same-shaped entry 2.
+	before := walBytes()
+	if err := applyDecided(t, l, 3, entry(3)); err != nil {
+		t.Fatal(err)
+	}
+	logRowBytes := int(walBytes() - before)
+	if logRowBytes <= 0 {
+		t.Fatalf("gapped entry's batch wrote %d bytes", logRowBytes)
+	}
+	// Entry 2's batch is [log row 2, data of 2 and 3, meta row]: keep the log
+	// row and the first bytes of the record after it.
+	inj.TornWrite(logRowBytes + 3)
+	if err := applyDecided(t, l, 2, entry(2)); err == nil {
+		t.Fatal("an apply whose batch was torn was acknowledged")
+	}
+	l.Close()
+	store.Close()
+
+	store2, _, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	row, _, err := store2.ReadPacked(MetaKey("g"), kvstore.Latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readMeta(row).last; got != 1 {
+		t.Fatalf("recovered meta row has watermark %d, want the old one, 1", got)
+	}
+	for pos := int64(2); pos <= 3; pos++ {
+		if _, _, err := store2.ReadPacked(LogKey("g", pos), kvstore.Latest); err != nil {
+			t.Fatalf("log row %d did not survive the torn batch: %v", pos, err)
+		}
+	}
+	l2 := Open(store2, "g")
+	defer l2.Close()
+	if got := l2.Applied(); got != 3 {
+		t.Fatalf("watermark after re-drain = %d, want 3", got)
+	}
+	if v, ts, err := store2.Read(DataKey("g", "x"), kvstore.Latest); err != nil || ts != 3 || v["v"] != "3" {
+		t.Fatalf("x after re-drain = %v@%d %v, want 3@3", v, ts, err)
 	}
 }

@@ -47,12 +47,13 @@ type Log struct {
 	applied    int64               // contiguously applied watermark
 	decidedMax int64               // highest position known decided locally
 	compacted  int64               // compaction horizon
-	pending    map[int64]wal.Entry // decided but not yet applied (pos > applied)
+	pending    map[int64]queued    // decided but not yet applied (pos > applied)
+	unlogged   []int64             // pending positions queued since the last drain: no log row yet
 	cache      map[int64]wal.Entry // decoded entries (read-only, shared)
 	cacheTop   int64               // highest cached position (eviction anchor)
 	pins       map[int64]time.Time // read-pin position -> expiry (PinReads)
 	applyErr   error               // sticky apply failure; surfaced by waiters
-	waitCh     chan struct{}       // closed+replaced on every watermark advance
+	waitCh     chan struct{}       // closed+replaced whenever a drain's batch lands
 	notifyCh   chan struct{}       // wakes the apply goroutine (capacity 1)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -82,6 +83,16 @@ type Log struct {
 	// with the retryable moved/migrating verdicts instead of commits.
 	mig       migState
 	movedTxns map[int64]map[string]string
+}
+
+// queued is one decided entry in the pending set: the decoded entry the drain
+// applies, the log row's packed value — built once, at Append, and the very
+// string the store ends up holding — and whether a drain (or, before a
+// restart, an earlier process) has written that row yet.
+type queued struct {
+	entry  wal.Entry
+	row    kvstore.Packed
+	logged bool
 }
 
 // EpochState is a group's prevailing master epoch: the highest epoch any
@@ -133,22 +144,23 @@ func readMeta(v kvstore.Packed) metaRow {
 	}
 }
 
-// scanLogRows calls fn with the position and encoded entry of every log row
-// the store holds for group. It stops early, without error, if the store
-// closes mid-walk.
-func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, entry string)) {
+// scanLogRows calls fn with the position and packed value (attr "entry" =
+// encoded entry) of every log row the store holds for group. It stops early,
+// without error, if the store closes mid-walk.
+func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, row kvstore.Packed)) {
 	prefix := LogPrefix(group)
 	_ = store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
 		if pos, err := strconv.ParseInt(row.Key[len(prefix):], 10, 64); err == nil {
-			fn(pos, row.Val.Get("entry"))
+			fn(pos, row.Val)
 		}
 	})
 }
 
 // Open returns the Log for (store, group), rebuilding its in-memory state
 // from the store's rows: the watermark and compaction horizon from the meta
-// row, and any decided-but-unapplied entries (written durably before a
-// restart) into the pending set, which the apply goroutine then drains.
+// row, and every log row above the watermark — an entry logged above a gap,
+// or one whose batch a crash cut before its meta row — into the pending set,
+// already logged, which is then drained.
 func Open(store *kvstore.Store, group string) *Log {
 	return open(store, group, nil)
 }
@@ -161,7 +173,7 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		store:     store,
 		pool:      pool,
 		shard:     GroupShard(group),
-		pending:   make(map[int64]wal.Entry),
+		pending:   make(map[int64]queued),
 		cache:     make(map[int64]wal.Entry),
 		pins:      make(map[int64]time.Time),
 		voided:    make(map[int64]bool),
@@ -178,12 +190,12 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 	}
 	l.decidedMax = l.applied
 	// Recover decided entries above the watermark into the pending set.
-	scanLogRows(store, group, func(pos int64, raw string) {
+	scanLogRows(store, group, func(pos int64, row kvstore.Packed) {
 		if pos <= l.applied {
 			return
 		}
-		if entry, err := wal.Decode([]byte(raw)); err == nil {
-			l.pending[pos] = entry
+		if entry, err := wal.Decode([]byte(row.Get("entry"))); err == nil {
+			l.pending[pos] = queued{entry: entry, row: row, logged: true}
 			if pos > l.decidedMax {
 				l.decidedMax = pos
 			}
@@ -268,14 +280,22 @@ func (l *Log) Voided(pos int64) bool {
 	return l.voided[pos]
 }
 
-// Append records the decided entry for pos: the entry bytes are validated,
-// written durably to the log row (idempotently — duplicated apply messages
-// and replays are harmless, a different value for a decided position is
-// refused), and queued for the apply goroutine. It returns the contiguous
-// decided horizon — the highest position h such that every position in
-// (Applied(), h] is decided locally; the watermark will reach h without
-// further appends. When pos is above a gap, h < pos and the caller must
-// catch the gap up before waiting on pos.
+// Append queues the decided entry for pos, in memory: the bytes are
+// validated and handed to the apply goroutine, whose next batch writes the
+// log row together with whatever the entry lets it apply (drain). Nothing is
+// durable when Append returns; WaitApplied, or WaitLogged for an entry above
+// a gap, is the durability point.
+//
+// A decided position holds one value (invariant R1), enforced here against
+// whichever copy of pos the log has — the queued row, or the stored one once
+// pos is applied: the same bytes again are a no-op (duplicated apply messages
+// and replays are harmless), different bytes are refused with an error
+// wrapping kvstore.ErrStaleWrite, and the first value still applies.
+//
+// Append returns the contiguous decided horizon — the highest position h such
+// that every position in (Applied(), h] is decided locally; the watermark
+// will reach h without further appends. When pos is above a gap, h < pos and
+// the caller must catch the gap up before waiting on pos.
 func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if pos < 1 {
 		return 0, fmt.Errorf("replog: append at invalid position %d", pos)
@@ -284,21 +304,25 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
-	if err := l.store.WriteIdempotent(LogKey(l.group, pos), kvstore.PackAttrs("entry", string(entryBytes)), 0); err != nil {
-		return 0, fmt.Errorf("replog: store entry %s/%d: %w", l.group, pos, err)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.applyErr; err != nil {
 		return 0, err
 	}
+	have, known := l.rowLocked(pos)
+	switch {
+	case known && have.Get("entry") != string(entryBytes):
+		return 0, fmt.Errorf("replog: entry %s/%d: %w: a different value is already decided there",
+			l.group, pos, kvstore.ErrStaleWrite)
+	case !known && pos > l.applied:
+		l.pending[pos] = queued{entry: entry, row: kvstore.PackAttrs("entry", string(entryBytes))}
+		l.unlogged = append(l.unlogged, pos)
+		l.notify()
+	}
+	// Otherwise there is nothing to do: a duplicate, or a position at or
+	// below the watermark whose row compaction or a snapshot install dropped.
 	if pos > l.decidedMax {
 		l.decidedMax = pos
-	}
-	if pos > l.applied {
-		if _, ok := l.pending[pos]; !ok {
-			l.pending[pos] = entry
-		}
 	}
 	h := l.applied
 	for {
@@ -307,17 +331,46 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 		}
 		h++
 	}
-	l.notify()
 	return h, nil
+}
+
+// rowLocked returns the log row of pos as the log knows it: the queued value
+// while pos is pending, the stored row once it is applied. Caller holds l.mu
+// (the store never calls back into the Log, so reading it here cannot
+// deadlock, and it keeps "pending, else applied" one atomic look).
+func (l *Log) rowLocked(pos int64) (kvstore.Packed, bool) {
+	if q, ok := l.pending[pos]; ok {
+		return q.row, true
+	}
+	if pos > l.applied {
+		return kvstore.Packed{}, false
+	}
+	row, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
+	return row, err == nil
 }
 
 // WaitApplied blocks until the watermark reaches pos, ctx is done, or the
 // log fails or closes. The caller is responsible for pos being reachable
 // (decided locally or being caught up); use the horizon Append returns.
 func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
+	return l.wait(ctx, func() bool { return l.applied >= pos })
+}
+
+// WaitLogged blocks until the log row of an appended pos is durable under
+// the engine's sync policy — a drain's batch carrying it has landed, or the
+// watermark covers pos — or ctx is done, or the log fails or closes. It is
+// what the appender of an entry above a gap waits on, where WaitApplied
+// would wait for the gap.
+func (l *Log) WaitLogged(ctx context.Context, pos int64) error {
+	return l.wait(ctx, func() bool { return l.applied >= pos || l.pending[pos].logged })
+}
+
+// wait blocks until done, evaluated under l.mu after every landed batch,
+// reports true.
+func (l *Log) wait(ctx context.Context, done func() bool) error {
 	for {
 		l.mu.Lock()
-		if l.applied >= pos {
+		if done() {
 			l.mu.Unlock()
 			return nil
 		}
@@ -337,8 +390,8 @@ func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
 	}
 }
 
-// Has reports whether the decided entry at pos is known locally (applied,
-// pending, or durable in the store), without decoding it.
+// Has reports whether the decided entry at pos is known locally (pending,
+// cached, or in the store), without decoding it.
 func (l *Log) Has(pos int64) bool {
 	l.mu.Lock()
 	_, inPending := l.pending[pos]
@@ -358,9 +411,9 @@ func (l *Log) Has(pos int64) bool {
 // promotion-conflict checks.
 func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 	l.mu.Lock()
-	if e, ok := l.pending[pos]; ok {
+	if q, ok := l.pending[pos]; ok {
 		l.mu.Unlock()
-		return e, true
+		return q.entry, true
 	}
 	if e, ok := l.cache[pos]; ok {
 		l.mu.Unlock()
@@ -382,28 +435,30 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 }
 
 // EntryBytes returns the encoded decided entry at pos, for serving catch-up
-// fetches.
+// fetches — from the pending set when no drain has written its row yet.
 func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
-	raw, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
-	if err != nil {
+	l.mu.Lock()
+	row, ok := l.rowLocked(pos)
+	l.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
-	return []byte(raw.Get("entry")), true
+	return []byte(row.Get("entry")), true
 }
 
 // Snapshot returns every decided log entry known locally, keyed by position.
 // Entries are deep copies; intended for the history checker and tooling.
 func (l *Log) Snapshot() map[int64]wal.Entry {
 	out := make(map[int64]wal.Entry)
-	scanLogRows(l.store, l.group, func(pos int64, raw string) {
-		if entry, err := wal.Decode([]byte(raw)); err == nil {
+	scanLogRows(l.store, l.group, func(pos int64, row kvstore.Packed) {
+		if entry, err := wal.Decode([]byte(row.Get("entry"))); err == nil {
 			out[pos] = entry
 		}
 	})
 	l.mu.Lock()
-	for pos, entry := range l.pending {
+	for pos, q := range l.pending {
 		if _, ok := out[pos]; !ok {
-			out[pos] = entry.Clone()
+			out[pos] = q.entry.Clone()
 		}
 	}
 	l.mu.Unlock()
@@ -625,13 +680,16 @@ func (l *Log) run() {
 	}
 }
 
-// drain applies every run of contiguous pending positions above the
-// watermark: one kvstore.ApplyBatch carrying all their writes and, last, the
-// meta row that records them, then a single watermark advance that wakes
-// every waiter. The batch is logged in order under one sync, so a durable
-// meta row implies the data records below it are durable (invariant D3).
+// drain is the only writer of a decided entry's durable state. Each pass
+// lands one kvstore.ApplyBatch: the log rows of every position queued since
+// the last pass — applicable or still above a gap — then the data writes of
+// the contiguous run above the watermark, then, last, the meta row that
+// records the run; after it, one watermark advance wakes every waiter. The
+// batch is logged in that order under one sync, so a durable meta row implies
+// the log rows and data records below it are durable (invariant D3), and a
+// waiter released by the pass has its log row durable (invariant R2).
 // An apply failure (e.g. store closed during shutdown) is sticky and
-// surfaces through WaitApplied and Append.
+// surfaces through the waiters and Append.
 //
 // drain is also where epoch fencing happens (DESIGN.md §11). Entries are
 // processed in log order, so the prevailing epoch at each position is a
@@ -655,17 +713,26 @@ func (l *Log) drain() {
 		pos := start
 		var entries []wal.Entry
 		for {
-			e, ok := l.pending[pos+1]
+			q, ok := l.pending[pos+1]
 			if !ok {
 				break
 			}
 			pos++
-			entries = append(entries, e)
+			entries = append(entries, q.entry)
+		}
+		writes := l.batch[:0]
+		logging := l.unlogged
+		l.unlogged = nil
+		for _, p := range logging {
+			// A snapshot install may have dropped p from pending meanwhile.
+			if q, ok := l.pending[p]; ok {
+				writes = append(writes, kvstore.BatchWrite{Key: LogKey(l.group, p), Value: q.row})
+			}
 		}
 		epoch := l.epoch
 		mig := l.mig // shallow view; deep-copied before any mutation
 		l.mu.Unlock()
-		if pos == start {
+		if pos == start && len(writes) == 0 {
 			return
 		}
 
@@ -673,7 +740,6 @@ func (l *Log) drain() {
 		migDirty := false
 		var newVoid []int64
 		var newMoved map[int64]map[string]string
-		writes := l.batch[:0]
 		for i, e := range entries {
 			p := start + 1 + int64(i)
 			if e.IsClaim() {
@@ -739,11 +805,13 @@ func (l *Log) drain() {
 			}
 		}
 		meta := l.meta
-		meta.last, meta.epoch = pos, epoch
-		if migDirty {
-			meta.migrations = encodeMigrations(mig.records)
+		if pos > start {
+			meta.last, meta.epoch = pos, epoch
+			if migDirty {
+				meta.migrations = encodeMigrations(mig.records)
+			}
+			writes = append(writes, meta.write(l.group))
 		}
-		writes = append(writes, meta.write(l.group))
 		l.batch = writes
 		err := l.store.ApplyBatch(writes)
 		if err == nil {
@@ -757,9 +825,15 @@ func (l *Log) drain() {
 			l.mu.Unlock()
 			return
 		}
+		for _, p := range logging {
+			if q, ok := l.pending[p]; ok {
+				q.logged = true
+				l.pending[p] = q
+			}
+		}
 		for p := start + 1; p <= pos; p++ {
-			if e, ok := l.pending[p]; ok {
-				l.cacheLocked(p, e)
+			if q, ok := l.pending[p]; ok {
+				l.cacheLocked(p, q.entry)
 				delete(l.pending, p)
 			}
 		}

@@ -82,19 +82,186 @@ func TestLogDuplicateAppendIdempotent(t *testing.T) {
 	}
 }
 
+// TestLogConflictingAppendRejected pins invariant R1 at the door: a second
+// value for a decided position is refused by Append itself, against the
+// queued copy while the position is pending and against the stored row once
+// it is applied. The refusal must never reach the drain, where it would turn
+// into the sticky apply error that stops the whole group.
 func TestLogConflictingAppendRejected(t *testing.T) {
 	l, store := openLog(t)
+	// Position 2 stays queued behind the gap at 1.
+	if _, err := l.Append(2, testEntry("t2", 1, map[string]string{"x": "2"})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(2, testEntry("OTHER", 1, map[string]string{"x": "9"})); !errors.Is(err, kvstore.ErrStaleWrite) {
+		t.Fatalf("conflicting append of a queued position: err = %v, want ErrStaleWrite", err)
+	}
 	if _, err := l.Append(1, testEntry("t1", 0, map[string]string{"x": "1"})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(1, testEntry("OTHER", 0, map[string]string{"x": "9"})); err == nil {
-		t.Fatal("conflicting rewrite of a decided position accepted")
+	if err := l.WaitApplied(waitCtx(t), 2); err != nil {
+		t.Fatalf("the refused append left a sticky error: %v", err)
+	}
+	if _, err := l.Append(2, testEntry("OTHER", 1, map[string]string{"x": "9"})); !errors.Is(err, kvstore.ErrStaleWrite) {
+		t.Fatalf("conflicting append of an applied position: err = %v, want ErrStaleWrite", err)
+	}
+	// The first value applied, and the log still takes entries.
+	if v, _, err := store.Read(DataKey("g", "x"), 2); err != nil || v["v"] != "2" {
+		t.Fatalf("x@2 = %v %v", v, err)
+	}
+	if e, _ := l.Entry(2); !e.Contains("t2") {
+		t.Fatalf("entry 2 = %v, want the first value", e)
+	}
+	if _, err := l.Append(3, testEntry("t3", 2, map[string]string{"x": "3"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitApplied(waitCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recEngine is a kvstore.Engine that records what the store logs — the keys
+// of the appended records, in order, and the Sync calls. With hold set, every
+// Sync announces itself on entered and then blocks until hold closes: a drain
+// stuck in its flush.
+type recEngine struct {
+	mu      sync.Mutex
+	keys    []string
+	syncs   int
+	hold    chan struct{} // nil = never block
+	entered chan struct{} // one send per blocked Sync; made with hold
+}
+
+func (e *recEngine) Append(muts []kvstore.Mutation) (uint64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, m := range muts {
+		e.keys = append(e.keys, m.Key)
+	}
+	return uint64(len(e.keys)), nil
+}
+
+func (e *recEngine) Sync(uint64) error {
+	e.mu.Lock()
+	e.syncs++
+	hold := e.hold
+	e.mu.Unlock()
+	if hold != nil {
+		e.entered <- struct{}{}
+		<-hold
+	}
+	return nil
+}
+
+func (e *recEngine) Close() error { return nil }
+
+func (e *recEngine) logged() ([]string, int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.keys...), e.syncs
+}
+
+// TestDrainLogsWhatItApplies pins the tentpole's shape without a clock: a
+// decided entry costs one batch — its log row, then its data writes, then
+// the meta row, in that order (the order D3 and R2 rest on) — under one
+// Sync, where Append used to flush the log row on its own first; and a
+// duplicate Append, before or after the drain, logs nothing more.
+func TestDrainLogsWhatItApplies(t *testing.T) {
+	eng := &recEngine{}
+	store := kvstore.New()
+	store.AttachEngine(eng)
+	l := Open(store, "g")
+	defer l.Close()
+
+	b := testEntry("t1", 0, map[string]string{"x": "1"})
+	if _, err := l.Append(1, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, b); err != nil {
+		t.Fatalf("duplicate append of a queued position: %v", err)
 	}
 	if err := l.WaitApplied(waitCtx(t), 1); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, err := store.Read(DataKey("g", "x"), 1); err != nil || v["v"] != "1" {
-		t.Fatalf("x@1 = %v %v", v, err)
+	if _, err := l.Append(1, b); err != nil {
+		t.Fatalf("duplicate append of an applied position: %v", err)
+	}
+	// A gapped entry is logged by a batch of its own, with no meta row; the
+	// batch that later applies it does not log its row again.
+	if _, err := l.Append(3, testEntry("t3", 2, map[string]string{"x": "3"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitLogged(waitCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(2, testEntry("t2", 1, map[string]string{"y": "2"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitApplied(waitCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
+	keys, syncs := eng.logged()
+	want := []string{
+		LogKey("g", 1), DataKey("g", "x"), MetaKey("g"), // entry 1
+		LogKey("g", 3),                                                     // entry 3, above the gap
+		LogKey("g", 2), DataKey("g", "y"), DataKey("g", "x"), MetaKey("g"), // entries 2 and 3
+	}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("WAL records:\n got %v\nwant %v", keys, want)
+	}
+	if syncs != 3 {
+		t.Fatalf("%d syncs for 3 batches, want one each", syncs)
+	}
+}
+
+// TestQueuedEntryReadableBeforeDrain: between Append and the drain's batch
+// the entry exists only in the pending set, and every read of the log —
+// Has, Entry, EntryBytes (what a peer's catch-up fetch is served from) and
+// Snapshot — must already answer from there.
+func TestQueuedEntryReadableBeforeDrain(t *testing.T) {
+	// entered is buffered for both flushes of this test, so a Sync never
+	// blocks on announcing itself.
+	eng := &recEngine{hold: make(chan struct{}), entered: make(chan struct{}, 2)}
+	store := kvstore.New()
+	store.AttachEngine(eng)
+	l := Open(store, "g")
+	defer l.Close()
+
+	if _, err := l.Append(1, testEntry("t1", 0, map[string]string{"x": "1"})); err != nil {
+		t.Fatal(err)
+	}
+	// Once the drain is stuck in entry 1's flush, entry 2 queues behind it
+	// and reaches no batch until the flush is released.
+	select {
+	case <-eng.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain never reached its flush")
+	}
+	b2 := testEntry("t2", 1, map[string]string{"x": "2"})
+	if h, err := l.Append(2, b2); err != nil || h != 2 {
+		t.Fatalf("append 2: h=%d err=%v", h, err)
+	}
+	if _, _, err := store.ReadPacked(LogKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("Append wrote the log row itself: %v", err)
+	}
+	if !l.Has(2) {
+		t.Error("Has(2) = false for a queued entry")
+	}
+	if e, ok := l.Entry(2); !ok || !e.Contains("t2") {
+		t.Errorf("Entry(2) = %v %v", e, ok)
+	}
+	if raw, ok := l.EntryBytes(2); !ok || string(raw) != string(b2) {
+		t.Errorf("EntryBytes(2) = %q %v, want the appended bytes", raw, ok)
+	}
+	if snap := l.Snapshot(); !snap[2].Contains("t2") {
+		t.Errorf("Snapshot misses the queued entry: %v", snap)
+	}
+	close(eng.hold)
+	if err := l.WaitApplied(waitCtx(t), 2); err != nil {
+		t.Fatal(err)
+	}
+	if raw, ok := l.EntryBytes(2); !ok || string(raw) != string(b2) {
+		t.Errorf("EntryBytes(2) after the drain = %q %v", raw, ok)
 	}
 }
 
