@@ -290,7 +290,7 @@ func seedReadBench(b *testing.B, cl *core.Client) {
 // benchReadTxns runs b.N read-only transactions of 8 keys each, either as 8
 // per-key RPCs (the seed read path) or as one ReadMulti round trip, and
 // reports keys/sec. The multi rows must sustain at least 2x the per-key
-// rows (BENCH_3.json records the measured ratio).
+// rows (BENCH_6.json records the measured ratio).
 func benchReadTxns(b *testing.B, cl *core.Client, multi bool) {
 	b.Helper()
 	ctx := context.Background()

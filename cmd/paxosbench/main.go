@@ -8,7 +8,7 @@
 //	paxosbench -fig 6 -txns 500   # Figure 6 at full paper scale
 //	paxosbench -fig all -scale 0.02
 //	paxosbench -benchjson bench.out -o BENCH_ci.json   # go-bench -> JSON report
-//	paxosbench -compare BENCH_3.json -against BENCH_ci.json   # regression diff
+//	paxosbench -compare BENCH_6.json -against BENCH_ci.json   # regression diff
 //	paxosbench -pairs 10 -parent HEAD -o BENCH_17.json        # make bench-pairs
 //
 // Figures: 4a, 4b, 5a, 5b, 6, 7, 8, ablation, promo, msgs, leader,

@@ -2,6 +2,9 @@ package paxoscp
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,6 +32,34 @@ func TestMarkdownLinks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneSerializationIdiom keeps encoding/gob out of the system by
+// construction: rows are serialized as kvstore records — in the WAL, in
+// snapshot files, in state transfer (DESIGN.md §14) — and a second format
+// for the same bytes must not come back through an import. Tests and the
+// benchmark tooling may use what they like.
+func TestOneSerializationIdiom(t *testing.T) {
+	for _, root := range []string{"internal", filepath.Join("cmd", "txkvd")} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("%s imports encoding/gob", path)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"strings"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
@@ -27,7 +30,7 @@ import (
 //
 // The log rows and the horizon bookkeeping belong to internal/replog; this
 // file contributes the service-owned per-position rows (Paxos acceptor
-// state, leader claims), data-version GC, and the snapshot wire format.
+// state, leader claims), data-version GC, and the snapshot transfer.
 
 // errCompacted is the wire marker a service returns for a fetch of a
 // compacted log position.
@@ -78,92 +81,64 @@ func (s *Service) CompactedTo(group string) int64 {
 	return s.log(group).CompactedTo()
 }
 
-// snapshot is the gob-encoded state transferred to a laggard replica: the
-// newest surviving version of every data item at or below the horizon, plus
-// the prevailing master epoch state at the horizon — without it a restored
-// replica whose establishing claim entry lies below the horizon could not
-// fence later entries (DESIGN.md §11). Blobs from pre-epoch peers decode
-// with a zero Epoch, which installs as "no epoch observed".
-type snapshot struct {
-	Group   string
-	Horizon int64
-	Rows    []snapshotRow
-	Epoch   replog.EpochState
-	// Migrations carries the handoff records applied at or below the horizon
-	// (DESIGN.md §15): a replica restored past a HandoffOut position must
-	// still fence writes into the departed range. Pre-migration blobs decode
-	// with an empty record list.
-	Migrations replog.MigrationState
-}
+// Snapshot transfer (wire contract: network.KindSnapshot; DESIGN.md §4). A
+// snapshot of a group at horizon H is a stream of WAL records: the header —
+// the group's meta row as a replica restored at H holds it — then every data
+// row's newest version at or below H. It is served in pages like a scan: the
+// read pin at H holds the image between pages, and a pin compaction has
+// passed is refused, so a laggard never stitches two horizons together.
 
-type snapshotRow struct {
-	Key string // data item key (without the data/<group>/ prefix)
-	TS  int64  // version timestamp = log position of the writing entry
-	Val string
-}
+const (
+	// snapshotPageBytes is a page's record budget: with the reply's envelope,
+	// well inside the UDP transport's 64 KiB datagram. A page carries at least
+	// one record, whatever its size.
+	snapshotPageBytes = 32 << 10
+	// snapshotRestarts bounds how often one transfer starts over because the
+	// peer compacted past its pin between pages.
+	snapshotRestarts = 3
+)
 
-// buildSnapshot captures the group's data state at the applied horizon. The
-// replog watermark only advances after a batch's data writes have landed, so
-// the rows are complete at the horizon; ReadStable excludes a concurrent
-// compaction from GC-ing the versions visible there mid-scan.
-func (s *Service) buildSnapshot(group string) ([]byte, error) {
-	prefix := replog.DataPrefix(group)
-	var snap snapshot
-	lg := s.log(group)
-	err := lg.ReadStable(func(horizon int64, epoch replog.EpochState) error {
-		snap = snapshot{Group: group, Horizon: horizon, Epoch: epoch, Migrations: lg.MigrationsAt(horizon)}
-		// One pass over the ordered index at the horizon replaces the old
-		// sort-every-key-then-point-read loop; each page arrives already
-		// resolved at the horizon.
-		return s.store.WalkPrefix(prefix, horizon, func(row kvstore.ScanRow) {
-			snap.Rows = append(snap.Rows, snapshotRow{Key: row.Key[len(prefix):], TS: row.TS, Val: row.Val.Get("v")})
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("core: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// installSnapshot applies a peer's snapshot: data rows land idempotently at
-// their original version timestamps in one write batch, and the applied
-// watermark jumps to the snapshot's horizon. Entries above the horizon
-// continue through normal catch-up.
-func (s *Service) installSnapshot(blob []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return fmt.Errorf("core: decode snapshot: %w", err)
-	}
-	lg := s.log(snap.Group)
-	if lg.Applied() >= snap.Horizon {
-		return nil // already ahead
-	}
-	writes := make([]kvstore.BatchWrite, 0, len(snap.Rows))
-	for _, row := range snap.Rows {
-		writes = append(writes, kvstore.BatchWrite{
-			Key: dataKey(snap.Group, row.Key), Value: kvstore.PackAttrs("v", row.Val), TS: row.TS,
-		})
-	}
-	if err := s.store.ApplyBatch(writes); err != nil {
-		return fmt.Errorf("core: install snapshot %s: %w", snap.Group, err)
-	}
-	return lg.InstallSnapshot(snap.Horizon, snap.Epoch, snap.Migrations)
-}
-
-// handleSnapshot serves a snapshot request.
+// handleSnapshot serves one page of a snapshot transfer. A request without a
+// cursor starts one: the page is pinned at the local watermark and opens with
+// the header composed for it.
 func (s *Service) handleSnapshot(req network.Message) network.Message {
-	blob, err := s.buildSnapshot(req.Group)
+	prefix := replog.DataPrefix(req.Group)
+	pin, after := req.TS, prefix+req.Key // resume after the cursor
+	var page []byte
+	if !req.Found {
+		var header kvstore.Packed
+		pin, header = s.log(req.Group).SnapshotHeader()
+		page = kvstore.AppendRecord(nil, kvstore.Mutation{Op: kvstore.OpWrite, Key: replog.MetaKey(req.Group), TS: pin, Value: header})
+		after = ""
+	}
+	h, _, err := s.pinPage(req.Group, pin)
 	if err != nil {
 		return network.Status(false, err.Error())
 	}
-	return network.Message{Kind: network.KindValue, OK: true, Payload: blob, TS: s.lastApplied(req.Group)}
+	resp := network.Message{Kind: network.KindValue, OK: true, TS: h}
+	for {
+		rows, more, err := s.store.ScanPrefix(prefix, after, scanDefaultPageRows, h)
+		if err != nil {
+			return network.Status(false, err.Error())
+		}
+		for _, row := range rows {
+			with := kvstore.AppendRecord(page, kvstore.Mutation{Op: kvstore.OpWrite, Key: row.Key, TS: row.TS, Value: row.Val})
+			if len(with) > snapshotPageBytes && len(page) > 0 {
+				// Full: this row opens the next page.
+				resp.Payload, resp.Key, resp.Found = page, strings.TrimPrefix(after, prefix), true
+				return resp
+			}
+			page, after = with, row.Key
+		}
+		if !more {
+			resp.Payload = page
+			return resp // transfer complete: Found stays false
+		}
+	}
 }
 
-// fetchSnapshot pulls and installs a snapshot from any peer that has one.
+// fetchSnapshot installs a snapshot from the first peer that serves one ahead
+// of the local watermark.
 func (s *Service) fetchSnapshot(ctx context.Context, group string) error {
 	if s.transport == nil {
 		return fmt.Errorf("core: no peers for snapshot transfer")
@@ -173,20 +148,95 @@ func (s *Service) fetchSnapshot(ctx context.Context, group string) error {
 		if dc == s.dc {
 			continue
 		}
-		cctx, cancel := context.WithTimeout(ctx, s.timeout)
-		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindSnapshot, Group: group})
-		cancel()
-		if err != nil || !resp.OK {
-			if err != nil {
-				lastErr = err
-			}
-			continue
+		if lastErr = s.installFrom(ctx, dc, group); lastErr == nil {
+			return nil
 		}
-		if err := s.installSnapshot(resp.Payload); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
 	}
 	return lastErr
+}
+
+// installFrom pulls a snapshot of group from one peer and installs it. Each
+// page's rows land as it arrives (idempotent, and above the local watermark
+// unless already here, so no read sees them); the watermark jumps only after
+// the last page, so a crash in between recovers the old watermark over rows a
+// retried transfer lands again (D3). A page is outside input: one that fails
+// validation ends the transfer with none of it applied.
+func (s *Service) installFrom(ctx context.Context, dc, group string) error {
+	fail := func(err error) error { return fmt.Errorf("core: snapshot of %s from %s: %w", group, dc, err) }
+	lg := s.log(group)
+	start := network.Message{Kind: network.KindSnapshot, Group: group, TS: network.ResolvePos}
+	var (
+		h     int64 // the transfer's horizon, set by its first page
+		epoch replog.EpochState
+		mig   replog.MigrationState
+	)
+	for req, restarts := start, 0; ; {
+		cctx, cancel := context.WithTimeout(ctx, s.timeout)
+		resp, err := s.transport.Send(cctx, dc, req)
+		cancel()
+		first := !req.Found
+		switch {
+		case err != nil:
+			return fail(err)
+		case !resp.OK && resp.Err == errCompacted && !first && restarts < snapshotRestarts:
+			req, restarts = start, restarts+1 // the pin is gone: start over at a fresh one
+			continue
+		case !resp.OK:
+			return fail(errors.New(resp.Err))
+		case first && resp.TS <= lg.Applied():
+			return fail(fmt.Errorf("its horizon %d is not ahead of ours", resp.TS))
+		case first:
+			h = resp.TS
+		case resp.TS != h:
+			return fail(fmt.Errorf("a page at horizon %d in a transfer pinned at %d", resp.TS, h))
+		}
+		page := bufio.NewReader(bytes.NewReader(resp.Payload))
+		if first {
+			if epoch, mig, err = readSnapshotHeader(page, group, h); err != nil {
+				return fail(err)
+			}
+		}
+		rows, err := readSnapshotRows(page, replog.DataPrefix(group), h)
+		if err == nil {
+			err = s.store.ApplyBatch(rows)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if !resp.Found {
+			return lg.InstallSnapshot(h, epoch, mig)
+		}
+		req = network.Message{Kind: network.KindSnapshot, Group: group, TS: h, Key: resp.Key, Found: true}
+	}
+}
+
+// readSnapshotHeader reads the record a transfer's first page opens with: the
+// group's meta row for horizon h, every field of which must parse.
+func readSnapshotHeader(page *bufio.Reader, group string, h int64) (replog.EpochState, replog.MigrationState, error) {
+	m, err := kvstore.ReadRecord(page)
+	if err != nil || m.Op != kvstore.OpWrite || m.Key != replog.MetaKey(group) {
+		return replog.EpochState{}, replog.MigrationState{}, fmt.Errorf("the first page does not open with the header (key %q, %v)", m.Key, err)
+	}
+	last, epoch, mig, err := replog.ParseSnapshotHeader(m.Value)
+	if err == nil && last != h {
+		err = fmt.Errorf("a header for horizon %d in a transfer pinned at %d", last, h)
+	}
+	return epoch, mig, err
+}
+
+// readSnapshotRows reads the rest of a page: whole records, each a version at
+// or below h of a row under prefix.
+func readSnapshotRows(page *bufio.Reader, prefix string, h int64) (rows []kvstore.BatchWrite, err error) {
+	for {
+		m, err := kvstore.ReadRecord(page)
+		switch {
+		case err == io.EOF:
+			return rows, nil
+		case err != nil:
+			return nil, err
+		case m.Op != kvstore.OpWrite || !strings.HasPrefix(m.Key, prefix) || m.TS > h:
+			return nil, fmt.Errorf("record (op %d) %q@%d is not a version of a row under %s at or below %d", m.Op, m.Key, m.TS, prefix, h)
+		}
+		rows = append(rows, kvstore.BatchWrite{Key: m.Key, Value: m.Value, TS: m.TS})
+	}
 }

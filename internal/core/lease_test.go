@@ -119,7 +119,12 @@ func TestDeposedMasterRefusesWithHintAndClientFollows(t *testing.T) {
 	if err != nil || epoch != 2 {
 		t.Fatalf("takeover = %d %v, want epoch 2", epoch, err)
 	}
-	// A has applied B's claim entry, so it knows it is deposed.
+	// Once A has applied B's claim entry it knows it is deposed. The claim
+	// returned at B and a majority, which need not include A, so A is caught
+	// up to B's watermark first.
+	if err := services["A"].CatchUp(cctx, "g", services["B"].LastApplied("g")); err != nil {
+		t.Fatal(err)
+	}
 	if st, _ := services["A"].Mastership("g"); st.Master != "B" || st.Epoch != 2 {
 		t.Fatalf("A's view after takeover = %+v", st)
 	}

@@ -107,18 +107,12 @@ const rangeSnapshotExamineBudget = 2048
 //
 // Pages walk the store's ordered index from the cursor — each request costs
 // O(page) index work, not a full-store key sort (which would make an N-row
-// backfill quadratic). The pin is
-// registered with the replog (PinReads) so a compaction between pages
-// cannot GC the versions later pages still read.
+// backfill quadratic). The pin is registered with the replog (pinPage) so a
+// compaction between pages cannot GC the versions later pages still read.
 func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
-	ts, err := s.resolveReadTS(req.Group, req.TS)
+	ts, _, err := s.pinPage(req.Group, req.TS)
 	if err != nil {
 		return network.Status(false, err.Error())
-	}
-	lg := s.log(req.Group)
-	lg.PinReads(ts, scanPinTTL(s.timeout))
-	if lg.CompactedTo() > ts {
-		return network.Status(false, errCompacted)
 	}
 	set := placement.NewMoveSet(req.Keys, req.Group, req.Value)
 	prefix := replog.DataPrefix(req.Group)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"time"
@@ -47,20 +48,32 @@ func scanPinTTL(timeout time.Duration) time.Duration {
 	return time.Duration(scanPinFactor) * timeout
 }
 
-// handleScan serves one page of an ordered prefix scan (wire contract in
-// network.KindScan's doc). The pin is registered before the compaction check,
-// which makes the handshake race-free: either the pin lands before any future
-// compaction clamps its horizon, or compaction already passed the position
-// and the CompactedTo refusal tells the client to restart at a fresh pin.
-func (s *Service) handleScan(req network.Message) network.Message {
-	ts, err := s.resolveReadTS(req.Group, req.TS)
+// pinPage opens every paged handler — scan, range snapshot, snapshot
+// transfer: it resolves the position the page is served at, registers it as a
+// read pin, and refuses with errCompacted when compaction has passed it. The
+// pin is registered before the compaction check, which makes the handshake
+// race-free: either the pin lands before any future compaction clamps its
+// horizon, or compaction already passed the position and the refusal tells
+// the client to restart at a fresh pin.
+func (s *Service) pinPage(group string, pin int64) (int64, *replog.Log, error) {
+	ts, err := s.resolveReadTS(group, pin)
 	if err != nil {
-		return network.Status(false, err.Error())
+		return 0, nil, err
 	}
-	lg := s.log(req.Group)
+	lg := s.log(group)
 	lg.PinReads(ts, scanPinTTL(s.timeout))
 	if lg.CompactedTo() > ts {
-		return network.Status(false, errCompacted)
+		return 0, nil, errors.New(errCompacted)
+	}
+	return ts, lg, nil
+}
+
+// handleScan serves one page of an ordered prefix scan (wire contract in
+// network.KindScan's doc).
+func (s *Service) handleScan(req network.Message) network.Message {
+	ts, lg, err := s.pinPage(req.Group, req.TS)
+	if err != nil {
+		return network.Status(false, err.Error())
 	}
 
 	limit := int(req.Pos)

@@ -20,7 +20,10 @@ type udpCluster struct {
 	services   map[string]*Service
 	transports map[string]*network.UDP
 	clients    []*network.UDP
-	mu         sync.Mutex
+	// onReply, when set (under mu), sees every request a service answered
+	// and its reply.
+	onReply func(req, resp network.Message)
+	mu      sync.Mutex
 }
 
 func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
@@ -46,12 +49,16 @@ func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 		dc := dc
 		tr, err := network.NewUDP(dc, "127.0.0.1:0", nil, func(from string, req network.Message) network.Message {
 			uc.mu.Lock()
-			svc := uc.services[dc]
+			svc, onReply := uc.services[dc], uc.onReply
 			uc.mu.Unlock()
 			if svc == nil {
 				return network.Status(false, "service not ready")
 			}
-			return svc.Handler()(from, req)
+			resp := svc.Handler()(from, req)
+			if onReply != nil {
+				onReply(req, resp)
+			}
+			return resp
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,4 +215,50 @@ func TestUDPEndToEndDeadServiceFallback(t *testing.T) {
 		t.Fatalf("fallback read = (%q,%v,%v)", v, found, err)
 	}
 	tx2.Abort()
+}
+
+// TestUDPRejoinViaPagedSnapshot: a replica that was away while its peers
+// wrote 2000 rows (234 KB) and compacted to the tip rejoins over real
+// datagrams — the state arrives in pages that each fit one, where one reply
+// carrying the whole group could never have been delivered.
+func TestUDPRejoinViaPagedSnapshot(t *testing.T) {
+	uc := newUDPCluster(t, "A", "B", "C")
+	var mu sync.Mutex
+	pages, largest := 0, 0
+	uc.mu.Lock()
+	uc.onReply = func(req, resp network.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		if req.Kind == network.KindSnapshot {
+			pages++
+		}
+		largest = max(largest, len(network.MarshalBinary(resp)))
+	}
+	uc.mu.Unlock()
+	const tip = 40
+	for _, dc := range []string{"A", "B"} {
+		seedRows(t, uc.services[dc], "g", 1, tip, 50)
+		if h, err := uc.services[dc].Compact("g", tip); err != nil || h != tip {
+			t.Fatalf("compact %s to the tip: %d %v", dc, h, err)
+		}
+	}
+	c := uc.services["C"]
+	if err := c.Recover(context.Background(), "g"); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got := c.LastApplied("g"); got != tip {
+		t.Fatalf("C's watermark = %d, want the tip %d", got, tip)
+	}
+	// r001-07 was written once, at position 1: only the snapshot has it.
+	resp := c.Handler()("client", network.Message{Kind: network.KindRead, Group: "g", Key: "r001-07", TS: tip})
+	if !resp.OK || !resp.Found || len(resp.Value) != 100 {
+		t.Fatalf("read of a row below the horizon = %+v", resp)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// 64 KiB is the transport's datagram bound; the envelope around a reply
+	// is a few dozen bytes.
+	if pages < 4 || largest > 64<<10-256 {
+		t.Fatalf("%d snapshot pages, largest reply %d bytes; want several pages, each inside a datagram", pages, largest)
+	}
 }

@@ -1,99 +1,90 @@
 package disk_test
 
 import (
-	"context"
-	"errors"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
-	"paxoscp/internal/paxos"
 	"paxoscp/internal/replog"
-	"paxoscp/internal/wal"
 )
 
-// TestOpensParentDataDir recovers a data directory written by the last
-// commit that stored versions as maps (b87221d): a gob snapshot plus a WAL
-// tail of OpWrite, OpDelete and OpGC records, produced by 40 replicated-log
-// positions (acceptor vote, log row, two data writes and a meta-row version
-// each), a compaction to 6 and a GC of the hot row at 10. The record bytes
-// and the snapshot format did not change, so everything must read back —
-// and the meta row's inherited history must collapse on the first drain.
+// TestOpensParentDataDir pins what Open makes of a data directory written by
+// commit b87221d (testdata/parent-b87221d: a gob snapshot at seq 101 plus a
+// WAL tail of 106 OpWrite, OpDelete and OpGC records, left by 40
+// replicated-log positions, a compaction to 6 and a GC of the hot row at 10).
+// The gob snapshot format is gone, and nothing reads it any more: Open
+// refuses the directory by the snapshot's name, says an older build wrote it,
+// and touches nothing. The record format is the one that build wrote, so its
+// WAL still replays.
 func TestOpensParentDataDir(t *testing.T) {
-	dir := t.TempDir()
 	src := filepath.Join("testdata", "parent-b87221d")
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+	const snap, tail = "snap-00000000000000000101.snap", "wal-00000000000000000102.log"
+	fixture := map[string][]byte{}
+	for _, name := range []string{snap, tail} {
+		b, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
+		fixture[name] = b
+	}
+	populate := func(dir string, as map[string]string) {
+		t.Helper()
+		for name, from := range as {
+			if err := os.WriteFile(filepath.Join(dir, name), fixture[from], 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	store, eng, err := disk.Open(dir, disk.Options{})
-	if err != nil {
-		t.Fatalf("open parent-written dir: %v", err)
-	}
-	lg := replog.Open(store, "g")
-	if got, horizon := lg.Applied(), lg.CompactedTo(); got != 40 || horizon != 6 {
-		t.Fatalf("recovered watermark %d, horizon %d; want 40, 6", got, horizon)
-	}
-	hot := replog.DataKey("g", "hot")
-	for _, c := range []struct {
-		key  string
-		at   int64
-		want string
-	}{{hot, kvstore.Latest, "h40"}, {hot, 12, "h12"}, {replog.DataKey("g", "k3"), kvstore.Latest, "v38"}} {
-		if v, _, err := store.Read(c.key, c.at); err != nil || v["v"] != c.want {
-			t.Fatalf("%s@%d = %v %v, want %s", c.key, c.at, v, err, c.want)
+	t.Run("snapshot refused by name", func(t *testing.T) {
+		dir := t.TempDir()
+		populate(dir, map[string]string{snap: snap, tail: tail})
+		_, _, err := disk.Open(dir, disk.Options{})
+		if err == nil {
+			t.Fatal("opened a directory whose snapshot is a gob image")
 		}
-	}
-	if _, _, err := store.Read(hot, 9); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("hot@9 survived the GC at 10: %v", err)
-	}
-	if lg.Has(5) || !lg.Has(6) {
-		t.Fatalf("log rows: Has(5)=%v Has(6)=%v, want compacted below 6", lg.Has(5), lg.Has(6))
-	}
-	bal, val, err := paxos.NewAcceptor(store).Vote("g", 40)
-	if entry, derr := wal.Decode(val); err != nil || derr != nil || bal != paxos.FastBallot || !entry.Contains("t40") {
-		t.Fatalf("acceptor vote at 40 = ballot %d, %v (%v, %v)", bal, entry, err, derr)
-	}
+		if msg := err.Error(); !strings.Contains(msg, snap) || !strings.Contains(msg, "older build") {
+			t.Fatalf("refusal does not name the snapshot and its origin: %v", err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != len(fixture) {
+			t.Fatalf("directory after the refusal: %v (%v), want the two fixture files", ents, err)
+		}
+		for name, want := range fixture {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s changed by the refused Open (%v)", name, err)
+			}
+		}
+	})
 
-	meta := replog.MetaKey("g")
-	if n := store.Versions(meta); n < 40 {
-		t.Fatalf("fixture's meta row has %d versions; expected the parent's one-per-drain history", n)
-	}
-	next := wal.Encode(wal.NewEntry(wal.Txn{ID: "t41", Writes: map[string]string{"hot": "h41"}}))
-	if _, err := lg.Append(41, next); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.WaitApplied(context.Background(), 41); err != nil {
-		t.Fatal(err)
-	}
-	if n := store.Versions(meta); n != 1 {
-		t.Fatalf("meta row holds %d versions after a drain, want 1", n)
-	}
-	lg.Close()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, eng2, err := disk.Open(dir, disk.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	lg2 := replog.Open(store2, "g")
-	defer lg2.Close()
-	if got, n := lg2.Applied(), store2.Versions(meta); got != 41 || n != 1 {
-		t.Fatalf("after reopen: watermark %d, %d meta versions; want 41, 1", got, n)
-	}
+	t.Run("WAL replays", func(t *testing.T) {
+		// The tail alone, as the first segment of a directory with no
+		// snapshot: sequence numbers are positional, so renaming is all it
+		// takes. Its deletes and GCs find nothing to remove; its writes are
+		// positions 21 to 40.
+		dir := t.TempDir()
+		populate(dir, map[string]string{"wal-00000000000000000001.log": tail})
+		store, eng, err := disk.Open(dir, disk.Options{})
+		if err != nil {
+			t.Fatalf("open a WAL written by the parent: %v", err)
+		}
+		defer eng.Close()
+		hot := replog.DataKey("g", "hot")
+		for _, c := range []struct {
+			key  string
+			at   int64
+			want string
+		}{{hot, kvstore.Latest, "h40"}, {hot, 21, "h21"}, {replog.DataKey("g", "k0"), kvstore.Latest, "v40"}} {
+			if v, _, err := store.Read(c.key, c.at); err != nil || v["v"] != c.want {
+				t.Fatalf("%s@%d = %v %v, want %s", c.key, c.at, v, err, c.want)
+			}
+		}
+		if v, _, err := store.Read(replog.MetaKey("g"), kvstore.Latest); err != nil || v["last"] != "40" {
+			t.Fatalf("meta row = %v %v, want last=40", v, err)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestEveryPrefixTruncation(t *testing.T) {
 	bounds := []int{0}
 	var enc []byte
 	for _, m := range muts {
-		enc = appendRecord(enc, m)
+		enc = kvstore.AppendRecord(enc, m)
 		bounds = append(bounds, len(enc))
 	}
 
@@ -167,14 +168,14 @@ func TestTornTailBytes(t *testing.T) {
 	muts := mutHistory(10, 3)
 	var enc []byte
 	for _, m := range muts {
-		enc = appendRecord(enc, m)
+		enc = kvstore.AppendRecord(enc, m)
 	}
 	tails := map[string][]byte{
-		"half-record":  appendRecord(nil, muts[0])[:5],
+		"half-record":  kvstore.AppendRecord(nil, muts[0])[:5],
 		"zero-bytes":   make([]byte, 64),
 		"giant-length": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		"flipped-crc": func() []byte {
-			r := appendRecord(nil, muts[0])
+			r := kvstore.AppendRecord(nil, muts[0])
 			r[2] ^= 0xff // corrupt a checksum byte
 			return r
 		}(),
@@ -209,11 +210,11 @@ func TestSealedSegmentCorruption(t *testing.T) {
 	muts := mutHistory(6, 2)
 	var seg1 []byte
 	for _, m := range muts[:3] {
-		seg1 = appendRecord(seg1, m)
+		seg1 = kvstore.AppendRecord(seg1, m)
 	}
 	var seg2 []byte
 	for _, m := range muts[3:] {
-		seg2 = appendRecord(seg2, m)
+		seg2 = kvstore.AppendRecord(seg2, m)
 	}
 	dir := t.TempDir()
 	// Chop the sealed first segment mid-record.
@@ -446,6 +447,47 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 	}
 }
 
+// TestScrubStreamsSnapshot: a scrub pass verifies a snapshot by reading its
+// records, one at a time — it allocates a small fraction of the file's size,
+// where re-loading the file (as the scrub once did) built a second store
+// beside the serving one.
+func TestScrubStreamsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval, Interval: time.Hour})
+	defer e.Close()
+	val := kvstore.PackAttrs("v", strings.Repeat("x", 40))
+	batch := make([]kvstore.BatchWrite, 0, 500)
+	for i := 0; i < 20000; i++ {
+		batch = append(batch, kvstore.BatchWrite{Key: fmt.Sprintf("row/%05d", i), Value: val, TS: 1})
+		if len(batch) == cap(batch) {
+			if err := s.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := e.snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	_, snaps, err := listSegments(osFS{}, dir)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after one snapshot = %v (%v)", snaps, err)
+	}
+	st, err := os.Stat(filepath.Join(dir, snapshotName(snaps[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ScrubReport
+	grew := allocatedBy(func() { rep, err = e.Scrub() })
+	if err != nil || rep.Snapshots != 1 || rep.Records != 20000 || len(rep.Corrupt) != 0 {
+		t.Fatalf("scrub = %+v, %v; want one intact snapshot of 20000 records", rep, err)
+	}
+	t.Logf("scrubbing a %d-byte snapshot allocated %d bytes", st.Size(), grew)
+	if grew >= uint64(st.Size())/4 {
+		t.Fatalf("scrubbing a %d-byte snapshot allocated %d bytes", st.Size(), grew)
+	}
+}
+
 // TestOpenSnapshotBeyondLogEnd: a directory whose newest snapshot claims
 // sequence numbers past the log end (the layout a pre-fix engine could
 // leave after a power loss) must recover without reusing the covered
@@ -459,7 +501,7 @@ func TestOpenSnapshotBeyondLogEnd(t *testing.T) {
 		if err := ref.ApplyMutation(m); err != nil {
 			t.Fatal(err)
 		}
-		enc = appendRecord(enc, m)
+		enc = kvstore.AppendRecord(enc, m)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), enc, 0o644); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,13 @@
 // Layout of a data directory:
 //
 //	wal-<startseq>.log   log segments; records are numbered positionally
-//	snap-<seq>.snap      kvstore gob snapshot covering sequence numbers <= seq
+//	snap-<seq>.snap      kvstore snapshot covering sequence numbers <= seq
 //	.disk-*              snapshot temp files (deleted on open)
+//
+// Both kinds of file hold the one record format (kvstore/record.go): a
+// snapshot is a stream of the WAL's own OpWrite records between a magic and
+// a counting trailer (kvstore.Save), so recovery loads it by replaying it and
+// the scrub checks it as it checks a sealed segment, record by record.
 //
 // The durability contract is the store's mutation protocol (kvstore/engine.go):
 // apply in memory and Append under the row lock (pinning WAL order to apply

@@ -171,7 +171,7 @@ func (e *Engine) Append(muts []kvstore.Mutation) (uint64, error) {
 		return 0, errClosed
 	}
 	for i := range muts {
-		e.buf = appendRecord(e.buf, muts[i])
+		e.buf = kvstore.AppendRecord(e.buf, muts[i])
 	}
 	e.appended += uint64(len(muts))
 	return e.appended, nil

@@ -1,11 +1,13 @@
 package faultfs_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -466,51 +468,79 @@ func TestScrubDetectsSegmentBitRot(t *testing.T) {
 	}
 }
 
-// TestScrubDetectsSnapshotBitRot: same for snapshots — a flipped bit makes
-// the snapshot undecodable, which the scrub reports before a recovery
-// would have needed that snapshot.
+// TestScrubDetectsSnapshotBitRot: same for snapshots. A snapshot is a stream
+// of checksummed records between a magic and a counting trailer, so a bit
+// flipped anywhere in it — the header, a key, a value, the trailer — is
+// flagged by a scrub pass before a recovery needs the file, and refused by
+// the recovery that does.
 func TestScrubDetectsSnapshotBitRot(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil)
 	s, e := mustOpen(t, dir, disk.Options{FS: inj, SegmentBytes: 256, CompactSegments: 1})
-	defer e.Close()
 	writeHistory(t, s, 200, 4)
-	// Compaction runs in the background; wait for a snapshot to exist.
-	var snap string
-	for i := 0; i < 200 && snap == ""; i++ {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range ents {
-			if filepath.Ext(ent.Name()) == ".snap" {
-				snap = ent.Name()
-			}
-		}
-		if snap == "" {
-			writeHistory(t, s, 20, 4)
-		}
+	// Every rotation asks for a snapshot and Close waits for the one in
+	// flight, so the directory is settled and holds one.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if snap == "" {
-		t.Skip("no snapshot materialized; compaction did not trigger")
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot after 200 writes over 256-byte segments (%v)", err)
 	}
-	inj.FlipBitOnRead(snap, 5) // corrupt the gob header region
-	rep, err := e.Scrub()
+	snap := filepath.Base(snaps[len(snaps)-1])
+	img, err := os.ReadFile(snaps[len(snaps)-1])
 	if err != nil {
-		t.Fatalf("scrub: %v", err)
+		t.Fatal(err)
 	}
-	found := false
-	for _, c := range rep.Corrupt {
-		if c == snap {
-			found = true
+	find := func(needle string) int64 {
+		i := bytes.Index(img, []byte(needle))
+		if i < 0 {
+			t.Fatalf("%q not in the snapshot", needle)
+		}
+		return int64(i)
+	}
+	spots := []struct {
+		what string
+		off  int64
+	}{
+		{"header", 3},
+		{"key", find("key-0") + 4},
+		{"value", find("\x01v\x0212") + 3}, // attribute v = "12", key-0's fourth version
+		{"trailer", int64(len(img)) - 1},
+	}
+
+	_, e2 := mustOpen(t, dir, disk.Options{FS: inj, CompactSegments: 1 << 20})
+	rep, err := e2.Scrub()
+	if err != nil || rep.Snapshots == 0 || len(rep.Corrupt) != 0 {
+		t.Fatalf("scrub of the intact directory = %+v, %v", rep, err)
+	}
+	for _, spot := range spots {
+		inj.FlipBitOnRead(snap, spot.off)
+		rep, err := e2.Scrub()
+		if err != nil {
+			t.Fatalf("scrub: %v", err)
+		}
+		if len(rep.Corrupt) != 1 || rep.Corrupt[0] != snap {
+			t.Fatalf("bit flipped in the %s (byte %d): scrub corrupt = %v, want [%s]", spot.what, spot.off, rep.Corrupt, snap)
+		}
+		if e2.Fault() != nil {
+			t.Fatalf("snapshot rot poisoned the engine: %v", e2.Fault())
 		}
 	}
-	if !found {
-		t.Fatalf("scrub did not flag corrupted snapshot %s (corrupt=%v)", snap, rep.Corrupt)
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if e.Fault() != nil {
-		t.Fatalf("snapshot rot poisoned the engine: %v", e.Fault())
+	for _, spot := range spots {
+		inj.FlipBitOnRead(snap, spot.off)
+		if _, _, err := disk.Open(dir, quietOpts(disk.Options{FS: inj})); err == nil || !strings.Contains(err.Error(), snap) {
+			t.Fatalf("bit flipped in the %s (byte %d): Open = %v, want a refusal naming %s", spot.what, spot.off, err, snap)
+		}
 	}
+	// The file itself is sound: with the rot gone the directory recovers.
+	inj.Clear()
+	s3, e3 := mustOpen(t, dir, disk.Options{FS: inj})
+	defer e3.Close()
+	checkHistory(t, s3, 200, 4)
 }
 
 // TestBitRotOnRecoveryOfSealedSegmentFails pins the recovery side of the

@@ -18,7 +18,10 @@ import (
 // whose mutations are durably logged by the returned engine. Recovery:
 //
 //  1. delete leftover temp files (interrupted snapshot writes);
-//  2. load the newest snapshot, if any, into a fresh store (seq horizon S);
+//  2. load the newest snapshot, if any, into a fresh store (seq horizon S):
+//     a stream of WAL records, so loading is replaying (kvstore.Load). One
+//     that does not read to its trailer — rot, or the gob image of an older
+//     build — fails Open by name, with nothing touched;
 //  3. replay every WAL record with sequence number > S, in order, via
 //     Store.ApplyMutation — idempotent, so records the snapshot already
 //     reflects are harmless (invariant D2);
@@ -55,7 +58,7 @@ func Open(dir string, opts Options) (*kvstore.Store, *Engine, error) {
 		store, err = kvstore.Load(f)
 		f.Close()
 		if err != nil {
-			return nil, nil, fmt.Errorf("disk: snapshot %s: %w", snapshotName(snapSeq), err)
+			return nil, nil, fmt.Errorf("disk: snapshot %s: %w; the directory is left as it is — a replica started on an empty directory installs its state from its peers", snapshotName(snapSeq), err)
 		}
 	}
 
@@ -174,11 +177,11 @@ func replaySegment(fs FS, dir string, start, snapSeq uint64, final bool, store *
 	seq := start - 1
 	for {
 		recStart := cr.n - int64(br.Buffered())
-		m, rerr := readRecord(br)
+		m, rerr := kvstore.ReadRecord(br)
 		if rerr == io.EOF {
 			break
 		}
-		if errors.Is(rerr, errTorn) {
+		if errors.Is(rerr, kvstore.ErrTorn) {
 			if !final {
 				f.Close()
 				return 0, 0, 0, fmt.Errorf("disk: sealed segment %s corrupt: %w", segmentName(start), rerr)

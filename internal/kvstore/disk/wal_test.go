@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,24 @@ import (
 	"paxoscp/internal/kvstore"
 )
 
-// goldenRecords are appendRecord's bytes as emitted by commit b87221d, when
+// The record codec lives beside kvstore.Mutation (kvstore/record.go) and is
+// shared with snapshots and state transfer; these tests pin it as the WAL
+// uses it, through its exported entry points. maxRecordBytes and bodyStep
+// repeat the codec's two bounds.
+const (
+	maxRecordBytes = 64 << 20
+	bodyStep       = 64 << 10
+)
+
+// decodePayload hands payload to the codec's payload decoder the only way
+// bytes reach it: inside a record whose checksum holds.
+func decodePayload(payload []byte) (kvstore.Mutation, error) {
+	rec := binary.AppendUvarint(nil, uint64(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	return kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(append(rec, payload...))))
+}
+
+// goldenRecords are AppendRecord's bytes as emitted by commit b87221d, when
 // a version was a map the encoder sorted and walked. The store now hands the
 // encoder the attribute block ready-made; a data directory written before
 // the change must stay readable and one written after it must be
@@ -39,11 +57,11 @@ var goldenRecords = []struct {
 
 func TestRecordBytesGolden(t *testing.T) {
 	for _, g := range goldenRecords {
-		got := appendRecord(nil, g.m)
+		got := kvstore.AppendRecord(nil, g.m)
 		if hex.EncodeToString(got) != g.hex {
 			t.Errorf("%v %s@%d encodes to\n  %x, want\n  %s", g.m.Op, g.m.Key, g.m.TS, got, g.hex)
 		}
-		back, err := readRecord(bufio.NewReader(bytes.NewReader(got)))
+		back, err := kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(got)))
 		if err != nil || back != g.m {
 			t.Errorf("%v %s@%d reads back as %+v (%v)", g.m.Op, g.m.Key, g.m.TS, back, err)
 		}
@@ -51,14 +69,14 @@ func TestRecordBytesGolden(t *testing.T) {
 	// The acceptor's map-free constructor must land on the same bytes.
 	direct := goldenRecords[1].m
 	direct.Value = kvstore.PackAttrs("nextBal", "0", "seq", "4", "voteBal", "0", "voteVal", "\x00\x01\xffbytes")
-	if got := appendRecord(nil, direct); hex.EncodeToString(got) != goldenRecords[1].hex {
+	if got := kvstore.AppendRecord(nil, direct); hex.EncodeToString(got) != goldenRecords[1].hex {
 		t.Errorf("PackAttrs row encodes to %x", got)
 	}
 	// OpReplace shares OpWrite's layout under its own op byte.
 	w, r := goldenRecords[0].m, goldenRecords[0].m
 	r.Op = kvstore.OpReplace
-	wb, rb := appendRecord(nil, w), appendRecord(nil, r)
-	if back, err := readRecord(bufio.NewReader(bytes.NewReader(rb))); err != nil || back != r {
+	wb, rb := kvstore.AppendRecord(nil, w), kvstore.AppendRecord(nil, r)
+	if back, err := kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(rb))); err != nil || back != r {
 		t.Errorf("OpReplace reads back as %+v (%v)", back, err)
 	}
 	const opAt = 5 // length prefix (1) + crc (4)
@@ -91,8 +109,8 @@ func TestLengthPrefixBoundsAllocation(t *testing.T) {
 		seg := binary.AppendUvarint(nil, claim)
 		seg = append(seg, "crc.and a few payload bytes"...)
 		var err error
-		grew := allocatedBy(func() { _, err = readRecord(bufio.NewReader(bytes.NewReader(seg))) })
-		if !errors.Is(err, errTorn) {
+		grew := allocatedBy(func() { _, err = kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(seg))) })
+		if !errors.Is(err, kvstore.ErrTorn) {
 			t.Fatalf("claim %d: err = %v, want a torn-record error", claim, err)
 		}
 		if grew > readSlack {
@@ -107,13 +125,13 @@ func TestLengthPrefixBoundsAllocation(t *testing.T) {
 func TestLargeRecordRoundTrip(t *testing.T) {
 	m := kvstore.Mutation{Op: kvstore.OpWrite, Key: "big", TS: 3,
 		Value: kvstore.PackAttrs("v", strings.Repeat("0123456789abcdef", 5*bodyStep/16))}
-	rec := appendRecord(nil, m)
-	back, err := readRecord(bufio.NewReader(bytes.NewReader(rec)))
+	rec := kvstore.AppendRecord(nil, m)
+	back, err := kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(rec)))
 	if err != nil || back != m {
 		t.Fatalf("large record did not round-trip: err %v", err)
 	}
 	for _, cut := range []int{bodyStep / 2, bodyStep + 9, 3 * bodyStep, len(rec) - 1} {
-		if _, err := readRecord(bufio.NewReader(bytes.NewReader(rec[:cut]))); !errors.Is(err, errTorn) {
+		if _, err := kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(rec[:cut]))); !errors.Is(err, kvstore.ErrTorn) {
 			t.Fatalf("record cut at %d of %d: err = %v, want a torn-record error", cut, len(rec), err)
 		}
 	}
@@ -121,7 +139,7 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 
 func fuzzSeeds(f *testing.F, payloadOnly bool) {
 	for _, g := range goldenRecords {
-		rec := appendRecord(nil, g.m)
+		rec := kvstore.AppendRecord(nil, g.m)
 		if payloadOnly {
 			rec = rec[5:] // these records all have a one-byte length prefix
 		}
@@ -146,8 +164,8 @@ func FuzzDecodePayload(f *testing.F) {
 		if n := len(m.Value.Unpack()); n > len(payload) {
 			t.Fatalf("%d attributes decoded from %d bytes", n, len(payload))
 		}
-		rec := appendRecord(nil, m)
-		back, err := readRecord(bufio.NewReader(bytes.NewReader(rec)))
+		rec := kvstore.AppendRecord(nil, m)
+		back, err := kvstore.ReadRecord(bufio.NewReader(bytes.NewReader(rec)))
 		if err != nil || back != m {
 			t.Fatalf("accepted mutation %+v does not survive a re-encode: %+v (%v)", m, back, err)
 		}
@@ -169,7 +187,7 @@ func FuzzReadRecord(f *testing.F) {
 			for i := 0; i <= len(seg); i++ {
 				// EOF, a torn record, or a checksum that held over a
 				// malformed payload (corruption) all end the segment.
-				if _, err := readRecord(r); err != nil {
+				if _, err := kvstore.ReadRecord(r); err != nil {
 					ended = true
 					return
 				}

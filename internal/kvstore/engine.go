@@ -37,7 +37,7 @@ import "fmt"
 // Op identifies the kind of one logged Mutation.
 type Op uint8
 
-// Mutation kinds. The numbering is part of the disk engine's record format;
+// Mutation kinds. The numbering is part of the record format (record.go);
 // never renumber.
 const (
 	// OpWrite creates (idempotently) the version TS of row Key with
@@ -53,6 +53,10 @@ const (
 	// replace-latest elements). Replay discards whatever history the row
 	// had, so a row written this way recovers with one version too.
 	OpReplace Op = 4
+	// OpEnd closes a snapshot stream (persist.go): TS is the number of
+	// records before it and Key is empty. It mutates nothing — no operation
+	// logs it and ApplyMutation refuses it.
+	OpEnd Op = 5
 )
 
 // Mutation is one durable row mutation, the unit the engine logs and the
@@ -60,8 +64,8 @@ const (
 type Mutation struct {
 	Op  Op
 	Key string
-	// TS is the version timestamp for OpWrite and OpReplace and the keepFrom
-	// horizon for OpGC; unused for OpDelete.
+	// TS is the version timestamp for OpWrite and OpReplace, the keepFrom
+	// horizon for OpGC and the record count for OpEnd; unused for OpDelete.
 	TS int64
 	// Value is the version contents for OpWrite and OpReplace, in stored
 	// form: the engine copies Value.Block() into its record as is.

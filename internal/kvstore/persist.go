@@ -2,128 +2,130 @@ package kvstore
 
 import (
 	"bufio"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
-// Persistence: a Store serializes to a gob snapshot so a datacenter daemon
-// (cmd/txkvd) can stop and restart without losing its replica. The on-disk
-// format carries every row with its full version history, including the
-// Paxos acceptor state rows — an acceptor must never forget a promise or a
-// vote across restarts, or it could enable conflicting decisions.
+// Persistence: a snapshot of a Store is a stream of the records its WAL
+// writes (record.go), so it is loaded by replaying it and verified by reading
+// it:
+//
+//	snapshotMagic | one OpWrite record per stored version | OpEnd record
+//
+// Rows come shard by shard in key order, a row's versions ascending — every
+// row with its full history, the Paxos acceptor rows included (an acceptor
+// must never forget a promise or a vote across restarts). OpEnd counts the
+// records before it and nothing may follow it, so a stream cut at any byte, a
+// record boundary included, does not load; every record carries its checksum
+// and the magic is compared whole, so neither does one with a flipped bit.
 
-// persistMagic guards against loading unrelated gob streams.
-const persistMagic = "paxoscp-kvstore-v1"
+// snapshotMagic opens every snapshot stream. A file that starts otherwise —
+// the gob image of an earlier build — is not read at all.
+const snapshotMagic = "paxoscp-snapshot-2\n"
 
-// Version is one timestamped version of a row in the snapshot format, which
-// keeps the contents as a map: the format predates the packed in-memory form
-// and is unchanged by it, so Save unpacks and Load packs.
-type Version struct {
-	Timestamp int64
-	Value     Value
-}
-
-type persistedRow struct {
-	Key      string
-	Versions []Version
-}
-
-type persistedStore struct {
-	Magic string
-	Rows  []persistedRow
-}
-
-// Save writes a point-in-time snapshot of the whole store. Concurrent
-// writers are not blocked for the duration; each row is captured atomically.
+// Save writes a point-in-time snapshot of the whole store. It holds a page of
+// row pointers and one record at a time, never a copy of the store;
+// concurrent writers are not blocked, and each row is captured atomically.
 func (s *Store) Save(w io.Writer) error {
 	if s.isClosed() {
 		return ErrClosed
 	}
-	out := persistedStore{Magic: persistMagic}
-	// The walk names the rows; each row's whole history is then captured
-	// under its lock.
-	err := s.WalkPrefix("", Latest, func(sr ScanRow) {
-		r := s.getRow(sr.Key, false)
-		if r == nil {
-			return // deleted since its page was gathered
-		}
-		r.mu.Lock()
-		versions := make([]Version, len(r.versions))
-		for i, v := range r.versions {
-			versions[i] = Version{Timestamp: v.ts, Value: v.val.Unpack()}
-		}
-		r.mu.Unlock()
-		if len(versions) > 0 {
-			out.Rows = append(out.Rows, persistedRow{Key: sr.Key, Versions: versions})
-		}
-	})
-	if err != nil {
-		return err
-	}
+	// A bufio.Writer's first error sticks: every later write fails with it,
+	// and so does Flush, which is where it is checked.
 	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(out); err != nil {
-		return fmt.Errorf("kvstore: save: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads a snapshot produced by Save into a fresh Store.
-func Load(r io.Reader) (*Store, error) {
-	var in persistedStore
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&in); err != nil {
-		return nil, fmt.Errorf("kvstore: load: %w", err)
-	}
-	if in.Magic != persistMagic {
-		return nil, fmt.Errorf("kvstore: load: not a kvstore snapshot")
-	}
-	s := New()
-	for _, pr := range in.Rows {
-		row := s.getRow(pr.Key, true)
-		for _, v := range pr.Versions {
-			row.versions = append(row.versions, version{ts: v.Timestamp, val: Pack(v.Value)})
+	bw.WriteString(snapshotMagic)
+	var (
+		rec      []byte
+		versions []version
+		count    int64
+	)
+	for _, sh := range s.shards {
+		// Shard by shard: ScanPrefix's merged order costs a gather of every
+		// shard per page, for an order Load does not need.
+		for after, more := "", true; more; {
+			var page []scanCand
+			page, more = sh.gatherScan("", after, walkPage)
+			for _, c := range page {
+				after = c.key
+				c.r.mu.Lock()
+				versions = append(versions[:0], c.r.versions...)
+				gone := c.r.gone
+				c.r.mu.Unlock()
+				if gone {
+					continue // deleted since the page was gathered
+				}
+				for _, v := range versions {
+					rec = AppendRecord(rec[:0], Mutation{Op: OpWrite, Key: c.key, TS: v.ts, Value: v.val})
+					bw.Write(rec)
+					count++
+				}
+			}
 		}
 	}
-	return s, nil
-}
-
-// SaveFile atomically writes the snapshot to path (temp file + rename).
-func (s *Store) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".kvstore-*")
-	if err != nil {
-		return fmt.Errorf("kvstore: save file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("kvstore: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("kvstore: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("kvstore: rename: %w", err)
+	bw.Write(AppendRecord(rec[:0], Mutation{Op: OpEnd, TS: count}))
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("kvstore: save: %w", err)
 	}
 	return nil
 }
 
-// LoadFile loads a snapshot from path; a missing file yields an empty store
-// (first boot).
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return New(), nil
+// Load reads a snapshot produced by Save into a fresh Store: ApplyMutation
+// per record, exactly as the disk engine replays a WAL segment.
+func Load(r io.Reader) (*Store, error) {
+	s := New()
+	if _, err := readSnapshot(r, s.ApplyMutation); err != nil {
+		return nil, fmt.Errorf("kvstore: load: %w", err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: load file: %w", err)
+	return s, nil
+}
+
+// VerifySnapshot checks a snapshot stream's framing — the magic, every
+// record's checksum, the trailer's count, nothing after it — and counts its
+// records. It builds no store and holds one record at a time, so the disk
+// engine's scrub can run it beside a serving replica.
+func VerifySnapshot(r io.Reader) (records int, err error) {
+	return readSnapshot(r, nil)
+}
+
+// readSnapshot streams a snapshot's records through apply and counts them.
+// With a nil apply, rows are checked by checksum only, not decoded.
+func readSnapshot(r io.Reader, apply func(Mutation) error) (int, error) {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(snapshotMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapshotMagic {
+		return 0, errors.New("no snapshot header: the file was written by an older build, or is damaged")
 	}
-	defer f.Close()
-	return Load(f)
+	var buf []byte
+	for n := 0; ; n++ {
+		payload, err := readFrame(br, buf)
+		if err == io.EOF {
+			return n, fmt.Errorf("cut after record %d: no trailer", n)
+		}
+		if err != nil {
+			return n, fmt.Errorf("record %d: %w", n, err)
+		}
+		buf = payload
+		end := Op(payload[0]) == OpEnd
+		if apply == nil && !end {
+			continue
+		}
+		m, err := decodePayload(payload)
+		if err != nil {
+			return n, fmt.Errorf("record %d: %w", n, err)
+		}
+		if !end {
+			if err := apply(m); err != nil {
+				return n, fmt.Errorf("record %d: %w", n, err)
+			}
+			continue
+		}
+		if m.Key != "" || m.TS != int64(n) {
+			return n, fmt.Errorf("trailer counts %d records, read %d", m.TS, n)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			return n, errors.New("bytes after the trailer")
+		}
+		return n, nil
+	}
 }

@@ -2,9 +2,12 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -58,57 +61,149 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// A valid gob stream of the wrong shape is also rejected.
-	if _, err := Load(bytes.NewReader([]byte{0x03, 0x01, 0x02})); err == nil {
-		t.Fatal("wrong gob accepted")
+	if _, err := Load(bytes.NewReader(nil)); err == nil {
+		t.Fatal("empty stream accepted")
+	}
+	// The right magic over records that are not records is rejected too.
+	if _, err := Load(strings.NewReader(snapshotMagic + "\x03\x01\x02")); err == nil {
+		t.Fatal("magic over garbage accepted")
 	}
 }
 
-func TestSaveFileLoadFile(t *testing.T) {
-	s := populated(t)
-	path := filepath.Join(t.TempDir(), "store.gob")
-	if err := s.SaveFile(path); err != nil {
+// image returns the snapshot stream of a store of rows single-version rows
+// with valueBytes-byte values.
+func image(t testing.TB, rows, valueBytes int) (*Store, []byte) {
+	t.Helper()
+	s := New()
+	val := strings.Repeat("x", valueBytes)
+	for i := 0; i < rows; i++ {
+		if _, err := s.Write(fmt.Sprintf("row/%05d", i), PackAttrs("v", val), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualStores(t, s, loaded)
+	return s, buf.Bytes()
 }
 
-func TestLoadFileMissingIsEmptyStore(t *testing.T) {
-	s, err := LoadFile(filepath.Join(t.TempDir(), "nope.gob"))
+// TestLoadDetectsEveryFlipAndCut is the snapshot format's integrity claim,
+// exhaustively on a 50-row image: no single flipped bit and no truncation —
+// a cut on a record boundary included — loads, or passes the scrub's
+// VerifySnapshot. (The gob image this format replaced loaded 76 % of them.)
+func TestLoadDetectsEveryFlipAndCut(t *testing.T) {
+	_, img := image(t, 50, 12)
+	if _, err := Load(bytes.NewReader(img)); err != nil {
+		t.Fatalf("intact image: %v", err)
+	}
+	if n, err := VerifySnapshot(bytes.NewReader(img)); err != nil || n != 50 {
+		t.Fatalf("intact image verifies as %d records, %v", n, err)
+	}
+	rejected := func(what string, b []byte) {
+		if _, err := Load(bytes.NewReader(b)); err == nil {
+			t.Fatalf("%s: loaded", what)
+		}
+		if _, err := VerifySnapshot(bytes.NewReader(b)); err == nil {
+			t.Fatalf("%s: verified", what)
+		}
+	}
+	for cut := 0; cut < len(img); cut++ {
+		rejected(fmt.Sprintf("cut at %d of %d", cut, len(img)), img[:cut])
+	}
+	flipped := make([]byte, len(img))
+	for off := range img {
+		for bit := 0; bit < 8; bit++ {
+			copy(flipped, img)
+			flipped[off] ^= 1 << bit
+			rejected(fmt.Sprintf("bit %d of byte %d flipped", bit, off), flipped)
+		}
+	}
+	rejected("a byte after the trailer", append(append([]byte{}, img...), 0))
+}
+
+// allocatedBy reports the bytes fn allocated (other goroutines' allocations
+// included; the tests using it run nothing else).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// TestSaveStreams: Save walks the store a page of row pointers at a time and
+// encodes into one reused record, so what it allocates is a small multiple of
+// what it writes — not a copy of the store (the gob Save allocated 63.6× its
+// output on this store).
+func TestSaveStreams(t *testing.T) {
+	s, _ := image(t, 20000, 40)
+	var w countingWriter
+	var err error
+	grew := allocatedBy(func() { err = s.Save(&w) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("missing file loaded %d keys", s.Len())
+	t.Logf("Save wrote %d bytes and allocated %d (%.2fx)", w.n, grew, float64(grew)/float64(w.n))
+	if grew >= 4*uint64(w.n) {
+		t.Fatalf("Save allocated %d bytes to write %d", grew, w.n)
 	}
 }
 
-func TestSaveFileOverwritesAtomically(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.gob")
-	s1 := New()
-	s1.Write("a", Value{"v": "1"}, 0)
-	if err := s1.SaveFile(path); err != nil {
-		t.Fatal(err)
+// FuzzLoad: a snapshot file is whatever the disk returns. Loading arbitrary
+// bytes never panics, allocates by the bytes it was given (readBody's rule: a
+// length prefix buys nothing until its bytes arrive) plus a constant, and
+// yields a store only from a stream that runs to its trailer — one that still
+// verifies, and no longer loads once its last byte is gone.
+func FuzzLoad(f *testing.F) {
+	_, img := image(f, 12, 10)
+	f.Add(img)
+	f.Add(img[:len(img)/2])
+	f.Add(img[:len(img)-len(AppendRecord(nil, Mutation{Op: OpEnd, TS: 12}))]) // cut on the last record boundary
+	for _, g := range goldenHex {
+		rec, _ := hex.DecodeString(g)
+		f.Add(append([]byte(snapshotMagic), rec...))
 	}
-	s2 := New()
-	s2.Write("b", Value{"v": "2"}, 0)
-	if err := s2.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
+	gob, err := os.ReadFile("disk/testdata/parent-b87221d/snap-00000000000000000101.snap")
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if _, _, err := loaded.Read("b", Latest); err != nil {
-		t.Fatalf("new content missing: %v", err)
-	}
-	if _, _, err := loaded.Read("a", Latest); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("old content survived: %v", err)
-	}
+	f.Add(gob) // the format this one replaced
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s *Store
+		var err error
+		grew := allocatedBy(func() { s, err = Load(bytes.NewReader(data)) })
+		// A row costs its record's bytes several times over (row, version
+		// slice, map and index entries); an empty store and one bodyStep are
+		// the constant.
+		if limit := uint64(64*len(data) + 512<<10); grew > limit {
+			t.Fatalf("loading %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			if s != nil {
+				t.Fatalf("a store came back with the error %v", err)
+			}
+			return
+		}
+		if _, err := VerifySnapshot(bytes.NewReader(data)); err != nil {
+			t.Fatalf("loaded, but does not verify: %v", err)
+		}
+		if _, err := Load(bytes.NewReader(data[:len(data)-1])); err == nil {
+			t.Fatal("loaded without the last byte of its trailer")
+		}
+	})
+}
+
+// goldenHex are records as commit b87221d wrote them (the disk package pins
+// the whole table, record by record, in TestRecordBytesGolden).
+var goldenHex = []string{
+	"164fd27ab0010a646174612f67302f6b310e0101760568656c6c6f",
+	"0af8c2483602086c6f672f67302f35",
+	"0d6759bd33030a646174612f67302f6b3112",
 }
 
 func TestSaveClosedStore(t *testing.T) {

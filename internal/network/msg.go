@@ -39,6 +39,19 @@ const (
 
 	// Snapshot transfer: a replica that lagged past its peers' compaction
 	// horizon installs a state snapshot instead of per-entry catch-up.
+	// KindSnapshot serves one page of it, paged like KindScan so a group of
+	// any size crosses a transport of bounded datagrams. A request with Found
+	// unset starts a transfer (TS = ResolvePos): the peer pins its applied
+	// watermark H. One with Found set continues it: TS = H, Key = the cursor
+	// the previous reply returned. The reply's TS is H; its Payload is whole
+	// records (kvstore.AppendRecord) under a fixed byte budget that fits a
+	// datagram; Key/Found carry the next cursor, Found unset on the last
+	// page. The first page opens with the header — an OpWrite of the group's
+	// meta row as a replica restored at H holds it (watermark and horizon H,
+	// epoch state and handoff records at H); every other record is an OpWrite
+	// of a data row's newest version at or below H, at its original
+	// timestamp, in key order. A pin the peer has compacted past is refused
+	// with the compacted marker; the laggard starts over at a fresh pin.
 	KindSnapshot Kind = "snapshot"
 
 	// Administration: replica status and remotely triggered log compaction

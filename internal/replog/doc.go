@@ -38,7 +38,8 @@
 // transaction entry stamped with a superseded epoch is void: none of its
 // writes land, anywhere (invariant F2), and Voided reports it so a deposed
 // master never reports such an entry committed. Epoch state is durable in
-// the meta row and travels inside snapshots (InstallSnapshot); the lease
+// the meta row, which is also a snapshot transfer's header (SnapshotHeader,
+// ParseSnapshotHeader, InstallSnapshot); the lease
 // timestamp (LeaseState) is deliberately local and volatile — leases bound
 // failover time, fencing provides safety.
 //

@@ -247,8 +247,8 @@ func TestTornBatchRecoversByRedrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readMeta(row).last; got != 1 {
-		t.Fatalf("recovered meta row has watermark %d, want the old one, 1", got)
+	if meta, err := readMeta(row); err != nil || meta.last != 1 {
+		t.Fatalf("recovered meta row has watermark %d (%v), want the old one, 1", meta.last, err)
 	}
 	for pos := int64(2); pos <= 3; pos++ {
 		if _, _, err := store2.ReadPacked(LogKey("g", pos), kvstore.Latest); err != nil {

@@ -205,18 +205,19 @@ func encodeMigrations(records []HandoffRecord) string {
 	return string(b)
 }
 
-// decodeMigrations parses the meta row form; corrupt state decodes as empty
-// rather than failing Open (the records are rebuilt by catch-up from the
-// log itself if the horizon permits).
-func decodeMigrations(s string) []HandoffRecord {
+// decodeMigrations parses the meta row form. What an unparsable attribute
+// means is the caller's call: Open carries on without the records (catch-up
+// rebuilds them from the log if the horizon permits), a snapshot install
+// refuses the header.
+func decodeMigrations(s string) ([]HandoffRecord, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var records []HandoffRecord
 	if err := json.Unmarshal([]byte(s), &records); err != nil {
-		return nil
+		return nil, fmt.Errorf("replog: meta row: migrations: %w", err)
 	}
-	return records
+	return records, nil
 }
 
 // --- Log accessors ---------------------------------------------------------

@@ -115,33 +115,45 @@ type metaRow struct {
 	migrations      string // encodeMigrations form; "" = none
 }
 
+// pack encodes m as the meta row's contents.
+func (m metaRow) pack() kvstore.Packed {
+	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
+	return kvstore.PackAttrs(
+		"compacted", itoa(m.compacted),
+		"epoch", itoa(m.epoch.Epoch),
+		"epochpos", itoa(m.epoch.Pos),
+		"last", itoa(m.last),
+		"master", m.epoch.Master,
+		"migrations", m.migrations)
+}
+
 // write returns the batch element that makes m the group's meta row.
 func (m metaRow) write(group string) kvstore.BatchWrite {
-	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
-	return kvstore.BatchWrite{
-		Key: MetaKey(group), TS: m.last, Replace: true,
-		Value: kvstore.PackAttrs(
-			"compacted", itoa(m.compacted),
-			"epoch", itoa(m.epoch.Epoch),
-			"epochpos", itoa(m.epoch.Pos),
-			"last", itoa(m.last),
-			"master", m.epoch.Master,
-			"migrations", m.migrations),
-	}
+	return kvstore.BatchWrite{Key: MetaKey(group), TS: m.last, Replace: true, Value: m.pack()}
 }
 
 // readMeta decodes a meta row; absent attributes (rows written before the
-// epoch or migration fields existed) read as zero.
-func readMeta(v kvstore.Packed) metaRow {
+// epoch or migration fields existed) read as zero. A number that does not
+// parse reads as zero and is reported: Open, reading back what this replica
+// wrote, carries on; a snapshot install, reading a peer's bytes, refuses.
+func readMeta(v kvstore.Packed) (m metaRow, err error) {
 	atoi := func(attr string) int64 {
-		n, _ := strconv.ParseInt(v.Get(attr), 10, 64)
+		s := v.Get(attr)
+		if s == "" {
+			return 0
+		}
+		n, perr := strconv.ParseInt(s, 10, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("replog: meta row: %s=%q is not a number", attr, s)
+		}
 		return n
 	}
-	return metaRow{
+	m = metaRow{
 		last: atoi("last"), compacted: atoi("compacted"),
 		epoch:      EpochState{Epoch: atoi("epoch"), Master: v.Get("master"), Pos: atoi("epochpos")},
 		migrations: v.Get("migrations"),
 	}
+	return m, err
 }
 
 // scanLogRows calls fn with the position and packed value (attr "entry" =
@@ -184,9 +196,12 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		renewedAt: time.Now(),
 	}
 	if v, _, err := store.ReadPacked(MetaKey(group), kvstore.Latest); err == nil {
-		l.meta = readMeta(v)
+		// Errors dropped: a field this replica cannot read back restarts from
+		// zero, as it always has; catch-up rebuilds what the log still holds.
+		l.meta, _ = readMeta(v)
 		l.applied, l.compacted, l.epoch = l.meta.last, l.meta.compacted, l.meta.epoch
-		l.mig.rebuild(group, decodeMigrations(l.meta.migrations))
+		records, _ := decodeMigrations(l.meta.migrations)
+		l.mig.rebuild(group, records)
 	}
 	l.decidedMax = l.applied
 	// Recover decided entries above the watermark into the pending set.
@@ -465,20 +480,30 @@ func (l *Log) Snapshot() map[int64]wal.Entry {
 	return out
 }
 
-// ReadStable runs fn with compaction excluded, passing the applied
-// watermark and the prevailing epoch state at that watermark (captured
-// atomically — drain advances both under one critical section, so the pair
-// is consistent). fn can read every data row at that horizon without a
-// concurrent Compact scavenging the versions it is reading (snapshot
-// building uses this; the watermark itself may still advance, which only
-// adds newer versions).
-func (l *Log) ReadStable(fn func(horizon int64, epoch EpochState) error) error {
-	l.compactMu.Lock()
-	defer l.compactMu.Unlock()
+// SnapshotHeader returns the applied watermark H and the meta row a replica
+// restored at H holds — watermark and horizon H, the epoch state and handoff
+// records at H: the first record of a snapshot transfer (core). Watermark and
+// epoch are read in one critical section, as drain advances them, so the pair
+// is consistent; the record list is filtered by position, so it is exact
+// whenever it is read.
+func (l *Log) SnapshotHeader() (int64, kvstore.Packed) {
 	l.mu.Lock()
-	horizon, epoch := l.applied, l.epoch
+	h, epoch := l.applied, l.epoch
 	l.mu.Unlock()
-	return fn(horizon, epoch)
+	m := metaRow{last: h, compacted: h, epoch: epoch, migrations: encodeMigrations(l.MigrationsAt(h).Records)}
+	return h, m.pack()
+}
+
+// ParseSnapshotHeader reads a peer's SnapshotHeader into InstallSnapshot's
+// arguments. The bytes are outside input: a field that does not parse is an
+// error, never a default — an unreadable migrations attribute taken as "no
+// handoff records" would drop the fences of a departed range (M1).
+func ParseSnapshotHeader(meta kvstore.Packed) (horizon int64, epoch EpochState, mig MigrationState, err error) {
+	m, err := readMeta(meta)
+	if err == nil {
+		mig.Records, err = decodeMigrations(m.migrations)
+	}
+	return m.last, m.epoch, mig, err
 }
 
 // Compact scavenges log rows strictly below horizon and records the new
