@@ -66,6 +66,25 @@ func TestSummarisePairs(t *testing.T) {
 	if layer == nil || layer.ChangeWins != nil {
 		t.Fatalf("a metric without a direction must be recorded without wins: %+v", layer)
 	}
+	// What a change to the commit path's messages has to show beside the
+	// counts: the readpos sends it removed, the CPU and the combining that
+	// followed. A metric the parent's first run did not print is left out.
+	for i := range parent {
+		for _, side := range [][]pairRun{parent, change} {
+			side[i].val["network.send_us.readpos"] = 30
+			side[i].val["runtime.cpu_us_per_op"] = 200
+			side[i].val["core.master.combined_frac"] = 0.5
+		}
+	}
+	sec = summarise(parent, change, nil)
+	for _, name := range []string{"network.send_us.readpos", "runtime.cpu_us_per_op", "core.master.combined_frac"} {
+		if m := sec.Metrics[name]; m == nil || m.Parent.N != 4 || m.Parent.Median != m.Change.Median {
+			t.Errorf("%s not recorded: %+v", name, m)
+		}
+	}
+	if sec.Metrics["disk.sync_wait_us"] != nil {
+		t.Error("a metric no run printed was recorded")
+	}
 	if _, err := json.Marshal(sec); err != nil {
 		t.Fatal(err)
 	}

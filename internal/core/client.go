@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,6 +38,13 @@ type Client struct {
 	// txnPrefix is the "<dc>-<id>-" prefix of every transaction ID this
 	// client mints; newTx appends only the sequence number.
 	txnPrefix string
+
+	// shown is, per group, the newest log position a service has shown this
+	// client — the position a read was served at, a commit verdict's — and
+	// when. Kept under the Master protocol only, where a write-only
+	// transaction takes it as its read position (Tx.resolveReadPos).
+	shownMu sync.Mutex
+	shown   map[string]shownPos
 
 	// Collector, when set, receives one sample per finished read/write
 	// transaction (commit or abort), as the paper's evaluation measures.
@@ -99,6 +107,40 @@ func (c *Client) DC() string { return c.dc }
 // Protocol returns the configured commit protocol.
 func (c *Client) Protocol() Protocol { return c.cfg.Protocol }
 
+// shownPos is a log position and the time a service's reply showed it.
+type shownPos struct {
+	pos int64
+	at  time.Time
+}
+
+// noteShown records that a service has shown this client position pos of
+// group: a decided position, so any master places a new transaction above it.
+// The record is monotone — a lagging replica's older position is ignored —
+// and shared by the client's concurrent transactions.
+func (c *Client) noteShown(group string, pos int64) {
+	if c.cfg.Protocol != Master {
+		return
+	}
+	now := time.Now()
+	c.shownMu.Lock()
+	defer c.shownMu.Unlock()
+	if c.shown == nil {
+		c.shown = make(map[string]shownPos)
+	}
+	if s, ok := c.shown[group]; !ok || pos >= s.pos {
+		c.shown[group] = shownPos{pos: pos, at: now}
+	}
+}
+
+// recentShown returns the position noteShown holds for group if it was shown
+// within the last message timeout.
+func (c *Client) recentShown(group string) (int64, bool) {
+	c.shownMu.Lock()
+	s, ok := c.shown[group]
+	c.shownMu.Unlock()
+	return s.pos, ok && time.Since(s.at) <= c.cfg.timeout()
+}
+
 // errAllServicesUnavailable reports that no datacenter answered a
 // transaction API request.
 var errAllServicesUnavailable = errors.New("core: no transaction service reachable")
@@ -109,12 +151,12 @@ var errAllServicesUnavailable = errors.New("core: no transaction service reachab
 // until a response is received", §4). The order is precomputed at NewClient:
 // this runs on the per-read hot path, and peer sets are fixed for a client's
 // lifetime (cluster topology changes mint new clients).
+//
+// Every request sent this way — readpos, read, readmulti, scan — is answered
+// with the log position it was served at in TS, which noteShown keeps.
 func (c *Client) sendPreferLocal(ctx context.Context, req network.Message) (network.Message, error) {
 	order := c.sendOrder
-	timeout := c.cfg.Timeout
-	if timeout <= 0 {
-		timeout = network.DefaultTimeout
-	}
+	timeout := c.cfg.timeout()
 	var lastErr error = errAllServicesUnavailable
 	for _, dc := range order {
 		cctx, cancel := context.WithTimeout(ctx, timeout)
@@ -138,6 +180,7 @@ func (c *Client) sendPreferLocal(ctx context.Context, req network.Message) (netw
 			lastErr = fmt.Errorf("core: service %s: %s", dc, resp.Err)
 			continue
 		}
+		c.noteShown(req.Group, resp.TS)
 		return resp, nil
 	}
 	return network.Message{}, lastErr
@@ -165,9 +208,9 @@ type Tx struct {
 // Begin starts a transaction on the given transaction group. The read
 // position (transaction protocol step 1) is obtained lazily: it piggybacks
 // on the transaction's first read, or — for transactions that commit writes
-// without ever reading — is fetched at commit time. Begin itself sends no
-// messages, so a transaction that is begun and aborted (or a read-only
-// transaction that never reads) costs nothing on the wire. Service
+// without ever reading — is fixed at commit time (resolveReadPos). Begin
+// itself sends no messages, so a transaction that is begun and aborted (or a
+// read-only transaction that never reads) costs nothing on the wire. Service
 // unavailability therefore surfaces at the first read or at commit, not
 // here.
 func (c *Client) Begin(ctx context.Context, group string) (*Tx, error) {
@@ -217,11 +260,25 @@ func (t *Tx) ReadPos() int64 { return t.readPos }
 func (t *Tx) resolved() bool { return t.readPos != unresolvedPos }
 
 // resolveReadPos fixes the transaction's read position if it is still
-// unresolved: the explicit readpos round trip of transaction protocol step
-// 1, used only when no read ever piggybacked the resolution (write-only
-// transactions at commit time).
+// unresolved, which only a write-only transaction at commit time finds it to
+// be: no read ever piggybacked the resolution.
+//
+// Under Basic and CP the read position is the position competed for, so it
+// is asked for: the readpos round trip of transaction protocol step 1. Under
+// Master the master assigns the position and an empty read set conflicts
+// with nothing, so the read position is only the floor of the master's walk
+// for an earlier attempt of the same transaction (pipeline invariant W5).
+// Any position this client has been shown will do, provided it is recent — a
+// stale floor makes that walk long, and below a compaction horizon makes it
+// fail — so the transaction takes the client's newest if it is at most one
+// message timeout old, and asks only otherwise. Once taken it stays: a
+// resubmission carries the same floor (DESIGN.md §9).
 func (t *Tx) resolveReadPos(ctx context.Context) error {
 	if t.resolved() {
+		return nil
+	}
+	if pos, ok := t.client.recentShown(t.group); ok {
+		t.readPos = pos
 		return nil
 	}
 	resp, err := t.client.sendPreferLocal(ctx, network.Message{Kind: network.KindReadPos, Group: t.group})
@@ -418,8 +475,7 @@ func (t *Tx) Commit(ctx context.Context) (CommitResult, error) {
 		res = CommitResult{Status: stats.Committed, Pos: pos}
 	} else if err = t.resolveReadPos(ctx); err != nil {
 		// A write-only transaction reaches commit with its read position
-		// still unresolved; fetch it now (the one readpos round trip lazy
-		// Begin deferred).
+		// still unresolved and could not fix it now.
 		res = CommitResult{Status: stats.Failed}
 	} else {
 		switch t.client.cfg.Protocol {

@@ -171,10 +171,7 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 // messages but never transfers to another transaction.
 func (c *Client) claimFastPath(ctx context.Context, group string, pos int64, token string) bool {
 	req := network.Message{Kind: network.KindClaimLeader, Group: group, Pos: pos, Value: token}
-	timeout := c.cfg.Timeout
-	if timeout <= 0 {
-		timeout = network.DefaultTimeout
-	}
+	timeout := c.cfg.timeout()
 
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	resp, err := c.transport.Send(cctx, c.dc, req)

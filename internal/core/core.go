@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"paxoscp/internal/network"
 )
 
 // Protocol selects the commit protocol a Client runs.
@@ -75,6 +77,13 @@ type Config struct {
 	// per-group route. Returning "" falls back to MasterDC. Ignored by
 	// Basic and CP.
 	MasterFor func(group string) string
+}
+
+func (c Config) timeout() time.Duration {
+	if c.Timeout > 0 {
+		return c.Timeout
+	}
+	return network.DefaultTimeout
 }
 
 func (c Config) maxRetries() int {

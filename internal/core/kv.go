@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 )
 
@@ -68,10 +67,7 @@ const kvMigratingRetries = 64
 // retryDelay is the wait between "migrating" retries: a fraction of the
 // client timeout — cutover is a few log entries, not a few round trips.
 func (kv *KV) retryDelay() time.Duration {
-	d := kv.client.cfg.Timeout
-	if d <= 0 {
-		d = network.DefaultTimeout
-	}
+	d := kv.client.cfg.timeout()
 	if d /= 8; d < time.Millisecond {
 		d = time.Millisecond
 	}

@@ -58,10 +58,7 @@ func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) 
 		master = c.transport.Peers()[0]
 	}
 	payload := wal.Encode(wal.NewEntry(t.walTxn()))
-	timeout := c.cfg.Timeout
-	if timeout <= 0 {
-		timeout = network.DefaultTimeout
-	}
+	timeout := c.cfg.timeout()
 	const maxHops = 3
 	// attempts bounds the whole loop: each iteration costs at most one
 	// send round trip or one lease-lapse wait, so the dance around a
@@ -83,6 +80,7 @@ func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) 
 		}
 		switch {
 		case resp.OK:
+			c.noteShown(t.group, resp.TS)
 			return CommitResult{Status: stats.Committed, Pos: resp.TS, Combined: resp.Combined, Epoch: resp.Epoch}, nil
 		case resp.Err == masterConflict:
 			return CommitResult{Status: stats.Aborted}, nil

@@ -217,6 +217,80 @@ func TestUDPEndToEndDeadServiceFallback(t *testing.T) {
 	tx2.Abort()
 }
 
+// datagrams is the number of datagrams written so far by every socket of the
+// cluster, services' and clients'.
+func (uc *udpCluster) datagrams() int64 {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	var n int64
+	for _, tr := range uc.transports {
+		w, _ := tr.Datagrams()
+		n += w
+	}
+	for _, tr := range uc.clients {
+		w, _ := tr.Datagrams()
+		n += w
+	}
+	return n
+}
+
+// TestMasterCommitDatagrams pins what a commit costs on the wire under the
+// Master protocol (DESIGN.md §8): a steady-state write-only commit moves
+// exactly ten datagrams — submit and verdict, an accept and an apply to each
+// of the two followers with their answers — because the master's own vote and
+// own apply are calls, not sends, and the client reuses the read position its
+// last verdict showed. One client, so nothing combines.
+func TestMasterCommitDatagrams(t *testing.T) {
+	uc := newUDPCluster(t, "V1", "V2", "V3")
+	ctx := context.Background()
+	cl := uc.client(t, 1, "V2", Config{Protocol: Master, MasterDC: "V1"})
+
+	// moved runs op and returns how many datagrams it set off, counted once
+	// the cluster is quiet again: a commit returns at a majority of apply
+	// acknowledgements, so the last follower's answer may still be on its way.
+	moved := func(want int64, op func()) int64 {
+		t.Helper()
+		before := uc.datagrams()
+		op()
+		deadline := time.Now().Add(5 * time.Second)
+		for uc.datagrams()-before < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		for { // anything beyond want shows up here
+			n := uc.datagrams()
+			time.Sleep(20 * time.Millisecond)
+			if uc.datagrams() == n || !time.Now().Before(deadline) {
+				return n - before
+			}
+		}
+	}
+	commit := func() { commitWrites(t, cl, "g", map[string]string{"k": "v"}) }
+
+	// Warm-up: V1 claims the group's mastership; the client asks its one
+	// read position.
+	moved(0, commit)
+
+	for i := 0; i < 5; i++ {
+		if got := moved(10, commit); got != 10 {
+			t.Fatalf("steady-state commit %d moved %d datagrams, want 10 (2 submit + 4 accept + 4 apply)", i, got)
+		}
+	}
+	self := func() {
+		resp, err := uc.transports["V1"].Send(ctx, "V1", network.Message{Kind: network.KindReadPos, Group: "g"})
+		if err != nil || !resp.OK || resp.TS < 6 {
+			t.Fatalf("self-addressed readpos: %+v %v", resp, err)
+		}
+	}
+	if got := moved(0, self); got != 0 {
+		t.Fatalf("a self-addressed Send moved %d datagrams, want none", got)
+	}
+	// A client that sat idle for more than its timeout asks readpos again.
+	cl.ageShown(501 * time.Millisecond)
+	if got := moved(12, commit); got != 12 {
+		t.Fatalf("commit after an idle timeout moved %d datagrams, want 12 (a readpos round trip more)", got)
+	}
+}
+
 // TestUDPRejoinViaPagedSnapshot: a replica that was away while its peers
 // wrote 2000 rows (234 KB) and compacted to the tip rejoins over real
 // datagrams — the state arrives in pages that each fit one, where one reply

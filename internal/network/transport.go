@@ -35,7 +35,10 @@ type Handler func(from string, req Message) Message
 // inline on the transport's read path, expensive or blocking ones move to
 // another goroutine first. req — including the backing arrays of Payload,
 // Keys, Vals, and Founds — is only valid until reply is called; a handler
-// that retains any of it past the reply must copy first.
+// that retains any of it past the reply must copy first. It is also
+// read-only: Sim, and UDP for a request a transport sends to itself, pass the
+// sender's own Message, so those backing arrays are the sender's — not a copy
+// — and the handler may be running on the sender's goroutine.
 type AsyncHandler func(from string, req Message, reply func(Message))
 
 // Transport sends a request to a peer datacenter and waits for its response.

@@ -30,6 +30,9 @@ type envelope struct {
 // encode into pooled buffers. Responses to our own requests are decoded with
 // fresh allocations because they outlive the loop iteration (they travel
 // through the pending-correlation channel to a waiting Send).
+//
+// A request addressed to the transport's own name never reaches the socket:
+// Send hands it to the handler directly (see Send).
 type UDP struct {
 	local   string
 	conn    *net.UDPConn
@@ -38,13 +41,19 @@ type UDP struct {
 	// allocation profile without a live peer.
 	writeTo func(b []byte, addr netip.AddrPort) (int, error)
 
-	mu      sync.RWMutex
-	peers   map[string]netip.AddrPort
+	mu    sync.RWMutex
+	peers map[string]netip.AddrPort
+	// names is the sorted key set of peers, rebuilt (never edited in place)
+	// when a peer is added, so Peers can hand it out without a copy.
+	names   []string
 	pending map[uint64]chan Message
 	closed  bool
 
 	nextID atomic.Uint64
 	wg     sync.WaitGroup
+
+	// written and read count the datagrams this socket sent and received.
+	written, read atomic.Int64
 }
 
 // NewUDP binds a UDP socket on bindAddr (e.g. "127.0.0.1:7001") for the
@@ -88,7 +97,7 @@ func NewUDPAsync(local, bindAddr string, peers map[string]string, h AsyncHandler
 			conn.Close()
 			return nil, fmt.Errorf("network: peer %s=%q: %w", name, addr, err)
 		}
-		u.peers[name] = a
+		u.setPeerLocked(name, a)
 	}
 	u.wg.Add(1)
 	go u.readLoop()
@@ -118,22 +127,39 @@ func (u *UDP) SetPeer(name, addr string) error {
 		return fmt.Errorf("network: peer %s=%q: %w", name, addr, err)
 	}
 	u.mu.Lock()
-	u.peers[name] = a
+	u.setPeerLocked(name, a)
 	u.mu.Unlock()
 	return nil
 }
 
+// setPeerLocked records name's address; a new name gets a fresh sorted list,
+// so a slice Peers returned earlier is never written to. Caller holds u.mu
+// (or is the constructor).
+func (u *UDP) setPeerLocked(name string, a netip.AddrPort) {
+	if _, known := u.peers[name]; !known {
+		names := make([]string, 0, len(u.names)+1)
+		names = append(append(names, u.names...), name)
+		sort.Strings(names)
+		u.names = names
+	}
+	u.peers[name] = a
+}
+
 func (u *UDP) Local() string { return u.local }
 
+// Peers returns the peer names in sorted order. The slice is shared between
+// callers — a position's four phases each ask for it — and must not be
+// modified.
 func (u *UDP) Peers() []string {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
-	out := make([]string, 0, len(u.peers))
-	for name := range u.peers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return u.names
+}
+
+// Datagrams returns how many datagrams this transport has written to and read
+// from its socket since it was opened. A self-addressed Send moves none.
+func (u *UDP) Datagrams() (written, read int64) {
+	return u.written.Load(), u.read.Load()
 }
 
 // maxDatagram bounds inbound datagram size; combined entries for the paper's
@@ -148,6 +174,7 @@ func (u *UDP) readLoop() {
 		if err != nil {
 			return // closed
 		}
+		u.read.Add(1)
 		u.handleDatagram(buf[:n], raddr)
 	}
 }
@@ -201,7 +228,7 @@ func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
 		decoderPool.Put(dec)
 		bp := getEncBuf()
 		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Resp: true, Msg: resp})
-		u.writeTo(out, raddr) // best effort; loss is the failure model
+		u.write(out, raddr) // best effort; loss is the failure model
 		*bp = out
 		putEncBuf(bp)
 	}
@@ -212,7 +239,23 @@ func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
 	u.handler(env.From, env.Msg, reply)
 }
 
-// Send implements Transport.
+// write sends one datagram and counts it.
+func (u *UDP) write(b []byte, addr netip.AddrPort) error {
+	_, err := u.writeTo(b, addr)
+	if err == nil {
+		u.written.Add(1)
+	}
+	return err
+}
+
+// Send implements Transport. A request addressed to the transport's own name
+// is a call, not a datagram: Send invokes the handler on the caller's
+// goroutine under the read loop's contract — the handler must not block, req
+// (the caller's own Message, backing arrays included) is the handler's to
+// read until it replies, and a reply that comes after the caller's deadline
+// is dropped. The caller sees what a peer's sender sees: the reply, or
+// ErrTimeout at the deadline. A transport without a handler (a client's
+// socket) has nobody to call and sends to its own address like any other.
 func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
 	u.mu.RLock()
 	addr, ok := u.peers[to]
@@ -230,6 +273,22 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 		defer cancel()
 	}
 
+	if to == u.local && u.handler != nil {
+		got := make(chan Message, 1)
+		u.handler(u.local, req, func(resp Message) {
+			select {
+			case got <- resp:
+			default: // extra reply; the first one wins
+			}
+		})
+		select {
+		case resp := <-got:
+			return resp, nil
+		case <-ctx.Done():
+			return Message{}, ErrTimeout
+		}
+	}
+
 	id := u.nextID.Add(1)
 	ch := make(chan Message, 1)
 	u.mu.Lock()
@@ -243,7 +302,7 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 
 	bp := getEncBuf()
 	out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
-	_, err := u.writeTo(out, addr)
+	err := u.write(out, addr)
 	*bp = out
 	putEncBuf(bp)
 	if err != nil {

@@ -2,7 +2,6 @@ package paxos
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"paxoscp/internal/network"
@@ -88,7 +87,9 @@ func (p *Proposer) timeout() time.Duration {
 // broadcast sends req to every datacenter in parallel and streams responses
 // to collect until all datacenters answered or the phase timeout expires.
 // collect returns true to stop early (e.g. majority reached and waiting
-// longer cannot change the decision).
+// longer cannot change the decision); the senders still out then have their
+// Sends cancelled and leave their replies in the channel, which has a slot
+// for each of them.
 func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect func(dc string, resp network.Message, err error) (stop bool)) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout())
 	defer cancel()
@@ -100,25 +101,14 @@ func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect f
 		err  error
 	}
 	ch := make(chan reply, len(dcs))
-	var wg sync.WaitGroup
 	for _, dc := range dcs {
-		wg.Add(1)
 		go func(dc string) {
-			defer wg.Done()
 			resp, err := p.Transport.Send(ctx, dc, req)
 			ch <- reply{dc, resp, err}
 		}(dc)
 	}
-	go func() { wg.Wait(); close(ch) }()
-
-	for r := range ch {
-		if collect(r.dc, r.resp, r.err) {
-			cancel()
-			// Drain remaining replies so senders never block.
-			go func() {
-				for range ch {
-				}
-			}()
+	for range dcs {
+		if r := <-ch; collect(r.dc, r.resp, r.err) {
 			return
 		}
 	}

@@ -299,7 +299,9 @@ func (l *Log) Voided(pos int64) bool {
 // validated and handed to the apply goroutine, whose next batch writes the
 // log row together with whatever the entry lets it apply (drain). Nothing is
 // durable when Append returns; WaitApplied, or WaitLogged for an entry above
-// a gap, is the durability point.
+// a gap, is the durability point. Bytes that will not be queued — a
+// duplicate, a position already below the watermark — are compared, not
+// decoded.
 //
 // A decided position holds one value (invariant R1), enforced here against
 // whichever copy of pos the log has — the queued row, or the stored one once
@@ -315,22 +317,41 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if pos < 1 {
 		return 0, fmt.Errorf("replog: append at invalid position %d", pos)
 	}
+	// Only a position that is new gets decoded, and outside l.mu: the master
+	// appends every position twice by design (its local apply leg, then
+	// pipeline.replicate), and a duplicate is settled by comparing bytes.
+	h, fresh, err := l.offer(pos, entryBytes, nil)
+	if !fresh || err != nil {
+		return h, err
+	}
 	entry, err := wal.Decode(entryBytes)
 	if err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
+	h, _, err = l.offer(pos, entryBytes, &entry)
+	return h, err
+}
+
+// offer is Append's critical section. With entry nil it only looks: fresh
+// reports that pos is new here and must be decoded and offered again. With
+// the decoded entry it queues pos, unless another appender got there between
+// the two calls — then it is the duplicate.
+func (l *Log) offer(pos int64, entryBytes []byte, entry *wal.Entry) (h int64, fresh bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.applyErr; err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	have, known := l.rowLocked(pos)
 	switch {
 	case known && have.Get("entry") != string(entryBytes):
-		return 0, fmt.Errorf("replog: entry %s/%d: %w: a different value is already decided there",
+		return 0, false, fmt.Errorf("replog: entry %s/%d: %w: a different value is already decided there",
 			l.group, pos, kvstore.ErrStaleWrite)
 	case !known && pos > l.applied:
-		l.pending[pos] = queued{entry: entry, row: kvstore.PackAttrs("entry", string(entryBytes))}
+		if entry == nil {
+			return 0, true, nil
+		}
+		l.pending[pos] = queued{entry: *entry, row: kvstore.PackAttrs("entry", string(entryBytes))}
 		l.unlogged = append(l.unlogged, pos)
 		l.notify()
 	}
@@ -339,14 +360,14 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if pos > l.decidedMax {
 		l.decidedMax = pos
 	}
-	h := l.applied
+	h = l.applied
 	for {
 		if _, ok := l.pending[h+1]; !ok {
 			break
 		}
 		h++
 	}
-	return h, nil
+	return h, false, nil
 }
 
 // rowLocked returns the log row of pos as the log knows it: the queued value

@@ -624,3 +624,44 @@ func BenchmarkApplyThroughput(b *testing.B) {
 		}
 	})
 }
+
+// TestLogDuplicateAppendComparesBytes: an append that will queue nothing — the
+// master's second append of every position, a redelivered apply message —
+// costs a comparison against the row the log has, not a decode of the entry.
+func TestLogDuplicateAppendComparesBytes(t *testing.T) {
+	l, _ := openLog(t)
+	writes := map[string]string{"attr1": "v1", "attr2": "v2", "attr3": "v3", "attr4": "v4"}
+	applied, queued := testEntry("t1", 0, writes), testEntry("t3", 2, writes)
+	for pos, b := range map[int64][]byte{1: applied, 3: queued} { // 3 waits behind the gap at 2
+		if _, err := l.Append(pos, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WaitApplied(waitCtx(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := wal.Decode(queued); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, dup := range []struct {
+		name string
+		pos  int64
+		b    []byte
+		max  float64 // the applied row's key is built for the store read
+	}{{"queued", 3, queued, 0}, {"applied", 1, applied, 2}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := l.Append(dup.pos, dup.b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > dup.max {
+			t.Errorf("re-appending the %s position allocates %.0f times, want at most %.0f (decoding the entry: %.0f)",
+				dup.name, allocs, dup.max, decode)
+		}
+	}
+	if decode < 5 {
+		t.Fatalf("decoding the entry allocates only %.0f times: the bounds above prove nothing", decode)
+	}
+}
