@@ -5,10 +5,10 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
+.PHONY: check build fmt vet mdcheck smoke-names examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
 
 ## check: everything CI gates a PR on
-check: fmt vet mdcheck examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
+check: fmt vet mdcheck smoke-names examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,28 @@ build:
 ## and friends (CI "lint" job; the checker is docs_test.go)
 mdcheck:
 	$(GO) test -run 'TestMarkdownLinks' .
+
+## smoke-names: the smoke targets below select tests with hand-written -run
+## regexes, and a regex that names a renamed test still passes — it just runs
+## less. For every `go test` command in this file with such a regex (the
+## match-nothing '^$$' of the bench targets aside) this lists the tests of the
+## packages that command passes, with its -tags, and fails on an alternative
+## that matches none of them (CI "lint" job).
+smoke-names:
+	@fail=0; \
+	while IFS=';' read -r tags pkgs names; do \
+		list="$$($(GO) test $$tags -list . $$pkgs)" || exit 1; \
+		for name in $${names//|/ }; do \
+			grep -Eq -- "$$name" <<<"$$list" || { echo "smoke-names: $$name matches no test in" $$pkgs >&2; fail=1; }; \
+		done; \
+	done < <(awk '/\\$$/ { sub(/\\$$/, ""); cmd = cmd $$0; next } \
+		{ cmd = cmd $$0 } \
+		cmd !~ /^#/ && match(cmd, /-run \047[^^\047][^\047]*\047/) { \
+			names = substr(cmd, RSTART + 6, RLENGTH - 7); pkgs = substr(cmd, RSTART + RLENGTH); \
+			tags = match(cmd, /-tags [a-z]+/) ? substr(cmd, RSTART, RLENGTH) : ""; \
+			print tags ";" pkgs ";" names } \
+		{ cmd = "" }' Makefile); \
+	exit $$fail
 
 ## examples: build every example program (CI "lint" job; keeps examples
 ## from rotting — go build discards the binaries)
@@ -66,13 +88,14 @@ migration-smoke:
 		./internal/cluster ./internal/placement ./internal/bench
 
 ## scan-smoke: the ordered-scan battery on fixed seeds — the ordered-index
-## conformance battery (memory + disk engines, oracle under churn), the
-## snapshot-across-pages and pin-vs-compaction proofs, the routed merge, the
+## conformance battery (memory + disk engines, oracle under churn), the tree
+## against its oracle and its bytes per key, the page-cost and pin-cost pins,
+## the snapshot-across-pages and pin-vs-compaction proofs, the routed merge, the
 ## backfill linearity pin, and the scan-heavy workload-E figure (CI "test"
 ## job; the same tests also run shuffled under -race via `race`)
 scan-smoke:
-	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexFoldPurgesGhostsAndDuplicates|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScansQuick' \
-		./internal/kvstore ./internal/kvstore/disk ./internal/core ./internal/bench
+	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexAgainstOracle|TestIndexBytesPerKey|TestScanAfterDeleteRecreateChurn|TestScanPageCostIgnoresHistory|TestScanRacesCreatesAndDeletes|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestSaveIsDeterministic|TestPinReadsDoesNotWalkLivePins|TestExpiredPinsDropWithoutCompact|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScansQuick' \
+		./internal/kvstore ./internal/kvstore/disk ./internal/replog ./internal/core ./internal/bench
 
 ## bench-smoke: one iteration of every benchmark + BENCH_ci.json (CI "bench" job)
 bench-smoke:

@@ -32,13 +32,16 @@ const pairSeconds = 15
 // layerMetrics are the per-layer metrics a report records beside the
 // end-to-end ones, where a run printed them: the counts and waits a change to
 // the commit path has to explain itself with (messages, rounds, flushes, what
-// a handler waits for, how much the master combines), and what sizes them
-// (CPU, allocations, GC, recovery).
+// a handler waits for, how much the master combines), the same for the scan
+// path (what a scan costs its client, its handler and the store), and what
+// sizes them (CPU, allocations, GC, recovery).
 var layerMetrics = []string{
 	"network.msgs_per_commit", "paxos.rounds_per_commit", "network.send_us.readpos",
 	"disk.fsyncs_per_commit", "disk.sync_wait_us", "disk.fsync_ms",
 	"core.handle.submit_us", "core.handle.accept_us", "core.handle.apply_us",
 	"core.master.combined_frac",
+	"core.client.scan_p50_ms", "core.client.read_p50_ms", "network.send_us.scan", "core.handle.scan_us",
+	"kvstore.scan_prefix_us", "kvstore.scan_examined_per_row", "kvstore.read_multi_us",
 	"replog.append_apply_us", "replog.follower_lag_pos", "disk.recover_ms",
 	"runtime.cpu_us_per_op", "runtime.allocs_per_op", "runtime.gc_cycles", "trace.overhead_frac",
 }

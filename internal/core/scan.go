@@ -121,6 +121,11 @@ func (s *Service) handleScan(req network.Message) network.Message {
 		if serr != nil {
 			return network.Status(false, serr.Error())
 		}
+		if resp.Keys == nil { // sized once: unfenced, the reply holds what this page does
+			resp.Keys = make([]string, 0, len(rows))
+			resp.Vals = make([]string, 0, len(rows))
+			resp.Founds = make([]bool, 0, len(rows))
+		}
 		for _, row := range rows {
 			bare := row.Key[len(prefix):]
 			examined++

@@ -389,7 +389,11 @@ func mergeScanLegs(legs map[string]scanLeg) *ScanResult {
 		ScanEntry
 		group string
 	}
-	var all []tagged
+	rows := 0
+	for _, leg := range legs {
+		rows += len(leg.entries)
+	}
+	all := make([]tagged, 0, rows)
 	for _, leg := range legs {
 		out.Positions[leg.group] = leg.pos
 		for _, e := range leg.entries {
@@ -405,6 +409,7 @@ func mergeScanLegs(legs map[string]scanLeg) *ScanResult {
 		}
 		return all[i].group < all[j].group
 	})
+	out.Entries = make([]ScanEntry, 0, rows)
 	for _, e := range all {
 		if n := len(out.Entries); n > 0 && out.Entries[n-1].Key == e.Key {
 			continue // duplicate from a leg pinned across the cutover

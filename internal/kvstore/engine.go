@@ -205,7 +205,7 @@ func (s *Store) ApplyMutation(m Mutation) error {
 			r.gone = true
 			r.mu.Unlock()
 			delete(sh.rows, m.Key)
-			sh.noteDeleteLocked()
+			s.idx.delete(m.Key)
 		}
 		sh.mu.Unlock()
 		return nil

@@ -101,13 +101,6 @@ const numShards = 32
 type shard struct {
 	mu   sync.RWMutex
 	rows map[string]*row
-
-	// Ordered key index (scan.go): base is sorted and may hold ghosts,
-	// delta buffers unsorted recent inserts, dead counts deletes since the
-	// last fold. All three are read and written under mu.
-	base  []string
-	delta []string
-	dead  int
 }
 
 // Store is a multi-version key-value store whose working image lives in
@@ -117,6 +110,11 @@ type shard struct {
 // every mutation before it is acknowledged (engine.go, DESIGN.md §14).
 type Store struct {
 	shards [numShards]*shard
+
+	// idx orders the keys of every shard's rows (index.go). A key enters and
+	// leaves it under its shard's lock, in the same critical section as it
+	// enters and leaves the shard's map.
+	idx index
 
 	// engine is the durability backend; nil means in-memory only. Written
 	// once by AttachEngine before the store is shared, read without
@@ -149,7 +147,7 @@ func PosKey(prefix, group string, pos int64) string {
 
 // New returns an empty Store.
 func New() *Store {
-	s := &Store{}
+	s := &Store{idx: index{root: &node{}}}
 	for i := range s.shards {
 		s.shards[i] = &shard{rows: make(map[string]*row)}
 	}
@@ -176,7 +174,7 @@ func (s *Store) getRow(key string, create bool) *row {
 	if r = sh.rows[key]; r == nil {
 		r = &row{}
 		sh.rows[key] = r
-		sh.noteInsertLocked(key)
+		s.idx.insert(key)
 	}
 	return r
 }
@@ -209,6 +207,23 @@ func (s *Store) lockPinned(r *row, key string) *row {
 		r.mu.Lock()
 	}
 	return r
+}
+
+// lockLive returns key's row with its lock held, or nil when the key has no
+// row: lockRow for readers that found the key in the ordered index, which
+// must not create it and must get past a row a concurrent Delete orphaned.
+func (s *Store) lockLive(key string) *row {
+	for {
+		r := s.getRow(key, false)
+		if r == nil {
+			return nil
+		}
+		r.mu.Lock()
+		if !r.gone {
+			return r
+		}
+		r.mu.Unlock()
+	}
 }
 
 func (s *Store) isClosed() bool {
@@ -524,7 +539,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 			if r == nil {
 				r = &row{}
 				sh.rows[writes[i].Key] = r
-				sh.noteInsertLocked(writes[i].Key)
+				s.idx.insert(writes[i].Key)
 			}
 			rows[i] = r
 		}
@@ -693,7 +708,9 @@ func (r *row) gc(keepFrom int64) int {
 // under-lock Append pins the WAL order of the delete against that row's
 // other mutations — without it, a Delete racing a Write could be logged in
 // the opposite order of application, and recovery replay would resurrect
-// the deleted row or drop the acknowledged write.
+// the deleted row or drop the acknowledged write. The key leaves the ordered
+// index in the same critical section: shard lock, row lock, then the index's
+// (index.go has what that order asks of a scan).
 func (s *Store) Delete(key string) {
 	sh := s.shards[shardFor(key)]
 	sh.mu.Lock()
@@ -705,7 +722,7 @@ func (s *Store) Delete(key string) {
 	r.mu.Lock()
 	r.gone = true
 	delete(sh.rows, key)
-	sh.noteDeleteLocked()
+	s.idx.delete(key)
 	var seq uint64
 	logged := false
 	if s.engine != nil {

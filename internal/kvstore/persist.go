@@ -13,19 +13,20 @@ import (
 //
 //	snapshotMagic | one OpWrite record per stored version | OpEnd record
 //
-// Rows come shard by shard in key order, a row's versions ascending — every
-// row with its full history, the Paxos acceptor rows included (an acceptor
-// must never forget a promise or a vote across restarts). OpEnd counts the
-// records before it and nothing may follow it, so a stream cut at any byte, a
-// record boundary included, does not load; every record carries its checksum
-// and the magic is compared whole, so neither does one with a flipped bit.
+// Rows come in key order, a row's versions ascending, so equal stores save to
+// equal bytes however they were built — every row with its full history, the
+// Paxos acceptor rows included (an acceptor must never forget a promise or a
+// vote across restarts). OpEnd counts the records before it and nothing may
+// follow it, so a stream cut at any byte, a record boundary included, does not
+// load; every record carries its checksum and the magic is compared whole, so
+// neither does one with a flipped bit.
 
 // snapshotMagic opens every snapshot stream. A file that starts otherwise —
 // the gob image of an earlier build — is not read at all.
 const snapshotMagic = "paxoscp-snapshot-2\n"
 
 // Save writes a point-in-time snapshot of the whole store. It holds a page of
-// row pointers and one record at a time, never a copy of the store;
+// keys and one record at a time, never a copy of the store;
 // concurrent writers are not blocked, and each row is captured atomically.
 func (s *Store) Save(w io.Writer) error {
 	if s.isClosed() {
@@ -37,29 +38,25 @@ func (s *Store) Save(w io.Writer) error {
 	bw.WriteString(snapshotMagic)
 	var (
 		rec      []byte
+		keys     []string
 		versions []version
 		count    int64
 	)
-	for _, sh := range s.shards {
-		// Shard by shard: ScanPrefix's merged order costs a gather of every
-		// shard per page, for an order Load does not need.
-		for after, more := "", true; more; {
-			var page []scanCand
-			page, more = sh.gatherScan("", after, walkPage)
-			for _, c := range page {
-				after = c.key
-				c.r.mu.Lock()
-				versions = append(versions[:0], c.r.versions...)
-				gone := c.r.gone
-				c.r.mu.Unlock()
-				if gone {
-					continue // deleted since the page was gathered
-				}
-				for _, v := range versions {
-					rec = AppendRecord(rec[:0], Mutation{Op: OpWrite, Key: c.key, TS: v.ts, Value: v.val})
-					bw.Write(rec)
-					count++
-				}
+	for after, more := "", true; more; {
+		keys = s.idx.page(keys[:0], "", after, walkPage)
+		more = len(keys) == walkPage
+		for _, k := range keys {
+			after = k
+			r := s.lockLive(k)
+			if r == nil {
+				continue // deleted since the page was read
+			}
+			versions = append(versions[:0], r.versions...)
+			r.mu.Unlock()
+			for _, v := range versions {
+				rec = AppendRecord(rec[:0], Mutation{Op: OpWrite, Key: k, TS: v.ts, Value: v.val})
+				bw.Write(rec)
+				count++
 			}
 		}
 	}

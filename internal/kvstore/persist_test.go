@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -55,6 +56,46 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualStores(t, s, loaded)
+}
+
+// TestSaveIsDeterministic: Save pages the store-wide index, so a snapshot is
+// written in key order and two stores with equal contents save to equal
+// bytes, whatever order their rows were created in — deletes and recreations
+// included.
+func TestSaveIsDeterministic(t *testing.T) {
+	const rows = 3000 // several index pages
+	build := func(order []int) []byte {
+		s := New()
+		for _, i := range order {
+			key := fmt.Sprintf("k/%d", i) // not zero-padded: insert order is not key order
+			if _, err := s.Write(key, PackAttrs("v", fmt.Sprint(i)), 1); err != nil {
+				t.Fatal(err)
+			}
+			if i%7 == 0 {
+				s.Delete(key)
+			}
+			if i%14 == 0 {
+				if _, err := s.Write(key, PackAttrs("v", "again"), 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ascending := make([]int, rows)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	want := build(ascending)
+	for seed := int64(1); seed <= 3; seed++ {
+		if got := build(rand.New(rand.NewSource(seed)).Perm(rows)); !bytes.Equal(got, want) {
+			t.Fatalf("insert order %d saved %d bytes that differ from the ascending build's %d", seed, len(got), len(want))
+		}
+	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -136,7 +177,7 @@ type countingWriter struct{ n int }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-// TestSaveStreams: Save walks the store a page of row pointers at a time and
+// TestSaveStreams: Save walks the store a page of keys at a time and
 // encodes into one reused record, so what it allocates is a small multiple of
 // what it writes — not a copy of the store (the gob Save allocated 63.6× its
 // output on this store).

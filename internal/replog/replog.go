@@ -52,6 +52,8 @@ type Log struct {
 	cache      map[int64]wal.Entry // decoded entries (read-only, shared)
 	cacheTop   int64               // highest cached position (eviction anchor)
 	pins       map[int64]time.Time // read-pin position -> expiry (PinReads)
+	pinsKept   int                 // len(pins) after the last walk dropped the expired ones
+	pinVisits  int                 // pins those walks have looked at, for the cost test
 	applyErr   error               // sticky apply failure; surfaced by waiters
 	waitCh     chan struct{}       // closed+replaced whenever a drain's batch lands
 	notifyCh   chan struct{}       // wakes the apply goroutine (capacity 1)
@@ -551,15 +553,8 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 	// Unexpired read pins hold the horizon at or below their position: a GC
 	// at keepFrom == pin keeps the version visible at the pin, so clamping
 	// to the pin itself (not below it) is exactly tight (see PinReads).
-	now := time.Now()
-	for pos, exp := range l.pins {
-		if exp.Before(now) {
-			delete(l.pins, pos)
-			continue
-		}
-		if horizon > pos {
-			horizon = pos
-		}
+	if lowest, pinned := l.prunePinsLocked(time.Now()); pinned && horizon > lowest {
+		horizon = lowest
 	}
 	prev := l.compacted
 	l.mu.Unlock()

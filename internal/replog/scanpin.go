@@ -31,15 +31,33 @@ func (l *Log) PinReads(pos int64, ttl time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := time.Now()
-	exp := now.Add(ttl)
-	for p, e := range l.pins { // prune so abandoned scans don't accumulate
-		if e.Before(now) {
-			delete(l.pins, p)
-		}
-	}
-	if cur, ok := l.pins[pos]; !ok || exp.After(cur) {
+	if exp := now.Add(ttl); !l.pins[pos].After(exp) {
 		l.pins[pos] = exp
 	}
+	// Every page of every scan comes through here, so the map is not walked
+	// per call. Expired pins are dropped once it holds twice what the last
+	// walk kept (and 16 more, so that a small map is not walked for every new
+	// position): a constant per pin registered, and never more than twice the
+	// pins one TTL of scans holds live. Until then an expired pin only takes
+	// space — Compact goes by expiry, not by presence.
+	if len(l.pins) > 2*l.pinsKept+16 {
+		l.prunePinsLocked(now)
+	}
+}
+
+// prunePinsLocked drops the expired read pins and returns the lowest position
+// an unexpired one holds (false when none does). Caller must hold l.mu.
+func (l *Log) prunePinsLocked(now time.Time) (lowest int64, pinned bool) {
+	for pos, exp := range l.pins {
+		l.pinVisits++
+		if exp.Before(now) {
+			delete(l.pins, pos)
+		} else if !pinned || pos < lowest {
+			lowest, pinned = pos, true
+		}
+	}
+	l.pinsKept = len(l.pins)
+	return lowest, pinned
 }
 
 // ScanFence is the migration fence evaluated at one pinned log position: the
