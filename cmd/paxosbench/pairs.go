@@ -33,11 +33,13 @@ const pairSeconds = 15
 // end-to-end ones, where a run printed them: the counts and waits a change to
 // the commit path has to explain itself with (messages, rounds, flushes, what
 // a handler waits for, how much the master combines), the same for the scan
-// path (what a scan costs its client, its handler and the store), and what
-// sizes them (CPU, allocations, GC, recovery).
+// path (what a scan costs its client, its handler and the store), what a
+// commit leaves behind (rows in the store, bytes in the WAL, rows to recover),
+// and what sizes them (CPU, allocations, GC, recovery).
 var layerMetrics = []string{
 	"network.msgs_per_commit", "paxos.rounds_per_commit", "network.send_us.readpos",
 	"disk.fsyncs_per_commit", "disk.sync_wait_us", "disk.fsync_ms",
+	"kvstore.rows_per_commit", "disk.bytes_per_commit", "disk.recover_rows",
 	"core.handle.submit_us", "core.handle.accept_us", "core.handle.apply_us",
 	"core.master.combined_frac",
 	"core.client.scan_p50_ms", "core.client.read_p50_ms", "network.send_us.scan", "core.handle.scan_us",

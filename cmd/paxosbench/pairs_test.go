@@ -82,6 +82,20 @@ func TestSummarisePairs(t *testing.T) {
 			t.Errorf("%s not recorded: %+v", name, m)
 		}
 	}
+	// Where a change to what the store holds per position shows: rows grown
+	// and WAL bytes per commit, rows recovered after the crash.
+	for i := range parent {
+		parent[i].val["kvstore.rows_per_commit"], change[i].val["kvstore.rows_per_commit"] = 1.44, 0.72
+		parent[i].val["disk.bytes_per_commit"], change[i].val["disk.bytes_per_commit"] = 2456, 1800
+		parent[i].val["disk.recover_rows"], change[i].val["disk.recover_rows"] = 9000, 6000
+	}
+	lower := map[string]string{"kvstore.rows_per_commit": "lower", "disk.bytes_per_commit": "lower", "disk.recover_rows": "lower"}
+	sec = summarise(parent, change, lower)
+	for name := range lower {
+		if m := sec.Metrics[name]; m == nil || m.DeltaFrac == nil || *m.DeltaFrac >= 0 || *m.ChangeWins != 4 {
+			t.Errorf("%s not recorded as a win on every pair: %+v", name, m)
+		}
+	}
 	if sec.Metrics["disk.sync_wait_us"] != nil {
 		t.Error("a metric no run printed was recorded")
 	}

@@ -26,6 +26,7 @@ import (
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/placement"
 )
 
@@ -93,6 +94,10 @@ func main() {
 			// every write. Exit non-zero so supervisors see the failure.
 			store.Close()
 			log.Fatalf("txkvd: storage engine poisoned at startup: %v", ferr)
+		}
+		if lerr := paxos.CheckLayout(store); lerr != nil {
+			store.Close()
+			log.Fatalf("txkvd: %v", lerr)
 		}
 		log.Printf("txkvd: %d rows recovered from %s (fsync=%s)", store.Len(), *dataDir, policy)
 	}

@@ -11,6 +11,7 @@ import (
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/placement"
 	"paxoscp/internal/wal"
 )
@@ -184,7 +185,8 @@ func Open(cfg Config) (*Cluster, error) {
 }
 
 // openStore builds one datacenter's store: disk-backed under
-// DataDir/<dc> when Config.DataDir is set, in-memory otherwise.
+// DataDir/<dc> when Config.DataDir is set, in-memory otherwise. A recovered
+// store in an older build's row layout is refused (paxos.CheckLayout).
 func (c *Cluster) openStore(dc string) (*kvstore.Store, *disk.Engine, error) {
 	if c.cfg.DataDir == "" {
 		return kvstore.New(), nil, nil
@@ -196,7 +198,15 @@ func (c *Cluster) openStore(dc string) (*kvstore.Store, *disk.Engine, error) {
 			opts.Fsync = c.cfg.Fsync
 		}
 	}
-	return disk.Open(filepath.Join(c.cfg.DataDir, dc), opts)
+	store, engine, err := disk.Open(filepath.Join(c.cfg.DataDir, dc), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := paxos.CheckLayout(store); err != nil {
+		store.Close()
+		return nil, nil, err
+	}
+	return store, engine, nil
 }
 
 // buildService constructs a datacenter's Transaction Service over store with

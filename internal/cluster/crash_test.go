@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"paxoscp/internal/core"
 	"paxoscp/internal/history"
+	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
@@ -46,6 +48,39 @@ func TestOpenUnusableDataDir(t *testing.T) {
 		DataDir:  dataDir,
 	}); err == nil {
 		t.Fatal("Open succeeded over an unusable data directory")
+	}
+}
+
+// TestRefusesStoreWithLegacyAcceptorRows: a data directory an older build
+// wrote holds acceptor state under paxos/ — one row per uncompacted position —
+// which this build, reading votes from the log rows only, would forget. Open
+// refuses it, naming the row, and leaves the directory as it was: there is no
+// converter, as with the older snapshot format.
+func TestRefusesStoreWithLegacyAcceptorRows(t *testing.T) {
+	dataDir := t.TempDir()
+	seed := func() *kvstore.Store {
+		t.Helper()
+		store, _, err := disk.Open(filepath.Join(dataDir, "V2"), disk.Options{Fsync: disk.SyncBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	store := seed()
+	legacy := kvstore.PackAttrs("nextBal", "0", "seq", "1", "voteBal", "0", "voteVal", "in-flight")
+	if err := store.CheckAndWrite("paxos/g0/7", "seq", "", legacy); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	_, err := Open(Config{Topology: MustPaperTopology("VVV"), Timeout: 50 * time.Millisecond, DataDir: dataDir})
+	if err == nil || !strings.Contains(err.Error(), "paxos/g0/7") || !strings.Contains(err.Error(), "empty directory") {
+		t.Fatalf("Open = %v, want a refusal naming paxos/g0/7 and the remedy", err)
+	}
+	store = seed()
+	defer store.Close()
+	if row, _, err := store.ReadPacked("paxos/g0/7", kvstore.Latest); err != nil || row != legacy || store.Len() != 1 {
+		t.Fatalf("the refused store was touched: row %v (%v), %d rows", row.Unpack(), err, store.Len())
 	}
 }
 

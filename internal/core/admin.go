@@ -71,7 +71,7 @@ func (s *Service) Status(group string) GroupStatus {
 		Group:       group,
 		LastApplied: last,
 		CompactedTo: s.CompactedTo(group),
-		LogEntries:  len(s.LogSnapshot(group)),
+		LogEntries:  s.log(group).Count(),
 		DataKeys:    s.countRows(replog.DataPrefix(group)),
 		Leader:      s.Leader(group, last+1),
 		Epoch:       epoch.Epoch,

@@ -121,7 +121,7 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 			// unambiguous (see replicateAsMaster and DESIGN.md §11).
 			acc := c.proposer.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, ownBytes)
 			if acc.Unanimous() {
-				c.proposer.Apply(ctx, group, pos, paxos.FastBallot, ownBytes)
+				c.proposer.Apply(ctx, group, pos, acc.ChosenAt, ownBytes)
 				return own, nil
 			}
 			// Contention or loss: fall back to the full protocol.
@@ -153,7 +153,7 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 			continue
 		}
 		// Apply phase: the proposal is decided.
-		c.proposer.Apply(ctx, group, pos, ballot, proposal)
+		c.proposer.Apply(ctx, group, pos, acc.ChosenAt, proposal)
 		decided, err := wal.Decode(proposal)
 		if err != nil {
 			return wal.Entry{}, fmt.Errorf("core: decided value corrupt: %w", err)

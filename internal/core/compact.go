@@ -7,11 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
-	"paxoscp/internal/paxos"
 	"paxoscp/internal/replog"
 )
 
@@ -28,18 +28,19 @@ import (
 // horizon return kvstore.ErrNotFound afterwards, so the horizon must stay
 // comfortably behind any read position still in use.
 //
-// The log rows and the horizon bookkeeping belong to internal/replog; this
-// file contributes the service-owned per-position rows (Paxos acceptor
-// state, leader claims), data-version GC, and the snapshot transfer.
+// The log rows — which hold the acceptor state too — and the horizon
+// bookkeeping belong to internal/replog; this file contributes the
+// service-owned per-position rows (leader claims), data-version GC, and the
+// snapshot transfer.
 
 // errCompacted is the wire marker a service returns for a fetch of a
 // compacted log position.
 const errCompacted = "compacted"
 
 // Compact scavenges everything strictly below the given horizon: old data
-// item versions, decided log entries, Paxos acceptor state, and leader
-// claims. The horizon is clamped to the locally applied position. It
-// returns the effective horizon.
+// item versions, decided log entries with the acceptor state they grew out
+// of, and leader claims. The horizon is clamped to the locally applied
+// position. It returns the effective horizon.
 func (s *Service) Compact(group string, horizon int64) (int64, error) {
 	lg := s.log(group)
 	prefix := replog.DataPrefix(group)
@@ -66,10 +67,9 @@ func (s *Service) Compact(group string, horizon int64) (int64, error) {
 		if err != nil {
 			return // store closed mid-compaction; nothing to scavenge
 		}
-		// Acceptor and claim rows strictly below the horizon disappear
-		// (replog drops the log rows themselves).
+		// Claim rows strictly below the horizon disappear (replog drops the
+		// log rows themselves).
 		for pos := from; pos < to; pos++ {
-			s.store.Delete(paxos.StateKey(group, pos))
 			s.store.Delete(claimKey(group, pos))
 		}
 	})
@@ -204,10 +204,27 @@ func (s *Service) installFrom(ctx context.Context, dc, group string) error {
 			return fail(err)
 		}
 		if !resp.Found {
-			return lg.InstallSnapshot(h, epoch, mig)
+			if err := lg.InstallSnapshot(h, epoch, mig); err != nil {
+				return err
+			}
+			s.dropClaims(group, h)
+			return nil
 		}
 		req = network.Message{Kind: network.KindSnapshot, Group: group, TS: h, Key: resp.Key, Found: true}
 	}
+}
+
+// dropClaims deletes the group's leader claims at or below an installed
+// horizon: Compact scavenges only above the horizon it starts from, so like
+// the log rows InstallSnapshot deletes they would otherwise stay for good.
+func (s *Service) dropClaims(group string, horizon int64) {
+	prefix := claimPrefix + group + "/"
+	// An error is the store closing mid-walk: the rows stay, which costs space.
+	_ = s.store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+		if pos, err := strconv.ParseInt(row.Key[len(prefix):], 10, 64); err == nil && pos <= horizon {
+			s.store.Delete(row.Key)
+		}
+	})
 }
 
 // readSnapshotHeader reads the record a transfer's first page opens with: the

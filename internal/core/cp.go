@@ -65,7 +65,13 @@ func (c *Client) commitCP(ctx context.Context, t *Tx) (CommitResult, error) {
 //     to drive the instance to its decision (the promotion check then runs
 //     against the actual decided entry in commitCP).
 //   - Otherwise it reverts to the basic findWinningVal rule.
+//
+// A vote at paxos.DecidedBallot comes from a row that holds the decided
+// entry: the vote counts are beside the point, and the basic rule adopts it.
 func (c *Client) chooseCP(prep paxos.PrepareOutcome, own wal.Entry) []byte {
+	if v, ok := maxBallotVote(prep.Votes); ok && v.Ballot == paxos.DecidedBallot {
+		return v.Value
+	}
 	maxVal, maxVotes := mostVotedValue(prep.Votes)
 	d := prep.D
 	responses := len(prep.Votes)

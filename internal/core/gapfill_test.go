@@ -10,7 +10,7 @@ import (
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
-	"paxoscp/internal/replog"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/stats"
 )
 
@@ -139,7 +139,7 @@ func TestFetchLogServesQueuedEntry(t *testing.T) {
 	if _, err := s.log("g").Append(2, b2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.ReadPacked(replog.LogKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
+	if _, _, err := store.ReadPacked(paxos.StateKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("entry 2 already has a log row (%v); the test no longer covers the queued window", err)
 	}
 	resp := s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})

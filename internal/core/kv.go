@@ -147,7 +147,10 @@ func (kv *KV) Put(ctx context.Context, key, value string) (CommitResult, error) 
 // Update runs a read-modify-write of one key on its owning group, retrying
 // on optimistic-concurrency aborts (a conflicting writer forces a fresh
 // read) up to attempts times; attempts <= 0 means 16. fn maps the current
-// value (and whether it exists) to the new value.
+// value (and whether it exists) to the new value. Retries back off as the
+// commit protocols' own do: the read is served by the nearest replica, and
+// one still a few milliseconds of applies behind the entry that won serves
+// the losing position again — sixteen immediate retries fit inside that lag.
 func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur string, found bool) (string, error)) (CommitResult, error) {
 	if attempts <= 0 {
 		attempts = 16
@@ -155,6 +158,11 @@ func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur 
 	var last CommitResult
 	err := kv.follow(ctx, key, func(group string) error {
 		for i := 0; i < attempts; i++ {
+			if i > 0 {
+				if err := kv.client.backoff(ctx, i); err != nil {
+					return err
+				}
+			}
 			tx, err := kv.client.Begin(ctx, group)
 			if err != nil {
 				return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,5 +237,41 @@ func TestKVUpdateRetriesConflicts(t *testing.T) {
 	v, found, err := kv.Get(ctx, "ctr")
 	if err != nil || !found || v != "1+1+1" {
 		t.Fatalf("counter = (%q, %v, %v), want (1+1+1, true, nil)", v, found, err)
+	}
+}
+
+// TestUpdateOutlastsALaggingReplica: the client's nearest replica applies 100 ms
+// behind the master, so right after a commit it still serves the position
+// that commit superseded. An Update of the same key must back off until the
+// replica has caught up, not spend its attempts — immediate on a fast link —
+// re-reading the losing position.
+func TestUpdateOutlastsALaggingReplica(t *testing.T) {
+	services, sim := newServiceRing(t, "A", "B", "C")
+	var late sync.WaitGroup
+	defer late.Wait()
+	lagging := func(from string, req network.Message) network.Message {
+		if req.Kind != network.KindApply {
+			return services["B"].Handler()(from, req)
+		}
+		late.Add(1)
+		go func() {
+			defer late.Done()
+			time.Sleep(100 * time.Millisecond)
+			services["B"].Handler()(from, req)
+		}()
+		return network.Status(true, "")
+	}
+	cl := NewClient(1, "B", sim.Endpoint("B", lagging), Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: 200 * time.Millisecond})
+	kv := NewKV(cl, &mapRouter{def: "g", groups: []string{"g"}})
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		res, err := kv.Update(ctx, "k", 0, func(cur string, _ bool) (string, error) { return cur + "x", nil })
+		if err != nil || res.Status != stats.Committed {
+			t.Fatalf("update %d behind a lagging replica: %+v %v", i, res, err)
+		}
+	}
+	late.Wait()
+	if v, _, err := kv.Get(ctx, "k"); err != nil || v != "xxx" {
+		t.Fatalf("k = %q %v, want three updates applied in turn", v, err)
 	}
 }

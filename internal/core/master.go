@@ -199,7 +199,7 @@ func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, 
 	if !skipFast {
 		acc := prop.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, value)
 		if acc.Unanimous() {
-			prop.Apply(ctx, group, pos, paxos.FastBallot, value)
+			prop.Apply(ctx, group, pos, acc.ChosenAt, value)
 			return value, true, fastDecided, nil
 		}
 		fast = fastContended
@@ -230,7 +230,7 @@ func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, 
 			sleepBackoff(ctx, attempt, s.timeout/40)
 			continue
 		}
-		prop.Apply(ctx, group, pos, ballot, proposal)
+		prop.Apply(ctx, group, pos, a.ChosenAt, proposal)
 		return proposal, string(proposal) == string(value), fast, nil
 	}
 	return nil, false, fast, fmt.Errorf("core: master replication failed for %s/%d", group, pos)

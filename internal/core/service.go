@@ -19,19 +19,21 @@ import (
 // Key-value store layout used by the Transaction Service. Everything the
 // service knows lives in its datacenter's kvstore, keeping the service
 // processes themselves stateless (§2.2): the per-group replicated log rows
-// (data/, log/, meta/ — owned by internal/replog, see DESIGN.md §4) plus the
-// protocol rows this package owns:
+// (data/, log/, meta/ — owned by internal/replog, see DESIGN.md §4; a
+// position's log row is also where internal/paxos keeps its acceptor state)
+// plus the protocol row this package owns:
 //
 //	claim/<group>/<pos>  leader fast-path claim (attr "owner")
-//	paxos/<group>/<pos>  acceptor state (managed by internal/paxos)
 //
-// These run on the commit hot path, so they are built by the allocation-free
+// It is written on the commit hot path, so it is built by the allocation-free
 // kvstore.PosKey, not fmt.Sprintf (BenchmarkKeyEncoding in internal/replog
-// guards the technique). Acceptor rows are named by paxos.StateKey.
+// guards the technique).
 func dataKey(group, key string) string { return replog.DataKey(group, key) }
 
+const claimPrefix = "claim/"
+
 func claimKey(group string, pos int64) string {
-	return kvstore.PosKey("claim/", group, pos)
+	return kvstore.PosKey(claimPrefix, group, pos)
 }
 
 // Service is one datacenter's Transaction Service. It owns the datacenter's
@@ -313,30 +315,41 @@ func (s *Service) Handler() network.Handler {
 // handleApply lands a decided entry in the local log; the reply is what the
 // proposer counts toward its apply majority (see ApplyDecided, R2).
 func (s *Service) handleApply(req network.Message) network.Message {
-	if err := s.ApplyDecided(req.Group, req.Pos, req.Payload); err != nil {
+	if err := s.applyChosen(req.Group, req.Pos, req.Ballot, req.Payload); err != nil {
 		return network.Status(false, err.Error())
 	}
 	return network.Status(true, "")
 }
 
 // ApplyDecided hands the decided entry for (group, pos) to the local log and
-// waits for the apply batch that makes it durable (internal/replog): the
-// batch writes the entry's log row and, when pos is contiguous with the
-// watermark, the data writes of every newly contiguous entry and the
-// watermark itself. Returning nil means the log row of pos is durable under
-// the engine's sync policy (invariant R2) — the master counts a peer's reply
-// toward the majority it acknowledges on — and, unless pos is above a log
-// gap, that the watermark covers it. An entry above a gap is logged and
-// queued but its application is not waited for: the gap is filled by
-// catch-up, which ApplyDecided starts itself if the gap outlives a timeout
-// (fillGapLater). It is idempotent: duplicated apply messages and replays
-// are harmless.
+// waits for the apply batch that makes it durable (internal/replog): when pos
+// is contiguous with the watermark, the batch carries the data writes of
+// every newly contiguous entry and the watermark itself, and the row of pos
+// in its decided form unless the vote this replica holds already is the entry.
+// Returning nil means the decided bytes are durable locally under the engine's
+// sync policy (invariant R2) — as a vote under a durable watermark, or as a
+// row marked decided; the master counts a peer's reply toward the majority it
+// acknowledges on — and, unless pos is above a log gap, that the watermark
+// covers it. An entry above a gap is logged and queued but its application
+// is not waited for: the gap is filled by catch-up, which ApplyDecided starts
+// itself if the gap outlives a timeout (fillGapLater). It is idempotent:
+// duplicated apply messages and replays are harmless.
+//
+// ApplyDecided is for a caller that has the decision but no ballot it was
+// chosen at — a fetched or learned entry; an apply message brings one
+// (applyChosen).
 func (s *Service) ApplyDecided(group string, pos int64, entryBytes []byte) error {
+	return s.applyChosen(group, pos, paxos.DecidedBallot, entryBytes)
+}
+
+// applyChosen is ApplyDecided with a ballot a majority voted for the entry at
+// (replog.Log.AppendChosen).
+func (s *Service) applyChosen(group string, pos, chosenAt int64, entryBytes []byte) error {
 	if pos < 1 {
 		return fmt.Errorf("core: apply at invalid position %d", pos)
 	}
 	lg := s.log(group)
-	horizon, err := lg.Append(pos, entryBytes)
+	horizon, err := lg.AppendChosen(pos, chosenAt, entryBytes)
 	if err != nil {
 		return fmt.Errorf("core: apply %s/%d: %w", group, pos, err)
 	}
@@ -753,7 +766,7 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 			ballot = paxos.NextBallot(maxInt64(acc.MaxSeen, ballot), learnClientID)
 			continue
 		}
-		prop.Apply(ctx, group, pos, ballot, value)
+		prop.Apply(ctx, group, pos, acc.ChosenAt, value)
 		entry, err := wal.Decode(value)
 		if err != nil {
 			return wal.Entry{}, err

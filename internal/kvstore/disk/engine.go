@@ -23,8 +23,9 @@ const (
 	// lost.
 	SyncEvery SyncPolicy = "sync"
 	// SyncBatch (the default) group-commits: the first waiter performs the
-	// fsync and every mutation that queued behind it during that fsync is
-	// absorbed into the next one, so N concurrent writers pay ~2 fsyncs,
+	// fsync, a second that arrives meanwhile starts its own beside it
+	// (batchFlushers), and every mutation that queues behind those two is
+	// absorbed into the next one, so N concurrent writers pay a few fsyncs,
 	// not N. Durability bound: same as SyncEvery — every acknowledged
 	// mutation is durable — only the acknowledgement latency differs.
 	SyncBatch SyncPolicy = "batch"
@@ -112,29 +113,39 @@ var errClosed = errors.New("disk: engine closed")
 // group-commit fsync batching, segment rotation, and snapshot-based
 // compaction. Construct with Open, which also performs crash recovery.
 //
-// Writes take two locks in sequence, never nested the other way: mu guards
-// the in-memory queue (encode + sequence assignment, O(record) work) and
-// flushMu serializes the write+fsync+rotate cycle. An fsync holds only
-// flushMu, so appends keep queuing while it runs — that queue is exactly the
-// batch the next fsync absorbs.
+// Lock order is flushMu, writeMu, mu, never nested the other way: mu guards
+// the in-memory queue (encode + sequence assignment, O(record) work), writeMu
+// the order of file writes, flushMu the segment file itself. An fsync holds
+// flushMu shared and neither of the others, so appends keep queuing while it
+// runs — that queue is exactly the batch the next fsync absorbs — and one more
+// flush may write and fsync beside it.
 type Engine struct {
 	dir   string
 	opts  Options
 	fs    FS
 	store *kvstore.Store
 
-	// flushMu serializes flush cycles (file write, fsync, rotation).
-	flushMu sync.Mutex
+	// flushMu guards the active segment file against rotation, Close and
+	// Crash: a flush holds it shared for its write and fsync, whatever swaps
+	// or seals the file holds it exclusively — as do the flushes that are not
+	// group commits (SyncEvery, the interval ticker, Close, a snapshot's).
+	flushMu sync.RWMutex
+	// writeMu serializes a flush's capture of the queue and its file write, so
+	// the segment holds records in sequence order; the fsync runs outside it.
+	writeMu sync.Mutex
 
 	mu       sync.Mutex
-	buf      []byte // records encoded but not yet written to the file
-	spare    []byte // recycled buf to keep steady-state appends allocation-free
-	appended uint64 // seq of the last record in buf (or flushed)
-	flushed  uint64 // seq of the last record durable on disk
-	// Group-commit election state (SyncBatch only): one flusher at a time;
-	// riders wait on batchCond (signaled on &mu) and are all woken by the
-	// flusher's broadcast when their records land.
-	batchFlushing bool
+	buf      []byte   // records encoded but not yet written to the file
+	spare    [][]byte // recycled bufs to keep steady-state appends allocation-free
+	appended uint64   // seq of the last record in buf (or flushed)
+	captured uint64   // seq of the last record a flush has taken out of buf
+	written  int64    // bytes written to the active segment (guarded by writeMu)
+	flushed  uint64   // seq of the last record durable on disk
+	// Group-commit election state (SyncBatch only): up to batchFlushers
+	// flushes at a time; batchWaiting riders wait on batchCond (signaled on
+	// &mu) and are all woken by a flusher's broadcast when its records land.
+	batchFlushing int
+	batchWaiting  int
 	batchCond     *sync.Cond
 	f             File   // active segment
 	size          int64  // durable bytes in the active segment
@@ -192,16 +203,20 @@ func (e *Engine) Sync(seq uint64) error {
 		// honest no-batching baseline bench.Durability compares against.
 		e.flushMu.Lock()
 		defer e.flushMu.Unlock()
-		return e.flush(true)
+		return e.flushAndRotate(true)
 	default: // SyncBatch
-		// Group commit without a waiter convoy: the first uncovered caller
-		// elects itself flusher (batchFlushing); everyone else waits on the
-		// condition variable and is woken — all at once — by the flusher's
-		// broadcast. Riders never queue on a mutex just to learn they're
-		// covered: with serial mutex hand-off a hot writer barges the lock
-		// back and degenerates group commit into one fsync per record.
+		// Group commit without a waiter convoy: an uncovered caller elects
+		// itself flusher when no flush is running, or when one is and nobody is
+		// waiting yet (batchFlushers); everyone else — a caller whose record a
+		// running flush already took, a newcomer that finds other callers
+		// waiting, or no flusher's place free — waits on the condition variable
+		// and is woken, with all the others, by a flusher's broadcast. Riders never
+		// queue on a mutex just to learn they're covered: with serial mutex
+		// hand-off a hot writer barges the lock back and degenerates group
+		// commit into one fsync per record.
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		waited := false
 		for {
 			if e.err != nil {
 				return e.err
@@ -209,11 +224,15 @@ func (e *Engine) Sync(seq uint64) error {
 			if e.flushed >= seq {
 				return nil
 			}
-			if e.batchFlushing {
+			if e.captured >= seq || e.batchFlushing == batchFlushers ||
+				(e.batchFlushing > 0 && e.batchWaiting > 0 && !waited) {
+				e.batchWaiting++
 				e.batchCond.Wait()
+				e.batchWaiting--
+				waited = true
 				continue
 			}
-			e.batchFlushing = true
+			e.batchFlushing++
 			e.mu.Unlock()
 			// Gather step: yield once so every writer that is runnable right
 			// now — typically the riders the previous broadcast released —
@@ -221,11 +240,16 @@ func (e *Engine) Sync(seq uint64) error {
 			// runtime rarely hands our P off mid-fsync, so without this the
 			// batch would hold only the records queued while we slept.
 			runtime.Gosched()
-			e.flushMu.Lock()
-			err := e.flush(false)
-			e.flushMu.Unlock()
+			e.flushMu.RLock()
+			full, err := e.flush(false)
+			e.flushMu.RUnlock()
+			if err == nil && full {
+				e.flushMu.Lock()
+				err = e.rotateIfFull()
+				e.flushMu.Unlock()
+			}
 			e.mu.Lock()
-			e.batchFlushing = false
+			e.batchFlushing--
 			e.batchCond.Broadcast()
 			if err != nil {
 				return err
@@ -234,26 +258,58 @@ func (e *Engine) Sync(seq uint64) error {
 	}
 }
 
+// batchFlushers is how many group-commit flushes may run at once. With one, a
+// Sync that arrives while a flush is under way waits for that flush and then
+// for its own: what an acknowledgement costs depends on whether somebody
+// else's fsync happens to be running, between one fsync and two. With two it
+// starts its own at once, beside the one running — the file is written in
+// sequence order either way, and an fsync covers every byte written before it
+// was called, so whichever returns first makes everything up to its own
+// capture durable. The second place is for a caller that would otherwise wait
+// alone. Once callers are waiting, a newcomer waits with them and they ride
+// the next flush together, which is the absorption SyncBatch is for: under
+// many writers a flush started early carries one record where the next would
+// have carried the queue (16 writers on a disk that serialises flushes: about
+// 130 fsyncs per 1000 writes and a quarter less throughput without this rule,
+// 70 to 80 with it, as with one flusher).
+const batchFlushers = 2
+
 // flush drains the queue to the active segment and fsyncs. Caller must hold
-// flushMu. force fsyncs even when the queue is empty (SyncEvery, Close).
-func (e *Engine) flush(force bool) error {
+// flushMu, shared or exclusively. force fsyncs even when the queue is empty
+// (SyncEvery, Close). full reports that the segment has reached its size and
+// wants rotating, which needs flushMu exclusively (rotateIfFull).
+func (e *Engine) flush(force bool) (full bool, err error) {
+	e.writeMu.Lock()
 	e.mu.Lock()
-	if e.err != nil {
+	if err := e.err; err != nil {
 		e.mu.Unlock()
-		return e.err
+		e.writeMu.Unlock()
+		return false, err
 	}
 	buf := e.buf
-	e.buf = e.spare[:0]
+	e.buf = nil
+	if n := len(e.spare); n > 0 {
+		e.buf, e.spare = e.spare[n-1], e.spare[:n-1]
+	}
 	seq := e.appended
+	e.captured = seq
 	f := e.f
 	e.mu.Unlock()
+	if len(buf) > 0 {
+		if _, err := f.Write(buf); err != nil {
+			e.writeMu.Unlock()
+			return false, e.fail(fmt.Errorf("disk: segment write: %w", err))
+		}
+		e.written += int64(len(buf))
+	}
+	end := e.written
+	e.writeMu.Unlock()
 	synced := false
 	if len(buf) > 0 || force {
-		if _, err := f.Write(buf); err != nil {
-			return e.fail(fmt.Errorf("disk: segment write: %w", err))
-		}
+		// Everything written so far — by this flush and by the ones before
+		// it — is what this fsync makes durable.
 		if err := f.Sync(); err != nil {
-			return e.fail(fmt.Errorf("disk: segment fsync: %w", err))
+			return false, e.fail(fmt.Errorf("disk: segment fsync: %w", err))
 		}
 		synced = true
 	}
@@ -261,20 +317,51 @@ func (e *Engine) flush(force bool) error {
 	if synced {
 		e.fsyncs++
 	}
-	e.flushed = seq
-	e.size += int64(len(buf))
-	e.spare = buf[:0]
-	size := e.size
-	e.mu.Unlock()
-	if size >= e.opts.SegmentBytes {
-		return e.rotate(seq)
+	// Only forward — the flush beside this one may have returned first with
+	// more — and not at all once the engine has failed: after a failed fsync
+	// a later one that succeeds proves nothing about the bytes before it.
+	if e.err == nil {
+		if seq > e.flushed {
+			e.flushed = seq
+		}
+		if end > e.size {
+			e.size = end
+		}
 	}
-	return nil
+	if buf != nil && len(e.spare) < batchFlushers {
+		e.spare = append(e.spare, buf[:0])
+	}
+	full = e.size >= e.opts.SegmentBytes
+	// A rider whose record this flush took waits for it whoever ran it — a
+	// snapshot's or Close's flush has no election to wake it from.
+	e.batchCond.Broadcast()
+	e.mu.Unlock()
+	return full, nil
 }
 
-// rotate seals the active segment (already fsynced by flush) and opens a
-// fresh one starting at flushedSeq+1. Caller must hold flushMu.
-func (e *Engine) rotate(flushedSeq uint64) error {
+// flushAndRotate is flush for a caller that holds flushMu exclusively.
+func (e *Engine) flushAndRotate(force bool) error {
+	full, err := e.flush(force)
+	if err != nil || !full {
+		return err
+	}
+	return e.rotateIfFull()
+}
+
+// rotateIfFull seals the active segment, if it (still) has reached its size,
+// and opens a fresh one starting at the next sequence number. Caller must
+// hold flushMu exclusively: no flush is under way, so everything written to
+// the segment is fsynced.
+func (e *Engine) rotateIfFull() error {
+	e.mu.Lock()
+	full, flushedSeq, err := e.size >= e.opts.SegmentBytes, e.flushed, e.err
+	e.mu.Unlock()
+	if err != nil {
+		return err // the other flusher failed: its bytes may not be durable
+	}
+	if !full {
+		return nil // the other flusher got here first
+	}
 	next, err := createSegment(e.fs, e.dir, flushedSeq+1)
 	if err != nil {
 		return e.fail(err)
@@ -283,6 +370,7 @@ func (e *Engine) rotate(flushedSeq uint64) error {
 	old := e.f
 	e.f = next
 	e.size = 0
+	e.written = 0
 	e.segStart = flushedSeq + 1
 	e.mu.Unlock()
 	if err := old.Close(); err != nil {
@@ -368,7 +456,7 @@ func (e *Engine) snapshot() error {
 func (e *Engine) syncAppended() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	return e.flush(false)
+	return e.flushAndRotate(false)
 }
 
 // fail records the first failure; the engine (and the store above it,
@@ -387,6 +475,7 @@ func (e *Engine) fail(err error) error {
 	} else {
 		err = e.err
 	}
+	e.batchCond.Broadcast()
 	e.mu.Unlock()
 	if first && e.opts.OnFail != nil {
 		e.opts.OnFail(err)
@@ -424,7 +513,7 @@ func (e *Engine) Close() error {
 	e.snapWG.Wait()
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	err := e.flush(false)
+	_, err := e.flush(false)
 	e.mu.Lock()
 	f := e.f
 	crashed := errors.Is(e.err, ErrCrashed)
@@ -458,6 +547,7 @@ func (e *Engine) Crash() {
 	e.spare = nil
 	f := e.f
 	size := e.size
+	e.batchCond.Broadcast()
 	e.mu.Unlock()
 	_ = f.Truncate(size)
 	_ = f.Close()

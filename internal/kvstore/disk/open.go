@@ -123,6 +123,7 @@ func Open(dir string, opts Options) (*kvstore.Store, *Engine, error) {
 		fs:       fs,
 		store:    store,
 		appended: lastSeq,
+		captured: lastSeq,
 		flushed:  lastSeq,
 	}
 	e.batchCond = sync.NewCond(&e.mu)
@@ -145,6 +146,7 @@ func Open(dir string, opts Options) (*kvstore.Store, *Engine, error) {
 			return nil, nil, fmt.Errorf("disk: stat segment: %w", err)
 		}
 		e.size = st.Size()
+		e.written = e.size
 	}
 	if opts.Fsync == SyncInterval {
 		e.stop = make(chan struct{})
@@ -269,7 +271,7 @@ func (e *Engine) intervalLoop() {
 		select {
 		case <-t.C:
 			e.flushMu.Lock()
-			_ = e.flush(false)
+			_ = e.flushAndRotate(false)
 			e.flushMu.Unlock()
 		case <-e.stop:
 			return

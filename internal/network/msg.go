@@ -15,8 +15,8 @@ type Kind string
 const (
 	// Paxos commit protocol (Algorithm 1 / 2).
 	KindPrepare Kind = "prepare" // propNum=Ballot
-	KindAccept  Kind = "accept"  // propNum=Ballot, value=Payload
-	KindApply   Kind = "apply"   // propNum=Ballot, value=Payload
+	KindAccept  Kind = "accept"  // propNum=Ballot, value=Payload; the status reply's Found = the row was already decided
+	KindApply   Kind = "apply"   // Ballot=a ballot the value was chosen at (paxos.DecidedBallot: unknown), value=Payload
 
 	// Transaction API (transaction protocol steps 1–2).
 	KindReadPos Kind = "readpos" // ask for last written log position

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -259,5 +260,126 @@ func TestAcceptorManyPositions(t *testing.T) {
 		if string(vv) != fmt.Sprintf("v%d", pos) {
 			t.Fatalf("pos %d vote = %q", pos, vv)
 		}
+	}
+}
+
+// TestDecidedRowIsFinal: a row in the decided form answers every prepare with
+// its value at DecidedBallot, acknowledges an accept of that value, refuses
+// any other — and is never written, whatever the ballot.
+func TestDecidedRowIsFinal(t *testing.T) {
+	a := newAcceptor()
+	key := StateKey("g", 3)
+	if err := a.store.ApplyBatch([]kvstore.BatchWrite{{Key: key, Value: DecidedRow("Y"), Replace: true}}); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(after string) {
+		t.Helper()
+		row, _, err := a.store.ReadPacked(key, kvstore.Latest)
+		if err != nil || row != DecidedRow("Y") || a.store.Versions(key) != 1 {
+			t.Fatalf("after %s the row is %v (%d versions, %v), want the decided form untouched", after, row.Unpack(), a.store.Versions(key), err)
+		}
+	}
+	for _, ballot := range []int64{Ballot(1, 1), Ballot(9, 2), Ballot(2, 3)} { // not ascending: no promise is kept
+		res, err := a.Prepare("g", 3, ballot)
+		if err != nil || !res.OK || res.VoteBallot != DecidedBallot || string(res.VoteValue) != "Y" || res.Promised != ballot {
+			t.Fatalf("prepare(%d) on a decided row = %+v %v", ballot, res, err)
+		}
+		unchanged("prepare")
+	}
+	for _, ballot := range []int64{FastBallot, Ballot(1, 1), Ballot(9, 2)} {
+		if res, err := a.Accept("g", 3, ballot, []byte("Y")); err != nil || !res.OK || !res.Decided {
+			t.Fatalf("accept(%d, Y) on a row decided Y = %+v %v, want OK from a decided row", ballot, res, err)
+		}
+		unchanged("accept of the decided value")
+		if res, err := a.Accept("g", 3, ballot, []byte("X")); err != nil || res.OK || res.Promised == DecidedBallot {
+			t.Fatalf("accept(%d, X) on a row decided Y = %+v %v, want a refusal that cannot feed NextBallot", ballot, res, err)
+		}
+		unchanged("accept of another value")
+	}
+	if bal, val, err := a.Vote("g", 3); err != nil || bal != DecidedBallot || string(val) != "Y" {
+		t.Fatalf("Vote on a decided row = %d %q %v", bal, val, err)
+	}
+}
+
+// TestVoteStands: a vote stands in for the log entry only when it is for the
+// decided bytes and the acceptor's promise has reached a ballot they were
+// chosen at; the same bytes under a lower promise can still be overwritten.
+func TestVoteStands(t *testing.T) {
+	fast, low, high := FastBallot, Ballot(1, 1), Ballot(2, 1)
+	row := func(steps func(a *Acceptor)) kvstore.Packed {
+		a := newAcceptor()
+		steps(a)
+		r, _, err := a.store.ReadPacked(StateKey("g", 1), kvstore.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	fastVote := row(func(a *Acceptor) { a.Accept("g", 1, fast, []byte("Y")) })
+	lowVote := row(func(a *Acceptor) { a.Prepare("g", 1, low); a.Accept("g", 1, low, []byte("Y")) })
+	lowVoteHighPromise := row(func(a *Acceptor) {
+		a.Prepare("g", 1, low)
+		a.Accept("g", 1, low, []byte("Y"))
+		a.Prepare("g", 1, high)
+	})
+	promiseOnly := row(func(a *Acceptor) { a.Prepare("g", 1, high) })
+	for _, tc := range []struct {
+		name     string
+		row      kvstore.Packed
+		entry    string
+		chosenAt int64
+		want     bool
+	}{
+		{"fast vote, chosen on the fast path", fastVote, "Y", fast, true},
+		{"fast vote, chosen later without this acceptor", fastVote, "Y", low, false},
+		{"vote at the choosing ballot", lowVote, "Y", low, true},
+		{"vote below the choosing ballot", lowVote, "Y", high, false},
+		{"old vote under a promise at the choosing ballot", lowVoteHighPromise, "Y", high, true},
+		{"vote for other bytes", lowVote, "X", low, false},
+		{"promise without a vote", promiseOnly, "Y", low, false},
+		{"ballot unknown", lowVoteHighPromise, "Y", DecidedBallot, false},
+		{"already decided", DecidedRow("Y"), "Y", fast, false},
+	} {
+		if got := VoteStands(tc.row, tc.entry, tc.chosenAt); got != tc.want {
+			t.Errorf("%s: VoteStands = %t, want %t (row %v)", tc.name, got, tc.want, tc.row.Unpack())
+		}
+	}
+}
+
+// TestStragglerOverwritesVoteBelowChoosingBallot is why VoteStands asks for
+// the promise: an acceptor that voted Y early and was not in the quorum that
+// later chose Y still takes a delayed accept of X at a ballot in between.
+func TestStragglerOverwritesVoteBelowChoosingBallot(t *testing.T) {
+	a := newAcceptor()
+	early, between := Ballot(1, 1), Ballot(2, 2)
+	a.Prepare("g", 1, early)
+	a.Accept("g", 1, early, []byte("Y"))
+	// Y is chosen at Ballot(3, 3) by the other acceptors; this one only
+	// answers ballot `between`, whose proposer picked X before that.
+	a.Prepare("g", 1, between)
+	if res, err := a.Accept("g", 1, between, []byte("X")); err != nil || !res.OK {
+		t.Fatalf("accept = %+v %v", res, err)
+	}
+	if _, val, _ := a.Vote("g", 1); string(val) != "X" {
+		t.Fatalf("vote = %q, want the straggler's X", val)
+	}
+}
+
+// TestCheckLayoutRefusesLegacyRows: a store that holds a row under paxos/ was
+// written by a build that kept acceptor state apart from the log.
+func TestCheckLayoutRefusesLegacyRows(t *testing.T) {
+	store := kvstore.New()
+	if err := CheckLayout(store); err != nil {
+		t.Fatalf("empty store refused: %v", err)
+	}
+	NewAcceptor(store).Accept("g", 1, FastBallot, []byte("Y"))
+	if err := CheckLayout(store); err != nil {
+		t.Fatalf("a store in this build's layout refused: %v", err)
+	}
+	if err := store.CheckAndWrite("paxos/g0/7", "seq", "", kvstore.PackAttrs("nextBal", "65537", "seq", "1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckLayout(store); err == nil || !strings.Contains(err.Error(), "paxos/g0/7") {
+		t.Fatalf("CheckLayout = %v, want an error naming paxos/g0/7", err)
 	}
 }

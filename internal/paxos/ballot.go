@@ -1,6 +1,9 @@
 package paxos
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxClients bounds the number of distinct proposer identities. Ballots
 // encode the client ID in their low bits so that proposal numbers are
@@ -17,6 +20,15 @@ const FastBallot int64 = 0
 // NilBallot represents "no ballot": an acceptor that never promised reports
 // NilBallot as its promise, and a vote with ballot NilBallot is a null vote.
 const NilBallot int64 = -1
+
+// DecidedBallot is the ballot an acceptor reports a decided position's value
+// at (acceptor.go): it outranks every proposal number, so whichever rule a
+// proposer picks its value by adopts the decided one — sound because a chosen
+// value is the only value any higher ballot may carry. It travels as a vote's
+// ballot (PrepareResult.VoteBallot) and as the ballot of an apply message
+// whose sender cannot name one the value was chosen at
+// (AcceptOutcome.ChosenAt); never as a promise, so it never feeds NextBallot.
+const DecidedBallot int64 = math.MaxInt64
 
 // Ballot composes a proposal number from a round counter and a client ID.
 // Rounds start at 1; round 0 is reserved for the fast path.

@@ -1,7 +1,9 @@
 // Package paxos implements a single instance of the Paxos algorithm (the
 // Synod algorithm) as the paper uses it: one instance per write-ahead-log
 // position, with the acceptor's durable state held in the datacenter's
-// key-value store via checkAndWrite (paper §4.1, Algorithms 1 and 2).
+// key-value store via checkAndWrite (paper §4.1, Algorithms 1 and 2) — in the
+// position's row of the replicated log, which the vote becomes once the
+// position is decided (acceptor.go, DESIGN.md §2).
 //
 // The package provides the two protocol roles:
 //

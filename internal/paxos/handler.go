@@ -6,7 +6,7 @@ import "paxoscp/internal/network"
 // receives to its acceptor and builds the wire response:
 //
 //	prepare  -> KindLastVote{OK, Ballot: promised, TS: voteBallot, Payload: voteValue}
-//	accept   -> KindStatus{OK, Ballot: promised}
+//	accept   -> KindStatus{OK, Ballot: promised, Found: the row was already decided}
 //
 // It reports handled=false for non-acceptor kinds (apply, reads, …), which
 // the service layers above deal with.
@@ -29,7 +29,7 @@ func HandleMessage(a *Acceptor, req network.Message) (network.Message, bool) {
 		if err != nil {
 			return network.Status(false, err.Error()), true
 		}
-		return network.Message{Kind: network.KindStatus, OK: res.OK, Ballot: res.Promised}, true
+		return network.Message{Kind: network.KindStatus, OK: res.OK, Ballot: res.Promised, Found: res.Decided}, true
 	default:
 		return network.Message{}, false
 	}

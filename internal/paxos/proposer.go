@@ -44,6 +44,14 @@ type AcceptOutcome struct {
 	D       int
 	Acks    int
 	MaxSeen int64
+	// ChosenAt is the ballot to send the decision out under (Apply): the
+	// round's own while every ack counted was a vote cast at it — then a
+	// quorum of Acks means the value was chosen at this ballot, and a replica
+	// whose promise is at or above it may keep its vote as the log entry
+	// (VoteStands). An ack from a row already decided is no vote — that
+	// acceptor may have promised higher before the decision — so with one
+	// counted ChosenAt is DecidedBallot, which no promise reaches.
+	ChosenAt int64
 	// Refused and Unreachable are filled by AcceptUnanimous only: how many
 	// acceptors refused the vote (a per-position race — the fast path is
 	// still healthy) versus how many sends failed or went unanswered (a
@@ -54,6 +62,14 @@ type AcceptOutcome struct {
 
 // Quorum reports whether a majority of datacenters voted for the proposal.
 func (o AcceptOutcome) Quorum() bool { return o.Acks >= Majority(o.D) }
+
+// ack counts one acceptor's OK.
+func (o *AcceptOutcome) ack(resp network.Message) {
+	o.Acks++
+	if resp.Found {
+		o.ChosenAt = DecidedBallot
+	}
+}
 
 // Unanimous reports whether every datacenter voted for the proposal. A
 // fast-ballot (prepare-skipping) decision is only taken at unanimity: with a
@@ -151,7 +167,7 @@ func (p *Proposer) Prepare(ctx context.Context, group string, pos int64, ballot 
 // round does not sit out the timeout.
 func (p *Proposer) Accept(ctx context.Context, group string, pos int64, ballot int64, value []byte) AcceptOutcome {
 	req := network.Message{Kind: network.KindAccept, Group: group, Pos: pos, Ballot: ballot, Payload: value}
-	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot}
+	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot, ChosenAt: ballot}
 	maj := Majority(out.D)
 	refused := 0
 	p.broadcast(ctx, req, func(dc string, resp network.Message, err error) bool {
@@ -162,7 +178,7 @@ func (p *Proposer) Accept(ctx context.Context, group string, pos int64, ballot i
 			out.MaxSeen = resp.Ballot
 		}
 		if resp.OK {
-			out.Acks++
+			out.ack(resp)
 		} else {
 			refused++
 		}
@@ -177,7 +193,7 @@ func (p *Proposer) Accept(ctx context.Context, group string, pos int64, ballot i
 // round must fall back to classic Paxos quickly, not sit out the timeout.
 func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64, ballot int64, value []byte) AcceptOutcome {
 	req := network.Message{Kind: network.KindAccept, Group: group, Pos: pos, Ballot: ballot, Payload: value}
-	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot}
+	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot, ChosenAt: ballot}
 	p.broadcast(ctx, req, func(dc string, resp network.Message, err error) bool {
 		if err != nil {
 			out.Unreachable++
@@ -187,7 +203,7 @@ func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64,
 			out.MaxSeen = resp.Ballot
 		}
 		if resp.OK {
-			out.Acks++
+			out.ack(resp)
 		} else {
 			out.Refused++
 		}
@@ -210,7 +226,8 @@ func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64,
 // datacenter has stored the entry (waiting for the local ack keeps the
 // client's next read position fresh; waiting for the majority makes the log
 // entry widely fetchable). It never waits out the timeout for unreachable
-// minorities.
+// minorities. ballot is the accept round's ChosenAt: what lets a replica that
+// voted in the round keep its vote as the log entry.
 func (p *Proposer) Apply(ctx context.Context, group string, pos int64, ballot int64, value []byte) int {
 	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
 	acks := 0

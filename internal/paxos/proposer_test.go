@@ -267,3 +267,32 @@ func TestProposerSafetyUnderContention(t *testing.T) {
 		t.Fatal("no proposer decided despite live majority")
 	}
 }
+
+// TestAcceptOutcomeChosenAt: the ballot a decision goes out under is the
+// round's own only while every ack was a vote; one ack from a row already
+// decided — which may have promised higher before it was — makes it
+// DecidedBallot, and leaves MaxSeen (what NextBallot is fed) alone.
+func TestAcceptOutcomeChosenAt(t *testing.T) {
+	for _, unanimous := range []bool{false, true} {
+		tc := newTestCluster(t, "A", "B", "C")
+		p := tc.proposer("A")
+		accept := p.Accept
+		if unanimous {
+			accept = p.AcceptUnanimous
+		}
+		ctx := context.Background()
+		if out := accept(ctx, "g", 1, FastBallot, []byte("Y")); !out.Quorum() || out.ChosenAt != FastBallot {
+			t.Fatalf("unanimous=%t: a round of votes = %+v, want ChosenAt = its ballot", unanimous, out)
+		}
+		// Two of three, so that a round that stops at a majority has counted one.
+		for _, dc := range []string{"B", "C"} {
+			if err := tc.acceptors[dc].store.ApplyBatch([]kvstore.BatchWrite{{Key: StateKey("g", 2), Value: DecidedRow("Y"), Replace: true}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := accept(ctx, "g", 2, FastBallot, []byte("Y"))
+		if !out.Quorum() || out.ChosenAt != DecidedBallot || out.MaxSeen != FastBallot {
+			t.Fatalf("unanimous=%t: a round acked by a decided row = %+v, want ChosenAt = DecidedBallot, MaxSeen = the ballot", unanimous, out)
+		}
+	}
+}

@@ -10,24 +10,27 @@
 // The seed kept all of this implicit: string-keyed rows in the datacenter's
 // key-value store, a coarse per-group apply mutex in the Transaction
 // Service, and meta-row round trips on every read-position request. The Log
-// keeps the same durable row layout (see keys.go) — services stay stateless
-// in the paper's sense, a restart rebuilds the Log from the store, and on a
-// disk-backed store (DESIGN.md §14) that covers real crashes — but the
-// hot-path state (watermark, pending entries, decoded cache) lives in
+// keeps its durable state in store rows (see keys.go) — services stay
+// stateless in the paper's sense, a restart rebuilds the Log from the store,
+// and on a disk-backed store (DESIGN.md §14) that covers real crashes — but
+// the hot-path state (watermark, pending entries, decoded cache) lives in
 // memory, and readers block on the watermark through WaitApplied instead of
 // polling the meta row.
 //
-// The apply goroutine is the only writer of a decided entry's durable state.
-// Append validates an entry, refuses a second value for a decided position
-// (invariant R1) and queues it, in memory; the drain lands one
-// kvstore.ApplyBatch — one sync — per pass, however many apply messages
-// delivered the entries: the log rows of everything queued since the last
-// pass, then the data writes of the contiguous run above the watermark,
-// then the meta row that records the run. That order is what recovery
-// trusts: a recovered watermark never leads its log rows or its data
-// (invariant D3), and a waiter released by a pass — WaitApplied, or
-// WaitLogged for an entry still above a gap — has its log row durable
-// (invariant R2).
+// A position has one row, and the vote is the entry: the row is the Paxos
+// acceptor's state (internal/paxos) until the position is decided, and the
+// log entry from then on. AppendChosen validates an entry, refuses a second
+// value for a decided position (invariant R1) and queues it, in memory; the
+// drain lands one kvstore.ApplyBatch — one sync — per pass, however many
+// apply messages delivered the entries: the rows, in their decided form, of
+// the queued positions whose stored vote cannot stand as the entry
+// (paxos.VoteStands) or which no watermark will cover yet, then the data
+// writes of the contiguous run above the watermark, then the meta row that
+// records the run. That order is what recovery trusts: a recovered watermark
+// never leads its entries — votes or decided rows — or its data (invariant
+// D3), and a waiter released by a pass — WaitApplied, or WaitLogged for an
+// entry still above a gap — has its entry durable (invariant R2). One rule,
+// decidedRow, says what a stored row means; every reader goes through it.
 //
 // # Epoch fencing
 //

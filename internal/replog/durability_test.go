@@ -8,6 +8,7 @@ import (
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/kvstore/disk/faultfs"
+	"paxoscp/internal/paxos"
 )
 
 // reopen simulates power loss and recovery for a disk-backed log: crash the
@@ -251,7 +252,7 @@ func TestTornBatchRecoversByRedrain(t *testing.T) {
 		t.Fatalf("recovered meta row has watermark %d (%v), want the old one, 1", meta.last, err)
 	}
 	for pos := int64(2); pos <= 3; pos++ {
-		if _, _, err := store2.ReadPacked(LogKey("g", pos), kvstore.Latest); err != nil {
+		if _, _, err := store2.ReadPacked(paxos.StateKey("g", pos), kvstore.Latest); err != nil {
 			t.Fatalf("log row %d did not survive the torn batch: %v", pos, err)
 		}
 	}
@@ -262,5 +263,74 @@ func TestTornBatchRecoversByRedrain(t *testing.T) {
 	}
 	if v, ts, err := store2.Read(DataKey("g", "x"), kvstore.Latest); err != nil || ts != 3 || v["v"] != "3" {
 		t.Fatalf("x after re-drain = %v@%d %v, want 3@3", v, ts, err)
+	}
+}
+
+// TestVoteIsTheEntryAcrossPowerLoss walks the three states a position's row
+// can be recovered in. A standing vote under a durable watermark — no decided
+// record was ever written — is the entry. A flushed vote above the watermark
+// with no mark is acceptor state: not in the log, and still the acceptor's to
+// report. A row marked decided above a gap goes back into the pending set and
+// applies when the gap fills.
+func TestVoteIsTheEntryAcrossPowerLoss(t *testing.T) {
+	dir := t.TempDir()
+	store, eng, err := disk.Open(dir, disk.Options{FS: faultfs.New(nil), Fsync: disk.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Open(store, "g")
+	acc := paxos.NewAcceptor(store)
+	for pos := int64(1); pos <= 4; pos++ { // each accept returns with its vote flushed
+		if res, err := acc.Accept("g", pos, paxos.FastBallot, posEntry(pos)); err != nil || !res.OK {
+			t.Fatalf("accept %d: %+v %v", pos, res, err)
+		}
+	}
+	// 1: decided with its vote standing. 2 and 3: voted, never decided here.
+	// 4: decided above the gap.
+	for _, pos := range []int64{1, 4} {
+		h, err := l.AppendChosen(pos, paxos.FastBallot, posEntry(pos))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h >= pos {
+			err = l.WaitApplied(waitCtx(t), pos)
+		} else {
+			err = l.WaitLogged(waitCtx(t), pos)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l2, store2, _ := reopen(t, dir, eng, store, l)
+	if got := l2.Applied(); got != 1 {
+		t.Fatalf("recovered watermark = %d, want 1", got)
+	}
+	if row, _, err := store2.ReadPacked(paxos.StateKey("g", 1), kvstore.Latest); err != nil || paxos.RowDecided(row) {
+		t.Fatalf("row 1 = %v %v, want the vote as the acceptor wrote it", row.Unpack(), err)
+	}
+	snap := l2.Snapshot()
+	if !snap[1].Contains("t1") || !snap[4].Contains("t4") || len(snap) != 2 {
+		t.Fatalf("recovered log = %v, want entries 1 (the vote under the watermark) and 4 (marked)", snap)
+	}
+	acc2 := paxos.NewAcceptor(store2)
+	for _, pos := range []int64{2, 3} {
+		if l2.Has(pos) {
+			t.Errorf("a vote above the watermark reads as decided entry %d", pos)
+		}
+		if bal, val, err := acc2.Vote("g", pos); err != nil || bal != paxos.FastBallot || string(val) != string(posEntry(pos)) {
+			t.Errorf("acceptor forgot its vote at %d: %d %q %v", pos, bal, val, err)
+		}
+	}
+	for _, pos := range []int64{2, 3} {
+		if _, err := l2.AppendChosen(pos, paxos.FastBallot, posEntry(pos)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l2.WaitApplied(waitCtx(t), 4); err != nil {
+		t.Fatalf("the marked row above the gap did not come back pending: %v", err)
+	}
+	if v, ts, err := store2.Read(DataKey("g", "x"), kvstore.Latest); err != nil || ts != 4 || v["v"] != "4" {
+		t.Fatalf("x after the gap filled = %v@%d %v, want 4@4", v, ts, err)
 	}
 }

@@ -14,19 +14,21 @@ import (
 // TestReplicaImageBytesPerCommit pins what one commit leaves resident. The
 // benchmark's commit-mem shape — 4 writes of 40-byte values over 10 000 keys
 // per transaction, 184 B of user data — goes through what each of three
-// replicas keeps per position: the acceptor's vote row, the log row, the
+// replicas keeps per position: the position's row — the acceptor's fast-path
+// vote, which the apply message's ballot lets stand as the log entry — the
 // data versions and the meta row. Nothing is compacted, as in the benchmark.
 // Counted with HeapAlloc after a forced GC, so there is no clock in it.
 //
 // With versions held as maps and a meta version kept per drain this measured
-// 9 290 B per commit; packed versions and a one-version meta row measure
-// 3 180 B (±1 %). The ceiling sits a ninth above that, so the gain cannot
-// erode quietly.
+// 9 290 B per commit; packed versions and a one-version meta row 3 180 B; one
+// row per position instead of a vote row beside a log row measures 2 355 B
+// (±1 %). The ceiling sits a ninth above that, so the gain cannot erode
+// quietly.
 func TestReplicaImageBytesPerCommit(t *testing.T) {
 	const (
 		replicas    = 3
 		commits     = 10000
-		ceilingByte = 3550
+		ceilingByte = 2650
 	)
 	type replica struct {
 		acc *paxos.Acceptor
@@ -59,7 +61,7 @@ func TestReplicaImageBytesPerCommit(t *testing.T) {
 				if res, err := r.acc.Accept("g0", pos, paxos.FastBallot, entry); err != nil || !res.OK {
 					t.Fatalf("accept %d: %+v %v", pos, res, err)
 				}
-				if _, err := r.lg.Append(pos, entry); err != nil {
+				if _, err := r.lg.AppendChosen(pos, paxos.FastBallot, entry); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,14 +3,16 @@ package replog
 import (
 	"fmt"
 	"testing"
+
+	"paxoscp/internal/paxos"
 )
 
 func TestKeyLayoutMatchesSeedFormat(t *testing.T) {
 	cases := []struct{ got, want string }{
 		{DataKey("g1", "account/7"), "data/g1/account/7"},
 		{DataPrefix("g1"), "data/g1/"},
-		{LogKey("g1", 42), "log/g1/42"},
-		{LogKey("g1", 9223372036854775807), "log/g1/9223372036854775807"},
+		{paxos.StateKey("g1", 42), "log/g1/42"},
+		{paxos.StateKey("g1", 9223372036854775807), "log/g1/9223372036854775807"},
 		{LogPrefix("g1"), "log/g1/"},
 		{MetaKey("g1"), "meta/g1"},
 	}
@@ -20,8 +22,8 @@ func TestKeyLayoutMatchesSeedFormat(t *testing.T) {
 		}
 	}
 	// Agreement with the fmt.Sprintf forms the seed used.
-	if got, want := LogKey("grp", 17), fmt.Sprintf("log/%s/%d", "grp", 17); got != want {
-		t.Fatalf("LogKey = %q, want %q", got, want)
+	if got, want := paxos.StateKey("grp", 17), fmt.Sprintf("log/%s/%d", "grp", 17); got != want {
+		t.Fatalf("StateKey = %q, want %q", got, want)
 	}
 }
 
@@ -32,8 +34,8 @@ func TestKeyEncodingAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _ = DataKey(group, key) }); n > 1 {
 		t.Fatalf("DataKey allocates %.0f times, want <= 1", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _ = LogKey(group, 123456) }); n > 1 {
-		t.Fatalf("LogKey allocates %.0f times, want <= 1", n)
+	if n := testing.AllocsPerRun(200, func() { _ = paxos.StateKey(group, 123456) }); n > 1 {
+		t.Fatalf("StateKey allocates %.0f times, want <= 1", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { _ = MetaKey(group) }); n > 1 {
 		t.Fatalf("MetaKey allocates %.0f times, want <= 1", n)
@@ -50,10 +52,10 @@ func BenchmarkKeyEncoding(b *testing.B) {
 			_ = DataKey(group, key)
 		}
 	})
-	b.Run("LogKey", func(b *testing.B) {
+	b.Run("StateKey", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = LogKey(group, int64(i))
+			_ = paxos.StateKey(group, int64(i))
 		}
 	})
 	b.Run("MetaKey", func(b *testing.B) {

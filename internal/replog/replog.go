@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"paxoscp/internal/kvstore"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/wal"
 )
 
@@ -48,7 +49,7 @@ type Log struct {
 	decidedMax int64               // highest position known decided locally
 	compacted  int64               // compaction horizon
 	pending    map[int64]queued    // decided but not yet applied (pos > applied)
-	unlogged   []int64             // pending positions queued since the last drain: no log row yet
+	unlogged   []int64             // pending positions queued since the last drain: no drain has looked at their rows yet
 	cache      map[int64]wal.Entry // decoded entries (read-only, shared)
 	cacheTop   int64               // highest cached position (eviction anchor)
 	pins       map[int64]time.Time // read-pin position -> expiry (PinReads)
@@ -88,13 +89,14 @@ type Log struct {
 }
 
 // queued is one decided entry in the pending set: the decoded entry the drain
-// applies, the log row's packed value — built once, at Append, and the very
-// string the store ends up holding — and whether a drain (or, before a
-// restart, an earlier process) has written that row yet.
+// applies, its encoded bytes, a ballot they were chosen at (AppendChosen), and
+// whether the position's row is durable in its decided form — written by a
+// drain or, before a restart, by an earlier process.
 type queued struct {
-	entry  wal.Entry
-	row    kvstore.Packed
-	logged bool
+	entry    wal.Entry
+	bytes    string
+	chosenAt int64
+	logged   bool
 }
 
 // EpochState is a group's prevailing master epoch: the highest epoch any
@@ -158,8 +160,8 @@ func readMeta(v kvstore.Packed) (m metaRow, err error) {
 	return m, err
 }
 
-// scanLogRows calls fn with the position and packed value (attr "entry" =
-// encoded entry) of every log row the store holds for group. It stops early,
+// scanLogRows calls fn with the position and packed value of every
+// per-position row the store holds for group, decided or not. It stops early,
 // without error, if the store closes mid-walk.
 func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, row kvstore.Packed)) {
 	prefix := LogPrefix(group)
@@ -172,9 +174,10 @@ func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, row kvst
 
 // Open returns the Log for (store, group), rebuilding its in-memory state
 // from the store's rows: the watermark and compaction horizon from the meta
-// row, and every log row above the watermark — an entry logged above a gap,
-// or one whose batch a crash cut before its meta row — into the pending set,
-// already logged, which is then drained.
+// row, and every row marked decided above the watermark — an entry logged
+// above a gap, or one whose batch a crash cut before its meta row — into the
+// pending set, already logged, which is then drained. Unmarked rows above the
+// watermark are the acceptor's live state and are left alone.
 func Open(store *kvstore.Store, group string) *Log {
 	return open(store, group, nil)
 }
@@ -208,11 +211,11 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 	l.decidedMax = l.applied
 	// Recover decided entries above the watermark into the pending set.
 	scanLogRows(store, group, func(pos int64, row kvstore.Packed) {
-		if pos <= l.applied {
+		if pos <= l.applied || !paxos.RowDecided(row) {
 			return
 		}
-		if entry, err := wal.Decode([]byte(row.Get("entry"))); err == nil {
-			l.pending[pos] = queued{entry: entry, row: row, logged: true}
+		if entry, err := wal.Decode([]byte(paxos.RowEntry(row))); err == nil {
+			l.pending[pos] = queued{entry: entry, bytes: paxos.RowEntry(row), logged: true}
 			if pos > l.decidedMax {
 				l.decidedMax = pos
 			}
@@ -297,32 +300,42 @@ func (l *Log) Voided(pos int64) bool {
 	return l.voided[pos]
 }
 
-// Append queues the decided entry for pos, in memory: the bytes are
-// validated and handed to the apply goroutine, whose next batch writes the
-// log row together with whatever the entry lets it apply (drain). Nothing is
-// durable when Append returns; WaitApplied, or WaitLogged for an entry above
-// a gap, is the durability point. Bytes that will not be queued — a
-// duplicate, a position already below the watermark — are compared, not
-// decoded.
+// Append is AppendChosen for a caller that learned the decision without a
+// ballot it was chosen at (a catch-up fetch, a replay): no stored vote can be
+// shown to stand, so the drain writes the row in its decided form.
+func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
+	return l.AppendChosen(pos, paxos.DecidedBallot, entryBytes)
+}
+
+// AppendChosen queues the decided entry for pos, in memory: the bytes are
+// validated and handed to the apply goroutine, whose next batch makes the
+// position's row the durable log entry together with whatever the entry lets
+// it apply (drain). chosenAt is a ballot a majority voted for the bytes at —
+// what an apply message carries (paxos.AcceptOutcome.ChosenAt); it decides
+// whether a vote this replica already holds can stand as the entry
+// (paxos.VoteStands). Nothing is durable when AppendChosen returns;
+// WaitApplied, or WaitLogged for an entry above a gap, is the durability
+// point. Bytes that will not be queued — a duplicate, a position already
+// below the watermark — are compared, not decoded.
 //
 // A decided position holds one value (invariant R1), enforced here against
-// whichever copy of pos the log has — the queued row, or the stored one once
+// whichever copy of pos the log has — the queued one, or the stored row once
 // pos is applied: the same bytes again are a no-op (duplicated apply messages
 // and replays are harmless), different bytes are refused with an error
 // wrapping kvstore.ErrStaleWrite, and the first value still applies.
 //
-// Append returns the contiguous decided horizon — the highest position h such
+// It returns the contiguous decided horizon — the highest position h such
 // that every position in (Applied(), h] is decided locally; the watermark
 // will reach h without further appends. When pos is above a gap, h < pos and
 // the caller must catch the gap up before waiting on pos.
-func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
+func (l *Log) AppendChosen(pos, chosenAt int64, entryBytes []byte) (int64, error) {
 	if pos < 1 {
 		return 0, fmt.Errorf("replog: append at invalid position %d", pos)
 	}
 	// Only a position that is new gets decoded, and outside l.mu: the master
 	// appends every position twice by design (its local apply leg, then
 	// pipeline.replicate), and a duplicate is settled by comparing bytes.
-	h, fresh, err := l.offer(pos, entryBytes, nil)
+	h, fresh, err := l.offer(pos, chosenAt, entryBytes, nil)
 	if !fresh || err != nil {
 		return h, err
 	}
@@ -330,30 +343,30 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
-	h, _, err = l.offer(pos, entryBytes, &entry)
+	h, _, err = l.offer(pos, chosenAt, entryBytes, &entry)
 	return h, err
 }
 
-// offer is Append's critical section. With entry nil it only looks: fresh
+// offer is AppendChosen's critical section. With entry nil it only looks: fresh
 // reports that pos is new here and must be decoded and offered again. With
 // the decoded entry it queues pos, unless another appender got there between
 // the two calls — then it is the duplicate.
-func (l *Log) offer(pos int64, entryBytes []byte, entry *wal.Entry) (h int64, fresh bool, err error) {
+func (l *Log) offer(pos, chosenAt int64, entryBytes []byte, entry *wal.Entry) (h int64, fresh bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.applyErr; err != nil {
 		return 0, false, err
 	}
-	have, known := l.rowLocked(pos)
+	have, known := l.bytesLocked(pos)
 	switch {
-	case known && have.Get("entry") != string(entryBytes):
+	case known && have != string(entryBytes):
 		return 0, false, fmt.Errorf("replog: entry %s/%d: %w: a different value is already decided there",
 			l.group, pos, kvstore.ErrStaleWrite)
 	case !known && pos > l.applied:
 		if entry == nil {
 			return 0, true, nil
 		}
-		l.pending[pos] = queued{entry: *entry, row: kvstore.PackAttrs("entry", string(entryBytes))}
+		l.pending[pos] = queued{entry: *entry, bytes: string(entryBytes), chosenAt: chosenAt}
 		l.unlogged = append(l.unlogged, pos)
 		l.notify()
 	}
@@ -372,19 +385,36 @@ func (l *Log) offer(pos int64, entryBytes []byte, entry *wal.Entry) (h int64, fr
 	return h, false, nil
 }
 
-// rowLocked returns the log row of pos as the log knows it: the queued value
-// while pos is pending, the stored row once it is applied. Caller holds l.mu
-// (the store never calls back into the Log, so reading it here cannot
-// deadlock, and it keeps "pending, else applied" one atomic look).
-func (l *Log) rowLocked(pos int64) (kvstore.Packed, bool) {
+// decidedRow is the one rule for what a stored row of pos means. It holds
+// the position's decided entry iff it is marked decided (paxos.DecidedRow), or
+// pos lies above the compaction horizon and at or below the applied
+// watermark: the drain advances the watermark over a row only after writing
+// it marked or finding its vote standing (paxos.VoteStands). Any other
+// unmarked row is acceptor state and no entry — a vote for a position not yet
+// decided here, or one a straggling accept left at or below the horizon,
+// where Compact and InstallSnapshot have deleted the rows. Every reader of a
+// stored row goes through here, with the horizon and watermark of one look at
+// the Log.
+func decidedRow(pos int64, row kvstore.Packed, compacted, applied int64) bool {
+	return paxos.RowDecided(row) || (pos > compacted && pos <= applied)
+}
+
+// bytesLocked returns the encoded decided entry of pos as the log knows it:
+// the queued bytes while pos is pending, the stored row's once it is applied.
+// Caller holds l.mu (the store never calls back into the Log, so reading it
+// here cannot deadlock, and it keeps "pending, else stored" one atomic look).
+func (l *Log) bytesLocked(pos int64) (string, bool) {
 	if q, ok := l.pending[pos]; ok {
-		return q.row, true
+		return q.bytes, true
 	}
 	if pos > l.applied {
-		return kvstore.Packed{}, false
+		return "", false // every decided position above the watermark is pending
 	}
-	row, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
-	return row, err == nil
+	row, _, err := l.store.ReadPacked(paxos.StateKey(l.group, pos), kvstore.Latest)
+	if err != nil || !decidedRow(pos, row, l.compacted, l.applied) {
+		return "", false
+	}
+	return paxos.RowEntry(row), true
 }
 
 // WaitApplied blocks until the watermark reaches pos, ctx is done, or the
@@ -394,11 +424,11 @@ func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
 	return l.wait(ctx, func() bool { return l.applied >= pos })
 }
 
-// WaitLogged blocks until the log row of an appended pos is durable under
-// the engine's sync policy — a drain's batch carrying it has landed, or the
-// watermark covers pos — or ctx is done, or the log fails or closes. It is
-// what the appender of an entry above a gap waits on, where WaitApplied
-// would wait for the gap.
+// WaitLogged blocks until the row of an appended pos is durable, in its
+// decided form, under the engine's sync policy — a drain's batch carrying it
+// has landed, or the watermark covers pos — or ctx is done, or the log fails
+// or closes. It is what the appender of an entry above a gap waits on, where
+// WaitApplied would wait for the gap.
 func (l *Log) WaitLogged(ctx context.Context, pos int64) error {
 	return l.wait(ctx, func() bool { return l.applied >= pos || l.pending[pos].logged })
 }
@@ -432,14 +462,12 @@ func (l *Log) wait(ctx context.Context, done func() bool) error {
 // cached, or in the store), without decoding it.
 func (l *Log) Has(pos int64) bool {
 	l.mu.Lock()
-	_, inPending := l.pending[pos]
-	_, inCache := l.cache[pos]
-	l.mu.Unlock()
-	if inPending || inCache {
+	defer l.mu.Unlock()
+	if _, inCache := l.cache[pos]; inCache {
 		return true
 	}
-	_, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
-	return err == nil
+	_, ok := l.bytesLocked(pos)
+	return ok
 }
 
 // Entry returns the decided entry at pos, if known locally. The returned
@@ -457,12 +485,12 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 		l.mu.Unlock()
 		return e, true
 	}
+	raw, ok := l.bytesLocked(pos)
 	l.mu.Unlock()
-	raw, _, err := l.store.ReadPacked(LogKey(l.group, pos), kvstore.Latest)
-	if err != nil {
+	if !ok {
 		return wal.Entry{}, false
 	}
-	entry, err := wal.Decode([]byte(raw.Get("entry")))
+	entry, err := wal.Decode([]byte(raw))
 	if err != nil {
 		return wal.Entry{}, false
 	}
@@ -476,31 +504,52 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 // fetches — from the pending set when no drain has written its row yet.
 func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
 	l.mu.Lock()
-	row, ok := l.rowLocked(pos)
+	raw, ok := l.bytesLocked(pos)
 	l.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return []byte(row.Get("entry")), true
+	return []byte(raw), true
 }
 
 // Snapshot returns every decided log entry known locally, keyed by position.
 // Entries are deep copies; intended for the history checker and tooling.
 func (l *Log) Snapshot() map[int64]wal.Entry {
 	out := make(map[int64]wal.Entry)
-	scanLogRows(l.store, l.group, func(pos int64, row kvstore.Packed) {
-		if entry, err := wal.Decode([]byte(row.Get("entry"))); err == nil {
+	l.mu.Lock()
+	for pos, q := range l.pending {
+		out[pos] = q.entry.Clone()
+	}
+	compacted, applied := l.compacted, l.applied
+	l.mu.Unlock()
+	l.walkApplied(compacted, applied, func(pos int64, row kvstore.Packed) {
+		if entry, err := wal.Decode([]byte(paxos.RowEntry(row))); err == nil {
 			out[pos] = entry
 		}
 	})
-	l.mu.Lock()
-	for pos, q := range l.pending {
-		if _, ok := out[pos]; !ok {
-			out[pos] = q.entry.Clone()
-		}
-	}
-	l.mu.Unlock()
 	return out
+}
+
+// walkApplied calls fn with every stored row that held a decided entry at or
+// below the watermark when the Log's horizon and watermark were as given.
+// With the pending set of that same moment — every decided position above
+// the watermark — that is the whole log.
+func (l *Log) walkApplied(compacted, applied int64, fn func(pos int64, row kvstore.Packed)) {
+	scanLogRows(l.store, l.group, func(pos int64, row kvstore.Packed) {
+		if pos <= applied && decidedRow(pos, row, compacted, applied) {
+			fn(pos, row)
+		}
+	})
+}
+
+// Count returns how many decided entries the log holds locally — Snapshot's
+// size, from a walk of the keys: nothing is decoded or copied.
+func (l *Log) Count() int {
+	l.mu.Lock()
+	n, compacted, applied := len(l.pending), l.compacted, l.applied
+	l.mu.Unlock()
+	l.walkApplied(compacted, applied, func(int64, kvstore.Packed) { n++ })
+	return n
 }
 
 // SnapshotHeader returns the applied watermark H and the meta row a replica
@@ -529,12 +578,18 @@ func ParseSnapshotHeader(meta kvstore.Packed) (horizon int64, epoch EpochState, 
 	return m.last, m.epoch, mig, err
 }
 
-// Compact scavenges log rows strictly below horizon and records the new
-// compaction horizon in the meta row. The horizon is clamped to the applied
-// watermark. scavenge, when non-nil, is called with the half-open position
-// range [from, to) being compacted so the caller can drop its own
-// per-position rows (Paxos acceptor state, leader claims) and GC data
-// versions below to. Compact returns the effective horizon.
+// Compact records the new compaction horizon in the meta row and scavenges
+// the per-position rows strictly below it. The horizon is clamped to the
+// applied watermark. scavenge, when non-nil, is called with the half-open
+// position range [from, to) being compacted so the caller can drop its own
+// per-position rows (leader claims) and GC data versions below to. Compact
+// returns the effective horizon.
+//
+// The horizon is in force — durable, and in memory — before any row goes:
+// once a row is deleted a straggling accept can put an unmarked one back, and
+// decidedRow must already read it as no entry. The entry at the horizon
+// itself survives, so its row is written in the decided form by the batch
+// that records the horizon.
 //
 // Compact holds ioMu for its whole run so it cannot interleave with a
 // snapshot installation: without that, an install could advance the horizon
@@ -557,19 +612,18 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 		horizon = lowest
 	}
 	prev := l.compacted
+	atHorizon, held := l.bytesLocked(horizon)
 	l.mu.Unlock()
 	if horizon <= prev {
 		return prev, nil
 	}
-	if scavenge != nil {
-		scavenge(prev+1, horizon)
-	}
-	for pos := prev + 1; pos < horizon; pos++ {
-		l.store.Delete(LogKey(l.group, pos))
+	var first []kvstore.BatchWrite
+	if held {
+		first = append(first, decidedWrite(l.group, horizon, atHorizon))
 	}
 	meta := l.meta
 	meta.compacted = horizon
-	if err := l.writeMeta(meta); err != nil {
+	if err := l.writeMeta(meta, first...); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
@@ -587,16 +641,29 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 		}
 	}
 	l.mu.Unlock()
+	if scavenge != nil {
+		scavenge(prev+1, horizon)
+	}
+	for pos := prev + 1; pos < horizon; pos++ {
+		l.store.Delete(paxos.StateKey(l.group, pos))
+	}
 	return horizon, nil
 }
 
-// writeMeta replaces the meta row with m. Caller must hold ioMu.
-func (l *Log) writeMeta(m metaRow) error {
-	if err := l.store.ApplyBatch([]kvstore.BatchWrite{m.write(l.group)}); err != nil {
+// writeMeta lands first, then the meta row replaced with m, in one batch.
+// Caller must hold ioMu.
+func (l *Log) writeMeta(m metaRow, first ...kvstore.BatchWrite) error {
+	if err := l.store.ApplyBatch(append(first, m.write(l.group))); err != nil {
 		return err
 	}
 	l.meta = m
 	return nil
+}
+
+// decidedWrite returns the batch element that makes the row of pos the
+// decided entry, whatever acceptor state it held.
+func decidedWrite(group string, pos int64, entry string) kvstore.BatchWrite {
+	return kvstore.BatchWrite{Key: paxos.StateKey(group, pos), Value: paxos.DecidedRow(entry), Replace: true}
 }
 
 // InstallSnapshot jumps the watermark and compaction horizon to a peer
@@ -609,6 +676,13 @@ func (l *Log) writeMeta(m metaRow) error {
 // the snapshot's data rows first (kvstore.ApplyBatch); positions above the
 // horizon continue through normal catch-up. A snapshot at or below the
 // current watermark is a no-op.
+//
+// The per-position rows the jump passes over are deleted: nothing compacts
+// at or below an installed horizon again. They go after the horizon is in
+// force, durably and in memory — decidedRow then reads a vote left in (old
+// watermark, horizon] as no entry, where under the new watermark alone it
+// would be one — so a crash in between finds the votes where they were, under
+// the old watermark or the new horizon, never an acceptor that forgot them.
 func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationState) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
@@ -654,8 +728,18 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 			delete(l.pending, pos)
 		}
 	}
+	for pos := range l.cache {
+		if pos <= horizon {
+			delete(l.cache, pos)
+		}
+	}
 	l.broadcastLocked()
 	l.mu.Unlock()
+	scanLogRows(l.store, l.group, func(pos int64, _ kvstore.Packed) {
+		if pos <= horizon {
+			l.store.Delete(paxos.StateKey(l.group, pos))
+		}
+	})
 	l.notify()
 	return nil
 }
@@ -721,14 +805,20 @@ func (l *Log) run() {
 	}
 }
 
-// drain is the only writer of a decided entry's durable state. Each pass
-// lands one kvstore.ApplyBatch: the log rows of every position queued since
-// the last pass — applicable or still above a gap — then the data writes of
-// the contiguous run above the watermark, then, last, the meta row that
-// records the run; after it, one watermark advance wakes every waiter. The
-// batch is logged in that order under one sync, so a durable meta row implies
-// the log rows and data records below it are durable (invariant D3), and a
-// waiter released by the pass has its log row durable (invariant R2).
+// drain is what makes a decided entry durable. Each pass lands one
+// kvstore.ApplyBatch: the rows, in their decided form, of the positions
+// queued since the last pass that need one written — every position still
+// above a gap, which no watermark covers, and every position the pass applies
+// whose stored row is not already a standing vote for the decided bytes
+// (paxos.VoteStands) — then the data writes of the contiguous run above the
+// watermark, then, last, the meta row that records the run; after it, one
+// watermark advance wakes every waiter. A position whose vote stands gets no
+// write at all: the vote's record, flushed by the accept, under the watermark
+// that ends the batch is its durable log entry. The batch is logged in that
+// order under one sync, and a vote's record precedes the meta record of the
+// pass that read it, so a durable meta row implies the rows and data records
+// below it are durable (invariant D3), and a waiter released by the pass has
+// its entry durable (invariant R2).
 // An apply failure (e.g. store closed during shutdown) is sticky and
 // surfaces through the waiters and Append.
 //
@@ -766,9 +856,17 @@ func (l *Log) drain() {
 		l.unlogged = nil
 		for _, p := range logging {
 			// A snapshot install may have dropped p from pending meanwhile.
-			if q, ok := l.pending[p]; ok {
-				writes = append(writes, kvstore.BatchWrite{Key: LogKey(l.group, p), Value: q.row})
+			q, ok := l.pending[p]
+			if !ok {
+				continue
 			}
+			if p <= pos {
+				row, _, err := l.store.ReadPacked(paxos.StateKey(l.group, p), kvstore.Latest)
+				if err == nil && paxos.VoteStands(row, q.bytes, q.chosenAt) {
+					continue
+				}
+			}
+			writes = append(writes, decidedWrite(l.group, p, q.bytes))
 		}
 		epoch := l.epoch
 		mig := l.mig // shallow view; deep-copied before any mutation

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"paxoscp/internal/kvstore"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/wal"
 )
 
@@ -127,6 +128,7 @@ func TestLogConflictingAppendRejected(t *testing.T) {
 type recEngine struct {
 	mu      sync.Mutex
 	keys    []string
+	ops     []kvstore.Op // parallel to keys
 	syncs   int
 	hold    chan struct{} // nil = never block
 	entered chan struct{} // one send per blocked Sync; made with hold
@@ -137,6 +139,7 @@ func (e *recEngine) Append(muts []kvstore.Mutation) (uint64, error) {
 	defer e.mu.Unlock()
 	for _, m := range muts {
 		e.keys = append(e.keys, m.Key)
+		e.ops = append(e.ops, m.Op)
 	}
 	return uint64(len(e.keys)), nil
 }
@@ -154,6 +157,19 @@ func (e *recEngine) Sync(uint64) error {
 }
 
 func (e *recEngine) Close() error { return nil }
+
+// opsOn returns the ops of the records logged for key, in order.
+func (e *recEngine) opsOn(key string) []kvstore.Op {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var ops []kvstore.Op
+	for i, k := range e.keys {
+		if k == key {
+			ops = append(ops, e.ops[i])
+		}
+	}
+	return ops
+}
 
 func (e *recEngine) logged() ([]string, int) {
 	e.mu.Lock()
@@ -202,9 +218,9 @@ func TestDrainLogsWhatItApplies(t *testing.T) {
 	}
 	keys, syncs := eng.logged()
 	want := []string{
-		LogKey("g", 1), DataKey("g", "x"), MetaKey("g"), // entry 1
-		LogKey("g", 3),                                                     // entry 3, above the gap
-		LogKey("g", 2), DataKey("g", "y"), DataKey("g", "x"), MetaKey("g"), // entries 2 and 3
+		paxos.StateKey("g", 1), DataKey("g", "x"), MetaKey("g"), // entry 1
+		paxos.StateKey("g", 3),                                                     // entry 3, above the gap
+		paxos.StateKey("g", 2), DataKey("g", "y"), DataKey("g", "x"), MetaKey("g"), // entries 2 and 3
 	}
 	if fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Fatalf("WAL records:\n got %v\nwant %v", keys, want)
@@ -241,7 +257,7 @@ func TestQueuedEntryReadableBeforeDrain(t *testing.T) {
 	if h, err := l.Append(2, b2); err != nil || h != 2 {
 		t.Fatalf("append 2: h=%d err=%v", h, err)
 	}
-	if _, _, err := store.ReadPacked(LogKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
+	if _, _, err := store.ReadPacked(paxos.StateKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("Append wrote the log row itself: %v", err)
 	}
 	if !l.Has(2) {
@@ -396,7 +412,7 @@ func TestLogEntryServedFromCacheAfterStoreDelete(t *testing.T) {
 	}
 	// Deleting the durable row behind the cache's back: Entry still serves
 	// the decoded entry, proving no store round-trip or re-decode happens.
-	store.Delete(LogKey("g", 1))
+	store.Delete(paxos.StateKey("g", 1))
 	entry, ok := l.Entry(1)
 	if !ok || !entry.Contains("t1") {
 		t.Fatalf("cached entry = %v %v", entry, ok)
@@ -444,7 +460,7 @@ func TestLogReopenRecoversWatermarkAndPending(t *testing.T) {
 	l.Close()
 	// Simulate an entry that was decided and made durable but whose data
 	// writes never landed (crash between log-row write and apply).
-	if err := store.WriteIdempotent(LogKey("g", 4), kvstore.Value{"entry": string(testEntry("t4", 3, map[string]string{"k": "4"}))}, 0); err != nil {
+	if err := store.WriteIdempotent(paxos.StateKey("g", 4), paxos.DecidedRow(string(testEntry("t4", 3, map[string]string{"k": "4"}))), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -482,7 +498,7 @@ func TestLogCompact(t *testing.T) {
 		t.Fatalf("CompactedTo = %d", got)
 	}
 	for pos := int64(1); pos < 4; pos++ {
-		if _, _, err := store.Read(LogKey("g", pos), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
+		if _, _, err := store.Read(paxos.StateKey("g", pos), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
 			t.Fatalf("log row %d survived compaction: %v", pos, err)
 		}
 	}
@@ -596,7 +612,7 @@ func BenchmarkApplyThroughput(b *testing.B) {
 		apply := func(pos int64, entryBytes []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
-			if err := store.WriteIdempotent(LogKey("g", pos), kvstore.Value{"entry": string(entryBytes)}, 0); err != nil {
+			if err := store.WriteIdempotent(paxos.StateKey("g", pos), kvstore.Value{"entry": string(entryBytes)}, 0); err != nil {
 				return err
 			}
 			entry, err := wal.Decode(entryBytes)
