@@ -5,10 +5,10 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck smoke-names examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
+.PHONY: check build fmt vet mdcheck smoke-names examples test race cover faults-smoke migration-smoke scan-smoke fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
 
 ## check: everything CI gates a PR on
-check: fmt vet mdcheck smoke-names examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
+check: fmt vet mdcheck smoke-names examples race faults-smoke migration-smoke scan-smoke fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,20 @@ migration-smoke:
 scan-smoke:
 	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexAgainstOracle|TestIndexBytesPerKey|TestScanAfterDeleteRecreateChurn|TestScanPageCostIgnoresHistory|TestScanRacesCreatesAndDeletes|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestSaveIsDeterministic|TestPinReadsDoesNotWalkLivePins|TestExpiredPinsDropWithoutCompact|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScansQuick' \
 		./internal/kvstore ./internal/kvstore/disk ./internal/replog ./internal/core ./internal/bench
+
+## fuzz-smoke: every fuzzer the tree holds — found with `go test -list`, no
+## list kept here — run for FUZZTIME each on top of its seed corpus (CI "test"
+## job). The decoders they cover read bytes from outside the process: the wire
+## codec, the WAL and its records, the packed value, the snapshot stream.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -o pipefail; \
+	$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { names = names " " $$1 } \
+		/^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = "" }' | \
+	while read -r pkg name; do \
+		echo "fuzz-smoke: $$pkg $$name"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 ## bench-smoke: one iteration of every benchmark + BENCH_ci.json (CI "bench" job)
 bench-smoke:

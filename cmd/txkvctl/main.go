@@ -228,7 +228,10 @@ func main() {
 		if err != nil || target <= 0 {
 			log.Fatalf("txkvctl: bad target group count %q", args[1])
 		}
-		runGrow(place, target, dcs, transport, *timeout)
+		runGrow(place, target, dcs, func(cfg core.Config) *core.Client {
+			cfg.Timeout = *timeout
+			return core.NewClient(*clientID, *local, transport, cfg)
+		})
 	case "migrations":
 		if place == nil {
 			log.Fatal("txkvctl: migrations requires -groups N")
@@ -272,8 +275,8 @@ func main() {
 // handoff as it commits. Routing is client-side, so the grow changes no
 // daemon configuration: once it completes, clients invoked with -groups
 // TARGET route through the new placement, and stragglers still passing the
-// old count are redirected by the protocol's "moved" verdicts.
-func runGrow(place *placement.Placement, target int, dcs []string, transport network.Transport, timeout time.Duration) {
+// old count are redirected by the protocol's moved verdicts.
+func runGrow(place *placement.Placement, target int, dcs []string, newClient func(core.Config) *core.Client) {
 	have := len(place.Groups())
 	if target <= have {
 		log.Fatalf("txkvctl: grow to %d groups: already have %d", target, have)
@@ -287,18 +290,16 @@ func runGrow(place *placement.Placement, target int, dcs []string, transport net
 		step := step
 		fmt.Printf("step %s: migrating %d ranges\n", step.Added, len(step.Pairs))
 		mig := &core.Migrator{
-			Transport: transport,
-			Timeout:   timeout,
 			// Seed master lookups from the post-step spread over the sorted
 			// peer list — the spread routed clients will compute once they
 			// adopt the grown placement. A stale seed only costs redirect
-			// hops: the coordinator follows "not master" hints.
-			MasterFor: func(group string) string {
+			// hops: the coordinator follows not-master hints.
+			Client: newClient(core.Config{Protocol: core.Master, MasterFor: func(group string) string {
 				if i := step.To.IndexOf(group); i >= 0 {
 					return dcs[i%len(dcs)]
 				}
 				return ""
-			},
+			}}),
 			OnPhase: func(h wal.Handoff, pos int64) {
 				fmt.Printf("  %-9s %s->%s v%d @%d\n", h.Phase, h.From, h.To, h.Version, pos)
 			},

@@ -82,7 +82,7 @@ func main() {
 			// daemon-level alert with the operational next step.
 			OnFail: func(err error) {
 				log.Printf("txkvd: ERROR: STORAGE ENGINE FAILED (fail-stop): %v", err)
-				log.Printf("txkvd: ERROR: this replica refuses all mutations with %q; clients fail over once the lease lapses — replace the disk and restart", core.ErrReplicaFailed)
+				log.Printf("txkvd: ERROR: this replica refuses all mutations with verdict %q; clients fail over once the lease lapses — replace the disk and restart", network.VerdictReplicaFailed)
 			},
 		})
 		if err != nil {

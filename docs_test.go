@@ -2,6 +2,7 @@ package paxoscp
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -55,6 +56,60 @@ func TestOneSerializationIdiom(t *testing.T) {
 					t.Errorf("%s imports encoding/gob", path)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNoStringMatchedVerdicts keeps refusals typed: what a refusal means is
+// its network.Verdict (DESIGN.md §9), and a Message's Err is detail for
+// people. No code outside tests may branch on an Err's text — compare one,
+// switch on one, or search one with package strings — which is how ten marker
+// strings once came to be matched in five files.
+func TestNoStringMatchedVerdicts(t *testing.T) {
+	isErr := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Err"
+	}
+	isNil := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "nil"
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				bad := false
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					bad = (n.Op == token.EQL || n.Op == token.NEQ) &&
+						(isErr(n.X) && !isNil(n.Y) || isErr(n.Y) && !isNil(n.X))
+				case *ast.SwitchStmt:
+					bad = n.Tag != nil && isErr(n.Tag)
+				case *ast.CallExpr:
+					if fn, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if pkg, ok := fn.X.(*ast.Ident); ok && pkg.Name == "strings" {
+							for _, arg := range n.Args {
+								bad = bad || isErr(arg)
+							}
+						}
+					}
+				}
+				if bad {
+					t.Errorf("%s branches on the text of an Err; compare the Verdict", fset.Position(n.Pos()))
+				}
+				return true
+			})
 			return nil
 		})
 		if err != nil {

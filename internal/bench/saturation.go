@@ -23,7 +23,7 @@ import (
 // The figure's claim: beyond saturation, committed throughput plateaus at
 // the pipeline's capacity instead of collapsing, and commit latency (p99)
 // stays bounded instead of growing with the offered load, because the excess
-// is refused fast — the retryable core.ErrOverloaded verdict costs one round
+// is refused fast — the retryable network.VerdictOverloaded refusal costs one round
 // trip and no pipeline state — rather than queueing without bound behind the
 // replication window. Rejected transactions retry with backoff (the
 // well-behaved client response), so the run still measures time-to-commit.
@@ -33,7 +33,7 @@ func Saturation(o Options) ([]Table, error) {
 	o = o.withDefaults()
 	t := Table{
 		Title: "Saturation: offered load vs committed throughput under admission control (VVV, one group, window 2x2, queue " + fmt.Sprint(saturationQueue) + ")",
-		Note:  "unpaced threads oversubscribe one bounded master pipeline; rejects are fast-failed retryable refusals (core.ErrOverloaded), retried with backoff; p99 over committed transactions",
+		Note:  "unpaced threads oversubscribe one bounded master pipeline; rejects are fast-failed retryable refusals (network.VerdictOverloaded), retried with backoff; p99 over committed transactions",
 		Columns: []string{"threads", "commits", "rejects", "aborts+fail", "commits/sec",
 			"p99-ms", "check"},
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	SubmitCombine int
 	// SubmitQueue sets each service's per-group submit admission cap:
 	// submissions beyond this queue depth fail fast with the retryable
-	// core.ErrOverloaded marker (DESIGN.md §13). 0 means
+	// network.VerdictOverloaded (DESIGN.md §13). 0 means
 	// core.DefaultSubmitQueue; negative lifts the cap.
 	SubmitQueue int
 	// LeaseDuration is the master lease duration for epoch-fenced

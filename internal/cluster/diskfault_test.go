@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,7 +65,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, f func() bool) {
 // TestEngineFailStopFailsOver is the deterministic single-fault version of
 // the disk nemesis: the master's storage engine fail-stops mid-traffic and
 // the contract of DESIGN.md §14 plays out end to end — the victim refuses
-// mutations with the ErrReplicaFailed verdict but keeps serving reads, its
+// mutations with VerdictReplicaFailed but keeps serving reads, its
 // lease lapses un-renewed, a healthy replica claims the next epoch on the
 // ordinary dead-master path, and clients pointed at the dead master commit
 // there without manual intervention.
@@ -116,7 +117,7 @@ func TestEngineFailStopFailsOver(t *testing.T) {
 	}
 
 	// Client view: commits pointed at the dead master keep succeeding — the
-	// client hops off the ErrReplicaFailed verdict, waits out the lease, and
+	// client hops off the VerdictReplicaFailed refusal, waits out the lease, and
 	// a healthy replica claims the next epoch.
 	var res core.CommitResult
 	waitUntil(t, 15*time.Second, "failover commit under a new epoch", func() bool {
@@ -158,10 +159,10 @@ func TestEngineFailStopFailsOver(t *testing.T) {
 }
 
 // TestReplicaFailedVerdictReachesClient pins the client-visible half of the
-// verdict contract: ErrReplicaFailed is definitive at the answering replica
-// but retryable elsewhere — so only when EVERY replica's storage has failed
-// does the client surface it, naming the marker, instead of retrying
-// forever.
+// verdict contract: VerdictReplicaFailed is definitive at the answering
+// replica but retryable elsewhere — so only when EVERY replica's storage has
+// failed does the client surface it, as a *core.Refusal carrying the verdict,
+// instead of retrying forever.
 func TestReplicaFailedVerdictReachesClient(t *testing.T) {
 	c, inj := faultyDiskCluster(t, Config{
 		Topology:      MustPaperTopology("VVV"),
@@ -201,10 +202,11 @@ func TestReplicaFailedVerdictReachesClient(t *testing.T) {
 				return false
 			}
 		}
-		return strings.Contains(lastErr.Error(), core.ErrReplicaFailed)
+		var ref *core.Refusal
+		return errors.As(lastErr, &ref) && ref.Verdict == network.VerdictReplicaFailed
 	})
 	if !strings.Contains(lastErr.Error(), "no healthy replica left") {
-		t.Logf("terminal error (marker present, hop summary differs): %v", lastErr)
+		t.Logf("terminal error (verdict present, hop summary differs): %v", lastErr)
 	}
 	// All three refuse mutations; all three still serve their read image.
 	for _, dc := range c.DCs() {

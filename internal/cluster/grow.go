@@ -14,7 +14,7 @@ import (
 // online backfill and an epoch-fenced cutover, with client traffic still
 // flowing. Clients built by NewKV route through clusterRouter, so they adopt
 // each step's new placement the moment the cluster swaps it in; clients that
-// race the swap are redirected by the protocol itself ("moved" verdicts).
+// race the swap are redirected by the protocol itself (VerdictMoved).
 
 // clusterRouter adapts the cluster's swappable placement to core.Router: a
 // routing decision always consults the placement current at that instant.
@@ -59,18 +59,16 @@ func (c *Cluster) Grow(ctx context.Context, n int) error {
 
 		step := step
 		mig := &core.Migrator{
-			Transport: c.endpoints[dcs[0]],
-			Timeout:   c.cfg.Timeout,
 			// Seed master lookups from the post-step spread, so the new
 			// group's designated master matches what MasterOf will report
 			// once the placement swaps in. A stale seed only costs redirect
-			// hops: the coordinator follows "not master" hints.
-			MasterFor: func(group string) string {
+			// hops: the coordinator follows not-master hints.
+			Client: c.NewClient(dcs[0], core.Config{Protocol: core.Master, MasterFor: func(group string) string {
 				if i := step.To.IndexOf(group); i >= 0 {
 					return dcs[i%len(dcs)]
 				}
 				return dcs[0]
-			},
+			}}),
 			OnPhase: c.cfg.OnMigrationPhase,
 		}
 		if err := mig.Step(ctx, step); err != nil {

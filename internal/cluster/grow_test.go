@@ -202,7 +202,7 @@ func TestBackfillLostVerdictCommitsOnce(t *testing.T) {
 		c.Service(dc).EnsureGroups(step.Added)
 	}
 	drop := &verdictDropper{Transport: c.endpoints[c.DCs()[0]], sends: map[string]int{}}
-	mig := &core.Migrator{Transport: drop, Timeout: c.cfg.Timeout}
+	mig := &core.Migrator{Client: core.NewClient(500, c.DCs()[0], drop, core.Config{Protocol: core.Master, Timeout: c.cfg.Timeout})}
 	if err := mig.Step(ctx, step); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -270,13 +270,13 @@ func TestScanStaleDestinationLeg(t *testing.T) {
 	// g0 and g1 are mastered at dcs[0] and dcs[1]; put g2's master at dcs[2]
 	// and drive the migration from dcs[1], so that cutting the dcs[0]–dcs[2]
 	// link starves dcs[0] of g2's entries and of nothing else.
-	mig := &core.Migrator{Transport: c.endpoints[dcs[1]], Timeout: c.cfg.Timeout,
+	mig := &core.Migrator{Client: c.NewClient(dcs[1], core.Config{Protocol: core.Master,
 		MasterFor: func(g string) string {
 			if g == step.Added {
 				return dcs[2]
 			}
 			return c.MasterOf(g)
-		}}
+		}})}
 	groups := step.To.Groups()
 	if err := mig.MigratePair(ctx, "g0", step.Added, groups); err != nil {
 		t.Fatal(err)

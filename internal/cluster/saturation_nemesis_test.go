@@ -23,7 +23,7 @@ import (
 // links and heals them. The admission-control contract under that storm:
 //
 //   - overload surfaces: clients see the retryable rejected verdict
-//     (core.ErrOverloaded behind stats.Rejected) instead of queueing without
+//     (network.VerdictOverloaded behind stats.Rejected) instead of queueing without
 //     bound behind the replication window;
 //   - commit latency stays bounded: p99 over committed transactions is a
 //     function of the (queue + window) depth and the protocol's timeouts,

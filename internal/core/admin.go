@@ -44,9 +44,9 @@ type GroupStatus struct {
 	// the deployment in the same reply.
 	Groups []string `json:"groups,omitempty"`
 	// Fault is the replica's storage-engine fail-stop reason, "" while
-	// healthy. A faulted replica refuses mutations with ErrReplicaFailed
-	// and declines mastership; reads and catch-up keep serving (DESIGN.md
-	// §14, fail-stop → failover).
+	// healthy. A faulted replica refuses mutations with
+	// VerdictReplicaFailed and declines mastership; reads and catch-up keep
+	// serving (DESIGN.md §14, fail-stop → failover).
 	Fault string `json:"fault,omitempty"`
 	// ScrubRuns counts completed background scrub passes and ScrubCorrupt
 	// lists the files the latest pass found corrupt (disk engine only;

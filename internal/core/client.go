@@ -33,7 +33,7 @@ type Client struct {
 
 	// sendOrder is the datacenter preference order for transaction API
 	// requests (local first, then every peer): precomputed once because
-	// sendPreferLocal runs on the per-read hot path.
+	// sender.toAny runs on the per-read hot path.
 	sendOrder []string
 	// txnPrefix is the "<dc>-<id>-" prefix of every transaction ID this
 	// client mints; newTx appends only the sequence number.
@@ -141,49 +141,11 @@ func (c *Client) recentShown(group string) (int64, bool) {
 	return s.pos, ok && time.Since(s.at) <= c.cfg.timeout()
 }
 
-// errAllServicesUnavailable reports that no datacenter answered a
-// transaction API request.
-var errAllServicesUnavailable = errors.New("core: no transaction service reachable")
-
-// sendPreferLocal sends req to the local service first and falls back to the
-// other datacenters in order ("If the local Transaction Service is not
-// available, the library contacts Transaction Services in other datacenters
-// until a response is received", §4). The order is precomputed at NewClient:
-// this runs on the per-read hot path, and peer sets are fixed for a client's
-// lifetime (cluster topology changes mint new clients).
-//
-// Every request sent this way — readpos, read, readmulti, scan — is answered
-// with the log position it was served at in TS, which noteShown keeps.
+// sendPreferLocal sends a transaction API request — readpos, read, readmulti,
+// scan — to the local service first and falls back to the other datacenters
+// (sender.toAny, route.go).
 func (c *Client) sendPreferLocal(ctx context.Context, req network.Message) (network.Message, error) {
-	order := c.sendOrder
-	timeout := c.cfg.timeout()
-	var lastErr error = errAllServicesUnavailable
-	for _, dc := range order {
-		cctx, cancel := context.WithTimeout(ctx, timeout)
-		resp, err := c.transport.Send(cctx, dc, req)
-		cancel()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if !resp.OK {
-			// Migration refusals (DESIGN.md §15) are definitive for the
-			// position being read — every datacenter that has applied the
-			// handoff answers identically — so surface them typed instead of
-			// shopping the request to the next peer.
-			switch resp.Err {
-			case ErrMoved:
-				return network.Message{}, &MovedError{To: resp.Value, Keys: append([]string(nil), resp.Keys...)}
-			case ErrMigrating:
-				return network.Message{}, ErrMigratingRange
-			}
-			lastErr = fmt.Errorf("core: service %s: %s", dc, resp.Err)
-			continue
-		}
-		c.noteShown(req.Group, resp.TS)
-		return resp, nil
-	}
-	return network.Message{}, lastErr
+	return sender{c: c}.toAny(ctx, req)
 }
 
 // unresolvedPos marks a transaction whose read position has not been fixed

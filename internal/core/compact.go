@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,7 +19,7 @@ import (
 // periodically scavenges everything below a compaction horizon (Megastore
 // does the same with its catch-up/scavenging machinery). A replica that
 // falls behind the horizon can no longer catch up entry by entry — its
-// peers answer fetch requests with a "compacted" marker carrying the
+// peers answer fetch requests with VerdictCompacted, carrying the
 // horizon, and the laggard installs a state snapshot instead, then resumes
 // normal per-entry catch-up above the horizon.
 //
@@ -32,10 +31,6 @@ import (
 // bookkeeping belong to internal/replog; this file contributes the
 // service-owned per-position rows (leader claims), data-version GC, and the
 // snapshot transfer.
-
-// errCompacted is the wire marker a service returns for a fetch of a
-// compacted log position.
-const errCompacted = "compacted"
 
 // Compact scavenges everything strictly below the given horizon: old data
 // item versions, decided log entries with the acceptor state they grew out
@@ -111,9 +106,9 @@ func (s *Service) handleSnapshot(req network.Message) network.Message {
 		page = kvstore.AppendRecord(nil, kvstore.Mutation{Op: kvstore.OpWrite, Key: replog.MetaKey(req.Group), TS: pin, Value: header})
 		after = ""
 	}
-	h, _, err := s.pinPage(req.Group, pin)
-	if err != nil {
-		return network.Status(false, err.Error())
+	h, _, refusal, ok := s.pinPage(req.Group, pin)
+	if !ok {
+		return refusal
 	}
 	resp := network.Message{Kind: network.KindValue, OK: true, TS: h}
 	for {
@@ -178,11 +173,11 @@ func (s *Service) installFrom(ctx context.Context, dc, group string) error {
 		switch {
 		case err != nil:
 			return fail(err)
-		case !resp.OK && resp.Err == errCompacted && !first && restarts < snapshotRestarts:
+		case !resp.OK && resp.Verdict == network.VerdictCompacted && !first && restarts < snapshotRestarts:
 			req, restarts = start, restarts+1 // the pin is gone: start over at a fresh one
 			continue
 		case !resp.OK:
-			return fail(errors.New(resp.Err))
+			return fail(newRefusal(dc, resp))
 		case first && resp.TS <= lg.Applied():
 			return fail(fmt.Errorf("its horizon %d is not ahead of ours", resp.TS))
 		case first:

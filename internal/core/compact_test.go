@@ -99,7 +99,7 @@ func TestFetchLogReportsCompacted(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})
-	if resp.OK || resp.Err != errCompacted || resp.TS != 4 {
+	if resp.OK || resp.Verdict != network.VerdictCompacted || resp.TS != 4 {
 		t.Fatalf("fetch of compacted position = %+v", resp)
 	}
 	// Position at the horizon is still served.
@@ -416,7 +416,7 @@ func TestSnapshotPagesAreOneSnapshot(t *testing.T) {
 			}
 			if n == 3 {
 				advance(t, a)
-				refusal := network.Status(false, errCompacted)
+				refusal := network.Refuse(network.VerdictCompacted, "")
 				return &refusal
 			}
 			return nil
@@ -438,7 +438,7 @@ func TestSnapshotPagesAreOneSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp := a.Handler()("C", network.Message{Kind: network.KindSnapshot, Group: "g", TS: 20, Key: "r003-00", Found: true})
-		if resp.OK || resp.Err != errCompacted {
+		if resp.OK || resp.Verdict != network.VerdictCompacted {
 			t.Fatalf("page at 20 below the horizon 30 = %+v", resp)
 		}
 	})

@@ -21,13 +21,6 @@ import (
 // submits enter the group pipeline asynchronously, holding no goroutine at
 // all while their position replicates.
 
-// ErrShutdown is the wire marker a closing service returns for requests that
-// were still queued (or arrive) after dispatcher shutdown began. Before the
-// drain existed, such requests were silently dropped and their peers burned
-// a full timeout each; the explicit refusal turns a close-window request
-// into an immediate retryable verdict.
-const ErrShutdown = "shutting down"
-
 // dispatchQueueLen bounds one shard worker's request backlog. Overflow does
 // not block the transport read loop: an over-full shard spills requests to
 // fresh goroutines, degrading to the pre-dispatch behavior instead of
@@ -35,8 +28,8 @@ const ErrShutdown = "shutting down"
 const dispatchQueueLen = 256
 
 // dispatchItem pairs a queued handler invocation with its refusal: close()
-// drains still-queued items through refuse so their peers get an ErrShutdown
-// verdict instead of a timeout.
+// drains still-queued items through refuse so their peers get a
+// VerdictShutdown refusal instead of a timeout.
 type dispatchItem struct {
 	run    func()
 	refuse func()
@@ -112,7 +105,7 @@ func (d *dispatcher) dispatch(group string, fn, refuse func()) {
 }
 
 // close stops the workers. Requests still queued are drained with their
-// refusal (ErrShutdown verdicts), not dropped: before the drain, a peer that
+// refusal (VerdictShutdown), not dropped: before the drain, a peer that
 // raced a request against Service.Close paid a full timeout to learn
 // nothing. Only called on Service shutdown.
 func (d *dispatcher) close() {
@@ -140,7 +133,11 @@ func (d *dispatcher) close() {
 func (s *Service) AsyncHandler() network.AsyncHandler {
 	h := s.Handler()
 	return func(from string, req network.Message, reply func(network.Message)) {
-		refuse := func() { reply(network.Status(false, ErrShutdown)) }
+		// A closing service refuses what is still queued, or arrives, once
+		// dispatcher shutdown has begun: the request never ran, so the peer
+		// may take it to another replica at once (the pipeline's close does
+		// the same for queued submits).
+		refuse := func() { reply(network.Refuse(network.VerdictShutdown, "")) }
 		switch req.Kind {
 		case network.KindSubmit:
 			s.handleSubmitAsync(req, reply)

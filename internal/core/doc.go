@@ -35,8 +35,13 @@
 // group, work that can block gets its own goroutine, and submits enter the
 // master pipeline asynchronously — no goroutine is held while a position
 // replicates, and a submit arriving at a full queue is refused fast with
-// the retryable ErrOverloaded marker (admission control, WithSubmitQueue)
+// the retryable VerdictOverloaded (admission control, WithSubmitQueue)
 // instead of queueing without bound.
+//
+// A service that will not serve a request says why with a network.Verdict
+// (the reply's Err is text for people); what a client does with each verdict
+// is one table, and following a refusal from replica to replica one loop
+// (route.go), which the client and the migration coordinator both send through.
 //
 // # Master leases and epoch fencing
 //
@@ -48,7 +53,7 @@
 // both believe they are master — the split-brain window of a partition —
 // can never both commit. ClaimMastership is the takeover entry point;
 // clients that submit to a deposed master are redirected by hint
-// (ErrNotMaster), and a deposed service stands off with a per-epoch claim
+// (VerdictNotMaster), and a deposed service stands off with a per-epoch claim
 // backoff before re-contending, so a sustained asymmetric partition cannot
 // make mastership ping-pong. The epoch machinery is on by default; Basic
 // and CP clients are unaffected (their entries are unstamped and never

@@ -1,20 +1,16 @@
 package core
 
-import (
-	"paxoscp/internal/network"
-)
-
 // Fail-stop → failover (DESIGN.md §14). A replica whose durability engine
 // has poisoned (fsync error, ENOSPC, torn write — kvstore fail-stop) must
 // not limp along as master, timing clients out while its lease keeps
 // renewing through entries it can no longer apply. The contract:
 //
-//   - Mutating requests are refused up front with the distinct
-//     ErrReplicaFailed verdict: definitive at this replica (its disk is
-//     gone for the life of the process), retryable elsewhere (nothing
-//     reached the log). Reads keep serving the in-memory image, and the
-//     replica keeps answering catch-up fetches so its peers can absorb
-//     everything it committed before dying.
+//   - Mutating requests are refused up front with VerdictReplicaFailed, the
+//     engine's failure as the detail: definitive at this replica (its disk
+//     is gone for the life of the process), retryable elsewhere (nothing
+//     reached the log) — clients hop off it (route.go). Reads keep serving
+//     the in-memory image, and the replica keeps answering catch-up fetches
+//     so its peers can absorb everything it committed before dying.
 //   - The replica declines to claim or renew mastership. Combined with the
 //     submit refusal (no new stamped entries), its lease goes silent and
 //     lapses within one lease duration, at which point a healthy peer's
@@ -29,21 +25,8 @@ import (
 // the local apply fails), wedging the group behind a master that can
 // commit nothing.
 
-// ErrReplicaFailed is the wire error marker for a submit refused because
-// this replica's storage engine has fail-stopped. The reply's Value
-// carries the engine failure text for diagnostics. Clients treat it as
-// non-retryable at this replica and retryable at any other.
-const ErrReplicaFailed = "replica failed"
-
 // replicaFault reports this service's storage-engine failure, nil while
 // healthy.
 func (s *Service) replicaFault() error {
 	return s.store.EngineFailure()
-}
-
-// replicaFailedReply builds the ErrReplicaFailed refusal.
-func replicaFailedReply(err error) network.Message {
-	m := network.Status(false, ErrReplicaFailed)
-	m.Value = err.Error()
-	return m
 }

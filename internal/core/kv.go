@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 )
 
@@ -55,16 +56,16 @@ func (kv *KV) Client() *Client { return kv.client }
 // Router returns the facade's key router.
 func (kv *KV) Router() Router { return kv.router }
 
-// kvMovedHops bounds how many "moved" redirects one KV operation follows: a
+// kvMovedHops bounds how many VerdictMoved redirects one KV operation follows: a
 // key can hop once per placement growth step, so the budget covers several
 // back-to-back grows plus slack.
 const kvMovedHops = 8
 
-// kvMigratingRetries bounds how many "migrating" waits one KV operation
+// kvMigratingRetries bounds how many VerdictMigrating waits one KV operation
 // absorbs while a range is mid-cutover at its new group.
 const kvMigratingRetries = 64
 
-// retryDelay is the wait between "migrating" retries: a fraction of the
+// retryDelay is the wait between those retries: a fraction of the
 // client timeout — cutover is a few log entries, not a few round trips.
 func (kv *KV) retryDelay() time.Duration {
 	d := kv.client.cfg.timeout()
@@ -75,23 +76,24 @@ func (kv *KV) retryDelay() time.Duration {
 }
 
 // follow runs op against key's owning group, following live-migration
-// redirects (DESIGN.md §15): a MovedError re-routes to the destination
-// group (the key's range migrated), ErrMigratingRange waits briefly and
-// retries in place (the range is mid-cutover). Any other outcome returns
-// as-is.
+// redirects (DESIGN.md §15): a Refusal with VerdictMoved re-routes to the
+// destination group its hint names (the key's range migrated), one with
+// VerdictMigrating waits briefly and retries in place (the range is
+// mid-cutover). Any other outcome returns as-is.
 func (kv *KV) follow(ctx context.Context, key string, op func(group string) error) error {
 	group := kv.router.GroupFor(key)
 	hops, waits := 0, 0
 	for {
 		err := op(group)
-		var mv *MovedError
+		var ref *Refusal
+		errors.As(err, &ref)
 		switch {
-		case errors.As(err, &mv):
+		case ref != nil && ref.Verdict == network.VerdictMoved:
 			if hops++; hops > kvMovedHops {
 				return err
 			}
-			group = mv.To
-		case errors.Is(err, ErrMigratingRange):
+			group = ref.Hint
+		case ref != nil && ref.Verdict == network.VerdictMigrating:
 			if waits++; waits > kvMigratingRetries {
 				return err
 			}
@@ -213,8 +215,8 @@ type MultiRead struct {
 // that failed — a partial result would silently narrow the caller's view.
 //
 // Live-migration redirects are followed per key (DESIGN.md §15): a leg
-// refused with "moved" re-routes exactly the moved keys to the destination
-// group and retries; "migrating" waits briefly and retries in place. A read
+// refused with VerdictMoved re-routes exactly the moved keys to the destination
+// group and retries; VerdictMigrating waits briefly and retries in place. A read
 // that straddles a cutover can therefore serve one group's keys across two
 // legs — each leg is still one snapshot, but a group re-read after a redirect
 // reports the later leg's position in Positions.
@@ -291,28 +293,29 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 		errByGroup := make(map[string]error)
 		moved, migrating := false, false
 		for r := range results {
-			var mv *MovedError
+			var ref *Refusal
+			errors.As(r.err, &ref)
 			switch {
 			case r.err == nil:
 				out.Positions[r.group] = r.pos
 				for _, slot := range r.idx {
 					done[slot] = true
 				}
-			case errors.As(r.err, &mv):
+			case ref != nil && ref.Verdict == network.VerdictMoved:
 				moved = true
 				// Re-route exactly the moved keys; the leg's other keys
 				// retry on the same group. A hint without keys moves the
 				// whole leg (conservative: the destination re-fences).
-				movedKeys := make(map[string]bool, len(mv.Keys))
-				for _, k := range mv.Keys {
+				movedKeys := make(map[string]bool, len(ref.Keys))
+				for _, k := range ref.Keys {
 					movedKeys[k] = true
 				}
 				for _, slot := range r.idx {
-					if len(mv.Keys) == 0 || movedKeys[keys[slot]] {
-						groupOf[slot] = mv.To
+					if len(ref.Keys) == 0 || movedKeys[keys[slot]] {
+						groupOf[slot] = ref.Hint
 					}
 				}
-			case errors.Is(r.err, ErrMigratingRange):
+			case ref != nil && ref.Verdict == network.VerdictMigrating:
 				migrating = true
 			default:
 				failed = append(failed, r.group)

@@ -50,11 +50,6 @@ func (s *Service) Mastership(group string) (st replog.EpochState, leaseValid boo
 	return st, time.Since(renewedAt) < s.leaseDuration()
 }
 
-// ErrNotMaster is the wire error marker a service returns for a submit it
-// refuses because another datacenter holds the group's mastership; the
-// reply's Value carries the holder as a hint for the client to retry at.
-const ErrNotMaster = "not master"
-
 // ClaimMastership makes this datacenter the group's master: it waits out
 // any live lease held by another datacenter, commits a claim entry for the
 // next epoch through the group's log, and absorbs the log up to the claim.

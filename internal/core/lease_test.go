@@ -103,7 +103,7 @@ func TestSubmitAutoClaimsAndStampsEpoch(t *testing.T) {
 }
 
 // TestDeposedMasterRefusesWithHintAndClientFollows: after a takeover, the
-// old master refuses submits with ErrNotMaster and the prevailing holder;
+// old master refuses submits with VerdictNotMaster and the prevailing holder;
 // the client follows the hint and commits at the new master under the new
 // epoch — the retry-to-new-master path.
 func TestDeposedMasterRefusesWithHintAndClientFollows(t *testing.T) {
@@ -191,8 +191,8 @@ func TestDeposedMasterInFlightDrainsAsFailure(t *testing.T) {
 	if resp.OK {
 		t.Fatalf("deposed master accepted a submit: %+v", resp)
 	}
-	if resp.Err != ErrNotMaster || resp.Value != "B" {
-		t.Fatalf("refusal = %q hint %q, want %q hint B", resp.Err, resp.Value, ErrNotMaster)
+	if resp.Verdict != network.VerdictNotMaster || resp.Value != "B" {
+		t.Fatalf("refusal = %q hint %q, want %q hint B", resp.Verdict, resp.Value, network.VerdictNotMaster)
 	}
 	for _, svc := range services {
 		for pos, e := range svc.LogSnapshot("g") {
@@ -200,5 +200,29 @@ func TestDeposedMasterInFlightDrainsAsFailure(t *testing.T) {
 				t.Fatalf("refused transaction reached the log at %s/%d", svc.DC(), pos)
 			}
 		}
+	}
+}
+
+// TestCommitHopsOffAClosedMaster: a service that is shutting down refuses a
+// submit with VerdictShutdown — nothing of it reached the log — and the client
+// takes the transaction to another replica, which claims the group's next
+// epoch once the closed master's lease lapses.
+func TestCommitHopsOffAClosedMaster(t *testing.T) {
+	services, sim := leaseRing(t, 300*time.Millisecond)
+	ctx := context.Background()
+	if _, err := services["A"].ClaimMastership(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	services["A"].Close() // its endpoint stays registered: it answers, and refuses
+
+	cl := masterClient(t, sim, services, "B", "A")
+	tx, err := cl.Begin(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Write("k", "v")
+	res, err := tx.Commit(ctx)
+	if err != nil || res.Status != stats.Committed || res.Epoch < 2 {
+		t.Fatalf("commit seeded at the closed master = %+v, %v; want committed under a later epoch", res, err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,101 +43,32 @@ const Master Protocol = 2
 // instances; it shares the ballot space with regular clients.
 const masterClientID = paxos.MaxClients - 2
 
-// commitMaster submits the transaction to the group's master and waits for
-// its verdict. A service that is not the master refuses with ErrNotMaster
-// and a hint naming the prevailing holder; the client follows the hint —
-// the retry-to-new-master path after an epoch-fenced failover (DESIGN.md
-// §11) — for a bounded number of hops.
+// commitMaster submits the transaction to the group's master, wherever
+// mastership now is (sender.toMaster, route.go), and maps the verdict onto a
+// CommitResult. A refusal that says nothing reached the log is Rejected: an
+// overload is the caller's to retry at its own pace (the refusal's queue depth
+// was the backpressure hint), a range that moved or is mid-cutover is retried
+// at the group the refusal leads to — KV follows it (DESIGN.md §15).
 func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) {
-	master := c.cfg.MasterDC
-	if c.cfg.MasterFor != nil {
-		if m := c.cfg.MasterFor(t.group); m != "" {
-			master = m
-		}
+	resp, err := sender{c: c}.toMaster(ctx, t.group, network.Message{
+		Kind: network.KindSubmit, Group: t.group, Payload: wal.Encode(wal.NewEntry(t.walTxn())),
+	})
+	if err == nil {
+		return CommitResult{Status: stats.Committed, Pos: resp.TS, Combined: resp.Combined, Epoch: resp.Epoch}, nil
 	}
-	if master == "" {
-		master = c.transport.Peers()[0]
-	}
-	payload := wal.Encode(wal.NewEntry(t.walTxn()))
-	timeout := c.cfg.timeout()
-	const maxHops = 3
-	// attempts bounds the whole loop: each iteration costs at most one
-	// send round trip or one lease-lapse wait, so the dance around a
-	// fail-stopped replica (below) terminates even if no replica ever
-	// claims.
-	const attempts = 12
-	hops := 0
-	var failed map[string]bool // replicas that answered ErrReplicaFailed
-	for attempt := 0; attempt < attempts; attempt++ {
-		// The submit round trip covers the master's replication work, so
-		// give it two message timeouts.
-		cctx, cancel := context.WithTimeout(ctx, 2*timeout)
-		resp, err := c.transport.Send(cctx, master, network.Message{
-			Kind: network.KindSubmit, Group: t.group, Payload: payload,
-		})
-		cancel()
-		if err != nil {
-			return CommitResult{Status: stats.Failed}, fmt.Errorf("core: submit to master %s: %w", master, err)
-		}
-		switch {
-		case resp.OK:
-			c.noteShown(t.group, resp.TS)
-			return CommitResult{Status: stats.Committed, Pos: resp.TS, Combined: resp.Combined, Epoch: resp.Epoch}, nil
-		case resp.Err == masterConflict:
+	var ref *Refusal
+	if errors.As(err, &ref) {
+		switch ref.Verdict {
+		case network.VerdictConflict:
 			return CommitResult{Status: stats.Aborted}, nil
-		case resp.Err == ErrOverloaded:
-			// Admission control refused before any protocol work: nothing
-			// reached the log, so the caller may retry. resp.TS carries the
-			// master's queue depth as a backpressure hint.
+		case network.VerdictOverloaded:
 			return CommitResult{Status: stats.Rejected}, nil
-		case resp.Err == ErrMoved:
-			// The transaction wrote into a range that migrated away
-			// (DESIGN.md §15): nothing committed anywhere. Retryable at the
-			// destination group, which the typed error names — KV follows it.
-			return CommitResult{Status: stats.Rejected}, &MovedError{To: resp.Value, Keys: append([]string(nil), resp.Keys...)}
-		case resp.Err == ErrMigrating:
-			// The keys' range is mid-cutover at this group: retry shortly.
-			return CommitResult{Status: stats.Rejected}, ErrMigratingRange
-		case resp.Err == ErrReplicaFailed:
-			// The replica's storage engine has fail-stopped: definitive
-			// there for the life of its process, but nothing reached the
-			// log, so submit to a healthy replica instead — it claims the
-			// group's next epoch once the dead master's lease lapses.
-			if failed == nil {
-				failed = make(map[string]bool)
-			}
-			failed[master] = true
-			next := ""
-			for _, dc := range c.transport.Peers() {
-				if !failed[dc] {
-					next = dc
-					break
-				}
-			}
-			if next == "" {
-				return CommitResult{Status: stats.Failed}, fmt.Errorf("core: master %s: %s (%s); no healthy replica left", master, resp.Err, resp.Value)
-			}
-			master = next
-		case resp.Err == ErrNotMaster && failed[resp.Value]:
-			// This healthy replica still honors the fail-stopped master's
-			// lease. Following the hint would just bounce off the dead
-			// replica again — stand by for the lease to lapse here, then
-			// re-submit to this same replica so it claims.
-			if serr := sleepCtx(ctx, timeout); serr != nil {
-				return CommitResult{Status: stats.Failed}, fmt.Errorf("core: master %s failed, lease not yet lapsed at %s: %w", resp.Value, master, serr)
-			}
-		case resp.Err == ErrNotMaster && resp.Value != "" && resp.Value != master && hops < maxHops:
-			hops++
-			master = resp.Value // follow the hint to the prevailing master
-		default:
-			return CommitResult{Status: stats.Failed}, fmt.Errorf("core: master %s: %s", master, resp.Err)
+		case network.VerdictMoved, network.VerdictMigrating:
+			return CommitResult{Status: stats.Rejected}, err
 		}
 	}
-	return CommitResult{Status: stats.Failed}, fmt.Errorf("core: submit gave up after %d attempts (master %s)", attempts, master)
+	return CommitResult{Status: stats.Failed}, err
 }
-
-// masterConflict is the wire marker for a conflict abort verdict.
-const masterConflict = "conflict"
 
 // handleSubmit is the master-side entry point: the submitted transaction is
 // handed to the group's pipelined submit path (pipeline.go), which combines

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"paxoscp/internal/network"
 	"paxoscp/internal/placement"
@@ -29,8 +27,8 @@ import (
 //     with a rising version floor until a round copies few enough rows.
 //  3. HandoffOut commits to From's log: the range departs. Its log position
 //     is the migration frontier — every transaction at a later position that
-//     writes a range key is void (rule M1) with the retryable "moved"
-//     verdict, so the frozen rows are exactly the state at the frontier.
+//     writes a range key is void (rule M1) with the retryable VerdictMoved,
+//     so the frozen rows are exactly the state at the frontier.
 //  4. A final delta copy, served at a watermark at or past the frontier,
 //     moves the last writes that raced the cutover.
 //  5. HandoffIn commits to To's log: the range opens for normal traffic.
@@ -44,44 +42,20 @@ import (
 // same range to the same destination, so replicas that apply both reach the
 // same state.
 
-// ErrMoved is the wire marker for a migrated-range refusal: the key's range
-// departed this group. Retryable at the destination group, which the reply
-// names in Value (and the affected keys in Keys). Both the admission-time
-// refusal and the apply-time M1 verdict use it.
-const ErrMoved = "moved"
-
-// ErrMigrating is the wire marker for an inbound-range refusal: the key's
-// range is prepared here but not open yet (between HandoffPrepare and
-// HandoffIn). Retryable in place after a short wait — the cutover is
-// typically a few log entries away.
-const ErrMigrating = "migrating"
-
-func movedReply(to string, keys ...string) network.Message {
-	m := network.Status(false, ErrMoved)
-	m.Value = to
-	m.Keys = keys
-	return m
+// migrationVerdict is the refusal the migration rules call for — of a
+// transaction they void (its writes apply nowhere: a retryable redirect, not
+// a commit) and of a read they fence (Service.readFence): VerdictMoved naming
+// the destination group, and the keys where known, for a departed range (M1);
+// VerdictMigrating, which has no destination to name, for an inbound range not
+// open yet (M2; replog.Log.MovedTxn reports it as to == "").
+func migrationVerdict(to string, keys ...string) network.Message {
+	if to == "" {
+		return network.Refuse(network.VerdictMigrating, "")
+	}
+	refusal := network.Refuse(network.VerdictMoved, "")
+	refusal.Value, refusal.Keys = to, keys
+	return refusal
 }
-
-func migratingReply() network.Message {
-	return network.Status(false, ErrMigrating)
-}
-
-// MovedError is the client-side form of a "moved" refusal: the operation
-// touched keys whose range migrated to another group. Callers re-route to To
-// and retry; KV does so automatically.
-type MovedError struct {
-	To   string   // destination group
-	Keys []string // the keys the refusal named (may be empty on commits)
-}
-
-func (e *MovedError) Error() string {
-	return fmt.Sprintf("core: range moved to group %s", e.To)
-}
-
-// ErrMigratingRange is the client-side form of a "migrating" refusal: the
-// keys' range is mid-cutover at its new group. Retry shortly.
-var ErrMigratingRange = errors.New("core: range is migrating; retry shortly")
 
 // rangeSnapshotPageRows caps how many rows one KindRangeSnapshot reply
 // carries, bounding reply size and the store scan a single request costs.
@@ -110,9 +84,9 @@ const rangeSnapshotExamineBudget = 2048
 // backfill quadratic). The pin is registered with the replog (pinPage) so a
 // compaction between pages cannot GC the versions later pages still read.
 func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
-	ts, _, err := s.pinPage(req.Group, req.TS)
-	if err != nil {
-		return network.Status(false, err.Error())
+	ts, _, refusal, ok := s.pinPage(req.Group, req.TS)
+	if !ok {
+		return refusal
 	}
 	set := placement.NewMoveSet(req.Keys, req.Group, req.Value)
 	prefix := replog.DataPrefix(req.Group)
@@ -150,8 +124,8 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 // handleMigrate submits one handoff phase entry to the group's master
 // pipeline and blocks for the verdict; OK replies carry the entry's log
 // position in TS (the HandoffOut position is the frontier the coordinator
-// pins its final delta to). A non-master refuses with the usual ErrNotMaster
-// hint.
+// pins its final delta to). A non-master refuses with the usual
+// VerdictNotMaster hint.
 func (s *Service) handleMigrate(req network.Message) network.Message {
 	entry, err := wal.Decode(req.Payload)
 	if err != nil || !entry.IsHandoff() {
@@ -169,23 +143,18 @@ func (s *Service) handleMigrate(req network.Message) network.Message {
 // above against the groups' masters. One Migrator handles pairs serially; it
 // holds no state a crash would strand — every phase transition lives in the
 // groups' replicated logs, and re-running a pair is idempotent.
+//
+// It sends through its client's persistent sender (route.go): page reads to
+// any replica, handoff entries and backfill batches to the group's master —
+// seeded by the client's Config.MasterFor (the cluster's spread; a stale seed
+// only costs redirect hops) — each until it is answered or the context ends,
+// because a migration under fire is expected to stall through fault windows
+// and resume, not abort. Both submissions are safe to deliver twice: a
+// duplicate handoff record fences identically, and a resubmitted backfill
+// batch is answered with its first verdict (pipeline invariant W5).
 type Migrator struct {
-	// Transport reaches the cluster's datacenters.
-	Transport network.Transport
-	// Timeout bounds one message round; 0 means network.DefaultTimeout.
-	Timeout time.Duration
-	// MasterFor seeds master lookups per group (the cluster's spread).
-	// Unset, the first datacenter is tried and not-master hints are followed.
-	MasterFor func(group string) string
-	// LagBound is the delta-round row count at which the coordinator cuts
-	// over: a round that copied at most this many rows means the tail is
-	// short enough that the final frozen delta stays small. 0 means 16.
-	LagBound int
-	// MaxRounds caps chase rounds before cutting over regardless of lag —
-	// the HandoffOut fence bounds the final delta anyway. 0 means 8.
-	MaxRounds int
-	// BatchRows caps rows per backfill transaction. 0 means 32.
-	BatchRows int
+	// Client reaches the cluster's datacenters and knows each group's master.
+	Client *Client
 	// OnPhase, when set, observes every committed handoff entry (bench and
 	// tests measure cutover pauses with it).
 	OnPhase func(h wal.Handoff, pos int64)
@@ -193,33 +162,19 @@ type Migrator struct {
 	seq atomic.Int64 // backfill transaction ID counter
 }
 
-func (m *Migrator) timeout() time.Duration {
-	if m.Timeout > 0 {
-		return m.Timeout
-	}
-	return network.DefaultTimeout
-}
+const (
+	// migrateLagBound is the delta-round row count at which the coordinator
+	// cuts over: a round that copied at most this many rows means the tail is
+	// short enough that the final frozen delta stays small.
+	migrateLagBound = 16
+	// migrateMaxRounds caps chase rounds before cutting over regardless of
+	// lag — the HandoffOut fence bounds the final delta anyway.
+	migrateMaxRounds = 8
+	// migrateBatchRows caps rows per backfill transaction.
+	migrateBatchRows = 32
+)
 
-func (m *Migrator) lagBound() int {
-	if m.LagBound > 0 {
-		return m.LagBound
-	}
-	return 16
-}
-
-func (m *Migrator) maxRounds() int {
-	if m.MaxRounds > 0 {
-		return m.MaxRounds
-	}
-	return 8
-}
-
-func (m *Migrator) batchRows() int {
-	if m.BatchRows > 0 {
-		return m.BatchRows
-	}
-	return 32
-}
+func (m *Migrator) sender() sender { return sender{c: m.Client, persist: true} }
 
 // Step migrates every pair of one placement growth step, serially in pair
 // order. The step's To placement must be the post-step placement (the group
@@ -248,13 +203,13 @@ func (m *Migrator) MigratePair(ctx context.Context, from, to string, destGroups 
 	// rounds until one round's copy volume is inside the lag bound.
 	var floor int64
 	readPos := int64(-1) // destination read position, maintained across batches
-	for round := 0; round < m.maxRounds(); round++ {
+	for round := 0; round < migrateMaxRounds; round++ {
 		copied, pin, err := m.copyRange(ctx, from, to, destGroups, floor, network.ResolvePos, &readPos)
 		if err != nil {
 			return fmt.Errorf("backfill round %d: %w", round, err)
 		}
 		floor = pin
-		if copied <= m.lagBound() {
+		if copied <= migrateLagBound {
 			break
 		}
 	}
@@ -310,7 +265,7 @@ func (m *Migrator) copyRange(ctx context.Context, from, to string, destGroups []
 			Kind: network.KindRangeSnapshot, Group: from, Value: to, Keys: destGroups,
 			TS: pin, Pos: floor, Key: cursor, Found: hasCursor,
 		}
-		resp, err := m.sendAny(ctx, req)
+		resp, err := m.sender().toAny(ctx, req)
 		if err != nil {
 			return copied, pin, err
 		}
@@ -320,7 +275,7 @@ func (m *Migrator) copyRange(ctx context.Context, from, to string, destGroups []
 		for i, k := range resp.Keys {
 			batchKeys = append(batchKeys, k)
 			batchVals = append(batchVals, resp.Vals[i])
-			if len(batchKeys) >= m.batchRows() {
+			if len(batchKeys) >= migrateBatchRows {
 				if err := flush(); err != nil {
 					return copied, pin, err
 				}
@@ -344,7 +299,7 @@ func (m *Migrator) copyRange(ctx context.Context, from, to string, destGroups []
 // the next batch's.
 func (m *Migrator) backfill(ctx context.Context, to string, keys, vals []string, readPos *int64) error {
 	if *readPos < 0 {
-		resp, err := m.sendAny(ctx, network.Message{Kind: network.KindReadPos, Group: to})
+		resp, err := m.sender().toAny(ctx, network.Message{Kind: network.KindReadPos, Group: to})
 		if err != nil {
 			return fmt.Errorf("destination read position: %w", err)
 		}
@@ -361,7 +316,7 @@ func (m *Migrator) backfill(ctx context.Context, to string, keys, vals []string,
 		Writes:   writes,
 		Backfill: true,
 	}
-	resp, err := m.sendMaster(ctx, to, network.Message{
+	resp, err := m.sender().toMaster(ctx, to, network.Message{
 		Kind: network.KindSubmit, Group: to, Payload: wal.Encode(wal.NewEntry(txn)),
 	})
 	if err != nil {
@@ -380,7 +335,7 @@ func (m *Migrator) submitHandoff(ctx context.Context, e wal.Entry) (int64, error
 	if h.Phase == wal.HandoffPrepare || h.Phase == wal.HandoffIn {
 		group = h.To
 	}
-	resp, err := m.sendMaster(ctx, group, network.Message{
+	resp, err := m.sender().toMaster(ctx, group, network.Message{
 		Kind: network.KindMigrate, Group: group, Payload: wal.Encode(e),
 	})
 	if err != nil {
@@ -390,87 +345,4 @@ func (m *Migrator) submitHandoff(ctx context.Context, e wal.Entry) (int64, error
 		m.OnPhase(*h, resp.TS)
 	}
 	return resp.TS, nil
-}
-
-// sendAny tries every datacenter until one answers OK — for requests any
-// replica can serve (range snapshot pages, read positions). It keeps cycling
-// with a capped backoff until the context expires, so a partition that heals
-// mid-migration costs waiting, not failure.
-func (m *Migrator) sendAny(ctx context.Context, req network.Message) (network.Message, error) {
-	timeout := m.timeout()
-	var lastErr error = errAllServicesUnavailable
-	for attempt := 0; ; attempt++ {
-		for _, dc := range m.Transport.Peers() {
-			cctx, cancel := context.WithTimeout(ctx, timeout)
-			resp, err := m.Transport.Send(cctx, dc, req)
-			cancel()
-			if err == nil && resp.OK {
-				return resp, nil
-			}
-			if err != nil {
-				lastErr = err
-			} else {
-				lastErr = fmt.Errorf("core: migrator: service %s: %s", dc, resp.Err)
-			}
-		}
-		if serr := sleepCtx(ctx, timeout); serr != nil {
-			return network.Message{}, fmt.Errorf("%w (last: %v)", serr, lastErr)
-		}
-	}
-}
-
-// sendMaster submits req to group's master: seeded by MasterFor, following
-// not-master hints, waiting out lease transitions and overload pushback, and
-// rotating past fail-stopped replicas. Like sendAny it persists until the
-// context expires — migration under fire is expected to stall through fault
-// windows and resume, not abort.
-func (m *Migrator) sendMaster(ctx context.Context, group string, req network.Message) (network.Message, error) {
-	timeout := m.timeout()
-	peers := m.Transport.Peers()
-	master := peers[0]
-	if m.MasterFor != nil {
-		if dc := m.MasterFor(group); dc != "" {
-			master = dc
-		}
-	}
-	failed := make(map[string]bool)
-	rotate := func() {
-		for _, dc := range peers {
-			if dc != master && !failed[dc] {
-				master = dc
-				return
-			}
-		}
-		failed = map[string]bool{} // everyone refused; start over
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		// The submit round trip covers the master's replication work.
-		cctx, cancel := context.WithTimeout(ctx, 2*timeout)
-		resp, err := m.Transport.Send(cctx, master, req)
-		cancel()
-		switch {
-		case err != nil:
-			lastErr = err
-			rotate()
-		case resp.OK:
-			return resp, nil
-		case resp.Err == ErrNotMaster && resp.Value != "" && resp.Value != master && !failed[resp.Value]:
-			master = resp.Value
-			continue // follow the hint without sleeping
-		case resp.Err == ErrReplicaFailed:
-			failed[master] = true
-			lastErr = fmt.Errorf("core: migrator: %s: %s", master, resp.Err)
-			rotate()
-		case resp.Err == ErrOverloaded:
-			lastErr = fmt.Errorf("core: migrator: %s overloaded", master)
-		default:
-			// Not-master without a usable hint, claim races, pipeline
-			// timeouts: wait a beat and retry where we are.
-			lastErr = fmt.Errorf("core: migrator: %s: %s", master, resp.Err)
-		}
-		if serr := sleepCtx(ctx, timeout); serr != nil {
-			return network.Message{}, fmt.Errorf("%w (last: %v)", serr, lastErr)
-		}
-	}
 }

@@ -175,7 +175,7 @@ func TestInstallDropsClaimsAndAnswersCompacted(t *testing.T) {
 		t.Errorf("LogSnapshot = %v, want nothing at or below the horizon", snap)
 	}
 	resp := c.Handler()("A", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 7})
-	if resp.OK || resp.Err != errCompacted || resp.TS != 20 {
+	if resp.OK || resp.Verdict != network.VerdictCompacted || resp.TS != 20 {
 		t.Fatalf("fetch of 7 = %+v, want compacted at 20", resp)
 	}
 	if n := c.Status("g").LogEntries; n != 0 {

@@ -47,23 +47,11 @@ const (
 	submitAttempts = 8
 	// DefaultSubmitQueue bounds how many submissions may wait in one group's
 	// pipeline queue. Beyond it, admission control fails new submissions fast
-	// with ErrOverloaded instead of stacking unbounded latency (DESIGN.md
+	// with VerdictOverloaded instead of stacking unbounded latency (DESIGN.md
 	// §13). Promotion re-enqueues are exempt — an admitted transaction is
 	// never dropped by the cap.
 	DefaultSubmitQueue = 256
 )
-
-// ErrOverloaded is the wire marker for an admission-control refusal: the
-// group's submit queue at the master is at capacity. Retryable — nothing
-// reached the log. The refusal's TS carries the queue depth at rejection as
-// a backpressure hint.
-const ErrOverloaded = "overloaded"
-
-func overloadedReply(depth int) network.Message {
-	m := network.Status(false, ErrOverloaded)
-	m.TS = int64(depth)
-	return m
-}
 
 // pendingSubmit is one submitted transaction waiting in the pipeline. It
 // lives in exactly one place at a time — the queue, a dispatch batch, or an
@@ -175,7 +163,7 @@ func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
 		// verdict that tells the client to go elsewhere (health.go). The
 		// check repeats in place() for submissions already queued when the
 		// engine died.
-		ps.reply(replicaFailedReply(err))
+		ps.reply(network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
 	}
 	ps.timer.Store(time.AfterFunc(4*p.svc.timeout, func() {
@@ -184,13 +172,16 @@ func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		ps.reply(network.Status(false, "master shutting down"))
+		ps.reply(network.Refuse(network.VerdictShutdown, ""))
 		return
 	}
 	if limit := p.svc.submitQueue; limit > 0 && len(p.queue) >= limit {
-		depth := len(p.queue)
+		// Nothing reached the log; the queue depth rides along as a
+		// backpressure hint.
+		refusal := network.Refuse(network.VerdictOverloaded, "")
+		refusal.TS = int64(len(p.queue))
 		p.mu.Unlock()
-		ps.reply(overloadedReply(depth))
+		ps.reply(refusal)
 		return
 	}
 	p.queue = append(p.queue, ps)
@@ -226,8 +217,9 @@ func (p *pipeline) enqueue(front bool, batch ...*pendingSubmit) bool {
 	return true
 }
 
-// close fails every queued and future submission. In-flight replication
-// goroutines run to completion on their own contexts.
+// close refuses every queued and future submission with VerdictShutdown —
+// none of them was placed, so nothing of theirs reached the log. In-flight
+// replication goroutines run to completion on their own contexts.
 func (p *pipeline) close() {
 	p.mu.Lock()
 	queued := p.queue
@@ -235,9 +227,7 @@ func (p *pipeline) close() {
 	p.closed = true
 	p.mu.Unlock()
 	p.win.Close()
-	for _, ps := range queued {
-		ps.reply(network.Status(false, "master shutting down"))
-	}
+	p.fail(queued, network.Refuse(network.VerdictShutdown, ""))
 }
 
 // dispatch drains the queue: one batch per iteration, each placed at its own
@@ -283,51 +273,44 @@ func (p *pipeline) take() []*pendingSubmit {
 	return batch
 }
 
-// notMasterReply builds the refusal a non-master sends: the ErrNotMaster
-// marker plus the prevailing holder and epoch as a retry hint.
-func notMasterReply(st replog.EpochState) network.Message {
-	m := network.Status(false, ErrNotMaster)
-	m.Value = st.Master
-	m.Epoch = st.Epoch
-	return m
-}
-
 // ensureMastership makes sure this service holds the group's mastership
 // before a batch is placed (fencing on only). It adopts an epoch the service
-// already holds, refuses while another datacenter's lease is live, and
-// otherwise claims the next epoch — on its own budget, NOT the batch's
-// context (the claim must outlive the submissions that triggered it). It
-// reports whether placement may proceed; when it returns false the batch
-// has NOT been answered — the caller replies.
+// already holds, refuses with VerdictNotMaster while another datacenter's
+// lease is live, and otherwise claims the next epoch — on its own budget, NOT
+// the batch's context (the claim must outlive the submissions that triggered
+// it). It reports whether placement may proceed; when it returns false the
+// batch has NOT been answered — the caller replies.
 func (p *pipeline) ensureMastership() (ok bool, refusal network.Message) {
 	st, leaseValid := p.svc.Mastership(p.group)
 	if st.Master == p.svc.dc {
 		p.setEpoch(st.Epoch)
 		return true, network.Message{}
 	}
-	if st.Master != "" && leaseValid {
-		// Another datacenter's lease is live: refuse with a hint instead of
-		// dueling. (A deposed master lands here on every later batch.)
-		return false, notMasterReply(st)
-	}
-	// Unclaimed group, or an expired lease: claim the next epoch. The first
-	// submit to a fresh master triggers this — mastership is lazy. The
-	// claim gets its own budget (catch-up against unreachable peers plus
-	// the replication round can outlast one batch's): the submissions that
-	// triggered it may time out, but the claim completes and every later
-	// batch finds mastership held.
-	cctx, cancel := context.WithTimeout(context.Background(), p.svc.leaseDuration()+4*p.svc.timeout)
-	defer cancel()
-	epoch, err := p.svc.ClaimMastership(cctx, p.group)
-	if err != nil {
-		st, _ := p.lg.LeaseState()
-		if st.Master != "" && st.Master != p.svc.dc {
-			return false, notMasterReply(st)
+	if st.Master == "" || !leaseValid {
+		// Unclaimed group, or an expired lease: claim the next epoch. The
+		// first submit to a fresh master triggers this — mastership is lazy.
+		// The claim gets its own budget (catch-up against unreachable peers
+		// plus the replication round can outlast one batch's): the
+		// submissions that triggered it may time out, but the claim completes
+		// and every later batch finds mastership held.
+		cctx, cancel := context.WithTimeout(context.Background(), p.svc.leaseDuration()+4*p.svc.timeout)
+		defer cancel()
+		epoch, err := p.svc.ClaimMastership(cctx, p.group)
+		if err == nil {
+			p.setEpoch(epoch)
+			return true, network.Message{}
 		}
-		return false, network.Status(false, "master claim failed: "+err.Error())
+		if st, _ = p.lg.LeaseState(); st.Master == "" || st.Master == p.svc.dc {
+			return false, network.Status(false, "master claim failed: "+err.Error())
+		}
 	}
-	p.setEpoch(epoch)
-	return true, network.Message{}
+	// Another datacenter holds the group — its lease is live, or it won the
+	// claim just lost: refuse, with the holder and the prevailing epoch as the
+	// hint, instead of dueling. (A deposed master lands here on every later
+	// batch.)
+	refusal = network.Refuse(network.VerdictNotMaster, "")
+	refusal.Value, refusal.Epoch = st.Master, st.Epoch
+	return false, refusal
 }
 
 func (p *pipeline) setEpoch(epoch int64) {
@@ -364,9 +347,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 		// would replicate entries this replica can never apply — and, worse,
 		// keep refreshing the dead master's lease at every peer. Drain with
 		// the definitive local refusal instead (health.go).
-		for _, ps := range batch {
-			ps.reply(replicaFailedReply(err))
-		}
+		p.fail(batch, network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
 	}
 
@@ -374,9 +355,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	if p.svc.fencing {
 		ok, refusal := p.ensureMastership()
 		if !ok {
-			for _, ps := range batch {
-				ps.reply(refusal)
-			}
+			p.fail(batch, refusal)
 			return
 		}
 		p.mu.Lock()
@@ -394,7 +373,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	}
 	if maxRead > p.lg.Applied() {
 		if err := p.svc.CatchUp(ctx, p.group, maxRead); err != nil {
-			p.fail(batch, fmt.Sprintf("master behind client: %v", err))
+			p.fail(batch, network.Status(false, fmt.Sprintf("master behind client: %v", err)))
 			return
 		}
 	}
@@ -403,7 +382,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	// we wait can move the decided ceiling, and the new position must sit
 	// above everything issued or decided so far (invariant W1).
 	if err := p.win.Reserve(ctx); err != nil {
-		p.fail(batch, err.Error())
+		p.fail(batch, network.Status(false, err.Error()))
 		return
 	}
 	pos := p.nextPos()
@@ -433,9 +412,9 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 			case err != nil:
 				ps.reply(network.Status(false, err.Error()))
 			case verdict == admitConflict:
-				ps.reply(network.Status(false, masterConflict))
+				ps.reply(network.Refuse(network.VerdictConflict, ""))
 			case verdict == admitInFlight:
-				ps.reply(network.Status(false, errDuplicateInFlight))
+				ps.reply(network.Refuse(network.VerdictDuplicateInFlight, ""))
 			case verdict == admitDecided:
 				go p.settleDuplicate(ps, at)
 			default:
@@ -453,23 +432,22 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 
 // migrationRefusal fails a transaction fast when the apply-time migration
 // rules (replog M1/M2, DESIGN.md §15) would void it anyway: a write into a
-// departed range gets the "moved" verdict with the destination hint, a
-// non-backfill write into a prepared-but-unopened inbound range gets
-// "migrating". Only an optimization — apply-time voiding remains the safety
-// net for entries already in flight when the handoff applied.
+// departed range or a non-backfill write into a prepared-but-unopened inbound
+// range (migrationVerdict). Only an optimization — apply-time voiding remains
+// the safety net for entries already in flight when the handoff applied.
 func (p *pipeline) migrationRefusal(txn wal.Txn) (network.Message, bool) {
 	if !p.lg.HasMigrations() {
 		return network.Message{}, false
 	}
 	for k := range txn.Writes {
 		if to, _, ok := p.lg.MovedTo(k); ok {
-			return movedReply(to), true
+			return migrationVerdict(to), true
 		}
 	}
 	if !txn.Backfill {
 		for k := range txn.Writes {
 			if p.lg.InboundPending(k) {
-				return migratingReply(), true
+				return migrationVerdict(""), true
 			}
 		}
 	}
@@ -484,14 +462,14 @@ func (p *pipeline) migrationRefusal(txn wal.Txn) (network.Message, bool) {
 func (p *pipeline) SubmitHandoffAsync(h *wal.Handoff, deliver func(network.Message)) {
 	ps := &pendingSubmit{handoff: h.Clone(), deliver: deliver}
 	if err := p.svc.replicaFault(); err != nil {
-		ps.reply(replicaFailedReply(err))
+		ps.reply(network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
 	}
 	ps.timer.Store(time.AfterFunc(4*p.svc.timeout, func() {
 		ps.reply(network.Status(false, "master: handoff timed out in pipeline"))
 	}))
 	if !p.enqueue(false, ps) {
-		ps.reply(network.Status(false, "master shutting down"))
+		ps.reply(network.Refuse(network.VerdictShutdown, ""))
 	}
 }
 
@@ -516,15 +494,12 @@ const (
 	// entry above the transaction's read position already carries its ID —
 	// still replicating, or decided at the returned position. A client that
 	// lost a verdict resubmits the same transaction; placing it again would
-	// commit it twice.
+	// commit it twice. An attempt still replicating has no fate yet, so there
+	// is nothing to answer and nothing safe to place: VerdictDuplicateInFlight,
+	// retryable after a beat.
 	admitInFlight
 	admitDecided
 )
-
-// errDuplicateInFlight refuses a resubmission whose earlier attempt is still
-// replicating: its fate is not known yet, so there is nothing to answer and
-// nothing safe to place. Retryable after a beat.
-const errDuplicateInFlight = "duplicate of a submission still in flight"
 
 // admit runs the speculative fine-grained conflict check for txn competing
 // at pos with entrySoFar admitted ahead of it in the same entry: the
@@ -586,10 +561,8 @@ func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
 	switch to, moved := p.lg.MovedTxn(pos, ps.txn.ID); {
 	case p.lg.Voided(pos):
 		ps.reply(network.Status(false, "earlier attempt was fenced; resubmit"))
-	case moved && to == "":
-		ps.reply(migratingReply())
 	case moved:
-		ps.reply(movedReply(to))
+		ps.reply(migrationVerdict(to))
 	default:
 		ps.reply(network.Message{
 			Kind: network.KindValue, OK: true, TS: pos,
@@ -614,11 +587,6 @@ func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error
 	}
 	return entry, nil
 }
-
-// errDeposed is the failure a deposed master reports for in-flight
-// submissions: definitive (the entry was fenced and committed nothing), so a
-// client may safely retry at the new master.
-const errDeposed = "master deposed: epoch superseded"
 
 // replicate drives one position's entry to decision (fast accept round,
 // full Paxos fallback), lands it in the local log, retires the window slot,
@@ -647,12 +615,12 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 		// if the original proposal later completes — and leave the hole
 		// for resolveHole or recovery to settle (invariant W4).
 		p.win.Resolve(pos)
-		p.fail(members, err.Error())
+		p.fail(members, network.Status(false, err.Error()))
 		return
 	}
 	if aerr := p.svc.ApplyDecided(p.group, pos, decided); aerr != nil {
 		p.win.Resolve(pos)
-		p.fail(members, aerr.Error())
+		p.fail(members, network.Status(false, aerr.Error()))
 		return
 	}
 	// Resolve only after ApplyDecided: the log covers pos before the window
@@ -668,15 +636,16 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 			// If contiguity cannot be reached (an ambiguous hole below), the
 			// outcome is unknown: fail, per invariant W4.
 			if werr := p.lg.WaitApplied(ctx, pos); werr != nil {
-				p.fail(members, "fencing verdict unavailable: "+werr.Error())
+				p.fail(members, network.Status(false, "fencing verdict unavailable: "+werr.Error()))
 				return
 			}
 			if entry.Epoch != 0 && p.lg.Voided(pos) {
 				// Split-brain window closed on us: a higher-epoch claim
 				// landed below our entry, so it committed nothing. Drain
-				// with definitive failures and stop promoting (F3).
+				// with VerdictDeposed — definitive, so a client may safely
+				// retry at the new master — and stop promoting (F3).
 				p.noteDeposed()
-				p.fail(members, errDeposed)
+				p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 				return
 			}
 		}
@@ -687,11 +656,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 				// (rules M1/M2): its writes applied nowhere, so the verdict
 				// is the retryable redirect, not a commit.
 				if to, moved := p.lg.MovedTxn(pos, ps.txn.ID); moved {
-					if to == "" {
-						ps.reply(migratingReply())
-					} else {
-						ps.reply(movedReply(to))
-					}
+					ps.reply(migrationVerdict(to))
 					continue
 				}
 			}
@@ -709,18 +674,18 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	// and those whose attempt budget is spent.
 	decEntry, derr := wal.Decode(decided)
 	if derr != nil {
-		p.fail(members, "decided value corrupt: "+derr.Error())
+		p.fail(members, network.Status(false, "decided value corrupt: "+derr.Error()))
 		return
 	}
 	if decEntry.IsClaim() && decEntry.Epoch > entry.Epoch {
 		// Beaten by a takeover claim: we are deposed. Promotion would only
 		// place fenced entries; drain with definitive failures (F3).
 		p.noteDeposed()
-		p.fail(members, errDeposed)
+		p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 		return
 	}
 	if p.svc.fencing && p.isDeposed() {
-		p.fail(members, errDeposed)
+		p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 		return
 	}
 	var promote []*pendingSubmit
@@ -728,7 +693,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 		ps.attempts++
 		switch {
 		case ps.txn.ReadsAny(decEntry.WriteKeys()):
-			ps.reply(network.Status(false, masterConflict))
+			ps.reply(network.Refuse(network.VerdictConflict, ""))
 		case ps.attempts >= submitAttempts:
 			ps.reply(network.Status(false, "master could not place transaction"))
 		default:
@@ -737,15 +702,17 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	}
 	// Re-queue the survivors as one block in arrival order: reversing them
 	// could turn an intra-entry reader/writer pair into a spurious abort on
-	// the next placement.
+	// the next placement. A closed pipeline takes none of them: they lost this
+	// position to the foreign entry and were placed at no other, so nothing of
+	// theirs reached the log.
 	if len(promote) > 0 && !p.enqueue(true, promote...) {
-		p.fail(promote, "master shutting down")
+		p.fail(promote, network.Refuse(network.VerdictShutdown, ""))
 	}
 }
 
-// fail reports one failure message to every submission in batch.
-func (p *pipeline) fail(batch []*pendingSubmit, msg string) {
+// fail answers every submission in batch with one refusal.
+func (p *pipeline) fail(batch []*pendingSubmit, refusal network.Message) {
 	for _, ps := range batch {
-		ps.reply(network.Status(false, msg))
+		ps.reply(refusal)
 	}
 }

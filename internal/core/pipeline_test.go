@@ -59,7 +59,7 @@ func TestPipelineEnqueueRefusedAfterClose(t *testing.T) {
 }
 
 // TestPipelineAdmissionControl: beyond the configured queue depth, new
-// submissions are refused immediately with the retryable ErrOverloaded
+// submissions are refused immediately with the retryable VerdictOverloaded
 // marker and the depth hint — while promotion re-enqueues (front) bypass
 // the cap, because an admitted transaction must get a pipeline verdict.
 func TestPipelineAdmissionControl(t *testing.T) {
@@ -80,8 +80,8 @@ func TestPipelineAdmissionControl(t *testing.T) {
 	if !delivered {
 		t.Fatal("overload verdict not delivered synchronously")
 	}
-	if verdict.OK || verdict.Err != ErrOverloaded {
-		t.Fatalf("verdict = %+v, want ErrOverloaded", verdict)
+	if verdict.OK || verdict.Verdict != network.VerdictOverloaded {
+		t.Fatalf("verdict = %+v, want VerdictOverloaded", verdict)
 	}
 	if verdict.TS != 2 {
 		t.Fatalf("queue-depth hint = %d, want 2", verdict.TS)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"strings"
 	"time"
@@ -50,30 +49,31 @@ func scanPinTTL(timeout time.Duration) time.Duration {
 
 // pinPage opens every paged handler — scan, range snapshot, snapshot
 // transfer: it resolves the position the page is served at, registers it as a
-// read pin, and refuses with errCompacted when compaction has passed it. The
-// pin is registered before the compaction check, which makes the handshake
-// race-free: either the pin lands before any future compaction clamps its
-// horizon, or compaction already passed the position and the refusal tells
-// the client to restart at a fresh pin.
-func (s *Service) pinPage(group string, pin int64) (int64, *replog.Log, error) {
+// read pin, and refuses with VerdictCompacted when compaction has passed it.
+// The pin is registered before the compaction check, which makes the
+// handshake race-free: either the pin lands before any future compaction
+// clamps its horizon, or compaction already passed the position and the
+// refusal tells the client to restart at a fresh pin. With ok unset the
+// refusal is the handler's reply.
+func (s *Service) pinPage(group string, pin int64) (ts int64, lg *replog.Log, refusal network.Message, ok bool) {
 	ts, err := s.resolveReadTS(group, pin)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, network.Status(false, err.Error()), false
 	}
-	lg := s.log(group)
+	lg = s.log(group)
 	lg.PinReads(ts, scanPinTTL(s.timeout))
 	if lg.CompactedTo() > ts {
-		return 0, nil, errors.New(errCompacted)
+		return 0, nil, network.Refuse(network.VerdictCompacted, ""), false
 	}
-	return ts, lg, nil
+	return ts, lg, network.Message{}, true
 }
 
 // handleScan serves one page of an ordered prefix scan (wire contract in
 // network.KindScan's doc).
 func (s *Service) handleScan(req network.Message) network.Message {
-	ts, lg, err := s.pinPage(req.Group, req.TS)
-	if err != nil {
-		return network.Status(false, err.Error())
+	ts, lg, refusal, ok := s.pinPage(req.Group, req.TS)
+	if !ok {
+		return refusal
 	}
 
 	limit := int(req.Pos)

@@ -223,8 +223,8 @@ func TestScanPinHoldsCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp = s2.Handler()("T", network.Message{Kind: network.KindScan, Group: "h", Value: "s/", TS: 2})
-	if resp.OK || resp.Err != errCompacted {
-		t.Fatalf("scan below the horizon = %+v, want %q refusal", resp, errCompacted)
+	if resp.OK || resp.Verdict != network.VerdictCompacted {
+		t.Fatalf("scan below the horizon = %+v, want %q refusal", resp, network.VerdictCompacted)
 	}
 }
 
@@ -366,7 +366,7 @@ func TestDispatcherCloseDrainsWithRefusals(t *testing.T) {
 }
 
 // TestServiceCloseMidBurstRepliesNotTimeouts: requests racing Service.Close
-// all receive a verdict — success before the close or an ErrShutdown
+// all receive a verdict — success before the close or a VerdictShutdown
 // refusal after — never silence that costs the peer a timeout.
 func TestServiceCloseMidBurstRepliesNotTimeouts(t *testing.T) {
 	s := NewService("A", kvstore.New(), nil)
@@ -395,10 +395,10 @@ func TestServiceCloseMidBurstRepliesNotTimeouts(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		select {
 		case m := <-replies:
-			if !m.OK && m.Err != ErrShutdown {
-				t.Fatalf("reply %d: %+v, want success or %q", i, m, ErrShutdown)
+			if !m.OK && m.Verdict != network.VerdictShutdown {
+				t.Fatalf("reply %d: %+v, want success or %q", i, m, network.VerdictShutdown)
 			}
-			if m.Err == ErrShutdown {
+			if m.Verdict == network.VerdictShutdown {
 				shutdowns++
 			}
 		case <-time.After(5 * time.Second):

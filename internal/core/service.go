@@ -64,7 +64,7 @@ type Service struct {
 	// submitWindow and submitCombine tune the master's pipelined submit
 	// path (pipeline.go): positions in flight per group, and transactions
 	// combined per log entry. submitQueue is the admission cap: submissions
-	// beyond this queue depth are refused with ErrOverloaded (DESIGN.md
+	// beyond this queue depth are refused with VerdictOverloaded (DESIGN.md
 	// §13); <= 0 lifts the cap.
 	submitWindow  int
 	submitCombine int
@@ -146,7 +146,7 @@ func WithSubmitCombine(n int) ServiceOption {
 
 // WithSubmitQueue sets the per-group submit admission cap: submissions
 // arriving while this many are already queued fail fast with the retryable
-// ErrOverloaded marker and a queue-depth hint, instead of stacking
+// VerdictOverloaded and a queue-depth hint, instead of stacking
 // unbounded latency (default DefaultSubmitQueue). Negative lifts the cap,
 // restoring the pre-admission unbounded queue.
 func WithSubmitQueue(n int) ServiceOption {
@@ -471,10 +471,10 @@ func (s *Service) handleReadMulti(req network.Message) network.Message {
 
 // readFence applies the migration read fences (DESIGN.md §15) to a read
 // served at position ts. A key of a range that departed at or below ts is
-// refused with "moved" and the destination — serving it would return the
+// refused with VerdictMoved and the destination — serving it would return the
 // frozen pre-cutover value as if it were current. A key of a
-// prepared-but-unopened inbound range is refused with "migrating" — serving
-// it would expose a half-copied backfill. Reads at positions before the
+// prepared-but-unopened inbound range is refused with VerdictMigrating —
+// serving it would expose a half-copied backfill. Reads at positions before the
 // cutover still serve normally (snapshot reads of in-flight transactions).
 // With multiple in-flight destinations, one refusal names the keys of the
 // first; the caller's next hop surfaces the rest.
@@ -496,11 +496,11 @@ func (s *Service) readFence(group string, ts int64, keys ...string) (network.Mes
 		}
 	}
 	if dest != "" {
-		return movedReply(dest, movedKeys...), true
+		return migrationVerdict(dest, movedKeys...), true
 	}
 	for _, k := range keys {
 		if lg.InboundPending(k) {
-			return migratingReply(), true
+			return migrationVerdict(""), true
 		}
 	}
 	return network.Message{}, false
@@ -513,7 +513,9 @@ func (s *Service) handleFetchLog(req network.Message) network.Message {
 	raw, ok := s.log(req.Group).EntryBytes(req.Pos)
 	if !ok {
 		if compacted := s.CompactedTo(req.Group); req.Pos < compacted {
-			return network.Message{Kind: network.KindValue, OK: false, Err: errCompacted, TS: compacted}
+			refusal := network.Refuse(network.VerdictCompacted, "")
+			refusal.TS = compacted
+			return refusal
 		}
 		return network.Message{Kind: network.KindValue, OK: false}
 	}
@@ -734,7 +736,10 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 	if entry, err := s.fetchDecided(ctx, group, pos); !errors.Is(err, errNotFetched) {
 		return entry, err
 	}
-	// Drive the Paxos instance to completion.
+	// Drive the Paxos instance to completion. A refused round pauses before
+	// the next ("sleep for random time period", Algorithm 2): replicas that
+	// recover together learn the same positions at once, and with no pause
+	// they outbid each other through every round.
 	prop := &paxos.Proposer{Transport: s.transport, Timeout: s.timeout}
 	ballot := paxos.Ballot(1, learnClientID)
 	for attempt := 0; attempt < 16; attempt++ {
@@ -744,6 +749,7 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 		prep := prop.Prepare(ctx, group, pos, ballot, true)
 		if !prep.Quorum() {
 			ballot = paxos.NextBallot(maxInt64(prep.MaxSeen, ballot), learnClientID)
+			sleepBackoff(ctx, attempt, s.timeout/40)
 			continue
 		}
 		// Highest-ballot vote, with the same deterministic fast-ballot
@@ -764,6 +770,7 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 		acc := prop.Accept(ctx, group, pos, ballot, value)
 		if !acc.Quorum() {
 			ballot = paxos.NextBallot(maxInt64(acc.MaxSeen, ballot), learnClientID)
+			sleepBackoff(ctx, attempt, s.timeout/40)
 			continue
 		}
 		prop.Apply(ctx, group, pos, acc.ChosenAt, value)
@@ -809,7 +816,7 @@ func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wa
 				return entry, nil
 			}
 		}
-		if err == nil && !resp.OK && resp.Err == errCompacted {
+		if err == nil && !resp.OK && resp.Verdict == network.VerdictCompacted {
 			return wal.Entry{}, errSnapshotRequired
 		}
 	}

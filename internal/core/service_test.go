@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,5 +282,56 @@ func TestServiceLogSnapshot(t *testing.T) {
 	snap := s.LogSnapshot("g")
 	if len(snap) != 2 || !snap[1].Contains("t1") || !snap[2].Contains("t2") {
 		t.Fatalf("snapshot = %v", snap)
+	}
+}
+
+// TestConcurrentLearnersAgree: three replicas that learn the same undecided
+// positions at once — what a cluster does when all of it recovers together —
+// must each get an answer, and the same one. Without a pause between refused
+// rounds they outbid each other until one runs out of rounds.
+func TestConcurrentLearnersAgree(t *testing.T) {
+	services, _ := leaseRing(t, 300*time.Millisecond)
+	dcs := []string{"A", "B", "C"}
+	const positions = 200
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	failed := 0
+	for pos := int64(1); pos <= positions; pos++ {
+		learned := make([]wal.Entry, len(dcs))
+		errs := make([]error, len(dcs))
+		var wg sync.WaitGroup
+		for i, dc := range dcs {
+			wg.Add(1)
+			go func(i int, s *Service) {
+				defer wg.Done()
+				learned[i], errs[i] = s.learn(ctx, "g", pos, true)
+			}(i, services[dc])
+		}
+		wg.Wait()
+		for i, dc := range dcs {
+			switch {
+			case errs[i] != nil:
+				failed++
+				t.Errorf("%s: %v", dc, errs[i])
+			case errs[0] == nil && !reflect.DeepEqual(learned[i], learned[0]):
+				t.Errorf("position %d: %s learned %+v, %s learned %+v", pos, dc, learned[i], dcs[0], learned[0])
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d calls failed", failed, positions*len(dcs))
+	}
+	// Every learner's apply reached every replica: all three hold each entry.
+	for _, dc := range dcs {
+		if err := services[dc].log("g").WaitApplied(ctx, positions); err != nil {
+			t.Fatalf("%s: %v", dc, err)
+		}
+		for pos := int64(1); pos <= positions; pos++ {
+			got, _ := services[dc].DecidedEntry("g", pos)
+			want, _ := services[dcs[0]].DecidedEntry("g", pos)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("position %d: %s holds %+v, %s holds %+v", pos, dc, got, dcs[0], want)
+			}
+		}
 	}
 }

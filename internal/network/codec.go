@@ -12,11 +12,14 @@ import (
 // wal/codec.go (see DESIGN.md §9):
 //
 //	envelope: wireVersion(1) flags(1) id(uvarint) from(str) message
-//	message:  kind(1 | 0xFF+str) bools(1) group(str) pos(varint)
+//	message:  kind(1 | 0xFF+str) flags(1) group(str) pos(varint)
 //	          ballot(varint) ts(varint) epoch(varint) key(str) value(str)
 //	          err(str) payload(bytes) keys([]str) vals([]str) founds(bitmap)
 //	str:      len(uvarint) bytes;  []str: count(uvarint) str*
 //	bitmap:   count(uvarint) ceil(count/8) bytes, LSB first
+//	flags:    (message) bit 0 OK, bit 1 Found, bit 2 Combined, bits 3–7 the
+//	          Verdict — bits a peer older than the verdict sends zero
+//	          (VerdictNone) and ignores, so the version byte did not change
 //
 // The codec is binary-only: the legacy JSON envelope and the pre-epoch 0xB1
 // layout were retired once every deployed peer spoke 0xB2. Datagrams whose
@@ -65,17 +68,19 @@ var kindCode = func() map[Kind]byte {
 	return m
 }()
 
-// Message bool flags, packed into one byte.
+// The flags byte: three bools, then the Verdict in the bits above them.
 const (
 	flagOK       = 1 << 0
 	flagFound    = 1 << 1
 	flagCombined = 1 << 2
+
+	verdictShift = 3
 )
 
 // Bounds of the decoder's string intern table: strings longer than
 // internMaxLen are never interned, and a table that reaches internMaxEntries
 // is discarded and rebuilt, so hostile traffic cannot grow it unboundedly.
-// Group names, keys, datacenter names, and error markers all repeat heavily
+// Group names, keys and datacenter names all repeat heavily
 // in steady state, which is what makes decode allocation-free.
 const (
 	internMaxLen     = 128
@@ -181,17 +186,17 @@ func AppendMessage(dst []byte, m Message) []byte {
 		dst = append(dst, kindOther)
 		dst = appendStr(dst, string(m.Kind))
 	}
-	var bools byte
+	flags := byte(m.Verdict) << verdictShift
 	if m.OK {
-		bools |= flagOK
+		flags |= flagOK
 	}
 	if m.Found {
-		bools |= flagFound
+		flags |= flagFound
 	}
 	if m.Combined {
-		bools |= flagCombined
+		flags |= flagCombined
 	}
-	dst = append(dst, bools)
+	dst = append(dst, flags)
 	dst = appendStr(dst, m.Group)
 	dst = appendVarint(dst, m.Pos)
 	dst = appendVarint(dst, m.Ballot)
@@ -295,7 +300,7 @@ func (r *wireReader) strs(scratch *[]string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > wireMaxCount {
+	if n > wireMaxCount || n > uint64(len(r.buf)) { // an element is a byte at least
 		return nil, fmt.Errorf("%w: list length %d", ErrBadWire, n)
 	}
 	if n == 0 {
@@ -370,13 +375,16 @@ func (r *wireReader) readMessage() (Message, error) {
 	default:
 		return Message{}, fmt.Errorf("%w: unknown kind code %#x", ErrBadWire, kb)
 	}
-	bools, err := r.byte()
+	flags, err := r.byte()
 	if err != nil {
 		return Message{}, err
 	}
-	m.OK = bools&flagOK != 0
-	m.Found = bools&flagFound != 0
-	m.Combined = bools&flagCombined != 0
+	m.OK = flags&flagOK != 0
+	m.Found = flags&flagFound != 0
+	m.Combined = flags&flagCombined != 0
+	if m.Verdict = Verdict(flags >> verdictShift); m.Verdict >= verdictEnd {
+		return Message{}, fmt.Errorf("%w: unknown verdict code %d", ErrBadWire, m.Verdict)
+	}
 	if m.Group, err = r.str(); err != nil {
 		return Message{}, err
 	}

@@ -1,8 +1,11 @@
 package network
 
 import (
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -27,6 +30,7 @@ func randMessage(rng *rand.Rand, kind Kind) Message {
 		TS:       rng.Int63n(1<<40) - 2,
 		Key:      randStr(20),
 		Value:    randStr(40),
+		Verdict:  Verdict(rng.Intn(int(verdictEnd))),
 		Err:      randStr(10),
 		Epoch:    rng.Int63n(1 << 20),
 		OK:       rng.Intn(2) == 0,
@@ -82,6 +86,86 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWireGolden pins the wire format across the change that gave refusals a
+// verdict: the bytes the encoder before it produced for a request, an OK reply
+// and an envelope still decode, and re-encode to themselves — no byte added,
+// version 0xB2 kept — and a refusal's verdict rides the flags byte (0x30: code
+// 6 above the three bools).
+func TestWireGolden(t *testing.T) {
+	for _, g := range []struct {
+		name, hex string
+		msg       Message
+	}{
+		{"accept request", "010001670e82800800040000000b656e7472792d6279746573000000",
+			Message{Kind: KindAccept, Group: "g", Pos: 7, Ballot: 65537, Epoch: 2, Payload: []byte("entry-bytes")}},
+		{"OK value reply", "0e030167000052000002763100000201610162020131000201",
+			Message{Kind: KindValue, OK: true, Found: true, Group: "g", TS: 41, Value: "v1",
+				Keys: []string{"a", "b"}, Vals: []string{"1", ""}, Founds: []bool{true, false}}},
+		{"not-master refusal", "0d30000000000a0001560000000000",
+			func() Message {
+				m := Refuse(VerdictNotMaster, "")
+				m.Value, m.Epoch = "V", 5
+				return m
+			}()},
+	} {
+		want, _ := hex.DecodeString(g.hex)
+		got, err := UnmarshalBinary(want)
+		if err != nil || !msgEqual(got, g.msg) {
+			t.Errorf("%s: decoded %+v (%v), want %+v", g.name, got, err, g.msg)
+		}
+		if enc := MarshalBinary(g.msg); string(enc) != string(want) {
+			t.Errorf("%s: encoded %x, want %s", g.name, enc, g.hex)
+		}
+	}
+	const envHex = "b201ac020256310e05000000120600000000000000"
+	want, _ := hex.DecodeString(envHex)
+	env := envelope{ID: 300, From: "V1", Resp: true, Msg: Message{Kind: KindValue, OK: true, Combined: true, TS: 9, Epoch: 3}}
+	got, err := decodeEnvelope(want, nil)
+	if err != nil || got.ID != env.ID || got.From != env.From || got.Resp != env.Resp || !msgEqual(got.Msg, env.Msg) {
+		t.Errorf("envelope: decoded %+v (%v), want %+v", got, err, env)
+	}
+	if enc := appendEnvelope(nil, env); string(enc) != string(want) {
+		t.Errorf("envelope: encoded %x, want %s", enc, envHex)
+	}
+}
+
+// decodeSlack is what one decode may allocate beyond a multiple of the
+// datagram's length: the error it returns, and whatever the test binary's
+// other goroutines allocate meanwhile.
+const decodeSlack = 16 << 10
+
+// FuzzUnmarshalBinary: a datagram is whatever an unauthenticated peer sends.
+// Decoding arbitrary bytes returns a message or ErrBadWire, never panics, and
+// allocates by the bytes that arrived — a list header of 16 bytes per element
+// of at least one byte is the steepest rate — not by the counts and lengths
+// they claim; and whatever decodes survives a re-encode.
+func FuzzUnmarshalBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, kind := range allKinds {
+		f.Add(MarshalBinary(randMessage(rng, kind)))
+	}
+	f.Add([]byte{byte(kindCode[KindRead]), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0x03}) // 65535 keys claimed, none sent
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+decodeSlack); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadWire) {
+				t.Fatalf("decode error %v is not ErrBadWire", err)
+			}
+			return
+		}
+		back, err := UnmarshalBinary(MarshalBinary(m))
+		if err != nil || !msgEqual(m, back) {
+			t.Fatalf("decoded %+v does not survive a re-encode: %+v (%v)", m, back, err)
+		}
+	})
 }
 
 // TestBinaryEnvelopeRoundTrip round-trips full envelopes, both with fresh

@@ -51,7 +51,7 @@ const (
 	// epoch state and handoff records at H); every other record is an OpWrite
 	// of a data row's newest version at or below H, at its original
 	// timestamp, in key order. A pin the peer has compacted past is refused
-	// with the compacted marker; the laggard starts over at a fresh pin.
+	// with VerdictCompacted; the laggard starts over at a fresh pin.
 	KindSnapshot Kind = "snapshot"
 
 	// Administration: replica status and remotely triggered log compaction
@@ -89,6 +89,68 @@ const (
 	KindValue    Kind = "value"    // read/readpos/fetchlog reply
 )
 
+// Verdict says why a reply with OK unset refused its request: the one thing
+// about a refusal that code may branch on (Err is detail for people). The
+// codes are wire format — they ride the five spare bits of the flags byte
+// (codec.go) — so they are only ever appended, and at most 31 exist. Who sends
+// each, which fields carry its hint and what a client may do with it is
+// DESIGN.md §9's verdict table; the client's half is core/route.go.
+type Verdict uint8
+
+const (
+	// VerdictNone: an OK reply — or a refusal from a peer older than the
+	// verdict bits, which a client reads as VerdictFailed.
+	VerdictNone Verdict = iota
+	// VerdictFailed: no more specific code. Err says what went wrong; whether
+	// anything reached the log is unknown.
+	VerdictFailed
+	// VerdictConflict: an entry after the submitted transaction's read
+	// position wrote a key it read. It aborts.
+	VerdictConflict
+	// VerdictOverloaded: the group's submit queue is full (TS = its depth).
+	// Nothing reached the log.
+	VerdictOverloaded
+	// VerdictMoved: the keys' range departed this group (Value = the
+	// destination group, Keys = the keys concerned, where known).
+	VerdictMoved
+	// VerdictMigrating: the keys' range is prepared at this group but not
+	// open yet; the cutover is a few log entries away.
+	VerdictMigrating
+	// VerdictNotMaster: another datacenter holds the group's mastership
+	// (Value = the holder, Epoch = the prevailing epoch).
+	VerdictNotMaster
+	// VerdictReplicaFailed: this replica's storage engine has fail-stopped
+	// (Err = its failure). Definitive here; nothing reached the log.
+	VerdictReplicaFailed
+	// VerdictShutdown: the service is closing. As VerdictReplicaFailed, for a
+	// replica that may come back.
+	VerdictShutdown
+	// VerdictCompacted: the position asked for is below this replica's
+	// compaction horizon (TS = the horizon, on a log fetch).
+	VerdictCompacted
+	// VerdictDuplicateInFlight: an earlier submission of the same transaction
+	// is still replicating and has no verdict yet.
+	VerdictDuplicateInFlight
+	// VerdictDeposed: the master lost its epoch with the submission in
+	// flight; its entry was fenced and committed nothing.
+	VerdictDeposed
+
+	verdictEnd // one past the last defined code
+)
+
+var verdictNames = [verdictEnd]string{
+	"none", "failed", "conflict", "overloaded", "moved", "migrating", "not master",
+	"replica failed", "shutting down", "compacted", "duplicate in flight", "deposed",
+}
+
+// String names the verdict for logs and error text.
+func (v Verdict) String() string {
+	if v < verdictEnd {
+		return verdictNames[v]
+	}
+	return fmt.Sprintf("Verdict(%d)", uint8(v))
+}
+
 // ResolvePos, sent as the TS of a read or readmulti request, asks the
 // service to serve the read at its current applied watermark and return that
 // position in the reply's TS. Clients use it to piggyback the transaction's
@@ -112,14 +174,18 @@ type Message struct {
 	OK    bool   // success flag in replies
 	Value string // data item value in read replies
 	Found bool   // read reply: key existed
-	Err   string // error detail in failure replies
+
+	// Verdict classifies a refusal (OK unset); Err is its human-readable
+	// detail, which no code branches on.
+	Verdict Verdict
+	Err     string
 
 	// Combined marks a submit reply whose transaction committed inside a
 	// multi-transaction log entry (the master's combination path).
 	Combined bool
 
 	// Epoch carries the master epoch (DESIGN.md §11): in a submit reply, the
-	// epoch the transaction committed under; in a "not master" refusal, the
+	// epoch the transaction committed under; in a VerdictNotMaster refusal, the
 	// prevailing epoch the refusing service has observed. 0 = unfenced.
 	Epoch int64
 
@@ -130,9 +196,19 @@ type Message struct {
 	Founds []bool
 }
 
-// Status constructs a generic success/failure reply.
+// Status constructs a generic success/failure reply; a failure is a
+// VerdictFailed refusal with err as its detail.
 func Status(ok bool, err string) Message {
-	return Message{Kind: KindStatus, OK: ok, Err: err}
+	if ok {
+		return Message{Kind: KindStatus, OK: true, Err: err}
+	}
+	return Refuse(VerdictFailed, err)
+}
+
+// Refuse constructs a refusal: the one place a reply gets its verdict. The
+// caller adds the fields that carry the verdict's hint.
+func Refuse(v Verdict, detail string) Message {
+	return Message{Kind: KindStatus, Verdict: v, Err: detail}
 }
 
 // String renders a compact debug form.
