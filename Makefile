@@ -116,9 +116,12 @@ bench-smoke:
 	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' ./... | tee bench.out
 	$(GO) run ./cmd/paxosbench -benchjson bench.out -o BENCH_ci.json -context local
 
-## fig-smoke: scaled-down full figure regeneration (CI "bench" job)
+## fig-smoke: scaled-down full figure regeneration (CI "bench" job), then
+## §5's cost claim over the msgs figure: Basic and CP send the same messages
+## per Paxos instance (within 2 %; also in tier-1)
 fig-smoke:
 	$(GO) run ./cmd/paxosbench -fig all -scale 0.01 -txns 60 -q
+	$(GO) test -count=1 -run 'TestMessageParityPerInstance' ./internal/bench
 
 ## shards-smoke: the horizontal-scaling sweep at smoke scale (CI "bench" job;
 ## the speedup column is informational at this scale), then the pinned

@@ -63,7 +63,9 @@ func main() {
 	}
 	fmt.Printf("txn 2: committed at log position %d\n", res.Pos)
 
-	// Every datacenter serves the committed state.
+	// Every datacenter serves the committed state once the decision's
+	// notification has reached it: the commit returned when V1 had applied
+	// it, and the other two hear a link delay later.
 	for _, dc := range c.DCs() {
 		reader := c.NewClient(dc, core.Config{})
 		tx, err := reader.Begin(ctx, "accounts")

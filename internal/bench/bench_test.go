@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"paxoscp/internal/core"
 )
 
 // quickOpts runs experiments small and fast for CI.
@@ -183,5 +187,34 @@ func TestScansQuick(t *testing.T) {
 	checkTables(t, tables, err)
 	if len(tables[0].Rows) != 3 {
 		t.Fatalf("scans rows = %d", len(tables[0].Rows))
+	}
+}
+
+// TestMessageParityPerInstance is §5's cost claim as a test: Paxos-CP has
+// "the same per instance message complexity as the basic Paxos protocol".
+// One workload thread, so an instance costs what the protocol sends and not
+// what contention makes it retry: the two protocols' msgs/instance are
+// within 2 % of each other. (Under contending threads the two retry
+// different numbers of ballots per instance and the means drift a few
+// percent apart, either way, from run to run.)
+func TestMessageParityPerInstance(t *testing.T) {
+	o := quickOpts()
+	o.Threads = 1
+	tables, err := MessageComplexity(o)
+	checkTables(t, tables, err)
+	perInstance := make(map[string]float64)
+	for _, row := range tables[0].Rows {
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil || v <= 0 {
+			t.Fatalf("msgs/instance of %s = %q", row[0], row[1])
+		}
+		perInstance[row[0]] = v
+	}
+	basic, cp := perInstance[core.Basic.String()], perInstance[core.CP.String()]
+	if basic == 0 || cp == 0 {
+		t.Fatalf("rows = %v, want one for Basic and one for CP", tables[0].Rows)
+	}
+	if diff := math.Abs(basic-cp) / basic; diff > 0.02 {
+		t.Errorf("msgs/instance: Basic %.1f, CP %.1f, %.1f %% apart, want within 2 %%\n%s", basic, cp, 100*diff, tables[0])
 	}
 }

@@ -44,28 +44,7 @@ func TestNemesisSoak(t *testing.T) {
 			nemesisWG.Add(1)
 			go func() {
 				defer nemesisWG.Done()
-				rng := rand.New(rand.NewSource(7))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					victim := dcs[rng.Intn(len(dcs))]
-					switch rng.Intn(3) {
-					case 0: // brief outage of one DC (majority survives)
-						c.SetDown(victim, true)
-						time.Sleep(time.Duration(5+rng.Intn(30)) * time.Millisecond)
-						c.SetDown(victim, false)
-					case 1: // brief partition of one link
-						other := dcs[(indexOf(dcs, victim)+1)%len(dcs)]
-						c.Partition(victim, other)
-						time.Sleep(time.Duration(5+rng.Intn(30)) * time.Millisecond)
-						c.Heal(victim, other)
-					case 2: // calm period
-						time.Sleep(time.Duration(10+rng.Intn(20)) * time.Millisecond)
-					}
-				}
+				outageStorm(c, 7, stop)
 			}()
 
 			const workers = 5
@@ -105,14 +84,7 @@ func TestNemesisSoak(t *testing.T) {
 			nemesisWG.Wait()
 
 			// Heal everything and recover every replica.
-			for _, dc := range dcs {
-				c.SetDown(dc, false)
-			}
-			for i, a := range dcs {
-				for _, b := range dcs[i+1:] {
-					c.Heal(a, b)
-				}
-			}
+			healEverything(c)
 			for _, dc := range dcs {
 				if err := c.Service(dc).Recover(ctx, "g"); err != nil {
 					t.Fatalf("recover %s: %v", dc, err)
@@ -124,6 +96,48 @@ func TestNemesisSoak(t *testing.T) {
 			t.Logf("%s: %d/%d committed through faults", proto, committed, workers*txnsPerWorker)
 			checkHistory(t, c, "g", rec)
 		})
+	}
+}
+
+// outageStorm injects faults until stop is closed: brief outages of one
+// datacenter, brief partitions of one link, calm spells — one at a time, so a
+// majority always survives.
+func outageStorm(c *Cluster, seed int64, stop <-chan struct{}) {
+	dcs := c.DCs()
+	rng := rand.New(rand.NewSource(seed))
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		victim := dcs[rng.Intn(len(dcs))]
+		switch rng.Intn(3) {
+		case 0: // brief outage of one DC (majority survives)
+			c.SetDown(victim, true)
+			time.Sleep(time.Duration(5+rng.Intn(30)) * time.Millisecond)
+			c.SetDown(victim, false)
+		case 1: // brief partition of one link
+			other := dcs[(indexOf(dcs, victim)+1)%len(dcs)]
+			c.Partition(victim, other)
+			time.Sleep(time.Duration(5+rng.Intn(30)) * time.Millisecond)
+			c.Heal(victim, other)
+		case 2: // calm period
+			time.Sleep(time.Duration(10+rng.Intn(20)) * time.Millisecond)
+		}
+	}
+}
+
+// healEverything brings every datacenter up and every link back.
+func healEverything(c *Cluster) {
+	dcs := c.DCs()
+	for _, dc := range dcs {
+		c.SetDown(dc, false)
+	}
+	for i, a := range dcs {
+		for _, b := range dcs[i+1:] {
+			c.Heal(a, b)
+		}
 	}
 }
 

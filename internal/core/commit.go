@@ -72,13 +72,14 @@ func (c *Client) chooseBasic(prep paxos.PrepareOutcome, own wal.Entry) []byte {
 }
 
 // maxBallotVote returns the non-null vote with the highest ballot. Equal
-// ballots — possible only at the fast ballot, when two proposers raced the
-// prepare-skipping path — tie-break on the encoded value, so every recoverer
-// that sees the same vote pair completes the same value. Safe because a
-// fast-ballot value is only ever *chosen* at unanimity (see
-// paxos.AcceptOutcome.Unanimous): a tie in any view proves neither value was
-// fast-chosen, and the deterministic pick keeps recoverers from completing
-// different values.
+// ballots with different values are possible only at the fast ballot, and
+// only between masters racing one position (a client's ballot 0 is granted
+// once per position, so its votes all carry one value). They tie-break on
+// the encoded value, so every recoverer that sees the same vote pair
+// completes the same value. Safe because masters only ever *choose* a
+// fast-ballot value at unanimity (see paxos.AcceptOutcome.Unanimous): a tie
+// in any view proves neither value was fast-chosen, and the deterministic
+// pick keeps recoverers from completing different values.
 func maxBallotVote(votes []paxos.Vote) (paxos.Vote, bool) {
 	best := paxos.Vote{Ballot: paxos.NilBallot}
 	for _, v := range votes {
@@ -116,12 +117,16 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 	// fault-injection test).
 	if !c.cfg.DisableFastPath {
 		if c.claimFastPath(ctx, group, pos, txn.ID) {
-			// Unanimity, not majority: a ballot-0 decision must be visible
-			// in every majority view for collision recovery to be
-			// unambiguous (see replicateAsMaster and DESIGN.md §11).
-			acc := c.proposer.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, ownBytes)
-			if acc.Unanimous() {
-				c.proposer.Apply(ctx, group, pos, acc.ChosenAt, ownBytes)
+			// Majority, not unanimity: the grant makes this transaction the
+			// only ballot-0 proposer the position will ever have — the
+			// leader grants once, and never in a group a master has claimed
+			// (handleClaim) — so ballot 0 is an ordinary ballot whose prepare
+			// phase is vacuous, and it decides as any ballot does. Unanimity
+			// is for masters, who share ballot 0 with nobody arbitrating
+			// (replicateMaster, DESIGN.md §11).
+			acc := c.proposer.Accept(ctx, group, pos, paxos.FastBallot, ownBytes)
+			if acc.Quorum() {
+				c.proposer.Notify(ctx, c.dc, group, pos, acc.ChosenAt, ownBytes)
 				return own, nil
 			}
 			// Contention or loss: fall back to the full protocol.
@@ -152,8 +157,8 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 			ballot = paxos.NextBallot(maxInt64(acc.MaxSeen, ballot), c.id)
 			continue
 		}
-		// Apply phase: the proposal is decided.
-		c.proposer.Apply(ctx, group, pos, acc.ChosenAt, proposal)
+		// Apply phase: the proposal is decided, and the rest is notification.
+		c.proposer.Notify(ctx, c.dc, group, pos, acc.ChosenAt, proposal)
 		decided, err := wal.Decode(proposal)
 		if err != nil {
 			return wal.Entry{}, fmt.Errorf("core: decided value corrupt: %w", err)

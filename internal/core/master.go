@@ -97,6 +97,14 @@ func (s *Service) handleSubmit(req network.Message) network.Message {
 // was chosen. Unanimity makes ballot-0 decisions unambiguous in every
 // majority view; anything less falls back to classic Paxos, whose unique
 // per-proposer ballots serialize the duel (DESIGN.md §11).
+//
+// And it is taken only above a mastership claim this service has applied
+// (R-b): a CP or Basic client granted a position by its leader decides its
+// ballot 0 at a majority, which is sound only while nobody else proposes at
+// ballot 0 there. A leader grants nothing once it has applied a claim
+// (handleClaim, R-a), so a master that knows of a claim below the position it
+// proposes cannot meet a grantee on it; one that knows of none — a group's
+// first claim, a pipeline with fencing off — goes prepare → accept.
 func (s *Service) replicateAsMaster(ctx context.Context, group string, pos int64, value []byte) ([]byte, bool, error) {
 	decided, ours, _, err := s.replicateMaster(ctx, group, pos, value, false)
 	return decided, ours, err
@@ -128,7 +136,7 @@ func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, 
 	prop := &paxos.Proposer{Transport: s.transport, Timeout: s.timeout}
 	ballot := paxos.Ballot(1, masterClientID)
 	fast = fastSkipped
-	if !skipFast {
+	if st := s.log(group).Epoch(); !skipFast && st.Epoch != 0 && st.Pos < pos {
 		acc := prop.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, value)
 		if acc.Unanimous() {
 			prop.Apply(ctx, group, pos, acc.ChosenAt, value)

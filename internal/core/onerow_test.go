@@ -15,9 +15,10 @@ import (
 
 // TestOneRowPerPosition: 200 commits through the master leave, at every
 // replica, exactly one row per decided position beside the data rows and the
-// meta row, nothing under paxos/ — and on the unanimous fast path that one row
-// is the vote the accept wrote: the apply's ballot lets it stand, so the drain
-// wrote no second copy.
+// meta row, nothing under paxos/ — and that one row is the vote the accept
+// wrote (the master's unanimous fast round, and the prepared round of its
+// first claim): the apply's ballot lets it stand, so the drain wrote no second
+// copy.
 func TestOneRowPerPosition(t *testing.T) {
 	cl, services := newRingClient(t, "A", Config{Seed: 1, Protocol: Master, MasterDC: "A"})
 	const commits = 200

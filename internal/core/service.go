@@ -528,10 +528,28 @@ func (s *Service) handleFetchLog(req network.Message) network.Message {
 // leader for position p is the datacenter whose client won position p-1.
 // The first client to claim the position at the leader may skip the prepare
 // phase; everyone else takes the full protocol.
+//
+// A grant makes its transaction the position's only ballot-0 proposer, so the
+// grantee decides at a majority (runInstance). Two conditions keep a master's
+// ballot 0 off a granted position (R-a; its other half, R-b, is in
+// replicateMaster; DESIGN.md §11): this replica has contiguously applied
+// pos-1, and no mastership claim is in what it has applied. A master that
+// proposes at ballot 0 knows of a claim below the position it proposes, and a
+// leader that could grant that position has applied that claim.
 func (s *Service) handleClaim(req network.Message) network.Message {
+	lg := s.log(req.Group)
+	// The watermark before the epoch: the epoch read then covers at least the
+	// prefix the watermark names.
+	applied := lg.Applied()
+	if lg.Epoch().Epoch != 0 {
+		return network.Status(false, "group has a master")
+	}
 	if leader := s.Leader(req.Group, req.Pos); leader != s.dc {
 		// Refuse, hinting who the leader is so the client can retry there.
 		return network.Message{Kind: network.KindStatus, OK: false, Err: "not leader", Value: leader}
+	}
+	if applied < req.Pos-1 {
+		return network.Status(false, "position not reached")
 	}
 	token := req.Value
 	err := s.store.CheckAndWrite(claimKey(req.Group, req.Pos), "owner", "", kvstore.PackAttrs("owner", token))

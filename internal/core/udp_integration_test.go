@@ -121,7 +121,13 @@ func TestUDPEndToEndCommit(t *testing.T) {
 		t.Fatalf("commit over UDP: %+v %v", res, err)
 	}
 
-	// Visible via a different datacenter's client.
+	// Visible via a different datacenter's client, once that datacenter has
+	// heard of the decision: the commit waited for V1's apply only.
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := uc.services["V3"].log("g").WaitApplied(wctx, res.Pos); err != nil {
+		t.Fatalf("V3 never applied position %d: %v", res.Pos, err)
+	}
 	cl2 := uc.client(t, 2, "V3", Config{})
 	tx2, err := cl2.Begin(ctx, "g")
 	if err != nil {

@@ -19,8 +19,11 @@
 // proposal numbers are globally unique. The one extension to the Synod
 // algorithm is the fast ballot (FastBallot, ballot 0): an acceptor that has
 // never promised nor voted takes a fast accept directly, implementing the
-// §4.1 per-position leader optimization. Fast-ballot decisions require a
-// unanimous accept round (AcceptOutcome.Unanimous), not a mere majority:
-// with two racing fast proposers, only unanimity makes collision recovery
-// unambiguous (DESIGN.md §11).
+// §4.1 per-position leader optimization. Who may propose at it, and what
+// decides, is the proposer's business (DESIGN.md §11): a client holding the
+// position leader's one grant is the position's only ballot-0 proposer and
+// decides at a majority, as any ballot does; masters, who share ballot 0
+// with nobody arbitrating, decide at it only by a unanimous accept round
+// (AcceptOutcome.Unanimous) — with two racing fast proposers, only
+// unanimity makes collision recovery unambiguous.
 package paxos

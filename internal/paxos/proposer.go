@@ -71,14 +71,18 @@ func (o *AcceptOutcome) ack(resp network.Message) {
 	}
 }
 
-// Unanimous reports whether every datacenter voted for the proposal. A
-// fast-ballot (prepare-skipping) decision is only taken at unanimity: with a
-// majority-sized fast quorum, two fast proposers racing one position can
-// each assemble a majority view containing both ballot-0 votes, and
-// collision recovery cannot tell which value (if either) was chosen. With a
-// unanimous fast quorum, a fast-chosen value appears in every majority view
-// with no competing ballot-0 vote, so recovery is unambiguous — the Fast
-// Paxos fast-quorum condition instantiated for our acceptor counts.
+// Unanimous reports whether every datacenter voted for the proposal. It is
+// the decision rule of the masters' fast ballot (core/master.go), and of
+// nobody else: masters share ballot 0 with no one arbitrating between them,
+// and with a majority-sized fast quorum two of them racing one position can
+// each assemble a majority view containing both ballot-0 votes, so collision
+// recovery cannot tell which value (if either) was chosen. With a unanimous
+// fast quorum, a fast-chosen value appears in every majority view with no
+// competing ballot-0 vote, so recovery is unambiguous — the Fast Paxos
+// fast-quorum condition instantiated for our acceptor counts. A client
+// holding the position's leader grant is the only ballot-0 proposer its
+// position will ever have, so its ballot 0 is an ordinary ballot and decides
+// at Quorum (DESIGN.md §11, "Who may use ballot 0").
 func (o AcceptOutcome) Unanimous() bool { return o.D > 0 && o.Acks == o.D }
 
 // Proposer drives the messaging of Algorithm 2 for a Transaction Client: it
@@ -187,9 +191,9 @@ func (p *Proposer) Accept(ctx context.Context, group string, pos int64, ballot i
 	return out
 }
 
-// AcceptUnanimous runs an accept phase that aims for unanimity (the fast-
-// ballot path): it stops as soon as every datacenter voted, or as soon as a
-// single refusal or send failure makes unanimity impossible — a doomed fast
+// AcceptUnanimous runs an accept phase that aims for unanimity (the masters'
+// fast-ballot path): it stops as soon as every datacenter voted, or as soon as
+// a single refusal or send failure makes unanimity impossible — a doomed fast
 // round must fall back to classic Paxos quickly, not sit out the timeout.
 func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64, ballot int64, value []byte) AcceptOutcome {
 	req := network.Message{Kind: network.KindAccept, Group: group, Pos: pos, Ballot: ballot, Payload: value}
@@ -219,15 +223,14 @@ func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64,
 	return out
 }
 
-// Apply runs the apply phase (Algorithm 2 lines 58–61): it tells every
-// datacenter the decided value. Apply is fire-and-forget per the protocol —
-// a datacenter that misses it learns the value later via catch-up (§4.1) —
-// so the proposer returns once a majority including the proposer's own
-// datacenter has stored the entry (waiting for the local ack keeps the
-// client's next read position fresh; waiting for the majority makes the log
-// entry widely fetchable). It never waits out the timeout for unreachable
-// minorities. ballot is the accept round's ChosenAt: what lets a replica that
-// voted in the round keep its vote as the log entry.
+// Apply tells every datacenter the decided value and returns once a majority
+// including the proposer's own datacenter has stored the entry. It is the
+// apply phase as a proposer inside a Transaction Service runs it — the master
+// pipeline, a learner — whose acknowledgement promises a majority of durable
+// log entries (invariant R2); the protocol itself asks for less, and the
+// Transaction Clients use Notify. It never waits out the timeout for
+// unreachable minorities. ballot is the accept round's ChosenAt: what lets a
+// replica that voted in the round keep its vote as the log entry.
 func (p *Proposer) Apply(ctx context.Context, group string, pos int64, ballot int64, value []byte) int {
 	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
 	acks := 0
@@ -247,4 +250,31 @@ func (p *Proposer) Apply(ctx context.Context, group string, pos int64, ballot in
 		return responses == d || (acks >= maj && localAcked)
 	})
 	return acks
+}
+
+// Notify runs the apply phase as Algorithm 2 has it (lines 58–61): a
+// notification sent after the decision, which the votes of a majority have
+// already made durable. It tells every datacenter the decided value and
+// waits for home only, the proposing client's own datacenter — whose replica
+// then serves the client's next read position at or above this one. A
+// datacenter the notification never reaches learns the value by catch-up
+// (§4.1). The other sends run under a deadline of their own, one message
+// timeout from now, not under ctx: the caller's round is over once Notify
+// returns, and its context with it.
+func (p *Proposer) Notify(ctx context.Context, home, group string, pos int64, ballot int64, value []byte) {
+	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
+	for _, dc := range p.Transport.Peers() {
+		if dc == home {
+			continue
+		}
+		go func(dc string) {
+			rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.timeout())
+			defer cancel()
+			// Nobody waits for the answer; a lost notification is catch-up's.
+			_, _ = p.Transport.Send(rctx, dc, req)
+		}(dc)
+	}
+	hctx, cancel := context.WithTimeout(ctx, p.timeout())
+	defer cancel()
+	_, _ = p.Transport.Send(hctx, home, req)
 }
