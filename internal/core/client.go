@@ -28,7 +28,7 @@ type Client struct {
 	cfg       Config
 
 	proposer *paxos.Proposer
-	rng      *lockedRand
+	backoff  *backoff
 	txnSeq   atomic.Int64
 
 	// sendOrder is the datacenter preference order for transaction API
@@ -73,9 +73,10 @@ type CommittedTxn struct {
 
 // NewClient creates a Transaction Client local to datacenter dc. id must be
 // unique among all concurrently running clients (it keys proposal numbers;
-// see paxos.Ballot) and below paxos.MaxClients-1.
+// see paxos.Ballot) and below paxos.MaxClients-serviceIDs: the identities
+// above are the services' (proposerID).
 func NewClient(id int, dc string, transport network.Transport, cfg Config) *Client {
-	if id < 0 || id >= paxos.MaxClients-1 {
+	if id < 0 || id >= paxos.MaxClients-serviceIDs {
 		panic(fmt.Sprintf("core: client id %d out of range", id))
 	}
 	c := &Client{
@@ -83,7 +84,7 @@ func NewClient(id int, dc string, transport network.Transport, cfg Config) *Clie
 		dc:        dc,
 		transport: transport,
 		cfg:       cfg,
-		rng:       newLockedRand(cfg.Seed),
+		backoff:   newBackoff(cfg.backoffBase(), cfg.Seed),
 		txnPrefix: dc + "-" + strconv.Itoa(id) + "-",
 	}
 	c.sendOrder = []string{dc}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"paxoscp/internal/network"
+	"paxoscp/internal/paxos"
 	"paxoscp/internal/stats"
 )
 
@@ -316,14 +316,31 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
-func TestErrNoQuorumMessage(t *testing.T) {
-	err := errNoQuorum{group: "g", pos: 3, tries: 5}
-	if err.Error() == "" {
-		t.Fatal("empty error message")
+// TestServiceIdentitiesAboveClients: a service proposes under an identity no
+// client may take — the top block of the identity space — and the services of
+// one topology under distinct ones, whatever order Peers lists them in.
+func TestServiceIdentitiesAboveClients(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewClient took a service's identity")
+			}
+		}()
+		NewClient(paxos.MaxClients-2, "A", nil, Config{})
+	}()
+	NewClient(paxos.MaxClients-serviceIDs-1, "A", nil, Config{}) // the highest client identity
+	services, _ := newServiceRing(t, "A", "B", "C")
+	ids := map[int]string{}
+	for dc, s := range services {
+		if s.id < paxos.MaxClients-serviceIDs || s.id >= paxos.MaxClients {
+			t.Errorf("%s proposes as %d, inside the client range", dc, s.id)
+		}
+		if other, dup := ids[s.id]; dup {
+			t.Errorf("%s and %s both propose as %d", dc, other, s.id)
+		}
+		ids[s.id] = dc
 	}
-	var target errNoQuorum
-	if !errors.As(error(err), &target) {
-		t.Fatal("errNoQuorum not matchable")
+	if got := proposerID("B", []string{"C", "A", "B"}); got != services["B"].id {
+		t.Errorf("B proposes as %d with its peers listed C, A, B and as %d listed A, B, C", got, services["B"].id)
 	}
-	_ = network.Message{} // keep the import for the ring helper
 }

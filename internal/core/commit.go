@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"paxoscp/internal/network"
 	"paxoscp/internal/paxos"
@@ -11,9 +10,10 @@ import (
 	"paxoscp/internal/wal"
 )
 
-// This file implements the client side of the commit protocols: the shared
-// Paxos instance runner (Algorithm 2) with the basic findWinningVal rule,
-// the §4.1 leader fast path, and the basic Paxos commit protocol. The
+// This file implements the client side of the commit protocols: a client's
+// Paxos instance — the §4.1 leader fast path, then Algorithm 2's rounds
+// (paxos.Proposer.Decide) under the client's own identity and pause — with
+// the basic findWinningVal rule, and the basic Paxos commit protocol. The
 // Paxos-CP value-selection rule and promotion loop are in cp.go.
 
 // valueChooser selects the value to propose in the accept phase, given the
@@ -31,18 +31,6 @@ func (t *Tx) walTxn() wal.Txn {
 		ReadSet: t.readSetKeys(),
 		Writes:  cloneMap(t.writes),
 	}
-}
-
-// errNoQuorum reports that a commit attempt exhausted its retry budget
-// without ever assembling a majority.
-type errNoQuorum struct {
-	group string
-	pos   int64
-	tries int
-}
-
-func (e errNoQuorum) Error() string {
-	return fmt.Sprintf("core: no majority for %s/%d after %d attempts", e.group, e.pos, e.tries)
 }
 
 // commitBasic runs the basic Paxos commit protocol (§4.1): one instance for
@@ -96,7 +84,8 @@ func maxBallotVote(votes []paxos.Vote) (paxos.Vote, bool) {
 
 // runInstance drives one Paxos instance to a decision and returns the
 // decided entry. waitAllPrepare selects the prepare collection mode (CP
-// inspects the full vote set; Basic proceeds at a majority).
+// inspects the full vote set; Basic proceeds at a majority). A run that uses
+// up Config.MaxRetries rounds fails with paxos.ErrUndecided.
 //
 // The instance always terminates with the decided value: a client that loses
 // still completes the protocol — "Each Transaction Client must execute all
@@ -133,39 +122,21 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 		}
 	}
 
-	ballot := paxos.Ballot(1, c.id)
-	tries := c.cfg.maxRetries()
-	for attempt := 0; attempt < tries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return wal.Entry{}, err
-		}
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt); err != nil {
-				return wal.Entry{}, err
-			}
-		}
-		// Prepare phase.
-		prep := c.proposer.Prepare(ctx, group, pos, ballot, waitAllPrepare)
-		if !prep.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(prep.MaxSeen, ballot), c.id)
-			continue
-		}
-		// Accept phase with the chosen value.
-		proposal := choose(prep, own)
-		acc := c.proposer.Accept(ctx, group, pos, ballot, proposal)
-		if !acc.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(acc.MaxSeen, ballot), c.id)
-			continue
-		}
-		// Apply phase: the proposal is decided, and the rest is notification.
-		c.proposer.Notify(ctx, c.dc, group, pos, acc.ChosenAt, proposal)
-		decided, err := wal.Decode(proposal)
-		if err != nil {
-			return wal.Entry{}, fmt.Errorf("core: decided value corrupt: %w", err)
-		}
-		return decided, nil
+	value, chosenAt, err := c.proposer.Decide(ctx, paxos.Instance{
+		Group: group, Pos: pos, ID: c.id, WaitAll: waitAllPrepare,
+		Rounds: c.cfg.maxRetries(), Pause: c.backoff.pause,
+		Choose: func(prep paxos.PrepareOutcome) ([]byte, error) { return choose(prep, own), nil },
+	})
+	if err != nil {
+		return wal.Entry{}, err
 	}
-	return wal.Entry{}, errNoQuorum{group: group, pos: pos, tries: tries}
+	// Apply phase: the value is decided, and the rest is notification.
+	c.proposer.Notify(ctx, c.dc, group, pos, chosenAt, value)
+	decided, err := wal.Decode(value)
+	if err != nil {
+		return wal.Entry{}, fmt.Errorf("core: decided value corrupt: %w", err)
+	}
+	return decided, nil
 }
 
 // claimFastPath asks the position's leader whether this transaction is the
@@ -195,22 +166,4 @@ func (c *Client) claimFastPath(ctx context.Context, group string, pos int64, tok
 	resp, err = c.transport.Send(cctx, resp.Value, req)
 	cancel()
 	return err == nil && resp.OK
-}
-
-// backoff sleeps for a randomized, attempt-scaled period ("sleep for random
-// time period", Algorithm 2) so competing clients separate.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	if attempt > 6 {
-		attempt = 6 // cap the exponent
-	}
-	base := float64(c.cfg.backoffBase())
-	d := time.Duration(base * (0.5 + c.rng.Float64()) * float64(int(1)<<attempt))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

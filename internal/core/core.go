@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -107,21 +108,31 @@ func (c Config) combineLimit() int {
 	return 4
 }
 
-// lockedRand is a concurrency-safe rand.Rand.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
+// backoff is the one pause of this package: between a proposer's refused
+// rounds ("sleep for random time period", Algorithm 2), so competing
+// proposers separate, and between the retries built on them. Each client and
+// each service has its own, drawing from its own seeded source; safe for
+// concurrent use.
+type backoff struct {
+	base time.Duration
+	mu   sync.Mutex
+	rng  *rand.Rand
 }
 
-func newLockedRand(seed int64) *lockedRand {
+// newBackoff returns a backoff of the given base; seed 0 means a time-based
+// seed.
+func newBackoff(base time.Duration, seed int64) *backoff {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
+	return &backoff{base: base, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (r *lockedRand) Float64() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Float64()
+// pause sleeps base × (0.5 + U) × 2^min(attempt, 6), U uniform in [0, 1). It
+// returns ctx.Err() if ctx ends first.
+func (b *backoff) pause(ctx context.Context, attempt int) error {
+	b.mu.Lock()
+	u := b.rng.Float64()
+	b.mu.Unlock()
+	return sleepCtx(ctx, time.Duration(float64(b.base)*(0.5+u)*float64(int(1)<<min(attempt, 6))))
 }

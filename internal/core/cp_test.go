@@ -15,7 +15,7 @@ func mkTxn(id string, reads []string, writes map[string]string) wal.Txn {
 func newTestClient(cfg Config) *Client {
 	// Transport is unused by the value-selection logic under test.
 	cfg.Seed = 1
-	return &Client{id: 1, dc: "V1", cfg: cfg, rng: newLockedRand(1)}
+	return &Client{id: 1, dc: "V1", cfg: cfg}
 }
 
 func vote(dc string, ballot int64, e wal.Entry) paxos.Vote {

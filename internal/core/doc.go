@@ -21,6 +21,15 @@
 //     pipelined, windowed submit path (pipeline.go, DESIGN.md §8), with
 //     combination at the master and promotion on lost races.
 //
+// Every Paxos instance in the package runs through one driver,
+// paxos.Proposer.Decide, after whatever fast round its caller has: a
+// client's (commit.go), a master's fallback (master.go) and a service
+// learning a missing position (Service.learn). Each passes its own ballot
+// identity, value rule and pause, and announces the decision its own way —
+// a client notifies, a service applies (DESIGN.md §3, "One driver"). A
+// service proposes under one identity of its own, from the top of the
+// identity space that NewClient refuses (DESIGN.md §11).
+//
 // # Service
 //
 // Service answers the whole wire protocol (Handler): Paxos prepare/accept/

@@ -161,7 +161,7 @@ func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur 
 	err := kv.follow(ctx, key, func(group string) error {
 		for i := 0; i < attempts; i++ {
 			if i > 0 {
-				if err := kv.client.backoff(ctx, i); err != nil {
+				if err := kv.client.backoff.pause(ctx, i); err != nil {
 					return err
 				}
 			}

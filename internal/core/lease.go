@@ -137,7 +137,7 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 			pos = tip + 1 + lead
 		}
 		claim := wal.NewClaim(st.Epoch+1, s.dc)
-		decided, ours, err := s.replicateAsMaster(ctx, group, pos, wal.Encode(claim))
+		decided, ours, _, err := s.replicateMaster(ctx, group, pos, wal.Encode(claim), false)
 		if err != nil {
 			// Ambiguous outcome: the claim may or may not decide later. The
 			// next attempt proposes higher; fail only on ctx end.
@@ -320,38 +320,21 @@ func (s *Service) peersApplied(ctx context.Context, group string) int64 {
 // absorbTo advances the local watermark to target: decided entries are
 // fetched or learned, and positions that are genuinely undecided — the old
 // master's abandoned in-flight slots below the takeover claim — are driven
-// to a no-op decision, exactly as explicit recovery would. Transient learn
-// failures (a racing proposer mid-decision) retry with backoff until ctx
-// expires.
+// to a no-op decision, exactly as explicit recovery would. A position's
+// transient learn failures (a racing proposer mid-decision) retry with
+// backoff until ctx expires.
 func (s *Service) absorbTo(ctx context.Context, group string, target int64) error {
-	lg := s.log(group)
-	for attempt := 0; lg.Applied() < target; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pos := lg.Applied() + 1
-		if lg.Has(pos) {
-			if err := lg.WaitApplied(ctx, pos); err != nil {
-				return err
+	return s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+		for attempt := 1; ; attempt++ {
+			entry, err := s.learn(ctx, group, pos, true)
+			if err == nil || errors.Is(err, errSnapshotRequired) {
+				return entry, err
 			}
-			continue
-		}
-		entry, err := s.learn(ctx, group, pos, true)
-		if errors.Is(err, errSnapshotRequired) {
-			if err := s.fetchSnapshot(ctx, group); err != nil {
-				return err
+			if err := s.backoff.pause(ctx, attempt); err != nil {
+				return wal.Entry{}, err
 			}
-			continue
 		}
-		if err != nil {
-			sleepBackoff(ctx, attempt, s.timeout/40)
-			continue
-		}
-		if err := s.ApplyDecided(group, pos, wal.Encode(entry)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // RenewLease commits a renewal claim entry (same epoch, same master) through
@@ -373,7 +356,7 @@ func (s *Service) RenewLease(ctx context.Context, group string) (int64, error) {
 		return 0, fmt.Errorf("core: renew %s: not master (holder %q)", group, st.Master)
 	}
 	pos := lg.DecidedMax() + 1
-	decided, ours, err := s.replicateAsMaster(ctx, group, pos, wal.Encode(wal.NewClaim(st.Epoch, s.dc)))
+	decided, ours, _, err := s.replicateMaster(ctx, group, pos, wal.Encode(wal.NewClaim(st.Epoch, s.dc)), false)
 	if err != nil {
 		return 0, err
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"paxoscp/internal/network"
 	"paxoscp/internal/paxos"
@@ -38,10 +36,6 @@ import (
 // Master selects the leader-based commit protocol (§7 design). Configure
 // the master's datacenter with Config.MasterDC.
 const Master Protocol = 2
-
-// masterClientID is the proposer identity the master uses for fallback
-// instances; it shares the ballot space with regular clients.
-const masterClientID = paxos.MaxClients - 2
 
 // commitMaster submits the transaction to the group's master, wherever
 // mastership now is (sender.toMaster, route.go), and maps the verdict onto a
@@ -86,30 +80,6 @@ func (s *Service) handleSubmit(req network.Message) network.Message {
 	return s.pipeline(req.Group).Submit(entry.Txns[0])
 }
 
-// replicateAsMaster replicates value into (group, pos): one fast-ballot
-// accept round in the common case, a full Paxos instance as fallback. It
-// returns the decided bytes and whether they are the submitted value.
-//
-// The fast round is taken only at unanimity (AcceptOutcome.Unanimous): with
-// a mere majority, two masters dueling through a partition — the split-brain
-// window epoch fencing exists for — can each assemble a majority view
-// holding both ballot-0 votes, and no recovery rule can tell which value
-// was chosen. Unanimity makes ballot-0 decisions unambiguous in every
-// majority view; anything less falls back to classic Paxos, whose unique
-// per-proposer ballots serialize the duel (DESIGN.md §11).
-//
-// And it is taken only above a mastership claim this service has applied
-// (R-b): a CP or Basic client granted a position by its leader decides its
-// ballot 0 at a majority, which is sound only while nobody else proposes at
-// ballot 0 there. A leader grants nothing once it has applied a claim
-// (handleClaim, R-a), so a master that knows of a claim below the position it
-// proposes cannot meet a grantee on it; one that knows of none — a group's
-// first claim, a pipeline with fencing off — goes prepare → accept.
-func (s *Service) replicateAsMaster(ctx context.Context, group string, pos int64, value []byte) ([]byte, bool, error) {
-	decided, ours, _, err := s.replicateMaster(ctx, group, pos, value, false)
-	return decided, ours, err
-}
-
 // fastOutcome classifies the fast round of one master replication, so the
 // pipeline's breaker reacts to unreachable peers without punishing ordinary
 // per-position contention.
@@ -128,18 +98,36 @@ const (
 	fastDegraded
 )
 
-// replicateMaster is replicateAsMaster with the fast round optional: the
-// pipeline skips it while its breaker is open (a peer is unreachable, so
-// unanimity is impossible and the attempt would only add one timeout of
-// latency per position).
+// replicateMaster replicates value into (group, pos): one fast-ballot accept
+// round in the common case, the service's Paxos instance (Service.instance)
+// as fallback, proposing the highest vote a prepare finds, else value. It
+// returns the decided bytes, whether they are value, and how the fast round
+// went. The pipeline skips the fast round while its breaker is open (a peer
+// is unreachable, so unanimity is impossible and the attempt would only add
+// one timeout of latency per position).
+//
+// The fast round is taken only at unanimity (AcceptOutcome.Unanimous): with
+// a mere majority, two masters dueling through a partition — the split-brain
+// window epoch fencing exists for — can each assemble a majority view
+// holding both ballot-0 votes, and no recovery rule can tell which value
+// was chosen. Unanimity makes ballot-0 decisions unambiguous in every
+// majority view; anything less falls back to classic Paxos, whose unique
+// per-proposer ballots serialize the duel (DESIGN.md §11).
+//
+// And it is taken only above a mastership claim this service has applied
+// (R-b): a CP or Basic client granted a position by its leader decides its
+// ballot 0 at a majority, which is sound only while nobody else proposes at
+// ballot 0 there. A leader grants nothing once it has applied a claim
+// (handleClaim, R-a), so a master that knows of a claim below the position it
+// proposes cannot meet a grantee on it; one that knows of none — a group's
+// first claim, a pipeline with fencing off — goes prepare → accept.
 func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, value []byte, skipFast bool) (_ []byte, ours bool, fast fastOutcome, _ error) {
-	prop := &paxos.Proposer{Transport: s.transport, Timeout: s.timeout}
-	ballot := paxos.Ballot(1, masterClientID)
+	in := s.instance(group, pos)
 	fast = fastSkipped
 	if st := s.log(group).Epoch(); !skipFast && st.Epoch != 0 && st.Pos < pos {
-		acc := prop.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, value)
+		acc := s.proposer.AcceptUnanimous(ctx, group, pos, paxos.FastBallot, value)
 		if acc.Unanimous() {
-			prop.Apply(ctx, group, pos, acc.ChosenAt, value)
+			s.proposer.Apply(ctx, group, pos, acc.ChosenAt, value)
 			return value, true, fastDecided, nil
 		}
 		fast = fastContended
@@ -147,46 +135,19 @@ func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, 
 			fast = fastDegraded
 		}
 		// Someone touched the instance (or a peer is unreachable); run it
-		// properly.
-		ballot = paxos.NextBallot(acc.MaxSeen, masterClientID)
+		// properly, above every ballot the fast round saw.
+		in.Seen = acc.MaxSeen
 	}
-	for attempt := 0; attempt < 16; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, false, fast, err
-		}
-		prep := prop.Prepare(ctx, group, pos, ballot, false)
-		if !prep.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(prep.MaxSeen, ballot), masterClientID)
-			sleepBackoff(ctx, attempt, s.timeout/40)
-			continue
-		}
-		proposal := value
+	in.Choose = func(prep paxos.PrepareOutcome) ([]byte, error) {
 		if v, ok := maxBallotVote(prep.Votes); ok {
-			proposal = v.Value
+			return v.Value, nil
 		}
-		a := prop.Accept(ctx, group, pos, ballot, proposal)
-		if !a.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(a.MaxSeen, ballot), masterClientID)
-			sleepBackoff(ctx, attempt, s.timeout/40)
-			continue
-		}
-		prop.Apply(ctx, group, pos, a.ChosenAt, proposal)
-		return proposal, string(proposal) == string(value), fast, nil
+		return value, nil
 	}
-	return nil, false, fast, fmt.Errorf("core: master replication failed for %s/%d", group, pos)
-}
-
-func sleepBackoff(ctx context.Context, attempt int, base time.Duration) {
-	if base <= 0 {
-		base = time.Millisecond
+	decided, chosenAt, err := s.proposer.Decide(ctx, in)
+	if err != nil {
+		return nil, false, fast, err
 	}
-	if attempt > 6 {
-		attempt = 6
-	}
-	t := time.NewTimer(base * time.Duration(int(1)<<attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
+	s.proposer.Apply(ctx, group, pos, chosenAt, decided)
+	return decided, string(decided) == string(value), fast, nil
 }

@@ -56,6 +56,12 @@ type Service struct {
 	transport network.Transport
 	// timeout bounds catch-up message rounds.
 	timeout time.Duration
+	// id, proposer and backoff are the service's proposer: the ballot
+	// identity (proposerID), messaging and pause of every Paxos instance it
+	// runs — a master's fallback and a learner's (instance).
+	id       int
+	proposer *paxos.Proposer
+	backoff  *backoff
 	// fetchPeer caches the last peer that served a log fetch (string).
 	// Bulk catch-up tries it first: without the cache, an unreachable peer
 	// earlier in the list costs one full timeout per position.
@@ -219,8 +225,49 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 	for _, o := range opts {
 		o(s)
 	}
+	var peers []string
+	if transport != nil {
+		peers = transport.Peers()
+	}
+	s.id = proposerID(dc, peers)
+	s.proposer = &paxos.Proposer{Transport: transport, Timeout: s.timeout}
+	// A first pause (attempt 1) averages timeout/40. Seeded apart: services
+	// built in the same instant must not pause alike.
+	s.backoff = newBackoff(s.timeout/80, time.Now().UnixNano()+int64(s.id))
 	return s
 }
+
+// serviceIDs is the block of ballot identities at the top of the identity
+// space (paxos.MaxClients) that belongs to the Transaction Services: clients
+// are refused them (NewClient), so no client's ballot can equal a service's.
+const serviceIDs = 256
+
+// proposerID is the ballot identity the service of datacenter dc proposes
+// under: paxos.MaxClients-1 less the number of peers whose name sorts below
+// dc's. Distinct for every service of a topology, whatever order Peers lists
+// them in, and above every client's.
+func proposerID(dc string, peers []string) int {
+	rank := 0
+	for _, p := range peers {
+		if p < dc {
+			rank++
+		}
+	}
+	if rank >= serviceIDs {
+		panic(fmt.Sprintf("core: %d datacenters exceed the %d service identities", len(peers), serviceIDs))
+	}
+	return paxos.MaxClients - 1 - rank
+}
+
+// instance is the Paxos instance this service runs for (group, pos), under
+// its own identity and pause; the caller sets the value rule, and the master
+// the ballot its fast round saw.
+func (s *Service) instance(group string, pos int64) paxos.Instance {
+	return paxos.Instance{Group: group, Pos: pos, ID: s.id, Rounds: serviceRounds, Pause: s.backoff.pause}
+}
+
+// serviceRounds caps the rounds of a service's Paxos instance.
+const serviceRounds = 16
 
 // DC returns the datacenter this service belongs to.
 func (s *Service) DC() string { return s.dc }
@@ -685,20 +732,7 @@ func (s *Service) fillGapLater(group string) {
 // filled with a no-op entry so the log has no permanent holes.
 func (s *Service) Recover(ctx context.Context, group string) error {
 	lg := s.log(group)
-	target := lg.Applied()
-	if s.transport != nil {
-		for _, dc := range s.transport.Peers() {
-			if dc == s.dc {
-				continue
-			}
-			cctx, cancel := context.WithTimeout(ctx, s.timeout)
-			resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindReadPos, Group: group})
-			cancel()
-			if err == nil && resp.OK && resp.TS > target {
-				target = resp.TS
-			}
-		}
-	}
+	target := max(lg.Applied(), s.peersApplied(ctx, group))
 	err := s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
 		return s.learn(ctx, group, pos, true)
 	})
@@ -732,20 +766,17 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 	}
 }
 
-// learnClientID is the proposer identity services use when learning; it
-// shares the ballot space with regular clients.
-const learnClientID = paxos.MaxClients - 1
-
 // errSnapshotRequired reports that peers have compacted past the position
 // being learned; the caller must install a snapshot instead.
 var errSnapshotRequired = errors.New("core: position compacted at peers; snapshot required")
 
-// learn discovers the decided value of one log position by running the Paxos
-// protocol: fetch from peers first, then drive an instance to completion.
-// When fillNoOp is true (explicit recovery) an undecided position is decided
-// as a no-op entry; otherwise learning an undecided position fails. If any
-// peer reports the position compacted, learn returns errSnapshotRequired —
-// running Paxos there would resurrect a scavenged instance as a no-op.
+// learn discovers the decided value of one log position: fetch from peers
+// first, then drive the service's Paxos instance (Service.instance) to
+// completion, proposing the highest vote a full prepare finds. When fillNoOp
+// is true (explicit recovery) an undecided position is decided as a no-op
+// entry; otherwise learning an undecided position fails. If any peer reports
+// the position compacted, learn returns errSnapshotRequired — running Paxos
+// there would resurrect a scavenged instance as a no-op.
 func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp bool) (wal.Entry, error) {
 	if s.transport == nil {
 		return wal.Entry{}, fmt.Errorf("position %d not decided locally and no peers", pos)
@@ -754,51 +785,23 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 	if entry, err := s.fetchDecided(ctx, group, pos); !errors.Is(err, errNotFetched) {
 		return entry, err
 	}
-	// Drive the Paxos instance to completion. A refused round pauses before
-	// the next ("sleep for random time period", Algorithm 2): replicas that
-	// recover together learn the same positions at once, and with no pause
-	// they outbid each other through every round.
-	prop := &paxos.Proposer{Transport: s.transport, Timeout: s.timeout}
-	ballot := paxos.Ballot(1, learnClientID)
-	for attempt := 0; attempt < 16; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return wal.Entry{}, err
+	in := s.instance(group, pos)
+	in.WaitAll = true
+	in.Choose = func(prep paxos.PrepareOutcome) ([]byte, error) {
+		if v, ok := maxBallotVote(prep.Votes); ok {
+			return v.Value, nil
 		}
-		prep := prop.Prepare(ctx, group, pos, ballot, true)
-		if !prep.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(prep.MaxSeen, ballot), learnClientID)
-			sleepBackoff(ctx, attempt, s.timeout/40)
-			continue
+		if !fillNoOp {
+			return nil, fmt.Errorf("position %d undecided", pos)
 		}
-		// Highest-ballot vote, with the same deterministic fast-ballot
-		// tie-break as the client's maxBallotVote (see commit.go).
-		best, hasVote := maxBallotVote(prep.Votes)
-		if !hasVote {
-			best.Ballot = paxos.NilBallot
-		}
-		var value []byte
-		if best.IsNull() {
-			if !fillNoOp {
-				return wal.Entry{}, fmt.Errorf("position %d undecided", pos)
-			}
-			value = wal.Encode(wal.NoOp())
-		} else {
-			value = best.Value
-		}
-		acc := prop.Accept(ctx, group, pos, ballot, value)
-		if !acc.Quorum() {
-			ballot = paxos.NextBallot(maxInt64(acc.MaxSeen, ballot), learnClientID)
-			sleepBackoff(ctx, attempt, s.timeout/40)
-			continue
-		}
-		prop.Apply(ctx, group, pos, acc.ChosenAt, value)
-		entry, err := wal.Decode(value)
-		if err != nil {
-			return wal.Entry{}, err
-		}
-		return entry, nil
+		return wal.Encode(wal.NoOp()), nil
 	}
-	return wal.Entry{}, fmt.Errorf("could not learn position %d", pos)
+	value, chosenAt, err := s.proposer.Decide(ctx, in)
+	if err != nil {
+		return wal.Entry{}, err
+	}
+	s.proposer.Apply(ctx, group, pos, chosenAt, value)
+	return wal.Decode(value)
 }
 
 // errNotFetched reports that no reachable peer served the decided entry.
@@ -839,11 +842,4 @@ func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wa
 		}
 	}
 	return wal.Entry{}, errNotFetched
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

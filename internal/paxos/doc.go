@@ -10,10 +10,15 @@
 //   - Acceptor: the Transaction Service side (Algorithm 1) — handles
 //     prepare and accept messages with all state transitions made atomic
 //     through the kvstore's conditional write (the seq CAS, DESIGN.md §2).
-//   - Proposer: the Transaction Client side's messaging core (the phases of
-//     Algorithm 2) — fans prepare/accept/apply out to every datacenter and
-//     tallies responses. Value selection (findWinningVal and the Paxos-CP
-//     enhancedFindWinningVal) lives in package core, layered on top.
+//   - Proposer: the messaging core of Algorithm 2 — fans prepare/accept/
+//     apply out to every datacenter and tallies responses — and its one
+//     driver, Decide, which runs the algorithm's rounds (prepare, choose,
+//     accept; on a refusal a higher ballot and a pause) for a Transaction
+//     Client and for a Transaction Service alike. What differs between them
+//     is passed in an Instance: the ballot identity, the value rule
+//     (findWinningVal and the Paxos-CP enhancedFindWinningVal live in
+//     package core), the prepare mode, the round cap and the pause. The
+//     decision is announced by the caller (Notify or Apply).
 //
 // Ballots encode a round counter and a proposer identity (Ballot), so
 // proposal numbers are globally unique. The one extension to the Synod

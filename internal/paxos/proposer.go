@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"paxoscp/internal/network"
@@ -52,9 +53,9 @@ type AcceptOutcome struct {
 	// acceptor may have promised higher before the decision — so with one
 	// counted ChosenAt is DecidedBallot, which no promise reaches.
 	ChosenAt int64
-	// Refused and Unreachable are filled by AcceptUnanimous only: how many
-	// acceptors refused the vote (a per-position race — the fast path is
-	// still healthy) versus how many sends failed or went unanswered (a
+	// Refused and Unreachable count the acceptors heard from before the round
+	// stopped that refused the vote (a per-position race — the masters' fast
+	// path is still healthy) versus whose sends failed or went unanswered (a
 	// peer is unreachable — unanimity is impossible until it returns).
 	Refused     int
 	Unreachable int
@@ -85,9 +86,11 @@ func (o *AcceptOutcome) ack(resp network.Message) {
 // at Quorum (DESIGN.md §11, "Who may use ballot 0").
 func (o AcceptOutcome) Unanimous() bool { return o.D > 0 && o.Acks == o.D }
 
-// Proposer drives the messaging of Algorithm 2 for a Transaction Client: it
-// fans each phase out to every datacenter in parallel ("Loop iterations may
-// be executed in parallel") and tallies responses until the timeout.
+// Proposer drives the messaging of Algorithm 2: it fans each phase out to
+// every datacenter in parallel ("Loop iterations may be executed in
+// parallel") and tallies responses until the timeout, and Decide runs the
+// algorithm's rounds — for a Transaction Client, and for a Transaction Service
+// that falls back from its fast round or learns a missing position.
 type Proposer struct {
 	// Transport connects to every datacenter's Transaction Service.
 	Transport network.Transport
@@ -134,14 +137,89 @@ func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect f
 	}
 }
 
-// Prepare runs one prepare phase (Algorithm 2 lines 24–41) with the given
+// Instance is one Paxos instance as Decide runs it: a log position, the
+// identity its ballots are owned by, and the rules that differ between the
+// callers (DESIGN.md §3, "One driver").
+type Instance struct {
+	Group string
+	Pos   int64
+	// ID is the proposer identity every ballot of the run is owned by.
+	ID int
+	// Seen is the highest ballot already observed for the position: the
+	// first round proposes at NextBallot(Seen, ID) — Ballot(1, ID) for a
+	// fresh instance, above a failed fast round's MaxSeen for a master.
+	Seen int64
+	// WaitAll selects the prepare collection mode (prepare).
+	WaitAll bool
+	// Rounds caps the prepare → accept rounds.
+	Rounds int
+	// Choose picks the value to propose from a granted prepare round
+	// (findWinningVal or a variant). An error ends the run with no accept
+	// sent, and Decide returns it.
+	Choose func(PrepareOutcome) ([]byte, error)
+	// Pause is called before rounds 2…Rounds with the round's index (1 for
+	// the second) — never before the first or after the last. An error (the
+	// context ending during the pause) ends the run, and Decide returns it.
+	Pause func(ctx context.Context, attempt int) error
+}
+
+// ErrUndecided reports a run of Decide that used all its rounds without a
+// majority promising and then voting for one of its proposals. The position's
+// outcome is unknown: a later round, anyone's, may still decide it.
+type ErrUndecided struct {
+	Group  string
+	Pos    int64
+	Rounds int
+}
+
+func (e ErrUndecided) Error() string {
+	return fmt.Sprintf("paxos: no majority for %s/%d after %d rounds", e.Group, e.Pos, e.Rounds)
+}
+
+// Decide runs Algorithm 2's classic rounds for the instance: prepare, choose
+// the value, accept; on a refusal in either phase pick the next proposal
+// number above every ballot seen, pause, go again. It returns the decided
+// value and the ballot to announce it under (AcceptOutcome.ChosenAt).
+// Announcing is the caller's: a Transaction Client notifies (Notify), a
+// service applies (Apply).
+func (p *Proposer) Decide(ctx context.Context, in Instance) (value []byte, chosenAt int64, err error) {
+	ballot := NextBallot(in.Seen, in.ID)
+	for round := 0; round < in.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		if round > 0 {
+			if err := in.Pause(ctx, round); err != nil {
+				return nil, 0, err
+			}
+		}
+		prep := p.prepare(ctx, in.Group, in.Pos, ballot, in.WaitAll)
+		if !prep.Quorum() {
+			ballot = NextBallot(max(prep.MaxSeen, ballot), in.ID)
+			continue
+		}
+		value, err := in.Choose(prep)
+		if err != nil {
+			return nil, 0, err
+		}
+		acc := p.Accept(ctx, in.Group, in.Pos, ballot, value)
+		if !acc.Quorum() {
+			ballot = NextBallot(max(acc.MaxSeen, ballot), in.ID)
+			continue
+		}
+		return value, acc.ChosenAt, nil
+	}
+	return nil, 0, ErrUndecided{Group: in.Group, Pos: in.Pos, Rounds: in.Rounds}
+}
+
+// prepare runs one prepare phase (Algorithm 2 lines 24–41) with the given
 // ballot. When waitAll is false the phase ends as soon as a majority has
 // promised ("if ackCount > D/2 then keepTrying ← false"); when true it
 // keeps collecting until every datacenter answered or the timeout fires —
 // Paxos-CP benefits from extra votes ("In practice, when a Transaction
 // Client sends a prepare message, it will receive responses from more than
 // a simple majority", §5).
-func (p *Proposer) Prepare(ctx context.Context, group string, pos int64, ballot int64, waitAll bool) PrepareOutcome {
+func (p *Proposer) prepare(ctx context.Context, group string, pos int64, ballot int64, waitAll bool) PrepareOutcome {
 	req := network.Message{Kind: network.KindPrepare, Group: group, Pos: pos, Ballot: ballot}
 	out := PrepareOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot}
 	maj := Majority(out.D)
@@ -166,60 +244,39 @@ func (p *Proposer) Prepare(ctx context.Context, group string, pos int64, ballot 
 }
 
 // Accept runs one accept phase (Algorithm 2 lines 42–57), proposing value at
-// the given ballot. It stops as soon as a majority votes — or as soon as
-// enough refusals arrive that a majority has become impossible, so a doomed
-// round does not sit out the timeout.
+// the given ballot, that aims for a majority.
 func (p *Proposer) Accept(ctx context.Context, group string, pos int64, ballot int64, value []byte) AcceptOutcome {
-	req := network.Message{Kind: network.KindAccept, Group: group, Pos: pos, Ballot: ballot, Payload: value}
-	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot, ChosenAt: ballot}
-	maj := Majority(out.D)
-	refused := 0
-	p.broadcast(ctx, req, func(dc string, resp network.Message, err error) bool {
-		if err != nil {
-			return false
-		}
-		if resp.Ballot > out.MaxSeen {
-			out.MaxSeen = resp.Ballot
-		}
-		if resp.OK {
-			out.ack(resp)
-		} else {
-			refused++
-		}
-		return out.Acks >= maj || out.Acks+(out.D-out.Acks-refused) < maj
-	})
-	return out
+	return p.accept(ctx, group, pos, ballot, value, Majority(len(p.Transport.Peers())))
 }
 
 // AcceptUnanimous runs an accept phase that aims for unanimity (the masters'
-// fast-ballot path): it stops as soon as every datacenter voted, or as soon as
-// a single refusal or send failure makes unanimity impossible — a doomed fast
+// fast-ballot path): a single refusal or send failure ends it — a doomed fast
 // round must fall back to classic Paxos quickly, not sit out the timeout.
 func (p *Proposer) AcceptUnanimous(ctx context.Context, group string, pos int64, ballot int64, value []byte) AcceptOutcome {
+	return p.accept(ctx, group, pos, ballot, value, len(p.Transport.Peers()))
+}
+
+// accept is the one accept tally: it stops as soon as need acceptors voted,
+// or as soon as refusals and failed sends leave fewer than need that still
+// could, so a doomed round does not sit out the timeout. A send that times
+// out counts as unreachable, so a round that stopped on neither condition
+// heard from everyone.
+func (p *Proposer) accept(ctx context.Context, group string, pos int64, ballot int64, value []byte, need int) AcceptOutcome {
 	req := network.Message{Kind: network.KindAccept, Group: group, Pos: pos, Ballot: ballot, Payload: value}
 	out := AcceptOutcome{D: len(p.Transport.Peers()), MaxSeen: ballot, ChosenAt: ballot}
 	p.broadcast(ctx, req, func(dc string, resp network.Message, err error) bool {
 		if err != nil {
 			out.Unreachable++
-			return true // unanimity impossible
-		}
-		if resp.Ballot > out.MaxSeen {
-			out.MaxSeen = resp.Ballot
-		}
-		if resp.OK {
-			out.ack(resp)
 		} else {
-			out.Refused++
+			out.MaxSeen = max(out.MaxSeen, resp.Ballot)
+			if resp.OK {
+				out.ack(resp)
+			} else {
+				out.Refused++
+			}
 		}
-		return out.Refused+out.Unreachable > 0 || out.Acks == out.D
+		return out.Acks >= need || out.D-out.Refused-out.Unreachable < need
 	})
-	// A round that timed out with neither a refusal nor a send error has
-	// silent peers: count them unreachable (unanimity needs every
-	// acceptor). When the round stopped early on a refusal, the missing
-	// peers were simply not waited for — they are not known unreachable.
-	if out.Refused == 0 && out.Unreachable == 0 && !out.Unanimous() {
-		out.Unreachable = out.D - out.Acks
-	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestProposerFullInstance(t *testing.T) {
 	ctx := context.Background()
 	b := Ballot(1, 1)
 
-	prep := p.Prepare(ctx, "g", 0, b, true)
+	prep := p.prepare(ctx, "g", 0, b, true)
 	if prep.D != 3 || !prep.Quorum() {
 		t.Fatalf("prepare outcome: %+v", prep)
 	}
@@ -115,7 +116,7 @@ func TestProposerSecondProposerLearnsFirstValue(t *testing.T) {
 
 	p1 := tc.proposer("A")
 	b1 := Ballot(1, 1)
-	p1.Prepare(ctx, "g", 0, b1, true)
+	p1.prepare(ctx, "g", 0, b1, true)
 	if acc := p1.Accept(ctx, "g", 0, b1, []byte("first")); !acc.Quorum() {
 		t.Fatalf("p1 accept: %+v", acc)
 	}
@@ -124,7 +125,7 @@ func TestProposerSecondProposerLearnsFirstValue(t *testing.T) {
 	// for "first" must surface, and by the Paxos rule it must adopt it.
 	p2 := tc.proposer("B")
 	b2 := Ballot(2, 2)
-	prep := p2.Prepare(ctx, "g", 0, b2, true)
+	prep := p2.prepare(ctx, "g", 0, b2, true)
 	if !prep.Quorum() {
 		t.Fatalf("p2 prepare: %+v", prep)
 	}
@@ -145,10 +146,10 @@ func TestProposerRefusedPrepareReportsHigherBallot(t *testing.T) {
 	ctx := context.Background()
 
 	high := Ballot(9, 9)
-	tc.proposer("A").Prepare(ctx, "g", 0, high, true)
+	tc.proposer("A").prepare(ctx, "g", 0, high, true)
 
 	low := Ballot(1, 1)
-	prep := tc.proposer("B").Prepare(ctx, "g", 0, low, true)
+	prep := tc.proposer("B").prepare(ctx, "g", 0, low, true)
 	if prep.Quorum() {
 		t.Fatalf("low prepare acked: %+v", prep)
 	}
@@ -167,7 +168,7 @@ func TestProposerToleratesMinorityDown(t *testing.T) {
 	ctx := context.Background()
 	b := Ballot(1, 1)
 
-	prep := p.Prepare(ctx, "g", 0, b, true)
+	prep := p.prepare(ctx, "g", 0, b, true)
 	if !prep.Quorum() || prep.Acks != 2 {
 		t.Fatalf("prepare with 1 of 3 down: %+v", prep)
 	}
@@ -184,7 +185,7 @@ func TestProposerMajorityDownCannotProceed(t *testing.T) {
 	p.Timeout = 50 * time.Millisecond
 
 	start := time.Now()
-	prep := p.Prepare(context.Background(), "g", 0, Ballot(1, 1), true)
+	prep := p.prepare(context.Background(), "g", 0, Ballot(1, 1), true)
 	if prep.Quorum() {
 		t.Fatalf("quorum with majority down: %+v", prep)
 	}
@@ -201,7 +202,7 @@ func TestProposerAcceptStopsAtMajority(t *testing.T) {
 	p := tc.proposer("A")
 	ctx := context.Background()
 	b := Ballot(1, 1)
-	p.Prepare(ctx, "g", 0, b, true)
+	p.prepare(ctx, "g", 0, b, true)
 	acc := p.Accept(ctx, "g", 0, b, []byte("v"))
 	if !acc.Quorum() {
 		t.Fatalf("accept: %+v", acc)
@@ -230,32 +231,32 @@ func TestProposerSafetyUnderContention(t *testing.T) {
 			p := tc.proposer(dc)
 			p.Timeout = 300 * time.Millisecond
 			myVal := []byte{byte('a' + i)}
-			ballot := Ballot(1, i+1)
-			for attempt := 0; attempt < 20; attempt++ {
-				prep := p.Prepare(ctx, "g", 0, ballot, true)
-				if !prep.Quorum() {
-					ballot = NextBallot(prep.MaxSeen, i+1)
-					continue
-				}
-				// Paxos rule: adopt the highest-ballot vote if any exist.
-				val := myVal
-				best := Vote{Ballot: NilBallot}
-				for _, v := range prep.Votes {
-					if !v.IsNull() && v.Ballot > best.Ballot {
-						best = v
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			val, _, err := p.Decide(ctx, Instance{
+				Group: "g", ID: i + 1, WaitAll: true, Rounds: 20,
+				Choose: func(prep PrepareOutcome) ([]byte, error) {
+					// Paxos rule: adopt the highest-ballot vote if any exist.
+					best := Vote{Ballot: NilBallot}
+					for _, v := range prep.Votes {
+						if !v.IsNull() && v.Ballot > best.Ballot {
+							best = v
+						}
 					}
-				}
-				if !best.IsNull() {
-					val = best.Value
-				}
-				acc := p.Accept(ctx, "g", 0, ballot, val)
-				if acc.Quorum() {
-					mu.Lock()
-					decided[string(val)] = true
-					mu.Unlock()
-					return
-				}
-				ballot = NextBallot(acc.MaxSeen, i+1)
+					if best.IsNull() {
+						return myVal, nil
+					}
+					return best.Value, nil
+				},
+				// Each proposer pauses at random, from a source of its own.
+				Pause: func(ctx context.Context, attempt int) error {
+					time.Sleep(time.Duration(rng.Intn(1000<<min(attempt, 3))) * time.Microsecond)
+					return ctx.Err()
+				},
+			})
+			if err == nil {
+				mu.Lock()
+				decided[string(val)] = true
+				mu.Unlock()
 			}
 		}(i)
 	}
