@@ -139,9 +139,9 @@ saturation-smoke:
 	$(GO) run ./cmd/paxosbench -fig saturation -scale 0.01 -txns 240 -q
 	$(GO) test -tags perfgate -count=1 -run 'TestSaturationPlateau' ./internal/bench
 
-## durability-smoke: the fsync-policy sweep on the disk engine (CI "bench"
-## job; runs at real fsync cost, no sim scaling), then
-## TestDurabilityBatchAbsorption with its batch >= 3x sync throughput ratio
+## durability-smoke: the writer sweep on the disk engine's group commit (CI
+## "bench" job; runs at real fsync cost, no sim scaling), then
+## TestDurabilityBatchAbsorption with its w=16 >= 3x w=1 throughput ratio
 ## enforced (-tags perfgate; its fsync-count checks run in tier-1 too)
 durability-smoke:
 	$(GO) run ./cmd/paxosbench -fig durability -txns 240 -q

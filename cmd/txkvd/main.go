@@ -37,7 +37,6 @@ func main() {
 		peers    = flag.String("peers", "", "comma-separated name=addr peer list, including self (required)")
 		timeout  = flag.Duration("timeout", network.DefaultTimeout, "message-loss detection timeout")
 		dataDir  = flag.String("data-dir", "", "durable data directory: write-ahead log + snapshots; a kill -9'd daemon restarts from it with nothing acknowledged lost (empty = in-memory only)")
-		fsyncPol = flag.String("fsync", "batch", "WAL fsync policy when -data-dir is set: sync (fsync per write), batch (group commit), interval (timer-based, may lose the last interval on power loss)")
 		window   = flag.Int("submit-window", core.DefaultSubmitWindow, "master submit pipeline depth (positions in flight per group; 1 = serial)")
 		combine  = flag.Int("submit-combine", core.DefaultSubmitCombine, "max transactions combined per log entry on the master submit path")
 		subQueue = flag.Int("submit-queue", core.DefaultSubmitQueue, "per-group submit admission cap: beyond this queue depth new submits fail fast with the retryable 'overloaded' marker (negative = unbounded)")
@@ -59,10 +58,6 @@ func main() {
 
 	store := kvstore.New()
 	if *dataDir != "" {
-		policy, err := disk.ParsePolicy(*fsyncPol)
-		if err != nil {
-			log.Fatalf("txkvd: %v", err)
-		}
 		// disk.Open replays the WAL tail over the newest snapshot and logs a
 		// "disk: recovered ..." line (docs/OPERATIONS.md explains the fields).
 		// Everything above the store — acceptor promises, log entries, applied
@@ -70,8 +65,7 @@ func main() {
 		// recovers the whole replica.
 		var engine *disk.Engine
 		store, engine, err = disk.Open(*dataDir, disk.Options{
-			Fsync: policy,
-			Logf:  log.Printf,
+			Logf: log.Printf,
 			// Background scrub: re-verify sealed segments and snapshots
 			// every 10 minutes so bit rot is a health alert (GroupStatus
 			// fault/scrub fields, txkvctl status), not a surprise at the
@@ -99,7 +93,7 @@ func main() {
 			store.Close()
 			log.Fatalf("txkvd: %v", lerr)
 		}
-		log.Printf("txkvd: %d rows recovered from %s (fsync=%s)", store.Len(), *dataDir, policy)
+		log.Printf("txkvd: %d rows recovered from %s", store.Len(), *dataDir)
 	}
 	// Two-phase wiring: the UDP transport needs the handler, and the
 	// service needs the transport (for catch-up). The async registration
@@ -141,9 +135,8 @@ func main() {
 	transport.Close()
 	service.Close()
 	// Closing the store flushes and fsyncs the engine's queue; with -data-dir
-	// every acknowledged write is already durable per the fsync policy, so a
-	// clean shutdown and a kill -9 recover identically (minus the unflushed
-	// tail under -fsync interval).
+	// every acknowledged write is already durable (group commit), so a clean
+	// shutdown and a kill -9 recover identically.
 	store.Close()
 	if *dataDir != "" {
 		log.Printf("txkvd: state durable in %s", *dataDir)

@@ -12,59 +12,46 @@ import (
 )
 
 // Durability measures acknowledged-write throughput against the disk engine
-// (DESIGN.md §14) under each fsync policy, sweeping concurrent writers. It
-// drives the store directly rather than through the simulated cluster: the
-// sim's WAN round-trips are tens of scaled milliseconds while an fsync is
-// ~100 µs, so behind the cluster every policy would measure the network.
-// At the engine the figure shows the durability story itself:
+// (DESIGN.md §14), sweeping concurrent writers. It drives the store directly
+// rather than through the simulated cluster: the sim's WAN round-trips are
+// tens of scaled milliseconds while an fsync is ~100 µs, so behind the cluster
+// both rows would measure the network. At the engine the figure shows the
+// durability story itself:
 //
 //   - memory: nil engine, the no-durability upper bound;
-//   - sync: one fsync per acknowledged write — safe and slow, and writer
-//     concurrency cannot help because fsyncs serialize;
-//   - batch: group commit — the first waiter fsyncs for everyone queued
-//     behind it, so throughput scales with writers while keeping exactly
-//     sync's guarantee (nothing acknowledged is ever lost);
-//   - interval: acknowledge immediately, fsync on a timer — fastest, but
-//     power loss may take the last interval's acknowledged writes with it.
+//   - disk: group commit, the engine's one policy. A lone writer pays one
+//     fsync per acknowledged write, so w=1 is the per-write-fsync baseline;
+//     concurrent writers share fsyncs, with the same guarantee.
 //
-// The fsyncs column (per 1000 acknowledged writes, at the highest writer
-// count) makes the absorption visible: sync pays ~1000, batch pays an
-// order of magnitude fewer.
+// The "w=16 vs w=1" column is that scaling, and the fsyncs column (per 1000
+// acknowledged writes at 16 writers) the absorption behind it.
 func Durability(o Options) ([]Table, error) {
 	o = o.withDefaults()
 	writersSweep := []int{1, 4, 16}
 	t := Table{
-		Title: "Durability: acknowledged writes/sec vs fsync policy (disk engine, " + fmt.Sprint(durabilityWritesTotal(o)) + " writes per cell)",
-		Note:  "engine-level sweep; sync = fsync per write, batch = group commit (same guarantee as sync), interval = timer fsync (may lose last interval on power loss); fsyncs column per 1000 writes at 16 writers",
-		Columns: []string{"policy", "w=1 /sec", "w=4 /sec", "w=16 /sec",
-			"vs sync @16", "fsyncs/1k @16"},
+		Title: "Durability: acknowledged writes/sec vs concurrent writers (disk engine, " + fmt.Sprint(durabilityWritesTotal(o)) + " writes per cell)",
+		Note:  "engine-level sweep; disk = group commit, one fsync per write at w=1; fsyncs column per 1000 writes at 16 writers",
+		Columns: []string{"store", "w=1 /sec", "w=4 /sec", "w=16 /sec",
+			"w=16 vs w=1", "fsyncs/1k @16"},
 	}
-	var syncAt16 float64
-	for _, policy := range []string{"memory", string(disk.SyncEvery), string(disk.SyncBatch), string(disk.SyncInterval)} {
-		cells := make([]string, 0, len(writersSweep))
-		var last durabilityResult
-		for _, w := range writersSweep {
-			res, err := durabilityRun(o, policy, w)
+	for _, backend := range []string{"memory", "disk"} {
+		row := []string{backend}
+		var first, last durabilityResult
+		for i, w := range writersSweep {
+			res, err := durabilityRun(o, backend, w)
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, fmt.Sprintf("%.0f", res.perSec))
+			row = append(row, fmt.Sprintf("%.0f", res.perSec))
+			if i == 0 {
+				first = res
+			}
 			last = res
-			o.Verbose("  durability %-8s w=%-2d %6.0f writes/sec (%d fsyncs for %d writes)",
-				policy, w, res.perSec, res.fsyncs, res.writes)
+			o.Verbose("  durability %-6s w=%-2d %6.0f writes/sec (%d fsyncs for %d writes)",
+				backend, w, res.perSec, res.fsyncs, res.writes)
 		}
-		if policy == string(disk.SyncEvery) {
-			syncAt16 = last.perSec
-		}
-		ratio := "-"
-		if policy != "memory" && syncAt16 > 0 {
-			ratio = fmt.Sprintf("%.1fx", last.perSec/syncAt16)
-		}
-		fsyncsCell := "-"
-		if policy != "memory" && last.writes > 0 {
-			fsyncsCell = fmt.Sprintf("%.0f", float64(last.fsyncs)*1000/float64(last.writes))
-		}
-		t.AddRow(policy, cells[0], cells[1], cells[2], ratio, fsyncsCell)
+		t.AddRow(append(row, fmt.Sprintf("%.1fx", last.perSec/first.perSec),
+			fmt.Sprintf("%.0f", float64(last.fsyncs)*1000/float64(last.writes)))...)
 	}
 	return []Table{t}, nil
 }
@@ -79,7 +66,7 @@ func durabilityWritesTotal(o Options) int {
 	return n
 }
 
-// durabilityResult is one (policy, writers) cell's outcome.
+// durabilityResult is one (backend, writers) cell's outcome.
 type durabilityResult struct {
 	writes int
 	wall   time.Duration
@@ -88,15 +75,15 @@ type durabilityResult struct {
 }
 
 // durabilityRun executes one cell: writers goroutines split the write budget
-// against one fresh store (disk-backed unless policy is "memory"), each
-// write acknowledged — i.e. durable per the policy — before the next.
-// Exposed to the test suite so the pinned batch-vs-sync assertion and the
-// rendered figure run the same experiment.
-func durabilityRun(o Options, policy string, writers int) (durabilityResult, error) {
+// against one fresh store (disk-backed unless backend is "memory"), each
+// write acknowledged — on the disk, durable — before the next. Exposed to
+// the test suite so the pinned absorption assertion and the rendered figure
+// run the same experiment.
+func durabilityRun(o Options, backend string, writers int) (durabilityResult, error) {
 	o = o.withDefaults()
 	var store *kvstore.Store
 	var engine *disk.Engine
-	if policy == "memory" {
+	if backend == "memory" {
 		store = kvstore.New()
 	} else {
 		dir, err := os.MkdirTemp("", "paxoscp-durability-*")
@@ -104,7 +91,7 @@ func durabilityRun(o Options, policy string, writers int) (durabilityResult, err
 			return durabilityResult{}, fmt.Errorf("bench: durability: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		store, engine, err = disk.Open(dir, disk.Options{Fsync: disk.SyncPolicy(policy)})
+		store, engine, err = disk.Open(dir, disk.Options{})
 		if err != nil {
 			return durabilityResult{}, fmt.Errorf("bench: durability: %w", err)
 		}
@@ -139,7 +126,7 @@ func durabilityRun(o Options, policy string, writers int) (durabilityResult, err
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		return durabilityResult{}, fmt.Errorf("bench: durability %s w=%d: %w", policy, writers, err)
+		return durabilityResult{}, fmt.Errorf("bench: durability %s w=%d: %w", backend, writers, err)
 	}
 	wall := time.Since(start)
 

@@ -58,15 +58,11 @@ type Config struct {
 	// which is what enables Crash and Restart. Empty means in-memory stores,
 	// the sim/test default.
 	DataDir string
-	// Fsync selects the disk engine's sync policy when DataDir is set; empty
-	// means disk.SyncBatch (group commit).
-	Fsync disk.SyncPolicy
 	// DiskOptions, when non-nil, supplies each datacenter's full disk
 	// engine options (only meaningful with DataDir set). It is how the
 	// fault nemesis wires a faultfs injector under one replica's engine
-	// and how tests shrink segments to force rotation. Fsync falls back to
-	// Config.Fsync when the returned options leave it empty; Restart calls
-	// it again, so injected faults can span or be cleared across a
+	// and how tests shrink segments to force rotation. Restart calls it
+	// again, so injected faults can span or be cleared across a
 	// crash+restart.
 	DiskOptions func(dc string) disk.Options
 	// OnMigrationPhase, when set, observes every handoff entry Grow's
@@ -191,12 +187,9 @@ func (c *Cluster) openStore(dc string) (*kvstore.Store, *disk.Engine, error) {
 	if c.cfg.DataDir == "" {
 		return kvstore.New(), nil, nil
 	}
-	opts := disk.Options{Fsync: c.cfg.Fsync}
+	var opts disk.Options
 	if c.cfg.DiskOptions != nil {
 		opts = c.cfg.DiskOptions(dc)
-		if opts.Fsync == "" {
-			opts.Fsync = c.cfg.Fsync
-		}
 	}
 	store, engine, err := disk.Open(filepath.Join(c.cfg.DataDir, dc), opts)
 	if err != nil {

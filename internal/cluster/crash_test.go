@@ -60,7 +60,7 @@ func TestRefusesStoreWithLegacyAcceptorRows(t *testing.T) {
 	dataDir := t.TempDir()
 	seed := func() *kvstore.Store {
 		t.Helper()
-		store, _, err := disk.Open(filepath.Join(dataDir, "V2"), disk.Options{Fsync: disk.SyncBatch})
+		store, _, err := disk.Open(filepath.Join(dataDir, "V2"), disk.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestDurableCommitFsyncsPerReplica(t *testing.T) {
 		Timeout:   500 * time.Millisecond,
 		DataDir:   t.TempDir(),
 		DiskOptions: func(string) disk.Options {
-			return disk.Options{Fsync: disk.SyncBatch, Logf: func(string, ...any) {}}
+			return disk.Options{Logf: func(string, ...any) {}}
 		},
 	})
 	defer c.Close()

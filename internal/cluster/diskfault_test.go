@@ -33,8 +33,7 @@ func faultyDiskCluster(t *testing.T, cfg Config) (*Cluster, func(dc string) *fau
 		injectors[dc] = inj
 		mu.Unlock()
 		return disk.Options{
-			FS:    inj,
-			Fsync: disk.SyncEvery, // every ack durable: faults trip deterministically
+			FS: inj,
 			// Small segments seal quickly (scrub targets); huge compaction
 			// threshold keeps sealed segments around to corrupt.
 			SegmentBytes:    2048,

@@ -14,11 +14,11 @@
 // (MasterOf), and NewKV hands out routed clients over it.
 //
 // Config.DataDir puts each datacenter's store on the disk engine
-// (DESIGN.md §14, one subdirectory per datacenter, fsync policy from
-// Config.Fsync), which unlocks the hard end of the fault surface: Crash
-// hard-kills a datacenter — simulated power loss, unflushed WAL bytes
-// discarded, in-flight messages dropped — and Restart recovers it from its
-// data directory, exactly as a kill -9'd txkvd would. Disk-backed
+// (DESIGN.md §14, one subdirectory per datacenter, group commit), which
+// unlocks the hard end of the fault surface: Crash hard-kills a datacenter —
+// simulated power loss, unflushed WAL bytes discarded, in-flight messages
+// dropped — and Restart recovers it from its data directory, exactly as a
+// kill -9'd txkvd would. Disk-backed
 // deployments should construct with Open, which surfaces store-recovery
 // failures (corrupt or incomplete data directories) as errors; New is the
 // panic-on-error convenience wrapper for sim and test call sites, where a

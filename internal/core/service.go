@@ -373,14 +373,14 @@ func (s *Service) handleApply(req network.Message) network.Message {
 // is contiguous with the watermark, the batch carries the data writes of
 // every newly contiguous entry and the watermark itself, and the row of pos
 // in its decided form unless the vote this replica holds already is the entry.
-// Returning nil means the decided bytes are durable locally under the engine's
-// sync policy (invariant R2) — as a vote under a durable watermark, or as a
-// row marked decided; the master counts a peer's reply toward the majority it
-// acknowledges on — and, unless pos is above a log gap, that the watermark
-// covers it. An entry above a gap is logged and queued but its application
-// is not waited for: the gap is filled by catch-up, which ApplyDecided starts
-// itself if the gap outlives a timeout (fillGapLater). It is idempotent:
-// duplicated apply messages and replays are harmless.
+// Returning nil means the decided bytes are durable locally (invariant R2) —
+// as a vote under a durable watermark, or as a row marked decided; the master
+// counts a peer's reply toward the majority it acknowledges on — and, unless
+// pos is above a log gap, that the watermark covers it. An entry above a gap
+// is logged and queued but its application is not waited for: the gap is
+// filled by catch-up, which ApplyDecided starts itself if the gap outlives a
+// timeout (fillGapLater). It is idempotent: duplicated apply messages and
+// replays are harmless.
 //
 // ApplyDecided is for a caller that has the decision but no ballot it was
 // chosen at — a fetched or learned entry; an apply message brings one

@@ -27,22 +27,6 @@ func TestDiskEngineConformance(t *testing.T) {
 	})
 }
 
-// TestDiskEngineConformanceSyncEvery repeats the suite under the per-write
-// fsync policy, whose flush path differs from group commit.
-func TestDiskEngineConformanceSyncEvery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("per-write fsync suite is slow")
-	}
-	storetest.Run(t, func(t *testing.T) *kvstore.Store {
-		s, _, err := disk.Open(t.TempDir(), disk.Options{Fsync: disk.SyncEvery})
-		if err != nil {
-			t.Fatalf("disk.Open: %v", err)
-		}
-		t.Cleanup(s.Close)
-		return s
-	})
-}
-
 // TestDiskEngineRecovery runs the restart contracts against the disk
 // engine: power loss, then snapshot load plus WAL replay. Tiny segments put
 // a snapshot and several compactions behind the replayed tail.

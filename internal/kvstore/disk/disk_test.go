@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"paxoscp/internal/kvstore"
 )
@@ -115,10 +114,10 @@ func TestEveryPrefixTruncation(t *testing.T) {
 		bounds = append(bounds, len(enc))
 	}
 
-	// Produce the reference log file by running the engine with per-write
-	// sync so every record reaches the file.
+	// Produce the reference log file by running the engine with one
+	// sequential writer, so every record reaches the file with its own fsync.
 	src := t.TempDir()
-	s, e := mustOpen(t, src, Options{Fsync: SyncEvery})
+	s, e := mustOpen(t, src, Options{})
 	for _, m := range muts {
 		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
 			t.Fatalf("write: %v", err)
@@ -288,7 +287,7 @@ func TestSnapshotCompactionAndReplay(t *testing.T) {
 	expectState(t, s2, muts, n)
 }
 
-// TestCrashDurability: concurrent writers against the batch policy, a
+// TestCrashDurability: concurrent writers under group commit, a
 // simulated power loss mid-traffic, then recovery. Every write that was
 // acknowledged before the crash must be present afterwards (invariant D1).
 func TestCrashDurability(t *testing.T) {
@@ -400,15 +399,11 @@ func TestGCAndDeleteSurviveRestart(t *testing.T) {
 // and the *next* recovery would silently skip them (a D1 violation).
 func TestSnapshotHorizonIsDurable(t *testing.T) {
 	dir := t.TempDir()
-	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval, Interval: time.Hour})
-	muts := mutHistory(20, 4)
-	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
-			t.Fatal(err)
-		}
+	_, e := mustOpen(t, dir, Options{})
+	// 20 records queued and never synced: the durable log still ends at seq 0.
+	if _, err := e.Append(mutHistory(20, 4)); err != nil {
+		t.Fatal(err)
 	}
-	// All 20 writes are acknowledged but queued (the hour-long interval
-	// ticker never fires), so the durable log still ends at seq 0.
 	if err := e.snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -421,7 +416,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 			t.Fatalf("snapshot claims seq %d but the durable log ends at 0", sn)
 		}
 	}
-	e.Crash() // power loss: the queued records are gone
+	e.Crash() // power loss
 
 	// Writes acknowledged after recovery must survive the next recovery.
 	s2, e2 := mustOpen(t, dir, Options{})
@@ -453,7 +448,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 // beside the serving one.
 func TestScrubStreamsSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval, Interval: time.Hour})
+	s, e := mustOpen(t, dir, Options{})
 	defer e.Close()
 	val := kvstore.PackAttrs("v", strings.Repeat("x", 40))
 	batch := make([]kvstore.BatchWrite, 0, 500)
@@ -606,16 +601,14 @@ func TestDeleteWriteReplayConvergence(t *testing.T) {
 	}
 }
 
-// TestIntervalPolicyCleanClose: interval policy may lose unflushed tail on
-// power loss but a clean Close flushes everything.
-func TestIntervalPolicyCleanClose(t *testing.T) {
+// TestCleanCloseFlushesQueue: records appended and never synced are on disk
+// after a clean Close.
+func TestCleanCloseFlushesQueue(t *testing.T) {
 	dir := t.TempDir()
-	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval})
+	_, e := mustOpen(t, dir, Options{})
 	muts := mutHistory(50, 5)
-	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := e.Append(muts); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -623,4 +616,18 @@ func TestIntervalPolicyCleanClose(t *testing.T) {
 	s2, e2 := mustOpen(t, dir, Options{})
 	defer e2.Close()
 	expectState(t, s2, muts, len(muts))
+}
+
+// TestOpenRefusesOtherFsyncPolicy: group commit is the only policy; a caller
+// that names another is refused before the directory is touched.
+func TestOpenRefusesOtherFsyncPolicy(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "d")
+	if _, _, err := Open(dir, Options{Fsync: "interval"}); err == nil {
+		t.Fatal("Open took fsync policy \"interval\"")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused Open touched the directory: %v", err)
+	}
+	_, e := mustOpen(t, dir, Options{Fsync: SyncBatch})
+	e.Close()
 }

@@ -21,9 +21,10 @@
 //
 // The durability contract is the store's mutation protocol (kvstore/engine.go):
 // apply in memory and Append under the row lock (pinning WAL order to apply
-// order per row), then Sync, then acknowledge. Sync blocks per the
-// configured SyncPolicy — per-write fsync (SyncEvery), group commit
-// (SyncBatch, the default), or timer-based (SyncInterval). Invariants D1–D3
+// order per row), then Sync, then acknowledge. Sync is group commit, the
+// engine's one policy: it returns once the record is fsynced, and concurrent
+// callers share fsyncs. Nothing is acknowledged before it is on disk, which is
+// what Paxos asks of an acceptor's promises and votes. Invariants D1–D3
 // and their proof obligations are in DESIGN.md §14; docs/OPERATIONS.md is the
 // operator-facing runbook (data-dir layout, snapshot cadence, disk-full
 // behavior, recovery log lines).

@@ -12,45 +12,19 @@ import (
 	"paxoscp/internal/kvstore"
 )
 
-// SyncPolicy selects when the engine fsyncs the write-ahead log relative to
-// acknowledging a mutation (the txkvd -fsync flag; bench.Durability measures
-// the three against each other).
+// SyncPolicy and SyncBatch are kept only for the benchmark deployment, which
+// sets Options.Fsync to SyncBatch. Group commit (Engine.Sync) is the engine's
+// one way to acknowledge a write; there is nothing else to select.
 type SyncPolicy string
 
-const (
-	// SyncEvery fsyncs once per acknowledged mutation — the honest
-	// no-batching baseline. Durability bound: nothing acknowledged is ever
-	// lost.
-	SyncEvery SyncPolicy = "sync"
-	// SyncBatch (the default) group-commits: the first waiter performs the
-	// fsync, a second that arrives meanwhile starts its own beside it
-	// (batchFlushers), and every mutation that queues behind those two is
-	// absorbed into the next one, so N concurrent writers pay a few fsyncs,
-	// not N. Durability bound: same as SyncEvery — every acknowledged
-	// mutation is durable — only the acknowledgement latency differs.
-	SyncBatch SyncPolicy = "batch"
-	// SyncInterval acknowledges immediately and fsyncs on a timer. The only
-	// policy that can lose acknowledged mutations on power loss (up to one
-	// interval's worth); a clean Close still flushes everything.
-	SyncInterval SyncPolicy = "interval"
-)
+// SyncBatch names group commit; see SyncPolicy.
+const SyncBatch SyncPolicy = "batch"
 
-// ParsePolicy converts a -fsync flag value into a SyncPolicy.
-func ParsePolicy(s string) (SyncPolicy, error) {
-	switch SyncPolicy(s) {
-	case SyncEvery, SyncBatch, SyncInterval:
-		return SyncPolicy(s), nil
-	case "":
-		return SyncBatch, nil
-	}
-	return "", fmt.Errorf("disk: unknown fsync policy %q (want sync, batch, or interval)", s)
-}
-
-// Options tunes an engine. The zero value is usable: batch fsync, 4 MiB
-// segments, compaction after 2 sealed segments, 50 ms interval-policy timer,
-// silent logging.
+// Options tunes an engine. The zero value is usable: 4 MiB segments,
+// compaction after 2 sealed segments, silent logging.
 type Options struct {
-	// Fsync is the sync policy; empty means SyncBatch.
+	// Fsync is kept only for the benchmark deployment (see SyncPolicy): empty
+	// or SyncBatch, which mean the same. Open refuses any other value.
 	Fsync SyncPolicy
 	// SegmentBytes rotates the active WAL segment once its durable size
 	// reaches this many bytes. Default 4 MiB.
@@ -58,8 +32,6 @@ type Options struct {
 	// CompactSegments triggers a snapshot + log compaction when this many
 	// sealed (rotated-out) segments exist. Default 2.
 	CompactSegments int
-	// Interval is the SyncInterval flush period. Default 50 ms.
-	Interval time.Duration
 	// Logf receives recovery and compaction log lines (docs/OPERATIONS.md
 	// documents the format). nil discards them.
 	Logf func(format string, args ...any)
@@ -82,17 +54,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Fsync == "" {
-		o.Fsync = SyncBatch
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
 	if o.CompactSegments <= 0 {
 		o.CompactSegments = 2
-	}
-	if o.Interval <= 0 {
-		o.Interval = 50 * time.Millisecond
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -128,7 +94,7 @@ type Engine struct {
 	// flushMu guards the active segment file against rotation, Close and
 	// Crash: a flush holds it shared for its write and fsync, whatever swaps
 	// or seals the file holds it exclusively — as do the flushes that are not
-	// group commits (SyncEvery, the interval ticker, Close, a snapshot's).
+	// group commits (Close's, a snapshot's).
 	flushMu sync.RWMutex
 	// writeMu serializes a flush's capture of the queue and its file write, so
 	// the segment holds records in sequence order; the fsync runs outside it.
@@ -141,9 +107,9 @@ type Engine struct {
 	captured uint64   // seq of the last record a flush has taken out of buf
 	written  int64    // bytes written to the active segment (guarded by writeMu)
 	flushed  uint64   // seq of the last record durable on disk
-	// Group-commit election state (SyncBatch only): up to batchFlushers
-	// flushes at a time; batchWaiting riders wait on batchCond (signaled on
-	// &mu) and are all woken by a flusher's broadcast when its records land.
+	// Group-commit election state: up to batchFlushers flushes at a time;
+	// batchWaiting riders wait on batchCond (signaled on &mu) and are all
+	// woken by a flusher's broadcast when its records land.
 	batchFlushing int
 	batchWaiting  int
 	batchCond     *sync.Cond
@@ -162,9 +128,6 @@ type Engine struct {
 	scrubMu      sync.Mutex
 	scrubRuns    int
 	scrubCorrupt []string
-
-	stop chan struct{} // interval-policy ticker shutdown
-	done chan struct{}
 
 	scrubStop chan struct{} // background scrub shutdown
 	scrubDone chan struct{}
@@ -188,72 +151,57 @@ func (e *Engine) Append(muts []kvstore.Mutation) (uint64, error) {
 	return e.appended, nil
 }
 
-// Sync implements kvstore.Engine per the configured policy.
+// Sync implements kvstore.Engine by group commit, the engine's one policy: it
+// returns once record seq is fsynced, and a lone writer pays one fsync per Sync.
+//
+// Group commit without a waiter convoy: an uncovered caller elects itself
+// flusher when no flush is running, or when one is and nobody is waiting yet
+// (batchFlushers); everyone else — a caller whose record a running flush
+// already took, a newcomer that finds other callers waiting, or no flusher's
+// place free — waits on the condition variable and is woken, with all the
+// others, by a flusher's broadcast. Riders never queue on a mutex just to
+// learn they're covered: with serial mutex hand-off a hot writer barges the
+// lock back and degenerates group commit into one fsync per record.
 func (e *Engine) Sync(seq uint64) error {
-	switch e.opts.Fsync {
-	case SyncInterval:
-		// Acknowledge immediately; the ticker flushes. Only the sticky
-		// failure is surfaced.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	waited := false
+	for {
+		if e.err != nil {
+			return e.err
+		}
+		if e.flushed >= seq {
+			return nil
+		}
+		if e.captured >= seq || e.batchFlushing == batchFlushers ||
+			(e.batchFlushing > 0 && e.batchWaiting > 0 && !waited) {
+			e.batchWaiting++
+			e.batchCond.Wait()
+			e.batchWaiting--
+			waited = true
+			continue
+		}
+		e.batchFlushing++
+		e.mu.Unlock()
+		// Gather step: yield once so every writer that is runnable right
+		// now — typically the riders the previous broadcast released —
+		// Appends before we capture the batch. On few-core machines the
+		// runtime rarely hands our P off mid-fsync, so without this the
+		// batch would hold only the records queued while we slept.
+		runtime.Gosched()
+		e.flushMu.RLock()
+		full, err := e.flush()
+		e.flushMu.RUnlock()
+		if err == nil && full {
+			e.flushMu.Lock()
+			err = e.rotateIfFull()
+			e.flushMu.Unlock()
+		}
 		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.err
-	case SyncEvery:
-		// One unconditional fsync per acknowledged mutation, even when a
-		// predecessor's fsync already covered this record: this is the
-		// honest no-batching baseline bench.Durability compares against.
-		e.flushMu.Lock()
-		defer e.flushMu.Unlock()
-		return e.flushAndRotate(true)
-	default: // SyncBatch
-		// Group commit without a waiter convoy: an uncovered caller elects
-		// itself flusher when no flush is running, or when one is and nobody is
-		// waiting yet (batchFlushers); everyone else — a caller whose record a
-		// running flush already took, a newcomer that finds other callers
-		// waiting, or no flusher's place free — waits on the condition variable
-		// and is woken, with all the others, by a flusher's broadcast. Riders never
-		// queue on a mutex just to learn they're covered: with serial mutex
-		// hand-off a hot writer barges the lock back and degenerates group
-		// commit into one fsync per record.
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		waited := false
-		for {
-			if e.err != nil {
-				return e.err
-			}
-			if e.flushed >= seq {
-				return nil
-			}
-			if e.captured >= seq || e.batchFlushing == batchFlushers ||
-				(e.batchFlushing > 0 && e.batchWaiting > 0 && !waited) {
-				e.batchWaiting++
-				e.batchCond.Wait()
-				e.batchWaiting--
-				waited = true
-				continue
-			}
-			e.batchFlushing++
-			e.mu.Unlock()
-			// Gather step: yield once so every writer that is runnable right
-			// now — typically the riders the previous broadcast released —
-			// Appends before we capture the batch. On few-core machines the
-			// runtime rarely hands our P off mid-fsync, so without this the
-			// batch would hold only the records queued while we slept.
-			runtime.Gosched()
-			e.flushMu.RLock()
-			full, err := e.flush(false)
-			e.flushMu.RUnlock()
-			if err == nil && full {
-				e.flushMu.Lock()
-				err = e.rotateIfFull()
-				e.flushMu.Unlock()
-			}
-			e.mu.Lock()
-			e.batchFlushing--
-			e.batchCond.Broadcast()
-			if err != nil {
-				return err
-			}
+		e.batchFlushing--
+		e.batchCond.Broadcast()
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -267,18 +215,18 @@ func (e *Engine) Sync(seq uint64) error {
 // was called, so whichever returns first makes everything up to its own
 // capture durable. The second place is for a caller that would otherwise wait
 // alone. Once callers are waiting, a newcomer waits with them and they ride
-// the next flush together, which is the absorption SyncBatch is for: under
+// the next flush together, which is the absorption group commit is for: under
 // many writers a flush started early carries one record where the next would
 // have carried the queue (16 writers on a disk that serialises flushes: about
 // 130 fsyncs per 1000 writes and a quarter less throughput without this rule,
 // 70 to 80 with it, as with one flusher).
 const batchFlushers = 2
 
-// flush drains the queue to the active segment and fsyncs. Caller must hold
-// flushMu, shared or exclusively. force fsyncs even when the queue is empty
-// (SyncEvery, Close). full reports that the segment has reached its size and
-// wants rotating, which needs flushMu exclusively (rotateIfFull).
-func (e *Engine) flush(force bool) (full bool, err error) {
+// flush drains the queue to the active segment and fsyncs, if the queue held
+// anything. Caller must hold flushMu, shared or exclusively. full reports that
+// the segment has reached its size and wants rotating, which needs flushMu
+// exclusively (rotateIfFull).
+func (e *Engine) flush() (full bool, err error) {
 	e.writeMu.Lock()
 	e.mu.Lock()
 	if err := e.err; err != nil {
@@ -305,7 +253,7 @@ func (e *Engine) flush(force bool) (full bool, err error) {
 	end := e.written
 	e.writeMu.Unlock()
 	synced := false
-	if len(buf) > 0 || force {
+	if len(buf) > 0 {
 		// Everything written so far — by this flush and by the ones before
 		// it — is what this fsync makes durable.
 		if err := f.Sync(); err != nil {
@@ -337,15 +285,6 @@ func (e *Engine) flush(force bool) (full bool, err error) {
 	e.batchCond.Broadcast()
 	e.mu.Unlock()
 	return full, nil
-}
-
-// flushAndRotate is flush for a caller that holds flushMu exclusively.
-func (e *Engine) flushAndRotate(force bool) error {
-	full, err := e.flush(force)
-	if err != nil || !full {
-		return err
-	}
-	return e.rotateIfFull()
 }
 
 // rotateIfFull seals the active segment, if it (still) has reached its size,
@@ -451,12 +390,16 @@ func (e *Engine) snapshot() error {
 	return nil
 }
 
-// syncAppended makes every record appended so far durable, whatever the
-// sync policy.
+// syncAppended makes every record appended so far durable, holding flushMu
+// exclusively, and rotates the segment if that filled it.
 func (e *Engine) syncAppended() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	return e.flushAndRotate(false)
+	full, err := e.flush()
+	if err != nil || !full {
+		return err
+	}
+	return e.rotateIfFull()
 }
 
 // fail records the first failure; the engine (and the store above it,
@@ -502,10 +445,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	if e.stop != nil {
-		close(e.stop)
-		<-e.done
-	}
 	if e.scrubStop != nil {
 		close(e.scrubStop)
 		<-e.scrubDone
@@ -513,7 +452,7 @@ func (e *Engine) Close() error {
 	e.snapWG.Wait()
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	_, err := e.flush(false)
+	_, err := e.flush()
 	e.mu.Lock()
 	f := e.f
 	crashed := errors.Is(e.err, ErrCrashed)
@@ -557,8 +496,8 @@ func (e *Engine) Crash() {
 func (e *Engine) Dir() string { return e.dir }
 
 // Fsyncs returns how many segment fsyncs the engine has performed. The
-// group-commit absorption metric: under SyncBatch, N concurrent acknowledged
-// writes cost far fewer than N fsyncs (bench.Durability and its pinned test).
+// group-commit absorption metric: N concurrent acknowledged writes cost far
+// fewer than N fsyncs (bench.Durability and its pinned test).
 func (e *Engine) Fsyncs() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -241,8 +241,8 @@ func TestEveryOpCrashReplayOverFaultFS(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			// SyncEvery: every acknowledged op is durable at the crash point.
-			s, e := mustOpen(t, dir, disk.Options{FS: faultfs.New(nil), Fsync: disk.SyncEvery})
+			// Every acknowledged op is durable at the crash point.
+			s, e := mustOpen(t, dir, disk.Options{FS: faultfs.New(nil)})
 			seed(t, s)
 			tc.op(t, s)
 			e.Crash()
@@ -260,7 +260,7 @@ func TestEveryOpCrashReplayOverFaultFS(t *testing.T) {
 func TestFsyncFailureNeverAcksNeverRetries(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil)
-	s, e := mustOpen(t, dir, disk.Options{FS: inj, Fsync: disk.SyncEvery})
+	s, e := mustOpen(t, dir, disk.Options{FS: inj})
 
 	if _, err := s.Write("acked", kvstore.Value{"v": "1"}, 1); err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestFsyncFailureNeverAcksNeverRetries(t *testing.T) {
 func TestDiskFullFailStops(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil)
-	s, e := mustOpen(t, dir, disk.Options{FS: inj, Fsync: disk.SyncEvery})
+	s, e := mustOpen(t, dir, disk.Options{FS: inj})
 
 	inj.WriteBudget(256)
 	var acked []int
@@ -358,7 +358,7 @@ func TestDiskFullFailStops(t *testing.T) {
 func TestTornWriteRecovers(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil)
-	s, e := mustOpen(t, dir, disk.Options{FS: inj, Fsync: disk.SyncEvery})
+	s, e := mustOpen(t, dir, disk.Options{FS: inj})
 
 	writeHistory(t, s, 10, 2)
 	inj.TornWrite(3) // next record: 3 bytes reach the disk, then "power loss"
@@ -392,7 +392,7 @@ func TestRandomFaultDurability(t *testing.T) {
 				FsyncFail: 0.04,
 				TornWrite: 0.04,
 			})
-			s, e := mustOpen(t, dir, disk.Options{FS: inj, Fsync: disk.SyncEvery, SegmentBytes: 512})
+			s, e := mustOpen(t, dir, disk.Options{FS: inj, SegmentBytes: 512})
 			acked := map[int]bool{}
 			errored := map[int]bool{}
 			for i := 0; i < 60; i++ {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"paxoscp/internal/kvstore"
 )
@@ -30,10 +29,13 @@ import (
 //  5. continue appending to the final segment.
 //
 // The returned store has the engine attached: every subsequent mutation is
-// logged before it acknowledges, per Options.Fsync. Close the store (or the
-// engine) before opening the same directory again; concurrent engines on one
-// directory are not detected.
+// durable before it acknowledges (group commit, Engine.Sync). Close the store
+// (or the engine) before opening the same directory again; concurrent engines
+// on one directory are not detected.
 func Open(dir string, opts Options) (*kvstore.Store, *Engine, error) {
+	if opts.Fsync != "" && opts.Fsync != SyncBatch {
+		return nil, nil, fmt.Errorf("disk: fsync policy %q: group commit (%q) is the only one", opts.Fsync, SyncBatch)
+	}
 	opts = opts.withDefaults()
 	fs := opts.FS
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
@@ -148,19 +150,14 @@ func Open(dir string, opts Options) (*kvstore.Store, *Engine, error) {
 		e.size = st.Size()
 		e.written = e.size
 	}
-	if opts.Fsync == SyncInterval {
-		e.stop = make(chan struct{})
-		e.done = make(chan struct{})
-		go e.intervalLoop()
-	}
 	if opts.ScrubInterval > 0 {
 		e.scrubStop = make(chan struct{})
 		e.scrubDone = make(chan struct{})
 		go e.scrubLoop()
 	}
 	store.AttachEngine(e)
-	opts.Logf("disk: recovered dir=%s snapshot_seq=%d segments=%d replayed=%d truncated_bytes=%d last_seq=%d fsync=%s",
-		dir, snapSeq, len(segs), replayed, truncated, lastSeq, opts.Fsync)
+	opts.Logf("disk: recovered dir=%s snapshot_seq=%d segments=%d replayed=%d truncated_bytes=%d last_seq=%d",
+		dir, snapSeq, len(segs), replayed, truncated, lastSeq)
 	return store, e, nil
 }
 
@@ -260,21 +257,4 @@ func removeTemps(fs FS, dir string) error {
 		}
 	}
 	return nil
-}
-
-// intervalLoop is the SyncInterval background flusher.
-func (e *Engine) intervalLoop() {
-	defer close(e.done)
-	t := time.NewTicker(e.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			e.flushMu.Lock()
-			_ = e.flushAndRotate(false)
-			e.flushMu.Unlock()
-		case <-e.stop:
-			return
-		}
-	}
 }

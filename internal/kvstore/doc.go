@@ -22,8 +22,8 @@
 // default) the store is purely in-memory — the simulator's and most tests'
 // backend — and internal/kvstore/disk supplies a write-ahead-logged engine
 // whose Open recovers the store after a crash. Every mutating operation
-// applies to the image first, then logs to the engine and waits for
-// durability per its sync policy before acknowledging.
+// applies to the image first, then logs to the engine and waits for the
+// engine's Sync before acknowledging.
 //
 // Beyond the paper's contract the store provides the maintenance surface a
 // running system needs: ApplyBatch (explicitly-timestamped write batches for

@@ -20,7 +20,7 @@ import "fmt"
 //  4. only then return success to the caller.
 //
 // Because the ack waits for Sync, a write the caller saw succeed is durable
-// to the engine's sync policy (invariant D1). Because Append happens under
+// (invariant D1). Because Append happens under
 // the same lock as the apply, the WAL orders the mutations of any one row
 // exactly as they were applied, so recovery replay converges on the
 // pre-crash acknowledged state even for non-commutative pairs (a Delete
@@ -78,15 +78,16 @@ type Mutation struct {
 //
 // Append and Sync are split so an engine can group-commit: Append enqueues
 // the records and returns immediately with the sequence number of the last
-// one; Sync blocks until that sequence number is durable per the engine's
-// sync policy (which may legitimately be "not at all yet" for interval
-// policies). One fsync may satisfy many concurrent Sync calls.
+// one; Sync blocks until that sequence number is durable. One fsync may
+// satisfy many concurrent Sync calls. Sync may not return before the record
+// is on disk: the acceptor's promises and votes are rows, and Paxos is safe
+// only if an acceptor never forgets one it has answered.
 type Engine interface {
 	// Append encodes and enqueues muts, returning the sequence number
 	// assigned to the last record. It must not block on I/O completion.
 	Append(muts []Mutation) (seq uint64, err error)
-	// Sync returns once every record at or below seq is durable under the
-	// engine's sync policy. A failed Sync is sticky: the engine and the
+	// Sync returns once every record at or below seq is durable. A failed
+	// Sync is sticky: the engine and the
 	// store above it fail-stop (DESIGN.md §14, disk-full behavior).
 	Sync(seq uint64) error
 	// Close flushes and durably syncs everything enqueued, then releases
@@ -107,7 +108,8 @@ func (s *Store) Engine() Engine { return s.engine }
 
 // faultReporter is the optional engine interface EngineFailure polls, so a
 // failure that happened off the mutation path — a background snapshot or
-// interval fsync — is visible before any mutation trips over it.
+// another caller's group-commit flush — is visible before any mutation trips
+// over it.
 type faultReporter interface{ Fault() error }
 
 // EngineFailure reports the durability-engine failure this store has

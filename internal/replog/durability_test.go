@@ -19,7 +19,7 @@ func reopen(t *testing.T, dir string, eng *disk.Engine, store *kvstore.Store, l 
 	l.Close()
 	eng.Crash()
 	store.Close()
-	store2, eng2, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+	store2, eng2, err := disk.Open(dir, disk.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func reopen(t *testing.T, dir string, eng *disk.Engine, store *kvstore.Store, l 
 // sequence of applies.
 func TestSnapshotInstallThenCrashReplay(t *testing.T) {
 	dir := t.TempDir()
-	store, eng, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+	store, eng, err := disk.Open(dir, disk.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSnapshotInstallThenCrashReplay(t *testing.T) {
 // completes it, exactly as the catch-up protocol would on its next attempt.
 func TestInterruptedInstallRecoversBehindData(t *testing.T) {
 	dir := t.TempDir()
-	store, eng, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+	store, eng, err := disk.Open(dir, disk.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAcknowledgedEntrySurvivesPowerLoss(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			store, eng, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+			store, eng, err := disk.Open(dir, disk.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestAcknowledgedEntrySurvivesPowerLoss(t *testing.T) {
 func TestTornBatchRecoversByRedrain(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil)
-	store, _, err := disk.Open(dir, disk.Options{FS: inj, Fsync: disk.SyncBatch})
+	store, _, err := disk.Open(dir, disk.Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestTornBatchRecoversByRedrain(t *testing.T) {
 	l.Close()
 	store.Close()
 
-	store2, _, err := disk.Open(dir, disk.Options{Fsync: disk.SyncBatch})
+	store2, _, err := disk.Open(dir, disk.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTornBatchRecoversByRedrain(t *testing.T) {
 // applies when the gap fills.
 func TestVoteIsTheEntryAcrossPowerLoss(t *testing.T) {
 	dir := t.TempDir()
-	store, eng, err := disk.Open(dir, disk.Options{FS: faultfs.New(nil), Fsync: disk.SyncBatch})
+	store, eng, err := disk.Open(dir, disk.Options{FS: faultfs.New(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,10 +425,10 @@ func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
 }
 
 // WaitLogged blocks until the row of an appended pos is durable, in its
-// decided form, under the engine's sync policy — a drain's batch carrying it
-// has landed, or the watermark covers pos — or ctx is done, or the log fails
-// or closes. It is what the appender of an entry above a gap waits on, where
-// WaitApplied would wait for the gap.
+// decided form — a drain's batch carrying it has landed, or the watermark
+// covers pos — or ctx is done, or the log fails or closes. It is what the
+// appender of an entry above a gap waits on, where WaitApplied would wait for
+// the gap.
 func (l *Log) WaitLogged(ctx context.Context, pos int64) error {
 	return l.wait(ctx, func() bool { return l.applied >= pos || l.pending[pos].logged })
 }
