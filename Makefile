@@ -91,16 +91,18 @@ migration-smoke:
 ## conformance battery (memory + disk engines, oracle under churn), the tree
 ## against its oracle and its bytes per key, the page-cost and pin-cost pins,
 ## the snapshot-across-pages and pin-vs-compaction proofs, the routed merge, the
-## backfill linearity pin, and the scan-heavy workload-E figure (CI "test"
+## backfill linearity pin, the examine budget over skipped rows, the page's
+## allocation pin, and the scan-heavy workload-E figure (CI "test"
 ## job; the same tests also run shuffled under -race via `race`)
 scan-smoke:
-	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexAgainstOracle|TestIndexBytesPerKey|TestScanAfterDeleteRecreateChurn|TestScanPageCostIgnoresHistory|TestScanRacesCreatesAndDeletes|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestSaveIsDeterministic|TestPinReadsDoesNotWalkLivePins|TestExpiredPinsDropWithoutCompact|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScansQuick' \
+	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexAgainstOracle|TestIndexBytesPerKey|TestScanAfterDeleteRecreateChurn|TestScanPageCostIgnoresHistory|TestScanRacesCreatesAndDeletes|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestSaveIsDeterministic|TestPinReadsDoesNotWalkLivePins|TestExpiredPinsDropWithoutCompact|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScanBudgetCountsSkippedRows|TestScanPageAllocs|TestScansQuick' \
 		./internal/kvstore ./internal/kvstore/disk ./internal/replog ./internal/core ./internal/bench
 
 ## fuzz-smoke: every fuzzer the tree holds — found with `go test -list`, no
 ## list kept here — run for FUZZTIME each on top of its seed corpus (CI "test"
-## job). The decoders they cover read bytes from outside the process: the wire
-## codec, the WAL and its records, the packed value, the snapshot stream.
+## job). What they cover reads bytes from outside the process: the wire
+## codec, the WAL and its records, the packed value, the snapshot stream, and
+## the resume tokens a client hands the paged handlers.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@set -o pipefail; \

@@ -104,7 +104,11 @@ func (s *Service) Status(group string) GroupStatus {
 // store closes mid-walk).
 func (s *Service) countRows(prefix string) int {
 	n := 0
-	_ = s.store.WalkPrefix(prefix, kvstore.Latest, func(kvstore.ScanRow) { n++ })
+	for _, err := range s.store.Rows(prefix, "", kvstore.Latest) {
+		if err == nil {
+			n++
+		}
+	}
 	return n
 }
 

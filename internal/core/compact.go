@@ -51,16 +51,15 @@ func (s *Service) Compact(group string, horizon int64) (int64, error) {
 		// rows, so their wholesale delete waits for the pin to clear.
 		// Paged over the ordered index instead of sorting every key.
 		fence := lg.ScanFenceAt(to)
-		tombGC := fence.Active()
-		err := s.store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
-			if tombGC && fence.Tombstoned(row.Key[len(prefix):]) {
+		for row, err := range s.store.Rows(prefix, "", kvstore.Latest) {
+			switch {
+			case err != nil:
+				return // store closed mid-compaction; nothing to scavenge
+			case fence.Tombstoned(row.Key[len(prefix):]):
 				s.store.Delete(row.Key)
-				return
+			default:
+				s.store.GC(row.Key, to)
 			}
-			s.store.GC(row.Key, to)
-		})
-		if err != nil {
-			return // store closed mid-compaction; nothing to scavenge
 		}
 		// Claim rows strictly below the horizon disappear (replog drops the
 		// log rows themselves).
@@ -111,25 +110,20 @@ func (s *Service) handleSnapshot(req network.Message) network.Message {
 		return refusal
 	}
 	resp := network.Message{Kind: network.KindValue, OK: true, TS: h}
-	for {
-		rows, more, err := s.store.ScanPrefix(prefix, after, scanDefaultPageRows, h)
+	for row, err := range s.store.Rows(prefix, after, h) {
 		if err != nil {
 			return network.Status(false, err.Error())
 		}
-		for _, row := range rows {
-			with := kvstore.AppendRecord(page, kvstore.Mutation{Op: kvstore.OpWrite, Key: row.Key, TS: row.TS, Value: row.Val})
-			if len(with) > snapshotPageBytes && len(page) > 0 {
-				// Full: this row opens the next page.
-				resp.Payload, resp.Key, resp.Found = page, strings.TrimPrefix(after, prefix), true
-				return resp
-			}
-			page, after = with, row.Key
+		with := kvstore.AppendRecord(page, kvstore.Mutation{Op: kvstore.OpWrite, Key: row.Key, TS: row.TS, Value: row.Val})
+		if len(with) > snapshotPageBytes && len(page) > 0 {
+			// Full: this row opens the next page.
+			resp.Key, resp.Found = strings.TrimPrefix(after, prefix), true
+			break
 		}
-		if !more {
-			resp.Payload = page
-			return resp // transfer complete: Found stays false
-		}
+		page, after = with, row.Key
 	}
+	resp.Payload = page
+	return resp
 }
 
 // fetchSnapshot installs a snapshot from the first peer that serves one ahead
@@ -214,12 +208,14 @@ func (s *Service) installFrom(ctx context.Context, dc, group string) error {
 // the log rows InstallSnapshot deletes they would otherwise stay for good.
 func (s *Service) dropClaims(group string, horizon int64) {
 	prefix := claimPrefix + group + "/"
-	// An error is the store closing mid-walk: the rows stay, which costs space.
-	_ = s.store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+	for row, err := range s.store.Rows(prefix, "", kvstore.Latest) {
+		if err != nil {
+			return // the store closed mid-walk: the rows stay, which costs space
+		}
 		if pos, err := strconv.ParseInt(row.Key[len(prefix):], 10, 64); err == nil && pos <= horizon {
 			s.store.Delete(row.Key)
 		}
-	})
+	}
 }
 
 // readSnapshotHeader reads the record a transfer's first page opens with: the

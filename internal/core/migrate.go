@@ -57,19 +57,6 @@ func migrationVerdict(to string, keys ...string) network.Message {
 	return refusal
 }
 
-// rangeSnapshotPageRows caps how many rows one KindRangeSnapshot reply
-// carries, bounding reply size and the store scan a single request costs.
-const rangeSnapshotPageRows = 256
-
-// rangeSnapshotExamineBudget caps how many ordered-index rows one
-// KindRangeSnapshot request walks before replying with a progress cursor.
-// A moving range is hash-scattered through the key order, so a page of
-// moved rows can sit far apart in the index; without the budget a sparse
-// range would make single requests arbitrarily expensive. A budget-bounded
-// reply may carry fewer rows than the page cap — even zero — with the
-// cursor advanced to the last examined key; copyRange resumes from it.
-const rangeSnapshotExamineBudget = 2048
-
 // handleRangeSnapshot serves one page of a moving range's rows at a pinned
 // read position. Request fields: Group = source group, Value = destination
 // group, Keys = the destination placement's full group list (the range is
@@ -96,29 +83,22 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 		after = prefix + req.Key // resume after the cursor
 	}
 	examined := 0
-	for {
-		rows, more, serr := s.store.ScanPrefix(prefix, after, rangeSnapshotPageRows, ts)
-		if serr != nil {
-			return network.Status(false, serr.Error())
+	for row, err := range s.store.Rows(prefix, after, ts) {
+		if err != nil {
+			return network.Status(false, err.Error())
 		}
-		for _, row := range rows {
-			bare := row.Key[len(prefix):]
-			examined++
-			if set.Moves(bare) && row.TS > req.Pos {
-				resp.Keys = append(resp.Keys, bare)
-				resp.Vals = append(resp.Vals, row.Val.Get("v"))
-			}
-			if len(resp.Keys) >= rangeSnapshotPageRows || examined >= rangeSnapshotExamineBudget {
-				resp.Key = bare
-				resp.Found = true // more pages may follow
-				return resp
-			}
+		bare := row.Key[len(prefix):]
+		examined++
+		if set.Moves(bare) && row.TS > req.Pos {
+			resp.Keys = append(resp.Keys, bare)
+			resp.Vals = append(resp.Vals, row.Val.Get("v"))
 		}
-		if !more {
-			return resp // range complete: Found stays false
+		if len(resp.Keys) >= scanDefaultPageRows || examined >= scanExamineBudget {
+			resp.Key, resp.Found = bare, true // more pages may follow
+			break
 		}
-		after = rows[len(rows)-1].Key
 	}
+	return resp
 }
 
 // handleMigrate submits one handoff phase entry to the group's master

@@ -31,24 +31,23 @@ func TestOneRowPerPosition(t *testing.T) {
 		if err := s.log("g").WaitApplied(ctx, tip); err != nil { // a commit returns at a majority of applies
 			t.Fatal(err)
 		}
-		count := func(prefix string) (n int) {
-			s.store.WalkPrefix(prefix, kvstore.Latest, func(kvstore.ScanRow) { n++ })
-			return n
-		}
-		data, log := count(replog.DataPrefix("g")), count(replog.LogPrefix("g"))
+		data, log := s.countRows(replog.DataPrefix("g")), s.countRows(replog.LogPrefix("g"))
 		if int64(log) != tip || s.store.Len() != data+log+1 {
 			t.Errorf("%s: %d rows = %d data + %d per-position + 1 meta + %d more, for %d decided positions",
 				dc, s.store.Len(), data, log, s.store.Len()-data-log-1, tip)
 		}
-		if n := count("paxos/"); n != 0 {
+		if n := s.countRows("paxos/"); n != 0 {
 			t.Errorf("%s: %d rows under paxos/", dc, n)
 		}
 		marked := 0
-		s.store.WalkPrefix(replog.LogPrefix("g"), kvstore.Latest, func(row kvstore.ScanRow) {
+		for row, err := range s.store.Rows(replog.LogPrefix("g"), "", kvstore.Latest) {
+			if err != nil {
+				t.Fatal(err)
+			}
 			if paxos.RowDecided(row.Val) {
 				marked++
 			}
-		})
+		}
 		if marked != 0 {
 			t.Errorf("%s: the drain rewrote %d of %d rows whose fast-path vote already held the entry", dc, marked, log)
 		}
@@ -166,11 +165,14 @@ func TestInstallDropsClaimsAndAnswersCompacted(t *testing.T) {
 		t.Fatalf("laggard's watermark = %d, want the installed 20", got)
 	}
 	for _, prefix := range []string{replog.LogPrefix("g"), "claim/g/"} {
-		c.store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+		for row, err := range c.store.Rows(prefix, "", kvstore.Latest) {
+			if err != nil {
+				t.Fatal(err)
+			}
 			if pos, _ := strconv.ParseInt(row.Key[len(prefix):], 10, 64); pos <= 20 {
 				t.Errorf("row %s survived the install", row.Key)
 			}
-		})
+		}
 	}
 	if snap := c.LogSnapshot("g"); len(snap) != 0 {
 		t.Errorf("LogSnapshot = %v, want nothing at or below the horizon", snap)

@@ -9,28 +9,33 @@ import (
 	"paxoscp/internal/replog"
 )
 
-// Ordered range scans (DESIGN.md §16): the service-side page handler. A scan
+// Ordered range scans (DESIGN.md §16): the service-side page handlers. A scan
 // is a sequence of KindScan requests at one pinned log position; each request
 // returns one page of the prefix's rows in key order plus a resume cursor.
 // Nothing is held between pages — the snapshot guarantee comes from the pin
 // (PinReads clamps the compaction horizon under it) and the position-aware
 // migration fence (ScanFenceAt freezes the handoff view at the pin, so every
 // page of the sequence applies identical moved/pending rules even as later
-// cutovers apply).
+// cutovers apply). Every paged handler — this one, the backfill's range
+// snapshot and the snapshot transfer — opens with pinPage, ranges over
+// kvstore.Store.Rows from the cursor, and leaves the loop when its page is
+// cut: by rows, by the examine budget, or by bytes.
 
 const (
 	// scanDefaultPageRows is the page size served when the request leaves
-	// Pos at 0; scanMaxPageRows caps what a client may ask for, bounding
-	// reply size.
+	// Pos at 0, and a range snapshot's page; scanMaxPageRows caps what a
+	// client may ask for, bounding reply size.
 	scanDefaultPageRows = 256
 	scanMaxPageRows     = 1024
 
-	// scanExamineBudget caps how many ordered-index rows one request walks
-	// before replying with a progress cursor. Under an active migration
-	// fence most examined rows of a page can be skipped (moved out or
-	// inbound-pending); the budget keeps a single request's cost bounded
-	// anyway. A budget-bounded reply may carry fewer rows than the page —
-	// even zero — with the cursor advanced; the client just asks again.
+	// scanExamineBudget caps how many ordered-index rows one scan or range
+	// snapshot request walks before replying with a progress cursor. Under
+	// an active migration fence most examined rows of a scan can be skipped
+	// (moved out or inbound-pending), and a moving range is hash-scattered
+	// through the key order; the budget keeps a single request's cost
+	// bounded anyway. A budget-bounded reply may carry fewer rows than the
+	// page — even zero — with the cursor advanced; the client just asks
+	// again.
 	scanExamineBudget = 2048
 
 	// scanPinFactor scales the service timeout into the read-pin TTL: long
@@ -80,14 +85,10 @@ func (s *Service) handleScan(req network.Message) network.Message {
 	if limit <= 0 {
 		limit = scanDefaultPageRows
 	}
-	if limit > scanMaxPageRows {
-		limit = scanMaxPageRows
-	}
+	limit = min(limit, scanMaxPageRows)
 
-	fence := lg.ScanFenceAt(ts)
-	active := fence.Active()
+	fence := lg.ScanFenceAt(ts) // the zero fence of a never-migrated group skips nothing
 	prefix := replog.DataPrefix(req.Group)
-	region := prefix + req.Value // the user prefix, inside the data region
 	after := ""
 	if req.Found {
 		after = prefix + req.Key // resume after the cursor
@@ -95,8 +96,12 @@ func (s *Service) handleScan(req network.Message) network.Message {
 
 	resp := network.Message{
 		Kind: network.KindValue, OK: true, TS: ts,
-		Combined: active && fence.HasPending(),
+		Combined: fence.HasPending(),
 	}
+	// The columns start at 16 rows, because a routed scan spreads its page
+	// over its groups, and grow fourfold, up to the limit, when full: a
+	// 256-row page grows them twice.
+	growColumns(&resp, min(limit, 16))
 	// dests collects the destinations of rows this page skipped as departed:
 	// a hint means "a row of your prefix lives over there", so the client
 	// must merge that group's pages — and may insist its leg there observes
@@ -104,64 +109,55 @@ func (s *Service) handleScan(req network.Message) network.Message {
 	// not every departed range, keeps steady-state scans from chasing groups
 	// that hold nothing of the prefix.
 	var dests map[string]bool
-	finish := func() network.Message {
-		if len(dests) > 0 {
-			hints := make([]string, 0, len(dests))
-			for d := range dests {
-				hints = append(hints, d)
-			}
-			sort.Strings(hints)
-			resp.Value = strings.Join(hints, ",")
-		}
-		return resp
-	}
 	examined := 0
-	for {
-		rows, more, serr := s.store.ScanPrefix(region, after, limit, ts)
-		if serr != nil {
-			return network.Status(false, serr.Error())
+	for row, err := range s.store.Rows(prefix+req.Value, after, ts) {
+		if err != nil {
+			return network.Status(false, err.Error())
 		}
-		if resp.Keys == nil { // sized once: unfenced, the reply holds what this page does
-			resp.Keys = make([]string, 0, len(rows))
-			resp.Vals = make([]string, 0, len(rows))
-			resp.Founds = make([]bool, 0, len(rows))
-		}
-		for _, row := range rows {
-			bare := row.Key[len(prefix):]
-			examined++
-			if active {
-				if to, moved := fence.MovedOut(bare); moved {
-					// The destination's copy is authoritative from the
-					// cutover on; tell the client where this row went.
-					if dests == nil {
-						dests = make(map[string]bool)
-					}
-					dests[to] = true
-					continue
-				}
-				if fence.InboundPending(bare) {
-					continue // half-copied backfill row; Combined says retry
-				}
+		bare := row.Key[len(prefix):]
+		examined++
+		switch to, moved := fence.MovedOut(bare); {
+		case moved:
+			// The destination's copy is authoritative from the cutover on;
+			// tell the client where this row went.
+			if dests == nil {
+				dests = make(map[string]bool)
+			}
+			dests[to] = true
+		case fence.InboundPending(bare):
+			// A half-copied backfill row; Combined says retry.
+		default:
+			if len(resp.Keys) == cap(resp.Keys) {
+				growColumns(&resp, min(limit, 4*len(resp.Keys)))
 			}
 			resp.Keys = append(resp.Keys, bare)
 			resp.Vals = append(resp.Vals, row.Val.Get("v"))
-			resp.Founds = append(resp.Founds, active && fence.MovedIn(bare))
-			if len(resp.Keys) >= limit {
-				resp.Key, resp.Found = bare, true
-				return finish()
-			}
-			if examined >= scanExamineBudget {
-				resp.Key, resp.Found = bare, true // progress page
-				return finish()
-			}
+			resp.Founds = append(resp.Founds, fence.MovedIn(bare))
 		}
-		if !more {
-			return finish() // region complete: Found stays false
+		// A skipped row counts against the budget too: a budget-bounded
+		// reply is a progress page, possibly empty.
+		if len(resp.Keys) >= limit || examined >= scanExamineBudget {
+			resp.Key, resp.Found = bare, true
+			break
 		}
-		if examined >= scanExamineBudget {
-			resp.Key, resp.Found = rows[len(rows)-1].Key[len(prefix):], true
-			return finish()
-		}
-		after = rows[len(rows)-1].Key
 	}
+	if len(dests) > 0 {
+		hints := make([]string, 0, len(dests))
+		for d := range dests {
+			hints = append(hints, d)
+		}
+		sort.Strings(hints)
+		resp.Value = strings.Join(hints, ",")
+	}
+	return resp
+}
+
+// growColumns gives a scan reply's Keys, Vals and Founds room for n rows,
+// keeping the rows they hold. Keys and Vals are cut from one array, so the
+// three cost two allocations.
+func growColumns(resp *network.Message, n int) {
+	kv := make([]string, 2*n)
+	resp.Keys = append(kv[:0:n], resp.Keys...)
+	resp.Vals = append(kv[n:n], resp.Vals...)
+	resp.Founds = append(make([]bool, 0, n), resp.Founds...)
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,9 @@ import (
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
+	"paxoscp/internal/placement"
+	"paxoscp/internal/replog"
+	"paxoscp/internal/wal"
 )
 
 // scanPage drives the KindScan handler directly, following the cursor until
@@ -323,9 +329,189 @@ func TestRangeSnapshotPagingLinear(t *testing.T) {
 	if ratio := float64(big) / float64(small); ratio > 8 {
 		t.Fatalf("examined %d for 500 rows vs %d for 2000: ratio %.1f suggests superlinear paging", small, big, ratio)
 	}
-	if big > 4*2000+rangeSnapshotExamineBudget {
+	if big > 4*2000+scanExamineBudget {
 		t.Fatalf("examined %d entries paging 2000 rows; want O(rows)", big)
 	}
+}
+
+// TestScanBudgetCountsSkippedRows: a row the migration fence skips still
+// counts against scanExamineBudget, row by row. With more than the budget's
+// worth of one region moved out at the pin, one request for 1000-row pages
+// returns no rows and a progress cursor on the budget-th row past its own,
+// having resolved no more than the budget and the one index page (64 keys)
+// the store reads ahead — not the whole region, and not the 3000 rows of the
+// first page boundary past the budget.
+func TestScanBudgetCountsSkippedRows(t *testing.T) {
+	s := NewService("A", kvstore.New(), nil)
+	t.Cleanup(s.Close)
+	groups := []string{"g0", "g1"}
+	set := placement.NewMoveSet(groups, "g0", "g1")
+	writes := map[string]string{}
+	var keys []string
+	for i := 0; len(writes) < scanExamineBudget+1000; i++ {
+		if k := fmt.Sprintf("s/k%06d", i); set.Moves(k) {
+			writes[k] = "v"
+			keys = append(keys, k)
+		}
+	}
+	if err := s.ApplyDecided("g0", 1, entryBytes("seed", 0, writes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyDecided("g0", 2, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g1", groups))); err != nil {
+		t.Fatal(err)
+	}
+	cursor := keys[10]
+	before := s.Store().ScanExamined()
+	resp := s.Handler()("T", network.Message{Kind: network.KindScan, Group: "g0", Value: "s/", TS: 2, Pos: 1000, Key: cursor, Found: true})
+	examined := s.Store().ScanExamined() - before
+	if want := keys[10+scanExamineBudget]; !resp.OK || len(resp.Keys) != 0 || !resp.Found || resp.Key != want || resp.Value != "g1" {
+		t.Fatalf("page after %s over a moved-out region = %+v, want no rows, the cursor %s and the hint g1", cursor, resp, want)
+	}
+	if examined > scanExamineBudget+64 {
+		t.Fatalf("one request resolved %d rows; budget %d and one index page", examined, scanExamineBudget)
+	}
+}
+
+// TestScanPageAllocs pins what the scan handler allocates for one group's
+// page at the default limit: no more than a handler that collects the page
+// first and sizes the columns from it, which costs 4 allocations up to 64 rows
+// and 6 at 256. Columns grown by append from nil cost 12 for 10 rows; columns
+// started at 16 and grown by append cost 9 for 50 rows and 15 for 256.
+func TestScanPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the plain run enforces the pin")
+	}
+	for _, tc := range []struct{ rows, allocs int }{{10, 4}, {50, 4}, {256, 6}} {
+		s := NewService("A", kvstore.New(), nil)
+		t.Cleanup(s.Close)
+		writes := map[string]string{"r/before": "x", "t/after": "x"}
+		for i := 0; i < tc.rows; i++ {
+			writes[fmt.Sprintf("s/k%03d", i)] = "v"
+		}
+		if err := s.ApplyDecided("g", 1, entryBytes("seed", 0, writes)); err != nil {
+			t.Fatal(err)
+		}
+		req := network.Message{Kind: network.KindScan, Group: "g", Value: "s/", TS: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			if resp := s.handleScan(req); !resp.OK || len(resp.Keys) != tc.rows {
+				t.Fatalf("page = %+v, want the %d rows", resp, tc.rows)
+			}
+		})
+		if allocs > float64(tc.allocs) {
+			t.Fatalf("a %d-row scan page costs %.0f allocations, want at most %d", tc.rows, allocs, tc.allocs)
+		}
+	}
+}
+
+// FuzzPagedHandlers: the resume tokens of the three paged handlers — scan,
+// range snapshot, snapshot transfer — come from the client, which may forge
+// any of them: the prefix or destination (Value), the cursor (Key, Found),
+// the page size or version floor (Pos) and the pin (TS). Whatever they say, a
+// handler does not panic; an OK page holds rows in key order, inside the
+// region, strictly after the cursor and no more than the page allows; and a
+// Found reply's cursor lies past the request's and past the page's rows, so
+// following the chain ends within the region's rows plus one pages.
+func FuzzPagedHandlers(f *testing.F) {
+	s := NewService("A", kvstore.New(), nil)
+	f.Cleanup(s.Close)
+	groups := []string{"g", "g1"}
+	writes := map[string]string{}
+	for i := 0; i < 40; i++ {
+		writes[fmt.Sprintf("s/k%02d", i)] = strings.Repeat("v", 1500) // 60 KB: the transfer takes pages
+		writes[fmt.Sprintf("t/k%02d", i)] = "w"
+	}
+	if err := s.ApplyDecided("g", 1, entryBytes("seed", 0, writes)); err != nil {
+		f.Fatal(err)
+	}
+	// At pins from 2 on, the scan fence skips the rows that moved to g1.
+	if err := s.ApplyDecided("g", 2, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g", "g1", groups))); err != nil {
+		f.Fatal(err)
+	}
+	prefix := replog.DataPrefix("g")
+	kinds := []network.Kind{network.KindScan, network.KindRangeSnapshot, network.KindSnapshot}
+	f.Add(uint8(0), "s/", "", false, int64(0), int64(network.ResolvePos))
+	f.Add(uint8(0), "s/", "s/k10", true, int64(7), int64(1))
+	f.Add(uint8(0), "", "s/k33", true, int64(-5), int64(2))
+	f.Add(uint8(0), "s/", "", false, int64(1<<40), int64(99)) // a pin past the watermark
+	f.Add(uint8(1), "g1", "", false, int64(0), int64(network.ResolvePos))
+	f.Add(uint8(1), "g1", "s/k05", true, int64(1), int64(1))
+	f.Add(uint8(1), "g", "t/", true, int64(0), int64(2))
+	f.Add(uint8(2), "", "", false, int64(0), int64(0))
+	f.Add(uint8(2), "", "s/k20", true, int64(0), int64(2))
+	f.Add(uint8(2), "", "", true, int64(0), int64(-7))
+	f.Fuzz(func(t *testing.T, kind uint8, value, key string, found bool, pos, ts int64) {
+		h := s.Handler()
+		req := network.Message{Kind: kinds[int(kind)%len(kinds)], Group: "g", Value: value, Keys: groups, Key: key, Found: found, Pos: pos, TS: ts}
+		for pages := 0; ; pages++ {
+			if pages > len(writes)+1 {
+				t.Fatalf("%+v: %d pages and the chain goes on", req, pages)
+			}
+			resp := h("T", req)
+			if !resp.OK {
+				return
+			}
+			if pages > 0 && resp.TS != req.TS {
+				t.Fatalf("%+v: page served at %d", req, resp.TS)
+			}
+			var keys []string
+			limit := scanDefaultPageRows
+			inside := func(string) bool { return true }
+			switch req.Kind {
+			case network.KindScan:
+				if req.Pos > 0 {
+					limit = int(min(req.Pos, scanMaxPageRows))
+				}
+				inside = func(k string) bool { return strings.HasPrefix(k, req.Value) }
+				keys = resp.Keys
+				if len(resp.Vals) != len(keys) || len(resp.Founds) != len(keys) {
+					t.Fatalf("%+v: %d keys, %d values, %d founds", req, len(keys), len(resp.Vals), len(resp.Founds))
+				}
+			case network.KindRangeSnapshot:
+				inside = placement.NewMoveSet(groups, "g", req.Value).Moves
+				keys = resp.Keys
+				if len(resp.Vals) != len(keys) {
+					t.Fatalf("%+v: %d keys, %d values", req, len(keys), len(resp.Vals))
+				}
+			case network.KindSnapshot:
+				page := bufio.NewReader(bytes.NewReader(resp.Payload))
+				if !req.Found {
+					if _, _, err := readSnapshotHeader(page, "g", resp.TS); err != nil {
+						t.Fatalf("%+v: %v", req, err)
+					}
+				}
+				rows, err := readSnapshotRows(page, prefix, resp.TS)
+				if err != nil {
+					t.Fatalf("%+v: %v", req, err)
+				}
+				for _, r := range rows {
+					keys = append(keys, r.Key[len(prefix):])
+				}
+				if len(resp.Payload) > snapshotPageBytes && len(rows) > 1 {
+					t.Fatalf("%+v: a %d-byte page of %d rows", req, len(resp.Payload), len(rows))
+				}
+			}
+			if len(keys) > limit {
+				t.Fatalf("%+v: %d rows on a page of %d", req, len(keys), limit)
+			}
+			last, cursor := "", ""
+			if req.Found {
+				last, cursor = req.Key, req.Key
+			}
+			for i, k := range keys {
+				if (i > 0 || req.Found) && k <= last || !inside(k) {
+					t.Fatalf("%+v: row %q after %q, or outside the region", req, k, last)
+				}
+				last = k
+			}
+			if !resp.Found {
+				return
+			}
+			if req.Found && resp.Key <= cursor || resp.Key < last {
+				t.Fatalf("%+v: cursor %q after rows up to %q", req, resp.Key, last)
+			}
+			req.Key, req.Found, req.TS = resp.Key, true, resp.TS
+		}
+	})
 }
 
 // TestDispatcherCloseDrainsWithRefusals: items still queued when the

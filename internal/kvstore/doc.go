@@ -30,12 +30,12 @@
 // the replicated-log apply path, idempotent or replace-latest per element —
 // one shard-lock acquisition per touched shard, and one engine sync per
 // batch so the whole batch shares a group commit), ReadMulti (batched
-// multi-key reads at one timestamp), GC, Delete, ordered prefix scans
-// (ScanPrefix), and persistence. There is one serialized form of a row
-// mutation, the record (AppendRecord/ReadRecord, record.go): the disk
-// engine's WAL is a sequence of records, a snapshot of the store (Save/Load,
-// persist.go — also the disk engine's snapshot file) is a stream of them
-// closed by a trailer, and a replica hands a peer its state as pages of them
-// (internal/core). The storetest subpackage holds the conformance suite every
-// backend must pass.
+// multi-key reads at one timestamp), GC, Delete, ordered prefix walks (Rows,
+// an iterator whose consumer cuts the page; ScanPrefix collects one), and
+// persistence. There is one serialized form of a row mutation, the record
+// (AppendRecord/ReadRecord, record.go): the disk engine's WAL is a sequence
+// of records, a snapshot of the store (Save/Load, persist.go — also the disk
+// engine's snapshot file) is a stream of them closed by a trailer, and a
+// replica hands a peer its state as pages of them (internal/core). The
+// storetest subpackage holds the conformance suite every backend must pass.
 package kvstore

@@ -125,7 +125,7 @@ type Store struct {
 	closed    bool
 	engineErr error // sticky engine failure: mutations fail-stop
 
-	// scanExamined counts index candidates ScanPrefix resolved; see
+	// scanExamined counts index candidates Rows resolved; see
 	// ScanExamined.
 	scanExamined atomic.Int64
 }

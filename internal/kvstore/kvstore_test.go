@@ -313,17 +313,37 @@ func TestScanPrefixKeys(t *testing.T) {
 	}
 }
 
+// TestClose: every operation on a closed store fails with ErrClosed. The
+// store holds a row, so a walk that missed the check would yield it, and Rows
+// must yield the error once and nothing else.
 func TestClose(t *testing.T) {
 	s := New()
+	if _, err := s.Write("k", Value{"a": "1"}, 1); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	if _, err := s.Write("k", Value{}, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Write after Close: %v", err)
-	}
-	if _, _, err := s.Read("k", Latest); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Read after Close: %v", err)
-	}
-	if err := s.CheckAndWrite("k", "a", "", Value{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("CheckAndWrite after Close: %v", err)
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"Write", func() error { _, err := s.Write("k", Value{}, 2); return err }},
+		{"Read", func() error { _, _, err := s.Read("k", Latest); return err }},
+		{"CheckAndWrite", func() error { return s.CheckAndWrite("k", "a", "1", Value{}) }},
+		{"Rows", func() error {
+			var errs []error
+			for _, err := range s.Rows("", "", Latest) {
+				errs = append(errs, err)
+			}
+			if len(errs) != 1 {
+				return fmt.Errorf("%d yields: %v", len(errs), errs)
+			}
+			return errs[0]
+		}},
+		{"ScanPrefix", func() error { _, _, err := s.ScanPrefix("", "", 0, Latest); return err }},
+	} {
+		if err := op.call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v", op.name, err)
+		}
 	}
 }
 

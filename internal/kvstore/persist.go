@@ -43,8 +43,8 @@ func (s *Store) Save(w io.Writer) error {
 		count    int64
 	)
 	for after, more := "", true; more; {
-		keys = s.idx.page(keys[:0], "", after, walkPage)
-		more = len(keys) == walkPage
+		keys = s.idx.page(keys[:0], "", after, leafCap)
+		more = len(keys) == leafCap
 		for _, k := range keys {
 			after = k
 			r := s.lockLive(k)

@@ -1,110 +1,104 @@
 package kvstore
 
-// Ordered key iteration (DESIGN.md §16). The store keeps one ordered index
-// of its keys beside the hash-sharded row maps (index.go); a scan copies a
-// page of keys out of it, then resolves each through its shard map under the
-// row lock, exactly as a point read would. A page of L rows costs one seek
-// and L lookups, whatever the store holds and whatever was inserted under
-// other prefixes since the last scan — the property TestScanPageCostIgnoresHistory
-// and the migration backfill regression test pin.
+import "iter"
 
-// ScanRow is one visible row returned by ScanPrefix.
+// Ordered key iteration (DESIGN.md §16). The store keeps one ordered index
+// of its keys beside the hash-sharded row maps (index.go); Rows, the one walk
+// of it, copies a page of keys out of it, then resolves each through its
+// shard map under the row lock, exactly as a point read would. The consumer
+// cuts its own page by leaving the loop, so L rows cost L lookups and a seek
+// per index page, with at most one page copied ahead, whatever the store
+// holds and whatever was inserted under other prefixes since the last walk —
+// the property TestScanPageCostIgnoresHistory and the migration backfill
+// regression test pin.
+
+// ScanRow is one visible row yielded by Rows.
 type ScanRow struct {
 	Key string
 	Val Packed // stored contents: immutable, shared with the store
 	TS  int64
 }
 
-// ScanPrefix returns up to limit rows whose keys carry prefix and sort
-// strictly after `after` (the resume cursor; pass "" to start at the
-// prefix), in ascending key order, each resolved at timestamp ts exactly as
-// Read would (ts < 0 reads the latest version). Rows with no version at or
-// before ts — and deleted rows — are skipped. The second result reports
-// whether more rows may follow (pass the last returned key as the next
-// page's cursor). limit <= 0 means no limit.
+// Rows yields the rows whose keys carry prefix and sort strictly after
+// `after` (the resume cursor; pass "" to start at the prefix), in ascending
+// key order, each resolved at timestamp ts exactly as Read would (ts < 0
+// reads the latest version). Rows with no version at or before ts — and
+// deleted rows — are skipped. Keys leave the index leafCap at a time, so no
+// row lock is taken under the index lock, and no lock is held while a row is
+// yielded: the loop body may mutate the store (compaction deletes rows as it
+// walks). A closed store yields ErrClosed once, at the start or between
+// index pages, and the walk ends.
 //
-// Pages are snapshot-consistent at ts under the store's watermark
+// A walk at ts is snapshot-consistent under the store's watermark
 // discipline: provided every write with a version timestamp <= ts completed
-// before the scan began (the transaction tier serves scans at an
-// applied-watermark position, which only advances after a batch fully
-// lands), a page sequence at pinned ts returns exactly the keys visible at
-// ts, each once, regardless of concurrent writers at higher timestamps.
-// Scans at Latest make no snapshot claim — only that each returned page is
-// sorted and duplicate-free. Concurrent Delete (a scavenge operation, not a
-// versioned write) races non-deterministically; the service layer pins
-// compaction below an in-flight scan's position so scavenge never removes a
-// row the scan could still return.
+// before the walk began (the transaction tier reads at an applied-watermark
+// position, which only advances after a batch fully lands), a sequence of
+// walks at pinned ts, each resumed after the last key the one before
+// yielded, returns exactly the keys visible at ts, each once, regardless of
+// concurrent writers at higher timestamps. Walks at Latest make no snapshot
+// claim — only that the keys come sorted and duplicate-free. Concurrent
+// Delete (a scavenge operation, not a versioned write) races
+// non-deterministically; the service layer pins compaction below an
+// in-flight scan's position so scavenge never removes a row the scan could
+// still return.
+func (s *Store) Rows(prefix, after string, ts int64) iter.Seq2[ScanRow, error] {
+	return func(yield func(ScanRow, error) bool) {
+		var buf [leafCap]string // one index page; stays on the stack
+		for {
+			if s.isClosed() {
+				yield(ScanRow{}, ErrClosed)
+				return
+			}
+			keys := s.idx.page(buf[:0], prefix, after, leafCap)
+			for _, k := range keys {
+				s.scanExamined.Add(1)
+				r := s.lockLive(k)
+				if r == nil {
+					continue // deleted since the page was read
+				}
+				row := ScanRow{Key: k}
+				v := r.at(ts)
+				if v != nil {
+					row.Val, row.TS = v.val, v.ts
+				}
+				r.mu.Unlock()
+				if v != nil && !yield(row, nil) {
+					return
+				}
+			}
+			if len(keys) < leafCap {
+				return
+			}
+			after = keys[leafCap-1]
+		}
+	}
+}
+
+// ScanPrefix collects up to limit rows of Rows(prefix, after, ts); limit <= 0
+// means no limit. The second result reports whether more rows follow: pass
+// the last returned key as the next page's cursor.
 func (s *Store) ScanPrefix(prefix, after string, limit int, ts int64) ([]ScanRow, bool, error) {
-	if s.isClosed() {
-		return nil, false, ErrClosed
+	var out []ScanRow
+	if limit > 0 {
+		out = make([]ScanRow, 0, min(limit, leafCap))
 	}
-	if limit <= 0 {
-		limit = int(^uint(0) >> 2) // effectively unbounded
-	}
-	var (
-		buf [leafCap]string // a page's keys; stays on the stack unless the page is longer
-		out []ScanRow
-	)
-	for {
-		// One extra row resolves `more` exactly. The keys are copied out so
-		// that no row or shard lock is taken under the index lock.
-		n := min(limit+1-len(out), walkPage)
-		keys := s.idx.page(buf[:0], prefix, after, n)
-		if out == nil {
-			out = make([]ScanRow, 0, len(keys))
-		}
-		for _, k := range keys {
-			after = k
-			s.scanExamined.Add(1)
-			r := s.lockLive(k)
-			if r == nil {
-				continue // deleted since the page was read
-			}
-			if v := r.at(ts); v != nil {
-				out = append(out, ScanRow{Key: k, Val: v.val, TS: v.ts})
-			}
-			r.mu.Unlock()
-			if len(out) > limit {
-				return out[:limit], true, nil
-			}
-		}
-		if len(keys) < n {
-			return out, false, nil
-		}
-	}
-}
-
-// walkPage is the most keys read from the ordered index under one hold of
-// its lock: WalkPrefix's and Save's page, and the cap on ScanPrefix's.
-const walkPage = 512
-
-// WalkPrefix calls fn with every row under prefix visible at ts, in
-// ascending key order, reading the ordered index one ScanPrefix page at a
-// time — so a walk costs O(rows) and holds no lock between pages, whatever
-// the store's size. fn may mutate the store (compaction deletes rows as it
-// walks); per-page semantics are ScanPrefix's.
-func (s *Store) WalkPrefix(prefix string, ts int64, fn func(ScanRow)) error {
-	after := ""
-	for {
-		rows, more, err := s.ScanPrefix(prefix, after, walkPage, ts)
+	for row, err := range s.Rows(prefix, after, ts) {
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		for _, row := range rows {
-			fn(row)
+		if limit > 0 && len(out) == limit {
+			return out, true, nil
 		}
-		if !more {
-			return nil
-		}
-		after = rows[len(rows)-1].Key
+		out = append(out, row)
 	}
+	return out, false, nil
 }
 
-// ScanExamined returns the cumulative count of index keys ScanPrefix has
-// resolved (row-locked and version-checked) over the store's lifetime.
-// The migration backfill regression test uses it to pin per-page cost:
-// paging a region examines each candidate once, so the total is linear in
-// region size rather than quadratic.
+// ScanExamined returns the cumulative count of index keys Rows has resolved
+// (row-locked and version-checked) over the store's lifetime. The migration
+// backfill regression test uses it to pin per-page cost: paging a region
+// examines each candidate once, so the total is linear in region size rather
+// than quadratic.
 func (s *Store) ScanExamined() int64 {
 	return s.scanExamined.Load()
 }

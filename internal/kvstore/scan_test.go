@@ -70,9 +70,10 @@ func TestScanAfterDeleteRecreateChurn(t *testing.T) {
 
 // TestScanPageCostIgnoresHistory: what a page costs is what it returns. After
 // 20 000 rows were created under another prefix since the last scan — the log
-// and acceptor rows of a run's commits — a 50-row page still looks at 50 index
-// entries and a seek. (With a sorted base and an unsorted delta per shard, the
-// same page compared every delta key of every shard.)
+// and acceptor rows of a run's commits — a 50-row page looks at just as many
+// index entries as before: the one index page its rows fit in, and a seek.
+// (With a sorted base and an unsorted delta per shard, the same page compared
+// every delta key of every shard.)
 func TestScanPageCostIgnoresHistory(t *testing.T) {
 	s := New()
 	for i := 0; i < 20000; i++ {
@@ -99,9 +100,10 @@ func TestScanPageCostIgnoresHistory(t *testing.T) {
 		}
 	}
 	after := page()
-	// 51 keys, the one that ends the walk, a seek of one entry per level.
-	if budget := int64(50 + 16); before > budget || after > budget {
-		t.Fatalf("a 50-row page visited %d index entries, %d after 20000 unrelated inserts; budget %d", before, after, budget)
+	// The 51 keys read as one index page of leafCap, the entry that ends it,
+	// and a seek of one entry per level.
+	if budget := int64(leafCap + 16); before > budget || after != before {
+		t.Fatalf("a 50-row page visited %d index entries, %d after 20000 unrelated inserts; want the same, at most %d", before, after, budget)
 	}
 }
 

@@ -85,11 +85,13 @@ const legacyPrefix = "paxos/"
 // legacy prefix: this build reads votes from the log rows only and would
 // forget the ones an older build left in flight.
 func CheckLayout(store *kvstore.Store) error {
-	rows, _, err := store.ScanPrefix(legacyPrefix, "", 1, kvstore.Latest)
-	if err != nil || len(rows) == 0 {
-		return err
+	for row, err := range store.Rows(legacyPrefix, "", kvstore.Latest) {
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("paxos: row %s: the store was written by an older build, which kept acceptor state apart from the log; the store is left as it is — a replica started on an empty directory installs its state from its peers", row.Key)
 	}
-	return fmt.Errorf("paxos: row %s: the store was written by an older build, which kept acceptor state apart from the log; the store is left as it is — a replica started on an empty directory installs its state from its peers", rows[0].Key)
+	return nil
 }
 
 // acceptorState is the decoded row.

@@ -165,11 +165,14 @@ func readMeta(v kvstore.Packed) (m metaRow, err error) {
 // without error, if the store closes mid-walk.
 func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, row kvstore.Packed)) {
 	prefix := LogPrefix(group)
-	_ = store.WalkPrefix(prefix, kvstore.Latest, func(row kvstore.ScanRow) {
+	for row, err := range store.Rows(prefix, "", kvstore.Latest) {
+		if err != nil {
+			return
+		}
 		if pos, err := strconv.ParseInt(row.Key[len(prefix):], 10, 64); err == nil {
 			fn(pos, row.Val)
 		}
-	})
+	}
 }
 
 // Open returns the Log for (store, group), rebuilding its in-memory state

@@ -152,10 +152,3 @@ func (f *ScanFence) Dests() []string {
 func (f *ScanFence) HasPending() bool {
 	return len(f.st.inPend) > 0
 }
-
-// Active reports whether the fence has any effect at all (any handoff
-// record at or below the position). Scans on never-migrated groups skip all
-// per-key fence checks.
-func (f *ScanFence) Active() bool {
-	return len(f.st.records) > 0
-}
