@@ -80,12 +80,13 @@ faults-smoke:
 
 ## migration-smoke: the live-migration battery on fixed seeds — the rescale
 ## nemesis (8->12 grow under partitions and a forced mid-grow failover), the
-## basic online grow, the multi-step placement golden vectors, and the
-## migration figure end to end (CI "test" job; the same tests also run
-## shuffled under -race via `race`)
+## basic online grow, the multi-step placement golden vectors, the migration
+## fence (its answers at a log position, its reuse, and the verdicts it drives
+## at one service), and the migration figure end to end (CI "test" job; the
+## same tests also run shuffled under -race via `race`)
 migration-smoke:
-	$(GO) test -count=1 -run 'TestGrowUnderFireNemesis|TestGrowBasic|TestGoldenVectorMultiStepGrowth|TestMigrationQuick' \
-		./internal/cluster ./internal/placement ./internal/bench
+	$(GO) test -count=1 -run 'TestGrowUnderFireNemesis|TestGrowBasic|TestGoldenVectorMultiStepGrowth|TestMigrationQuick|TestFenceAtIsPositionAware|TestFenceInboundSide|TestFenceTombstoneGatesScavenge|TestFenceAtFiltersRecordsByHorizon|TestFenceAtNewestRecordReusesState|TestFenceVerdictsAtTheService' \
+		./internal/cluster ./internal/placement ./internal/bench ./internal/replog ./internal/core
 
 ## scan-smoke: the ordered-scan battery on fixed seeds — the ordered-index
 ## conformance battery (memory + disk engines, oracle under churn), the tree

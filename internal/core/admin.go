@@ -79,7 +79,7 @@ func (s *Service) Status(group string) GroupStatus {
 		LeaseValid:  leaseValid,
 		Groups:      s.Groups(),
 	}
-	for _, rec := range s.log(group).Migrations().Records {
+	for _, rec := range s.log(group).Fence().Records() {
 		st.Migrations = append(st.Migrations, rec.String())
 	}
 	if err := s.replicaFault(); err != nil {

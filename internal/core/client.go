@@ -67,7 +67,7 @@ type CommittedTxn struct {
 	Round    int
 	Combined bool
 	// Epoch is the master epoch the transaction committed under (0 for the
-	// Basic and CP protocols, and with fencing off).
+	// Basic and CP protocols).
 	Epoch int64
 }
 
@@ -408,7 +408,7 @@ type CommitResult struct {
 	// others (Paxos-CP combination).
 	Combined bool
 	// Epoch is the master epoch the transaction committed under (Master
-	// protocol with fencing on; 0 otherwise). See DESIGN.md §11.
+	// protocol; 0 otherwise). See DESIGN.md §11.
 	Epoch int64
 	// Latency is the wall-clock duration of the commit call.
 	Latency time.Duration

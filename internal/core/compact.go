@@ -50,7 +50,7 @@ func (s *Service) Compact(group string, horizon int64) (int64, error) {
 		// `to` under it, and the pinned scan may still serve those frozen
 		// rows, so their wholesale delete waits for the pin to clear.
 		// Paged over the ordered index instead of sorting every key.
-		fence := lg.ScanFenceAt(to)
+		fence := lg.FenceAt(to)
 		for row, err := range s.store.Rows(prefix, "", kvstore.Latest) {
 			switch {
 			case err != nil:

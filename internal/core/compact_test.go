@@ -339,8 +339,8 @@ func sameImage(t *testing.T, a, c *Service, group string, h int64) {
 	if ce, ae := c.log(group).Epoch(), a.log(group).Epoch(); ce != ae {
 		t.Fatalf("laggard's epoch state %+v, peer's %+v", ce, ae)
 	}
-	if cm, am := c.log(group).Migrations(), a.log(group).MigrationsAt(h); !reflect.DeepEqual(cm, am) {
-		t.Fatalf("laggard's handoff records %v, peer's at %d %v", cm.Records, h, am.Records)
+	if cm, am := c.log(group).Fence().Records(), a.log(group).FenceAt(h).Records(); !reflect.DeepEqual(cm, am) {
+		t.Fatalf("laggard's handoff records %v, peer's at %d %v", cm, h, am)
 	}
 }
 

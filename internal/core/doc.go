@@ -64,9 +64,8 @@
 // clients that submit to a deposed master are redirected by hint
 // (VerdictNotMaster), and a deposed service stands off with a per-epoch claim
 // backoff before re-contending, so a sustained asymmetric partition cannot
-// make mastership ping-pong. The epoch machinery is on by default; Basic
-// and CP clients are unaffected (their entries are unstamped and never
-// fenced).
+// make mastership ping-pong. The epoch machinery is always on; Basic and CP
+// clients are unaffected (their entries are unstamped and never fenced).
 //
 // # Sharded keyspace
 //
@@ -79,6 +78,11 @@
 // transaction semantics are untouched — there is no cross-group
 // serializability to offer (§2.1), and the facade does not pretend
 // otherwise.
+//
+// A live migration moves a key range between groups (migrate.go, DESIGN.md
+// §15). A replica asks about it through one replog.Fence: a read and a placed
+// batch ask the fence at the applied watermark, a scan page and a compaction
+// the fence at their pin.
 //
 // The transaction tier guarantees one-copy serializability (Theorems 2 and
 // 3); package history provides the checker the tests use to verify it,

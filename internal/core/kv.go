@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -289,7 +290,6 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 		wg.Wait()
 		close(results)
 
-		var failed []string
 		errByGroup := make(map[string]error)
 		moved, migrating := false, false
 		for r := range results {
@@ -318,21 +318,11 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 			case ref != nil && ref.Verdict == network.VerdictMigrating:
 				migrating = true
 			default:
-				failed = append(failed, r.group)
 				errByGroup[r.group] = r.err
 			}
 		}
-		if len(failed) > 0 {
-			sort.Strings(failed)
-			msg := ""
-			for i, g := range failed {
-				if i > 0 {
-					msg += "; "
-				}
-				msg += fmt.Sprintf("group %s: %v", g, errByGroup[g])
-			}
-			return nil, fmt.Errorf("core: kv readmulti: %d of %d groups unavailable: %s",
-				len(failed), len(slots), msg)
+		if len(errByGroup) > 0 {
+			return nil, unavailable("readmulti", len(slots), errByGroup)
 		}
 		if moved {
 			if hops++; hops > kvMovedHops {
@@ -348,4 +338,20 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 			}
 		}
 	}
+}
+
+// unavailable is the error of a routed operation some of whose legs failed:
+// one line naming each failed group, each group's error wrapped, so that
+// errors.Is and errors.As reach a leg's cause as they reach Get's.
+func unavailable(op string, legs int, errByGroup map[string]error) error {
+	groups := slices.Sorted(maps.Keys(errByGroup))
+	format, args := "core: kv %s: %d of %d groups unavailable: ", []any{op, len(groups), legs}
+	for i, g := range groups {
+		if i > 0 {
+			format += "; "
+		}
+		format += "group %s: %w"
+		args = append(args, g, errByGroup[g])
+	}
+	return fmt.Errorf(format, args...)
 }

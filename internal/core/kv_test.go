@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -130,17 +131,22 @@ func TestKVReadMultiReportsPerGroupPositions(t *testing.T) {
 // groupFilterTransport fails every request concerning one group, at every
 // datacenter — "the owning group is unavailable" distilled to its wire
 // signature (e.g. every replica's handler refusing that group) while all
-// other groups keep working.
+// other groups keep working. reply, when set, is the answer instead of an
+// unreachable error.
 type groupFilterTransport struct {
 	network.Transport
 	group string
+	reply func() (network.Message, error)
 }
 
 func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
-	if req.Group == g.group {
-		return network.Message{}, fmt.Errorf("injected: group %s unreachable", g.group)
+	switch {
+	case req.Group != g.group:
+		return g.Transport.Send(ctx, to, req)
+	case g.reply != nil:
+		return g.reply()
 	}
-	return g.Transport.Send(ctx, to, req)
+	return network.Message{}, fmt.Errorf("injected: group %s unreachable", g.group)
 }
 
 // TestKVReadMultiOneGroupUnavailable: when exactly one owning group's legs
@@ -179,6 +185,46 @@ func TestKVReadMultiOneGroupUnavailable(t *testing.T) {
 	}
 	if len(res.Positions) != 1 || res.Positions["gok"] != 1 {
 		t.Fatalf("positions = %v, want gok:1", res.Positions)
+	}
+}
+
+// TestKVUnavailableKeepsCauses: the error of a routed ReadMulti or Scan one
+// of whose legs failed wraps that leg's cause, so errors.Is and errors.As
+// match it as they match Get's: a timed-out leg is a
+// context.DeadlineExceeded, a refused one a *Refusal with its verdict.
+func TestKVUnavailableKeepsCauses(t *testing.T) {
+	services, sim := newServiceRing(t, "A", "B", "C")
+	seedLog(t, services, kvDCs, "gok", 1)
+	router := &mapRouter{byKey: map[string]string{"bad": "gbad"}, def: "gok", groups: []string{"gok", "gbad"}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		reply   func() (network.Message, error)
+		matches func(error) bool
+	}{
+		{
+			name:    "timed out",
+			reply:   func() (network.Message, error) { return network.Message{}, context.DeadlineExceeded },
+			matches: func(err error) bool { return errors.Is(err, context.DeadlineExceeded) },
+		},
+		{
+			name:  "refused",
+			reply: func() (network.Message, error) { return network.Refuse(network.VerdictReplicaFailed, "injected"), nil },
+			matches: func(err error) bool {
+				var ref *Refusal
+				return errors.As(err, &ref) && ref.Verdict == network.VerdictReplicaFailed
+			},
+		},
+	} {
+		tr := &groupFilterTransport{Transport: sim.Endpoint("A", services["A"].Handler()), group: "gbad", reply: tc.reply}
+		kv := NewKV(NewClient(1, "A", tr, Config{Seed: 1, Timeout: 200 * time.Millisecond}), router)
+		_, rerr := kv.ReadMulti(ctx, "k", "bad")
+		_, serr := kv.Scan(ctx, "")
+		for op, err := range map[string]error{"readmulti": rerr, "scan": serr} {
+			if err == nil || !tc.matches(err) || !strings.Contains(err.Error(), "1 of 2 groups unavailable: group gbad: ") {
+				t.Errorf("%s leg: %s error %v does not keep its cause", tc.name, op, err)
+			}
+		}
 	}
 }
 

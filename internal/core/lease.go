@@ -71,9 +71,6 @@ func (s *Service) Mastership(group string) (st replog.EpochState, leaseValid boo
 // lease view — replayed traffic is arbitrarily stale and must not push the
 // takeover back forever. Fencing keeps the duel safe either way.
 func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, error) {
-	if !s.fencing {
-		return 0, nil
-	}
 	if err := s.replicaFault(); err != nil {
 		// A replica whose disk has died must not take (or re-take)
 		// mastership: it could replicate entries but never apply them, and
@@ -201,7 +198,7 @@ type claimHistory struct {
 // ClaimMastership after a budget timeout) wait out the same window, never
 // restart it.
 func (s *Service) claimBackoffWait(group string, prevailing int64) time.Duration {
-	if s.claimBackoffOff || !s.fencing {
+	if s.claimBackoffOff {
 		return 0
 	}
 	s.claimHistMu.Lock()
@@ -342,9 +339,6 @@ func (s *Service) absorbTo(ctx context.Context, group string, target int64) erro
 // meaningful for an idle master — a master with traffic renews implicitly
 // through its stamped entries. Returns the epoch renewed.
 func (s *Service) RenewLease(ctx context.Context, group string) (int64, error) {
-	if !s.fencing {
-		return 0, nil
-	}
 	if err := s.replicaFault(); err != nil {
 		// Same rule as ClaimMastership: a fail-stopped replica lets its
 		// lease lapse so mastership moves to a healthy peer.

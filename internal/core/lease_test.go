@@ -13,7 +13,7 @@ import (
 
 // leaseRing wires three services with a short master lease so takeover tests
 // do not wait out the default four-timeout lease.
-func leaseRing(t *testing.T, lease time.Duration, extra ...ServiceOption) (map[string]*Service, *network.Sim) {
+func leaseRing(t *testing.T, lease time.Duration) (map[string]*Service, *network.Sim) {
 	t.Helper()
 	topo := network.NewTopology("A", "B", "C")
 	sim := network.NewSim(topo, network.SimConfig{Seed: 3})
@@ -24,10 +24,8 @@ func leaseRing(t *testing.T, lease time.Duration, extra ...ServiceOption) (map[s
 		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
 			return services[dc].Handler()(from, req)
 		})
-		opts := append([]ServiceOption{
-			WithServiceTimeout(200 * time.Millisecond), WithLeaseDuration(lease),
-		}, extra...)
-		services[dc] = NewService(dc, kvstore.New(), ep, opts...)
+		services[dc] = NewService(dc, kvstore.New(), ep,
+			WithServiceTimeout(200*time.Millisecond), WithLeaseDuration(lease))
 		t.Cleanup(services[dc].Close)
 	}
 	return services, sim
@@ -137,29 +135,6 @@ func TestDeposedMasterRefusesWithHintAndClientFollows(t *testing.T) {
 	res, err := tx.Commit(ctx)
 	if err != nil || res.Status != stats.Committed || res.Epoch != 2 {
 		t.Fatalf("redirected commit: %+v %v", res, err)
-	}
-}
-
-// TestEpochFencingDisabledReproducesOldBehavior: with fencing off (test-only
-// option) the master path neither claims nor stamps — the first transaction
-// commits at position 1 with epoch 0, exactly the pre-fencing layout.
-func TestEpochFencingDisabledReproducesOldBehavior(t *testing.T) {
-	services, sim := leaseRing(t, 0, WithEpochFencingDisabled())
-	cl := masterClient(t, sim, services, "B", "A")
-	ctx := context.Background()
-
-	tx, _ := cl.Begin(ctx, "g")
-	tx.Write("k", "v")
-	res, err := tx.Commit(ctx)
-	if err != nil || res.Status != stats.Committed || res.Pos != 1 || res.Epoch != 0 {
-		t.Fatalf("fencing-off commit: %+v %v", res, err)
-	}
-	entry, ok := services["A"].DecidedEntry("g", 1)
-	if !ok || entry.Epoch != 0 || entry.IsClaim() {
-		t.Fatalf("fencing-off entry = %v ok=%v, want unstamped txn entry", entry, ok)
-	}
-	if st, _ := services["A"].Mastership("g"); st.Epoch != 0 {
-		t.Fatalf("fencing-off epoch state = %+v", st)
 	}
 }
 

@@ -120,7 +120,7 @@ const (
 // ballot 0 there. A leader grants nothing once it has applied a claim
 // (handleClaim, R-a), so a master that knows of a claim below the position it
 // proposes cannot meet a grantee on it; one that knows of none — a group's
-// first claim, a pipeline with fencing off — goes prepare → accept.
+// first claim — goes prepare → accept.
 func (s *Service) replicateMaster(ctx context.Context, group string, pos int64, value []byte, skipFast bool) (_ []byte, ours bool, fast fastOutcome, _ error) {
 	in := s.instance(group, pos)
 	fast = fastSkipped

@@ -106,10 +106,10 @@ type pipeline struct {
 	running bool // dispatcher goroutine live
 	closed  bool
 	// epoch is the master epoch this pipeline stamps entries with (0 until
-	// mastership is claimed, or always 0 with fencing off). deposed is set
-	// when a higher epoch is observed: the pipeline drains its in-flight
-	// window with fail verdicts — never promotion — and refuses new batches
-	// with a hint at the new master (DESIGN.md §11, deposed-master drain).
+	// mastership is claimed). deposed is set when a higher epoch is
+	// observed: the pipeline drains its in-flight window with fail verdicts
+	// — never promotion — and refuses new batches with a hint at the new
+	// master (DESIGN.md §11, deposed-master drain).
 	epoch   int64
 	deposed bool
 
@@ -274,11 +274,10 @@ func (p *pipeline) take() []*pendingSubmit {
 }
 
 // ensureMastership makes sure this service holds the group's mastership
-// before a batch is placed (fencing on only). It adopts an epoch the service
-// already holds, refuses with VerdictNotMaster while another datacenter's
-// lease is live, and otherwise claims the next epoch — on its own budget, NOT
-// the batch's context (the claim must outlive the submissions that triggered
-// it). It reports whether placement may proceed; when it returns false the
+// before a batch is placed. It adopts an epoch the service already holds,
+// refuses with VerdictNotMaster while another datacenter's lease is live, and
+// otherwise claims the next epoch — on its own budget, NOT the batch's
+// context (the claim must outlive the submissions that triggered it). It reports whether placement may proceed; when it returns false the
 // batch has NOT been answered — the caller replies.
 func (p *pipeline) ensureMastership() (ok bool, refusal network.Message) {
 	st, leaseValid := p.svc.Mastership(p.group)
@@ -351,17 +350,13 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 		return
 	}
 
-	var epoch int64
-	if p.svc.fencing {
-		ok, refusal := p.ensureMastership()
-		if !ok {
-			p.fail(batch, refusal)
-			return
-		}
-		p.mu.Lock()
-		epoch = p.epoch
-		p.mu.Unlock()
+	if ok, refusal := p.ensureMastership(); !ok {
+		p.fail(batch, refusal)
+		return
 	}
+	p.mu.Lock()
+	epoch := p.epoch
+	p.mu.Unlock()
 
 	// A client may have read at a position this master has not applied —
 	// possible right after failover. Catch up before conflict checking.
@@ -402,9 +397,14 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 		entry.Handoff = h.Clone()
 		members = batch
 	} else {
+		// A transaction the migration rules (replog M1/M2, DESIGN.md §15)
+		// would void at apply fails fast. Only an optimization: apply-time
+		// voiding stays the safety net for entries already in flight when a
+		// handoff applies.
+		fence := p.lg.Fence()
 		for _, ps := range batch {
-			if refusal, fenced := p.migrationRefusal(ps.txn); fenced {
-				ps.reply(refusal)
+			if to, voided := fence.Voids(ps.txn); voided {
+				ps.reply(migrationVerdict(to))
 				continue
 			}
 			verdict, at, err := p.admit(ctx, ps.txn, pos, entry)
@@ -428,30 +428,6 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	}
 	p.win.Start(pos, entry)
 	go p.replicate(pos, entry, members)
-}
-
-// migrationRefusal fails a transaction fast when the apply-time migration
-// rules (replog M1/M2, DESIGN.md §15) would void it anyway: a write into a
-// departed range or a non-backfill write into a prepared-but-unopened inbound
-// range (migrationVerdict). Only an optimization — apply-time voiding remains
-// the safety net for entries already in flight when the handoff applied.
-func (p *pipeline) migrationRefusal(txn wal.Txn) (network.Message, bool) {
-	if !p.lg.HasMigrations() {
-		return network.Message{}, false
-	}
-	for k := range txn.Writes {
-		if to, _, ok := p.lg.MovedTo(k); ok {
-			return migrationVerdict(to), true
-		}
-	}
-	if !txn.Backfill {
-		for k := range txn.Writes {
-			if p.lg.InboundPending(k) {
-				return migrationVerdict(""), true
-			}
-		}
-	}
-	return network.Message{}, false
 }
 
 // SubmitHandoffAsync queues a migration handoff entry for placement
@@ -591,10 +567,11 @@ func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error
 // replicate drives one position's entry to decision (fast accept round,
 // full Paxos fallback), lands it in the local log, retires the window slot,
 // and settles every member: commit on a won race, promotion or conflict
-// abort on a lost one, failure when the outcome is unknown. With fencing on,
-// "decided with our value" is not yet "committed": the entry may have been
-// fenced by a claim that landed below it, so the verdict waits for the apply
-// watermark to cover the position and consults the fencing record.
+// abort on a lost one, failure when the outcome is unknown. "Decided with our
+// value" is not yet "committed": the entry may have been fenced by a claim
+// that landed below it, or a transaction voided by a handoff, so the verdict
+// waits for the apply watermark to cover the position and consults the
+// apply-time record.
 func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmit) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*p.svc.timeout)
 	defer cancel()
@@ -627,38 +604,32 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	// stops answering for it, so admission checks never see a gap.
 	p.win.Resolve(pos)
 	if committed {
-		// The commit verdict needs the apply-time record: the epoch fence
-		// once fencing is on, and the per-transaction migration verdicts
-		// whenever any handoff has applied to this log (DESIGN.md §15). Both
-		// exist once the apply watermark covers pos.
-		needVerdict := entry.Epoch != 0 || p.lg.HasMigrations()
-		if needVerdict {
-			// If contiguity cannot be reached (an ambiguous hole below), the
-			// outcome is unknown: fail, per invariant W4.
-			if werr := p.lg.WaitApplied(ctx, pos); werr != nil {
-				p.fail(members, network.Status(false, "fencing verdict unavailable: "+werr.Error()))
-				return
-			}
-			if entry.Epoch != 0 && p.lg.Voided(pos) {
-				// Split-brain window closed on us: a higher-epoch claim
-				// landed below our entry, so it committed nothing. Drain
-				// with VerdictDeposed — definitive, so a client may safely
-				// retry at the new master — and stop promoting (F3).
-				p.noteDeposed()
-				p.fail(members, network.Refuse(network.VerdictDeposed, ""))
-				return
-			}
+		// The commit verdict needs the apply-time record — the epoch fence
+		// and the per-transaction migration verdicts (DESIGN.md §15) — which
+		// exists once the apply watermark covers pos. If contiguity cannot be
+		// reached (an ambiguous hole below), the outcome is unknown: fail, per
+		// invariant W4.
+		if werr := p.lg.WaitApplied(ctx, pos); werr != nil {
+			p.fail(members, network.Status(false, "fencing verdict unavailable: "+werr.Error()))
+			return
+		}
+		if p.lg.Voided(pos) {
+			// Split-brain window closed on us: a higher-epoch claim landed
+			// below our entry, so it committed nothing. Drain with
+			// VerdictDeposed — definitive, so a client may safely retry at
+			// the new master — and stop promoting (F3).
+			p.noteDeposed()
+			p.fail(members, network.Refuse(network.VerdictDeposed, ""))
+			return
 		}
 		combined := len(entry.Txns) > 1
 		for _, ps := range members {
-			if needVerdict && ps.handoff == nil {
-				// A handoff below pos may have voided this transaction
-				// (rules M1/M2): its writes applied nowhere, so the verdict
-				// is the retryable redirect, not a commit.
-				if to, moved := p.lg.MovedTxn(pos, ps.txn.ID); moved {
-					ps.reply(migrationVerdict(to))
-					continue
-				}
+			// A handoff below pos may have voided this transaction (rules
+			// M1/M2): its writes applied nowhere, so the verdict is the
+			// retryable redirect, not a commit.
+			if to, moved := p.lg.MovedTxn(pos, ps.txn.ID); moved && ps.handoff == nil {
+				ps.reply(migrationVerdict(to))
+				continue
 			}
 			ps.reply(network.Message{
 				Kind: network.KindValue, OK: true, TS: pos,
@@ -684,7 +655,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 		p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 		return
 	}
-	if p.svc.fencing && p.isDeposed() {
+	if p.isDeposed() {
 		p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 		return
 	}

@@ -14,7 +14,7 @@ import (
 // returns one page of the prefix's rows in key order plus a resume cursor.
 // Nothing is held between pages — the snapshot guarantee comes from the pin
 // (PinReads clamps the compaction horizon under it) and the position-aware
-// migration fence (ScanFenceAt freezes the handoff view at the pin, so every
+// migration fence (FenceAt freezes the handoff view at the pin, so every
 // page of the sequence applies identical moved/pending rules even as later
 // cutovers apply). Every paged handler — this one, the backfill's range
 // snapshot and the snapshot transfer — opens with pinPage, ranges over
@@ -87,7 +87,7 @@ func (s *Service) handleScan(req network.Message) network.Message {
 	}
 	limit = min(limit, scanMaxPageRows)
 
-	fence := lg.ScanFenceAt(ts) // the zero fence of a never-migrated group skips nothing
+	fence := lg.FenceAt(ts) // the zero fence of a never-migrated group skips nothing
 	prefix := replog.DataPrefix(req.Group)
 	after := ""
 	if req.Found {
@@ -116,7 +116,7 @@ func (s *Service) handleScan(req network.Message) network.Message {
 		}
 		bare := row.Key[len(prefix):]
 		examined++
-		switch to, moved := fence.MovedOut(bare); {
+		switch to, _, moved := fence.Moved(bare); {
 		case moved:
 			// The destination's copy is authoritative from the cutover on;
 			// tell the client where this row went.
@@ -124,7 +124,7 @@ func (s *Service) handleScan(req network.Message) network.Message {
 				dests = make(map[string]bool)
 			}
 			dests[to] = true
-		case fence.InboundPending(bare):
+		case fence.Pending(bare):
 			// A half-copied backfill row; Combined says retry.
 		default:
 			if len(resp.Keys) == cap(resp.Keys) {

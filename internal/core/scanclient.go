@@ -298,13 +298,11 @@ func (kv *KV) Scan(ctx context.Context, prefix string) (*ScanResult, error) {
 		for _, g := range todo {
 			go func(group string) { results <- kv.scanGroup(ctx, group, prefix) }(g)
 		}
-		var failed []string
 		errByGroup := make(map[string]error)
 		grew, waiting := false, false
 		for range todo {
 			r := <-results
 			if r.err != nil {
-				failed = append(failed, r.group)
 				errByGroup[r.group] = r.err
 				continue
 			}
@@ -328,17 +326,8 @@ func (kv *KV) Scan(ctx context.Context, prefix string) (*ScanResult, error) {
 				waiting = true
 			}
 		}
-		if len(failed) > 0 {
-			sort.Strings(failed)
-			msg := ""
-			for i, g := range failed {
-				if i > 0 {
-					msg += "; "
-				}
-				msg += fmt.Sprintf("group %s: %v", g, errByGroup[g])
-			}
-			return nil, fmt.Errorf("core: kv scan: %d of %d groups unavailable: %s",
-				len(failed), len(todo), msg)
+		if len(errByGroup) > 0 {
+			return nil, unavailable("scan", len(todo), errByGroup)
 		}
 		if grew {
 			if hops++; hops > kvMovedHops {

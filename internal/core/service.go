@@ -80,11 +80,6 @@ type Service struct {
 	// group (dispatch.go); used by AsyncHandler only.
 	disp *dispatcher
 
-	// fencing enables epoch-fenced master leases (DESIGN.md §11): the
-	// master path claims a per-group epoch through the log before placing
-	// entries and stamps every entry with it. On by default; the off switch
-	// exists only so tests can reproduce the pre-fencing behavior.
-	fencing bool
 	// leaseDur is the master lease duration; 0 means DefaultLeaseFactor
 	// times the service timeout.
 	leaseDur time.Duration
@@ -192,15 +187,6 @@ func WithClaimBackoffDisabled() ServiceOption {
 	return func(s *Service) { s.claimBackoffOff = true }
 }
 
-// WithEpochFencingDisabled turns epoch-fenced master leases off, restoring
-// the pre-fencing master path: no claim entries, unstamped log entries, and
-// no protection against two concurrent masters. Test-only — it exists so the
-// fencing test battery can reproduce the old behavior as a baseline; never
-// use it in a deployment.
-func WithEpochFencingDisabled() ServiceOption {
-	return func(s *Service) { s.fencing = false }
-}
-
 // NewService creates the Transaction Service for datacenter dc, backed by
 // store, using transport to reach peer services during catch-up.
 func NewService(dc string, store *kvstore.Store, transport network.Transport, opts ...ServiceOption) *Service {
@@ -215,7 +201,6 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		submitCombine: DefaultSubmitCombine,
 		submitQueue:   DefaultSubmitQueue,
 		disp:          newDispatcher(runtime.GOMAXPROCS(0)),
-		fencing:       true,
 		claimLocks:    make(map[string]*sync.Mutex),
 		claimHist:     make(map[string]*claimHistory),
 		pipelines:     make(map[string]*pipeline),
@@ -517,23 +502,22 @@ func (s *Service) handleReadMulti(req network.Message) network.Message {
 }
 
 // readFence applies the migration read fences (DESIGN.md §15) to a read
-// served at position ts. A key of a range that departed at or below ts is
-// refused with VerdictMoved and the destination — serving it would return the
-// frozen pre-cutover value as if it were current. A key of a
-// prepared-but-unopened inbound range is refused with VerdictMigrating —
-// serving it would expose a half-copied backfill. Reads at positions before the
-// cutover still serve normally (snapshot reads of in-flight transactions).
-// With multiple in-flight destinations, one refusal names the keys of the
-// first; the caller's next hop surfaces the rest.
+// served at position ts, asking the fence at the applied watermark. A key of
+// a range that departed at or below ts is refused with VerdictMoved and the
+// destination — serving it would return the frozen pre-cutover value as if it
+// were current. Reads at positions before the cutover still serve normally
+// (snapshot reads of in-flight transactions). A key of a range pending now is
+// refused with VerdictMigrating, whatever ts — serving it would expose a
+// half-copied backfill. (A scan page asks the fence at its pin instead, so it
+// serves such a row at a pin below the prepare; DESIGN.md §16.) With multiple
+// in-flight destinations, one refusal names the keys of the first; the
+// caller's next hop surfaces the rest.
 func (s *Service) readFence(group string, ts int64, keys ...string) (network.Message, bool) {
-	lg := s.log(group)
-	if !lg.HasMigrations() {
-		return network.Message{}, false
-	}
+	fence := s.log(group).Fence()
 	var movedKeys []string
 	dest := ""
 	for _, k := range keys {
-		if to, outPos, ok := lg.MovedTo(k); ok && ts >= outPos {
+		if to, outPos, ok := fence.Moved(k); ok && ts >= outPos {
 			if dest == "" {
 				dest = to
 			}
@@ -546,7 +530,7 @@ func (s *Service) readFence(group string, ts int64, keys ...string) (network.Mes
 		return migrationVerdict(dest, movedKeys...), true
 	}
 	for _, k := range keys {
-		if lg.InboundPending(k) {
+		if fence.Pending(k) {
 			return migrationVerdict(""), true
 		}
 	}

@@ -246,30 +246,35 @@ func TestResubmittedBlindWriteCommitsOnce(t *testing.T) {
 	}
 }
 
-// TestReusedFloorAheadOfNewMaster: the floor a client carries over from the
-// old master's verdicts can be ahead of what the replica it submits to next
-// has applied. That replica catches up to the floor before it places the
+// TestReusedFloorAheadOfNewMaster: the floor a client carries over can be
+// ahead of what the master it submits to has applied. Here the master B was
+// down while CP commits went on in its group; a read at A shows the client
+// their position. B catches up to the floor before it places the
 // transaction (place's maxRead > Applied branch); it neither fails the
-// commit nor places it at or below the floor.
+// commit nor places it at or below the floor. Without the catch-up B would
+// place at positions already decided, and the gap is wider than a
+// submission's promotion budget.
 func TestReusedFloorAheadOfNewMaster(t *testing.T) {
-	// Fencing off: with it on, the new master's claim would catch up first.
-	services, sim := leaseRing(t, 0, WithEpochFencingDisabled())
-	var master atomic.Value
-	master.Store("A")
-	cl, kc, commits := countingClient(t, sim, services, 1, "C", Config{
-		Protocol: Master, MasterFor: func(string) string { return master.Load().(string) },
-	})
+	services, sim := leaseRing(t, 0)
+	cl, kc, commits := countingClient(t, sim, services, 1, "A", Config{Protocol: Master, MasterDC: "B"})
+	commitWrites(t, cl, "g", map[string]string{"first": "v"}) // B claims the group
+	ctx := context.Background()
+
 	sim.SetDown("B", true)
-	var floor int64
-	for i := 0; i < 3; i++ {
-		floor = commitWrites(t, cl, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
+	cp := NewClient(2, "A", sim.Endpoint("A", services["A"].Handler()), Config{Protocol: CP, Seed: 2, Timeout: 200 * time.Millisecond})
+	for i := 0; i < submitAttempts+2; i++ {
+		commitWrites(t, cp, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
 	}
+	tx, _ := cl.Begin(ctx, "g")
+	if _, _, err := tx.Read(ctx, "k0"); err != nil {
+		t.Fatal(err)
+	}
+	floor := tx.ReadPos() // what A has applied, shown to the client
 	sim.SetDown("B", false)
 	if got := services["B"].LastApplied("g"); got >= floor {
 		t.Fatalf("B applied %d while it was down; the test needs it behind the floor %d", got, floor)
 	}
 
-	master.Store("B")
 	pos := commitWrites(t, cl, "g", map[string]string{"after": "v"})
 	last := (*commits)[len(*commits)-1]
 	if last.ReadPos != floor || pos <= floor {

@@ -46,6 +46,15 @@
 // timestamp (LeaseState) is deliberately local and volatile — leases bound
 // failover time, fencing provides safety.
 //
+// # Migration fence
+//
+// Handoff entries of a live migration (DESIGN.md §15) apply the same way:
+// a group's migration state is a function of the applied log prefix,
+// durable in the meta row, and drain voids the transactions the rules M1/M2
+// forbid (MovedTxn reports them). Every other question about that state goes
+// to a Fence, an immutable value taken at the applied watermark (Log.Fence)
+// or at a pin (Log.FenceAt).
+//
 // Window, the in-flight accounting for the master's pipelined submit path,
 // also lives here (DESIGN.md §8).
 package replog

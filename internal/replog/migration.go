@@ -3,6 +3,7 @@ package replog
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"paxoscp/internal/placement"
 	"paxoscp/internal/wal"
@@ -27,7 +28,8 @@ import (
 //	   its verdict is the retryable "migrating".
 //
 // Both rules are mirrored verbatim by the offline history checker, which
-// replays the same log prefix with the same MoveSet predicate.
+// replays the same log prefix with the same MoveSet predicate. Everything
+// else asks about the state through a Fence taken at a log position.
 
 // HandoffRecord is one applied handoff entry, as persisted in the meta row
 // and carried inside snapshots. Pos is the log position it applied at.
@@ -53,16 +55,6 @@ type MigrationState struct {
 	Records []HandoffRecord `json:"records"`
 }
 
-// Clone returns a deep copy.
-func (m MigrationState) Clone() MigrationState {
-	out := MigrationState{Records: make([]HandoffRecord, len(m.Records))}
-	copy(out.Records, m.Records)
-	for i := range out.Records {
-		out.Records[i].Groups = append([]string(nil), m.Records[i].Groups...)
-	}
-	return out
-}
-
 // migRange pairs a handoff record with its compiled range predicate.
 type migRange struct {
 	rec HandoffRecord
@@ -70,7 +62,7 @@ type migRange struct {
 }
 
 // migState is the derived, query-friendly view of a group's applied handoff
-// records. Guarded by Log.mu.
+// records. Log.mig is guarded by Log.mu; a Fence holds a copy.
 type migState struct {
 	records []HandoffRecord
 	out     []migRange // HandoffOut, this group is From: departed ranges
@@ -112,7 +104,8 @@ func (m *migState) apply(group string, rec HandoffRecord) {
 	}
 }
 
-// rebuild replays records from scratch (Open, snapshot install).
+// rebuild replays records from scratch (Open, snapshot install, FenceAt below
+// the newest record) into fresh slices, never the ones a Fence may hold.
 func (m *migState) rebuild(group string, records []HandoffRecord) {
 	*m = migState{}
 	for _, rec := range records {
@@ -144,13 +137,13 @@ func (m *migState) voidsTxn(t wal.Txn) (to string, voided bool) {
 		return "", false
 	}
 	for k := range t.Writes {
-		if dest, _, ok := m.movedTo(k); ok {
-			return dest, true // M1: the range departed before this position
+		if r, ok := find(m.out, k); ok {
+			return r.rec.To, true // M1: the range departed before this position
 		}
 	}
 	if !t.Backfill {
 		for k := range t.Writes {
-			if m.inboundPending(k) {
+			if _, ok := find(m.inPend, k); ok {
 				return "", true // M2: the range is not open here yet
 			}
 		}
@@ -158,38 +151,17 @@ func (m *migState) voidsTxn(t wal.Txn) (to string, voided bool) {
 	return "", false
 }
 
-// movedTo returns the destination group and handoff position if key belongs
-// to a departed range. At most one outbound record can cover a key (a key
-// that already left cannot match a later departure's source placement), so
-// the first match is the match.
-func (m *migState) movedTo(key string) (string, int64, bool) {
-	for _, r := range m.out {
+// find returns the first range of rs that holds key. At most one outbound
+// record can cover a key (a key that already left cannot match a later
+// departure's source placement), so for departed ranges the first match is
+// the match.
+func find(rs []migRange, key string) (migRange, bool) {
+	for _, r := range rs {
 		if r.set.Moves(key) {
-			return r.rec.To, r.rec.Pos, true
+			return r, true
 		}
 	}
-	return "", 0, false
-}
-
-// inboundPending reports whether key is inside a prepared-but-unopened
-// inbound range.
-func (m *migState) inboundPending(key string) bool {
-	for _, r := range m.inPend {
-		if r.set.Moves(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// tombstoned reports whether key is inside a range cleared for scavenge.
-func (m *migState) tombstoned(key string) bool {
-	for _, r := range m.tomb {
-		if r.set.Moves(key) {
-			return true
-		}
-	}
-	return false
+	return migRange{}, false
 }
 
 // encodeMigrations serializes records for the meta row ("" when empty, so
@@ -220,35 +192,91 @@ func decodeMigrations(s string) ([]HandoffRecord, error) {
 	return records, nil
 }
 
-// --- Log accessors ---------------------------------------------------------
+// --- The fence ------------------------------------------------------------
 
-// MovedTo returns the group a departed key now belongs to and the log
-// position of the HandoffOut that froze it. ok is false while the key is
-// still owned here.
-func (l *Log) MovedTo(key string) (to string, outPos int64, ok bool) {
+// Fence is a group's migration state at one log position: every migration
+// question a replica asks — of a read, a scan page, a placed batch, a
+// compaction, a snapshot — is put to one. Log.Fence takes it at the applied
+// watermark, Log.FenceAt at a pin. The zero Fence, a group that never
+// migrated, answers no to everything and loops over nothing.
+//
+// A Fence is an immutable value that shares the log's slices. That is safe
+// because nothing a Fence holds is ever written again: drain deep-copies the
+// state before a handoff entry mutates it, and rebuild starts from nil slices.
+// Both must stay true.
+type Fence struct{ st migState }
+
+// Fence returns the fence at the applied watermark.
+func (l *Log) Fence() Fence {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.mig.movedTo(key)
+	return Fence{l.mig}
 }
 
-// InboundPending reports whether key belongs to a range this group has
-// prepared to receive but not yet opened (HandoffPrepare applied, HandoffIn
-// not). Ordinary transactions touching such keys are refused with the
-// retryable "migrating" verdict; backfill transactions pass.
-func (l *Log) InboundPending(key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mig.inboundPending(key)
+// FenceAt returns the fence at ts: the state derived from the handoff records
+// applied at or below ts. Records above ts are invisible — a scan pinned
+// before a cutover keeps serving the range from the source, as point reads at
+// that position would, and a snapshot at horizon ts ships none of them (the
+// restored replica replays those positions itself; fencing them early would
+// void pre-handoff transactions every other replica applied). At or above the
+// newest record it is the live state, not a rebuilt one.
+func (l *Log) FenceAt(ts int64) Fence {
+	f := l.Fence()
+	if i := slices.IndexFunc(f.st.records, func(r HandoffRecord) bool { return r.Pos > ts }); i >= 0 {
+		f.st.rebuild(l.group, f.st.records[:i])
+	}
+	return f
 }
 
-// Tombstoned reports whether key belongs to a departed range whose cutover
-// is durable in the destination (HandoffTombstone applied): its frozen local
-// rows may be scavenged wholesale at the next compaction.
-func (l *Log) Tombstoned(key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mig.tombstoned(key)
+// Moved returns the group a departed key now belongs to and the log position
+// of the HandoffOut that froze it: the source must not serve it, because the
+// destination's copy is authoritative from the cutover on. ok is false while
+// the key is still owned here.
+func (f Fence) Moved(key string) (to string, outPos int64, ok bool) {
+	r, ok := find(f.st.out, key)
+	return r.rec.To, r.rec.Pos, ok
 }
+
+// Pending reports whether key belongs to a range this group has prepared to
+// receive but not yet opened (HandoffPrepare applied, HandoffIn not): the
+// backfill may be incomplete, so local rows must not be served, and ordinary
+// writes are refused with the retryable "migrating" verdict.
+func (f Fence) Pending(key string) bool {
+	_, ok := find(f.st.inPend, key)
+	return ok
+}
+
+// MovedIn reports whether key belongs to a range whose HandoffIn applied: the
+// row migrated here. A scan reply marks such rows so a client merging source
+// and destination pages pinned on either side of a cutover can prefer the
+// destination's copy.
+func (f Fence) MovedIn(key string) bool {
+	_, ok := find(f.st.in, key)
+	return ok
+}
+
+// Tombstoned reports whether key belongs to a departed range whose cutover is
+// durable in the destination (HandoffTombstone applied): its frozen local rows
+// may be scavenged wholesale.
+func (f Fence) Tombstoned(key string) bool {
+	_, ok := find(f.st.tomb, key)
+	return ok
+}
+
+// HasPending reports whether any inbound range is prepared but unopened — the
+// signal a scanning client uses to retry this group after the cutover instead
+// of treating its silence as emptiness.
+func (f Fence) HasPending() bool { return len(f.st.inPend) > 0 }
+
+// Voids reports whether the migration rules M1/M2 would void txn, and the
+// destination to hint ("" = migrating): the rule drain applies, asked before
+// a transaction is placed.
+func (f Fence) Voids(txn wal.Txn) (to string, voided bool) { return f.st.voidsTxn(txn) }
+
+// Records returns the applied handoff records in log order — the durable form
+// of the state (meta row, snapshot header) and the operator's view. Shared:
+// do not modify.
+func (f Fence) Records() []HandoffRecord { return f.st.records }
 
 // MovedTxn reports whether the transaction with txnID inside the applied
 // entry at pos was voided by a migration rule, and the destination group to
@@ -264,42 +292,4 @@ func (l *Log) MovedTxn(pos int64, txnID string) (to string, ok bool) {
 	}
 	to, ok = m[txnID]
 	return to, ok
-}
-
-// HasMigrations reports whether any handoff record has applied to this log.
-// It is the cheap gate the hot paths (submit admission, commit verdicts)
-// check before consulting the per-key migration fences — a group that never
-// migrated pays one mutex round, no range scans.
-func (l *Log) HasMigrations() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.mig.records) > 0
-}
-
-// Migrations returns the group's applied handoff records in log order — the
-// operator-facing migration status (GroupStatus, txkvctl).
-func (l *Log) Migrations() MigrationState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return MigrationState{Records: l.mig.records}.Clone()
-}
-
-// MigrationsAt returns the handoff records applied at or below horizon: the
-// group's migration state as of that watermark. The record list is
-// append-only in log order, so the filtered prefix is exact no matter when
-// it is captured relative to the horizon — what snapshot building needs
-// (a record above the snapshot horizon must not ship: the restored replica
-// replays the positions between horizon and handoff itself, and fencing
-// them early would void pre-handoff transactions every other replica
-// applied).
-func (l *Log) MigrationsAt(horizon int64) MigrationState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := MigrationState{}
-	for _, rec := range l.mig.records {
-		if rec.Pos <= horizon {
-			out.Records = append(out.Records, rec)
-		}
-	}
-	return out.Clone()
 }

@@ -77,11 +77,11 @@ func TestHandoffOutFencesLaterWrites(t *testing.T) {
 	appendApplied(t, l, 3, testEntry("t3", 2, map[string]string{moved: "after"}))
 	appendApplied(t, l, 4, testEntry("t4", 2, map[string]string{stayed: "ok"}))
 
-	if to, pos, ok := l.MovedTo(moved); !ok || to != "g2" || pos != 2 {
-		t.Fatalf("MovedTo(%q) = (%s, %d, %v), want (g2, 2, true)", moved, to, pos, ok)
+	if to, pos, ok := l.Fence().Moved(moved); !ok || to != "g2" || pos != 2 {
+		t.Fatalf("Moved(%q) = (%s, %d, %v), want (g2, 2, true)", moved, to, pos, ok)
 	}
-	if _, _, ok := l.MovedTo(stayed); ok {
-		t.Fatalf("MovedTo claims the staying key %q departed", stayed)
+	if _, _, ok := l.Fence().Moved(stayed); ok {
+		t.Fatalf("Moved claims the staying key %q departed", stayed)
 	}
 	if to, ok := l.MovedTxn(3, "t3"); !ok || to != "g2" {
 		t.Fatalf("MovedTxn(3, t3) = (%s, %v), want (g2, true)", to, ok)
@@ -110,8 +110,8 @@ func TestHandoffPrepareFencesUntilIn(t *testing.T) {
 	moved, groups := movingKey(t, "g0")
 
 	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffPrepare, "g0", "g2", groups)))
-	if !l.InboundPending(moved) {
-		t.Fatalf("InboundPending(%q) = false after prepare", moved)
+	if !l.Fence().Pending(moved) {
+		t.Fatalf("Pending(%q) = false after prepare", moved)
 	}
 	appendApplied(t, l, 2, testEntry("early", 1, map[string]string{moved: "sneak"}))
 	if to, ok := l.MovedTxn(2, "early"); !ok || to != "" {
@@ -127,8 +127,8 @@ func TestHandoffPrepareFencesUntilIn(t *testing.T) {
 		t.Fatalf("backfill write = (%q, %v), want \"copied\"", v, ok)
 	}
 	appendApplied(t, l, 4, wal.Encode(wal.NewHandoff(wal.HandoffIn, "g0", "g2", groups)))
-	if l.InboundPending(moved) {
-		t.Fatalf("InboundPending(%q) still true after HandoffIn", moved)
+	if l.Fence().Pending(moved) {
+		t.Fatalf("Pending(%q) still true after HandoffIn", moved)
 	}
 	appendApplied(t, l, 5, testEntry("late", 4, map[string]string{moved: "served"}))
 	if _, ok := l.MovedTxn(5, "late"); ok {
@@ -150,17 +150,17 @@ func TestTombstoneMarksRangeForGC(t *testing.T) {
 	stayed := stayingKey(t, "g0")
 
 	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
-	if l.Tombstoned(moved) {
+	if l.Fence().Tombstoned(moved) {
 		t.Fatal("range tombstoned before HandoffTombstone")
 	}
 	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffTombstone, "g0", "g2", groups)))
-	if !l.Tombstoned(moved) {
+	if !l.Fence().Tombstoned(moved) {
 		t.Fatal("range not tombstoned after HandoffTombstone")
 	}
-	if l.Tombstoned(stayed) {
+	if l.Fence().Tombstoned(stayed) {
 		t.Fatal("staying key tombstoned")
 	}
-	if _, _, ok := l.MovedTo(moved); !ok {
+	if _, _, ok := l.Fence().Moved(moved); !ok {
 		t.Fatal("M1 fence dropped by tombstone")
 	}
 }
@@ -178,8 +178,8 @@ func TestMigrationStateSurvivesRestart(t *testing.T) {
 
 	l2 := Open(store, "g0")
 	t.Cleanup(l2.Close)
-	if to, pos, ok := l2.MovedTo(moved); !ok || to != "g2" || pos != 1 {
-		t.Fatalf("after restart MovedTo(%q) = (%s, %d, %v), want (g2, 1, true)", moved, to, pos, ok)
+	if to, pos, ok := l2.Fence().Moved(moved); !ok || to != "g2" || pos != 1 {
+		t.Fatalf("after restart Moved(%q) = (%s, %d, %v), want (g2, 1, true)", moved, to, pos, ok)
 	}
 	appendApplied(t, l2, 2, testEntry("t2", 1, map[string]string{moved: "late"}))
 	if to, ok := l2.MovedTxn(2, "t2"); !ok || to != "g2" {
@@ -203,14 +203,14 @@ func TestInstallSnapshotCarriesMigrations(t *testing.T) {
 	if err := l.InstallSnapshot(5, EpochState{}, recs); err != nil {
 		t.Fatal(err)
 	}
-	if to, _, ok := l.MovedTo(moved); !ok || to != "g2" {
-		t.Fatalf("MovedTo after snapshot install = (%s, %v), want (g2, true)", to, ok)
+	if to, _, ok := l.Fence().Moved(moved); !ok || to != "g2" {
+		t.Fatalf("Moved after snapshot install = (%s, %v), want (g2, true)", to, ok)
 	}
 	// A stale snapshot (empty record list) must not clear the fence.
 	if err := l.InstallSnapshot(6, EpochState{}, MigrationState{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := l.MovedTo(moved); !ok {
+	if _, _, ok := l.Fence().Moved(moved); !ok {
 		t.Fatal("stale snapshot cleared the migration fence")
 	}
 }
@@ -233,25 +233,25 @@ func TestEpochFencedHandoffIsVoid(t *testing.T) {
 	if !l.Voided(2) {
 		t.Fatal("stale-epoch handoff not voided")
 	}
-	if _, _, ok := l.MovedTo(moved); ok {
+	if _, _, ok := l.Fence().Moved(moved); ok {
 		t.Fatal("fenced handoff mutated migration state")
 	}
-	if got := l.Migrations(); len(got.Records) != 0 {
-		t.Fatalf("fenced handoff recorded: %v", got.Records)
+	if got := l.Fence().Records(); len(got) != 0 {
+		t.Fatalf("fenced handoff recorded: %v", got)
 	}
 
 	// The same handoff at the prevailing epoch applies.
 	fresh := wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)
 	fresh.Epoch = 3
 	appendApplied(t, l, 3, wal.Encode(fresh))
-	if to, _, ok := l.MovedTo(moved); !ok || to != "g2" {
+	if to, _, ok := l.Fence().Moved(moved); !ok || to != "g2" {
 		t.Fatalf("current-epoch handoff did not apply: (%s, %v)", to, ok)
 	}
 }
 
-// TestMigrationsAtFiltersByHorizon: snapshot building must exclude records
+// TestFenceAtFiltersRecordsByHorizon: snapshot building must exclude records
 // above the horizon — the restored replica replays those positions itself.
-func TestMigrationsAtFiltersByHorizon(t *testing.T) {
+func TestFenceAtFiltersRecordsByHorizon(t *testing.T) {
 	store := kvstore.New()
 	l := Open(store, "g0")
 	t.Cleanup(l.Close)
@@ -260,13 +260,117 @@ func TestMigrationsAtFiltersByHorizon(t *testing.T) {
 	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
 	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffTombstone, "g0", "g2", groups)))
 
-	if got := l.MigrationsAt(1); len(got.Records) != 1 || got.Records[0].Pos != 1 {
-		t.Fatalf("MigrationsAt(1) = %v, want just the pos-1 record", got.Records)
+	if got := l.FenceAt(1).Records(); len(got) != 1 || got[0].Pos != 1 {
+		t.Fatalf("FenceAt(1).Records() = %v, want just the pos-1 record", got)
 	}
-	if got := l.MigrationsAt(0); len(got.Records) != 0 {
-		t.Fatalf("MigrationsAt(0) = %v, want empty", got.Records)
+	if got := l.FenceAt(0).Records(); len(got) != 0 {
+		t.Fatalf("FenceAt(0).Records() = %v, want empty", got)
 	}
-	if got := l.MigrationsAt(2); len(got.Records) != 2 {
-		t.Fatalf("MigrationsAt(2) = %v, want both records", got.Records)
+	if got := l.FenceAt(2).Records(); len(got) != 2 {
+		t.Fatalf("FenceAt(2).Records() = %v, want both records", got)
+	}
+}
+
+// TestFenceAtIsPositionAware: the fence derived at a position below a
+// handoff ignores it (the scan serves the range from the source), while the
+// fence at or above it refuses the departed keys and names the destination.
+func TestFenceAtIsPositionAware(t *testing.T) {
+	store := kvstore.New()
+	l := Open(store, "g0")
+	t.Cleanup(l.Close)
+
+	moved, groups := movingKey(t, "g0")
+	stayed := stayingKey(t, "g0")
+
+	appendApplied(t, l, 1, testEntry("t1", 0, map[string]string{moved: "x", stayed: "y"}))
+	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
+
+	if _, _, ok := l.FenceAt(1).Moved(moved); ok {
+		t.Fatalf("fence at 1 refuses %q, but the cutover applied at 2", moved)
+	}
+	post := l.FenceAt(2)
+	if to, pos, ok := post.Moved(moved); !ok || to != "g2" || pos != 2 {
+		t.Fatalf("Moved(%q) at 2 = (%s, %d, %v), want (g2, 2, true)", moved, to, pos, ok)
+	}
+	if _, _, ok := post.Moved(stayed); ok {
+		t.Fatalf("staying key %q fenced", stayed)
+	}
+}
+
+// TestFenceInboundSide: on the destination, a key is pending between
+// Prepare and In, and marked moved-in from In on — each evaluated at the
+// fence position, not the watermark.
+func TestFenceInboundSide(t *testing.T) {
+	store := kvstore.New()
+	l := Open(store, "g2")
+	t.Cleanup(l.Close)
+
+	moved, groups := movingKey(t, "g0")
+
+	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffPrepare, "g0", "g2", groups)))
+	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffIn, "g0", "g2", groups)))
+
+	mid := l.FenceAt(1)
+	if !mid.Pending(moved) || !mid.HasPending() {
+		t.Fatalf("key %q not pending at 1 (between Prepare and In)", moved)
+	}
+	if mid.MovedIn(moved) {
+		t.Fatalf("key %q moved-in at 1, before HandoffIn applied", moved)
+	}
+
+	open := l.FenceAt(2)
+	if open.Pending(moved) || open.HasPending() {
+		t.Fatalf("key %q still pending at 2, after HandoffIn", moved)
+	}
+	if !open.MovedIn(moved) {
+		t.Fatalf("key %q not marked moved-in at 2", moved)
+	}
+}
+
+// TestFenceTombstoneGatesScavenge: the horizon-aware tombstone check —
+// a fence below the tombstone position must not clear the range for
+// wholesale scavenge.
+func TestFenceTombstoneGatesScavenge(t *testing.T) {
+	store := kvstore.New()
+	l := Open(store, "g0")
+	t.Cleanup(l.Close)
+
+	moved, groups := movingKey(t, "g0")
+	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
+	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffTombstone, "g0", "g2", groups)))
+
+	if l.FenceAt(1).Tombstoned(moved) {
+		t.Fatal("fence at 1 tombstones a range whose tombstone applied at 2")
+	}
+	if !l.FenceAt(2).Tombstoned(moved) {
+		t.Fatal("fence at 2 misses the applied tombstone")
+	}
+}
+
+// TestFenceAtNewestRecordReusesState: a fence at or above the newest handoff
+// record is the live state itself — no MoveSet is recompiled, nothing is
+// allocated — so every scan page of a migrated group costs what a
+// never-migrated group's does. Below the newest record it is rebuilt.
+func TestFenceAtNewestRecordReusesState(t *testing.T) {
+	store := kvstore.New()
+	l := Open(store, "g0")
+	t.Cleanup(l.Close)
+
+	moved, groups := movingKey(t, "g0")
+	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
+	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffTombstone, "g0", "g2", groups)))
+	appendApplied(t, l, 3, testEntry("t3", 2, map[string]string{"other": "v"}))
+
+	for _, ts := range []int64{2, 3} {
+		var f Fence
+		if allocs := testing.AllocsPerRun(100, func() { f = l.FenceAt(ts) }); allocs != 0 {
+			t.Errorf("FenceAt(%d) allocates %.0f times, want 0", ts, allocs)
+		}
+		if !f.Tombstoned(moved) {
+			t.Errorf("FenceAt(%d) misses the tombstone", ts)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.FenceAt(1) }); allocs == 0 {
+		t.Error("FenceAt(1) allocates nothing: it cannot have rebuilt the state below the tombstone")
 	}
 }

@@ -80,7 +80,8 @@ type Log struct {
 
 	// Live-migration state (DESIGN.md §15), maintained by drain exactly like
 	// the epoch state: mig is the derived view of every applied handoff
-	// entry (durable in the meta row), and movedTxns records transactions
+	// entry (durable in the meta row; asked through Fence and FenceAt, never
+	// mutated in place), and movedTxns records transactions
 	// voided by the migration rules M1/M2 — pos -> txn ID -> destination
 	// group ("" = inbound-unopened here) — so the pipeline can answer them
 	// with the retryable moved/migrating verdicts instead of commits.
@@ -565,7 +566,7 @@ func (l *Log) SnapshotHeader() (int64, kvstore.Packed) {
 	l.mu.Lock()
 	h, epoch := l.applied, l.epoch
 	l.mu.Unlock()
-	m := metaRow{last: h, compacted: h, epoch: epoch, migrations: encodeMigrations(l.MigrationsAt(h).Records)}
+	m := metaRow{last: h, compacted: h, epoch: epoch, migrations: encodeMigrations(l.FenceAt(h).Records())}
 	return h, m.pack()
 }
 
@@ -906,8 +907,8 @@ func (l *Log) drain() {
 			if e.IsHandoff() {
 				// A handoff entry that passed the epoch fence changes the
 				// group's migration state for every later position
-				// (DESIGN.md §15). Mutate a private copy: readers keep
-				// reading l.mig under mu until this batch commits.
+				// (DESIGN.md §15). Mutate a private copy: every Fence
+				// taken shares l.mig's slices, which stay as they are.
 				if !migDirty {
 					mig = mig.deepCopy()
 					migDirty = true

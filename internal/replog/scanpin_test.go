@@ -3,9 +3,6 @@ package replog
 import (
 	"testing"
 	"time"
-
-	"paxoscp/internal/kvstore"
-	"paxoscp/internal/wal"
 )
 
 // TestPinReadsClampsCompact: an unexpired read pin holds the effective
@@ -108,88 +105,5 @@ func TestExpiredPinsDropWithoutCompact(t *testing.T) {
 	}
 	if held, _ := pinStats(l); held != 200 {
 		t.Fatalf("%d pins held, want the 200 live ones", held)
-	}
-}
-
-// TestScanFenceAtIsPositionAware: the fence derived at a position below a
-// handoff ignores it (the scan serves the range from the source), while the
-// fence at or above it refuses the departed keys and reports the
-// destination hint; the inbound side mirrors this for prepare/in.
-func TestScanFenceAtIsPositionAware(t *testing.T) {
-	store := kvstore.New()
-	l := Open(store, "g0")
-	t.Cleanup(l.Close)
-
-	moved, groups := movingKey(t, "g0")
-	stayed := stayingKey(t, "g0")
-
-	appendApplied(t, l, 1, testEntry("t1", 0, map[string]string{moved: "x", stayed: "y"}))
-	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
-
-	pre := l.ScanFenceAt(1)
-	if _, ok := pre.MovedOut(moved); ok {
-		t.Fatalf("fence at 1 refuses %q, but the cutover applied at 2", moved)
-	}
-
-	post := l.ScanFenceAt(2)
-	if to, ok := post.MovedOut(moved); !ok || to != "g2" {
-		t.Fatalf("MovedOut(%q) at 2 = (%s, %v), want (g2, true)", moved, to, ok)
-	}
-	if _, ok := post.MovedOut(stayed); ok {
-		t.Fatalf("staying key %q fenced", stayed)
-	}
-	if d := post.Dests(); len(d) != 1 || d[0] != "g2" {
-		t.Fatalf("Dests at 2 = %v, want [g2]", d)
-	}
-}
-
-// TestScanFenceInboundSide: on the destination, a key is pending between
-// Prepare and In, and marked moved-in from In on — each evaluated at the
-// fence position, not the watermark.
-func TestScanFenceInboundSide(t *testing.T) {
-	store := kvstore.New()
-	l := Open(store, "g2")
-	t.Cleanup(l.Close)
-
-	moved, groups := movingKey(t, "g0")
-
-	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffPrepare, "g0", "g2", groups)))
-	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffIn, "g0", "g2", groups)))
-
-	mid := l.ScanFenceAt(1)
-	if !mid.InboundPending(moved) || !mid.HasPending() {
-		t.Fatalf("key %q not pending at 1 (between Prepare and In)", moved)
-	}
-	if mid.MovedIn(moved) {
-		t.Fatalf("key %q moved-in at 1, before HandoffIn applied", moved)
-	}
-
-	open := l.ScanFenceAt(2)
-	if open.InboundPending(moved) || open.HasPending() {
-		t.Fatalf("key %q still pending at 2, after HandoffIn", moved)
-	}
-	if !open.MovedIn(moved) {
-		t.Fatalf("key %q not marked moved-in at 2", moved)
-	}
-}
-
-// TestScanFenceTombstoneGatesScavenge: the horizon-aware tombstone check —
-// a fence below the tombstone position must not clear the range for
-// wholesale scavenge.
-func TestScanFenceTombstoneGatesScavenge(t *testing.T) {
-	store := kvstore.New()
-	l := Open(store, "g0")
-	t.Cleanup(l.Close)
-
-	moved, groups := movingKey(t, "g0")
-	appendApplied(t, l, 1, wal.Encode(wal.NewHandoff(wal.HandoffOut, "g0", "g2", groups)))
-	appendApplied(t, l, 2, wal.Encode(wal.NewHandoff(wal.HandoffTombstone, "g0", "g2", groups)))
-
-	pre := l.ScanFenceAt(1)
-	if pre.Tombstoned(moved) {
-		t.Fatal("fence at 1 tombstones a range whose tombstone applied at 2")
-	}
-	if f := l.ScanFenceAt(2); !f.Tombstoned(moved) {
-		t.Fatal("fence at 2 misses the applied tombstone")
 	}
 }

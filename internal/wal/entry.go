@@ -82,7 +82,7 @@ func (t Txn) String() string {
 //
 // Two fencing fields ride along for the leader-based protocol (DESIGN.md
 // §11). Epoch stamps the master epoch the entry was proposed under; 0 means
-// unfenced (Basic and CP clients, and masters with fencing disabled). Master,
+// unfenced (Basic and CP clients). Master,
 // when non-empty, marks the entry as a master-claim entry: it carries no
 // transactions and instead claims (or, at the prevailing epoch, renews the
 // lease of) mastership of the group for the named datacenter, effective for
