@@ -29,25 +29,6 @@ import (
 // pairSeconds is BENCHMARK.json's run_seconds: the gate's run length.
 const pairSeconds = 15
 
-// layerMetrics are the per-layer metrics a report records beside the
-// end-to-end ones, where a run printed them: the counts and waits a change to
-// the commit path has to explain itself with (messages, rounds, flushes, what
-// a handler waits for, how much the master combines), the same for the scan
-// path (what a scan costs its client, its handler and the store), what a
-// commit leaves behind (rows in the store, bytes in the WAL, rows to recover),
-// and what sizes them (CPU, allocations, GC, recovery).
-var layerMetrics = []string{
-	"network.msgs_per_commit", "paxos.rounds_per_commit", "network.send_us.readpos",
-	"disk.fsyncs_per_commit", "disk.sync_wait_us", "disk.fsync_ms",
-	"kvstore.rows_per_commit", "disk.bytes_per_commit", "disk.recover_rows",
-	"core.handle.submit_us", "core.handle.accept_us", "core.handle.apply_us",
-	"core.master.combined_frac",
-	"core.client.scan_p50_ms", "core.client.read_p50_ms", "network.send_us.scan", "core.handle.scan_us",
-	"kvstore.scan_prefix_us", "kvstore.scan_examined_per_row", "kvstore.read_multi_us",
-	"replog.append_apply_us", "replog.follower_lag_pos", "disk.recover_ms",
-	"runtime.cpu_us_per_op", "runtime.allocs_per_op", "runtime.gc_cycles", "trace.overhead_frac",
-}
-
 // pairRun is what one invocation of the benchmark printed.
 type pairRun struct {
 	correct bool
@@ -147,16 +128,18 @@ type pairSection struct {
 	Metrics    map[string]*pairMetric `json:"metrics"`
 }
 
-// summarise folds the pairs of one workload into a section. better maps a
-// metric to "lower" or "higher" where BENCHMARK.json says which is.
-func summarise(parent, change []pairRun, better map[string]string) pairSection {
+// summarise folds the pairs of one workload into a section: the end-to-end
+// metrics the runs printed, and of the per-layer metrics BENCHMARK.json
+// declares (layer) those the parent's first run printed. better maps a metric
+// to "lower" or "higher" where BENCHMARK.json says which is.
+func summarise(parent, change []pairRun, better map[string]string, layer []string) pairSection {
 	sec := pairSection{Pairs: len(parent), CorrectAll: true, Metrics: make(map[string]*pairMetric)}
 	for i := range parent {
 		sec.CorrectAll = sec.CorrectAll && parent[i].correct && change[i].correct
 		sec.FailedOps += parent[i].failed + change[i].failed
 	}
 	names := append([]string(nil), parent[0].e2e...)
-	for _, name := range layerMetrics {
+	for _, name := range layer {
 		if _, ok := parent[0].val[name]; ok {
 			names = append(names, name)
 		}
@@ -187,12 +170,12 @@ func summarise(parent, change []pairRun, better map[string]string) pairSection {
 	return sec
 }
 
-// benchmarkDirections reads which way each metric is better from
-// BENCHMARK.json.
-func benchmarkDirections() (map[string]string, error) {
+// benchmarkMetrics reads from BENCHMARK.json which way each metric is
+// better, and the per-layer metric names in their declared order.
+func benchmarkMetrics() (better map[string]string, layer []string, err error) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	type def struct{ Name, Better string }
 	var b struct {
@@ -200,13 +183,16 @@ func benchmarkDirections() (map[string]string, error) {
 		PerLayer []def `json:"per_layer"`
 	}
 	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+		return nil, nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	better := make(map[string]string)
+	better = make(map[string]string)
 	for _, d := range append(b.EndToEnd, b.PerLayer...) {
 		better[d.Name] = d.Better
 	}
-	return better, nil
+	for _, d := range b.PerLayer {
+		layer = append(layer, d.Name)
+	}
+	return better, layer, nil
 }
 
 // extractParent puts the files of commit sha under dir, replacing what was
@@ -234,7 +220,7 @@ func runPairs(parentRef string, pairs int, workloads []string, traced bool, outP
 	if pairs < 1 || len(workloads) == 0 || parentRef == "" {
 		return fmt.Errorf("-pairs needs -parent, at least one pair and at least one workload")
 	}
-	better, err := benchmarkDirections()
+	better, layer, err := benchmarkMetrics()
 	if err != nil {
 		return err
 	}
@@ -290,7 +276,7 @@ func runPairs(parentRef string, pairs int, workloads []string, traced bool, outP
 				}
 			}
 		}
-		sections[w] = summarise(parent, change, better)
+		sections[w] = summarise(parent, change, better, layer)
 	}
 
 	report := make(map[string]json.RawMessage)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -51,7 +52,10 @@ func TestSummarisePairs(t *testing.T) {
 	parent := []pairRun{run(18, 6.5), run(19, 6.5), run(20, 6.5), run(21, 6.5)}
 	change := []pairRun{run(15, 5.25), run(16, 5.25), run(20, 5.25), run(22, 5.25)}
 	change[3].failed = 1
-	sec := summarise(parent, change, map[string]string{"commit_p50_ms": "lower"})
+	declared := []string{"disk.fsyncs_per_commit", "network.send_us.readpos", "runtime.cpu_us_per_op",
+		"core.master.combined_frac", "kvstore.rows_per_commit", "disk.bytes_per_commit", "disk.recover_rows",
+		"disk.sync_wait_us"}
+	sec := summarise(parent, change, map[string]string{"commit_p50_ms": "lower"}, declared)
 	if sec.Pairs != 4 || !sec.CorrectAll || sec.FailedOps != 1 {
 		t.Fatalf("section = %+v", sec)
 	}
@@ -76,7 +80,7 @@ func TestSummarisePairs(t *testing.T) {
 			side[i].val["core.master.combined_frac"] = 0.5
 		}
 	}
-	sec = summarise(parent, change, nil)
+	sec = summarise(parent, change, nil, declared)
 	for _, name := range []string{"network.send_us.readpos", "runtime.cpu_us_per_op", "core.master.combined_frac"} {
 		if m := sec.Metrics[name]; m == nil || m.Parent.N != 4 || m.Parent.Median != m.Change.Median {
 			t.Errorf("%s not recorded: %+v", name, m)
@@ -90,7 +94,7 @@ func TestSummarisePairs(t *testing.T) {
 		parent[i].val["disk.recover_rows"], change[i].val["disk.recover_rows"] = 9000, 6000
 	}
 	lower := map[string]string{"kvstore.rows_per_commit": "lower", "disk.bytes_per_commit": "lower", "disk.recover_rows": "lower"}
-	sec = summarise(parent, change, lower)
+	sec = summarise(parent, change, lower, declared)
 	for name := range lower {
 		if m := sec.Metrics[name]; m == nil || m.DeltaFrac == nil || *m.DeltaFrac >= 0 || *m.ChangeWins != 4 {
 			t.Errorf("%s not recorded as a win on every pair: %+v", name, m)
@@ -99,7 +103,45 @@ func TestSummarisePairs(t *testing.T) {
 	if sec.Metrics["disk.sync_wait_us"] != nil {
 		t.Error("a metric no run printed was recorded")
 	}
+	// A per-layer metric a run printed but BENCHMARK.json does not declare
+	// is left out.
+	parent[0].val["core.undeclared"] = 1
+	if sec = summarise(parent, change, lower, declared); sec.Metrics["core.undeclared"] != nil {
+		t.Error("an undeclared metric was recorded")
+	}
 	if _, err := json.Marshal(sec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBenchmarkMetricsReadsPerLayer: the per-layer metrics a report records
+// are BENCHMARK.json's, every one of them, in its order — the allocation
+// count a codec change is judged by among them.
+func TestBenchmarkMetricsReadsPerLayer(t *testing.T) {
+	t.Chdir("../..")
+	better, layer, err := benchmarkMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatal(err)
+	}
+	if len(layer) != len(b.PerLayer) {
+		t.Fatalf("%d per-layer metrics read, BENCHMARK.json declares %d", len(layer), len(b.PerLayer))
+	}
+	for i, d := range b.PerLayer {
+		if layer[i] != d.Name || better[d.Name] == "" {
+			t.Fatalf("per-layer metric %d = %q (better %q), want %q", i, layer[i], better[d.Name], d.Name)
+		}
+	}
+	if better["runtime.allocs_per_op"] != "lower" || better["alloc_kb_per_op"] != "lower" {
+		t.Fatalf("directions = %v", better)
 	}
 }

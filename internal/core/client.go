@@ -55,7 +55,9 @@ type Client struct {
 	OnCommit func(pos int64, txn CommittedTxn)
 }
 
-// CommittedTxn describes one committed transaction for observers.
+// CommittedTxn describes one committed transaction for observers. Reads and
+// Writes are the committed transaction's own maps, frozen since Commit:
+// read-only.
 type CommittedTxn struct {
 	ID       string
 	Group    string
@@ -472,8 +474,8 @@ func (t *Tx) Commit(ctx context.Context) (CommitResult, error) {
 			Origin:   t.client.dc,
 			ReadPos:  readPos,
 			Pos:      res.Pos,
-			Reads:    cloneMap(t.reads),
-			Writes:   cloneMap(t.writes),
+			Reads:    t.reads,
+			Writes:   t.writes,
 			Round:    res.Round,
 			Combined: res.Combined,
 			Epoch:    res.Epoch,
@@ -491,12 +493,4 @@ func (t *Tx) readSetKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func cloneMap(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -22,14 +22,16 @@ import (
 // 66–75); Paxos-CP substitutes enhancedFindWinningVal (lines 76–87).
 type valueChooser func(prep paxos.PrepareOutcome, own wal.Entry) []byte
 
-// walTxn converts the transaction's buffered state into its log record.
+// walTxn converts the transaction's buffered state into its log record. It
+// runs once Commit has frozen the transaction (Tx.done), so the record shares
+// the write set instead of copying it.
 func (t *Tx) walTxn() wal.Txn {
 	return wal.Txn{
 		ID:      t.id,
 		Origin:  t.client.dc,
 		ReadPos: t.readPos,
 		ReadSet: t.readSetKeys(),
-		Writes:  cloneMap(t.writes),
+		Writes:  t.writes,
 	}
 }
 
@@ -93,7 +95,7 @@ func maxBallotVote(votes []paxos.Vote) (paxos.Vote, bool) {
 // Paxos-CP's promotion sound: the conflict check runs against the actual
 // decided entry, never a guess.
 func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn wal.Txn, choose valueChooser, waitAllPrepare bool) (wal.Entry, error) {
-	own := wal.NewEntry(txn)
+	own := wal.Entry{Txns: []wal.Txn{txn}}
 	ownBytes := wal.Encode(own)
 
 	// Leader fast path (§4.1): if this client is the first to claim the

@@ -27,17 +27,24 @@ import (
 // stalling every group behind one.
 const dispatchQueueLen = 256
 
-// dispatchItem pairs a queued handler invocation with its refusal: close()
-// drains still-queued items through refuse so their peers get a
+// dispatchItem is one request waiting for the service handler: what the
+// transport handed AsyncHandler, nothing else. Items are pooled and queued by
+// pointer, so a request builds no closure and its Message is copied once,
+// into the item; a queue of Message values would pin every slot's 232 bytes
+// for the life of the service. close() drains still-queued items with a
 // VerdictShutdown refusal instead of a timeout.
 type dispatchItem struct {
-	run    func()
-	refuse func()
+	from  string
+	req   network.Message
+	reply func(network.Message)
 }
+
+var dispatchItems = sync.Pool{New: func() any { return new(dispatchItem) }}
 
 // dispatcher runs short request handlers on GOMAXPROCS shard workers.
 type dispatcher struct {
-	workers  []chan dispatchItem
+	handle   network.Handler
+	workers  []chan *dispatchItem
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
@@ -50,24 +57,50 @@ type dispatcher struct {
 	closed bool
 }
 
-func newDispatcher(n int) *dispatcher {
+// newDispatcher starts n shard workers serving requests with handle.
+func newDispatcher(n int, handle network.Handler) *dispatcher {
 	if n < 1 {
 		n = 1
 	}
-	d := &dispatcher{workers: make([]chan dispatchItem, n), stopCh: make(chan struct{})}
+	d := &dispatcher{handle: handle, workers: make([]chan *dispatchItem, n), stopCh: make(chan struct{})}
 	for i := range d.workers {
-		ch := make(chan dispatchItem, dispatchQueueLen)
+		ch := make(chan *dispatchItem, dispatchQueueLen)
 		d.workers[i] = ch
 		go d.run(ch)
 	}
 	return d
 }
 
-func (d *dispatcher) run(ch chan dispatchItem) {
+// item takes a pooled item holding one request.
+func (d *dispatcher) item(from string, req network.Message, reply func(network.Message)) *dispatchItem {
+	it := dispatchItems.Get().(*dispatchItem)
+	it.from, it.req, it.reply = from, req, reply
+	return it
+}
+
+// serve answers it with the handler and returns it to the pool.
+func (d *dispatcher) serve(it *dispatchItem) {
+	it.reply(d.handle(it.from, it.req))
+	it.release()
+}
+
+// refuse answers it with VerdictShutdown and returns it to the pool.
+func (it *dispatchItem) refuse() {
+	it.reply(network.Refuse(network.VerdictShutdown, ""))
+	it.release()
+}
+
+// release clears it, so the pool pins no request's payload, and pools it.
+func (it *dispatchItem) release() {
+	*it = dispatchItem{}
+	dispatchItems.Put(it)
+}
+
+func (d *dispatcher) run(ch chan *dispatchItem) {
 	for {
 		select {
 		case it := <-ch:
-			it.run()
+			d.serve(it)
 		case <-d.stopCh:
 			// Shutdown: refuse everything still queued. dispatch stopped
 			// enqueuing before stopCh closed, so the drain is complete.
@@ -83,24 +116,24 @@ func (d *dispatcher) run(ch chan dispatchItem) {
 	}
 }
 
-// dispatch runs fn on group's shard worker, or on its own goroutine when the
-// shard's queue is full — the caller (the transport read loop) must never
-// block here. After close, refuse is called instead (immediately, on the
+// dispatch serves it on group's shard worker, or on its own goroutine when
+// the shard's queue is full — the caller (the transport read loop) must never
+// block here. After close, it is refused instead (immediately, on the
 // caller's goroutine).
-func (d *dispatcher) dispatch(group string, fn, refuse func()) {
+func (d *dispatcher) dispatch(group string, it *dispatchItem) {
 	ch := d.workers[replog.GroupShard(group)%uint32(len(d.workers))]
 	d.mu.RLock()
 	if d.closed {
 		d.mu.RUnlock()
-		refuse()
+		it.refuse()
 		return
 	}
 	select {
-	case ch <- dispatchItem{run: fn, refuse: refuse}:
+	case ch <- it:
 		d.mu.RUnlock()
 	default:
 		d.mu.RUnlock()
-		go fn()
+		go d.serve(it)
 	}
 }
 
@@ -130,14 +163,13 @@ func (d *dispatcher) close() {
 //   - Submits: asynchronous admission into the group's pipeline; the
 //     verdict callback fires when replication settles, so a submit holds no
 //     goroutine while its position replicates (DESIGN.md §13).
+//
+// A closing service refuses what is still queued, or arrives, once
+// dispatcher shutdown has begun: the request never ran, so the peer may take
+// it to another replica at once (the pipeline's close does the same for
+// queued submits).
 func (s *Service) AsyncHandler() network.AsyncHandler {
-	h := s.Handler()
 	return func(from string, req network.Message, reply func(network.Message)) {
-		// A closing service refuses what is still queued, or arrives, once
-		// dispatcher shutdown has begun: the request never ran, so the peer
-		// may take it to another replica at once (the pipeline's close does
-		// the same for queued submits).
-		refuse := func() { reply(network.Refuse(network.VerdictShutdown, "")) }
 		switch req.Kind {
 		case network.KindSubmit:
 			s.handleSubmitAsync(req, reply)
@@ -146,17 +178,17 @@ func (s *Service) AsyncHandler() network.AsyncHandler {
 			// Range snapshots and scans are store scans (possibly with
 			// catch-up to the pin) and migrate submissions block on
 			// replication: all stay off the shard workers.
-			go func() { reply(h(from, req)) }()
+			go s.disp.serve(s.disp.item(from, req, reply))
 		case network.KindRead, network.KindReadMulti:
 			if req.TS >= 0 && req.TS > s.lastApplied(req.Group) {
 				// Ahead of the local log: the handler will catch up, which
 				// can wait out peer round trips. Keep it off the workers.
-				go func() { reply(h(from, req)) }()
+				go s.disp.serve(s.disp.item(from, req, reply))
 				return
 			}
-			s.disp.dispatch(req.Group, func() { reply(h(from, req)) }, refuse)
+			s.disp.dispatch(req.Group, s.disp.item(from, req, reply))
 		default:
-			s.disp.dispatch(req.Group, func() { reply(h(from, req)) }, refuse)
+			s.disp.dispatch(req.Group, s.disp.item(from, req, reply))
 		}
 	}
 }

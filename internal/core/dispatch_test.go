@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,5 +174,73 @@ func TestMasterAsyncSubmitEndToEnd(t *testing.T) {
 		if err != nil || v["v"] != "v" {
 			t.Fatalf("%s: k = %v (%v)", dc, v, err)
 		}
+	}
+}
+
+// TestAsyncHandlerDispatchAllocs: a request bound for a shard worker costs
+// no allocation on its way through AsyncHandler — no closure, no copy of its
+// Message on the heap, a pooled item — nor, for a read-position request, in
+// the handler and the reply.
+func TestAsyncHandlerDispatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, and sync.Pool drops items under it")
+	}
+	s := NewService("A", kvstore.New(), nil)
+	defer s.Close()
+	s.EnsureGroups("g")
+	ah := s.AsyncHandler()
+	ch := make(chan network.Message, 1)
+	reply := func(m network.Message) { ch <- m }
+	req := network.Message{Kind: network.KindReadPos, Group: "g"}
+	if allocs := testing.AllocsPerRun(200, func() {
+		ah("B", req, reply)
+		if m := <-ch; !m.OK {
+			t.Fatalf("readpos = %+v", m)
+		}
+	}); allocs != 0 {
+		t.Errorf("a shard-dispatched readpos allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestDispatcherConcurrentDispatchAndClose: dispatches racing close from many
+// goroutines each get exactly one answer — served, or refused with
+// VerdictShutdown — and the pooled items carry no request into another's
+// answer. Run it under -race with -count to shake the interleavings.
+func TestDispatcherConcurrentDispatchAndClose(t *testing.T) {
+	d := newDispatcher(2, func(_ string, req network.Message) network.Message {
+		return network.Message{Kind: network.KindValue, OK: true, Pos: req.Pos}
+	})
+	const senders, each = 8, 200
+	var answered, wrong atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				pos := int64(g*each + i)
+				var once atomic.Bool
+				d.dispatch(string(rune('a'+g)), d.item("B", network.Message{Kind: network.KindReadPos, Pos: pos},
+					func(m network.Message) {
+						if once.Swap(true) || (m.OK && m.Pos != pos) || (!m.OK && m.Verdict != network.VerdictShutdown) {
+							wrong.Add(1)
+						}
+						answered.Add(1)
+					}))
+			}
+		}(g)
+	}
+	time.Sleep(time.Millisecond)
+	d.close()
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for answered.Load() < senders*each {
+		if time.Now().After(deadline) {
+			t.Fatalf("answered %d of %d dispatches", answered.Load(), senders*each)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if wrong.Load() != 0 {
+		t.Fatalf("%d answers were duplicated, for another request, or not a shutdown refusal", wrong.Load())
 	}
 }

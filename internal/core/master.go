@@ -45,7 +45,7 @@ const Master Protocol = 2
 // at the group the refusal leads to — KV follows it (DESIGN.md §15).
 func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) {
 	resp, err := sender{c: c}.toMaster(ctx, t.group, network.Message{
-		Kind: network.KindSubmit, Group: t.group, Payload: wal.Encode(wal.NewEntry(t.walTxn())),
+		Kind: network.KindSubmit, Group: t.group, Payload: wal.Encode(wal.Entry{Txns: []wal.Txn{t.walTxn()}}),
 	})
 	if err == nil {
 		return CommitResult{Status: stats.Committed, Pos: resp.TS, Combined: resp.Combined, Epoch: resp.Epoch}, nil

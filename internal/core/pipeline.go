@@ -418,7 +418,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 			case verdict == admitDecided:
 				go p.settleDuplicate(ps, at)
 			default:
-				entry.Txns = append(entry.Txns, ps.txn.Clone())
+				entry.Txns = append(entry.Txns, ps.txn) // read-only, as every entry is
 				members = append(members, ps)
 			}
 		}

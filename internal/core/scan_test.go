@@ -518,22 +518,41 @@ func FuzzPagedHandlers(f *testing.F) {
 // dispatcher closes are refused, not dropped, and a dispatch after close
 // refuses immediately on the caller's goroutine.
 func TestDispatcherCloseDrainsWithRefusals(t *testing.T) {
-	d := newDispatcher(1)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	d.dispatch("g", func() { close(started); <-gate }, func() {})
+	var ran, refused atomic.Int32
+	d := newDispatcher(1, func(_ string, req network.Message) network.Message {
+		switch req.Kind {
+		case "block":
+			close(started)
+			<-gate
+		case "after-close":
+			t.Error("ran after close")
+		}
+		return network.Status(true, "")
+	})
+	count := func(m network.Message) {
+		switch {
+		case m.OK:
+			ran.Add(1)
+		case m.Verdict == network.VerdictShutdown:
+			refused.Add(1)
+		}
+	}
+	d.dispatch("g", d.item("B", network.Message{Kind: "block"}, func(network.Message) {}))
 	<-started // the lone worker is parked; everything below queues
 
 	const queued = 32
-	var ran, refused atomic.Int32
 	for i := 0; i < queued; i++ {
-		d.dispatch("g", func() { ran.Add(1) }, func() { refused.Add(1) })
+		d.dispatch("g", d.item("B", network.Message{Kind: "queued"}, count))
 	}
 	d.close()
 
 	// Post-close dispatch: refused synchronously, before the drain even runs.
 	sawRefusal := false
-	d.dispatch("g", func() { t.Error("ran after close") }, func() { sawRefusal = true })
+	d.dispatch("g", d.item("B", network.Message{Kind: "after-close"}, func(m network.Message) {
+		sawRefusal = m.Verdict == network.VerdictShutdown
+	}))
 	if !sawRefusal {
 		t.Fatal("dispatch after close was not refused synchronously")
 	}

@@ -200,13 +200,13 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		submitWindow:  DefaultSubmitWindow,
 		submitCombine: DefaultSubmitCombine,
 		submitQueue:   DefaultSubmitQueue,
-		disp:          newDispatcher(runtime.GOMAXPROCS(0)),
 		claimLocks:    make(map[string]*sync.Mutex),
 		claimHist:     make(map[string]*claimHistory),
 		pipelines:     make(map[string]*pipeline),
 		gapWatch:      make(map[string]bool),
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
+	s.disp = newDispatcher(runtime.GOMAXPROCS(0), s.Handler())
 	for _, o := range opts {
 		o(s)
 	}

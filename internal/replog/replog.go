@@ -218,8 +218,9 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		if pos <= l.applied || !paxos.RowDecided(row) {
 			return
 		}
-		if entry, err := wal.Decode([]byte(paxos.RowEntry(row))); err == nil {
-			l.pending[pos] = queued{entry: entry, bytes: paxos.RowEntry(row), logged: true}
+		raw := paxos.RowEntry(row)
+		if entry, err := wal.DecodeString(raw); err == nil {
+			l.pending[pos] = queued{entry: entry, bytes: raw, logged: true}
 			if pos > l.decidedMax {
 				l.decidedMax = pos
 			}
@@ -338,24 +339,26 @@ func (l *Log) AppendChosen(pos, chosenAt int64, entryBytes []byte) (int64, error
 	}
 	// Only a position that is new gets decoded, and outside l.mu: the master
 	// appends every position twice by design (its local apply leg, then
-	// pipeline.replicate), and a duplicate is settled by comparing bytes.
-	h, fresh, err := l.offer(pos, chosenAt, entryBytes, nil)
+	// pipeline.replicate), and a duplicate is settled by comparing bytes. A
+	// new one is copied once: the queued bytes and every string of the
+	// decoded entry share that copy.
+	h, fresh, err := l.offer(pos, entryBytes, nil)
 	if !fresh || err != nil {
 		return h, err
 	}
-	entry, err := wal.Decode(entryBytes)
-	if err != nil {
+	q := queued{bytes: string(entryBytes), chosenAt: chosenAt}
+	if q.entry, err = wal.DecodeString(q.bytes); err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
-	h, _, err = l.offer(pos, chosenAt, entryBytes, &entry)
+	h, _, err = l.offer(pos, entryBytes, &q)
 	return h, err
 }
 
-// offer is AppendChosen's critical section. With entry nil it only looks: fresh
+// offer is AppendChosen's critical section. With q nil it only looks: fresh
 // reports that pos is new here and must be decoded and offered again. With
 // the decoded entry it queues pos, unless another appender got there between
 // the two calls — then it is the duplicate.
-func (l *Log) offer(pos, chosenAt int64, entryBytes []byte, entry *wal.Entry) (h int64, fresh bool, err error) {
+func (l *Log) offer(pos int64, entryBytes []byte, q *queued) (h int64, fresh bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.applyErr; err != nil {
@@ -367,10 +370,10 @@ func (l *Log) offer(pos, chosenAt int64, entryBytes []byte, entry *wal.Entry) (h
 		return 0, false, fmt.Errorf("replog: entry %s/%d: %w: a different value is already decided there",
 			l.group, pos, kvstore.ErrStaleWrite)
 	case !known && pos > l.applied:
-		if entry == nil {
+		if q == nil {
 			return 0, true, nil
 		}
-		l.pending[pos] = queued{entry: *entry, bytes: string(entryBytes), chosenAt: chosenAt}
+		l.pending[pos] = *q
 		l.unlogged = append(l.unlogged, pos)
 		l.notify()
 	}
@@ -494,7 +497,7 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 	if !ok {
 		return wal.Entry{}, false
 	}
-	entry, err := wal.Decode([]byte(raw))
+	entry, err := wal.DecodeString(raw)
 	if err != nil {
 		return wal.Entry{}, false
 	}
@@ -527,7 +530,7 @@ func (l *Log) Snapshot() map[int64]wal.Entry {
 	compacted, applied := l.compacted, l.applied
 	l.mu.Unlock()
 	l.walkApplied(compacted, applied, func(pos int64, row kvstore.Packed) {
-		if entry, err := wal.Decode([]byte(paxos.RowEntry(row))); err == nil {
+		if entry, err := wal.DecodeString(paxos.RowEntry(row)); err == nil {
 			out[pos] = entry
 		}
 	})

@@ -1,17 +1,15 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // The binary codec serializes Entries for two purposes: as the Paxos value
 // exchanged in accept/apply messages, and as the payload stored in the
 // kvstore's log rows. The format is a compact length-prefixed layout built on
-// encoding/binary (stdlib only):
+// encoding/binary's varints (stdlib only):
 //
 //	v1: magic(2) version(1) ntxns(uvarint) txn*
 //	v2: magic(2) version(1) epoch(varint) master(str) ntxns(uvarint) txn*
@@ -31,6 +29,15 @@ import (
 // DESIGN.md §15) and is used only when one of them is set, so every entry a
 // non-migrating workload produces still round-trips at its old version byte
 // and all three versions decode.
+//
+// Allocation contract (DESIGN.md §9). Encode sizes its output exactly and
+// allocates it once. DecodeString allocates no string: every string of the
+// entry it returns is a substring of its input, so the only allocations are
+// the Txns slice and each transaction's read set and write map. Decode is one
+// copy of its input and then DecodeString, so the entry never aliases the
+// caller's bytes — a pooled datagram buffer may be reused the moment Decode
+// returns. Every element count is bounded by the bytes left to carry it, so
+// a payload cannot make the decoder allocate more than what it sends pays for.
 
 const (
 	codecMagic   = 0x5743 // "WC"
@@ -51,25 +58,18 @@ const (
 	maxCount = 1 << 16
 )
 
+// The fewest bytes one element of each list can be encoded in: a count that
+// claims more elements than the bytes left could carry is corrupt, and is
+// refused before anything is sized by it.
+const (
+	minTxnBytes   = 5 // id, readpos, origin, nreads, nwrites: one byte each
+	minReadBytes  = 1 // an empty key
+	minWriteBytes = 2 // an empty key and an empty value
+	minGroupBytes = 1 // an empty group name
+)
+
 // ErrCorrupt is returned by Decode for malformed payloads.
 var ErrCorrupt = errors.New("wal: corrupt entry encoding")
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
 
 // needsMigrate reports whether e uses any v3-only field.
 func needsMigrate(e Entry) bool {
@@ -84,65 +84,123 @@ func needsMigrate(e Entry) bool {
 	return false
 }
 
-// Encode serializes e to the compact binary format.
-func Encode(e Entry) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.BigEndian, uint16(codecMagic))
-	migrate := needsMigrate(e)
-	switch {
-	case migrate:
-		buf.WriteByte(codecVersionMigrate)
-		writeVarint(&buf, e.Epoch)
-		writeString(&buf, e.Master)
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// varintLen is the length of binary.AppendVarint's zig-zag encoding of x.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// encodedLen is the exact length of e's encoding at the given layout.
+func encodedLen(e Entry, ver byte) int {
+	n := 3 // magic, version
+	if ver >= codecVersionEpoch {
+		n += varintLen(e.Epoch) + strLen(e.Master)
+	}
+	if ver >= codecVersionMigrate {
+		n++ // handoff flag
 		if h := e.Handoff; h != nil {
-			buf.WriteByte(1)
-			buf.WriteByte(byte(h.Phase))
-			writeString(&buf, h.From)
-			writeString(&buf, h.To)
-			writeVarint(&buf, h.Version)
-			writeUvarint(&buf, uint64(len(h.Groups)))
+			n += 1 + strLen(h.From) + strLen(h.To) + varintLen(h.Version) + uvarintLen(uint64(len(h.Groups)))
 			for _, g := range h.Groups {
-				writeString(&buf, g)
+				n += strLen(g)
+			}
+		}
+	}
+	n += uvarintLen(uint64(len(e.Txns)))
+	for _, t := range e.Txns {
+		n += strLen(t.ID) + varintLen(t.ReadPos) + strLen(t.Origin)
+		if ver >= codecVersionMigrate {
+			n++ // flags
+		}
+		n += uvarintLen(uint64(len(t.ReadSet)))
+		for _, k := range t.ReadSet {
+			n += strLen(k)
+		}
+		n += uvarintLen(uint64(len(t.Writes)))
+		for k, v := range t.Writes {
+			n += strLen(k) + strLen(v)
+		}
+	}
+	return n
+}
+
+// Encode serializes e to the compact binary format, in one allocation.
+func Encode(e Entry) []byte {
+	var ver byte = codecVersion
+	switch {
+	case needsMigrate(e):
+		ver = codecVersionMigrate
+	case e.Epoch != 0 || e.Master != "":
+		ver = codecVersionEpoch
+	}
+	b := make([]byte, 0, encodedLen(e, ver))
+	b = binary.BigEndian.AppendUint16(b, codecMagic)
+	b = append(b, ver)
+	if ver >= codecVersionEpoch {
+		b = binary.AppendVarint(b, e.Epoch)
+		b = appendString(b, e.Master)
+	}
+	if ver >= codecVersionMigrate {
+		if h := e.Handoff; h != nil {
+			b = append(b, 1, byte(h.Phase))
+			b = appendString(b, h.From)
+			b = appendString(b, h.To)
+			b = binary.AppendVarint(b, h.Version)
+			b = binary.AppendUvarint(b, uint64(len(h.Groups)))
+			for _, g := range h.Groups {
+				b = appendString(b, g)
 			}
 		} else {
-			buf.WriteByte(0)
+			b = append(b, 0)
 		}
-	case e.Epoch != 0 || e.Master != "":
-		buf.WriteByte(codecVersionEpoch)
-		writeVarint(&buf, e.Epoch)
-		writeString(&buf, e.Master)
-	default:
-		buf.WriteByte(codecVersion)
 	}
-	writeUvarint(&buf, uint64(len(e.Txns)))
+	b = binary.AppendUvarint(b, uint64(len(e.Txns)))
 	for _, t := range e.Txns {
-		writeString(&buf, t.ID)
-		writeVarint(&buf, t.ReadPos)
-		writeString(&buf, t.Origin)
-		if migrate {
+		b = appendString(b, t.ID)
+		b = binary.AppendVarint(b, t.ReadPos)
+		b = appendString(b, t.Origin)
+		if ver >= codecVersionMigrate {
 			var flags byte
 			if t.Backfill {
 				flags |= txnFlagBackfill
 			}
-			buf.WriteByte(flags)
+			b = append(b, flags)
 		}
-		writeUvarint(&buf, uint64(len(t.ReadSet)))
+		b = binary.AppendUvarint(b, uint64(len(t.ReadSet)))
 		for _, k := range t.ReadSet {
-			writeString(&buf, k)
+			b = appendString(b, k)
 		}
-		writeUvarint(&buf, uint64(len(t.Writes)))
-		// Deterministic output: iterate keys in sorted order.
-		keys := make([]string, 0, len(t.Writes))
+		b = binary.AppendUvarint(b, uint64(len(t.Writes)))
+		// Deterministic output: write keys in sorted order, sorted on the
+		// stack — write sets rarely hold more than a handful of keys.
+		var stack [16]string
+		keys := stack[:0]
 		for k := range t.Writes {
 			keys = append(keys, k)
 		}
 		sortStrings(keys)
 		for _, k := range keys {
-			writeString(&buf, k)
-			writeString(&buf, t.Writes[k])
+			b = appendString(b, k)
+			b = appendString(b, t.Writes[k])
 		}
 	}
-	return buf.Bytes()
+	return b
 }
 
 // sortStrings is a tiny insertion sort to avoid importing sort in the hot
@@ -155,52 +213,95 @@ func sortStrings(s []string) {
 	}
 }
 
-type reader struct {
-	buf *bytes.Reader
-}
+// reader consumes an encoded entry from the front of s.
+type reader struct{ s string }
 
-func (r reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+func (r *reader) byte(what string) (byte, error) {
+	if r.s == "" {
+		return 0, fmt.Errorf("%w: short %s", ErrCorrupt, what)
 	}
-	return v, nil
+	c := r.s[0]
+	r.s = r.s[1:]
+	return c, nil
 }
 
-func (r reader) varint() (int64, error) {
-	v, err := binary.ReadVarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+// uvarint reads one uvarint with binary.Uvarint's semantics: at most
+// binary.MaxVarintLen64 bytes, no overflow past 64 bits.
+func (r *reader) uvarint() (uint64, error) {
+	var x uint64
+	var shift uint
+	for i := 0; i < len(r.s); i++ {
+		if i == binary.MaxVarintLen64 {
+			return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+		}
+		c := r.s[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+			}
+			r.s = r.s[i+1:]
+			return x | uint64(c)<<shift, nil
+		}
+		x |= uint64(c&0x7f) << shift
+		shift += 7
 	}
-	return v, nil
+	return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
 }
 
-func (r reader) str() (string, error) {
+func (r *reader) varint() (int64, error) {
+	ux, err := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// str returns the next length-prefixed string, sharing r's memory.
+func (r *reader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if n > maxStrLen {
+	if n > maxStrLen || n > uint64(len(r.s)) {
 		return "", fmt.Errorf("%w: string length %d", ErrCorrupt, n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.buf, b); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return string(b), nil
+	s := r.s[:n]
+	r.s = r.s[n:]
+	return s, nil
 }
 
-// Decode parses a payload produced by Encode.
+// count reads an element count of a list whose elements take at least min
+// bytes each: it may not exceed maxCount, nor what the bytes left can carry.
+func (r *reader) count(what string, min int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxCount || n > uint64(len(r.s)/min) {
+		return 0, fmt.Errorf("%w: %s %d", ErrCorrupt, what, n)
+	}
+	return int(n), nil
+}
+
+// Decode parses a payload produced by Encode. The entry is built over one
+// copy of data: data is not retained.
 func Decode(data []byte) (Entry, error) {
-	r := reader{buf: bytes.NewReader(data)}
-	var magic uint16
-	if err := binary.Read(r.buf, binary.BigEndian, &magic); err != nil {
+	return DecodeString(string(data))
+}
+
+// DecodeString parses an encoded entry held in a string. Every string of the
+// returned entry is a substring of s.
+func DecodeString(s string) (Entry, error) {
+	r := reader{s: s}
+	if len(r.s) < 2 {
 		return Entry{}, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	if magic != codecMagic {
+	if magic := uint16(r.s[0])<<8 | uint16(r.s[1]); magic != codecMagic {
 		return Entry{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
-	ver, err := r.buf.ReadByte()
+	r.s = r.s[2:]
+	ver, err := r.byte("version")
 	if err != nil || ver < codecVersion || ver > codecVersionMigrate {
 		return Entry{}, fmt.Errorf("%w: bad version", ErrCorrupt)
 	}
@@ -214,108 +315,107 @@ func Decode(data []byte) (Entry, error) {
 		}
 	}
 	if ver >= codecVersionMigrate {
-		hflag, err := r.buf.ReadByte()
-		if err != nil || hflag > 1 {
-			return Entry{}, fmt.Errorf("%w: bad handoff flag", ErrCorrupt)
-		}
-		if hflag == 1 {
-			h := &Handoff{}
-			phase, err := r.buf.ReadByte()
-			if err != nil {
-				return Entry{}, fmt.Errorf("%w: short handoff", ErrCorrupt)
-			}
-			h.Phase = HandoffPhase(phase)
-			if h.From, err = r.str(); err != nil {
-				return Entry{}, err
-			}
-			if h.To, err = r.str(); err != nil {
-				return Entry{}, err
-			}
-			if h.Version, err = r.varint(); err != nil {
-				return Entry{}, err
-			}
-			ng, err := r.uvarint()
-			if err != nil {
-				return Entry{}, err
-			}
-			if ng > maxCount {
-				return Entry{}, fmt.Errorf("%w: handoff group count %d", ErrCorrupt, ng)
-			}
-			h.Groups = make([]string, 0, ng)
-			for i := uint64(0); i < ng; i++ {
-				g, err := r.str()
-				if err != nil {
-					return Entry{}, err
-				}
-				h.Groups = append(h.Groups, g)
-			}
-			e.Handoff = h
+		if e.Handoff, err = r.handoff(); err != nil {
+			return Entry{}, err
 		}
 	}
-	ntxns, err := r.uvarint()
+	ntxns, err := r.count("txn count", minTxnBytes)
 	if err != nil {
 		return Entry{}, err
 	}
-	if ntxns > maxCount {
-		return Entry{}, fmt.Errorf("%w: txn count %d", ErrCorrupt, ntxns)
+	e.Txns = make([]Txn, ntxns)
+	for i := range e.Txns {
+		if err := r.txn(&e.Txns[i], ver); err != nil {
+			return Entry{}, err
+		}
 	}
-	e.Txns = make([]Txn, 0, ntxns)
-	for i := uint64(0); i < ntxns; i++ {
-		var t Txn
-		if t.ID, err = r.str(); err != nil {
-			return Entry{}, err
-		}
-		if t.ReadPos, err = r.varint(); err != nil {
-			return Entry{}, err
-		}
-		if t.Origin, err = r.str(); err != nil {
-			return Entry{}, err
-		}
-		if ver >= codecVersionMigrate {
-			flags, err := r.buf.ReadByte()
-			if err != nil {
-				return Entry{}, fmt.Errorf("%w: short txn flags", ErrCorrupt)
-			}
-			t.Backfill = flags&txnFlagBackfill != 0
-		}
-		nr, err := r.uvarint()
-		if err != nil {
-			return Entry{}, err
-		}
-		if nr > maxCount {
-			return Entry{}, fmt.Errorf("%w: read set size %d", ErrCorrupt, nr)
-		}
-		t.ReadSet = make([]string, 0, nr)
-		for j := uint64(0); j < nr; j++ {
-			k, err := r.str()
-			if err != nil {
-				return Entry{}, err
-			}
-			t.ReadSet = append(t.ReadSet, k)
-		}
-		nw, err := r.uvarint()
-		if err != nil {
-			return Entry{}, err
-		}
-		if nw > maxCount {
-			return Entry{}, fmt.Errorf("%w: write set size %d", ErrCorrupt, nw)
-		}
-		t.Writes = make(map[string]string, nw)
-		for j := uint64(0); j < nw; j++ {
-			k, err := r.str()
-			if err != nil {
-				return Entry{}, err
-			}
-			v, err := r.str()
-			if err != nil {
-				return Entry{}, err
-			}
-			t.Writes[k] = v
-		}
-		e.Txns = append(e.Txns, t)
-	}
-	if r.buf.Len() != 0 {
-		return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.buf.Len())
+	if len(r.s) != 0 {
+		return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.s))
 	}
 	return e, nil
+}
+
+// handoff reads the v3 handoff flag and, when it is set, the handoff.
+func (r *reader) handoff() (*Handoff, error) {
+	flag, err := r.byte("handoff")
+	if err != nil || flag > 1 {
+		return nil, fmt.Errorf("%w: bad handoff flag", ErrCorrupt)
+	}
+	if flag == 0 {
+		return nil, nil
+	}
+	h := &Handoff{}
+	phase, err := r.byte("handoff")
+	if err != nil {
+		return nil, err
+	}
+	h.Phase = HandoffPhase(phase)
+	if h.From, err = r.str(); err != nil {
+		return nil, err
+	}
+	if h.To, err = r.str(); err != nil {
+		return nil, err
+	}
+	if h.Version, err = r.varint(); err != nil {
+		return nil, err
+	}
+	ng, err := r.count("handoff group count", minGroupBytes)
+	if err != nil {
+		return nil, err
+	}
+	h.Groups = make([]string, ng)
+	for i := range h.Groups {
+		if h.Groups[i], err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// txn reads one transaction of a ver-layout entry into t.
+func (r *reader) txn(t *Txn, ver byte) error {
+	var err error
+	if t.ID, err = r.str(); err != nil {
+		return err
+	}
+	if t.ReadPos, err = r.varint(); err != nil {
+		return err
+	}
+	if t.Origin, err = r.str(); err != nil {
+		return err
+	}
+	if ver >= codecVersionMigrate {
+		flags, err := r.byte("txn flags")
+		if err != nil {
+			return err
+		}
+		t.Backfill = flags&txnFlagBackfill != 0
+	}
+	nr, err := r.count("read set size", minReadBytes)
+	if err != nil {
+		return err
+	}
+	t.ReadSet = make([]string, nr)
+	for i := range t.ReadSet {
+		if t.ReadSet[i], err = r.str(); err != nil {
+			return err
+		}
+	}
+	nw, err := r.count("write set size", minWriteBytes)
+	if err != nil || nw == 0 {
+		return err
+	}
+	t.Writes = make(map[string]string, nw)
+	for ; nw > 0; nw-- {
+		k, err := r.str()
+		if err != nil {
+			return err
+		}
+		v, err := r.str()
+		if err != nil {
+			return err
+		}
+		t.Writes[k] = v
+	}
+	return nil
 }

@@ -15,5 +15,13 @@
 //
 // The binary codec (codec.go) serializes entries both as the Paxos value on
 // the wire and as the payload in the store's log rows; unfenced entries
-// encode byte-identically with pre-fencing versions.
+// encode byte-identically with pre-fencing versions. Encode allocates once.
+// DecodeString builds the entry over its input — every string of the entry
+// is a substring of it — and Decode is one copy of its bytes and then
+// DecodeString, so a decoded entry never aliases a caller's buffer. Counts
+// are bounded by the bytes left to carry them (DESIGN.md §9).
+//
+// Entries are read-only once built: a decoded entry shares its strings with
+// the bytes it came from, and the log, its cache and the master's pipeline
+// share one entry's transactions without copying them.
 package wal

@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzDecode throws arbitrary bytes at the codec: it must never panic, and
-// anything it accepts must re-encode to a decodable, equivalent entry
-// (decode∘encode is the identity on the codec's image).
+// FuzzDecode throws arbitrary bytes at the codec: it must never panic, it
+// must allocate by the bytes that arrived — decodeBytesPerByte per byte plus
+// slack — not by the counts they claim, and anything it accepts must
+// re-encode to a decodable, equivalent entry (decode∘encode is the identity
+// on the codec's image).
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(NoOp()))
@@ -17,7 +19,14 @@ func FuzzDecode(f *testing.F) {
 		Writes:  map[string]string{"c": "1", "d": ""},
 	})))
 	f.Add([]byte{0x57, 0x43, 0x01, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x57, 0x43, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x80, 0x80, 0x04}) // 65536 writes claimed, none sent
+	for _, g := range goldenEntries {
+		f.Add([]byte(g.bytes))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if grew, err := decodeAllocated(data); grew > uint64(decodeBytesPerByte*len(data)+decodeSlack) {
+			t.Fatalf("decoding %d bytes allocated %d (err %v)", len(data), grew, err)
+		}
 		entry, err := Decode(data)
 		if err != nil {
 			return
