@@ -16,10 +16,11 @@ import (
 // short, store-bound majority on a fixed set of GOMAXPROCS workers keyed by
 // group — the same shard function the replog apply pool uses — so a group's
 // requests are cache-friendly and a burst on one group cannot occupy more
-// than its shard. Work that can legitimately block (applies waiting on the
-// watermark, catch-up, snapshots, store scans) gets its own goroutine, and
-// submits enter the group pipeline asynchronously, holding no goroutine at
-// all while their position replicates.
+// than its shard. Work that can legitimately block (catch-up, snapshots,
+// store scans) gets its own goroutine. Submits enter the group pipeline
+// asynchronously, and applies land in the group's log at once and are
+// answered by the drain that makes them durable: neither holds a goroutine
+// while it waits.
 
 // dispatchQueueLen bounds one shard worker's request backlog. Overflow does
 // not block the transport read loop: an over-full shard spills requests to
@@ -154,12 +155,15 @@ func (d *dispatcher) close() {
 // async registration (network.NewUDPAsync, Sim.EndpointAsync) plugs in.
 // Classification:
 //
-//   - Shard worker: Paxos prepare/accept/apply-notify, read-position,
-//     leader claims, log fetches, and reads already covered by the applied
-//     watermark — short store-bound work, pinned per group.
-//   - Own goroutine: applies (they block on the watermark), reads that need
-//     catch-up, snapshots, compaction, stats, and scans (store scans,
-//     possibly with catch-up to the pin).
+//   - Inline: applies. Landing the entry in the log is a validation, a
+//     decode and a queue insert, and the reply fires from the drain that
+//     makes it durable (Service.applyAsync), so no goroutine waits for it —
+//     and none waits behind a shard worker busy with an accept's sync.
+//   - Shard worker: Paxos prepare/accept, read-position, leader claims, log
+//     fetches, and reads already covered by the applied watermark — short
+//     store-bound work, pinned per group.
+//   - Own goroutine: reads that need catch-up, snapshots, compaction, stats,
+//     and scans (store scans, possibly with catch-up to the pin).
 //   - Submits: asynchronous admission into the group's pipeline; the
 //     verdict callback fires when replication settles, so a submit holds no
 //     goroutine while its position replicates (DESIGN.md §13).
@@ -173,7 +177,9 @@ func (s *Service) AsyncHandler() network.AsyncHandler {
 		switch req.Kind {
 		case network.KindSubmit:
 			s.handleSubmitAsync(req, reply)
-		case network.KindApply, network.KindSnapshot, network.KindCompact, network.KindStats,
+		case network.KindApply:
+			s.applyAsync(req, reply)
+		case network.KindSnapshot, network.KindCompact, network.KindStats,
 			network.KindRangeSnapshot, network.KindMigrate, network.KindScan:
 			// Range snapshots and scans are store scans (possibly with
 			// catch-up to the pin) and migrate submissions block on

@@ -345,9 +345,51 @@ func (s *Service) Handler() network.Handler {
 // --- log application ---------------------------------------------------
 
 // handleApply lands a decided entry in the local log; the reply is what the
-// proposer counts toward its apply majority (see ApplyDecided, R2).
+// proposer counts toward its apply majority (see ApplyDecided, R2). It is
+// the synchronous Handler's apply: the one apply (appendChosen) plus a wait.
 func (s *Service) handleApply(req network.Message) network.Message {
-	if err := s.applyChosen(req.Group, req.Pos, req.Ballot, req.Payload); err != nil {
+	return applyVerdict(s.applyChosen(req.Group, req.Pos, req.Ballot, req.Payload))
+}
+
+// applyAsync is AsyncHandler's apply: it lands the entry in the log on the
+// caller's goroutine and leaves the reply to the drain pass that makes it
+// durable, so no goroutine waits on the watermark.
+func (s *Service) applyAsync(req network.Message, reply func(network.Message)) {
+	lg, at, logged, err := s.appendChosen(req.Group, req.Pos, req.Ballot, req.Payload)
+	if err != nil {
+		reply(applyVerdict(err))
+		return
+	}
+	r, _ := applyReplies.Get().(*applyReply)
+	if r == nil {
+		r = new(applyReply)
+		r.done = r.answer
+	}
+	r.reply = reply
+	lg.When(at, logged, r.done)
+}
+
+// applyReply is an apply's reply waiting on the completion list. It is
+// pooled and its callback is bound once, so a waiting apply builds no
+// closure.
+type applyReply struct {
+	reply func(network.Message)
+	done  func(error) // r.answer
+}
+
+var applyReplies sync.Pool
+
+// answer sends the apply's verdict and pools r.
+func (r *applyReply) answer(err error) {
+	reply := r.reply
+	r.reply = nil
+	applyReplies.Put(r)
+	reply(applyVerdict(err))
+}
+
+// applyVerdict is an apply's reply.
+func applyVerdict(err error) network.Message {
+	if err != nil {
 		return network.Status(false, err.Error())
 	}
 	return network.Status(true, "")
@@ -377,20 +419,35 @@ func (s *Service) ApplyDecided(group string, pos int64, entryBytes []byte) error
 // applyChosen is ApplyDecided with a ballot a majority voted for the entry at
 // (replog.Log.AppendChosen).
 func (s *Service) applyChosen(group string, pos, chosenAt int64, entryBytes []byte) error {
-	if pos < 1 {
-		return fmt.Errorf("core: apply at invalid position %d", pos)
+	lg, at, logged, err := s.appendChosen(group, pos, chosenAt, entryBytes)
+	switch {
+	case err != nil:
+		return err
+	case logged:
+		return lg.WaitLogged(context.Background(), at)
+	default:
+		return lg.WaitApplied(context.Background(), at)
 	}
-	lg := s.log(group)
+}
+
+// appendChosen is the one apply: it queues the entry in group's log and
+// says what makes it durable — the watermark reaching at, or, above a gap
+// (logged), the row of at alone, with the gap's catch-up armed.
+func (s *Service) appendChosen(group string, pos, chosenAt int64, entryBytes []byte) (lg *replog.Log, at int64, logged bool, err error) {
+	if pos < 1 {
+		return nil, 0, false, fmt.Errorf("core: apply at invalid position %d", pos)
+	}
+	lg = s.log(group)
 	horizon, err := lg.AppendChosen(pos, chosenAt, entryBytes)
 	if err != nil {
-		return fmt.Errorf("core: apply %s/%d: %w", group, pos, err)
+		return nil, 0, false, fmt.Errorf("core: apply %s/%d: %w", group, pos, err)
 	}
 	if horizon < pos {
 		// Gapped: positions below pos are still missing.
 		s.fillGapLater(group)
-		return lg.WaitLogged(context.Background(), pos)
+		return lg, pos, true, nil
 	}
-	return lg.WaitApplied(context.Background(), horizon)
+	return lg, horizon, false, nil
 }
 
 // lastApplied returns the highest contiguously applied log position for

@@ -1,8 +1,10 @@
 package network
 
 import (
+	"context"
 	"net/netip"
 	"testing"
+	"time"
 )
 
 // hotKindMessages builds one representative message per hot protocol kind,
@@ -122,5 +124,40 @@ func TestUDPServeReplyIdempotent(t *testing.T) {
 	u.handleDatagram(req, netip.MustParseAddrPort("127.0.0.1:9999"))
 	if sent != 1 {
 		t.Fatalf("sent %d replies, want 1", sent)
+	}
+}
+
+// TestUDPSendAllocs pins a Send on both paths. The pending call and its
+// channel are pooled, so a round trip to a peer allocates only what the
+// peer's serve path does (its reply callback and once-guard, as
+// TestUDPServeSteadyAllocs pins), and a self-send only the reply callback
+// bound to its request ID.
+func TestUDPSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the plain run enforces the pin")
+	}
+	answer := func(from string, req Message, reply func(Message)) {
+		reply(Message{Kind: KindStatus, OK: true, TS: req.TS})
+	}
+	peer := udpTo(t, "B", answer)
+	a := udpTo(t, "A", answer, peer)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req := Message{Kind: KindReadPos, Group: "entity-group"}
+	for _, c := range []struct {
+		to  string
+		max float64
+	}{{"B", 2}, {"A", 1}} {
+		if _, err := a.Send(ctx, c.to, req); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := a.Send(ctx, c.to, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("Send to %s allocates %.1f/op, want <= %.0f", c.to, allocs, c.max)
+		}
 	}
 }

@@ -33,9 +33,12 @@ type Handler func(from string, req Message) Message
 // through reply, which must be called exactly once (extra calls are
 // ignored). The handler chooses where the work runs: cheap requests answer
 // inline on the transport's read path, expensive or blocking ones move to
-// another goroutine first. req — including the backing arrays of Payload,
-// Keys, Vals, and Founds — is only valid until reply is called; a handler
-// that retains any of it past the reply must copy first. It is also
+// another goroutine first, and one that waits on an event can leave reply
+// to whatever signals it (a service answers an apply from the drain that
+// makes it durable) and hold no goroutine at all: a transport's reply never
+// blocks. req — including the backing arrays of Payload, Keys, Vals, and
+// Founds — is only valid until reply is called; a handler that retains any
+// of it past the reply must copy first. It is also
 // read-only: Sim, and UDP for a request a transport sends to itself, pass the
 // sender's own Message, so those backing arrays are the sender's — not a copy
 // — and the handler may be running on the sender's goroutine.

@@ -29,10 +29,11 @@ type envelope struct {
 // into pooled scratch that lives until the handler replies, and replies
 // encode into pooled buffers. Responses to our own requests are decoded with
 // fresh allocations because they outlive the loop iteration (they travel
-// through the pending-correlation channel to a waiting Send).
+// through the pending-call table to a waiting Send).
 //
 // A request addressed to the transport's own name never reaches the socket:
-// Send hands it to the handler directly (see Send).
+// Send hands it to the handler directly (see Send), and the handler's reply
+// reaches the waiting Send through the same table.
 type UDP struct {
 	local   string
 	conn    *net.UDPConn
@@ -45,8 +46,11 @@ type UDP struct {
 	peers map[string]netip.AddrPort
 	// names is the sorted key set of peers, rebuilt (never edited in place)
 	// when a peer is added, so Peers can hand it out without a copy.
-	names   []string
-	pending map[uint64]chan Message
+	names []string
+	// pending is the pending-call table: every Send in flight, by request ID.
+	// A response is delivered under the read lock; Send removes its entry
+	// under the write lock before it pools the call (deliver, hangUp).
+	pending map[uint64]*call
 	closed  bool
 
 	nextID atomic.Uint64
@@ -88,7 +92,7 @@ func NewUDPAsync(local, bindAddr string, peers map[string]string, h AsyncHandler
 		conn:    conn,
 		handler: h,
 		peers:   make(map[string]netip.AddrPort, len(peers)),
-		pending: make(map[uint64]chan Message),
+		pending: make(map[uint64]*call),
 	}
 	u.writeTo = u.conn.WriteToUDPAddrPort
 	for name, addr := range peers {
@@ -188,19 +192,9 @@ func (u *UDP) handleDatagram(data []byte, raddr netip.AddrPort) {
 	}
 	if data[1]&envFlagResp != 0 {
 		// Response: decoded without scratch because the message escapes to
-		// the waiting sender through the pending channel.
-		env, err := decodeEnvelope(data, nil)
-		if err != nil {
-			return
-		}
-		u.mu.RLock()
-		ch := u.pending[env.ID]
-		u.mu.RUnlock()
-		if ch != nil {
-			select {
-			case ch <- env.Msg:
-			default: // duplicate or late response; drop
-			}
+		// the waiting sender through the pending-call table.
+		if env, err := decodeEnvelope(data, nil); err == nil {
+			u.deliver(env.ID, result{msg: env.Msg})
 		}
 		return
 	}
@@ -228,7 +222,7 @@ func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
 		decoderPool.Put(dec)
 		bp := getEncBuf()
 		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Resp: true, Msg: resp})
-		u.write(out, raddr) // best effort; loss is the failure model
+		u.write(out, raddr)
 		*bp = out
 		putEncBuf(bp)
 	}
@@ -239,13 +233,56 @@ func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
 	u.handler(env.From, env.Msg, reply)
 }
 
-// write sends one datagram and counts it.
-func (u *UDP) write(b []byte, addr netip.AddrPort) error {
-	_, err := u.writeTo(b, addr)
-	if err == nil {
+// write sends one datagram and counts it. A failed write is loss, the
+// failure model: nobody is told.
+func (u *UDP) write(b []byte, addr netip.AddrPort) {
+	if _, err := u.writeTo(b, addr); err == nil {
 		u.written.Add(1)
 	}
-	return err
+}
+
+// call is one Send waiting for its response: a pooled entry of the
+// pending-call table. Its channel has room for one result; a second is
+// dropped, so the first response (or Close's ErrClosed) wins.
+type call struct {
+	ch chan result
+}
+
+// result is what a pending call receives: a response, or ErrClosed.
+type result struct {
+	msg Message
+	err error
+}
+
+var calls = sync.Pool{New: func() any { return &call{ch: make(chan result, 1)} }}
+
+// deliver hands res to the Send waiting on id, if it still waits. The
+// hand-off happens under the table's read lock and hangUp removes an entry
+// under the write lock before it pools the call, so a late or duplicate
+// response can never reach the call's next use.
+func (u *UDP) deliver(id uint64, res result) {
+	u.mu.RLock()
+	if c := u.pending[id]; c != nil {
+		select {
+		case c.ch <- res:
+		default: // duplicate or late response; drop
+		}
+	}
+	u.mu.RUnlock()
+}
+
+// hangUp removes the call registered under id and pools it, emptied: no
+// response can arrive once the entry is gone, and the drained channel pins
+// no payload.
+func (u *UDP) hangUp(id uint64, c *call) {
+	u.mu.Lock()
+	delete(u.pending, id)
+	u.mu.Unlock()
+	select {
+	case <-c.ch:
+	default:
+	}
+	calls.Put(c)
 }
 
 // Send implements Transport. A request addressed to the transport's own name
@@ -256,17 +293,27 @@ func (u *UDP) write(b []byte, addr netip.AddrPort) error {
 // is dropped. The caller sees what a peer's sender sees: the reply, or
 // ErrTimeout at the deadline. A transport without a handler (a client's
 // socket) has nobody to call and sends to its own address like any other.
+//
+// Either way the call waits in the pending-call table, where a response is
+// delivered by request ID, and where Close fails it with ErrClosed at once.
 func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
-	u.mu.RLock()
+	id := u.nextID.Add(1)
+	c := calls.Get().(*call)
+	u.mu.Lock()
 	addr, ok := u.peers[to]
 	closed := u.closed
-	u.mu.RUnlock()
-	if closed {
-		return Message{}, ErrClosed
+	if ok && !closed {
+		u.pending[id] = c
 	}
-	if !ok {
+	u.mu.Unlock()
+	if closed || !ok {
+		calls.Put(c)
+		if closed {
+			return Message{}, ErrClosed
+		}
 		return Message{}, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
+	defer u.hangUp(id, c)
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
@@ -274,52 +321,27 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 	}
 
 	if to == u.local && u.handler != nil {
-		got := make(chan Message, 1)
-		u.handler(u.local, req, func(resp Message) {
-			select {
-			case got <- resp:
-			default: // extra reply; the first one wins
-			}
-		})
-		select {
-		case resp := <-got:
-			return resp, nil
-		case <-ctx.Done():
-			return Message{}, ErrTimeout
-		}
-	}
-
-	id := u.nextID.Add(1)
-	ch := make(chan Message, 1)
-	u.mu.Lock()
-	u.pending[id] = ch
-	u.mu.Unlock()
-	defer func() {
-		u.mu.Lock()
-		delete(u.pending, id)
-		u.mu.Unlock()
-	}()
-
-	bp := getEncBuf()
-	out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
-	err := u.write(out, addr)
-	*bp = out
-	putEncBuf(bp)
-	if err != nil {
-		// Treat send failure like loss: wait out the timeout so callers see
-		// uniform behaviour, unless the context is already done.
-		<-ctx.Done()
-		return Message{}, ErrTimeout
+		u.handler(u.local, req, func(resp Message) { u.deliver(id, result{msg: resp}) })
+	} else {
+		bp := getEncBuf()
+		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
+		// A failed write is loss: the call waits out its deadline like a
+		// lost datagram's. A write failed by Close is not: Close has
+		// already failed the call, so the wait below ends at once.
+		u.write(out, addr)
+		*bp = out
+		putEncBuf(bp)
 	}
 	select {
-	case resp := <-ch:
-		return resp, nil
+	case r := <-c.ch:
+		return r.msg, r.err
 	case <-ctx.Done():
 		return Message{}, ErrTimeout
 	}
 }
 
-// Close shuts the socket down and waits for the read loop to exit.
+// Close shuts the socket down, fails every pending call with ErrClosed, and
+// waits for the read loop to exit.
 func (u *UDP) Close() error {
 	u.mu.Lock()
 	if u.closed {
@@ -327,6 +349,12 @@ func (u *UDP) Close() error {
 		return nil
 	}
 	u.closed = true
+	for _, c := range u.pending {
+		select {
+		case c.ch <- result{err: ErrClosed}:
+		default: // already answered
+		}
+	}
 	u.mu.Unlock()
 	err := u.conn.Close()
 	u.wg.Wait()

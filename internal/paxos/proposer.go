@@ -3,6 +3,8 @@ package paxos
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"paxoscp/internal/network"
@@ -111,30 +113,115 @@ func (p *Proposer) timeout() time.Duration {
 // to collect until all datacenters answered or the phase timeout expires.
 // collect returns true to stop early (e.g. majority reached and waiting
 // longer cannot change the decision); the senders still out then have their
-// Sends cancelled and leave their replies in the channel, which has a slot
+// Sends cancelled and leave their replies in the round, which has a slot
 // for each of them.
 func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect func(dc string, resp network.Message, err error) (stop bool)) {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout())
-	defer cancel()
-
-	dcs := p.Transport.Peers()
-	type reply struct {
-		dc   string
-		resp network.Message
-		err  error
-	}
-	ch := make(chan reply, len(dcs))
-	for _, dc := range dcs {
-		go func(dc string) {
-			resp, err := p.Transport.Send(ctx, dc, req)
-			ch <- reply{dc, resp, err}
-		}(dc)
-	}
-	for range dcs {
-		if r := <-ch; collect(r.dc, r.resp, r.err) {
+	r := p.startRound(ctx, req, "")
+	defer r.stop()
+	for range r.dcs {
+		if rep := <-r.ch; collect(rep.dc, rep.resp, rep.err) {
 			return
 		}
 	}
+}
+
+// round is one fan-out of a request to every datacenter (but one, for
+// Notify). Rounds are pooled, and nothing in one is made per message: the
+// channel has a slot per destination and is reused while it is big enough,
+// and every sender goroutine runs the function bound when the round was
+// first made, taking its destination by index. The caller and each sender
+// hold a reference; the last to let go pools the round, so a straggler that
+// answers after the caller stopped listening still has its slot, and the
+// round is pooled exactly once.
+type round struct {
+	transport network.Transport
+	ctx       context.Context
+	cancel    context.CancelFunc
+	req       network.Message
+	dcs       []string
+	skip      string // a datacenter in dcs the round does not send to, or ""
+	ch        chan roundReply
+	next      atomic.Int32 // index into dcs of the next sender's destination
+	refs      atomic.Int32
+	send      func() // r.sendNext
+}
+
+// roundReply is one destination's answer.
+type roundReply struct {
+	dc   string
+	resp network.Message
+	err  error
+}
+
+// rounds holds the pooled rounds; startRound makes one when it is empty.
+var rounds sync.Pool
+
+// roundPooled, when set, is called with the transport of every round
+// returned to the pool: the tests of the one-release rule count with it.
+var roundPooled atomic.Pointer[func(network.Transport)]
+
+// startRound takes a pooled round and starts one sender per datacenter but
+// skip, under one phase timeout from ctx.
+func (p *Proposer) startRound(ctx context.Context, req network.Message, skip string) *round {
+	r, _ := rounds.Get().(*round)
+	if r == nil {
+		r = new(round)
+		r.send = r.sendNext
+	}
+	r.transport, r.req, r.dcs, r.skip = p.Transport, req, p.Transport.Peers(), skip
+	r.ctx, r.cancel = context.WithTimeout(ctx, p.timeout())
+	if cap(r.ch) < len(r.dcs) {
+		r.ch = make(chan roundReply, len(r.dcs))
+	}
+	n := 0
+	for _, dc := range r.dcs {
+		if dc != skip {
+			n++
+		}
+	}
+	r.next.Store(0)
+	r.refs.Store(int32(n) + 1)
+	for range n {
+		go r.send()
+	}
+	return r
+}
+
+// sendNext is one sender: it sends to the next destination, leaves the
+// answer in the round and lets go of it. Every sender takes an index of its
+// own, and one of them steps over skip's.
+func (r *round) sendNext() {
+	dc := r.dcs[r.next.Add(1)-1]
+	if dc == r.skip {
+		dc = r.dcs[r.next.Add(1)-1]
+	}
+	resp, err := r.transport.Send(r.ctx, dc, r.req)
+	r.ch <- roundReply{dc, resp, err}
+	r.release()
+}
+
+// stop is the caller's release when it stops listening: the senders still
+// out have their Sends cancelled.
+func (r *round) stop() {
+	r.cancel()
+	r.release()
+}
+
+// release drops one reference. The last one ends the round's timeout, empties
+// the channel, and pools the round holding no request or response.
+func (r *round) release() {
+	if r.refs.Add(-1) != 0 {
+		return
+	}
+	r.cancel()
+	for len(r.ch) > 0 {
+		<-r.ch
+	}
+	if f := roundPooled.Load(); f != nil {
+		(*f)(r.transport)
+	}
+	r.transport, r.ctx, r.cancel, r.req, r.dcs, r.skip = nil, nil, nil, network.Message{}, nil, ""
+	rounds.Put(r)
 }
 
 // Instance is one Paxos instance as Decide runs it: a log position, the
@@ -315,22 +402,14 @@ func (p *Proposer) Apply(ctx context.Context, group string, pos int64, ballot in
 // waits for home only, the proposing client's own datacenter — whose replica
 // then serves the client's next read position at or above this one. A
 // datacenter the notification never reaches learns the value by catch-up
-// (§4.1). The other sends run under a deadline of their own, one message
-// timeout from now, not under ctx: the caller's round is over once Notify
-// returns, and its context with it.
+// (§4.1). The other sends run on a round of their own, under a deadline one
+// message timeout from now, not under ctx: the caller's round is over once
+// Notify returns, and its context with it. Home's is sent from the caller's
+// goroutine, so its answer wakes the caller with no hand-off between.
 func (p *Proposer) Notify(ctx context.Context, home, group string, pos int64, ballot int64, value []byte) {
 	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
-	for _, dc := range p.Transport.Peers() {
-		if dc == home {
-			continue
-		}
-		go func(dc string) {
-			rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.timeout())
-			defer cancel()
-			// Nobody waits for the answer; a lost notification is catch-up's.
-			_, _ = p.Transport.Send(rctx, dc, req)
-		}(dc)
-	}
+	// Nobody waits for the other legs; a lost notification is catch-up's.
+	p.startRound(context.WithoutCancel(ctx), req, home).release()
 	hctx, cancel := context.WithTimeout(ctx, p.timeout())
 	defer cancel()
 	_, _ = p.Transport.Send(hctx, home, req)

@@ -28,8 +28,9 @@
 // writes of the contiguous run above the watermark, then the meta row that
 // records the run. That order is what recovery trusts: a recovered watermark
 // never leads its entries — votes or decided rows — or its data (invariant
-// D3), and a waiter released by a pass — WaitApplied, or WaitLogged for an
-// entry still above a gap — has its entry durable (invariant R2). One rule,
+// D3), and a completion a pass calls (When; WaitApplied, or WaitLogged for
+// an entry still above a gap, wait on one) has its entry durable
+// (invariant R2). One rule,
 // decidedRow, says what a stored row means; every reader goes through it.
 //
 // # Epoch fencing

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -37,6 +38,9 @@ type Log struct {
 	ioMu sync.Mutex
 	// batch is drain's reusable write buffer (guarded by ioMu).
 	batch []kvstore.BatchWrite
+	// due is the reusable list of completions a drain pass fires (guarded
+	// by ioMu).
+	due []completion
 	// meta is the meta row's contents as last written (guarded by ioMu).
 	// Every writer of the row holds ioMu, so each composes the next contents
 	// from this copy instead of reading the row back.
@@ -56,7 +60,9 @@ type Log struct {
 	pinsKept   int                 // len(pins) after the last walk dropped the expired ones
 	pinVisits  int                 // pins those walks have looked at, for the cost test
 	applyErr   error               // sticky apply failure; surfaced by waiters
-	waitCh     chan struct{}       // closed+replaced whenever a drain's batch lands
+	closed     bool                // Close was called; fails every completion still waiting
+	waiting    []completion        // the completion list: When callbacks not yet due
+	waitSeq    uint64              // ID of the newest completion
 	notifyCh   chan struct{}       // wakes the apply goroutine (capacity 1)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -199,7 +205,6 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		pins:      make(map[int64]time.Time),
 		voided:    make(map[int64]bool),
 		movedTxns: make(map[int64]map[string]string),
-		waitCh:    make(chan struct{}),
 		notifyCh:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		renewedAt: time.Now(),
@@ -244,6 +249,11 @@ func (l *Log) Group() string { return l.group }
 // ErrClosed. Durable state is untouched; Open rebuilds from it.
 func (l *Log) Close() {
 	l.stopOnce.Do(func() { close(l.stopCh) })
+	l.mu.Lock()
+	l.closed = true
+	due := l.settleLocked(nil)
+	l.mu.Unlock()
+	fire(due)
 }
 
 // Applied returns the contiguously-applied watermark: every log entry at or
@@ -428,7 +438,7 @@ func (l *Log) bytesLocked(pos int64) (string, bool) {
 // log fails or closes. The caller is responsible for pos being reachable
 // (decided locally or being caught up); use the horizon Append returns.
 func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
-	return l.wait(ctx, func() bool { return l.applied >= pos })
+	return l.wait(ctx, pos, false)
 }
 
 // WaitLogged blocks until the row of an appended pos is durable, in its
@@ -437,31 +447,130 @@ func (l *Log) WaitApplied(ctx context.Context, pos int64) error {
 // appender of an entry above a gap waits on, where WaitApplied would wait for
 // the gap.
 func (l *Log) WaitLogged(ctx context.Context, pos int64) error {
-	return l.wait(ctx, func() bool { return l.applied >= pos || l.pending[pos].logged })
+	return l.wait(ctx, pos, true)
 }
 
-// wait blocks until done, evaluated under l.mu after every landed batch,
-// reports true.
-func (l *Log) wait(ctx context.Context, done func() bool) error {
-	for {
-		l.mu.Lock()
-		if done() {
-			l.mu.Unlock()
-			return nil
-		}
-		if err := l.applyErr; err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		ch := l.waitCh
+// When calls fn once the watermark reaches pos — with logged, once the row
+// of an appended pos is durable in its decided form, as WaitLogged has it —
+// with nil; or, if the log fails or closes first, with the sticky apply
+// error or ErrClosed. fn is called exactly once: on the caller's goroutine
+// when pos is already settled, otherwise by the drain pass that settles it
+// (or by Close), outside the log's mutex. It must not block, as an
+// AsyncHandler's reply must not: the drain that calls it lands the next batch
+// only after it returns.
+func (l *Log) When(pos int64, logged bool, fn func(error)) {
+	l.when(pos, logged, fn)
+}
+
+// completion is one callback on the completion list (When).
+type completion struct {
+	id     uint64
+	pos    int64
+	logged bool
+	fn     func(error)
+	err    error // what fn is called with, once due
+}
+
+// when is When returning the completion's ID, which forget takes; 0 means fn
+// has already been called.
+func (l *Log) when(pos int64, logged bool, fn func(error)) uint64 {
+	l.mu.Lock()
+	if due, err := l.settledLocked(pos, logged); due {
 		l.mu.Unlock()
-		select {
-		case <-ch:
-		case <-l.stopCh:
-			return ErrClosed
-		case <-ctx.Done():
+		fn(err)
+		return 0
+	}
+	l.waitSeq++
+	id := l.waitSeq
+	l.waiting = append(l.waiting, completion{id: id, pos: pos, logged: logged, fn: fn})
+	l.mu.Unlock()
+	return id
+}
+
+// forget takes completion id off the list, reporting false if it is no
+// longer there: its callback has been called or is about to be.
+func (l *Log) forget(id uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.waiting {
+		if l.waiting[i].id == id {
+			l.waiting = slices.Delete(l.waiting, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+// settledLocked reports whether a completion for (pos, logged) is due, and
+// the error it is due with. Caller holds l.mu.
+func (l *Log) settledLocked(pos int64, logged bool) (due bool, err error) {
+	switch {
+	case l.applied >= pos || (logged && l.pending[pos].logged):
+		return true, nil
+	case l.applyErr != nil:
+		return true, l.applyErr
+	case l.closed:
+		return true, ErrClosed
+	}
+	return false, nil
+}
+
+// settleLocked moves every completion now due from the list to out, with
+// the error it is due with, and returns out. Caller holds l.mu; it calls
+// fire on the result after letting go of it.
+func (l *Log) settleLocked(out []completion) []completion {
+	keep := l.waiting[:0]
+	for _, c := range l.waiting {
+		if due, err := l.settledLocked(c.pos, c.logged); due {
+			c.err = err
+			out = append(out, c)
+		} else {
+			keep = append(keep, c)
+		}
+	}
+	clear(l.waiting[len(keep):])
+	l.waiting = keep
+	return out
+}
+
+// fire calls every completion in due and clears it, so a reused list pins no
+// callback. It returns due emptied.
+func fire(due []completion) []completion {
+	for i := range due {
+		due[i].fn(due[i].err)
+		due[i] = completion{}
+	}
+	return due[:0]
+}
+
+// waiter is a pooled blocking wait on the completion list: done, bound once,
+// puts the result in ch.
+type waiter struct {
+	ch   chan error
+	done func(error)
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan error, 1)}
+	w.done = func(err error) { w.ch <- err }
+	return w
+}}
+
+// wait blocks on a completion for (pos, logged) until it fires or ctx is
+// done; then it takes the completion off the list. Either way ch is empty
+// again when the waiter goes back to the pool.
+func (l *Log) wait(ctx context.Context, pos int64, logged bool) error {
+	w := waiters.Get().(*waiter)
+	defer waiters.Put(w)
+	id := l.when(pos, logged, w.done)
+	select {
+	case err := <-w.ch:
+		return err
+	case <-ctx.Done():
+		if l.forget(id) {
 			return ctx.Err()
 		}
+		return <-w.ch
 	}
 }
 
@@ -740,8 +849,9 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 			delete(l.cache, pos)
 		}
 	}
-	l.broadcastLocked()
+	l.due = l.settleLocked(l.due)
 	l.mu.Unlock()
+	l.due = fire(l.due)
 	scanLogRows(l.store, l.group, func(pos int64, _ kvstore.Packed) {
 		if pos <= horizon {
 			l.store.Delete(paxos.StateKey(l.group, pos))
@@ -772,12 +882,6 @@ func (l *Log) stopped() bool {
 	default:
 		return false
 	}
-}
-
-// broadcastLocked wakes every WaitApplied waiter. Caller holds l.mu.
-func (l *Log) broadcastLocked() {
-	close(l.waitCh)
-	l.waitCh = make(chan struct{})
 }
 
 // cacheLocked inserts a decoded entry, keeping the cache bounded: the
@@ -819,15 +923,16 @@ func (l *Log) run() {
 // whose stored row is not already a standing vote for the decided bytes
 // (paxos.VoteStands) — then the data writes of the contiguous run above the
 // watermark, then, last, the meta row that records the run; after it, one
-// watermark advance wakes every waiter. A position whose vote stands gets no
+// watermark advance calls the completions (When) the pass made due, and no
+// other waiter wakes. A position whose vote stands gets no
 // write at all: the vote's record, flushed by the accept, under the watermark
 // that ends the batch is its durable log entry. The batch is logged in that
 // order under one sync, and a vote's record precedes the meta record of the
 // pass that read it, so a durable meta row implies the rows and data records
-// below it are durable (invariant D3), and a waiter released by the pass has
-// its entry durable (invariant R2).
+// below it are durable (invariant D3), and a completion called by the pass
+// has its entry durable (invariant R2).
 // An apply failure (e.g. store closed during shutdown) is sticky and
-// surfaces through the waiters and Append.
+// surfaces through the completion list and Append.
 //
 // drain is also where epoch fencing happens (DESIGN.md §11). Entries are
 // processed in log order, so the prevailing epoch at each position is a
@@ -967,8 +1072,9 @@ func (l *Log) drain() {
 		l.mu.Lock()
 		if err != nil {
 			l.applyErr = fmt.Errorf("replog: apply %s through %d: %w", l.group, pos, err)
-			l.broadcastLocked()
+			l.due = l.settleLocked(l.due)
 			l.mu.Unlock()
+			l.due = fire(l.due)
 			return
 		}
 		for _, p := range logging {
@@ -1015,8 +1121,9 @@ func (l *Log) drain() {
 		if pos > l.applied {
 			l.applied = pos
 		}
-		l.broadcastLocked()
+		l.due = l.settleLocked(l.due)
 		l.mu.Unlock()
+		l.due = fire(l.due)
 	}
 }
 
@@ -1071,13 +1178,18 @@ func (s *Set) Groups() []string {
 	return out
 }
 
-// Close stops every open Log and then the shared apply pool.
+// Close stops every open Log and then the shared apply pool. The Logs close
+// outside s.mu: closing calls their waiting completions.
 func (s *Set) Close() {
 	s.mu.Lock()
 	s.closed = true
+	logs := make([]*Log, 0, len(s.logs))
 	for _, l := range s.logs {
-		l.Close()
+		logs = append(logs, l)
 	}
 	s.mu.Unlock()
+	for _, l := range logs {
+		l.Close()
+	}
 	s.pool.close()
 }
