@@ -62,12 +62,13 @@ test:
 
 ## race: the CI "test" job. -shuffle=on randomizes test order every run so
 ## inter-test state dependencies surface instead of hiding behind file order.
-## The packages that pool per-message objects (pending calls, broadcast
-## rounds, the completion list) then run five more times: a reuse race that
-## needs an unlucky interleaving gets more than one chance per run.
+## The packages that pool per-message objects (deadline phases, pending
+## calls, broadcast rounds, the completion list) then run five more times: a
+## reuse race that needs an unlucky interleaving gets more than one chance
+## per run.
 race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=5 ./internal/network ./internal/paxos ./internal/replog
+	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
 
 ## cover: per-package coverage summary (cover.txt; the CI test job appends it
 ## to $GITHUB_STEP_SUMMARY)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
 	"paxoscp/internal/paxos"
 	"paxoscp/internal/stats"
@@ -151,9 +152,9 @@ func (c *Client) claimFastPath(ctx context.Context, group string, pos int64, tok
 	req := network.Message{Kind: network.KindClaimLeader, Group: group, Pos: pos, Value: token}
 	timeout := c.cfg.timeout()
 
-	cctx, cancel := context.WithTimeout(ctx, timeout)
+	cctx := deadline.Start(ctx, timeout)
 	resp, err := c.transport.Send(cctx, c.dc, req)
-	cancel()
+	cctx.End()
 	if err != nil {
 		return false
 	}
@@ -164,8 +165,8 @@ func (c *Client) claimFastPath(ctx context.Context, group string, pos int64, tok
 		return false
 	}
 	// Retry at the hinted leader.
-	cctx, cancel = context.WithTimeout(ctx, timeout)
+	cctx = deadline.Start(ctx, timeout)
 	resp, err = c.transport.Send(cctx, resp.Value, req)
-	cancel()
+	cctx.End()
 	return err == nil && resp.OK
 }

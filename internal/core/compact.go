@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
@@ -160,9 +161,9 @@ func (s *Service) installFrom(ctx context.Context, dc, group string) error {
 		mig   replog.MigrationState
 	)
 	for req, restarts := start, 0; ; {
-		cctx, cancel := context.WithTimeout(ctx, s.timeout)
+		cctx := deadline.Start(ctx, s.timeout)
 		resp, err := s.transport.Send(cctx, dc, req)
-		cancel()
+		cctx.End()
 		first := !req.Found
 		switch {
 		case err != nil:

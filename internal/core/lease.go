@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
 	"paxoscp/internal/wal"
@@ -288,8 +289,8 @@ func (s *Service) peersApplied(ctx context.Context, group string) int64 {
 	if s.transport == nil {
 		return 0
 	}
-	cctx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
+	cctx := deadline.Start(ctx, s.timeout)
+	defer cctx.End()
 	var mu sync.Mutex
 	var tip int64
 	var wg sync.WaitGroup
@@ -365,14 +366,18 @@ func (s *Service) RenewLease(ctx context.Context, group string) (int64, error) {
 
 // sleepCtx sleeps for d or until ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	nap := deadline.Start(ctx, d)
+	<-nap.Done()
+	nap.End()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	// The nap ends at ctx's deadline if that comes first, maybe before ctx
+	// itself reports it.
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func minDuration(a, b time.Duration) time.Duration {

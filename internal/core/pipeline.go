@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
 	"paxoscp/internal/wal"
@@ -67,16 +68,14 @@ type pendingSubmit struct {
 	handoff *wal.Handoff
 
 	// deliver receives the verdict exactly once: settled arbitrates between
-	// the pipeline's verdict and the budget timer, and whichever loses is
+	// the pipeline's verdict and the budget's expiry, and whichever loses is
 	// dropped. deliver may be a transport reply callback (the async submit
 	// path) — it must not be called twice.
 	deliver func(network.Message)
 	settled atomic.Bool
-	// timer is the budget timer, stopped by the first verdict. Atomic
-	// because the timer's own callback races the AfterFunc return-value
-	// store: a callback that loads nil simply has nothing to stop — it is
-	// the timer that fired.
-	timer atomic.Pointer[time.Timer]
+	// budget is the submission's deadline, armed for 4 message timeouts
+	// when it is admitted and stopped by the first verdict.
+	budget deadline.Entry
 }
 
 // reply delivers the verdict, once.
@@ -84,10 +83,19 @@ func (ps *pendingSubmit) reply(m network.Message) {
 	if !ps.settled.CompareAndSwap(false, true) {
 		return
 	}
-	if t := ps.timer.Load(); t != nil {
-		t.Stop()
-	}
+	ps.budget.Stop()
 	ps.deliver(m)
+}
+
+// Expire answers a submission whose budget ran out with the timeout verdict.
+// A pendingSubmit is armed once and never reused, so a late Expire finds the
+// verdict already given.
+func (ps *pendingSubmit) Expire() {
+	if ps.handoff != nil {
+		ps.reply(network.Status(false, "master: handoff timed out in pipeline"))
+		return
+	}
+	ps.reply(network.Status(false, "master: submit timed out in pipeline"))
 }
 
 // pipeline is one group's submit path at the master: a queue of waiting
@@ -166,9 +174,7 @@ func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
 		ps.reply(network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
 	}
-	ps.timer.Store(time.AfterFunc(4*p.svc.timeout, func() {
-		ps.reply(network.Status(false, "master: submit timed out in pipeline"))
-	}))
+	ps.budget.Arm(4*p.svc.timeout, ps)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -292,8 +298,8 @@ func (p *pipeline) ensureMastership() (ok bool, refusal network.Message) {
 		// plus the replication round can outlast one batch's): the
 		// submissions that triggered it may time out, but the claim completes
 		// and every later batch finds mastership held.
-		cctx, cancel := context.WithTimeout(context.Background(), p.svc.leaseDuration()+4*p.svc.timeout)
-		defer cancel()
+		cctx := deadline.Start(context.Background(), p.svc.leaseDuration()+4*p.svc.timeout)
+		defer cctx.End()
 		epoch, err := p.svc.ClaimMastership(cctx, p.group)
 		if err == nil {
 			p.setEpoch(epoch)
@@ -338,8 +344,8 @@ func (p *pipeline) isDeposed() bool {
 // place admits a batch at the next log position — speculative conflict
 // check, combination into one entry — and launches its replication.
 func (p *pipeline) place(batch []*pendingSubmit) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*p.svc.timeout)
-	defer cancel()
+	ctx := deadline.Start(context.Background(), 4*p.svc.timeout)
+	defer ctx.End()
 
 	if err := p.svc.replicaFault(); err != nil {
 		// The engine died while this batch sat in the queue. Placing it
@@ -441,9 +447,7 @@ func (p *pipeline) SubmitHandoffAsync(h *wal.Handoff, deliver func(network.Messa
 		ps.reply(network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
 	}
-	ps.timer.Store(time.AfterFunc(4*p.svc.timeout, func() {
-		ps.reply(network.Status(false, "master: handoff timed out in pipeline"))
-	}))
+	ps.budget.Arm(4*p.svc.timeout, ps)
 	if !p.enqueue(false, ps) {
 		ps.reply(network.Refuse(network.VerdictShutdown, ""))
 	}
@@ -527,8 +531,8 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 // will step over the fenced entry), voided by a migration rule, or
 // committed.
 func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*p.svc.timeout)
-	defer cancel()
+	ctx := deadline.Start(context.Background(), 4*p.svc.timeout)
+	defer ctx.End()
 	if err := p.lg.WaitApplied(ctx, pos); err != nil {
 		ps.reply(network.Status(false, "earlier attempt's verdict unavailable: "+err.Error()))
 		return
@@ -573,8 +577,8 @@ func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error
 // waits for the apply watermark to cover the position and consults the
 // apply-time record.
 func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmit) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*p.svc.timeout)
-	defer cancel()
+	ctx := deadline.Start(context.Background(), 4*p.svc.timeout)
+	defer ctx.End()
 	skipFast := time.Now().UnixNano() < p.fastOff.Load()
 	decided, committed, fast, err := p.svc.replicateMaster(ctx, p.group, pos, wal.Encode(entry), skipFast)
 	if fast == fastDegraded {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
 )
 
@@ -122,8 +123,8 @@ type sender struct {
 
 // ask is one send under its own deadline.
 func (s sender) ask(ctx context.Context, dc string, req network.Message, d time.Duration) (network.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
+	cctx := deadline.Start(ctx, d)
+	defer cctx.End()
 	return s.c.transport.Send(cctx, dc, req)
 }
 

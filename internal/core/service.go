@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
 	"paxoscp/internal/paxos"
@@ -491,8 +492,8 @@ func (s *Service) resolveReadTS(group string, ts int64) (int64, error) {
 		return s.lastApplied(group), nil
 	}
 	if s.lastApplied(group) < ts {
-		ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-		defer cancel()
+		ctx := deadline.Start(context.Background(), s.timeout)
+		defer ctx.End()
 		if err := s.CatchUp(ctx, group, ts); err != nil {
 			return 0, err
 		}
@@ -869,9 +870,9 @@ func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wa
 		if dc == s.dc {
 			continue
 		}
-		cctx, cancel := context.WithTimeout(ctx, s.timeout)
+		cctx := deadline.Start(ctx, s.timeout)
 		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindFetchLog, Group: group, Pos: pos})
-		cancel()
+		cctx.End()
 		if err == nil && resp.OK {
 			if entry, derr := wal.Decode(resp.Payload); derr == nil {
 				s.fetchPeer.Store(dc)

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"paxoscp/internal/deadline"
 )
 
 // Topology describes the datacenters and pairwise round-trip times of a
@@ -239,16 +241,16 @@ func (e *simEndpoint) Close() error    { return nil }
 // Delivery is detached from the sender: once Send puts a request on the
 // wire, it reaches the peer (and takes effect there) even if the sender
 // stops waiting — exactly like a real datagram. Only the sender's wait is
-// bounded by ctx.
+// bounded by ctx, and Send keeps no reference to ctx once it returns.
 func (e *simEndpoint) Send(ctx context.Context, to string, req Message) (Message, error) {
 	s := e.sim
 	if !s.topo.Has(to) {
 		return Message{}, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
 	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
-		defer cancel()
+		ph := deadline.Start(ctx, DefaultTimeout)
+		defer ph.End()
+		ctx = ph
 	}
 
 	s.counters.Sent(req.Kind)

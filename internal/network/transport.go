@@ -49,7 +49,9 @@ type Transport interface {
 	// Send delivers req to the named peer and returns its response. It
 	// returns ErrTimeout if the request or response is lost or the peer does
 	// not answer before the context deadline (or DefaultTimeout when the
-	// context has none).
+	// context has none). An implementation must not keep ctx, or anything
+	// derived from it, once Send returns: the caller's context may be a
+	// pooled deadline.Phase, which its owner ends and reuses.
 	Send(ctx context.Context, to string, req Message) (Message, error)
 	// Local returns the name of the datacenter this endpoint belongs to.
 	Local() string

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"paxoscp/internal/deadline"
 )
 
 // envelope wraps a Message on the UDP wire with correlation metadata.
@@ -296,6 +298,7 @@ func (u *UDP) hangUp(id uint64, c *call) {
 //
 // Either way the call waits in the pending-call table, where a response is
 // delivered by request ID, and where Close fails it with ErrClosed at once.
+// Send keeps no reference to ctx once it returns.
 func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
 	id := u.nextID.Add(1)
 	c := calls.Get().(*call)
@@ -315,9 +318,9 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 	}
 	defer u.hangUp(id, c)
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
-		defer cancel()
+		ph := deadline.Start(ctx, DefaultTimeout)
+		defer ph.End()
+		ctx = ph
 	}
 
 	if to == u.local && u.handler != nil {

@@ -45,13 +45,16 @@ func (s *scripted) pause(ctx context.Context, attempt int) error {
 	return ctx.Err()
 }
 
-// ballots returns the distinct ballots sent in requests of kind, in order.
+// ballots returns the distinct ballots sent in requests of kind, each where
+// it first appears. A round ends only once one of its sends is recorded, so
+// first appearances come in proposal order; a straggler of one round
+// recorded after the next round's sends repeats a ballot already listed.
 func (s *scripted) ballots(kind network.Kind) []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []int64
 	for _, m := range s.sent {
-		if m.Kind == kind && (len(out) == 0 || out[len(out)-1] != m.Ballot) {
+		if m.Kind == kind && !slices.Contains(out, m.Ballot) {
 			out = append(out, m.Ballot)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
 )
 
@@ -117,9 +118,15 @@ func (p *Proposer) timeout() time.Duration {
 // for each of them.
 func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect func(dc string, resp network.Message, err error) (stop bool)) {
 	r := p.startRound(ctx, req, "")
-	defer r.stop()
-	for range r.dcs {
+	defer r.release()
+	for heard := 1; heard <= len(r.dcs); heard++ {
 		if rep := <-r.ch; collect(rep.dc, rep.resp, rep.err) {
+			if heard < len(r.dcs) {
+				// Senders still out: cancel their Sends. A round heard from
+				// in full is not cancelled, so the Done channel its Sends
+				// waited on stays open and is pooled with the phase.
+				r.phase.Cancel()
+			}
 			return
 		}
 	}
@@ -127,16 +134,16 @@ func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect f
 
 // round is one fan-out of a request to every datacenter (but one, for
 // Notify). Rounds are pooled, and nothing in one is made per message: the
-// channel has a slot per destination and is reused while it is big enough,
-// and every sender goroutine runs the function bound when the round was
-// first made, taking its destination by index. The caller and each sender
-// hold a reference; the last to let go pools the round, so a straggler that
-// answers after the caller stopped listening still has its slot, and the
-// round is pooled exactly once.
+// phase timeout is a pooled deadline.Phase, the channel has a slot per
+// destination and is reused while it is big enough, and every sender
+// goroutine runs the function bound when the round was first made, taking
+// its destination by index. The caller and each sender hold a reference; the
+// last to let go ends the phase and pools the round, so a straggler that
+// answers after the caller stopped listening still has its slot and its
+// context, and the round is pooled exactly once.
 type round struct {
 	transport network.Transport
-	ctx       context.Context
-	cancel    context.CancelFunc
+	phase     *deadline.Phase
 	req       network.Message
 	dcs       []string
 	skip      string // a datacenter in dcs the round does not send to, or ""
@@ -169,7 +176,7 @@ func (p *Proposer) startRound(ctx context.Context, req network.Message, skip str
 		r.send = r.sendNext
 	}
 	r.transport, r.req, r.dcs, r.skip = p.Transport, req, p.Transport.Peers(), skip
-	r.ctx, r.cancel = context.WithTimeout(ctx, p.timeout())
+	r.phase = deadline.Start(ctx, p.timeout())
 	if cap(r.ch) < len(r.dcs) {
 		r.ch = make(chan roundReply, len(r.dcs))
 	}
@@ -195,32 +202,25 @@ func (r *round) sendNext() {
 	if dc == r.skip {
 		dc = r.dcs[r.next.Add(1)-1]
 	}
-	resp, err := r.transport.Send(r.ctx, dc, r.req)
+	resp, err := r.transport.Send(r.phase, dc, r.req)
 	r.ch <- roundReply{dc, resp, err}
 	r.release()
 }
 
-// stop is the caller's release when it stops listening: the senders still
-// out have their Sends cancelled.
-func (r *round) stop() {
-	r.cancel()
-	r.release()
-}
-
-// release drops one reference. The last one ends the round's timeout, empties
+// release drops one reference. The last one ends the round's phase, empties
 // the channel, and pools the round holding no request or response.
 func (r *round) release() {
 	if r.refs.Add(-1) != 0 {
 		return
 	}
-	r.cancel()
+	r.phase.End()
 	for len(r.ch) > 0 {
 		<-r.ch
 	}
 	if f := roundPooled.Load(); f != nil {
 		(*f)(r.transport)
 	}
-	r.transport, r.ctx, r.cancel, r.req, r.dcs, r.skip = nil, nil, nil, network.Message{}, nil, ""
+	r.transport, r.phase, r.req, r.dcs, r.skip = nil, nil, network.Message{}, nil, ""
 	rounds.Put(r)
 }
 
@@ -410,7 +410,7 @@ func (p *Proposer) Notify(ctx context.Context, home, group string, pos int64, ba
 	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
 	// Nobody waits for the other legs; a lost notification is catch-up's.
 	p.startRound(context.WithoutCancel(ctx), req, home).release()
-	hctx, cancel := context.WithTimeout(ctx, p.timeout())
-	defer cancel()
+	hctx := deadline.Start(ctx, p.timeout())
+	defer hctx.End()
 	_, _ = p.Transport.Send(hctx, home, req)
 }
