@@ -333,14 +333,15 @@ func newUDPBenchServices(b *testing.B) *network.UDP {
 	transports := make(map[string]*network.UDP, len(dcs))
 	for _, dc := range dcs {
 		dc := dc
-		tr, err := network.NewUDP(dc, "127.0.0.1:0", nil, func(from string, req network.Message) network.Message {
+		tr, err := network.NewUDPAsync(dc, "127.0.0.1:0", nil, func(from string, req network.Message, reply func(network.Message)) {
 			mu.Lock()
 			svc := services[dc]
 			mu.Unlock()
 			if svc == nil {
-				return network.Status(false, "not ready")
+				reply(network.Status(false, "not ready"))
+				return
 			}
-			return svc.Handler()(from, req)
+			svc.AsyncHandler()(from, req, reply)
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -360,7 +361,7 @@ func newUDPBenchServices(b *testing.B) *network.UDP {
 			core.WithServiceTimeout(500*time.Millisecond))
 	}
 	mu.Unlock()
-	client, err := network.NewUDP("client", "127.0.0.1:0", nil, nil)
+	client, err := network.NewUDPAsync("client", "127.0.0.1:0", nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,8 +19,10 @@
 // -benchjson converts `go test -bench` output (a file, or "-" for stdin)
 // into the machine-readable BENCH_ci.json report CI uploads as an artifact.
 // -compare diffs two such reports and flags metrics that moved more than
-// -threshold (default 20%) in the wrong direction; it exits zero unless
-// -strict is set, so CI can surface the diff without blocking.
+// -threshold (default 20%) in the wrong direction, matching benchmark names
+// without go test's -N GOMAXPROCS suffix; it exits zero unless -strict is
+// set, so CI can surface the diff without blocking. Under -strict a diff
+// that compared nothing — no benchmark in both reports — fails too.
 //
 // -pairs runs the end-to-end benchmark BENCHMARK.json declares on -parent
 // and on the working tree in alternating pairs and merges the summary into
@@ -32,6 +34,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +58,7 @@ func main() {
 		compare   = flag.String("compare", "", "baseline JSON report to diff -against (exit 0 unless -strict)")
 		against   = flag.String("against", "BENCH_ci.json", "fresh JSON report compared to the -compare baseline")
 		threshold = flag.Float64("threshold", 0.20, "relative change flagged as a regression by -compare")
-		strict    = flag.Bool("strict", false, "exit 1 when -compare finds regressions")
+		strict    = flag.Bool("strict", false, "exit 1 when -compare finds regressions or compares nothing")
 		pairs     = flag.Int("pairs", 0, "run this many alternating parent/change pairs of benchmarks/run.sh per workload, merge the summary into -o, and exit")
 		parent    = flag.String("parent", "", "-pairs: git ref of the parent commit")
 		workloads = flag.String("workloads", "commit-mem commit-durable read-scan wan-contended", "-pairs: workloads to run, space separated")
@@ -80,6 +83,10 @@ func main() {
 	}
 	if *compare != "" {
 		regressions, err := compareReports(*compare, *against, *threshold)
+		if errors.Is(err, errNothingCompared) && !*strict {
+			fmt.Println(err)
+			return
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paxosbench: %v\n", err)
 			os.Exit(1)
@@ -182,13 +189,17 @@ func compareReports(basePath, freshPath string, threshold float64) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	deltas := bench.CompareReports(base, fresh, threshold)
-	if len(deltas) == 0 {
-		fmt.Printf("no overlapping benchmarks between %s and %s\n", basePath, freshPath)
-		return 0, nil
+	deltas, err := bench.CompareReports(base, fresh, threshold)
+	if err != nil {
+		return 0, fmt.Errorf("%w between %s and %s: %v", errNothingCompared, basePath, freshPath, err)
 	}
 	return bench.WriteCompareReport(os.Stdout, deltas), nil
 }
+
+// errNothingCompared marks a diff of two reports that share no benchmark: it
+// says nothing, so it fails the gate under -strict and is only printed
+// without it.
+var errNothingCompared = errors.New("nothing compared")
 
 // writeBenchJSON converts go-bench output at inPath ("-" = stdin) into the
 // JSON benchmark report at outPath.

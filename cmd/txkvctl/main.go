@@ -99,10 +99,8 @@ func main() {
 	}
 	sort.Strings(dcs)
 
-	transport, err := network.NewUDP(fmt.Sprintf("%s-client-%d", *local, *clientID),
-		"127.0.0.1:0", peerMap, func(string, network.Message) network.Message {
-			return network.Status(false, "client endpoint")
-		})
+	transport, err := network.NewUDPAsync(fmt.Sprintf("%s-client-%d", *local, *clientID),
+		"127.0.0.1:0", peerMap, nil)
 	if err != nil {
 		log.Fatalf("txkvctl: %v", err)
 	}

@@ -145,17 +145,20 @@ type Delta struct {
 // CompareReports diffs a fresh report against a baseline: every
 // (benchmark, metric) pair present in both is compared, and a change worse
 // than threshold (e.g. 0.2 = 20%) in the metric's bad direction is flagged
-// as a regression. Benchmarks present on only one side are skipped —
-// comparisons survive benchmark additions and removals. Iteration counts
-// are ignored (CI smoke runs use -benchtime 1x).
-func CompareReports(base, fresh BenchReport, threshold float64) []Delta {
+// as a regression. Names match without the -N suffix go test appends when
+// GOMAXPROCS is N > 1 (benchName), so a baseline recorded at one CPU count
+// matches a run at another. Benchmarks present on only one side are skipped —
+// comparisons survive benchmark additions and removals — but a diff with no
+// benchmark on both sides compared nothing, and is an error. Iteration
+// counts are ignored (CI smoke runs use -benchtime 1x).
+func CompareReports(base, fresh BenchReport, threshold float64) ([]Delta, error) {
 	baseline := make(map[string]BenchResult, len(base.Results))
 	for _, r := range base.Results {
-		baseline[r.Name] = r
+		baseline[benchName(r.Name)] = r
 	}
 	var out []Delta
 	for _, r := range fresh.Results {
-		b, ok := baseline[r.Name]
+		b, ok := baseline[benchName(r.Name)]
 		if !ok {
 			continue
 		}
@@ -179,7 +182,21 @@ func CompareReports(base, fresh BenchReport, threshold float64) []Delta {
 			out = append(out, d)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil, fmt.Errorf("bench: no benchmark metric in both reports (%d baseline, %d fresh results)",
+			len(base.Results), len(fresh.Results))
+	}
+	return out, nil
+}
+
+// benchName is name without the "-N" GOMAXPROCS suffix: go test reports
+// BenchmarkX/sub at GOMAXPROCS 1 and BenchmarkX/sub-2 at 2. (So no
+// benchmark may end its own name in "-<digits>".)
+func benchName(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 && i < len(name)-1 && strings.Trim(name[i+1:], "0123456789") == "" {
+		return name[:i]
+	}
+	return name
 }
 
 // WriteCompareReport renders a CompareReports diff as a text table on w and

@@ -78,8 +78,8 @@ func TestCompareReports(t *testing.T) {
 		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 130, "commits/sec": 65}},
 		{Name: "BenchmarkNew", Metrics: map[string]float64{"ns/op": 5}},
 	}}
-	deltas := CompareReports(base, fresh, 0.20)
-	if len(deltas) != 2 {
+	deltas, err := CompareReports(base, fresh, 0.20)
+	if err != nil || len(deltas) != 2 {
 		t.Fatalf("deltas = %+v", deltas)
 	}
 	byUnit := map[string]Delta{}
@@ -104,7 +104,7 @@ func TestCompareReportsDirections(t *testing.T) {
 	fresh := BenchReport{Results: []BenchResult{
 		{Name: "B", Metrics: map[string]float64{"commits/sec": 70, "allocs/op": 3}},
 	}}
-	deltas := CompareReports(base, fresh, 0.20)
+	deltas, _ := CompareReports(base, fresh, 0.20)
 	for _, d := range deltas {
 		switch d.Unit {
 		case "commits/sec": // 30% drop in throughput: regression
@@ -129,8 +129,55 @@ func TestCompareReportsDirections(t *testing.T) {
 func TestCompareReportsZeroBaseline(t *testing.T) {
 	base := BenchReport{Results: []BenchResult{{Name: "B", Metrics: map[string]float64{"ns/op": 0}}}}
 	fresh := BenchReport{Results: []BenchResult{{Name: "B", Metrics: map[string]float64{"ns/op": 10}}}}
-	deltas := CompareReports(base, fresh, 0.2)
-	if len(deltas) != 1 || deltas[0].Regression {
-		t.Fatalf("zero baseline mishandled: %+v", deltas)
+	deltas, err := CompareReports(base, fresh, 0.2)
+	if err != nil || len(deltas) != 1 || deltas[0].Regression {
+		t.Fatalf("zero baseline mishandled: %+v %v", deltas, err)
+	}
+}
+
+// TestCompareReportsIgnoresProcsSuffix: go test names a benchmark run at
+// GOMAXPROCS N > 1 with a -N suffix, and a baseline recorded without one
+// must still match it.
+func TestCompareReportsIgnoresProcsSuffix(t *testing.T) {
+	results, err := ParseGoBench(strings.NewReader(sampleBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := BenchReport{Results: []BenchResult{
+		{Name: "BenchmarkSubmitThroughput/window=1", Metrics: map[string]float64{"ns/op": 1205174}},
+		{Name: "BenchmarkWALEncode", Metrics: map[string]float64{"allocs/op": 18}},
+	}}
+	deltas, err := CompareReports(base, BenchReport{Results: results}, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 2 || deltas[0].Name != "BenchmarkSubmitThroughput/window=1-8" || deltas[1].Name != "BenchmarkWALEncode-8" {
+		t.Fatalf("suffixed names not matched to the baseline: %+v", deltas)
+	}
+	for name, want := range map[string]string{
+		"BenchmarkReadThroughput/udp/multi-2": "BenchmarkReadThroughput/udp/multi",
+		"BenchmarkReadThroughput/udp/multi":   "BenchmarkReadThroughput/udp/multi",
+		"BenchmarkWindow/size=8-":             "BenchmarkWindow/size=8-",
+		"BenchmarkX/read-only":                "BenchmarkX/read-only",
+	} {
+		if got := benchName(name); got != want {
+			t.Errorf("benchName(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestCompareReportsNothingInCommon: a diff of reports that share no
+// benchmark compared nothing, and says so with an error instead of an empty
+// table that passes the gate.
+func TestCompareReportsNothingInCommon(t *testing.T) {
+	base := BenchReport{Results: []BenchResult{{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 1}}}}
+	fresh := BenchReport{Results: []BenchResult{{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 1}}}}
+	if deltas, err := CompareReports(base, fresh, 0.2); err == nil {
+		t.Fatalf("disjoint reports compared without an error: %+v", deltas)
+	}
+	// A benchmark on both sides with no metric in common compares nothing too.
+	fresh.Results[0].Name, fresh.Results[0].Metrics = "BenchmarkA-4", map[string]float64{"B/op": 1}
+	if deltas, err := CompareReports(base, fresh, 0.2); err == nil {
+		t.Fatalf("reports with no metric in common compared without an error: %+v", deltas)
 	}
 }

@@ -183,8 +183,8 @@ func TestServiceRestartFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var svc2 *core.Service
-	ep := c.Sim().Endpoint("V2", func(from string, req network.Message) network.Message {
-		return svc2.Handler()(from, req)
+	ep := c.Sim().EndpointAsync("V2", func(from string, req network.Message, reply func(network.Message)) {
+		svc2.AsyncHandler()(from, req, reply)
 	})
 	svc2 = core.NewService("V2", restored, ep, core.WithServiceTimeout(c.Timeout()))
 

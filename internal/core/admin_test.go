@@ -7,7 +7,7 @@ import (
 )
 
 func TestStatusReflectsState(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B")
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
 	s := services["A"]
 	st := s.Status("g")
 	if st.DC != "A" || st.Group != "g" || st.LastApplied != 0 || st.LogEntries != 0 || st.DataKeys != 0 {
@@ -33,9 +33,9 @@ func TestStatusReflectsState(t *testing.T) {
 }
 
 func TestStatsHandlerJSONRoundTrip(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	seedLog(t, services, []string{"A"}, "g", 2)
-	resp := services["A"].Handler()("op", network.Message{Kind: network.KindStats, Group: "g"})
+	resp := ask(t, services["A"], "op", network.Message{Kind: network.KindStats, Group: "g"})
 	if !resp.OK {
 		t.Fatalf("stats reply = %+v", resp)
 	}
@@ -52,9 +52,9 @@ func TestStatsHandlerJSONRoundTrip(t *testing.T) {
 }
 
 func TestCompactHandler(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	seedLog(t, services, []string{"A"}, "g", 6)
-	resp := services["A"].Handler()("op", network.Message{Kind: network.KindCompact, Group: "g", TS: 5})
+	resp := ask(t, services["A"], "op", network.Message{Kind: network.KindCompact, Group: "g", TS: 5})
 	if !resp.OK || resp.TS != 5 {
 		t.Fatalf("compact reply = %+v", resp)
 	}
@@ -62,7 +62,7 @@ func TestCompactHandler(t *testing.T) {
 		t.Fatalf("CompactedTo = %d", got)
 	}
 	// Horizon beyond applied clamps.
-	resp = services["A"].Handler()("op", network.Message{Kind: network.KindCompact, Group: "g", TS: 99})
+	resp = ask(t, services["A"], "op", network.Message{Kind: network.KindCompact, Group: "g", TS: 99})
 	if !resp.OK || resp.TS != 6 {
 		t.Fatalf("clamped compact reply = %+v", resp)
 	}

@@ -14,12 +14,10 @@ import (
 // newRingClient builds a 3-DC service ring plus a client homed at dc.
 func newRingClient(t *testing.T, dc string, cfg Config) (*Client, map[string]*Service) {
 	t.Helper()
-	services, sim := newServiceRing(t, "A", "B", "C")
-	ep := sim.Endpoint(dc+"", nil) // replaced below; endpoints are per-DC
-	_ = ep
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	// Reuse the service ring's endpoints: clients share the DC endpoint.
 	cfg.Timeout = 200 * time.Millisecond
-	tr := sim.Endpoint(dc, services[dc].Handler())
+	tr := sim.EndpointAsync(dc, services[dc].AsyncHandler())
 	return NewClient(1, dc, tr, cfg), services
 }
 
@@ -266,8 +264,8 @@ func TestOnCommitCallback(t *testing.T) {
 }
 
 func TestSendPreferLocalFallsBack(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
-	tr := sim.Endpoint("A", services["A"].Handler())
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
+	tr := sim.EndpointAsync("A", services["A"].AsyncHandler())
 	cl := NewClient(2, "A", tr, Config{Seed: 1, Timeout: 50 * time.Millisecond})
 	ctx := context.Background()
 
@@ -329,7 +327,7 @@ func TestServiceIdentitiesAboveClients(t *testing.T) {
 		NewClient(paxos.MaxClients-2, "A", nil, Config{})
 	}()
 	NewClient(paxos.MaxClients-serviceIDs-1, "A", nil, Config{}) // the highest client identity
-	services, _ := newServiceRing(t, "A", "B", "C")
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
 	ids := map[int]string{}
 	for dc, s := range services {
 		if s.id < paxos.MaxClients-serviceIDs || s.id >= paxos.MaxClients {

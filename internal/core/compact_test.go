@@ -35,7 +35,7 @@ func seedLog(t *testing.T, services map[string]*Service, dcs []string, group str
 }
 
 func TestCompactScavengesBelowHorizon(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	seedLog(t, services, []string{"A"}, "g", 10)
 
@@ -59,7 +59,7 @@ func TestCompactScavengesBelowHorizon(t *testing.T) {
 		}
 	}
 	// Reads at or above the horizon still work.
-	resp := s.Handler()("A", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 8})
+	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 8})
 	if !resp.OK || resp.Value != "v8" {
 		t.Fatalf("read@8 after compact = %+v", resp)
 	}
@@ -74,7 +74,7 @@ func TestCompactScavengesBelowHorizon(t *testing.T) {
 }
 
 func TestCompactClampsToApplied(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	seedLog(t, services, []string{"A"}, "g", 3)
 	horizon, err := s.Compact("g", 100)
@@ -92,25 +92,25 @@ func TestCompactClampsToApplied(t *testing.T) {
 }
 
 func TestFetchLogReportsCompacted(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	seedLog(t, services, []string{"A"}, "g", 5)
 	if _, err := s.Compact("g", 4); err != nil {
 		t.Fatal(err)
 	}
-	resp := s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})
+	resp := ask(t, s, "B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})
 	if resp.OK || resp.Verdict != network.VerdictCompacted || resp.TS != 4 {
 		t.Fatalf("fetch of compacted position = %+v", resp)
 	}
 	// Position at the horizon is still served.
-	resp = s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 4})
+	resp = ask(t, s, "B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 4})
 	if !resp.OK {
 		t.Fatalf("fetch at horizon = %+v", resp)
 	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B")
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
 	seedLog(t, services, []string{"A"}, "g", 6)
 	ctx := context.Background()
 
@@ -120,7 +120,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := services["B"].LastApplied("g"); got != 6 {
 		t.Fatalf("B horizon after install = %d, want 6", got)
 	}
-	resp := services["B"].Handler()("c", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 6})
+	resp := ask(t, services["B"], "c", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 6})
 	if !resp.OK || resp.Value != "v6" {
 		t.Fatalf("read from installed snapshot = %+v", resp)
 	}
@@ -145,20 +145,21 @@ func scriptedPeer(t *testing.T, horizon int64, pages ...[]byte) *Service {
 	t.Helper()
 	sim := network.NewSim(network.NewTopology("C", "P"), network.SimConfig{Seed: 3})
 	t.Cleanup(sim.Close)
-	sim.Endpoint("P", func(_ string, req network.Message) network.Message {
+	sim.EndpointAsync("P", func(_ string, req network.Message, reply func(network.Message)) {
 		if req.Kind != network.KindSnapshot {
-			return network.Status(false, "scripted peer")
+			reply(network.Status(false, "scripted peer"))
+			return
 		}
 		n := 0
 		if req.Found {
 			n, _ = strconv.Atoi(req.Key)
 		}
-		return network.Message{Kind: network.KindValue, OK: true, TS: horizon,
-			Payload: pages[n], Key: strconv.Itoa(n + 1), Found: n+1 < len(pages)}
+		reply(network.Message{Kind: network.KindValue, OK: true, TS: horizon,
+			Payload: pages[n], Key: strconv.Itoa(n + 1), Found: n+1 < len(pages)})
 	})
 	var c *Service
-	c = NewService("C", kvstore.New(), sim.Endpoint("C", func(from string, req network.Message) network.Message {
-		return c.Handler()(from, req)
+	c = NewService("C", kvstore.New(), sim.EndpointAsync("C", func(from string, req network.Message, reply func(network.Message)) {
+		c.AsyncHandler()(from, req, reply)
 	}), WithServiceTimeout(testPageTimeout))
 	t.Cleanup(c.Close)
 	return c
@@ -232,7 +233,7 @@ func TestInstallSnapshotRejectsGarbage(t *testing.T) {
 // A and B compact past C's position, and C's read triggers snapshot
 // transfer followed by per-entry catch-up for the suffix.
 func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B", "C")
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
 	// Positions 1-10 decided at A and B only.
 	seedLog(t, services, []string{"A", "B"}, "g", 10)
 	// A and B compact below 8: entries 1-7 scavenged.
@@ -242,7 +243,7 @@ func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
 		}
 	}
 	// C must serve a read at position 10.
-	resp := services["C"].Handler()("client", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 10})
+	resp := ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 10})
 	if !resp.OK || resp.Value != "v10" {
 		t.Fatalf("read after snapshot catch-up = %+v", resp)
 	}
@@ -250,7 +251,7 @@ func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
 		t.Fatalf("C horizon = %d, want 10", got)
 	}
 	// Data written only in compacted entries is present via the snapshot.
-	resp = services["C"].Handler()("client", network.Message{Kind: network.KindRead, Group: "g", Key: "u3", TS: 10})
+	resp = ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "u3", TS: 10})
 	if !resp.OK || !resp.Found || resp.Value != "once" {
 		t.Fatalf("snapshot-only key = %+v", resp)
 	}
@@ -258,7 +259,7 @@ func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
 
 // TestRecoverViaSnapshot exercises the same path through explicit recovery.
 func TestRecoverViaSnapshot(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	sim.SetDown("C", true)
 	seedLog(t, services, []string{"A", "B"}, "g", 9)
 	for _, dc := range []string{"A", "B"} {
@@ -299,17 +300,18 @@ func snapshotPair(t *testing.T, store *kvstore.Store, between func(n int, req ne
 	sim := network.NewSim(network.NewTopology("A", "C"), network.SimConfig{Seed: 3})
 	t.Cleanup(sim.Close)
 	requests := 0
-	a = NewService("A", kvstore.New(), sim.Endpoint("A", func(from string, req network.Message) network.Message {
+	a = NewService("A", kvstore.New(), sim.EndpointAsync("A", func(from string, req network.Message, reply func(network.Message)) {
 		if req.Kind == network.KindSnapshot && between != nil {
 			requests++
 			if resp := between(requests, req); resp != nil {
-				return *resp
+				reply(*resp)
+				return
 			}
 		}
-		return a.Handler()(from, req)
+		a.AsyncHandler()(from, req, reply)
 	}), WithServiceTimeout(testPageTimeout))
-	c = NewService("C", store, sim.Endpoint("C", func(from string, req network.Message) network.Message {
-		return c.Handler()(from, req)
+	c = NewService("C", store, sim.EndpointAsync("C", func(from string, req network.Message, reply func(network.Message)) {
+		c.AsyncHandler()(from, req, reply)
 	}), WithServiceTimeout(testPageTimeout))
 	t.Cleanup(a.Close)
 	t.Cleanup(c.Close)
@@ -437,7 +439,7 @@ func TestSnapshotPagesAreOneSnapshot(t *testing.T) {
 		if _, err := a.Compact("g", 30); err != nil {
 			t.Fatal(err)
 		}
-		resp := a.Handler()("C", network.Message{Kind: network.KindSnapshot, Group: "g", TS: 20, Key: "r003-00", Found: true})
+		resp := ask(t, a, "C", network.Message{Kind: network.KindSnapshot, Group: "g", TS: 20, Key: "r003-00", Found: true})
 		if resp.OK || resp.Verdict != network.VerdictCompacted {
 			t.Fatalf("page at 20 below the horizon 30 = %+v", resp)
 		}

@@ -5,22 +5,19 @@ import (
 
 	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
-	"paxoscp/internal/wal"
 )
 
-// This file implements per-core service dispatch (DESIGN.md §13). The
-// synchronous Handler serves one request per transport goroutine; under a
-// multi-group load every request contends on the same scheduler and one
-// busy group's slow requests interleave with everyone else's. AsyncHandler
-// instead classifies each request by its blocking profile and runs the
-// short, store-bound majority on a fixed set of GOMAXPROCS workers keyed by
-// group — the same shard function the replog apply pool uses — so a group's
-// requests are cache-friendly and a burst on one group cannot occupy more
-// than its shard. Work that can legitimately block (catch-up, snapshots,
-// store scans) gets its own goroutine. Submits enter the group pipeline
-// asynchronously, and applies land in the group's log at once and are
-// answered by the drain that makes them durable: neither holds a goroutine
-// while it waits.
+// This file implements per-core service dispatch (DESIGN.md §13), the
+// service's one request entry point. AsyncHandler classifies each request by
+// its blocking profile and runs the short, store-bound majority on a fixed
+// set of GOMAXPROCS workers keyed by group — the same shard function the
+// replog apply pool uses — so a group's requests are cache-friendly and a
+// burst on one group cannot occupy more than its shard, where one goroutine
+// per request would let every group's requests contend on the scheduler.
+// Work that can legitimately block (catch-up, snapshots, store scans) gets
+// its own goroutine. Submits enter the group pipeline asynchronously, and
+// applies land in the group's log at once and are answered by the drain that
+// makes them durable: neither holds a goroutine while it waits.
 
 // dispatchQueueLen bounds one shard worker's request backlog. Overflow does
 // not block the transport read loop: an over-full shard spills requests to
@@ -28,7 +25,7 @@ import (
 // stalling every group behind one.
 const dispatchQueueLen = 256
 
-// dispatchItem is one request waiting for the service handler: what the
+// dispatchItem is one request waiting for Service.handle: what the
 // transport handed AsyncHandler, nothing else. Items are pooled and queued by
 // pointer, so a request builds no closure and its Message is copied once,
 // into the item; a queue of Message values would pin every slot's 232 bytes
@@ -44,7 +41,7 @@ var dispatchItems = sync.Pool{New: func() any { return new(dispatchItem) }}
 
 // dispatcher runs short request handlers on GOMAXPROCS shard workers.
 type dispatcher struct {
-	handle   network.Handler
+	handle   func(from string, req network.Message) network.Message
 	workers  []chan *dispatchItem
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -59,7 +56,7 @@ type dispatcher struct {
 }
 
 // newDispatcher starts n shard workers serving requests with handle.
-func newDispatcher(n int, handle network.Handler) *dispatcher {
+func newDispatcher(n int, handle func(string, network.Message) network.Message) *dispatcher {
 	if n < 1 {
 		n = 1
 	}
@@ -122,7 +119,15 @@ func (d *dispatcher) run(ch chan *dispatchItem) {
 // block here. After close, it is refused instead (immediately, on the
 // caller's goroutine).
 func (d *dispatcher) dispatch(group string, it *dispatchItem) {
-	ch := d.workers[replog.GroupShard(group)%uint32(len(d.workers))]
+	d.send(d.workers[replog.GroupShard(group)%uint32(len(d.workers))], it)
+}
+
+// spawn serves it on its own goroutine, or refuses it after close.
+func (d *dispatcher) spawn(it *dispatchItem) { d.send(nil, it) }
+
+// send queues it on ch, or serves it on its own goroutine when ch is full or
+// nil (a send on a nil channel is never ready); after close, it refuses it.
+func (d *dispatcher) send(ch chan *dispatchItem, it *dispatchItem) {
 	d.mu.RLock()
 	if d.closed {
 		d.mu.RUnlock()
@@ -157,39 +162,41 @@ func (d *dispatcher) close() {
 //
 //   - Inline: applies. Landing the entry in the log is a validation, a
 //     decode and a queue insert, and the reply fires from the drain that
-//     makes it durable (Service.applyAsync), so no goroutine waits for it —
+//     makes it durable (Service.handleApply), so no goroutine waits for it —
 //     and none waits behind a shard worker busy with an accept's sync.
 //   - Shard worker: Paxos prepare/accept, read-position, leader claims, log
 //     fetches, and reads already covered by the applied watermark — short
 //     store-bound work, pinned per group.
 //   - Own goroutine: reads that need catch-up, snapshots, compaction, stats,
 //     and scans (store scans, possibly with catch-up to the pin).
-//   - Submits: asynchronous admission into the group's pipeline; the
-//     verdict callback fires when replication settles, so a submit holds no
-//     goroutine while its position replicates (DESIGN.md §13).
+//   - Submits and migration handoffs: asynchronous admission into the
+//     group's pipeline; the verdict callback fires when replication settles,
+//     so a submit holds no goroutine while its position replicates
+//     (DESIGN.md §13).
 //
 // A closing service refuses what is still queued, or arrives, once
 // dispatcher shutdown has begun: the request never ran, so the peer may take
 // it to another replica at once (the pipeline's close does the same for
-// queued submits).
+// queued submits, and a closed log refuses an apply it has not logged).
 func (s *Service) AsyncHandler() network.AsyncHandler {
 	return func(from string, req network.Message, reply func(network.Message)) {
 		switch req.Kind {
 		case network.KindSubmit:
-			s.handleSubmitAsync(req, reply)
+			s.handleSubmit(req, reply)
+		case network.KindMigrate:
+			s.handleMigrate(req, reply)
 		case network.KindApply:
-			s.applyAsync(req, reply)
+			s.handleApply(req, reply)
 		case network.KindSnapshot, network.KindCompact, network.KindStats,
-			network.KindRangeSnapshot, network.KindMigrate, network.KindScan:
+			network.KindRangeSnapshot, network.KindScan:
 			// Range snapshots and scans are store scans (possibly with
-			// catch-up to the pin) and migrate submissions block on
-			// replication: all stay off the shard workers.
-			go s.disp.serve(s.disp.item(from, req, reply))
+			// catch-up to the pin): all stay off the shard workers.
+			s.disp.spawn(s.disp.item(from, req, reply))
 		case network.KindRead, network.KindReadMulti:
 			if req.TS >= 0 && req.TS > s.lastApplied(req.Group) {
 				// Ahead of the local log: the handler will catch up, which
 				// can wait out peer round trips. Keep it off the workers.
-				go s.disp.serve(s.disp.item(from, req, reply))
+				s.disp.spawn(s.disp.item(from, req, reply))
 				return
 			}
 			s.disp.dispatch(req.Group, s.disp.item(from, req, reply))
@@ -197,15 +204,4 @@ func (s *Service) AsyncHandler() network.AsyncHandler {
 			s.disp.dispatch(req.Group, s.disp.item(from, req, reply))
 		}
 	}
-}
-
-// handleSubmitAsync is handleSubmit without the blocking wait: the verdict
-// reaches reply when admission or replication settles it.
-func (s *Service) handleSubmitAsync(req network.Message, reply func(network.Message)) {
-	entry, err := wal.Decode(req.Payload)
-	if err != nil || len(entry.Txns) != 1 {
-		reply(network.Status(false, "bad submit payload"))
-		return
-	}
-	s.pipeline(req.Group).SubmitAsync(entry.Txns[0], reply)
 }

@@ -23,7 +23,7 @@ func collectReply() (func(network.Message), chan network.Message) {
 	}, ch
 }
 
-func awaitReply(t *testing.T, ch chan network.Message) network.Message {
+func awaitReply(t testing.TB, ch chan network.Message) network.Message {
 	t.Helper()
 	select {
 	case m := <-ch:
@@ -34,65 +34,141 @@ func awaitReply(t *testing.T, ch chan network.Message) network.Message {
 	}
 }
 
-// TestAsyncHandlerServesHotKinds routes representative requests through the
-// async entry point and checks each gets the same answer the synchronous
-// Handler would give.
+// ask delivers req to s through AsyncHandler, the entry point the transports
+// register, and waits for its one reply.
+func ask(t testing.TB, s *Service, from string, req network.Message) network.Message {
+	t.Helper()
+	reply, ch := collectReply()
+	s.AsyncHandler()(from, req, reply)
+	return awaitReply(t, ch)
+}
+
+// wireKinds lists every Kind the wire codec has a code for, in code order.
+// An encoded message starts with its kind's code, so the codes that decode
+// are the codec's table.
+func wireKinds() []network.Kind {
+	b := network.MarshalBinary(network.Message{Kind: network.KindPrepare})
+	var kinds []network.Kind
+	for code := 0; code < 0xFF; code++ {
+		b[0] = byte(code)
+		m, err := network.UnmarshalBinary(b)
+		if err != nil {
+			break
+		}
+		kinds = append(kinds, m.Kind)
+	}
+	return kinds
+}
+
+// TestAsyncHandlerServesHotKinds sends a request of every request kind the
+// wire codec knows, and one it does not, through AsyncHandler, the service's
+// one entry point. Each gets exactly one reply and never a timeout: the
+// answer below from a live service, and after Close an answer or a
+// VerdictShutdown refusal. A kind added to the codec fails here until it is
+// classified.
 func TestAsyncHandlerServesHotKinds(t *testing.T) {
 	s := NewService("A", kvstore.New(), nil)
 	defer s.Close()
 	if err := s.ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"x": "1"})); err != nil {
 		t.Fatal(err)
 	}
+	ok := func(m network.Message) bool { return m.OK }
+	refused := func(m network.Message) bool { return !m.OK }
+	requests := []struct {
+		req  network.Message
+		live func(network.Message) bool
+	}{
+		{network.Message{Kind: network.KindPrepare, Group: "g", Pos: 5, Ballot: 7}, ok},
+		{network.Message{Kind: network.KindAccept, Group: "g", Pos: 5, Ballot: 7, Payload: entryBytes("t5", 1, nil)}, ok},
+		// An apply lands in the log and is answered by the drain that makes
+		// it durable.
+		{network.Message{Kind: network.KindApply, Group: "g", Pos: 2,
+			Payload: entryBytes("t2", 1, map[string]string{"x": "2"})}, ok},
+		{network.Message{Kind: network.KindReadPos, Group: "g"},
+			func(m network.Message) bool { return m.OK && m.TS == 2 }},
+		{network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1},
+			func(m network.Message) bool { return m.OK && m.Value == "1" }},
+		// A read ahead of the watermark takes the catch-up path (here: fails,
+		// no peers) but still must reply rather than strand the client.
+		{network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 9}, refused},
+		// Lazy read position: TS = ResolvePos serves at the watermark inline.
+		{network.Message{Kind: network.KindReadMulti, Group: "g", TS: network.ResolvePos, Keys: []string{"x", "y"}},
+			func(m network.Message) bool { return m.OK && m.TS == 2 && m.Vals[0] == "2" && !m.Founds[1] }},
+		{network.Message{Kind: network.KindClaimLeader, Group: "g", Pos: 3, Value: "c1"}, ok},
+		{network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 1}, ok},
+		// Malformed submit payloads are refused straight from the entry point.
+		{network.Message{Kind: network.KindSubmit, Group: "g", Payload: []byte("junk")},
+			func(m network.Message) bool { return !m.OK && m.Err == "bad submit payload" }},
+		{network.Message{Kind: network.KindSnapshot, Group: "g"}, ok},
+		{network.Message{Kind: network.KindStats, Group: "g"}, ok},
+		{network.Message{Kind: network.KindCompact, Group: "g", TS: 1},
+			func(m network.Message) bool { return m.OK && m.TS == 1 }},
+		{network.Message{Kind: network.KindRangeSnapshot, Group: "g", Value: "g1", Keys: []string{"g", "g1"}, TS: network.ResolvePos}, ok},
+		{network.Message{Kind: network.KindMigrate, Group: "g", Payload: []byte("junk")},
+			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
+		{network.Message{Kind: network.KindScan, Group: "g", Value: "", TS: network.ResolvePos},
+			func(m network.Message) bool { return m.OK && m.TS == 2 && len(m.Keys) == 1 }},
+		// Unknown kinds still answer (worker-inline default arm).
+		{network.Message{Kind: network.Kind("future"), Group: "g"}, refused},
+	}
+	// Replies, not requests: nothing sends these kinds to a service.
+	replyKinds := map[network.Kind]bool{network.KindLastVote: true, network.KindStatus: true, network.KindValue: true}
+	sent := map[network.Kind]bool{}
+	for _, r := range requests {
+		sent[r.req.Kind] = true
+	}
+	wire := map[network.Kind]bool{}
+	for _, k := range wireKinds() {
+		wire[k] = true
+		if sent[k] == replyKinds[k] {
+			t.Errorf("kind %q is neither a request sent here nor a reply", k)
+		}
+	}
+	for k := range sent {
+		if !wire[k] && k != "future" {
+			t.Errorf("kind %q is sent here but the codec has no code for it", k)
+		}
+	}
+
 	ah := s.AsyncHandler()
-
-	reply, ch := collectReply()
-	ah("B", network.Message{Kind: network.KindReadPos, Group: "g"}, reply)
-	if m := awaitReply(t, ch); !m.OK || m.TS != 1 {
-		t.Fatalf("readpos = %+v", m)
+	var replies []*atomic.Int32
+	send := func(req network.Message) network.Message {
+		t.Helper()
+		n, ch := new(atomic.Int32), make(chan network.Message, 1)
+		replies = append(replies, n)
+		ah("B", req, func(m network.Message) {
+			if n.Add(1) == 1 {
+				ch <- m
+			}
+		})
+		return awaitReply(t, ch)
 	}
-
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1}, reply)
-	if m := awaitReply(t, ch); !m.OK || m.Value != "1" {
-		t.Fatalf("read = %+v", m)
+	for _, r := range requests {
+		if m := send(r.req); !r.live(m) {
+			t.Errorf("%s: %+v", r.req.Kind, m)
+		}
 	}
-
-	// Lazy read position: TS = ResolvePos serves at the watermark inline.
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.KindReadMulti, Group: "g", TS: network.ResolvePos,
-		Keys: []string{"x", "y"}}, reply)
-	if m := awaitReply(t, ch); !m.OK || m.TS != 1 || m.Vals[0] != "1" || m.Founds[1] {
-		t.Fatalf("readmulti = %+v", m)
+	s.Close()
+	for _, r := range requests {
+		m := send(r.req)
+		switch r.req.Kind {
+		case network.KindApply, network.KindSubmit, network.KindMigrate:
+			// Answered by the log or the pipeline, not the dispatcher, and
+			// the same as before: the apply is logged already, and the
+			// payloads are junk.
+			if !r.live(m) {
+				t.Errorf("%s after Close: %+v", r.req.Kind, m)
+			}
+		default:
+			if m.OK || m.Verdict != network.VerdictShutdown {
+				t.Errorf("%s after Close: %+v, want a shutdown refusal", r.req.Kind, m)
+			}
+		}
 	}
-
-	// A read ahead of the watermark takes the catch-up path (here: fails,
-	// no peers) but still must reply rather than strand the client.
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 9}, reply)
-	if m := awaitReply(t, ch); m.OK {
-		t.Fatalf("read@9 with no peers = %+v, want refusal", m)
-	}
-
-	// Apply runs off-worker and replies when the watermark covers it.
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.KindApply, Group: "g", Pos: 2,
-		Payload: entryBytes("t2", 1, map[string]string{"x": "2"})}, reply)
-	if m := awaitReply(t, ch); !m.OK {
-		t.Fatalf("apply = %+v", m)
-	}
-
-	// Malformed submit payloads are refused straight from the entry point.
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.KindSubmit, Group: "g", Payload: []byte("junk")}, reply)
-	if m := awaitReply(t, ch); m.OK || m.Err != "bad submit payload" {
-		t.Fatalf("bad submit = %+v", m)
-	}
-
-	// Unknown kinds still answer (worker-inline default arm).
-	reply, ch = collectReply()
-	ah("B", network.Message{Kind: network.Kind("future"), Group: "g"}, reply)
-	if m := awaitReply(t, ch); m.OK {
-		t.Fatalf("unknown kind = %+v, want refusal", m)
+	for i, n := range replies {
+		if got := n.Load(); got != 1 {
+			t.Errorf("request %d (%s) was answered %d times", i, requests[i%len(requests)].req.Kind, got)
+		}
 	}
 }
 
@@ -136,23 +212,9 @@ func TestAsyncHandlerParallelGroups(t *testing.T) {
 // protocol's submit settling via the pipeline's verdict callback.
 func TestMasterAsyncSubmitEndToEnd(t *testing.T) {
 	dcs := []string{"A", "B", "C"}
-	topo := network.NewTopology(dcs...)
-	sim := network.NewSim(topo, network.SimConfig{Seed: 7})
-	defer sim.Close()
-	services := make(map[string]*Service, len(dcs))
-	for _, dc := range dcs {
-		dc := dc
-		ep := sim.EndpointAsync(dc, func(from string, req network.Message, reply func(network.Message)) {
-			services[dc].AsyncHandler()(from, req, reply)
-		})
-		services[dc] = NewService(dc, kvstore.New(), ep, WithServiceTimeout(200*time.Millisecond))
-		defer services[dc].Close()
-	}
-	// The client shares DC B's endpoint (re-registering the same async
-	// handler), as the service-ring tests do with the sync handler.
-	clTr := sim.EndpointAsync("B", func(from string, req network.Message, reply func(network.Message)) {
-		services["B"].AsyncHandler()(from, req, reply)
-	})
+	services, sim := newServiceRing(t, 7, dcs)
+	// The client shares DC B's endpoint.
+	clTr := sim.EndpointAsync("B", services["B"].AsyncHandler())
 	client := NewClient(1, "B", clTr, Config{
 		Protocol: Master, MasterDC: "A", Timeout: 200 * time.Millisecond,
 	})

@@ -32,14 +32,14 @@
 //
 // # Service
 //
-// Service answers the whole wire protocol (Handler): Paxos prepare/accept/
+// Service answers the whole wire protocol (AsyncHandler): Paxos prepare/accept/
 // apply, reads (single and batched multi-key, at explicit positions or the
 // lazy watermark), log fetch and snapshot transfer for catch-up, submit for
 // the master path, and the admin plane (stats, compaction). Decided entries
 // land through the per-group replicated log (package replog), which owns
 // the applied watermark readers block on.
 //
-// AsyncHandler is the hot-path entry point (dispatch.go, DESIGN.md §13):
+// AsyncHandler is the one request entry point (dispatch.go, DESIGN.md §13):
 // short store-bound requests run on GOMAXPROCS shard workers keyed by
 // group, work that can block gets its own goroutine, and submits enter the
 // master pipeline asynchronously — no goroutine is held while a position

@@ -69,16 +69,16 @@ func newApplyGate() *applyGate { return &applyGate{open: make(chan struct{})} }
 
 func (g *applyGate) release() { g.once.Do(func() { close(g.open) }) }
 
-func (g *applyGate) wrap(h network.Handler) network.Handler {
-	return func(from string, req network.Message) network.Message {
+func (g *applyGate) wrap(h network.AsyncHandler) network.AsyncHandler {
+	return func(from string, req network.Message, reply func(network.Message)) {
 		if req.Kind == network.KindApply {
 			<-g.open
 		}
-		return h(from, req)
+		h(from, req, reply)
 	}
 }
 
-// gatedRing is leaseRing with each service's own sends recorded and, where
+// gatedRing is newServiceRing with each service's own sends recorded and, where
 // gates names the datacenter, its applies held.
 func gatedRing(t *testing.T, gates map[string]*applyGate) (map[string]*Service, map[string]*sentRecorder, *network.Sim) {
 	t.Helper()
@@ -88,15 +88,14 @@ func gatedRing(t *testing.T, gates map[string]*applyGate) (map[string]*Service, 
 	services := make(map[string]*Service, len(dcs))
 	recs := make(map[string]*sentRecorder, len(dcs))
 	for _, dc := range dcs {
-		dc := dc
-		h := func(from string, req network.Message) network.Message {
-			return services[dc].Handler()(from, req)
+		h := func(from string, req network.Message, reply func(network.Message)) {
+			services[dc].AsyncHandler()(from, req, reply)
 		}
 		if g := gates[dc]; g != nil {
 			h = g.wrap(h)
 			t.Cleanup(g.release)
 		}
-		recs[dc] = &sentRecorder{Transport: sim.Endpoint(dc, h)}
+		recs[dc] = &sentRecorder{Transport: sim.EndpointAsync(dc, h)}
 		services[dc] = NewService(dc, kvstore.New(), recs[dc], WithServiceTimeout(200*time.Millisecond))
 		t.Cleanup(services[dc].Close)
 	}
@@ -120,8 +119,8 @@ func waitApplied(t *testing.T, services map[string]*Service, group string, pos i
 	}
 }
 
-func claimLeader(s *Service, group string, pos int64, token string) network.Message {
-	return s.Handler()("X", network.Message{Kind: network.KindClaimLeader, Group: group, Pos: pos, Value: token})
+func claimLeader(t *testing.T, s *Service, group string, pos int64, token string) network.Message {
+	return ask(t, s, "X", network.Message{Kind: network.KindClaimLeader, Group: group, Pos: pos, Value: token})
 }
 
 // TestCPLeaderCommitMessages pins what a steady-state CP commit costs when the
@@ -176,7 +175,7 @@ func TestNoLeaderGrantOnceGroupHasMaster(t *testing.T) {
 	ctx := context.Background()
 
 	// Before any master: A, the first position's leader, grants it.
-	if resp := claimLeader(services["A"], "g", 1, "t0"); !resp.OK {
+	if resp := claimLeader(t, services["A"], "g", 1, "t0"); !resp.OK {
 		t.Fatalf("claim of g/1 at its leader before any master: %+v", resp)
 	}
 	cl := cpClient(1, recs["B"].Transport, 200*time.Millisecond)
@@ -194,7 +193,7 @@ func TestNoLeaderGrantOnceGroupHasMaster(t *testing.T) {
 	}
 	for dc, s := range services {
 		for p := tip + 1; p <= tip+3; p++ {
-			if resp := claimLeader(s, "g", p, "t1"); resp.OK {
+			if resp := claimLeader(t, s, "g", p, "t1"); resp.OK {
 				t.Errorf("%s granted g/%d in a group with a master", dc, p)
 			}
 		}
@@ -210,7 +209,7 @@ func TestNoLeaderGrantOnceGroupHasMaster(t *testing.T) {
 	if leader, applied := b.Leader("h", 3), b.LastApplied("h"); leader != "B" || applied != 0 {
 		t.Fatalf("setup: B sees leader %q of h/3 with %d applied, want itself and 0", leader, applied)
 	}
-	if resp := claimLeader(b, "h", 3, "t2"); resp.OK {
+	if resp := claimLeader(t, b, "h", 3, "t2"); resp.OK {
 		t.Error("B granted h/3 without having applied h/2")
 	}
 }

@@ -31,7 +31,7 @@ func TestFenceVerdictsAtTheService(t *testing.T) {
 			stay = k
 		}
 	}
-	services, _ := leaseRing(t, 0)
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
 	for _, s := range services {
 		for _, e := range []struct {
 			group string
@@ -76,7 +76,7 @@ func TestFenceVerdictsAtTheService(t *testing.T) {
 		{"submit writing a pending key", submit("g1", false, m), migrating},
 		{"backfill into the pending range", submit("g1", true, m), network.Message{OK: true}},
 	} {
-		resp, w := services["A"].Handler()("T", tc.req), tc.want
+		resp, w := ask(t, services["A"], "T", tc.req), tc.want
 		if resp.OK != w.OK || resp.Verdict != w.Verdict || resp.Value != w.Value ||
 			!slices.Equal(resp.Keys, w.Keys) || resp.Combined != w.Combined {
 			t.Errorf("%s: %+v, want OK=%t verdict %q value %q keys %v combined %t",

@@ -22,28 +22,25 @@ import (
 func TestGapTriggersCatchUp(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	dcs := []string{"A", "B", "C"}
-	sim := network.NewSim(network.NewTopology(dcs...), network.SimConfig{Seed: 3})
-	defer sim.Close()
-	services := make(map[string]*Service, len(dcs))
+	services, sim := newServiceRing(t, 3, dcs, WithServiceTimeout(timeout))
 	var dropNext atomic.Bool // C loses the next apply message it is sent
 	var dropped, prepares atomic.Int64
+	eps := make(map[string]network.Transport, len(dcs))
 	for _, dc := range dcs {
-		dc := dc
-		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
+		h := services[dc].AsyncHandler()
+		eps[dc] = sim.EndpointAsync(dc, func(from string, req network.Message, reply func(network.Message)) {
 			if req.Kind == network.KindPrepare {
 				prepares.Add(1)
 			}
 			if dc == "C" && req.Kind == network.KindApply && dropNext.CompareAndSwap(true, false) {
 				dropped.Store(req.Pos)
-				return network.Status(false, "lost")
+				reply(network.Status(false, "lost"))
+				return
 			}
-			return services[dc].Handler()(from, req)
+			h(from, req, reply)
 		})
-		services[dc] = NewService(dc, kvstore.New(), ep, WithServiceTimeout(timeout))
-		defer services[dc].Close()
 	}
-	cl := NewClient(1, "A", sim.Endpoint("A", services["A"].Handler()),
-		Config{Protocol: Master, MasterDC: "A", Seed: 1, Timeout: timeout})
+	cl := NewClient(1, "A", eps["A"], Config{Protocol: Master, MasterDC: "A", Seed: 1, Timeout: timeout})
 	ctx := context.Background()
 	put := func(key string) int64 {
 		t.Helper()
@@ -142,7 +139,7 @@ func TestFetchLogServesQueuedEntry(t *testing.T) {
 	if _, _, err := store.ReadPacked(paxos.StateKey("g", 2), kvstore.Latest); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("entry 2 already has a log row (%v); the test no longer covers the queued window", err)
 	}
-	resp := s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})
+	resp := ask(t, s, "B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 2})
 	if !resp.OK || string(resp.Payload) != string(b2) {
 		t.Fatalf("fetch of a queued position = %+v, want the entry", resp)
 	}

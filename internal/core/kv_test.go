@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -154,8 +155,8 @@ func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.
 // error names the failed group. Keys that avoid the failed group still read
 // fine through the same facade.
 func TestKVReadMultiOneGroupUnavailable(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
-	base := sim.Endpoint("A", services["A"].Handler())
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
+	base := sim.EndpointAsync("A", services["A"].AsyncHandler())
 	filtered := &groupFilterTransport{Transport: base, group: "gbad"}
 	cl := NewClient(1, "A", filtered, Config{Seed: 1, Timeout: 200 * time.Millisecond})
 	router := &mapRouter{
@@ -193,7 +194,7 @@ func TestKVReadMultiOneGroupUnavailable(t *testing.T) {
 // match it as they match Get's: a timed-out leg is a
 // context.DeadlineExceeded, a refused one a *Refusal with its verdict.
 func TestKVUnavailableKeepsCauses(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	seedLog(t, services, kvDCs, "gok", 1)
 	router := &mapRouter{byKey: map[string]string{"bad": "gbad"}, def: "gok", groups: []string{"gok", "gbad"}}
 	ctx := context.Background()
@@ -216,7 +217,7 @@ func TestKVUnavailableKeepsCauses(t *testing.T) {
 			},
 		},
 	} {
-		tr := &groupFilterTransport{Transport: sim.Endpoint("A", services["A"].Handler()), group: "gbad", reply: tc.reply}
+		tr := &groupFilterTransport{Transport: sim.EndpointAsync("A", services["A"].AsyncHandler()), group: "gbad", reply: tc.reply}
 		kv := NewKV(NewClient(1, "A", tr, Config{Seed: 1, Timeout: 200 * time.Millisecond}), router)
 		_, rerr := kv.ReadMulti(ctx, "k", "bad")
 		_, serr := kv.Scan(ctx, "")
@@ -292,22 +293,24 @@ func TestKVUpdateRetriesConflicts(t *testing.T) {
 // replica has caught up, not spend its attempts — immediate on a fast link —
 // re-reading the losing position.
 func TestUpdateOutlastsALaggingReplica(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	var late sync.WaitGroup
 	defer late.Wait()
-	lagging := func(from string, req network.Message) network.Message {
+	lagging := func(from string, req network.Message, reply func(network.Message)) {
 		if req.Kind != network.KindApply {
-			return services["B"].Handler()(from, req)
+			services["B"].AsyncHandler()(from, req, reply)
+			return
 		}
+		// The apply outlives this reply, and req is the sender's until then.
+		req.Payload = bytes.Clone(req.Payload)
+		reply(network.Status(true, ""))
 		late.Add(1)
 		go func() {
-			defer late.Done()
 			time.Sleep(100 * time.Millisecond)
-			services["B"].Handler()(from, req)
+			services["B"].AsyncHandler()(from, req, func(network.Message) { late.Done() })
 		}()
-		return network.Status(true, "")
 	}
-	cl := NewClient(1, "B", sim.Endpoint("B", lagging), Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: 200 * time.Millisecond})
+	cl := NewClient(1, "B", sim.EndpointAsync("B", lagging), Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: 200 * time.Millisecond})
 	kv := NewKV(cl, &mapRouter{def: "g", groups: []string{"g"}})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {

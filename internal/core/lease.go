@@ -92,6 +92,12 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			// Passed, but its timer has not fired yet: every round under it
+			// fails before it sends, and retrying them would spin — the
+			// position lead doubling each time — until the timer fires.
+			return 0, fmt.Errorf("core: claim %s: %w", group, context.DeadlineExceeded)
+		}
 		st, renewedAt := lg.LeaseState()
 		if st.Master == s.dc {
 			s.recordTenure(group, st.Epoch)

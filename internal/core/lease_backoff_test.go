@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"paxoscp/internal/kvstore"
-	"paxoscp/internal/network"
 	"paxoscp/internal/wal"
 )
 
@@ -16,29 +16,15 @@ import (
 // repeatedly trying to hold mastership. Without a standoff rule each side
 // re-claims every time its view of the other's lease goes silent, so
 // mastership ping-pongs for the whole partition. The duel runs for the given
-// duration, then heals and counts claim entries per side from the converged
-// log — the direct measure of how often mastership actually changed hands.
+// duration, then heals and counts takeovers per side from the converged log —
+// the direct measure of how often mastership actually changed hands.
 func runClaimDuel(t *testing.T, lease, duration time.Duration, backoffOff bool) map[string]int {
 	t.Helper()
-	topo := network.NewTopology("A", "B", "C")
-	sim := network.NewSim(topo, network.SimConfig{Seed: 5})
-	t.Cleanup(sim.Close)
-	services := make(map[string]*Service, 3)
-	for _, dc := range []string{"A", "B", "C"} {
-		dc := dc
-		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			return services[dc].Handler()(from, req)
-		})
-		opts := []ServiceOption{
-			WithServiceTimeout(40 * time.Millisecond),
-			WithLeaseDuration(lease),
-		}
-		if backoffOff {
-			opts = append(opts, WithClaimBackoffDisabled())
-		}
-		services[dc] = NewService(dc, kvstore.New(), ep, opts...)
-		t.Cleanup(services[dc].Close)
+	opts := []ServiceOption{WithServiceTimeout(40 * time.Millisecond), WithLeaseDuration(lease)}
+	if backoffOff {
+		opts = append(opts, WithClaimBackoffDisabled())
 	}
+	services, sim := newServiceRing(t, 5, []string{"A", "B", "C"}, opts...)
 	ctx := context.Background()
 
 	// A seeds mastership at epoch 1, then the asymmetric cut begins.
@@ -57,7 +43,7 @@ func runClaimDuel(t *testing.T, lease, duration time.Duration, backoffOff bool) 
 	defer cancel()
 	var wg sync.WaitGroup
 	for i, dc := range []string{"A", "B"} {
-		ep := sim.Endpoint(dc, services[dc].Handler())
+		ep := sim.EndpointAsync(dc, services[dc].AsyncHandler())
 		cl := NewClient(10+i, dc, ep, Config{
 			Protocol: Master, MasterDC: dc, Seed: int64(i + 1),
 			Timeout: 40 * time.Millisecond,
@@ -86,33 +72,46 @@ func runClaimDuel(t *testing.T, lease, duration time.Duration, backoffOff bool) 
 			t.Fatalf("recover %s: %v", dc, err)
 		}
 	}
-	// Count claim entries from the union of every replica's log. The union
-	// may have trailing holes — ambiguous positions the dueling masters
-	// abandoned above every applied watermark — which recovery only no-op
-	// fills below the applied horizons; claims are decided entries, so the
-	// count is exact regardless.
-	claims := map[string]int{}
+	// Count takeovers from the union of every replica's log: walked in
+	// position order, a claim entry takes mastership when its epoch is above
+	// the prevailing one (the fencing rule). A claim entry that does not is
+	// no change of hands: a claim fenced by a higher epoch below it, or the
+	// same takeover proposed again after its first round ran out of budget
+	// before the claimant had absorbed it. The union may have trailing holes
+	// — ambiguous positions the dueling masters abandoned above every applied
+	// watermark — which recovery only no-op fills below the applied horizons;
+	// claims are decided entries, so the count is exact regardless.
 	merged := map[int64]wal.Entry{}
 	for _, dc := range []string{"A", "B", "C"} {
 		for pos, e := range services[dc].LogSnapshot("g") {
 			merged[pos] = e
 		}
 	}
-	for _, e := range merged {
-		if e.IsClaim() {
-			claims[e.Master]++
+	takeovers, entries := map[string]int{}, 0
+	var epoch int64
+	for _, pos := range slices.Sorted(maps.Keys(merged)) {
+		if e := merged[pos]; e.IsClaim() {
+			entries++
+			if e.Epoch > epoch {
+				epoch = e.Epoch
+				takeovers[e.Master]++
+			}
 		}
 	}
-	t.Logf("duel (backoffOff=%v): %d log entries, claims per side: %v", backoffOff, len(merged), claims)
-	return claims
+	t.Logf("duel (backoffOff=%v): %d log entries, %d claim entries, takeovers per side: %v",
+		backoffOff, len(merged), entries, takeovers)
+	return takeovers
 }
 
 // TestClaimBackoffCalmsAsymmetricPartitionPingPong pins the per-epoch claim
 // backoff (DESIGN.md §11): under the same sustained asymmetric partition,
 // the deposed-side standoff must cut the number of mastership changes to a
-// small, duration-logarithmic count, where the pre-backoff behavior swaps
-// mastership every lease period. Safety is fencing's job either way — this
-// is purely the liveness/disruption fix — but each claim costs a takeover
+// small, duration-logarithmic count. The pre-backoff behavior swaps
+// mastership about every three lease periods: the deposed side waits out the
+// winner's lease from when it learned of the claim, and then its own claim
+// pays a service timeout per attempt to the peer it cannot reach while it
+// races the live master for a position. Safety is fencing's job either way —
+// this is purely the liveness/disruption fix — but each takeover costs a
 // gap, so the count is what users feel.
 func TestClaimBackoffCalmsAsymmetricPartitionPingPong(t *testing.T) {
 	if testing.Short() {
@@ -138,16 +137,16 @@ func TestClaimBackoffCalmsAsymmetricPartitionPingPong(t *testing.T) {
 		t.Fatalf("no takeover happened: with=%v without=%v", with, without)
 	}
 	// Regression half: without backoff the partition ping-pongs — strictly
-	// more claims than with it.
+	// more takeovers than with it.
 	if total(without) <= total(with) {
-		t.Errorf("backoff had no effect: %d claims with, %d without", total(with), total(without))
+		t.Errorf("backoff had no effect: %d takeovers with, %d without", total(with), total(without))
 	}
-	// Absolute half: with backoff, each side's claims stay in the
+	// Absolute half: with backoff, each side's takeovers stay in the
 	// logarithmic regime (streak doubling: ~1+log2(duration/lease) per side
-	// at worst, far below the one-per-lease-period ping-pong).
+	// at worst, far below the ping-pong's).
 	for dc, n := range with {
 		if n > 6 {
-			t.Errorf("side %s claimed %d times with backoff on (want <= 6): %v", dc, n, with)
+			t.Errorf("side %s took over %d times with backoff on (want <= 6): %v", dc, n, with)
 		}
 	}
 }

@@ -2,49 +2,59 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
-	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 	"paxoscp/internal/wal"
 )
 
-// leaseRing wires three services with a short master lease so takeover tests
-// do not wait out the default four-timeout lease.
-func leaseRing(t *testing.T, lease time.Duration) (map[string]*Service, *network.Sim) {
-	t.Helper()
-	topo := network.NewTopology("A", "B", "C")
-	sim := network.NewSim(topo, network.SimConfig{Seed: 3})
-	t.Cleanup(sim.Close)
-	services := make(map[string]*Service, 3)
-	for _, dc := range []string{"A", "B", "C"} {
-		dc := dc
-		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			return services[dc].Handler()(from, req)
-		})
-		services[dc] = NewService(dc, kvstore.New(), ep,
-			WithServiceTimeout(200*time.Millisecond), WithLeaseDuration(lease))
-		t.Cleanup(services[dc].Close)
-	}
-	return services, sim
-}
-
 // masterClient returns a Master-protocol client homed at dc submitting to
 // masterDC.
 func masterClient(t *testing.T, sim *network.Sim, services map[string]*Service, dc, masterDC string) *Client {
 	t.Helper()
-	tr := sim.Endpoint(dc, services[dc].Handler())
+	tr := sim.EndpointAsync(dc, services[dc].AsyncHandler())
 	return NewClient(1, dc, tr, Config{
 		Protocol: Master, MasterDC: masterDC, Seed: 1, Timeout: 200 * time.Millisecond,
 	})
 }
 
+// passedDeadline is a context whose deadline has passed and whose timer has
+// not fired yet: Err is still nil.
+type passedDeadline struct{ context.Context }
+
+func (passedDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestClaimStopsAtPassedDeadline: a claim whose budget has passed its
+// deadline returns at once, also in the window before the deadline's timer
+// fires. Every round under such a deadline fails before it sends; a claim
+// that only asked Err retried them until the timer fired.
+func TestClaimStopsAtPassedDeadline(t *testing.T) {
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
+	done := make(chan error, 1)
+	go func() {
+		_, err := services["A"].ClaimMastership(passedDeadline{context.Background()}, "g")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("claim under a passed deadline = %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("claim under a passed deadline still retrying after 5s")
+	}
+	if st, _ := services["A"].Mastership("g"); st.Epoch != 0 {
+		t.Fatalf("claim under a passed deadline took epoch %d", st.Epoch)
+	}
+}
+
 // TestClaimMastershipEstablishesEpoch: an explicit claim commits an epoch-1
 // claim entry through the log, is idempotent for the holder, and renews.
 func TestClaimMastershipEstablishesEpoch(t *testing.T) {
-	services, _ := leaseRing(t, 300*time.Millisecond)
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(300*time.Millisecond))
 	ctx := context.Background()
 	s := services["A"]
 
@@ -77,7 +87,7 @@ func TestClaimMastershipEstablishesEpoch(t *testing.T) {
 // lazily claims epoch 1; the transaction entry is stamped with it and the
 // commit result reports it.
 func TestSubmitAutoClaimsAndStampsEpoch(t *testing.T) {
-	services, sim := leaseRing(t, 300*time.Millisecond)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(300*time.Millisecond))
 	cl := masterClient(t, sim, services, "B", "A")
 	ctx := context.Background()
 
@@ -105,7 +115,7 @@ func TestSubmitAutoClaimsAndStampsEpoch(t *testing.T) {
 // the client follows the hint and commits at the new master under the new
 // epoch — the retry-to-new-master path.
 func TestDeposedMasterRefusesWithHintAndClientFollows(t *testing.T) {
-	services, sim := leaseRing(t, 150*time.Millisecond)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(150*time.Millisecond))
 	ctx := context.Background()
 	if _, err := services["A"].ClaimMastership(ctx, "g"); err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestDeposedMasterRefusesWithHintAndClientFollows(t *testing.T) {
 // is beaten by a takeover claim drains it with a definitive failure — never
 // a commit, never promotion to a later (fenced) position.
 func TestDeposedMasterInFlightDrainsAsFailure(t *testing.T) {
-	services, _ := leaseRing(t, 150*time.Millisecond)
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(150*time.Millisecond))
 	ctx := context.Background()
 	s := services["A"]
 	if _, err := s.ClaimMastership(ctx, "g"); err != nil {
@@ -159,7 +169,7 @@ func TestDeposedMasterInFlightDrainsAsFailure(t *testing.T) {
 	// mastership view only if it skips the lease check — but place() always
 	// re-checks, so the submission must be refused with a hint, and the
 	// transaction must not appear anywhere in the log.
-	resp := s.Handler()("C", network.Message{
+	resp := ask(t, s, "C", network.Message{
 		Kind: network.KindSubmit, Group: "g",
 		Payload: wal.Encode(wal.NewEntry(wal.Txn{ID: "stale-1", Origin: "C", Writes: map[string]string{"k": "v"}})),
 	})
@@ -183,7 +193,7 @@ func TestDeposedMasterInFlightDrainsAsFailure(t *testing.T) {
 // takes the transaction to another replica, which claims the group's next
 // epoch once the closed master's lease lapses.
 func TestCommitHopsOffAClosedMaster(t *testing.T) {
-	services, sim := leaseRing(t, 300*time.Millisecond)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(300*time.Millisecond))
 	ctx := context.Background()
 	if _, err := services["A"].ClaimMastership(ctx, "g"); err != nil {
 		t.Fatal(err)

@@ -67,17 +67,18 @@ func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) 
 // handleSubmit is the master-side entry point: the submitted transaction is
 // handed to the group's pipelined submit path (pipeline.go), which combines
 // it with other concurrently submitted transactions and keeps several Paxos
-// positions in flight. The handler blocks only on this transaction's own
-// verdict — no lock is held across the replication round trip, so the
-// master's own apply fan-out (which loops back to this service) proceeds
-// independently of the submit path even with the window full
-// (TestMasterPipelineWindowFullNoDeadlock).
-func (s *Service) handleSubmit(req network.Message) network.Message {
+// positions in flight. The verdict reaches reply when admission or
+// replication settles it, and nothing waits for it in between: no lock is
+// held across the replication round trip, so the master's own apply fan-out
+// (which loops back to this service) proceeds independently of the submit
+// path even with the window full (TestMasterPipelineWindowFullNoDeadlock).
+func (s *Service) handleSubmit(req network.Message, reply func(network.Message)) {
 	entry, err := wal.Decode(req.Payload)
 	if err != nil || len(entry.Txns) != 1 {
-		return network.Status(false, "bad submit payload")
+		reply(network.Status(false, "bad submit payload"))
+		return
 	}
-	return s.pipeline(req.Group).Submit(entry.Txns[0])
+	s.pipeline(req.Group).SubmitAsync(entry.Txns[0], reply)
 }
 
 // fastOutcome classifies the fast round of one master replication, so the

@@ -102,18 +102,17 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 }
 
 // handleMigrate submits one handoff phase entry to the group's master
-// pipeline and blocks for the verdict; OK replies carry the entry's log
-// position in TS (the HandoffOut position is the frontier the coordinator
-// pins its final delta to). A non-master refuses with the usual
+// pipeline, whose verdict reaches reply as a submit's does; OK replies carry
+// the entry's log position in TS (the HandoffOut position is the frontier the
+// coordinator pins its final delta to). A non-master refuses with the usual
 // VerdictNotMaster hint.
-func (s *Service) handleMigrate(req network.Message) network.Message {
+func (s *Service) handleMigrate(req network.Message, reply func(network.Message)) {
 	entry, err := wal.Decode(req.Payload)
 	if err != nil || !entry.IsHandoff() {
-		return network.Status(false, "bad migrate payload")
+		reply(network.Status(false, "bad migrate payload"))
+		return
 	}
-	done := make(chan network.Message, 1)
-	s.pipeline(req.Group).SubmitHandoffAsync(entry.Handoff, func(m network.Message) { done <- m })
-	return <-done
+	s.pipeline(req.Group).SubmitHandoffAsync(entry.Handoff, reply)
 }
 
 // --- Migrator ---------------------------------------------------------------

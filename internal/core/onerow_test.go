@@ -116,7 +116,7 @@ func TestChooseCPAdoptsDecidedVote(t *testing.T) {
 // TestStatusDoesNotDecodeTheLog: counting a group's log entries walks keys; at
 // the parent it decoded and deep-copied every entry.
 func TestStatusDoesNotDecodeTheLog(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	const entries = 5000
 	for pos := int64(1); pos <= entries; pos++ {
@@ -140,7 +140,7 @@ func TestStatusDoesNotDecodeTheLog(t *testing.T) {
 // No per-position row at or below 20 is left — log or claim — and a fetch for
 // a position it once held a vote at is answered "compacted", not served.
 func TestInstallDropsClaimsAndAnswersCompacted(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "C")
+	services, _ := newServiceRing(t, 3, []string{"A", "C"})
 	a, c := services["A"], services["C"]
 	seedLog(t, services, []string{"A"}, "g", 20)
 	seedLog(t, services, []string{"C"}, "g", 4)
@@ -177,7 +177,7 @@ func TestInstallDropsClaimsAndAnswersCompacted(t *testing.T) {
 	if snap := c.LogSnapshot("g"); len(snap) != 0 {
 		t.Errorf("LogSnapshot = %v, want nothing at or below the horizon", snap)
 	}
-	resp := c.Handler()("A", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 7})
+	resp := ask(t, c, "A", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 7})
 	if resp.OK || resp.Verdict != network.VerdictCompacted || resp.TS != 20 {
 		t.Fatalf("fetch of 7 = %+v, want compacted at 20", resp)
 	}

@@ -150,15 +150,6 @@ func (s *Service) pipeline(group string) *pipeline {
 	return p
 }
 
-// Submit queues the transaction and blocks until the pipeline delivers its
-// verdict or the master-side budget (4 message timeouts, as the serial path
-// allowed) expires.
-func (p *pipeline) Submit(txn wal.Txn) network.Message {
-	done := make(chan network.Message, 1)
-	p.SubmitAsync(txn, func(m network.Message) { done <- m })
-	return <-done
-}
-
 // SubmitAsync runs admission control and queues the transaction; deliver
 // receives exactly one verdict — the pipeline's, or a timeout once the
 // master-side budget expires. The caller's goroutine is released

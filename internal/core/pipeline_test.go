@@ -53,8 +53,10 @@ func TestPipelineEnqueueRefusedAfterClose(t *testing.T) {
 	if p.enqueue(false, ps) {
 		t.Fatal("enqueue accepted on closed pipeline")
 	}
-	if resp := p.Submit(wal.Txn{ID: "y"}); resp.OK {
-		t.Fatalf("Submit on closed pipeline = %+v", resp)
+	reply, ch := collectReply()
+	p.SubmitAsync(wal.Txn{ID: "y"}, reply)
+	if resp := awaitReply(t, ch); resp.OK || resp.Verdict != network.VerdictShutdown {
+		t.Fatalf("SubmitAsync on closed pipeline = %+v, want a shutdown refusal", resp)
 	}
 }
 

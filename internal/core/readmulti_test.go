@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 )
@@ -86,8 +85,8 @@ func TestWriteOnlyTxnResolvesAtCommit(t *testing.T) {
 // TestNeverReadReadOnlyTxnCommitsSilently: Begin+Commit with no operations
 // must succeed without any messaging.
 func TestNeverReadReadOnlyTxnCommitsSilently(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
-	tr := sim.Endpoint("A", services["A"].Handler())
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
+	tr := sim.EndpointAsync("A", services["A"].AsyncHandler())
 	cl := NewClient(1, "A", tr, Config{Seed: 1})
 	ctx := context.Background()
 	sim.ResetCounters()
@@ -163,16 +162,14 @@ func TestReadMultiAfterTxDone(t *testing.T) {
 // serving datacenter's log triggers catch-up (bounded by the service
 // timeout) before the batch is served.
 func TestReadMultiLaggardCatchUp(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B")
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
 	if err := services["A"].ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"a": "1"})); err != nil {
 		t.Fatal(err)
 	}
 	// B never saw position 1; ask it for a batch at position 1 directly.
-	tr := sim.Endpoint("B", services["B"].Handler())
-	resp := services["B"].Handler()("test", network.Message{
+	resp := ask(t, services["B"], "test", network.Message{
 		Kind: network.KindReadMulti, Group: "g", TS: 1, Keys: []string{"a", "z"},
 	})
-	_ = tr
 	if !resp.OK {
 		t.Fatalf("laggard readmulti failed: %s", resp.Err)
 	}
@@ -238,18 +235,7 @@ func TestRepeatedMissingReadStaysMissing(t *testing.T) {
 // the unreachable peers.
 func TestReadMultiCatchUpBoundedUnderStalledPeers(t *testing.T) {
 	const timeout = 60 * time.Millisecond
-	topo := network.NewTopology("A", "B", "C")
-	sim := network.NewSim(topo, network.SimConfig{Seed: 5})
-	t.Cleanup(sim.Close)
-	services := make(map[string]*Service, 3)
-	for _, dc := range []string{"A", "B", "C"} {
-		dc := dc
-		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			return services[dc].Handler()(from, req)
-		})
-		services[dc] = NewService(dc, kvstore.New(), ep, WithServiceTimeout(timeout))
-		t.Cleanup(services[dc].Close)
-	}
+	services, sim := newServiceRing(t, 5, []string{"A", "B", "C"}, WithServiceTimeout(timeout))
 
 	// Stall every peer of A, then ask A to serve a multi-key read at a
 	// position it does not have: the catch-up inside resolveReadTS cannot
@@ -257,7 +243,7 @@ func TestReadMultiCatchUpBoundedUnderStalledPeers(t *testing.T) {
 	sim.Partition("A", "B")
 	sim.Partition("A", "C")
 	start := time.Now()
-	resp := services["A"].Handler()("B", network.Message{
+	resp := ask(t, services["A"], "B", network.Message{
 		Kind: network.KindReadMulti, Group: "g", Keys: []string{"x", "y"}, TS: 40,
 	})
 	elapsed := time.Since(start)
@@ -274,7 +260,7 @@ func TestReadMultiCatchUpBoundedUnderStalledPeers(t *testing.T) {
 
 	// The same read with TS=ResolvePos never needs catch-up and still
 	// serves locally while the peers are stalled.
-	resp = services["A"].Handler()("B", network.Message{
+	resp = ask(t, services["A"], "B", network.Message{
 		Kind: network.KindReadMulti, Group: "g", Keys: []string{"x"}, TS: network.ResolvePos,
 	})
 	if !resp.OK || resp.TS != 0 || len(resp.Founds) != 1 || resp.Founds[0] {

@@ -23,7 +23,6 @@ import (
 // the range is exhausted, and returns the served rows plus the pin.
 func scanPages(t *testing.T, s *Service, group, prefix string, page int64, ts int64) ([]string, []string, int64) {
 	t.Helper()
-	h := s.Handler()
 	var keys, vals []string
 	cursor, hasCursor := "", false
 	pin := ts
@@ -31,7 +30,7 @@ func scanPages(t *testing.T, s *Service, group, prefix string, page int64, ts in
 		if i > 10000 {
 			t.Fatal("scan did not terminate")
 		}
-		resp := h("T", network.Message{
+		resp := ask(t, s, "T", network.Message{
 			Kind: network.KindScan, Group: group, Value: prefix,
 			TS: pin, Pos: page, Key: cursor, Found: hasCursor,
 		})
@@ -56,7 +55,7 @@ func scanPages(t *testing.T, s *Service, group, prefix string, page int64, ts in
 // order, honors the page limit, skips keys outside the prefix, and resolves
 // a lazy pin at the watermark.
 func TestScanHandlerPagesSorted(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	writes := map[string]string{"other/x": "no"}
 	for i := 0; i < 23; i++ {
@@ -189,7 +188,7 @@ func TestTxScanOverlaysBufferedWrites(t *testing.T) {
 // a scan pinned below an already-compacted horizon is refused, not served
 // half-GC'd data.
 func TestScanPinHoldsCompaction(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	for pos := int64(1); pos <= 5; pos++ {
 		b := entryBytes(fmt.Sprintf("t%d", pos), pos-1, map[string]string{"s/k": fmt.Sprintf("v%d", pos)})
@@ -199,7 +198,7 @@ func TestScanPinHoldsCompaction(t *testing.T) {
 	}
 
 	// First page at position 2 registers the pin.
-	resp := s.Handler()("T", network.Message{Kind: network.KindScan, Group: "g", Value: "s/", TS: 2})
+	resp := ask(t, s, "T", network.Message{Kind: network.KindScan, Group: "g", Value: "s/", TS: 2})
 	if !resp.OK || resp.TS != 2 {
 		t.Fatalf("pinned page: %+v", resp)
 	}
@@ -212,7 +211,7 @@ func TestScanPinHoldsCompaction(t *testing.T) {
 		t.Fatalf("compaction horizon = %d with a scan pinned at 2, want 2", horizon)
 	}
 	// The pinned version is still readable: the next page serves normally.
-	resp = s.Handler()("T", network.Message{Kind: network.KindScan, Group: "g", Value: "s/", TS: 2})
+	resp = ask(t, s, "T", network.Message{Kind: network.KindScan, Group: "g", Value: "s/", TS: 2})
 	if !resp.OK || len(resp.Vals) != 1 || resp.Vals[0] != "v2" {
 		t.Fatalf("page after clamped compaction: %+v", resp)
 	}
@@ -228,7 +227,7 @@ func TestScanPinHoldsCompaction(t *testing.T) {
 	if _, err := s2.Compact("h", 4); err != nil {
 		t.Fatal(err)
 	}
-	resp = s2.Handler()("T", network.Message{Kind: network.KindScan, Group: "h", Value: "s/", TS: 2})
+	resp = ask(t, s2, "T", network.Message{Kind: network.KindScan, Group: "h", Value: "s/", TS: 2})
 	if resp.OK || resp.Verdict != network.VerdictCompacted {
 		t.Fatalf("scan below the horizon = %+v, want %q refusal", resp, network.VerdictCompacted)
 	}
@@ -292,14 +291,13 @@ func TestRangeSnapshotPagingLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := s.Store().ScanExamined()
-		h := s.Handler()
 		cursor, hasCursor := "", false
 		got := 0
 		for pages := 0; ; pages++ {
 			if pages > n {
 				t.Fatal("range snapshot did not terminate")
 			}
-			resp := h("T", network.Message{
+			resp := ask(t, s, "T", network.Message{
 				Kind: network.KindRangeSnapshot, Group: "g0", Value: "g1",
 				Keys: []string{"g0", "g1"}, TS: network.ResolvePos,
 				Key: cursor, Found: hasCursor,
@@ -319,9 +317,9 @@ func TestRangeSnapshotPagingLinear(t *testing.T) {
 		return s.Store().ScanExamined() - before
 	}
 
-	servicesA, _ := newServiceRing(t, "A")
+	servicesA, _ := newServiceRing(t, 3, []string{"A"})
 	small := pageAll(servicesA["A"], 500)
-	servicesB, _ := newServiceRing(t, "B")
+	servicesB, _ := newServiceRing(t, 3, []string{"B"})
 	big := pageAll(servicesB["B"], 2000)
 
 	// Linear paging: 4x the rows ≈ 4x the examined entries (pages re-examine
@@ -362,7 +360,7 @@ func TestScanBudgetCountsSkippedRows(t *testing.T) {
 	}
 	cursor := keys[10]
 	before := s.Store().ScanExamined()
-	resp := s.Handler()("T", network.Message{Kind: network.KindScan, Group: "g0", Value: "s/", TS: 2, Pos: 1000, Key: cursor, Found: true})
+	resp := ask(t, s, "T", network.Message{Kind: network.KindScan, Group: "g0", Value: "s/", TS: 2, Pos: 1000, Key: cursor, Found: true})
 	examined := s.Store().ScanExamined() - before
 	if want := keys[10+scanExamineBudget]; !resp.OK || len(resp.Keys) != 0 || !resp.Found || resp.Key != want || resp.Value != "g1" {
 		t.Fatalf("page after %s over a moved-out region = %+v, want no rows, the cursor %s and the hint g1", cursor, resp, want)
@@ -440,13 +438,12 @@ func FuzzPagedHandlers(f *testing.F) {
 	f.Add(uint8(2), "", "s/k20", true, int64(0), int64(2))
 	f.Add(uint8(2), "", "", true, int64(0), int64(-7))
 	f.Fuzz(func(t *testing.T, kind uint8, value, key string, found bool, pos, ts int64) {
-		h := s.Handler()
 		req := network.Message{Kind: kinds[int(kind)%len(kinds)], Group: "g", Value: value, Keys: groups, Key: key, Found: found, Pos: pos, TS: ts}
 		for pages := 0; ; pages++ {
 			if pages > len(writes)+1 {
 				t.Fatalf("%+v: %d pages and the chain goes on", req, pages)
 			}
-			resp := h("T", req)
+			resp := ask(t, s, "T", req)
 			if !resp.OK {
 				return
 			}

@@ -207,7 +207,7 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		gapWatch:      make(map[string]bool),
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
-	s.disp = newDispatcher(runtime.GOMAXPROCS(0), s.Handler())
+	s.disp = newDispatcher(runtime.GOMAXPROCS(0), s.handle)
 	for _, o := range opts {
 		o(s)
 	}
@@ -303,59 +303,46 @@ func (s *Service) Close() {
 	s.disp.close()
 }
 
-// Handler returns the network handler that dispatches every protocol
-// message this service understands.
-func (s *Service) Handler() network.Handler {
-	return func(from string, req network.Message) network.Message {
-		if resp, ok := paxos.HandleMessage(s.acceptor, req); ok {
-			return resp
-		}
-		switch req.Kind {
-		case network.KindApply:
-			return s.handleApply(req)
-		case network.KindReadPos:
-			return s.handleReadPos(req)
-		case network.KindRead:
-			return s.handleRead(req)
-		case network.KindReadMulti:
-			return s.handleReadMulti(req)
-		case network.KindClaimLeader:
-			return s.handleClaim(req)
-		case network.KindFetchLog:
-			return s.handleFetchLog(req)
-		case network.KindSubmit:
-			return s.handleSubmit(req)
-		case network.KindSnapshot:
-			return s.handleSnapshot(req)
-		case network.KindStats:
-			return s.handleStats(req)
-		case network.KindCompact:
-			return s.handleCompact(req)
-		case network.KindRangeSnapshot:
-			return s.handleRangeSnapshot(req)
-		case network.KindMigrate:
-			return s.handleMigrate(req)
-		case network.KindScan:
-			return s.handleScan(req)
-		default:
-			return network.Status(false, fmt.Sprintf("unknown kind %q", req.Kind))
-		}
+// handle serves one request that AsyncHandler hands the dispatcher: every
+// kind but submits, migrations and applies, which AsyncHandler answers
+// itself.
+func (s *Service) handle(from string, req network.Message) network.Message {
+	if resp, ok := paxos.HandleMessage(s.acceptor, req); ok {
+		return resp
+	}
+	switch req.Kind {
+	case network.KindReadPos:
+		return s.handleReadPos(req)
+	case network.KindRead:
+		return s.handleRead(req)
+	case network.KindReadMulti:
+		return s.handleReadMulti(req)
+	case network.KindClaimLeader:
+		return s.handleClaim(req)
+	case network.KindFetchLog:
+		return s.handleFetchLog(req)
+	case network.KindSnapshot:
+		return s.handleSnapshot(req)
+	case network.KindStats:
+		return s.handleStats(req)
+	case network.KindCompact:
+		return s.handleCompact(req)
+	case network.KindRangeSnapshot:
+		return s.handleRangeSnapshot(req)
+	case network.KindScan:
+		return s.handleScan(req)
+	default:
+		return network.Status(false, fmt.Sprintf("unknown kind %q", req.Kind))
 	}
 }
 
 // --- log application ---------------------------------------------------
 
-// handleApply lands a decided entry in the local log; the reply is what the
-// proposer counts toward its apply majority (see ApplyDecided, R2). It is
-// the synchronous Handler's apply: the one apply (appendChosen) plus a wait.
-func (s *Service) handleApply(req network.Message) network.Message {
-	return applyVerdict(s.applyChosen(req.Group, req.Pos, req.Ballot, req.Payload))
-}
-
-// applyAsync is AsyncHandler's apply: it lands the entry in the log on the
-// caller's goroutine and leaves the reply to the drain pass that makes it
-// durable, so no goroutine waits on the watermark.
-func (s *Service) applyAsync(req network.Message, reply func(network.Message)) {
+// handleApply lands a decided entry in the local log on the caller's
+// goroutine and leaves the reply to the drain pass that makes it durable, so
+// no goroutine waits on the watermark. The reply is what the proposer counts
+// toward its apply majority (see ApplyDecided, R2).
+func (s *Service) handleApply(req network.Message, reply func(network.Message)) {
 	lg, at, logged, err := s.appendChosen(req.Group, req.Pos, req.Ballot, req.Payload)
 	if err != nil {
 		reply(applyVerdict(err))

@@ -12,20 +12,22 @@ import (
 	"paxoscp/internal/wal"
 )
 
-// newServiceRing wires D services over a simulated network and returns them
-// with the sim for fault injection.
-func newServiceRing(t *testing.T, dcs ...string) (map[string]*Service, *network.Sim) {
+// newServiceRing wires one service per datacenter of dcs over a simulated
+// network seeded with seed, each registered through AsyncHandler and closed
+// when the test ends, and returns them with the sim for fault injection.
+// Every service has a 200 ms timeout unless opts set another.
+func newServiceRing(t *testing.T, seed int64, dcs []string, opts ...ServiceOption) (map[string]*Service, *network.Sim) {
 	t.Helper()
-	topo := network.NewTopology(dcs...)
-	sim := network.NewSim(topo, network.SimConfig{Seed: 3})
+	sim := network.NewSim(network.NewTopology(dcs...), network.SimConfig{Seed: seed})
 	t.Cleanup(sim.Close)
+	opts = append([]ServiceOption{WithServiceTimeout(200 * time.Millisecond)}, opts...)
 	services := make(map[string]*Service, len(dcs))
 	for _, dc := range dcs {
-		dc := dc
-		ep := sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			return services[dc].Handler()(from, req)
+		ep := sim.EndpointAsync(dc, func(from string, req network.Message, reply func(network.Message)) {
+			services[dc].AsyncHandler()(from, req, reply)
 		})
-		services[dc] = NewService(dc, kvstore.New(), ep, WithServiceTimeout(200*time.Millisecond))
+		services[dc] = NewService(dc, kvstore.New(), ep, opts...)
+		t.Cleanup(services[dc].Close)
 	}
 	return services, sim
 }
@@ -37,7 +39,7 @@ func entryBytes(id string, readPos int64, writes map[string]string) []byte {
 }
 
 func TestServiceApplyAdvancesHorizonInOrder(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	// Applying position 2 first leaves the horizon at 0 (hole at 1).
 	if err := s.ApplyDecided("g", 2, entryBytes("t2", 1, map[string]string{"x": "2"})); err != nil {
@@ -54,18 +56,18 @@ func TestServiceApplyAdvancesHorizonInOrder(t *testing.T) {
 		t.Fatalf("horizon = %d, want 2", got)
 	}
 	// Data visible at each position.
-	resp := s.Handler()("A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1})
+	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1})
 	if !resp.OK || !resp.Found || resp.Value != "1" {
 		t.Fatalf("read@1 = %+v", resp)
 	}
-	resp = s.Handler()("A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 2})
+	resp = ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 2})
 	if resp.Value != "2" {
 		t.Fatalf("read@2 = %+v", resp)
 	}
 }
 
 func TestServiceApplyIdempotent(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	b := entryBytes("t1", 0, map[string]string{"x": "1"})
 	for i := 0; i < 3; i++ {
@@ -79,7 +81,7 @@ func TestServiceApplyIdempotent(t *testing.T) {
 }
 
 func TestServiceApplyConflictingEntryRejected(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	if err := s.ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"x": "1"})); err != nil {
 		t.Fatal(err)
@@ -96,43 +98,43 @@ func TestServiceApplyConflictingEntryRejected(t *testing.T) {
 }
 
 func TestServiceApplyRejectsGarbage(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := s.Handler()("A", network.Message{Kind: network.KindApply, Group: "g", Pos: 1, Payload: []byte("junk")})
+	resp := ask(t, s, "A", network.Message{Kind: network.KindApply, Group: "g", Pos: 1, Payload: []byte("junk")})
 	if resp.OK {
 		t.Fatal("garbage apply accepted")
 	}
-	resp = s.Handler()("A", network.Message{Kind: network.KindApply, Group: "g", Pos: 0, Payload: entryBytes("t", 0, nil)})
+	resp = ask(t, s, "A", network.Message{Kind: network.KindApply, Group: "g", Pos: 0, Payload: entryBytes("t", 0, nil)})
 	if resp.OK {
 		t.Fatal("apply at position 0 accepted")
 	}
 }
 
 func TestServiceReadPos(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := s.Handler()("A", network.Message{Kind: network.KindReadPos, Group: "g"})
+	resp := ask(t, s, "A", network.Message{Kind: network.KindReadPos, Group: "g"})
 	if !resp.OK || resp.TS != 0 {
 		t.Fatalf("empty readpos = %+v", resp)
 	}
 	s.ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"x": "1"}))
-	resp = s.Handler()("A", network.Message{Kind: network.KindReadPos, Group: "g"})
+	resp = ask(t, s, "A", network.Message{Kind: network.KindReadPos, Group: "g"})
 	if resp.TS != 1 {
 		t.Fatalf("readpos = %+v", resp)
 	}
 }
 
 func TestServiceReadMissingKey(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := s.Handler()("A", network.Message{Kind: network.KindRead, Group: "g", Key: "nope", TS: 0})
+	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "nope", TS: 0})
 	if !resp.OK || resp.Found {
 		t.Fatalf("missing key read = %+v", resp)
 	}
 }
 
 func TestServiceCatchUpFromPeer(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B", "C")
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
 	// Positions 1–3 decided at A and B; C missed everything.
 	for pos := int64(1); pos <= 3; pos++ {
 		b := entryBytes("t"+string(rune('0'+pos)), pos-1, map[string]string{"x": string(rune('0' + pos))})
@@ -140,7 +142,7 @@ func TestServiceCatchUpFromPeer(t *testing.T) {
 		services["B"].ApplyDecided("g", pos, b)
 	}
 	// A read at position 3 against C triggers catch-up.
-	resp := services["C"].Handler()("client", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 3})
+	resp := ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 3})
 	if !resp.OK || resp.Value != "3" {
 		t.Fatalf("read after catch-up = %+v", resp)
 	}
@@ -150,22 +152,22 @@ func TestServiceCatchUpFromPeer(t *testing.T) {
 }
 
 func TestServiceFetchLog(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 1})
+	resp := ask(t, s, "B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 1})
 	if resp.OK {
 		t.Fatalf("fetch of unknown position = %+v", resp)
 	}
 	b := entryBytes("t1", 0, map[string]string{"x": "1"})
 	s.ApplyDecided("g", 1, b)
-	resp = s.Handler()("B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 1})
+	resp = ask(t, s, "B", network.Message{Kind: network.KindFetchLog, Group: "g", Pos: 1})
 	if !resp.OK || string(resp.Payload) != string(b) {
 		t.Fatalf("fetchlog = %+v", resp)
 	}
 }
 
 func TestServiceLeaderComputation(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B", "C")
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
 	s := services["B"]
 	// Position 1: initial leader is the first datacenter.
 	if got := s.Leader("g", 1); got != "A" {
@@ -184,10 +186,10 @@ func TestServiceLeaderComputation(t *testing.T) {
 }
 
 func TestServiceClaimFirstWins(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B")
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
 	s := services["A"] // initial leader for position 1
 	claim := func(token string) network.Message {
-		return s.Handler()("A", network.Message{
+		return ask(t, s, "A", network.Message{
 			Kind: network.KindClaimLeader, Group: "g", Pos: 1, Value: token,
 		})
 	}
@@ -207,10 +209,10 @@ func TestServiceClaimFirstWins(t *testing.T) {
 // even from the same client — must be refused. Otherwise two different
 // values could be proposed at the fast ballot for one position.
 func TestServiceClaimPerTransactionNotPerClient(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B")
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
 	s := services["A"]
 	claim := func(txnID string) network.Message {
-		return s.Handler()("A", network.Message{
+		return ask(t, s, "A", network.Message{
 			Kind: network.KindClaimLeader, Group: "g", Pos: 1, Value: txnID,
 		})
 	}
@@ -228,8 +230,8 @@ func TestServiceClaimPerTransactionNotPerClient(t *testing.T) {
 }
 
 func TestServiceClaimNonLeaderHints(t *testing.T) {
-	services, _ := newServiceRing(t, "A", "B")
-	resp := services["B"].Handler()("B", network.Message{
+	services, _ := newServiceRing(t, 3, []string{"A", "B"})
+	resp := ask(t, services["B"], "B", network.Message{
 		Kind: network.KindClaimLeader, Group: "g", Pos: 1, Value: "c1",
 	})
 	if resp.OK {
@@ -241,7 +243,7 @@ func TestServiceClaimNonLeaderHints(t *testing.T) {
 }
 
 func TestServiceRecoverLearnsMissedEntries(t *testing.T) {
-	services, sim := newServiceRing(t, "A", "B", "C")
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	// C goes down; positions decided at A and B.
 	sim.SetDown("C", true)
 	for pos := int64(1); pos <= 4; pos++ {
@@ -263,15 +265,15 @@ func TestServiceRecoverLearnsMissedEntries(t *testing.T) {
 }
 
 func TestServiceUnknownKind(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
-	resp := services["A"].Handler()("A", network.Message{Kind: "bogus"})
+	services, _ := newServiceRing(t, 3, []string{"A"})
+	resp := ask(t, services["A"], "A", network.Message{Kind: "bogus"})
 	if resp.OK {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestServiceLogSnapshot(t *testing.T) {
-	services, _ := newServiceRing(t, "A")
+	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
 	if snap := s.LogSnapshot("g"); len(snap) != 0 {
 		t.Fatalf("empty log snapshot = %v", snap)
@@ -290,7 +292,7 @@ func TestServiceLogSnapshot(t *testing.T) {
 // must each get an answer, and the same one. Without a pause between refused
 // rounds they outbid each other until one runs out of rounds.
 func TestConcurrentLearnersAgree(t *testing.T) {
-	services, _ := leaseRing(t, 300*time.Millisecond)
+	services, _ := newServiceRing(t, 3, []string{"A", "B", "C"}, WithLeaseDuration(300*time.Millisecond))
 	dcs := []string{"A", "B", "C"}
 	const positions = 200
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

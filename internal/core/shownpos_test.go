@@ -47,7 +47,7 @@ func (k *kindCounter) count(kind network.Kind) int {
 // no commit is running).
 func countingClient(t *testing.T, sim *network.Sim, services map[string]*Service, id int, dc string, cfg Config) (*Client, *kindCounter, *[]CommittedTxn) {
 	t.Helper()
-	kc := &kindCounter{Transport: sim.Endpoint(dc, services[dc].Handler())}
+	kc := &kindCounter{Transport: sim.EndpointAsync(dc, services[dc].AsyncHandler())}
 	cfg.Seed, cfg.Timeout = int64(id), 200*time.Millisecond
 	cl := NewClient(id, dc, kc, cfg)
 	var mu sync.Mutex
@@ -77,7 +77,7 @@ func (c *Client) ageShown(d time.Duration) {
 // position it commits at (history L3). A client that has sat idle for more
 // than its timeout asks again.
 func TestMasterBlindWritesReuseShownPosition(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "B", Config{Protocol: Master, MasterDC: "A"})
 
 	const n = 8
@@ -111,7 +111,7 @@ func TestMasterBlindWritesReuseShownPosition(t *testing.T) {
 // the client has been shown since, which would hide a conflicting write in
 // between from the master's check — and sends no readpos.
 func TestReadingTxnKeepsItsReadPosition(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "A", Config{Protocol: Master, MasterDC: "A"})
 	ctx := context.Background()
 	commitWrites(t, cl, "g", map[string]string{"s/a": "1"}) // the one readpos
@@ -152,7 +152,7 @@ func TestReadingTxnKeepsItsReadPosition(t *testing.T) {
 // no record of positions shown.
 func TestBasicAndCPStillAskForTheirPosition(t *testing.T) {
 	for _, proto := range []Protocol{Basic, CP} {
-		services, sim := newServiceRing(t, "A", "B", "C")
+		services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 		cl, kc, _ := countingClient(t, sim, services, 1, "A", Config{Protocol: proto})
 		for i := 0; i < 3; i++ {
 			commitWrites(t, cl, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
@@ -171,7 +171,7 @@ func TestBasicAndCPStillAskForTheirPosition(t *testing.T) {
 // history the checker accepts — in particular L3, every reported read
 // position below its commit position.
 func TestReusedFloorContendedHistory(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	ctx := context.Background()
 	rec := &history.Recorder{}
 	var wg sync.WaitGroup
@@ -226,7 +226,7 @@ func TestReusedFloorContendedHistory(t *testing.T) {
 // to the master again (a client that lost the verdict), is answered with the
 // first commit's position and not placed a second time.
 func TestResubmittedBlindWriteCommitsOnce(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "B", Config{Protocol: Master, MasterDC: "A"})
 	ctx := context.Background()
 	commitWrites(t, cl, "g", map[string]string{"a": "1"})
@@ -255,13 +255,13 @@ func TestResubmittedBlindWriteCommitsOnce(t *testing.T) {
 // place at positions already decided, and the gap is wider than a
 // submission's promotion budget.
 func TestReusedFloorAheadOfNewMaster(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "A", Config{Protocol: Master, MasterDC: "B"})
 	commitWrites(t, cl, "g", map[string]string{"first": "v"}) // B claims the group
 	ctx := context.Background()
 
 	sim.SetDown("B", true)
-	cp := NewClient(2, "A", sim.Endpoint("A", services["A"].Handler()), Config{Protocol: CP, Seed: 2, Timeout: 200 * time.Millisecond})
+	cp := NewClient(2, "A", sim.EndpointAsync("A", services["A"].AsyncHandler()), Config{Protocol: CP, Seed: 2, Timeout: 200 * time.Millisecond})
 	for i := 0; i < submitAttempts+2; i++ {
 		commitWrites(t, cp, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
 	}
@@ -293,7 +293,7 @@ func TestReusedFloorAheadOfNewMaster(t *testing.T) {
 // shown; it only moves forward — a lagging replica's older answer neither
 // lowers it nor counts as news.
 func TestShownPositionSharedByConcurrentTxs(t *testing.T) {
-	services, sim := leaseRing(t, 0)
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "B", Config{Protocol: Master, MasterDC: "A"})
 	commitWrites(t, cl, "g", map[string]string{"first": "v"})
 	var wg sync.WaitGroup

@@ -46,19 +46,22 @@ func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 	// The handler closure reads uc.services under the lock because the UDP
 	// read loop starts before the services map is fully populated.
 	for _, dc := range dcs {
-		dc := dc
-		tr, err := network.NewUDP(dc, "127.0.0.1:0", nil, func(from string, req network.Message) network.Message {
+		tr, err := network.NewUDPAsync(dc, "127.0.0.1:0", nil, func(from string, req network.Message, reply func(network.Message)) {
 			uc.mu.Lock()
 			svc, onReply := uc.services[dc], uc.onReply
 			uc.mu.Unlock()
 			if svc == nil {
-				return network.Status(false, "service not ready")
+				reply(network.Status(false, "service not ready"))
+				return
 			}
-			resp := svc.Handler()(from, req)
-			if onReply != nil {
+			if onReply == nil {
+				svc.AsyncHandler()(from, req, reply)
+				return
+			}
+			svc.AsyncHandler()(from, req, func(resp network.Message) {
 				onReply(req, resp)
-			}
-			return resp
+				reply(resp)
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -85,9 +88,7 @@ func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 func (uc *udpCluster) client(t *testing.T, id int, dc string, cfg Config) *Client {
 	t.Helper()
 	name := fmt.Sprintf("%s-client-%d", dc, id)
-	tr, err := network.NewUDP(name, "127.0.0.1:0", nil, func(string, network.Message) network.Message {
-		return network.Status(false, "client endpoint")
-	})
+	tr, err := network.NewUDPAsync(name, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestUDPRejoinViaPagedSnapshot(t *testing.T) {
 		t.Fatalf("C's watermark = %d, want the tip %d", got, tip)
 	}
 	// r001-07 was written once, at position 1: only the snapshot has it.
-	resp := c.Handler()("client", network.Message{Kind: network.KindRead, Group: "g", Key: "r001-07", TS: tip})
+	resp := ask(t, c, "client", network.Message{Kind: network.KindRead, Group: "g", Key: "r001-07", TS: tip})
 	if !resp.OK || !resp.Found || len(resp.Value) != 100 {
 		t.Fatalf("read of a row below the horizon = %+v", resp)
 	}

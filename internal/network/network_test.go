@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-func echoHandler(dc string) Handler {
-	return func(from string, req Message) Message {
-		return Message{Kind: KindStatus, OK: true, Err: dc + "<-" + from, Pos: req.Pos}
+// echoHandler answers every request inline, naming both ends.
+func echoHandler(dc string) AsyncHandler {
+	return func(from string, req Message, reply func(Message)) {
+		reply(Message{Kind: KindStatus, OK: true, Err: dc + "<-" + from, Pos: req.Pos})
 	}
 }
 
@@ -45,8 +46,8 @@ func TestTopologyRTT(t *testing.T) {
 func TestSimRequestResponse(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 
 	resp, err := a.Send(context.Background(), "B", Message{Kind: KindPrepare, Pos: 7})
 	if err != nil {
@@ -60,7 +61,7 @@ func TestSimRequestResponse(t *testing.T) {
 func TestSimUnknownPeer(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
 	if _, err := a.Send(context.Background(), "Z", Message{}); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("err = %v, want ErrUnknownPeer", err)
 	}
@@ -71,8 +72,8 @@ func TestSimLatencyApplied(t *testing.T) {
 	topo.SetRTT("A", "B", 30*time.Millisecond)
 	sim := NewSim(topo, SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 
 	start := time.Now()
 	if _, err := a.Send(context.Background(), "B", Message{}); err != nil {
@@ -88,8 +89,8 @@ func TestSimScaleCompressesLatency(t *testing.T) {
 	topo.SetRTT("A", "B", 100*time.Millisecond)
 	sim := NewSim(topo, SimConfig{Seed: 1, Scale: 0.05})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 
 	start := time.Now()
 	if _, err := a.Send(context.Background(), "B", Message{}); err != nil {
@@ -103,8 +104,8 @@ func TestSimScaleCompressesLatency(t *testing.T) {
 func TestSimDownDatacenterTimesOut(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 	sim.SetDown("B", true)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -129,9 +130,9 @@ func TestSimDownDatacenterTimesOut(t *testing.T) {
 func TestSimPartition(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	b := sim.Endpoint("B", echoHandler("B"))
-	sim.Endpoint("C", echoHandler("C"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	b := sim.EndpointAsync("B", echoHandler("B"))
+	sim.EndpointAsync("C", echoHandler("C"))
 	sim.Partition("A", "B")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -155,8 +156,8 @@ func TestSimPartition(t *testing.T) {
 func TestSimLossRate(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 42, LossRate: 1.0})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if _, err := a.Send(ctx, "B", Message{}); !errors.Is(err, ErrTimeout) {
@@ -170,8 +171,8 @@ func TestSimLossRate(t *testing.T) {
 
 func TestSimClose(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 	sim.Close()
 	if _, err := a.Send(context.Background(), "B", Message{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -181,8 +182,8 @@ func TestSimClose(t *testing.T) {
 func TestSimCounters(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
 	for i := 0; i < 3; i++ {
 		if _, err := a.Send(context.Background(), "B", Message{Kind: KindPrepare}); err != nil {
 			t.Fatal(err)
@@ -207,9 +208,9 @@ func TestSimCounters(t *testing.T) {
 func TestSimConcurrentSends(t *testing.T) {
 	sim := NewSim(testTopo(), SimConfig{Seed: 1, Jitter: 0.1})
 	defer sim.Close()
-	a := sim.Endpoint("A", echoHandler("A"))
-	sim.Endpoint("B", echoHandler("B"))
-	sim.Endpoint("C", echoHandler("C"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
+	sim.EndpointAsync("B", echoHandler("B"))
+	sim.EndpointAsync("C", echoHandler("C"))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 100)
@@ -238,7 +239,7 @@ func TestSimConcurrentSends(t *testing.T) {
 // round trip, and extra replies are dropped.
 func TestSimAsyncEndpoint(t *testing.T) {
 	sim := NewSim(NewTopology("A", "B"), SimConfig{Scale: 0.01})
-	a := sim.Endpoint("A", echoHandler("A"))
+	a := sim.EndpointAsync("A", echoHandler("A"))
 	sim.EndpointAsync("B", func(from string, req Message, reply func(Message)) {
 		go func() {
 			reply(Message{Kind: KindStatus, OK: true, Err: "B<-" + from, Pos: req.Pos})

@@ -83,7 +83,7 @@ type SimConfig struct {
 }
 
 // Sim is an in-process simulated multi-datacenter network. Create endpoints
-// with Endpoint; all endpoints share the topology, fault state, and counters.
+// with EndpointAsync; all endpoints share the topology, fault state, and counters.
 type Sim struct {
 	topo *Topology
 	cfg  SimConfig
@@ -129,17 +129,10 @@ func (s *Sim) SetLossRate(rate float64) {
 	s.mu.Unlock()
 }
 
-// Endpoint registers dc's request handler and returns its transport endpoint.
+// EndpointAsync registers dc's request handler and returns its transport
+// endpoint. The handler runs on the simulated delivery goroutine; like the
+// UDP transport's read path, it decides what work moves elsewhere.
 // Registering the same dc twice replaces the handler (used by recovery tests).
-func (s *Sim) Endpoint(dc string, h Handler) Transport {
-	return s.EndpointAsync(dc, func(from string, req Message, reply func(Message)) {
-		reply(h(from, req))
-	})
-}
-
-// EndpointAsync registers dc's asynchronous request handler and returns its
-// transport endpoint. The handler runs on the simulated delivery goroutine;
-// like the UDP transport's read path, it decides what work moves elsewhere.
 func (s *Sim) EndpointAsync(dc string, h AsyncHandler) Transport {
 	if !s.topo.Has(dc) {
 		panic(fmt.Sprintf("network: endpoint for unknown datacenter %q", dc))

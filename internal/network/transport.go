@@ -23,25 +23,25 @@ var (
 // scale this alongside latencies.
 const DefaultTimeout = 2 * time.Second
 
-// Handler processes one inbound request and returns the response. Handlers
-// must be safe for concurrent use; each datacenter's Transaction Service
-// handles every request in its own goroutine (the paper's "each client
-// request in its own service process").
-type Handler func(from string, req Message) Message
-
 // AsyncHandler processes one inbound request and delivers the response
 // through reply, which must be called exactly once (extra calls are
-// ignored). The handler chooses where the work runs: cheap requests answer
-// inline on the transport's read path, expensive or blocking ones move to
-// another goroutine first, and one that waits on an event can leave reply
-// to whatever signals it (a service answers an apply from the drain that
-// makes it durable) and hold no goroutine at all: a transport's reply never
-// blocks. req — including the backing arrays of Payload, Keys, Vals, and
-// Founds — is only valid until reply is called; a handler that retains any
-// of it past the reply must copy first. It is also
-// read-only: Sim, and UDP for a request a transport sends to itself, pass the
-// sender's own Message, so those backing arrays are the sender's — not a copy
-// — and the handler may be running on the sender's goroutine.
+// ignored). Handlers must be safe for concurrent use.
+//
+// The paper serves "each client request in its own service process". This
+// departs from it: no request gets a goroutine of its own by default, and
+// the handler chooses where the work runs. Cheap requests answer inline on
+// the transport's read path or on a per-group worker, expensive or blocking
+// ones move to a goroutine of their own, and one that waits on an event can
+// leave reply to whatever signals it (a service answers an apply from the
+// drain that makes it durable, and a submit from its pipeline) and hold no
+// goroutine at all: a transport's reply never blocks.
+//
+// req — including the backing arrays of Payload, Keys, Vals, and Founds — is
+// only valid until reply is called; a handler that retains any of it past
+// the reply must copy first. It is also read-only: Sim, and UDP for a
+// request a transport sends to itself, pass the sender's own Message, so
+// those backing arrays are the sender's — not a copy — and the handler may
+// be running on the sender's goroutine.
 type AsyncHandler func(from string, req Message, reply func(Message))
 
 // Transport sends a request to a peer datacenter and waits for its response.

@@ -62,24 +62,12 @@ type UDP struct {
 	written, read atomic.Int64
 }
 
-// NewUDP binds a UDP socket on bindAddr (e.g. "127.0.0.1:7001") for the
-// datacenter named local and serves each inbound request in its own
-// goroutine through the synchronous handler h. peers maps every datacenter
-// name (including local) to its UDP address.
-func NewUDP(local, bindAddr string, peers map[string]string, h Handler) (*UDP, error) {
-	var ah AsyncHandler
-	if h != nil {
-		ah = func(from string, req Message, reply func(Message)) {
-			go func() { reply(h(from, req)) }()
-		}
-	}
-	return NewUDPAsync(local, bindAddr, peers, ah)
-}
-
-// NewUDPAsync binds a UDP socket like NewUDP but serves inbound requests
-// through an AsyncHandler, which the read loop invokes directly: the handler
-// decides what runs inline and what moves to another goroutine. Peer
-// addresses are resolved eagerly so a bad address fails fast.
+// NewUDPAsync binds a UDP socket on bindAddr (e.g. "127.0.0.1:7001") for the
+// datacenter named local and serves inbound requests through h, which the
+// read loop invokes directly: the handler decides what runs inline and what
+// moves to another goroutine. A nil h makes a client's socket, which refuses
+// every request. peers maps every datacenter name (including local) to its
+// UDP address; addresses are resolved eagerly so a bad one fails fast.
 func NewUDPAsync(local, bindAddr string, peers map[string]string, h AsyncHandler) (*UDP, error) {
 	laddr, err := net.ResolveUDPAddr("udp", bindAddr)
 	if err != nil {

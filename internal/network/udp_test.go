@@ -14,11 +14,11 @@ import (
 // their peer tables together.
 func newUDPPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()
-	a, err := NewUDP("A", "127.0.0.1:0", nil, echoHandler("A"))
+	a, err := NewUDPAsync("A", "127.0.0.1:0", nil, echoHandler("A"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewUDP("B", "127.0.0.1:0", nil, echoHandler("B"))
+	b, err := NewUDPAsync("B", "127.0.0.1:0", nil, echoHandler("B"))
 	if err != nil {
 		a.Close()
 		t.Fatal(err)

@@ -35,40 +35,36 @@ func newTestCluster(t *testing.T, dcs ...string) *testCluster {
 	}
 	t.Cleanup(tc.sim.Close)
 	for _, dc := range dcs {
-		acc := NewAcceptor(kvstore.New())
-		tc.acceptors[dc] = acc
-		dc := dc
-		tc.sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			if resp, ok := HandleMessage(acc, req); ok {
-				return resp
-			}
-			if req.Kind == network.KindApply {
-				tc.mu.Lock()
-				tc.applied[dc] = req.Payload
-				tc.mu.Unlock()
-				return network.Status(true, "")
-			}
-			return network.Status(false, "unhandled")
-		})
+		tc.acceptors[dc] = NewAcceptor(kvstore.New())
+		tc.sim.EndpointAsync(dc, tc.handler(dc))
 	}
 	return tc
 }
 
+// handler is dc's acceptor behind the wire, answering inline; an apply
+// records its value.
+func (tc *testCluster) handler(dc string) network.AsyncHandler {
+	acc := tc.acceptors[dc]
+	return func(from string, req network.Message, reply func(network.Message)) {
+		if resp, ok := HandleMessage(acc, req); ok {
+			reply(resp)
+			return
+		}
+		if req.Kind == network.KindApply {
+			tc.mu.Lock()
+			tc.applied[dc] = req.Payload
+			tc.mu.Unlock()
+			reply(network.Status(true, ""))
+			return
+		}
+		reply(network.Status(false, "unhandled"))
+	}
+}
+
 func (tc *testCluster) proposer(dc string) *Proposer {
 	return &Proposer{
-		Transport: tc.sim.Endpoint(dc, func(from string, req network.Message) network.Message {
-			if resp, ok := HandleMessage(tc.acceptors[dc], req); ok {
-				return resp
-			}
-			if req.Kind == network.KindApply {
-				tc.mu.Lock()
-				tc.applied[dc] = req.Payload
-				tc.mu.Unlock()
-				return network.Status(true, "")
-			}
-			return network.Status(false, "unhandled")
-		}),
-		Timeout: 200 * time.Millisecond,
+		Transport: tc.sim.EndpointAsync(dc, tc.handler(dc)),
+		Timeout:   200 * time.Millisecond,
 	}
 }
 

@@ -138,6 +138,11 @@ func TestLogDecidedMaxTracksGappedAppends(t *testing.T) {
 	if got := l.DecidedMax(); got != 3 {
 		t.Fatalf("DecidedMax with gap = %d, want 3", got)
 	}
+	// The reopened log reads rows: wait for entry 3's, which the apply
+	// watermark at 1 does not cover.
+	if err := l.WaitLogged(waitCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 	l2 := Open(store, "g")
 	defer l2.Close()
