@@ -1,14 +1,15 @@
 # Local mirror of .github/workflows/ci.yml: `make check` runs exactly what
-# CI runs (gofmt, vet, race tests, bench smoke + figure smoke), so local
-# runs and CI cannot diverge. Individual targets match the CI job steps.
+# CI runs (gofmt, vet, the plain tier-1 tests, race tests, bench smoke +
+# figure smoke), so local runs and CI cannot diverge. Individual targets
+# match the CI job steps.
 
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck smoke-names examples test race cover faults-smoke migration-smoke scan-smoke fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
+.PHONY: check build fmt vet mdcheck smoke-names examples test race cover fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict bench-e2e bench-pairs clean
 
 ## check: everything CI gates a PR on
-check: fmt vet mdcheck smoke-names examples race faults-smoke migration-smoke scan-smoke fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
+check: fmt vet mdcheck smoke-names examples test race fuzz-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
 
 build:
 	$(GO) build ./...
@@ -56,9 +57,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-## test: plain test run (tier-1 verify)
+## test: the plain tier-1 run, every test of the tree once at full speed
+## (CI "test" job): a timing-sensitive failure the -race pass hides shows
+## here, and no hand-kept list of test names can fall behind the tree
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 ## race: the CI "test" job. -shuffle=on randomizes test order every run so
 ## inter-test state dependencies surface instead of hiding behind file order.
@@ -74,35 +77,6 @@ race:
 ## to $GITHUB_STEP_SUMMARY)
 cover:
 	set -o pipefail; $(GO) test -count=1 -cover ./... | tee cover.txt
-
-## faults-smoke: the storage fault-injection battery on fixed seeds — the
-## fsyncgate pin, the seeded-random durability property, the scrub rot
-## detection, and the combined disk+network nemesis (CI "test" job; the
-## same tests also run shuffled under -race via `race`)
-faults-smoke:
-	$(GO) test -count=1 -run 'TestFsyncFailureNeverAcksNeverRetries|TestRandomFaultDurability|TestScrubDetects|TestEngineFailStopFailsOver|TestReplicaFailedVerdictReachesClient|TestDiskFaultNemesis' \
-		./internal/kvstore/disk/faultfs ./internal/cluster
-
-## migration-smoke: the live-migration battery on fixed seeds — the rescale
-## nemesis (8->12 grow under partitions and a forced mid-grow failover), the
-## basic online grow, the multi-step placement golden vectors, the migration
-## fence (its answers at a log position, its reuse, and the verdicts it drives
-## at one service), and the migration figure end to end (CI "test" job; the
-## same tests also run shuffled under -race via `race`)
-migration-smoke:
-	$(GO) test -count=1 -run 'TestGrowUnderFireNemesis|TestGrowBasic|TestGoldenVectorMultiStepGrowth|TestMigrationQuick|TestFenceAtIsPositionAware|TestFenceInboundSide|TestFenceTombstoneGatesScavenge|TestFenceAtFiltersRecordsByHorizon|TestFenceAtNewestRecordReusesState|TestFenceVerdictsAtTheService' \
-		./internal/cluster ./internal/placement ./internal/bench ./internal/replog ./internal/core
-
-## scan-smoke: the ordered-scan battery on fixed seeds — the ordered-index
-## conformance battery (memory + disk engines, oracle under churn), the tree
-## against its oracle and its bytes per key, the page-cost and pin-cost pins,
-## the snapshot-across-pages and pin-vs-compaction proofs, the routed merge, the
-## backfill linearity pin, the examine budget over skipped rows, the page's
-## allocation pin, and the scan-heavy workload-E figure (CI "test"
-## job; the same tests also run shuffled under -race via `race`)
-scan-smoke:
-	$(GO) test -count=1 -run 'TestMemoryEngineConformance|TestDiskEngineConformance|TestIndexAgainstOracle|TestIndexBytesPerKey|TestScanAfterDeleteRecreateChurn|TestScanPageCostIgnoresHistory|TestScanRacesCreatesAndDeletes|TestScanExaminedLinear|TestScanConcurrentCreateSorted|TestSaveIsDeterministic|TestPinReadsDoesNotWalkLivePins|TestExpiredPinsDropWithoutCompact|TestScanHandlerPagesSorted|TestTxScanSnapshotAcrossPages|TestTxScanOverlaysBufferedWrites|TestScanPinHoldsCompaction|TestKVScanMergesGroups|TestRangeSnapshotPagingLinear|TestScanBudgetCountsSkippedRows|TestScanPageAllocs|TestScansQuick' \
-		./internal/kvstore ./internal/kvstore/disk ./internal/replog ./internal/core ./internal/bench
 
 ## fuzz-smoke: every fuzzer the tree holds — found with `go test -list`, no
 ## list kept here — run for FUZZTIME each on top of its seed corpus (CI "test"
@@ -126,7 +100,8 @@ bench-smoke:
 
 ## fig-smoke: scaled-down full figure regeneration (CI "bench" job), then
 ## §5's cost claim over the msgs figure: Basic and CP send the same messages
-## per Paxos instance (within 2 %; also in tier-1)
+## per try of a Paxos instance — per ballot, within 2 %, and neither runs
+## a kind of ballot the other never does; also in tier-1
 fig-smoke:
 	$(GO) run ./cmd/paxosbench -fig all -scale 0.01 -txns 60 -q
 	$(GO) test -count=1 -run 'TestMessageParityPerInstance' ./internal/bench
@@ -157,7 +132,7 @@ durability-smoke:
 
 ## migration-fig-smoke: the online 8->12 grow under routed load at smoke
 ## scale (CI "bench" job; the bounded-pause and never-stalls assertions are
-## TestMigrationQuick, which migration-smoke runs)
+## TestMigrationQuick, which `test` runs)
 migration-fig-smoke:
 	$(GO) run ./cmd/paxosbench -fig migration -scale 0.01 -q
 

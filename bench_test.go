@@ -236,8 +236,8 @@ func benchSubmitThroughput(b *testing.B, window int) {
 // per-group replicated log (internal/replog): each iteration delivers a
 // burst of 32 consecutive decided positions from concurrent appliers — the
 // apply fan-in pattern every commit produces — and waits for the watermark
-// to cover the burst. The apply goroutine drains the burst as kvstore write
-// batches.
+// to cover the burst. The service's apply pool drains the burst as kvstore
+// write batches.
 func BenchmarkServiceApplyBurst(b *testing.B) {
 	s := core.NewService("A", kvstore.New(), nil)
 	defer s.Close()

@@ -134,13 +134,7 @@ func MessageComplexity(o Options) ([]Table, error) {
 			"commits", "check"},
 	}
 	for _, proto := range protocols {
-		res, err := run(o, runSpec{
-			name:       fmt.Sprintf("msgs %s", proto),
-			topology:   "VVV",
-			protocol:   proto,
-			attributes: 100,
-			opsPerTxn:  10,
-		})
+		res, err := run(o, messageSpec(proto))
 		if err != nil {
 			return nil, err
 		}
@@ -163,4 +157,15 @@ func MessageComplexity(o Options) ([]Table, error) {
 			perTxn, fmt.Sprint(sum.Commits), violationsCell(res.violations))
 	}
 	return []Table{t}, nil
+}
+
+// messageSpec is the message-complexity figure's run of proto.
+func messageSpec(proto core.Protocol) runSpec {
+	return runSpec{
+		name:       fmt.Sprintf("msgs %s", proto),
+		topology:   "VVV",
+		protocol:   proto,
+		attributes: 100,
+		opsPerTxn:  10,
+	}
 }

@@ -87,6 +87,9 @@ type runSpec struct {
 	// default puts every thread at the topology's first datacenter (a
 	// single YCSB instance co-located with one node).
 	threadDCs []string
+	// observe, when set, is called with the cluster just before the
+	// measured phase: a test's hook for watching the run's traffic.
+	observe func(*cluster.Cluster)
 }
 
 // runResult is one experiment run's outcome.
@@ -198,6 +201,9 @@ func run(o Options, rs runSpec) (runResult, error) {
 		})
 	}
 
+	if rs.observe != nil {
+		rs.observe(c)
+	}
 	c.Sim().ResetCounters()
 	start := time.Now()
 	runner := &ycsb.Runner{Threads: threads, Recorder: rec}

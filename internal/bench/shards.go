@@ -18,8 +18,9 @@ import (
 // §12): a fixed set of unpaced threads drives a sharded workload over 1..16
 // groups on the VVV sim, every group with its own pipelined master — spread
 // across the datacenters by the cluster's placement — its own submit window,
-// and its own replog apply goroutine. The only shared resources are the
-// simulated transport and the per-datacenter store.
+// and its own replicated log. The groups of a datacenter share its
+// service's apply pool and dispatcher workers, the simulated transport and
+// the datacenter's store.
 //
 // With one group, all threads contend on one serialization domain: one
 // master pipeline, one conflict scope, one log. Sharding divides both the

@@ -402,7 +402,7 @@ func (c *Cluster) Recover(ctx context.Context, dc, group string) error {
 }
 
 // Close shuts the cluster down: the network first, then each service's
-// replicated-log apply goroutines, then the stores (which flush and close
+// replicated logs and the pool that drains them, then the stores (which flush and close
 // any attached disk engines).
 func (c *Cluster) Close() {
 	c.sim.Close()

@@ -160,22 +160,32 @@ func TestReadOnlyTransactionNoMessagingCommit(t *testing.T) {
 
 // TestBasicConflictOneWins: two clients at the same read position; under
 // basic Paxos exactly one commits even though they touch different keys —
-// the paper's "concurrency prevention" observation.
+// the paper's "concurrency prevention" observation. Both read before either
+// commits: a transaction's read position is resolved by its first read, or
+// else at commit, where a commit that starts after the other has applied
+// would take the next read position and rightly commit too.
 func TestBasicConflictOneWins(t *testing.T) {
 	c := fastCluster(t, "VVV")
 	ctx := context.Background()
 	rec := &history.Recorder{}
 
-	outcomes := make([]core.CommitResult, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	txs := make([]*core.Tx, 2)
+	for i := range txs {
 		cl := c.NewClient(c.DCs()[i], core.Config{Protocol: core.Basic, Seed: int64(i + 1)})
 		attachRecorder(cl, rec)
 		tx, err := cl.Begin(ctx, "g")
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := tx.Read(ctx, fmt.Sprintf("key-%d", i)); err != nil {
+			t.Fatal(err)
+		}
 		tx.Write(fmt.Sprintf("key-%d", i), "v")
+		txs[i] = tx
+	}
+	outcomes := make([]core.CommitResult, 2)
+	var wg sync.WaitGroup
+	for i, tx := range txs {
 		wg.Add(1)
 		go func(i int, tx *core.Tx) {
 			defer wg.Done()
@@ -213,6 +223,9 @@ func TestCPNonConflictingBothCommit(t *testing.T) {
 		attachRecorder(cl, rec)
 		tx, err := cl.Begin(ctx, "g")
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tx.Read(ctx, fmt.Sprintf("key-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		tx.Write(fmt.Sprintf("key-%d", i), "v")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,11 +183,16 @@ func TestServiceRestartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var svc2 *core.Service
+	// A message still in flight to the old V2 can land before the new
+	// service exists; a replica mid-restart drops it, as a crashed one does.
+	var restarted atomic.Pointer[core.Service]
 	ep := c.Sim().EndpointAsync("V2", func(from string, req network.Message, reply func(network.Message)) {
-		svc2.AsyncHandler()(from, req, reply)
+		if s := restarted.Load(); s != nil {
+			s.AsyncHandler()(from, req, reply)
+		}
 	})
-	svc2 = core.NewService("V2", restored, ep, core.WithServiceTimeout(c.Timeout()))
+	svc2 := core.NewService("V2", restored, ep, core.WithServiceTimeout(c.Timeout()))
+	restarted.Store(svc2)
 
 	if got := svc2.LastApplied("g"); got != 4 {
 		t.Fatalf("restarted V2 horizon = %d, want 4", got)

@@ -89,7 +89,7 @@ func TestGapTriggersCatchUp(t *testing.T) {
 }
 
 // holdEngine is a kvstore.Engine whose Sync announces itself and then blocks
-// until hold closes: it keeps the apply goroutine stuck in a batch's flush.
+// until hold closes: it keeps the log's drain stuck in a batch's flush.
 type holdEngine struct {
 	mu      sync.Mutex
 	seq     uint64
@@ -128,7 +128,7 @@ func TestFetchLogServesQueuedEntry(t *testing.T) {
 	applied := make(chan error, 1)
 	go func() { applied <- s.ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"x": "1"})) }()
 	select {
-	case <-eng.entered: // the apply goroutine is stuck flushing entry 1
+	case <-eng.entered: // the drain is stuck flushing entry 1
 	case <-time.After(5 * time.Second):
 		t.Fatal("apply never reached its flush")
 	}

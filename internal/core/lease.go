@@ -79,10 +79,10 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 		// commits nothing. Decline; a healthy peer claims instead.
 		return 0, fmt.Errorf("core: claim %s: declining, storage failed: %w", group, err)
 	}
-	lock := s.claimLock(group)
-	lock.Lock()
-	defer lock.Unlock()
-	lg := s.log(group)
+	g := s.group(group)
+	g.claim.Lock()
+	defer g.claim.Unlock()
+	lg := g.log
 	committedToClaim := false
 	// proposals counts actual claim proposals (not lease-wait iterations):
 	// it drives the position lead, which must start at zero for the common
@@ -100,7 +100,7 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 		}
 		st, renewedAt := lg.LeaseState()
 		if st.Master == s.dc {
-			s.recordTenure(group, st.Epoch)
+			g.hist.recordTenure(st.Epoch)
 			return st.Epoch, nil // already the holder (e.g. restart, retry)
 		}
 		if st.Master != "" && !committedToClaim {
@@ -121,7 +121,7 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 			// otherwise ping-pong every lease period forever; the backoff
 			// turns that into O(log duration) swaps. A first-ever claim (the
 			// ordinary dead-master failover) never waits.
-			if wait := s.claimBackoffWait(group, st.Epoch); wait > 0 {
+			if wait := s.claimBackoffWait(&g.hist, st.Epoch); wait > 0 {
 				if err := sleepCtx(ctx, wait); err != nil {
 					return 0, fmt.Errorf("core: claim %s: backoff after deposition: %w", group, err)
 				}
@@ -170,7 +170,7 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 			return 0, fmt.Errorf("core: claim %s: absorb to %d: %w", group, pos, err)
 		}
 		if st, _ := lg.LeaseState(); st.Master == s.dc {
-			s.recordTenure(group, st.Epoch)
+			g.hist.recordTenure(st.Epoch)
 			return st.Epoch, nil
 		}
 		// Our claim entry was itself fenced (an even higher epoch landed
@@ -182,7 +182,8 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 // claimHistory is one group's re-claim streak state at one service: how
 // often this service has been deposed and re-claimed recently, and the
 // standoff deadline the current deposition imposes. Purely local liveness
-// tuning — safety never depends on it (fencing does that).
+// tuning — safety never depends on it (fencing does that). The group's
+// claim mutex guards it.
 type claimHistory struct {
 	lastEpoch    int64     // highest epoch this service has held for the group
 	streak       int       // consecutive deposition->re-claim cycles
@@ -192,7 +193,8 @@ type claimHistory struct {
 }
 
 // claimBackoffWait reports how much longer this service must stand down
-// before contending for group's mastership, given the prevailing epoch held
+// before contending for a group's mastership, given its re-claim streak h
+// (the caller holds the group's claim mutex) and the prevailing epoch held
 // by someone else. Zero means claim now: a service that never held the group
 // (ordinary failover) or whose standoff has elapsed proceeds immediately.
 // Each new deposition starts one standoff window of leaseDuration <<
@@ -204,14 +206,11 @@ type claimHistory struct {
 // absolute: repeated calls during one standoff (including from a fresh
 // ClaimMastership after a budget timeout) wait out the same window, never
 // restart it.
-func (s *Service) claimBackoffWait(group string, prevailing int64) time.Duration {
+func (s *Service) claimBackoffWait(h *claimHistory, prevailing int64) time.Duration {
 	if s.claimBackoffOff {
 		return 0
 	}
-	s.claimHistMu.Lock()
-	defer s.claimHistMu.Unlock()
-	h := s.claimHist[group]
-	if h == nil || h.lastEpoch == 0 || prevailing <= h.lastEpoch {
+	if h.lastEpoch == 0 || prevailing <= h.lastEpoch {
 		return 0 // never held, or nothing has superseded us
 	}
 	now := time.Now()
@@ -246,32 +245,13 @@ const (
 	claimStreakReset = 16
 )
 
-// recordTenure notes that this service holds epoch for group (a fresh claim
-// or an adopted one): later backoff decisions measure depositions against
-// the highest epoch held.
-func (s *Service) recordTenure(group string, epoch int64) {
-	s.claimHistMu.Lock()
-	defer s.claimHistMu.Unlock()
-	h := s.claimHist[group]
-	if h == nil {
-		h = &claimHistory{}
-		s.claimHist[group] = h
-	}
+// recordTenure notes that this service holds epoch for the group (a fresh
+// claim or an adopted one): later backoff decisions measure depositions
+// against the highest epoch held.
+func (h *claimHistory) recordTenure(epoch int64) {
 	if epoch > h.lastEpoch {
 		h.lastEpoch = epoch
 	}
-}
-
-// claimLock returns the mutex serializing group's mastership claims.
-func (s *Service) claimLock(group string) *sync.Mutex {
-	s.claimMu.Lock()
-	defer s.claimMu.Unlock()
-	l := s.claimLocks[group]
-	if l == nil {
-		l = &sync.Mutex{}
-		s.claimLocks[group] = l
-	}
-	return l
 }
 
 // claimLead is how far above the observed tip a takeover claim is proposed

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
@@ -19,14 +21,83 @@ import (
 // wrote (the master's unanimous fast round, and the prepared round of its
 // first claim): the apply's ballot lets it stand, so the drain wrote no second
 // copy.
+//
+// A commit returns at a majority of applies, and an accept round decides at
+// a majority too, so without help the test's verdict depends on delivery
+// order: a replica's apply of one position can overtake its apply of the
+// position below — it lands above a gap — or the accept whose ballot it
+// names. Either way no vote can stand at the drain, which must write the row
+// in its decided form (replog's TestDrainWritesNoSecondCopy pins the gap
+// case). So delivery is ordered here: an apply waits, at its replica, until
+// the position below it has applied there and the replica has answered the
+// accept of the apply's ballot; every rewritten row is then a fault. On a
+// failure the test names each rewritten position with the watermark its
+// apply found.
 func TestOneRowPerPosition(t *testing.T) {
-	cl, services := newRingClient(t, "A", Config{Seed: 1, Protocol: Master, MasterDC: "A"})
+	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
+	type acceptKey struct {
+		dc          string
+		pos, ballot int64
+	}
+	var mu sync.Mutex
+	answered := make(map[acceptKey]chan struct{}) // closed once the replica answered the accept
+	answer := func(k acceptKey) chan struct{} {
+		mu.Lock()
+		defer mu.Unlock()
+		if answered[k] == nil {
+			answered[k] = make(chan struct{})
+		}
+		return answered[k]
+	}
+	arrived := make(map[string]map[int64]int64) // dc -> pos -> watermark its first apply found
+	eps := make(map[string]network.Transport, len(services))
+	for dc, s := range services {
+		arrived[dc] = make(map[int64]int64)
+		h := s.AsyncHandler()
+		eps[dc] = sim.EndpointAsync(dc, func(from string, req network.Message, reply func(network.Message)) {
+			switch req.Kind {
+			case network.KindAccept:
+				done := answer(acceptKey{dc, req.Pos, req.Ballot})
+				h(from, req, func(m network.Message) {
+					mu.Lock()
+					select {
+					case <-done: // a duplicate accept, answered before
+					default:
+						close(done)
+					}
+					mu.Unlock()
+					reply(m)
+				})
+				return
+			case network.KindApply:
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				_ = s.log(req.Group).WaitApplied(ctx, req.Pos-1)
+				if req.Ballot != paxos.DecidedBallot {
+					select {
+					case <-answer(acceptKey{dc, req.Pos, req.Ballot}):
+					case <-ctx.Done():
+					}
+				}
+				applied := s.LastApplied(req.Group)
+				mu.Lock()
+				if _, seen := arrived[dc][req.Pos]; !seen {
+					arrived[dc][req.Pos] = applied
+				}
+				mu.Unlock()
+			}
+			h(from, req, reply)
+		})
+	}
+	// The client shares A's ordered endpoint: registering its own would
+	// replace A's.
+	cl := NewClient(1, "A", eps["A"], Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: 200 * time.Millisecond})
 	const commits = 200
+	ctx := context.Background()
 	var tip int64
 	for i := 0; i < commits; i++ {
 		tip = commitWrites(t, cl, "g", map[string]string{fmt.Sprintf("k%d", i%17): fmt.Sprint(i)})
 	}
-	ctx := context.Background()
 	for dc, s := range services {
 		if err := s.log("g").WaitApplied(ctx, tip); err != nil { // a commit returns at a majority of applies
 			t.Fatal(err)
@@ -39,17 +110,30 @@ func TestOneRowPerPosition(t *testing.T) {
 		if n := s.countRows("paxos/"); n != 0 {
 			t.Errorf("%s: %d rows under paxos/", dc, n)
 		}
-		marked := 0
-		for row, err := range s.store.Rows(replog.LogPrefix("g"), "", kvstore.Latest) {
+		var rewritten []string
+		prefix := replog.LogPrefix("g")
+		for row, err := range s.store.Rows(prefix, "", kvstore.Latest) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			if paxos.RowDecided(row.Val) {
-				marked++
+				pos, _ := strconv.ParseInt(row.Key[len(prefix):], 10, 64)
+				mu.Lock()
+				applied, seen := arrived[dc][pos]
+				mu.Unlock()
+				switch {
+				case !seen:
+					rewritten = append(rewritten, fmt.Sprintf("%d (no apply arrived)", pos))
+				case applied < pos-1:
+					rewritten = append(rewritten, fmt.Sprintf("%d (above a gap: watermark %d)", pos, applied))
+				default:
+					rewritten = append(rewritten, fmt.Sprintf("%d (contiguous: watermark %d)", pos, applied))
+				}
 			}
 		}
-		if marked != 0 {
-			t.Errorf("%s: the drain rewrote %d of %d rows whose fast-path vote already held the entry", dc, marked, log)
+		if len(rewritten) != 0 {
+			t.Errorf("%s: the drain rewrote %d of %d rows whose fast-path vote already held the entry: %v",
+				dc, len(rewritten), log, rewritten)
 		}
 		if n := s.Status("g").LogEntries; int64(n) != tip {
 			t.Errorf("%s: status reports %d log entries, want %d", dc, n, tip)

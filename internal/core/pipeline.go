@@ -130,24 +130,23 @@ type pipeline struct {
 
 // pipeline returns group's submit pipeline, creating it on first use.
 func (s *Service) pipeline(group string) *pipeline {
-	s.pipeMu.Lock()
-	defer s.pipeMu.Unlock()
-	p := s.pipelines[group]
-	if p == nil {
-		p = &pipeline{
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.groupLocked(group)
+	if g.pipe == nil {
+		g.pipe = &pipeline{
 			svc:        s,
 			group:      group,
-			lg:         s.log(group),
+			lg:         g.log,
 			win:        replog.NewWindow(s.submitWindow),
 			maxCombine: s.submitCombine,
 		}
-		if s.pipeClosed {
-			p.closed = true
-			p.win.Close()
+		if s.closed {
+			g.pipe.closed = true
+			g.pipe.win.Close()
 		}
-		s.pipelines[group] = p
 	}
-	return p
+	return g.pipe
 }
 
 // SubmitAsync runs admission control and queues the transaction; deliver

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,10 +48,14 @@ type Service struct {
 	store    *kvstore.Store
 	acceptor *paxos.Acceptor
 
-	// logs holds the per-group replicated logs: decided entries, the
-	// applied watermark readers block on, and the batched async apply
-	// pipeline.
-	logs *replog.Set
+	// groups is the replica's registry of transaction groups: one record per
+	// group, made on the group's first use (group) and guarded by mu. Its
+	// logs drain on pool. closed, set by Close under mu, makes a group first
+	// used afterwards open closed.
+	mu     sync.Mutex
+	groups map[string]*groupState
+	closed bool
+	pool   *replog.Pool
 
 	// transport reaches peer datacenters for catch-up. It may be nil in
 	// single-DC tests; catch-up then only serves from the local log.
@@ -85,34 +90,35 @@ type Service struct {
 	// times the service timeout.
 	leaseDur time.Duration
 
-	// claimMu guards claimLocks, the per-group mutexes serializing
-	// mastership claims. Claims must not share one lock across groups: a
-	// claim legitimately sleeps out another holder's lease, and one group's
-	// wait must not starve every other group's takeover.
-	claimMu    sync.Mutex
-	claimLocks map[string]*sync.Mutex
-
-	// claimHistMu guards claimHist, the per-group re-claim streak state
-	// behind the deposed-side claim backoff (lease.go). claimBackoffOff is
-	// the test-only escape hatch that reproduces the pre-backoff ping-pong.
-	claimHistMu     sync.Mutex
-	claimHist       map[string]*claimHistory
+	// claimBackoffOff is the test-only escape hatch that reproduces the
+	// pre-backoff claim ping-pong (lease.go).
 	claimBackoffOff bool
 
-	// pipelines holds the per-group master submit pipelines, created
-	// lazily on first submit.
-	pipeMu     sync.Mutex
-	pipelines  map[string]*pipeline
-	pipeClosed bool
-
-	// Gap-triggered catch-up (fillGapLater): gapWatch marks the groups with
-	// a watch running, bg counts the watches, and bgCtx — cancelled by Close,
-	// under bgMu — stops them.
-	bgMu     sync.Mutex
-	gapWatch map[string]bool
+	// Gap-triggered catch-up (fillGapLater): bg counts the running gap
+	// watches, and bgCtx — cancelled by Close, under mu — stops them.
 	bg       sync.WaitGroup
 	bgCtx    context.Context
 	bgCancel context.CancelFunc
+}
+
+// groupState is one transaction group's record at this replica.
+type groupState struct {
+	// log is the group's replicated log: decided entries, the applied
+	// watermark readers block on, and the batched apply.
+	log *replog.Log
+	// pipe is the group's master submit pipeline, made by the first submit
+	// (Service.pipeline); guarded by Service.mu.
+	pipe *pipeline
+	// claim serializes the group's mastership claims, and guards hist, the
+	// group's re-claim streak behind the deposed-side claim backoff
+	// (lease.go). Claims must not share one lock across groups: a claim
+	// legitimately sleeps out another holder's lease, and one group's wait
+	// must not starve every other group's takeover.
+	claim sync.Mutex
+	hist  claimHistory
+	// gapWatch marks a gap watch running for the group (fillGapLater);
+	// guarded by Service.mu.
+	gapWatch bool
 }
 
 // ServiceOption configures a Service.
@@ -195,16 +201,13 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		dc:            dc,
 		store:         store,
 		acceptor:      paxos.NewAcceptor(store),
-		logs:          replog.NewSet(store),
+		groups:        make(map[string]*groupState),
+		pool:          replog.NewPool(runtime.GOMAXPROCS(0)),
 		transport:     transport,
 		timeout:       network.DefaultTimeout,
 		submitWindow:  DefaultSubmitWindow,
 		submitCombine: DefaultSubmitCombine,
 		submitQueue:   DefaultSubmitQueue,
-		claimLocks:    make(map[string]*sync.Mutex),
-		claimHist:     make(map[string]*claimHistory),
-		pipelines:     make(map[string]*pipeline),
-		gapWatch:      make(map[string]bool),
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 	s.disp = newDispatcher(runtime.GOMAXPROCS(0), s.handle)
@@ -261,13 +264,43 @@ func (s *Service) DC() string { return s.dc }
 // Store exposes the underlying kvstore (used by examples and tests).
 func (s *Service) Store() *kvstore.Store { return s.store }
 
+// group returns group's record, opening its log on first use — closed, if
+// the service has closed.
+func (s *Service) group(group string) *groupState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.groupLocked(group)
+}
+
+// groupLocked is group for a caller holding s.mu.
+func (s *Service) groupLocked(group string) *groupState {
+	g := s.groups[group]
+	if g == nil {
+		g = &groupState{log: s.pool.Open(s.store, group)}
+		if s.closed {
+			g.log.Close()
+		}
+		s.groups[group] = g
+	}
+	return g
+}
+
 // log returns the group's replicated log.
-func (s *Service) log(group string) *replog.Log { return s.logs.Get(group) }
+func (s *Service) log(group string) *replog.Log { return s.group(group).log }
 
 // Groups returns the transaction groups this replica serves (every group
 // with an open replicated log), sorted — the group-discovery surface
 // GroupStatus reports over the wire.
-func (s *Service) Groups() []string { return s.logs.Groups() }
+func (s *Service) Groups() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.groups))
+	for g := range s.groups {
+		out = append(out, g)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // EnsureGroups opens the replicated logs for the named groups up front.
 // Groups normally open lazily on first traffic; a sharded deployment
@@ -276,28 +309,35 @@ func (s *Service) Groups() []string { return s.logs.Groups() }
 // arrives.
 func (s *Service) EnsureGroups(groups ...string) {
 	for _, g := range groups {
-		s.logs.Get(g)
+		s.group(g)
 	}
 }
 
 // Close stops the per-group submit pipelines (queued submissions fail), the
-// gap watches and the apply goroutines. Durable state is untouched; a new
-// Service over the same store resumes where this one stopped.
+// logs and the pool that drains them, the gap watches and the dispatcher.
+// Durable state is untouched; a new Service over the same store resumes
+// where this one stopped.
 func (s *Service) Close() {
-	s.bgMu.Lock()
+	s.mu.Lock()
+	s.closed = true
 	s.bgCancel()
-	s.bgMu.Unlock()
-	s.pipeMu.Lock()
-	s.pipeClosed = true
-	pipes := make([]*pipeline, 0, len(s.pipelines))
-	for _, p := range s.pipelines {
-		pipes = append(pipes, p)
+	var pipes []*pipeline
+	logs := make([]*replog.Log, 0, len(s.groups))
+	for _, g := range s.groups {
+		if g.pipe != nil {
+			pipes = append(pipes, g.pipe)
+		}
+		logs = append(logs, g.log)
 	}
-	s.pipeMu.Unlock()
+	s.mu.Unlock()
+	// Outside mu: closing fails queued submissions and waiting completions.
 	for _, p := range pipes {
 		p.close()
 	}
-	s.logs.Close()
+	for _, lg := range logs {
+		lg.Close()
+	}
+	s.pool.Close()
 	// After the logs: a watch blocked in ApplyDecided returns once they close.
 	s.bg.Wait()
 	s.disp.close()
@@ -425,14 +465,15 @@ func (s *Service) appendChosen(group string, pos, chosenAt int64, entryBytes []b
 	if pos < 1 {
 		return nil, 0, false, fmt.Errorf("core: apply at invalid position %d", pos)
 	}
-	lg = s.log(group)
+	g := s.group(group)
+	lg = g.log
 	horizon, err := lg.AppendChosen(pos, chosenAt, entryBytes)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("core: apply %s/%d: %w", group, pos, err)
 	}
 	if horizon < pos {
 		// Gapped: positions below pos are still missing.
-		s.fillGapLater(group)
+		s.fillGapLater(g)
 		return lg, pos, true, nil
 	}
 	return lg, horizon, false, nil
@@ -684,7 +725,7 @@ func (s *Service) CatchUp(ctx context.Context, group string, target int64) error
 
 // advance brings the local watermark to target. Entries already decided
 // locally are not obtained again — the caller blocks on the replog watermark
-// until the apply goroutine has landed them; each missing one comes from get
+// until a drain has landed them; each missing one comes from get
 // and is applied; and where get reports that the peers have compacted past
 // the position, a snapshot is installed and per-entry catch-up resumes above
 // its horizon.
@@ -717,7 +758,7 @@ func (s *Service) advance(ctx context.Context, group string, target int64, get f
 	}
 }
 
-// fillGapLater arms the group's gap watch. A replica that misses one apply
+// fillGapLater arms g's gap watch. A replica that misses one apply
 // message sits behind the gap — entries above it queue, logged but not
 // applied — and nothing but a read at a higher position or Recover would
 // notice. So if the watermark is still below a locally decided position one
@@ -726,30 +767,31 @@ func (s *Service) advance(ctx context.Context, group string, target int64, get f
 // under live proposers, so a position no peer has learned yet is left to the
 // master's resolveHole, a read's CatchUp or Recover. One watch per group
 // runs at a time and makes one attempt; a later gapped entry re-arms it.
-func (s *Service) fillGapLater(group string) {
+func (s *Service) fillGapLater(g *groupState) {
 	if s.transport == nil {
 		return
 	}
-	s.bgMu.Lock()
-	if s.bgCtx.Err() != nil || s.gapWatch[group] {
-		s.bgMu.Unlock()
+	group := g.log.Group()
+	s.mu.Lock()
+	if s.closed || g.gapWatch {
+		s.mu.Unlock()
 		return
 	}
-	s.gapWatch[group] = true
+	g.gapWatch = true
 	s.bg.Add(1)
-	s.bgMu.Unlock()
+	s.mu.Unlock()
 	go func() {
 		defer s.bg.Done()
 		defer func() {
-			s.bgMu.Lock()
-			delete(s.gapWatch, group)
-			s.bgMu.Unlock()
+			s.mu.Lock()
+			g.gapWatch = false
+			s.mu.Unlock()
 		}()
 		if sleepCtx(s.bgCtx, s.timeout) != nil {
 			return
 		}
 		// Best effort: a failed fetch leaves the gap for the next trigger.
-		_ = s.advance(s.bgCtx, group, s.log(group).DecidedMax(), func(pos int64) (wal.Entry, error) {
+		_ = s.advance(s.bgCtx, group, g.log.DecidedMax(), func(pos int64) (wal.Entry, error) {
 			return s.fetchDecided(s.bgCtx, group, pos)
 		})
 	}()

@@ -1,11 +1,12 @@
 // Package replog is the per-group replicated-log subsystem of the
 // transaction tier (DESIGN.md §4). A Log owns one group's decided-entry
 // log, its contiguously-applied watermark, and a decoded-entry cache;
-// decided positions drain into kvstore write batches on a shared apply
-// pool — GOMAXPROCS workers keyed by GroupShard, one worker draining a
-// given log at a time, so per-group apply order is untouched while many
-// groups apply in parallel (pool.go, DESIGN.md §13). A standalone Log
-// opened outside a Set keeps its own apply goroutine.
+// decided positions drain into kvstore write batches on a Pool, and only
+// there: a Transaction Service opens every group's Log on one shared Pool
+// (Pool.Open) — GOMAXPROCS workers keyed by GroupShard, one worker draining
+// a given log at a time, so per-group apply order is untouched while many
+// groups apply in parallel (pool.go, DESIGN.md §13) — and a Log from Open
+// drains on a one-worker Pool of its own, which its Close stops.
 //
 // The seed kept all of this implicit: string-keyed rows in the datacenter's
 // key-value store, a coarse per-group apply mutex in the Transaction

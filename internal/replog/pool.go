@@ -1,16 +1,20 @@
 package replog
 
-import "sync"
+import (
+	"sync"
 
-// applyPool shards apply scheduling for the Logs of one Set across a fixed
-// set of workers keyed by group, so one group with a deep pending run cannot
-// serialize every other group's watermark advance behind a single goroutine
-// — while each group's own entries still apply strictly in log order,
-// because a group is pinned to one shard and a worker drains one log at a
-// time (DESIGN.md §13). Per-group ordering is what the fencing invariants
-// F1–F3 and the write invariants W1–W4 rest on; cross-group ordering was
-// never promised.
-type applyPool struct {
+	"paxoscp/internal/kvstore"
+)
+
+// Pool is what drains Logs. It shards drain scheduling for the Logs opened
+// on it across a fixed set of workers keyed by group, so one group with a
+// deep pending run cannot serialize every other group's watermark advance
+// behind a single goroutine — while each group's own entries still apply
+// strictly in log order, because a group is pinned to one shard and a worker
+// drains one log at a time (DESIGN.md §13). Per-group ordering is what the
+// fencing invariants F1–F3 and the write invariants W1–W4 rest on;
+// cross-group ordering was never promised.
+type Pool struct {
 	workers  []applyWorker
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -23,11 +27,12 @@ type applyWorker struct {
 	wake  chan struct{} // capacity 1
 }
 
-func newApplyPool(n int) *applyPool {
+// NewPool starts a Pool of n workers (at least one).
+func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &applyPool{workers: make([]applyWorker, n), stopCh: make(chan struct{})}
+	p := &Pool{workers: make([]applyWorker, n), stopCh: make(chan struct{})}
 	for i := range p.workers {
 		p.workers[i].wake = make(chan struct{}, 1)
 		p.wg.Add(1)
@@ -36,10 +41,16 @@ func newApplyPool(n int) *applyPool {
 	return p
 }
 
+// Open is the package's Open with the Log draining on p instead of a pool
+// of its own. Close the Logs opened on p before p.
+func (p *Pool) Open(store *kvstore.Store, group string) *Log {
+	return open(store, group, p)
+}
+
 // schedule queues l on its shard's worker unless it is already queued.
 // Callers may hold l.mu: the lock order is l.mu → w.mu only (the worker
 // never holds w.mu while taking l.mu).
-func (p *applyPool) schedule(l *Log) {
+func (p *Pool) schedule(l *Log) {
 	if !l.sched.CompareAndSwap(false, true) {
 		return // already queued; the pending drain will absorb this notify
 	}
@@ -53,7 +64,7 @@ func (p *applyPool) schedule(l *Log) {
 	}
 }
 
-func (p *applyPool) run(w *applyWorker) {
+func (p *Pool) run(w *applyWorker) {
 	defer p.wg.Done()
 	for {
 		w.mu.Lock()
@@ -78,18 +89,21 @@ func (p *applyPool) run(w *applyWorker) {
 		// pending run remains, so a notify in the gap between the Store and
 		// the drain's last pass is never lost.
 		l.sched.Store(false)
-		if !l.stopped() {
+		if !l.stopped.Load() {
 			l.drain()
 		}
 	}
 }
 
-// close stops the workers after they finish the log currently draining.
+// Close stops the workers after they finish the log currently draining.
 // Queued logs that were already Closed are skipped, not drained.
-func (p *applyPool) close() {
-	p.stopOnce.Do(func() { close(p.stopCh) })
+func (p *Pool) Close() {
+	p.stop()
 	p.wg.Wait()
 }
+
+// stop tells the workers to exit once idle and does not wait for them.
+func (p *Pool) stop() { p.stopOnce.Do(func() { close(p.stopCh) }) }
 
 // GroupShard maps a group name to a stable shard index (FNV-1a), shared by
 // the replog apply pool and the service dispatcher so both pin a group to

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,7 +23,7 @@ var ErrClosed = errors.New("replog: log closed")
 const cacheLimit = 4096
 
 // Log is one group's replicated log at one datacenter. All methods are safe
-// for concurrent use. Construct with Open.
+// for concurrent use. Construct with Open or Pool.Open.
 type Log struct {
 	group string
 	store *kvstore.Store
@@ -34,7 +32,7 @@ type Log struct {
 	compactMu sync.Mutex
 
 	// ioMu orders bulk store mutations against watermark movement: the
-	// apply goroutine's batch+meta write and snapshot installation.
+	// drain's batch+meta write and snapshot installation.
 	ioMu sync.Mutex
 	// batch is drain's reusable write buffer (guarded by ioMu).
 	batch []kvstore.BatchWrite
@@ -46,8 +44,8 @@ type Log struct {
 	// from this copy instead of reading the row back.
 	meta metaRow
 
-	// mu guards the fields below. Critical sections are short; the apply
-	// goroutine does its store I/O outside mu.
+	// mu guards the fields below. Critical sections are short; the drain
+	// does its store I/O outside mu.
 	mu         sync.Mutex
 	applied    int64               // contiguously applied watermark
 	decidedMax int64               // highest position known decided locally
@@ -63,16 +61,16 @@ type Log struct {
 	closed     bool                // Close was called; fails every completion still waiting
 	waiting    []completion        // the completion list: When callbacks not yet due
 	waitSeq    uint64              // ID of the newest completion
-	notifyCh   chan struct{}       // wakes the apply goroutine (capacity 1)
-	stopCh     chan struct{}
-	stopOnce   sync.Once
 
-	// Apply scheduling. A standalone Log (Open) runs a dedicated apply
-	// goroutine; a Set-owned Log shares the Set's applyPool, with sched
-	// marking whether the log is already queued on its shard's worker.
-	pool  *applyPool
-	shard uint32
-	sched atomic.Bool
+	// Apply scheduling: a Pool drains the log — the one it was opened on
+	// (Pool.Open), or, from Open, a one-worker pool the log owns (ownPool)
+	// and stops in Close. sched marks whether the log is queued on its
+	// shard's worker; stopped, that Close was called.
+	pool    *Pool
+	ownPool bool
+	shard   uint32
+	sched   atomic.Bool
+	stopped atomic.Bool
 
 	// Epoch fencing state (DESIGN.md §11): the prevailing master epoch at
 	// the applied watermark, maintained by drain as claim entries apply in
@@ -187,14 +185,18 @@ func scanLogRows(store *kvstore.Store, group string, fn func(pos int64, row kvst
 // row, and every row marked decided above the watermark — an entry logged
 // above a gap, or one whose batch a crash cut before its meta row — into the
 // pending set, already logged, which is then drained. Unmarked rows above the
-// watermark are the acceptor's live state and are left alone.
+// watermark are the acceptor's live state and are left alone. The Log drains
+// on a one-worker pool of its own, which Close stops; Pool.Open opens one on
+// a shared pool.
 func Open(store *kvstore.Store, group string) *Log {
-	return open(store, group, nil)
+	l := open(store, group, NewPool(1))
+	l.ownPool = true
+	return l
 }
 
-// open builds the Log. With a nil pool the log runs its own apply goroutine;
-// otherwise apply work is scheduled on the pool's shard worker for the group.
-func open(store *kvstore.Store, group string, pool *applyPool) *Log {
+// open builds the Log, its drains scheduled on pool's shard worker for the
+// group.
+func open(store *kvstore.Store, group string, pool *Pool) *Log {
 	l := &Log{
 		group:     group,
 		store:     store,
@@ -205,8 +207,6 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 		pins:      make(map[int64]time.Time),
 		voided:    make(map[int64]bool),
 		movedTxns: make(map[int64]map[string]string),
-		notifyCh:  make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
 		renewedAt: time.Now(),
 	}
 	if v, _, err := store.ReadPacked(MetaKey(group), kvstore.Latest); err == nil {
@@ -236,24 +236,26 @@ func open(store *kvstore.Store, group string, pool *applyPool) *Log {
 	if len(l.pending) > 0 {
 		l.drain()
 	}
-	if l.pool == nil {
-		go l.run()
-	}
 	return l
 }
 
 // Group returns the transaction group this log belongs to.
 func (l *Log) Group() string { return l.group }
 
-// Close stops the apply goroutine and fails pending and future waiters with
-// ErrClosed. Durable state is untouched; Open rebuilds from it.
+// Close stops the log's drains and fails pending and future waiters with
+// ErrClosed. A log from Open also tells its own pool's worker to exit; it
+// does not wait for a drain in progress, so a completion may call Close.
+// Durable state is untouched; Open rebuilds from it.
 func (l *Log) Close() {
-	l.stopOnce.Do(func() { close(l.stopCh) })
+	l.stopped.Store(true)
 	l.mu.Lock()
 	l.closed = true
 	due := l.settleLocked(nil)
 	l.mu.Unlock()
 	fire(due)
+	if l.ownPool {
+		l.pool.stop()
+	}
 }
 
 // Applied returns the contiguously-applied watermark: every log entry at or
@@ -323,7 +325,7 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 }
 
 // AppendChosen queues the decided entry for pos, in memory: the bytes are
-// validated and handed to the apply goroutine, whose next batch makes the
+// validated and handed to the drain, whose next batch makes the
 // position's row the durable log entry together with whatever the entry lets
 // it apply (drain). chosenAt is a ballot a majority voted for the bytes at —
 // what an apply message carries (paxos.AcceptOutcome.ChosenAt); it decides
@@ -861,28 +863,10 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 	return nil
 }
 
-// --- apply goroutine ------------------------------------------------------
+// --- apply scheduling ----------------------------------------------------
 
-func (l *Log) notify() {
-	if l.pool != nil {
-		l.pool.schedule(l)
-		return
-	}
-	select {
-	case l.notifyCh <- struct{}{}:
-	default:
-	}
-}
-
-// stopped reports whether Close has been called.
-func (l *Log) stopped() bool {
-	select {
-	case <-l.stopCh:
-		return true
-	default:
-		return false
-	}
-}
+// notify schedules a drain of the log on its pool.
+func (l *Log) notify() { l.pool.schedule(l) }
 
 // cacheLocked inserts a decoded entry, keeping the cache bounded: the
 // position trailing the newest by cacheLimit is dropped eagerly, and when
@@ -903,17 +887,6 @@ func (l *Log) cacheLocked(pos int64, entry wal.Entry) {
 		}
 	}
 	l.cache[pos] = entry
-}
-
-func (l *Log) run() {
-	for {
-		select {
-		case <-l.stopCh:
-			return
-		case <-l.notifyCh:
-			l.drain()
-		}
-	}
 }
 
 // drain is what makes a decided entry durable. Each pass lands one
@@ -1125,71 +1098,4 @@ func (l *Log) drain() {
 		l.mu.Unlock()
 		l.due = fire(l.due)
 	}
-}
-
-// Set owns the Logs of every group served over one store; the Transaction
-// Service holds one Set in place of the seed's per-group mutex maps. A Set's
-// logs share one applyPool with GOMAXPROCS workers keyed by group, instead
-// of one apply goroutine each (DESIGN.md §13).
-type Set struct {
-	store *kvstore.Store
-	pool  *applyPool
-
-	mu     sync.Mutex
-	logs   map[string]*Log
-	closed bool
-}
-
-// NewSet returns an empty Set over store. Logs open lazily on first Get.
-func NewSet(store *kvstore.Store) *Set {
-	return &Set{
-		store: store,
-		pool:  newApplyPool(runtime.GOMAXPROCS(0)),
-		logs:  make(map[string]*Log),
-	}
-}
-
-// Get returns group's Log, opening it on first use.
-func (s *Set) Get(group string) *Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.logs[group]
-	if l == nil {
-		l = open(s.store, group, s.pool)
-		if s.closed {
-			l.Close()
-		}
-		s.logs[group] = l
-	}
-	return l
-}
-
-// Groups returns the names of every group with an open Log, sorted. This is
-// the replica's group-discovery surface: a group exists here once any
-// traffic (or an explicit EnsureGroups/open) has touched it.
-func (s *Set) Groups() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.logs))
-	for g := range s.logs {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Close stops every open Log and then the shared apply pool. The Logs close
-// outside s.mu: closing calls their waiting completions.
-func (s *Set) Close() {
-	s.mu.Lock()
-	s.closed = true
-	logs := make([]*Log, 0, len(s.logs))
-	for _, l := range s.logs {
-		logs = append(logs, l)
-	}
-	s.mu.Unlock()
-	for _, l := range logs {
-		l.Close()
-	}
-	s.pool.close()
 }

@@ -374,7 +374,7 @@ func TestLogCloseWakesWaiters(t *testing.T) {
 
 func TestLogBatchedApplyWritesDataRows(t *testing.T) {
 	l, store := openLog(t)
-	// Deliver a burst of positions; the apply goroutine may land them in
+	// Deliver a burst of positions; one drain may land them in
 	// one batch — every data version and the meta row must still be exact.
 	const n = 20
 	for pos := int64(1); pos <= n; pos++ {
@@ -672,7 +672,7 @@ func TestLogDuplicateAppendComparesBytes(t *testing.T) {
 		})
 	}
 	// What an append that decodes costs: fresh positions, queued behind the
-	// gap at 2, with the apply goroutine stopped so only the append counts.
+	// gap at 2, with the log's drains stopped so only the append counts.
 	l.Close()
 	next := int64(3)
 	fresh := testing.AllocsPerRun(100, func() {
