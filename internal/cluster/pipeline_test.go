@@ -96,7 +96,7 @@ func TestMasterPipelineCombination(t *testing.T) {
 	checkHistory(t, c, "g", rec)
 }
 
-// TestMasterPipelineConflictStillAborts: the speculative window check keeps
+// TestMasterPipelineConflictAborts: the speculative window check keeps
 // the fine-grained conflict rule — two read-modify-writes of the same key at
 // the same read position commit exactly once, even when batched together.
 func TestMasterPipelineConflictAborts(t *testing.T) {

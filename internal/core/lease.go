@@ -25,12 +25,14 @@ import (
 // The lease is the liveness half: a prospective claimant waits until the
 // prevailing holder's lease has been silent for the lease duration before
 // claiming the next epoch, so a healthy master is not harassed by takeovers.
-// The holder renews implicitly — every entry it commits is stamped with its
-// epoch and refreshes the lease at each replica that applies it — or
-// explicitly via RenewLease when idle. Lease timing uses each replica's
-// local clock and is deliberately NOT load-bearing for safety: a takeover
-// during a still-valid lease costs the old master fenced entries, never a
-// double commit.
+// The holder renews only through its traffic: every entry it commits is
+// stamped with its epoch and refreshes the lease at each replica that
+// applies it. No product path calls RenewLease, so an idle master's lease
+// lapses, and the next submit at another datacenter pays for a claim of the
+// next epoch (the holder itself keeps using the epoch it holds until a claim
+// lands). Lease timing uses each replica's local clock and is deliberately
+// NOT load-bearing for safety: a takeover during a still-valid lease costs
+// the old master fenced entries, never a double commit.
 
 // leaseDuration returns the effective master lease duration.
 func (s *Service) leaseDuration() time.Duration {

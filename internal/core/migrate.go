@@ -248,6 +248,9 @@ func (m *Migrator) copyRange(ctx context.Context, from, to string, destGroups []
 		if err != nil {
 			return copied, pin, err
 		}
+		if len(resp.Vals) != len(resp.Keys) {
+			return copied, pin, fmt.Errorf("range snapshot reply shape: %d keys, %d vals", len(resp.Keys), len(resp.Vals))
+		}
 		if pin == network.ResolvePos {
 			pin = resp.TS // first page pins the round; later pages reuse it
 		}

@@ -29,12 +29,12 @@ import (
 //     next position instead of aborting; only transactions whose reads the
 //     foreign entry invalidated abort.
 //
-// Up to Window.Limit() positions replicate concurrently; conflict checks run
-// speculatively against the in-flight window (replog.Window), and replog's
-// out-of-order Append plus watermark apply retire decided positions in
-// order. The pipeline assumes one active master per group at a time (the
-// paper's long-term master, §7); see DESIGN.md §8 for the invariants and the
-// failover analysis.
+// Up to SubmitWindow positions replicate concurrently; the pipeline keeps
+// their entries as its in-flight window, conflict checks run speculatively
+// against it, and replog's out-of-order Append plus watermark apply retire
+// decided positions in order. The pipeline assumes one active master per
+// group at a time (the paper's long-term master, §7); see DESIGN.md §8 for
+// the invariants and the failover analysis.
 
 const (
 	// DefaultSubmitWindow is how many Paxos positions the master keeps in
@@ -101,18 +101,25 @@ func (ps *pendingSubmit) Expire() {
 // pipeline is one group's submit path at the master: a queue of waiting
 // submissions drained by a single dispatcher goroutine that combines them
 // into entries and launches one replication goroutine per position, bounded
-// by the in-flight window.
+// by the in-flight window. A full window stops the dispatcher; the
+// resolution that frees a slot starts it again (kickLocked), so nothing
+// parks waiting for room.
 type pipeline struct {
 	svc        *Service
 	group      string
 	lg         *replog.Log
-	win        *replog.Window
+	limit      int // in-flight window size (SubmitWindow)
 	maxCombine int
 
 	mu      sync.Mutex
 	queue   []*pendingSubmit
 	running bool // dispatcher goroutine live
 	closed  bool
+	// inflight holds the entry proposed at each position whose Paxos
+	// instance has not resolved; issued is the highest position ever
+	// placed, so none is issued twice (invariant W1).
+	inflight map[int64]wal.Entry
+	issued   int64
 	// epoch is the master epoch this pipeline stamps entries with (0 until
 	// mastership is claimed). deposed is set when a higher epoch is
 	// observed: the pipeline drains its in-flight window with fail verdicts
@@ -138,12 +145,10 @@ func (s *Service) pipeline(group string) *pipeline {
 			svc:        s,
 			group:      group,
 			lg:         g.log,
-			win:        replog.NewWindow(s.submitWindow),
+			limit:      s.submitWindow,
 			maxCombine: s.submitCombine,
-		}
-		if s.closed {
-			g.pipe.closed = true
-			g.pipe.win.Close()
+			inflight:   make(map[int64]wal.Entry),
+			closed:     s.closed,
 		}
 	}
 	return g.pipe
@@ -181,16 +186,13 @@ func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
 		return
 	}
 	p.queue = append(p.queue, ps)
-	if !p.running {
-		p.running = true
-		go p.dispatch()
-	}
+	p.kickLocked()
 	p.mu.Unlock()
 }
 
 // enqueue adds batch to the queue — at the front, preserving batch order,
-// for a promoted batch re-competing — and ensures the dispatcher goroutine
-// is running. It reports false when the pipeline is closed. Promotion
+// for a promoted batch re-competing — and starts the dispatcher if the
+// window has room. It reports false when the pipeline is closed. Promotion
 // re-enqueues bypass the admission cap: these transactions were already
 // admitted and must receive a pipeline verdict, not an overload refusal.
 func (p *pipeline) enqueue(front bool, batch ...*pendingSubmit) bool {
@@ -206,11 +208,24 @@ func (p *pipeline) enqueue(front bool, batch ...*pendingSubmit) bool {
 	} else {
 		p.queue = append(p.queue, batch...)
 	}
-	if !p.running {
+	p.kickLocked()
+	return true
+}
+
+// ready reports whether the dispatcher has a batch it may place now: one
+// queued, the pipeline open and a window slot free. Requires p.mu.
+func (p *pipeline) ready() bool {
+	return len(p.queue) > 0 && !p.closed && len(p.inflight) < p.limit
+}
+
+// kickLocked starts the dispatcher goroutine unless it runs or has nothing
+// to place. It is the one place the dispatcher starts: on a submit, on a
+// re-enqueue, and on the resolution that frees a window slot. Requires p.mu.
+func (p *pipeline) kickLocked() {
+	if !p.running && p.ready() {
 		p.running = true
 		go p.dispatch()
 	}
-	return true
 }
 
 // close refuses every queued and future submission with VerdictShutdown —
@@ -222,12 +237,12 @@ func (p *pipeline) close() {
 	p.queue = nil
 	p.closed = true
 	p.mu.Unlock()
-	p.win.Close()
 	p.fail(queued, network.Refuse(network.VerdictShutdown, ""))
 }
 
 // dispatch drains the queue: one batch per iteration, each placed at its own
-// log position. Exits when the queue empties (enqueue restarts it).
+// log position. Exits when the queue empties or the window fills
+// (kickLocked restarts it).
 func (p *pipeline) dispatch() {
 	for {
 		batch := p.take()
@@ -239,11 +254,14 @@ func (p *pipeline) dispatch() {
 }
 
 // take removes up to maxCombine submissions from the queue head, or marks
-// the dispatcher stopped and returns nil when there is nothing to do.
+// the dispatcher stopped and returns nil when there is nothing it may place.
+// A batch taken owns a window slot until place registers its position or
+// drops it: only this one dispatcher adds to the window, so the room seen
+// here can only grow before then.
 func (p *pipeline) take() []*pendingSubmit {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 || p.closed {
+	if !p.ready() {
 		p.running = false
 		return nil
 	}
@@ -369,13 +387,8 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 		}
 	}
 
-	// Wait for window room before picking the position: resolutions while
-	// we wait can move the decided ceiling, and the new position must sit
+	// The position is picked after catch-up: the new position must sit
 	// above everything issued or decided so far (invariant W1).
-	if err := p.win.Reserve(ctx); err != nil {
-		p.fail(batch, network.Status(false, err.Error()))
-		return
-	}
 	pos := p.nextPos()
 
 	// Admission and combination, in arrival order: each transaction is
@@ -422,7 +435,17 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	if len(members) == 0 {
 		return
 	}
-	p.win.Start(pos, entry)
+	p.mu.Lock()
+	if p.closed {
+		// Closed while the batch was being admitted: nothing of it has
+		// reached the log yet.
+		p.mu.Unlock()
+		p.fail(members, network.Refuse(network.VerdictShutdown, ""))
+		return
+	}
+	p.inflight[pos] = entry
+	p.issued = pos
+	p.mu.Unlock()
 	go p.replicate(pos, entry, members)
 }
 
@@ -444,10 +467,12 @@ func (p *pipeline) SubmitHandoffAsync(h *wal.Handoff, deliver func(network.Messa
 }
 
 // nextPos returns the next position to propose at: above every position this
-// window ever issued and every position known decided locally (so a fresh
+// pipeline ever issued and every position known decided locally (so a fresh
 // entry is never placed below one the master has not absorbed).
 func (p *pipeline) nextPos() int64 {
-	pos := p.win.IssuedMax()
+	p.mu.Lock()
+	pos := p.issued
+	p.mu.Unlock()
 	if d := p.lg.DecidedMax(); d > pos {
 		pos = d
 	}
@@ -482,7 +507,9 @@ const (
 // committed nothing and is stepped over.
 func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar wal.Entry) (admission, int64, error) {
 	for q := txn.ReadPos + 1; q < pos; q++ {
-		prev, inFlight := p.win.Entry(q)
+		p.mu.Lock()
+		prev, inFlight := p.inflight[q]
+		p.mu.Unlock()
 		ok := inFlight
 		if !ok {
 			prev, ok = p.lg.Entry(q)
@@ -559,7 +586,7 @@ func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error
 }
 
 // replicate drives one position's entry to decision (fast accept round,
-// full Paxos fallback), lands it in the local log, retires the window slot,
+// full Paxos fallback), lands it in the local log, frees the window slot,
 // and settles every member: commit on a won race, promotion or conflict
 // abort on a lost one, failure when the outcome is unknown. "Decided with our
 // value" is not yet "committed": the entry may have been fenced by a claim
@@ -585,18 +612,18 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 		// promotion: re-queueing could commit the same transaction twice
 		// if the original proposal later completes — and leave the hole
 		// for resolveHole or recovery to settle (invariant W4).
-		p.win.Resolve(pos)
+		p.resolve(pos)
 		p.fail(members, network.Status(false, err.Error()))
 		return
 	}
 	if aerr := p.svc.ApplyDecided(p.group, pos, decided); aerr != nil {
-		p.win.Resolve(pos)
+		p.resolve(pos)
 		p.fail(members, network.Status(false, aerr.Error()))
 		return
 	}
 	// Resolve only after ApplyDecided: the log covers pos before the window
 	// stops answering for it, so admission checks never see a gap.
-	p.win.Resolve(pos)
+	p.resolve(pos)
 	if committed {
 		// The commit verdict needs the apply-time record — the epoch fence
 		// and the per-transaction migration verdicts (DESIGN.md §15) — which
@@ -673,6 +700,16 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	if len(promote) > 0 && !p.enqueue(true, promote...) {
 		p.fail(promote, network.Refuse(network.VerdictShutdown, ""))
 	}
+}
+
+// resolve retires pos from the in-flight window — its Paxos instance
+// decided, or failed for good — and restarts the dispatcher if a batch was
+// waiting for the slot.
+func (p *pipeline) resolve(pos int64) {
+	p.mu.Lock()
+	delete(p.inflight, pos)
+	p.kickLocked()
+	p.mu.Unlock()
 }
 
 // fail answers every submission in batch with one refusal.

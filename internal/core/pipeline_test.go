@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/network"
@@ -109,5 +113,208 @@ func TestPendingSubmitVerdictExactlyOnce(t *testing.T) {
 	ps.reply(network.Status(false, "late"))
 	if calls != 1 {
 		t.Fatalf("deliver called %d times, want 1", calls)
+	}
+}
+
+// wedgedPipeline returns group g's pipeline at A, in a three-datacenter ring
+// where A holds the group's mastership and then loses both peers: every
+// position A places stays in flight until its replication gives up, four
+// message timeouts later.
+func wedgedPipeline(t *testing.T, window int) (*pipeline, *network.Sim) {
+	t.Helper()
+	services, sim := newServiceRing(t, 5, []string{"A", "B", "C"},
+		WithServiceTimeout(100*time.Millisecond), WithSubmitWindow(window), WithSubmitCombine(1))
+	if _, err := services["A"].ClaimMastership(context.Background(), "g"); err != nil {
+		t.Fatal(err)
+	}
+	sim.Partition("A", "B")
+	sim.Partition("A", "C")
+	return services["A"].pipeline("g"), sim
+}
+
+// heal ends wedgedPipeline's partition.
+func heal(sim *network.Sim) {
+	sim.Unpartition("A", "B")
+	sim.Unpartition("A", "C")
+}
+
+// txnAfterClaim is a transaction read at the claim's position, 1.
+func txnAfterClaim(id string, reads []string, writes map[string]string) wal.Txn {
+	return wal.Txn{ID: id, Origin: "A", ReadPos: 1, ReadSet: reads, Writes: writes}
+}
+
+// windowState returns the positions in flight, in order, and the queue depth.
+func windowState(p *pipeline) (inflight []int64, queued int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for pos := range p.inflight {
+		inflight = append(inflight, pos)
+	}
+	slices.Sort(inflight)
+	return inflight, len(p.queue)
+}
+
+// waitWindow polls until the pipeline has want in flight and queued waiting.
+func waitWindow(t *testing.T, p *pipeline, want []int64, queued int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got, q := windowState(p)
+		if slices.Equal(got, want) && q == queued {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in flight %v with %d queued, want %v with %d queued", got, q, want, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelineWindowCapsInFlight: with replication wedged, the pipeline
+// places SubmitWindow batches at distinct positions and keeps the rest
+// queued, never more in flight (invariant W1).
+func TestPipelineWindowCapsInFlight(t *testing.T) {
+	p, _ := wedgedPipeline(t, 2)
+	for i := 0; i < 5; i++ {
+		k := fmt.Sprintf("k%d", i)
+		p.SubmitAsync(txnAfterClaim(k, nil, map[string]string{k: "v"}), func(network.Message) {})
+	}
+	waitWindow(t, p, []int64{2, 3}, 3)
+	// A slot frees only when a position's replication gives up, four
+	// message timeouts in; then one queued batch takes it. Sample until the
+	// queue shrinks: the refilled window must not go over the limit either.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got, q := windowState(p)
+		if len(got) > 2 {
+			t.Fatalf("in flight %v with %d queued, want at most 2 in flight", got, q)
+		}
+		if q < 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in flight %v with %d queued: no queued batch placed after a position resolved", got, q)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelineResolutionPlacesQueuedBatch: a batch queued behind a full
+// window is placed when a position resolves, with no further submit to
+// start the dispatcher.
+func TestPipelineResolutionPlacesQueuedBatch(t *testing.T) {
+	p, sim := wedgedPipeline(t, 1)
+	first, firstCh := collectReply()
+	second, secondCh := collectReply()
+	p.SubmitAsync(txnAfterClaim("t1", nil, map[string]string{"a": "1"}), first)
+	p.SubmitAsync(txnAfterClaim("t2", nil, map[string]string{"b": "2"}), second)
+	waitWindow(t, p, []int64{2}, 1)
+	heal(sim)
+	if resp := awaitReply(t, firstCh); !resp.OK || resp.TS != 2 {
+		t.Fatalf("t1 = %+v, want committed at 2", resp)
+	}
+	if resp := awaitReply(t, secondCh); !resp.OK || resp.TS != 3 {
+		t.Fatalf("t2 = %+v, want committed at 3", resp)
+	}
+}
+
+// TestPipelineNeverReissuesFailedPosition: a position whose replication
+// failed stays issued; the next batch goes above it, and the hole is learned
+// before admission crosses it (invariants W1, W4).
+func TestPipelineNeverReissuesFailedPosition(t *testing.T) {
+	p, sim := wedgedPipeline(t, 1)
+	first, firstCh := collectReply()
+	p.SubmitAsync(txnAfterClaim("t1", nil, map[string]string{"a": "1"}), first)
+	if resp := awaitReply(t, firstCh); resp.OK {
+		t.Fatalf("t1 = %+v with no peer reachable, want a failure", resp)
+	}
+	waitWindow(t, p, nil, 0)
+	if pos := p.nextPos(); pos != 3 {
+		t.Fatalf("next position after 2 failed = %d, want 3", pos)
+	}
+	heal(sim)
+	second, secondCh := collectReply()
+	p.SubmitAsync(txnAfterClaim("t2", nil, map[string]string{"b": "2"}), second)
+	if resp := awaitReply(t, secondCh); !resp.OK || resp.TS != 3 {
+		t.Fatalf("t2 = %+v, want committed at 3", resp)
+	}
+	if e, ok := p.lg.Entry(2); !ok || e.Contains("t2") {
+		t.Fatalf("position 2 = %v (decided %v), want the learned outcome of t1's attempt", e, ok)
+	}
+}
+
+// TestPipelineAdmitsAgainstInFlight: a submission that read a key an
+// in-flight entry writes is refused as a conflict at once, without waiting
+// for that entry to resolve (invariant W2).
+func TestPipelineAdmitsAgainstInFlight(t *testing.T) {
+	p, _ := wedgedPipeline(t, 2)
+	p.SubmitAsync(txnAfterClaim("w", nil, map[string]string{"x": "1"}), func(network.Message) {})
+	waitWindow(t, p, []int64{2}, 0)
+	reply, ch := collectReply()
+	p.SubmitAsync(txnAfterClaim("r", []string{"x"}, map[string]string{"y": "1"}), reply)
+	if resp := awaitReply(t, ch); resp.OK || resp.Verdict != network.VerdictConflict {
+		t.Fatalf("reader of in-flight write = %+v, want VerdictConflict", resp)
+	}
+}
+
+// TestPipelineCloseAnswersBatchWaitingForWindow: Close with the window full
+// answers the batch waiting for a slot with VerdictShutdown, since nothing
+// of it reached the log.
+func TestPipelineCloseAnswersBatchWaitingForWindow(t *testing.T) {
+	p, _ := wedgedPipeline(t, 1)
+	p.SubmitAsync(txnAfterClaim("t1", nil, map[string]string{"a": "1"}), func(network.Message) {})
+	reply, ch := collectReply()
+	p.SubmitAsync(txnAfterClaim("t2", nil, map[string]string{"b": "2"}), reply)
+	waitWindow(t, p, []int64{2}, 1)
+	p.close()
+	select {
+	case resp := <-ch:
+		if resp.OK || resp.Verdict != network.VerdictShutdown {
+			t.Fatalf("queued batch at close = %+v, want VerdictShutdown", resp)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("queued batch not answered at close")
+	}
+}
+
+// TestPipelineCloseDuringPlaceAnswersShutdown: a batch the dispatcher took
+// before Close, and admitted after it, is answered VerdictShutdown and never
+// registered in flight: nothing of it reached the log.
+func TestPipelineCloseDuringPlaceAnswersShutdown(t *testing.T) {
+	services, sim := newServiceRing(t, 5, []string{"A", "B", "C"},
+		WithServiceTimeout(100*time.Millisecond), WithSubmitCombine(1))
+	sim.Partition("A", "B")
+	sim.Partition("A", "C")
+	p := services["A"].pipeline("g")
+	reply, ch := collectReply()
+	// A holds no mastership, so placing the batch starts a claim, which
+	// cannot finish while A is cut off.
+	p.SubmitAsync(wal.Txn{ID: "t1", Origin: "A", Writes: map[string]string{"a": "1"}}, reply)
+	waitWindow(t, p, nil, 0)
+	p.mu.Lock()
+	placing := p.running
+	p.mu.Unlock()
+	if !placing {
+		t.Fatal("dispatcher stopped before the claim finished")
+	}
+	p.close()
+	heal(sim)
+	if resp := awaitReply(t, ch); resp.OK || resp.Verdict != network.VerdictShutdown {
+		t.Fatalf("batch closed while placed = %+v, want VerdictShutdown", resp)
+	}
+	if got, q := windowState(p); len(got) != 0 || q != 0 {
+		t.Fatalf("after close: in flight %v with %d queued, want none", got, q)
+	}
+}
+
+// TestSubmitWindowIgnoresNonPositive: a window of zero would never place a
+// batch, so WithSubmitWindow keeps the default for n ≤ 0.
+func TestSubmitWindowIgnoresNonPositive(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		s := NewService("A", kvstore.New(), nil, WithSubmitWindow(n))
+		if got := s.pipeline("g").limit; got != DefaultSubmitWindow {
+			t.Errorf("WithSubmitWindow(%d): window %d, want %d", n, got, DefaultSubmitWindow)
+		}
+		s.Close()
 	}
 }

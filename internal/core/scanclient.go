@@ -170,6 +170,10 @@ func (sc *Scanner) fetch(ctx context.Context) bool {
 		sc.err = fmt.Errorf("core: scan %q: %w", sc.prefix, err)
 		return false
 	}
+	if len(resp.Vals) != len(resp.Keys) {
+		sc.err = fmt.Errorf("core: scan %q reply shape: %d keys, %d vals", sc.prefix, len(resp.Keys), len(resp.Vals))
+		return false
+	}
 	if !t.resolved() {
 		t.readPos = resp.TS // first page pins the scan; later pages reuse it
 	}

@@ -155,8 +155,10 @@ func WithSubmitCombine(n int) ServiceOption {
 // WithSubmitQueue sets the per-group submit admission cap: submissions
 // arriving while this many are already queued fail fast with the retryable
 // VerdictOverloaded and a queue-depth hint, instead of stacking
-// unbounded latency (default DefaultSubmitQueue). Negative lifts the cap,
-// restoring the pre-admission unbounded queue.
+// unbounded latency (default DefaultSubmitQueue). A batch waiting for a
+// free in-flight window slot stays queued, so its submissions count against
+// the cap. Negative lifts the cap, restoring the pre-admission unbounded
+// queue.
 func WithSubmitQueue(n int) ServiceOption {
 	return func(s *Service) {
 		if n != 0 {
@@ -173,8 +175,9 @@ const DefaultLeaseFactor = 4
 // WithLeaseDuration sets the master lease duration for epoch-fenced
 // mastership (DESIGN.md §11). A prospective master waits out the prevailing
 // holder's lease before claiming the group's next epoch; the holder renews
-// implicitly through its own committed traffic (and explicitly via
-// RenewLease when idle). Zero (the default) means DefaultLeaseFactor times
+// only through its own committed traffic. Nothing renews an idle master's
+// lease, so it lapses, and the next submit at another datacenter pays for a
+// claim of the next epoch. Zero (the default) means DefaultLeaseFactor times
 // the service timeout. The lease bounds failover time only — safety comes
 // from epoch fencing, not from clocks.
 func WithLeaseDuration(d time.Duration) ServiceOption {

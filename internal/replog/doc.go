@@ -57,6 +57,7 @@
 // to a Fence, an immutable value taken at the applied watermark (Log.Fence)
 // or at a pin (Log.FenceAt).
 //
-// Window, the in-flight accounting for the master's pipelined submit path,
-// also lives here (DESIGN.md §8).
+// A Log holds decided entries only. The positions a master has proposed and
+// not yet resolved are its submit pipeline's in-flight window, kept in
+// internal/core (DESIGN.md §8).
 package replog

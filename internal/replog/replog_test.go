@@ -691,3 +691,59 @@ func TestLogDuplicateAppendComparesBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestLogMultiTxnEntryApply: a combined (multi-transaction) entry from the
+// master's pipelined submit path applies every member's writes in list
+// order — later transactions in the entry overwrite earlier ones.
+func TestLogMultiTxnEntryApply(t *testing.T) {
+	l, store := openLog(t)
+	entry := wal.NewEntry(
+		wal.Txn{ID: "t1", Origin: "A", Writes: map[string]string{"x": "first", "y": "only"}},
+		wal.Txn{ID: "t2", Origin: "B", Writes: map[string]string{"x": "second", "z": "tail"}},
+	)
+	if _, err := l.Append(1, wal.Encode(entry)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitApplied(waitCtx(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{"x": "second", "y": "only", "z": "tail"} {
+		v, _, err := store.Read(DataKey("g", key), 1)
+		if err != nil || v["v"] != want {
+			t.Fatalf("data %q = (%v, %v), want %q", key, v, err, want)
+		}
+	}
+	if got := l.DecidedMax(); got != 1 {
+		t.Fatalf("DecidedMax = %d, want 1", got)
+	}
+}
+
+// TestLogDecidedMaxTracksGappedAppends: the decided ceiling covers pending
+// positions above a gap and survives reopen.
+func TestLogDecidedMaxTracksGappedAppends(t *testing.T) {
+	store := kvstore.New()
+	l := Open(store, "g")
+	if _, err := l.Append(1, testEntry("t1", 0, map[string]string{"a": "1"})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(3, testEntry("t3", 2, map[string]string{"c": "3"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitApplied(waitCtx(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.DecidedMax(); got != 3 {
+		t.Fatalf("DecidedMax with gap = %d, want 3", got)
+	}
+	// The reopened log reads rows: wait for entry 3's, which the apply
+	// watermark at 1 does not cover.
+	if err := l.WaitLogged(waitCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2 := Open(store, "g")
+	defer l2.Close()
+	if got := l2.DecidedMax(); got != 3 {
+		t.Fatalf("DecidedMax after reopen = %d, want 3", got)
+	}
+}
