@@ -68,10 +68,12 @@ test:
 ## The packages that pool per-message objects (deadline phases, pending
 ## calls, broadcast rounds, the completion list) then run five more times: a
 ## reuse race that needs an unlucky interleaving gets more than one chance
-## per run.
+## per run. So do the dispatcher's tests: its pooled request item is
+## released by the goroutine it started.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler' ./internal/core
 
 ## cover: per-package coverage summary (cover.txt; the CI test job appends it
 ## to $GITHUB_STEP_SUMMARY)

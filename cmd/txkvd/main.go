@@ -97,9 +97,9 @@ func main() {
 	}
 	// Two-phase wiring: the UDP transport needs the handler, and the
 	// service needs the transport (for catch-up). The async registration
-	// keeps the UDP read loop non-blocking: requests run on the service's
-	// sharded dispatch workers and submits hold no goroutine while their
-	// position replicates (DESIGN.md §13).
+	// keeps the UDP read loop non-blocking: a request runs on a goroutine of
+	// its own, and applies and submits hold none while their position is
+	// made durable or replicates (DESIGN.md §13).
 	var service *core.Service
 	transport, err := network.NewUDPAsync(*dc, *bind, peerMap, func(from string, req network.Message, reply func(network.Message)) {
 		service.AsyncHandler()(from, req, reply)

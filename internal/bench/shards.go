@@ -19,7 +19,7 @@ import (
 // groups on the VVV sim, every group with its own pipelined master — spread
 // across the datacenters by the cluster's placement — its own submit window,
 // and its own replicated log. The groups of a datacenter share its
-// service's apply pool and dispatcher workers, the simulated transport and
+// service's apply pool, the simulated transport and
 // the datacenter's store.
 //
 // With one group, all threads contend on one serialization domain: one

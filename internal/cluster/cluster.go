@@ -131,8 +131,8 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	// Two-phase wiring: services need endpoints for catch-up, and endpoints
 	// need the service handler. Register a dispatching handler first. The
-	// async registration routes requests through each service's sharded
-	// dispatch workers (core.AsyncHandler, DESIGN.md §13). The handler
+	// async registration hands requests to each service's one entry point
+	// (core.AsyncHandler, DESIGN.md §13). The handler
 	// re-resolves the service on every message so Crash (nil entry: drop)
 	// and Restart (new service) take effect without re-registering.
 	for _, dc := range cfg.Topology.DCs() {
@@ -140,7 +140,7 @@ func Open(cfg Config) (*Cluster, error) {
 		store, engine, err := c.openStore(dc)
 		if err != nil {
 			// Tear down the partially built cluster: already-built services
-			// run dispatch workers and submit pipelines, and the recovered
+			// run apply pools and submit pipelines, and the recovered
 			// stores hold open segment files and flusher goroutines.
 			c.sim.Close()
 			for _, s := range c.services {

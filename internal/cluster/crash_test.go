@@ -86,7 +86,7 @@ func TestRefusesStoreWithLegacyAcceptorRows(t *testing.T) {
 
 // TestOpenErrorPathLeaksNoGoroutines: a failed Open must fully unwind the
 // partially built cluster — the simulator's delivery goroutines, every
-// already-built service's dispatch workers and submit pipelines, and the
+// already-built service's apply pool and submit pipelines, and the
 // recovered stores' disk flushers. Pinned with a bare goroutine-count delta
 // and a grace window for asynchronous winddown (no external leak detector).
 func TestOpenErrorPathLeaksNoGoroutines(t *testing.T) {

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"paxoscp/internal/kvstore"
+	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
 )
@@ -174,8 +178,8 @@ func TestAsyncHandlerServesHotKinds(t *testing.T) {
 
 // TestAsyncHandlerParallelGroups floods many groups through one service's
 // async entry point concurrently; every request must be answered and the
-// per-group data must be consistent. This exercises the dispatcher's shard
-// workers and the overflow-to-goroutine path under load.
+// per-group data must be consistent. This exercises a goroutine per request
+// under load.
 func TestAsyncHandlerParallelGroups(t *testing.T) {
 	s := NewService("A", kvstore.New(), nil)
 	defer s.Close()
@@ -269,7 +273,7 @@ func TestAsyncHandlerDispatchAllocs(t *testing.T) {
 // VerdictShutdown — and the pooled items carry no request into another's
 // answer. Run it under -race with -count to shake the interleavings.
 func TestDispatcherConcurrentDispatchAndClose(t *testing.T) {
-	d := newDispatcher(2, func(_ string, req network.Message) network.Message {
+	d := newDispatcher(func(_ string, req network.Message) network.Message {
 		return network.Message{Kind: network.KindValue, OK: true, Pos: req.Pos}
 	})
 	const senders, each = 8, 200
@@ -282,7 +286,7 @@ func TestDispatcherConcurrentDispatchAndClose(t *testing.T) {
 			for i := 0; i < each; i++ {
 				pos := int64(g*each + i)
 				var once atomic.Bool
-				d.dispatch(string(rune('a'+g)), d.item("B", network.Message{Kind: network.KindReadPos, Pos: pos},
+				d.spawn(d.item("B", network.Message{Kind: network.KindReadPos, Pos: pos},
 					func(m network.Message) {
 						if once.Swap(true) || (m.OK && m.Pos != pos) || (!m.OK && m.Verdict != network.VerdictShutdown) {
 							wrong.Add(1)
@@ -304,5 +308,74 @@ func TestDispatcherConcurrentDispatchAndClose(t *testing.T) {
 	}
 	if wrong.Load() != 0 {
 		t.Fatalf("%d answers were duplicated, for another request, or not a shutdown refusal", wrong.Load())
+	}
+}
+
+// syncGateFS is the real filesystem with a gate on WAL segment fsyncs: once
+// armed, every segment Sync reports on entered and waits for release.
+type syncGateFS struct {
+	disk.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (fs *syncGateFS) OpenFile(name string, flag int, perm os.FileMode) (disk.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return gatedSegment{f, fs}, nil
+}
+
+type gatedSegment struct {
+	disk.File
+	fs *syncGateFS
+}
+
+func (f gatedSegment) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestSameGroupPrepareSkipsOthersFsync: a request does not wait for another
+// request of its group to finish. With the first prepare of group g held in
+// its fsync, a second prepare of g still reaches the engine and enters an
+// fsync of its own; requests pinned to one worker per group would queue it
+// behind the first until that fsync returned.
+func TestSameGroupPrepareSkipsOthersFsync(t *testing.T) {
+	fs := &syncGateFS{FS: disk.OSFS(), entered: make(chan struct{}, 4), release: make(chan struct{})}
+	store, eng, err := disk.Open(t.TempDir(), disk.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewService("A", store, nil)
+	s.EnsureGroups("g")
+	defer eng.Close()
+	defer s.Close()
+	defer close(fs.release)
+	fs.armed.Store(true)
+
+	ah := s.AsyncHandler()
+	replies := make(chan network.Message, 2)
+	reply := func(m network.Message) { replies <- m }
+	ah("B", network.Message{Kind: network.KindPrepare, Group: "g", Pos: 1, Ballot: 7}, reply)
+	<-fs.entered // the first prepare's fsync is held
+	ah("B", network.Message{Kind: network.KindPrepare, Group: "g", Pos: 2, Ballot: 7}, reply)
+	select {
+	case <-fs.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second prepare of the group did not reach an fsync while the first one's was held")
+	}
+	fs.armed.Store(false)
+	fs.release <- struct{}{}
+	fs.release <- struct{}{}
+	for range 2 {
+		if m := awaitReply(t, replies); !m.OK {
+			t.Fatalf("prepare = %+v", m)
+		}
 	}
 }

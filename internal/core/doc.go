@@ -40,12 +40,13 @@
 // the applied watermark readers block on.
 //
 // AsyncHandler is the one request entry point (dispatch.go, DESIGN.md §13):
-// short store-bound requests run on GOMAXPROCS shard workers keyed by
-// group, work that can block gets its own goroutine, and submits enter the
-// master pipeline asynchronously — no goroutine is held while a position
-// replicates, and a submit arriving at a full queue is refused fast with
-// the retryable VerdictOverloaded (admission control, WithSubmitQueue)
-// instead of queueing without bound.
+// every request but applies and submits runs on a goroutine of its own, as
+// the paper's service processes do. An apply lands in the log and is
+// answered by the drain that makes it durable, and a submit enters the
+// master pipeline asynchronously: no goroutine is held while a position
+// replicates, and a submit arriving at a full queue is refused fast with the
+// retryable VerdictOverloaded (admission control, WithSubmitQueue) instead
+// of queueing without bound.
 //
 // A service that will not serve a request says why with a network.Verdict
 // (the reply's Err is text for people); what a client does with each verdict

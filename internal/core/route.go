@@ -18,8 +18,11 @@ import (
 // one: submit to the master, wherever it now is. A service says why it will
 // not serve with a network.Verdict; what a client does about each verdict is
 // verdictRules, and the one loop that does it is sender. The transaction
-// client and the migration coordinator both send through it, and nothing else
-// in this package follows a refusal from replica to replica.
+// client and the migration coordinator both send through it. One other path
+// follows a refusal to another replica: Client.claimFastPath retries a
+// refused leader claim once at the hinted leader. It stays outside
+// verdictRules because a refused or failed grant costs only the fast path:
+// the client falls back to prepare/accept, which needs no grant.
 
 // Refusal is a service's refusal as the caller sees it: the verdict, who gave
 // it, and the reply fields that carry the verdict's hint.

@@ -82,8 +82,8 @@ type Service struct {
 	submitCombine int
 	submitQueue   int
 
-	// disp shards short request handlers across GOMAXPROCS workers keyed by
-	// group (dispatch.go); used by AsyncHandler only.
+	// disp serves every request AsyncHandler does not answer itself, each on
+	// its own goroutine (dispatch.go); used by AsyncHandler only.
 	disp *dispatcher
 
 	// leaseDur is the master lease duration; 0 means DefaultLeaseFactor
@@ -213,7 +213,7 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 		submitQueue:   DefaultSubmitQueue,
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
-	s.disp = newDispatcher(runtime.GOMAXPROCS(0), s.handle)
+	s.disp = newDispatcher(s.handle)
 	for _, o := range opts {
 		o(s)
 	}

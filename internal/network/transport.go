@@ -27,14 +27,14 @@ const DefaultTimeout = 2 * time.Second
 // through reply, which must be called exactly once (extra calls are
 // ignored). Handlers must be safe for concurrent use.
 //
-// The paper serves "each client request in its own service process". This
-// departs from it: no request gets a goroutine of its own by default, and
-// the handler chooses where the work runs. Cheap requests answer inline on
-// the transport's read path or on a per-group worker, expensive or blocking
-// ones move to a goroutine of their own, and one that waits on an event can
-// leave reply to whatever signals it (a service answers an apply from the
-// drain that makes it durable, and a submit from its pipeline) and hold no
-// goroutine at all: a transport's reply never blocks.
+// The paper serves "each client request in its own service process". The
+// transport gives no request a goroutine of its own; the handler chooses
+// where the work runs. A service runs most requests on a goroutine of their
+// own, as the paper does, but a request that waits on an event can leave
+// reply to whatever signals it (a service answers an apply from the drain
+// that makes it durable, and a submit from its pipeline) and hold no
+// goroutine at all: a transport's reply never blocks. That is where a
+// service departs from the paper.
 //
 // req — including the backing arrays of Payload, Keys, Vals, and Founds — is
 // only valid until reply is called; a handler that retains any of it past

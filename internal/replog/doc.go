@@ -3,9 +3,11 @@
 // log, its contiguously-applied watermark, and a decoded-entry cache;
 // decided positions drain into kvstore write batches on a Pool, and only
 // there: a Transaction Service opens every group's Log on one shared Pool
-// (Pool.Open) — GOMAXPROCS workers keyed by GroupShard, one worker draining
-// a given log at a time, so per-group apply order is untouched while many
-// groups apply in parallel (pool.go, DESIGN.md §13) — and a Log from Open
+// (Pool.Open) — GOMAXPROCS workers, each group's log pinned to one of them
+// by a hash of its name, so one worker drains a given log at a time and
+// per-group apply order is untouched while many groups apply in parallel
+// (pool.go, DESIGN.md §13); the service's request dispatch shares nothing
+// with it — and a Log from Open
 // drains on a one-worker Pool of its own, which its Close stops.
 //
 // The seed kept all of this implicit: string-keyed rows in the datacenter's

@@ -105,10 +105,9 @@ func (p *Pool) Close() {
 // stop tells the workers to exit once idle and does not wait for them.
 func (p *Pool) stop() { p.stopOnce.Do(func() { close(p.stopCh) }) }
 
-// GroupShard maps a group name to a stable shard index (FNV-1a), shared by
-// the replog apply pool and the service dispatcher so both pin a group to
-// one worker.
-func GroupShard(group string) uint32 {
+// groupShard maps a group name to a stable shard index (FNV-1a), so the
+// pool drains a given group's log on one worker.
+func groupShard(group string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(group); i++ {
 		h ^= uint32(group[i])

@@ -148,12 +148,12 @@ func TestCloseFromCompletion(t *testing.T) {
 }
 
 func TestGroupShardStable(t *testing.T) {
-	if GroupShard("users/42") != GroupShard("users/42") {
+	if groupShard("users/42") != groupShard("users/42") {
 		t.Fatal("groupShard not deterministic")
 	}
 	distinct := map[uint32]bool{}
 	for i := 0; i < 64; i++ {
-		distinct[GroupShard(fmt.Sprintf("g%d", i))%8] = true
+		distinct[groupShard(fmt.Sprintf("g%d", i))%8] = true
 	}
 	if len(distinct) < 4 {
 		t.Fatalf("64 groups landed on %d of 8 shards — hash badly skewed", len(distinct))

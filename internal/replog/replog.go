@@ -201,7 +201,7 @@ func open(store *kvstore.Store, group string, pool *Pool) *Log {
 		group:     group,
 		store:     store,
 		pool:      pool,
-		shard:     GroupShard(group),
+		shard:     groupShard(group),
 		pending:   make(map[int64]queued),
 		cache:     make(map[int64]wal.Entry),
 		pins:      make(map[int64]time.Time),
