@@ -70,10 +70,13 @@ test:
 ## reuse race that needs an unlucky interleaving gets more than one chance
 ## per run. So do the dispatcher's tests: its pooled request item is
 ## released by the goroutine it started.
+## So does kvstore: ApplyBatch pins rows, and re-resolves one a concurrent
+## Delete took, without creating it before the batch is validated.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
 	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler' ./internal/core
+	$(GO) test -race -count=5 ./internal/kvstore
 
 ## cover: per-package coverage summary (cover.txt; the CI test job appends it
 ## to $GITHUB_STEP_SUMMARY)

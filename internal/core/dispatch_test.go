@@ -112,7 +112,7 @@ func TestAsyncHandlerServesHotKinds(t *testing.T) {
 			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
 		{network.Message{Kind: network.KindScan, Group: "g", Value: "", TS: network.ResolvePos},
 			func(m network.Message) bool { return m.OK && m.TS == 2 && len(m.Keys) == 1 }},
-		// Unknown kinds still answer (worker-inline default arm).
+		// Unknown kinds still answer (the default arm, on a goroutine of their own).
 		{network.Message{Kind: network.Kind("future"), Group: "g"}, refused},
 	}
 	// Replies, not requests: nothing sends these kinds to a service.
@@ -243,10 +243,10 @@ func TestMasterAsyncSubmitEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAsyncHandlerDispatchAllocs: a request bound for a shard worker costs
-// no allocation on its way through AsyncHandler — no closure, no copy of its
-// Message on the heap, a pooled item — nor, for a read-position request, in
-// the handler and the reply.
+// TestAsyncHandlerDispatchAllocs: a request served on a goroutine of its
+// own costs no allocation on its way through AsyncHandler — no closure, no
+// copy of its Message on the heap, a pooled item — nor, for a read-position
+// request, in the handler and the reply.
 func TestAsyncHandlerDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, and sync.Pool drops items under it")

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -82,6 +83,96 @@ func TestApplyBatchConflictAppliesNothing(t *testing.T) {
 	}
 	if v, _, _ := s.Read("clash", Latest); v["v"] != "old" {
 		t.Fatalf("clash overwritten: %v", v)
+	}
+}
+
+// TestApplyBatchRefusalAddsNoRow: a refused batch leaves no trace of the
+// keys it would have added — not even an empty row, which Len would count
+// and the ordered index would page.
+func TestApplyBatchRefusalAddsNoRow(t *testing.T) {
+	s := New()
+	if _, err := s.Write("a", Value{"v": "old"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	look := func() (n int, rows, page []string) {
+		for row, err := range s.Rows("", "", Latest) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row.Key)
+		}
+		return s.Len(), rows, s.idx.page(nil, "", "", leafCap)
+	}
+	n, rows, page := look()
+	err := s.ApplyBatch([]BatchWrite{
+		{Key: "b", Value: Value{"v": "new"}, TS: 1},
+		{Key: "a", Value: Value{"v": "rewrite"}, TS: 1},
+	})
+	if !errors.Is(err, ErrStaleWrite) {
+		t.Fatalf("err = %v, want ErrStaleWrite", err)
+	}
+	if n2, rows2, page2 := look(); n2 != n || !slices.Equal(rows2, rows) || !slices.Equal(page2, page) {
+		t.Fatalf("after the refusal: Len %d, Rows %q, index page %q; before: %d, %q, %q", n2, rows2, page2, n, rows, page)
+	}
+}
+
+// TestApplyBatchRacesDeletes runs idempotent batches against concurrent
+// Deletes of their rows, under -race: a row pinned for validation or apply
+// that a Delete takes is re-resolved, never written while orphaned, and a
+// refusal-free batch never fails for it. Once the deleter stops, one more
+// batch leaves every key with its value and no empty row behind.
+func TestApplyBatchRacesDeletes(t *testing.T) {
+	s := New()
+	const writers, keys, batches = 2, 64, 300
+	key := func(w, i int) string { return fmt.Sprintf("w%d/k%02d", w, i) }
+	batch := func(w int, ts int64) []BatchWrite {
+		b := make([]BatchWrite, keys)
+		for i := range b {
+			b[i] = BatchWrite{Key: key(w, i), Value: PackAttrs("v", fmt.Sprint(ts)), TS: ts}
+		}
+		return b
+	}
+	stop := make(chan struct{})
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Delete(key(n%writers, n%keys))
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for ts := int64(1); ts <= batches; ts++ {
+				if err := s.ApplyBatch(batch(w, ts)); err != nil {
+					t.Errorf("writer %d at %d: %v", w, ts, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-deleted
+	for w := 0; w < writers; w++ {
+		if err := s.ApplyBatch(batch(w, batches+1)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			if v, _, err := s.ReadPacked(key(w, i), Latest); err != nil || v.Get("v") != fmt.Sprint(batches+1) {
+				t.Fatalf("%s = %q (%v)", key(w, i), v.Get("v"), err)
+			}
+		}
+	}
+	if n := s.Len(); n != writers*keys {
+		t.Fatalf("Len %d, want %d", n, writers*keys)
 	}
 }
 

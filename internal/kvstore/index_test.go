@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -227,4 +228,82 @@ func TestIndexBytesPerKey(t *testing.T) {
 			t.Errorf("%s: %.2f B of index per key, want at most %v", c.name, perKey, c.bound)
 		}
 	}
+}
+
+// FuzzIndexOps drives the tree and a sorted-slice model with the same
+// operations, decoded from the input: inserts and deletes of keys of any
+// bytes — empty, sharing a long stem, above 0x7f — runs of up to 256 keys
+// under one stem, inserted or deleted ascending or descending, whose
+// unpadded numbers sweep each decade forward between the keys of the last
+// (the shape of position keys), and pages from any cursor under any prefix.
+// The tree must keep its invariants and hold the model's keys, and every
+// page must be the model's.
+func FuzzIndexOps(f *testing.F) {
+	f.Add([]byte("\x00\x01a\x00\x01b\x01\x01a\x03\x00\x00\x05"))
+	f.Add([]byte("\x02\x02k/\xff\x06\x02k/\xc8\x0b\x01k\x00\x10\x03\x00\x00\x40"))
+	f.Add([]byte("\x02\x00\xff\x0a\x01\x00\x03\x01\xff\x01\x00\x07\x03\x00\x03\x31\x32\x38\x4f"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		key := func() string {
+			n := min(next()%8, len(in))
+			k := string(in[:n])
+			in = in[n:]
+			return k
+		}
+		ix := &index{root: &node{}}
+		var model []string
+		insert := func(k string) {
+			ix.insert(k)
+			if i, found := slices.BinarySearch(model, k); !found {
+				model = slices.Insert(model, i, k)
+			}
+		}
+		remove := func(k string) {
+			ix.delete(k)
+			if i, found := slices.BinarySearch(model, k); found {
+				model = slices.Delete(model, i, i+1)
+			}
+		}
+		for ops := 0; len(in) > 0 && ops < 64; ops++ {
+			switch op := next(); op % 4 {
+			case 0:
+				insert(key())
+			case 1:
+				remove(key())
+			case 2:
+				stem, n := key(), 1+next()
+				for i := range n {
+					if op&8 != 0 {
+						i = n - 1 - i
+					}
+					if k := stem + strconv.Itoa(i); op&4 != 0 {
+						remove(k)
+					} else {
+						insert(k)
+					}
+				}
+			case 3:
+				prefix, after, max := key(), key(), 1+next()%80
+				var want []string
+				for _, k := range model {
+					if len(want) < max && k > after && strings.HasPrefix(k, prefix) {
+						want = append(want, k)
+					}
+				}
+				if got := ix.page(nil, prefix, after, max); !slices.Equal(got, want) {
+					t.Fatalf("page(%q, after %q, max %d) = %q, want %q", prefix, after, max, got, want)
+				}
+			}
+		}
+		if st := checkTree(t, ix); !slices.Equal(st.keys, model) {
+			t.Fatalf("the tree holds %d keys, the model %d", len(st.keys), len(model))
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -196,7 +197,7 @@ func (s *Store) lockRow(key string) *row {
 }
 
 // lockPinned locks a row pinned earlier (ApplyBatch pins all rows of a
-// batch up front with one shard-lock round per shard), re-resolving it
+// batch with one shard-lock round per shard), re-resolving it
 // through the shard map when a concurrent Delete scavenged it between the
 // pin and the lock.
 func (s *Store) lockPinned(r *row, key string) *row {
@@ -498,8 +499,9 @@ type BatchWrite struct {
 // (internal/replog) uses it to land all writes of a batch of contiguous
 // decided log entries, and the meta row recording them, in one pass.
 //
-// Every idempotent write is validated before any row is mutated, so a batch
-// that conflicts with the existing state applies nothing. Under concurrent
+// Every idempotent write is validated before any row is created or mutated,
+// so a batch that conflicts with the existing state changes nothing: no
+// version, and no empty row for a key it would have added. Under concurrent
 // non-identical writers a batch may still fail partway (applied elements are
 // idempotent, so retrying the same batch is harmless); cross-row visibility
 // is never atomic — readers may observe a prefix of the batch. The log layer
@@ -508,59 +510,44 @@ type BatchWrite struct {
 //
 // Elements are applied, and logged to the engine, in slice order, and one
 // Sync covers them all: when a later element of a batch is durable, so is
-// every earlier one.
+// every earlier one. ApplyBatch allocates only what the store keeps — the
+// rows it adds, their versions, and the packing of a Value — and, for a
+// batch of more than 64 writes, one scratch slice.
 func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	if err := s.mutGate(); err != nil {
 		return err
 	}
-	if len(writes) == 0 {
-		return nil
-	}
-	var byShard [numShards][]int
+	var pinBuf [64]pin
+	pins := pinBuf[:0]
 	for i := range writes {
 		if writes[i].TS < 0 {
 			return fmt.Errorf("kvstore: ApplyBatch requires explicit timestamps (key %q)", writes[i].Key)
 		}
-		si := shardFor(writes[i].Key)
-		byShard[si] = append(byShard[si], i)
+		pins = append(pins, pin{shard: shardFor(writes[i].Key), val: packOf(writes[i].Value)})
 	}
-	// Pin (and create) every row up front: one shard-lock acquisition per
-	// touched shard for the whole batch.
-	rows := make([]*row, len(writes))
-	for si := range byShard {
-		idxs := byShard[si]
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			r := sh.rows[writes[i].Key]
-			if r == nil {
-				r = &row{}
-				sh.rows[writes[i].Key] = r
-				s.idx.insert(writes[i].Key)
-			}
-			rows[i] = r
-		}
-		sh.mu.Unlock()
-	}
-	// Pack once, and validate everything first so a conflicting batch
-	// mutates nothing.
-	vals := make([]Packed, len(writes))
+	s.pinRows(writes, pins, false)
+	// Validate everything against the rows that exist before anything is
+	// created or mutated. A write whose row does not exist cannot conflict.
 	for i := range writes {
-		vals[i] = packOf(writes[i].Value)
-		if writes[i].Replace {
+		if writes[i].Replace || pins[i].r == nil {
 			continue
 		}
-		r := s.lockPinned(rows[i], writes[i].Key)
-		rows[i] = r
-		err := r.checkIdempotent(writes[i].TS, vals[i])
+		r := pins[i].r
+		if r.mu.Lock(); r.gone {
+			r.mu.Unlock()
+			if r = s.lockLive(writes[i].Key); r == nil {
+				pins[i].r = nil
+				continue
+			}
+		}
+		pins[i].r = r
+		err := r.checkIdempotent(writes[i].TS, pins[i].val)
 		r.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w key=%q", err, writes[i].Key)
 		}
 	}
+	s.pinRows(writes, pins, true)
 	// Each element's WAL record is appended under its row's lock (Append is
 	// queue-only, no I/O) so the log orders it against racing mutations of
 	// the same row, and one Sync at the end covers the whole batch — the
@@ -571,8 +558,8 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	var seq uint64
 	logged := false
 	for i := range writes {
-		r := s.lockPinned(rows[i], writes[i].Key)
-		m := Mutation{Op: OpWrite, Key: writes[i].Key, TS: writes[i].TS, Value: vals[i]}
+		r := s.lockPinned(pins[i].r, writes[i].Key)
+		m := Mutation{Op: OpWrite, Key: writes[i].Key, TS: writes[i].TS, Value: pins[i].val}
 		var changed bool
 		if writes[i].Replace {
 			m.Op = OpReplace
@@ -600,6 +587,55 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 		}
 	}
 	return nil
+}
+
+// pin is one element of an ApplyBatch: its row once resolved, the shard its
+// key hashes to, and its contents, packed once.
+type pin struct {
+	r     *row
+	val   Packed
+	shard uint32
+}
+
+// The shards a batch touches are a bit set in one uint32.
+var _ [32 - numShards]struct{}
+
+// pinRows resolves the row of every write whose pin has none yet, with one
+// round of shard locks over the shards that hold such a key: read locks, or,
+// with create, write locks and a new row for each key the shard lacks.
+func (s *Store) pinRows(writes []BatchWrite, pins []pin, create bool) {
+	var shards uint32
+	for i := range pins {
+		if pins[i].r == nil {
+			shards |= 1 << pins[i].shard
+		}
+	}
+	for ; shards != 0; shards &= shards - 1 {
+		si := uint32(bits.TrailingZeros32(shards))
+		sh := s.shards[si]
+		if create {
+			sh.mu.Lock()
+		} else {
+			sh.mu.RLock()
+		}
+		for i := range pins {
+			if pins[i].r != nil || pins[i].shard != si {
+				continue
+			}
+			r := sh.rows[writes[i].Key]
+			if r == nil && create {
+				r = &row{}
+				sh.rows[writes[i].Key] = r
+				s.idx.insert(writes[i].Key)
+			}
+			pins[i].r = r
+		}
+		if create {
+			sh.mu.Unlock()
+		} else {
+			sh.mu.RUnlock()
+		}
+	}
 }
 
 // CheckAndWrite atomically compares attribute testAttr of the latest version

@@ -60,6 +60,33 @@ func Pack(v Value) Packed {
 // call sites spell them out as literals, so a violation is a bug and
 // panics.
 func PackAttrs(kv ...string) Packed {
+	checkAscending(kv)
+	return packSorted(kv)
+}
+
+// PackAttrsBytes is PackAttrs(name, string(value), kv...) with value copied
+// once, straight into the block, and never retained: the caller may reuse
+// it. name must sort before every name in kv.
+func PackAttrsBytes(name string, value []byte, kv ...string) Packed {
+	checkAscending(kv)
+	if len(kv) > 0 && name >= kv[0] {
+		panic("kvstore: PackAttrs names must be strictly ascending")
+	}
+	var sb strings.Builder
+	sb.Grow(packedSize(kv) + uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(len(value))) + len(value))
+	writeUvarint(&sb, uint64(len(kv)/2+1))
+	writeString(&sb, name)
+	writeUvarint(&sb, uint64(len(value)))
+	sb.Write(value)
+	for _, s := range kv {
+		writeString(&sb, s)
+	}
+	return Packed{sb.String()}
+}
+
+// checkAscending panics unless kv is name, value pairs, names strictly
+// ascending.
+func checkAscending(kv []string) {
 	if len(kv)%2 != 0 {
 		panic("kvstore: PackAttrs needs name, value pairs")
 	}
@@ -68,17 +95,21 @@ func PackAttrs(kv ...string) Packed {
 			panic("kvstore: PackAttrs names must be strictly ascending")
 		}
 	}
-	return packSorted(kv)
+}
+
+// packedSize is the encoded length of the pairs in kv, without the count.
+func packedSize(kv []string) int {
+	size := 0
+	for _, s := range kv {
+		size += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return size
 }
 
 // packSorted encodes name, value pairs already in ascending name order.
 func packSorted(kv []string) Packed {
-	size := uvarintLen(uint64(len(kv) / 2))
-	for _, s := range kv {
-		size += uvarintLen(uint64(len(s))) + len(s)
-	}
 	var sb strings.Builder
-	sb.Grow(size)
+	sb.Grow(uvarintLen(uint64(len(kv)/2)) + packedSize(kv))
 	writeUvarint(&sb, uint64(len(kv)/2))
 	for _, s := range kv {
 		writeString(&sb, s)

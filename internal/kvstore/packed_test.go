@@ -79,15 +79,21 @@ func TestPropPackedEquality(t *testing.T) {
 	}
 }
 
-// TestPackAttrsMatchesPack pins the map-free constructor to the map one.
+// TestPackAttrsMatchesPack pins the map-free constructors to the map one.
 func TestPackAttrsMatchesPack(t *testing.T) {
 	if got, want := PackAttrs(), Pack(nil); got != want {
 		t.Fatalf("PackAttrs() = %q, want %q", got.Block(), want.Block())
 	}
 	long := strings.Repeat("v", 300) // a two-byte length prefix
-	got := PackAttrs("", "e", "a", "", "b", long)
-	if want := Pack(Value{"": "e", "a": "", "b": long}); got != want {
+	want := Pack(Value{"": "e", "a": "", "b": long})
+	if got := PackAttrs("", "e", "a", "", "b", long); got != want {
 		t.Fatalf("PackAttrs = %q, want %q", got.Block(), want.Block())
+	}
+	if got := PackAttrsBytes("", []byte("e"), "a", "", "b", long); got != want {
+		t.Fatalf("PackAttrsBytes = %q, want %q", got.Block(), want.Block())
+	}
+	if got, want := PackAttrsBytes("b", []byte(long)), Pack(Value{"b": long}); got != want {
+		t.Fatalf("PackAttrsBytes alone = %q, want %q", got.Block(), want.Block())
 	}
 	for name, kv := range map[string][]string{
 		"odd":        {"a"},
@@ -101,6 +107,20 @@ func TestPackAttrsMatchesPack(t *testing.T) {
 				}
 			}()
 			PackAttrs(kv...)
+		}()
+	}
+	for name, kv := range map[string][]string{
+		"after the rest": {"a", "1"},
+		"equal to one":   {"b", "1"},
+		"odd rest":       {"c"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PackAttrsBytes(%s) did not panic", name)
+				}
+			}()
+			PackAttrsBytes("b", nil, kv...)
 		}()
 	}
 }

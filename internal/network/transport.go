@@ -24,8 +24,11 @@ var (
 const DefaultTimeout = 2 * time.Second
 
 // AsyncHandler processes one inbound request and delivers the response
-// through reply, which must be called exactly once (extra calls are
-// ignored). Handlers must be safe for concurrent use.
+// through reply, which must be called exactly once. A second call is
+// dropped while nothing has reused the reply, but UDP pools what stands
+// behind it and reuses it for another request once it has been called, so a
+// late second call could answer that one. Handlers must be safe for
+// concurrent use.
 //
 // The paper serves "each client request in its own service process". The
 // transport gives no request a goroutine of its own; the handler chooses

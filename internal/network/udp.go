@@ -199,28 +199,54 @@ func (u *UDP) handleDatagram(data []byte, raddr netip.AddrPort) {
 	u.serve(env, dec, raddr)
 }
 
-// serve hands one decoded request to the handler. The reply callback is
-// idempotent (extra calls are dropped), returns the request's decode scratch
-// to the pool, and sends the response from a pooled encode buffer.
+// serve hands one decoded request to the handler, with a pooled replier's
+// reply as the callback.
 func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
-	id := env.ID
-	var replied atomic.Bool
-	reply := func(resp Message) {
-		if !replied.CompareAndSwap(false, true) {
-			return
-		}
-		decoderPool.Put(dec)
-		bp := getEncBuf()
-		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Resp: true, Msg: resp})
-		u.write(out, raddr)
-		*bp = out
-		putEncBuf(bp)
+	r, _ := repliers.Get().(*replier)
+	if r == nil {
+		r = new(replier)
+		r.reply = r.send
 	}
+	r.u, r.dec, r.id, r.raddr = u, dec, env.ID, raddr
+	r.replied.Store(false)
 	if u.handler == nil {
-		reply(Status(false, "no handler"))
+		r.reply(Status(false, "no handler"))
 		return
 	}
-	u.handler(env.From, env.Msg, reply)
+	u.handler(env.From, env.Msg, r.reply)
+}
+
+// replier answers one inbound request. Repliers are pooled, and reply is
+// bound to send once, when the replier is first made, so serving a request
+// builds no closure.
+type replier struct {
+	u       *UDP
+	dec     *decoder
+	id      uint64
+	raddr   netip.AddrPort
+	replied atomic.Bool
+	reply   func(Message) // r.send
+}
+
+var repliers sync.Pool
+
+// send is the reply callback. The first call returns the request's decode
+// scratch to the pool, sends the response from a pooled encode buffer, and
+// pools the replier; a later call is dropped until serve hands the replier
+// out again (AsyncHandler: reply exactly once).
+func (r *replier) send(resp Message) {
+	if !r.replied.CompareAndSwap(false, true) {
+		return
+	}
+	u := r.u
+	decoderPool.Put(r.dec)
+	bp := getEncBuf()
+	out := appendEnvelope((*bp)[:0], envelope{ID: r.id, From: u.local, Resp: true, Msg: resp})
+	u.write(out, r.raddr)
+	*bp = out
+	putEncBuf(bp)
+	r.u, r.dec = nil, nil
+	repliers.Put(r)
 }
 
 // write sends one datagram and counts it. A failed write is loss, the

@@ -94,16 +94,25 @@ func CheckLayout(store *kvstore.Store) error {
 	return nil
 }
 
-// acceptorState is the decoded row.
+// acceptorState is the decoded row. voteVal shares the row's memory.
 type acceptorState struct {
 	seq     int64
 	nextBal int64
 	voteBal int64
-	voteVal []byte
+	voteVal string
 }
 
 // decided reports that the row is final: voteVal is the decided entry.
 func (st acceptorState) decided() bool { return st.voteBal == DecidedBallot }
+
+// vote returns a copy of the voted value, the caller's own; nil for a null
+// vote.
+func (st acceptorState) vote() []byte {
+	if st.voteBal == NilBallot {
+		return nil
+	}
+	return []byte(st.voteVal)
+}
 
 func parseBallot(s string) int64 {
 	if s == "" {
@@ -125,7 +134,7 @@ func (a *Acceptor) load(group string, pos int64) (acceptorState, error) {
 		return acceptorState{}, err
 	}
 	if RowDecided(v) {
-		return acceptorState{nextBal: NilBallot, voteBal: DecidedBallot, voteVal: []byte(RowEntry(v))}, nil
+		return acceptorState{nextBal: NilBallot, voteBal: DecidedBallot, voteVal: RowEntry(v)}, nil
 	}
 	st := acceptorState{
 		seq:     parseSeq(v.Get("seq")),
@@ -133,7 +142,7 @@ func (a *Acceptor) load(group string, pos int64) (acceptorState, error) {
 		voteBal: parseBallot(v.Get("voteBal")),
 	}
 	if st.voteBal != NilBallot {
-		st.voteVal = []byte(RowEntry(v))
+		st.voteVal = RowEntry(v)
 	}
 	return st, nil
 }
@@ -146,20 +155,35 @@ func parseSeq(s string) int64 {
 	return v
 }
 
-// cas attempts the transition old -> next conditioned on the seq attribute
-// being unchanged since old was read. It returns false when the row moved.
-func (a *Acceptor) cas(group string, pos int64, old acceptorState, next acceptorState) (bool, error) {
+// The rows a transition writes are packed directly, names ascending: the row
+// is written on every prepare and accept, and a map built only to be encoded
+// is pure garbage.
+
+// promised is the row st becomes when it promises ballot, its vote carried
+// as it is.
+func (st acceptorState) promised(ballot int64) kvstore.Packed {
+	nextBal, seq := strconv.FormatInt(ballot, 10), strconv.FormatInt(st.seq+1, 10)
+	if st.voteBal == NilBallot {
+		return kvstore.PackAttrs("nextBal", nextBal, "seq", seq)
+	}
+	return kvstore.PackAttrs("entry", st.voteVal, "nextBal", nextBal, "seq", seq,
+		"voteBal", strconv.FormatInt(st.voteBal, 10))
+}
+
+// voted is the row st becomes when it votes for value at ballot. value is
+// copied once, into the row: it may be a transport's pooled scratch.
+func (st acceptorState) voted(ballot int64, value []byte) kvstore.Packed {
+	b := strconv.FormatInt(ballot, 10)
+	return kvstore.PackAttrsBytes("entry", value, "nextBal", b, "seq", strconv.FormatInt(st.seq+1, 10), "voteBal", b)
+}
+
+// cas writes val as the row of (group, pos), conditioned on the seq
+// attribute being unchanged since old was read. It returns false when the
+// row moved.
+func (a *Acceptor) cas(group string, pos int64, old acceptorState, val kvstore.Packed) (bool, error) {
 	testSeq := ""
 	if old.seq > 0 {
 		testSeq = strconv.FormatInt(old.seq, 10)
-	}
-	// Packed directly, names ascending: the row is written on every prepare
-	// and accept, and a map built only to be encoded is pure garbage.
-	nextBal, seq := strconv.FormatInt(next.nextBal, 10), strconv.FormatInt(old.seq+1, 10)
-	val := kvstore.PackAttrs("nextBal", nextBal, "seq", seq)
-	if next.voteBal != NilBallot {
-		val = kvstore.PackAttrs("entry", string(next.voteVal), "nextBal", nextBal, "seq", seq,
-			"voteBal", strconv.FormatInt(next.voteBal, 10))
 	}
 	err := a.store.CheckAndWrite(StateKey(group, pos), "seq", testSeq, val)
 	if errors.Is(err, kvstore.ErrCheckFailed) {
@@ -198,19 +222,17 @@ func (a *Acceptor) Prepare(group string, pos int64, ballot int64) (PrepareResult
 		if st.decided() {
 			// Nothing is promised and nothing written: the value reported at
 			// DecidedBallot is the one the proposer must carry, at any ballot.
-			return PrepareResult{OK: true, Promised: ballot, VoteBallot: DecidedBallot, VoteValue: st.voteVal}, nil
+			return PrepareResult{OK: true, Promised: ballot, VoteBallot: DecidedBallot, VoteValue: st.vote()}, nil
 		}
 		if ballot <= st.nextBal {
-			return PrepareResult{OK: false, Promised: st.nextBal, VoteBallot: st.voteBal, VoteValue: st.voteVal}, nil
+			return PrepareResult{OK: false, Promised: st.nextBal, VoteBallot: st.voteBal, VoteValue: st.vote()}, nil
 		}
-		next := st
-		next.nextBal = ballot
-		ok, err := a.cas(group, pos, st, next)
+		ok, err := a.cas(group, pos, st, st.promised(ballot))
 		if err != nil {
 			return PrepareResult{}, err
 		}
 		if ok {
-			return PrepareResult{OK: true, Promised: ballot, VoteBallot: st.voteBal, VoteValue: st.voteVal}, nil
+			return PrepareResult{OK: true, Promised: ballot, VoteBallot: st.voteBal, VoteValue: st.vote()}, nil
 		}
 		// The row changed underneath us ("only update nextBal in datastore
 		// if it has not changed since read"); re-read and retry.
@@ -252,14 +274,14 @@ func (a *Acceptor) Accept(group string, pos int64, ballot int64, value []byte) (
 			// A decided row is final. Refusing any other value is what keeps a
 			// straggling accept(b, X) from overwriting a row that became the
 			// log entry Y while this acceptor was not in Y's quorum.
-			return AcceptResult{OK: string(st.voteVal) == string(value), Promised: ballot, Decided: true}, nil
+			return AcceptResult{OK: st.voteVal == string(value), Promised: ballot, Decided: true}, nil
 		}
 		if st.voteBal == ballot {
 			// Already voted at this ballot. A duplicate delivery of the
 			// same value is acknowledged idempotently; a different value at
 			// the same ballot (possible only on the contended fast path) is
 			// refused — an acceptor votes at most once per ballot.
-			if string(st.voteVal) == string(value) {
+			if st.voteVal == string(value) {
 				return AcceptResult{OK: true, Promised: st.nextBal}, nil
 			}
 			return AcceptResult{OK: false, Promised: st.nextBal}, nil
@@ -268,11 +290,7 @@ func (a *Acceptor) Accept(group string, pos int64, ballot int64, value []byte) (
 		if st.nextBal != ballot && !fastOK {
 			return AcceptResult{OK: false, Promised: st.nextBal}, nil
 		}
-		next := st
-		next.nextBal = ballot
-		next.voteBal = ballot
-		next.voteVal = value
-		ok, err := a.cas(group, pos, st, next)
+		ok, err := a.cas(group, pos, st, st.voted(ballot, value))
 		if err != nil {
 			return AcceptResult{}, err
 		}
@@ -289,7 +307,7 @@ func (a *Acceptor) Vote(group string, pos int64) (ballot int64, value []byte, er
 	if err != nil {
 		return NilBallot, nil, err
 	}
-	return st.voteBal, st.voteVal, nil
+	return st.voteBal, st.vote(), nil
 }
 
 // Promised returns the acceptor's current promise for a position.

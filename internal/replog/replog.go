@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +35,14 @@ type Log struct {
 	// ioMu orders bulk store mutations against watermark movement: the
 	// drain's batch+meta write and snapshot installation.
 	ioMu sync.Mutex
-	// batch is drain's reusable write buffer (guarded by ioMu).
+	// batch is drain's reusable write buffer, run its reusable list of the
+	// entries a pass applies, kv an entry's writes before they go in the
+	// batch, and vals the packed values the batch's data writes point at
+	// (guarded by ioMu).
 	batch []kvstore.BatchWrite
+	run   []wal.Entry
+	kv    []keyVal
+	vals  []kvstore.Packed
 	// due is the reusable list of completions a drain pass fires (guarded
 	// by ioMu).
 	due []completion
@@ -333,7 +340,11 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 // (paxos.VoteStands). Nothing is durable when AppendChosen returns;
 // WaitApplied, or WaitLogged for an entry above a gap, is the durability
 // point. Bytes that will not be queued — a duplicate, a position already
-// below the watermark — are compared, not decoded.
+// below the watermark — are compared, not decoded. Bytes that are queued are
+// held once: over the string of the replica's own row of pos when that
+// holds the same bytes — its vote, or a decided row — and copied only when
+// it does not, as when the replica missed the accept. entryBytes is never
+// retained.
 //
 // A decided position holds one value (invariant R1), enforced here against
 // whichever copy of pos the log has — the queued one, or the stored row once
@@ -351,19 +362,34 @@ func (l *Log) AppendChosen(pos, chosenAt int64, entryBytes []byte) (int64, error
 	}
 	// Only a position that is new gets decoded, and outside l.mu: the master
 	// appends every position twice by design (its local apply leg, then
-	// pipeline.replicate), and a duplicate is settled by comparing bytes. A
-	// new one is copied once: the queued bytes and every string of the
-	// decoded entry share that copy.
+	// pipeline.replicate), and a duplicate is settled by comparing bytes. The
+	// queued bytes and every string of the decoded entry share one string:
+	// the replica's own row's (held), or a copy when it has none to share.
 	h, fresh, err := l.offer(pos, entryBytes, nil)
 	if !fresh || err != nil {
 		return h, err
 	}
-	q := queued{bytes: string(entryBytes), chosenAt: chosenAt}
+	q := queued{bytes: l.held(pos, entryBytes), chosenAt: chosenAt}
 	if q.entry, err = wal.DecodeString(q.bytes); err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
 	h, _, err = l.offer(pos, entryBytes, &q)
 	return h, err
+}
+
+// held returns entryBytes as a string. When the replica's own row of pos
+// already holds those bytes — its vote, cast by the accept that chose them,
+// or a decided row — it is the row's string, so the replica keeps one copy
+// of the entry; a copy is made only when it does not, i.e. the replica
+// missed the accept. Stored contents are immutable, so sharing them is safe
+// whatever later becomes of the row.
+func (l *Log) held(pos int64, entryBytes []byte) string {
+	if row, _, err := l.store.ReadPacked(paxos.StateKey(l.group, pos), kvstore.Latest); err == nil {
+		if vote := paxos.RowEntry(row); vote == string(entryBytes) {
+			return vote
+		}
+	}
+	return string(entryBytes)
 }
 
 // offer is AppendChosen's critical section. With q nil it only looks: fresh
@@ -927,7 +953,7 @@ func (l *Log) drain() {
 		}
 		start := l.applied
 		pos := start
-		var entries []wal.Entry
+		entries := l.run[:0]
 		for {
 			q, ok := l.pending[pos+1]
 			if !ok {
@@ -936,7 +962,8 @@ func (l *Log) drain() {
 			pos++
 			entries = append(entries, q.entry)
 		}
-		writes := l.batch[:0]
+		l.run = entries
+		writes, vals := l.batch[:0], l.vals[:0]
 		logging := l.unlogged
 		l.unlogged = nil
 		for _, p := range logging {
@@ -1006,7 +1033,7 @@ func (l *Log) drain() {
 			// rules M1/M2 can void individual transactions (a combined
 			// entry may mix moved and unmoved write sets). Later
 			// transactions still overwrite earlier ones within the entry.
-			entryWrites := make(map[string]string, 4)
+			kv := l.kv[:0]
 			for _, t := range e.Txns {
 				if to, voided := mig.voidsTxn(t); voided {
 					if newMoved == nil {
@@ -1019,13 +1046,16 @@ func (l *Log) drain() {
 					continue
 				}
 				for k, v := range t.Writes {
-					entryWrites[k] = v
+					kv = append(kv, keyVal{k, v})
 				}
 			}
-			for k, v := range entryWrites {
-				writes = append(writes, kvstore.BatchWrite{
-					Key: DataKey(l.group, k), Value: kvstore.PackAttrs("v", v), TS: p,
-				})
+			l.kv = kv
+			for _, w := range lastWins(kv) {
+				// Value points into vals, so the write boxes no copy of it.
+				// An append that moves vals leaves the pointers taken before
+				// on the old array, which keeps its values.
+				vals = append(vals, kvstore.PackAttrs("v", w.val))
+				writes = append(writes, kvstore.BatchWrite{Key: DataKey(l.group, w.key), Value: &vals[len(vals)-1], TS: p})
 			}
 		}
 		meta := l.meta
@@ -1036,7 +1066,7 @@ func (l *Log) drain() {
 			}
 			writes = append(writes, meta.write(l.group))
 		}
-		l.batch = writes
+		l.batch, l.vals = writes, vals
 		err := l.store.ApplyBatch(writes)
 		if err == nil {
 			l.meta = meta
@@ -1098,4 +1128,21 @@ func (l *Log) drain() {
 		l.mu.Unlock()
 		l.due = fire(l.due)
 	}
+}
+
+// keyVal is one write of a transaction entry: a data item and its value.
+type keyVal struct{ key, val string }
+
+// lastWins sorts an entry's writes by key and keeps the last of each key's
+// run: a later transaction of a combined entry overwrites an earlier one's
+// write, and a row takes one version per position.
+func lastWins(kv []keyVal) []keyVal {
+	slices.SortStableFunc(kv, func(a, b keyVal) int { return strings.Compare(a.key, b.key) })
+	out := kv[:0]
+	for i := range kv {
+		if i+1 == len(kv) || kv[i+1].key != kv[i].key {
+			out = append(out, kv[i])
+		}
+	}
+	return out
 }
