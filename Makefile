@@ -72,11 +72,14 @@ test:
 ## released by the goroutine it started.
 ## So does kvstore: ApplyBatch pins rows, and re-resolves one a concurrent
 ## Delete took, without creating it before the batch is validated.
+## The fencing and multi-group nemeses run twice more: under Sim they drive
+## the pooled decoder, replier and pending calls through their storms.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
 	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
+	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 
 ## cover: per-package coverage summary (cover.txt; the CI test job appends it
 ## to $GITHUB_STEP_SUMMARY)

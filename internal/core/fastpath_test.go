@@ -59,7 +59,8 @@ func (r *sentRecorder) paxosRounds() []sentReq {
 }
 
 // applyGate sits in front of a replica's handler and holds every apply
-// message until it is released.
+// message until it is released — on a goroutine of its own, since a handler
+// that blocks stalls its endpoint's read loop.
 type applyGate struct {
 	open chan struct{}
 	once sync.Once
@@ -72,7 +73,11 @@ func (g *applyGate) release() { g.once.Do(func() { close(g.open) }) }
 func (g *applyGate) wrap(h network.AsyncHandler) network.AsyncHandler {
 	return func(from string, req network.Message, reply func(network.Message)) {
 		if req.Kind == network.KindApply {
-			<-g.open
+			go func() {
+				<-g.open
+				h(from, req, reply)
+			}()
+			return
 		}
 		h(from, req, reply)
 	}

@@ -11,6 +11,11 @@ import (
 	"paxoscp/internal/wal"
 )
 
+// claimBackoffDisabled turns the deposed-side claim backoff off (lease.go):
+// a service that lost mastership re-claims the moment the holder's lease
+// looks silent, restoring the ping-pong the backoff prevents.
+func claimBackoffDisabled(s *Service) { s.claimBackoffOff = true }
+
 // runClaimDuel reproduces PR 4's known annoyance: a sustained asymmetric
 // partition (A and B cannot see each other, both see C) with both sides
 // repeatedly trying to hold mastership. Without a standoff rule each side
@@ -22,7 +27,7 @@ func runClaimDuel(t *testing.T, lease, duration time.Duration, backoffOff bool) 
 	t.Helper()
 	opts := []ServiceOption{WithServiceTimeout(40 * time.Millisecond), WithLeaseDuration(lease)}
 	if backoffOff {
-		opts = append(opts, WithClaimBackoffDisabled())
+		opts = append(opts, claimBackoffDisabled)
 	}
 	services, sim := newServiceRing(t, 5, []string{"A", "B", "C"}, opts...)
 	ctx := context.Background()

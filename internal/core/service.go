@@ -90,8 +90,9 @@ type Service struct {
 	// times the service timeout.
 	leaseDur time.Duration
 
-	// claimBackoffOff is the test-only escape hatch that reproduces the
-	// pre-backoff claim ping-pong (lease.go).
+	// claimBackoffOff turns the deposed-side claim backoff off (lease.go),
+	// reproducing the pre-backoff claim ping-pong; only the backoff's
+	// regression test sets it.
 	claimBackoffOff bool
 
 	// Gap-triggered catch-up (fillGapLater): bg counts the running gap
@@ -186,15 +187,6 @@ func WithLeaseDuration(d time.Duration) ServiceOption {
 			s.leaseDur = d
 		}
 	}
-}
-
-// WithClaimBackoffDisabled turns the deposed-side claim backoff off
-// (lease.go): a service that lost mastership re-claims the moment the
-// holder's lease looks silent, restoring the pre-backoff ping-pong under a
-// sustained asymmetric partition. Test-only — it exists so the backoff
-// regression test can measure the behavior it prevents.
-func WithClaimBackoffDisabled() ServiceOption {
-	return func(s *Service) { s.claimBackoffOff = true }
 }
 
 // NewService creates the Transaction Service for datacenter dc, backed by

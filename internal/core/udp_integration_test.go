@@ -33,12 +33,15 @@ func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 		transports: make(map[string]*network.UDP),
 	}
 	t.Cleanup(func() {
+		// Close waits for each read loop, whose handler takes uc.mu: close
+		// with the lock released.
 		uc.mu.Lock()
-		defer uc.mu.Unlock()
+		trs := append([]*network.UDP(nil), uc.clients...)
 		for _, tr := range uc.transports {
-			tr.Close()
+			trs = append(trs, tr)
 		}
-		for _, tr := range uc.clients {
+		uc.mu.Unlock()
+		for _, tr := range trs {
 			tr.Close()
 		}
 	})

@@ -303,6 +303,8 @@ type MultiResult struct {
 // calls pays) and returns one result per key, in key order. Pass Latest (or
 // any negative ts) for most-recent-version reads. Per-key semantics match
 // Read exactly; a missing key is reported as !Found rather than an error.
+// It pins its rows by ApplyBatch's walk (pinRows) and allocates only the
+// result — and, for more than 64 keys, one scratch slice.
 //
 // Like Read, cross-row atomicity is not provided by the store: the
 // transaction tier serves multi-key reads at an applied-watermark position,
@@ -313,29 +315,14 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 		return nil, ErrClosed
 	}
 	out := make([]MultiResult, len(keys))
-	if len(keys) == 0 {
-		return out, nil
+	var pinBuf [64]pin
+	pins := pinBuf[:0]
+	for _, k := range keys {
+		pins = append(pins, pin{key: k, shard: shardFor(k)})
 	}
-	// Pin every row with one shard-lock round per touched shard.
-	var byShard [numShards][]int
-	for i, k := range keys {
-		si := shardFor(k)
-		byShard[si] = append(byShard[si], i)
-	}
-	rows := make([]*row, len(keys))
-	for si := range byShard {
-		idxs := byShard[si]
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.RLock()
-		for _, i := range idxs {
-			rows[i] = sh.rows[keys[i]]
-		}
-		sh.mu.RUnlock()
-	}
-	for i, r := range rows {
+	s.pinRows(pins, false)
+	for i := range pins {
+		r := pins[i].r
 		if r == nil {
 			continue
 		}
@@ -523,9 +510,9 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 		if writes[i].TS < 0 {
 			return fmt.Errorf("kvstore: ApplyBatch requires explicit timestamps (key %q)", writes[i].Key)
 		}
-		pins = append(pins, pin{shard: shardFor(writes[i].Key), val: packOf(writes[i].Value)})
+		pins = append(pins, pin{key: writes[i].Key, shard: shardFor(writes[i].Key), val: packOf(writes[i].Value)})
 	}
-	s.pinRows(writes, pins, false)
+	s.pinRows(pins, false)
 	// Validate everything against the rows that exist before anything is
 	// created or mutated. A write whose row does not exist cannot conflict.
 	for i := range writes {
@@ -547,7 +534,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 			return fmt.Errorf("%w key=%q", err, writes[i].Key)
 		}
 	}
-	s.pinRows(writes, pins, true)
+	s.pinRows(pins, true)
 	// Each element's WAL record is appended under its row's lock (Append is
 	// queue-only, no I/O) so the log orders it against racing mutations of
 	// the same row, and one Sync at the end covers the whole batch — the
@@ -589,9 +576,10 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	return nil
 }
 
-// pin is one element of an ApplyBatch: its row once resolved, the shard its
-// key hashes to, and its contents, packed once.
+// pin is one key of an ApplyBatch or a ReadMulti: its row once resolved,
+// the shard the key hashes to, and — for a write — its contents, packed once.
 type pin struct {
+	key   string
 	r     *row
 	val   Packed
 	shard uint32
@@ -600,10 +588,10 @@ type pin struct {
 // The shards a batch touches are a bit set in one uint32.
 var _ [32 - numShards]struct{}
 
-// pinRows resolves the row of every write whose pin has none yet, with one
+// pinRows resolves the row of every key whose pin has none yet, with one
 // round of shard locks over the shards that hold such a key: read locks, or,
 // with create, write locks and a new row for each key the shard lacks.
-func (s *Store) pinRows(writes []BatchWrite, pins []pin, create bool) {
+func (s *Store) pinRows(pins []pin, create bool) {
 	var shards uint32
 	for i := range pins {
 		if pins[i].r == nil {
@@ -622,11 +610,11 @@ func (s *Store) pinRows(writes []BatchWrite, pins []pin, create bool) {
 			if pins[i].r != nil || pins[i].shard != si {
 				continue
 			}
-			r := sh.rows[writes[i].Key]
+			r := sh.rows[pins[i].key]
 			if r == nil && create {
 				r = &row{}
-				sh.rows[writes[i].Key] = r
-				s.idx.insert(writes[i].Key)
+				sh.rows[pins[i].key] = r
+				s.idx.insert(pins[i].key)
 			}
 			pins[i].r = r
 		}

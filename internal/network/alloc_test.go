@@ -127,10 +127,9 @@ func TestUDPServeReplyIdempotent(t *testing.T) {
 }
 
 // TestUDPSendAllocs pins a Send on both paths. The pending call and its
-// channel are pooled, so a round trip to a peer allocates only what the
-// peer's serve path does (its reply callback and once-guard, as
-// TestUDPServeSteadyAllocs pins), and a self-send only the reply callback
-// bound to its request ID.
+// channel are pooled, and so are the peer's decoder and replier
+// (TestUDPServeSteadyAllocs), so a round trip to a peer allocates nothing;
+// a self-send allocates only the reply callback bound to its request ID.
 func TestUDPSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the plain run enforces the pin")
@@ -146,7 +145,7 @@ func TestUDPSendAllocs(t *testing.T) {
 	for _, c := range []struct {
 		to  string
 		max float64
-	}{{"B", 2}, {"A", 1}} {
+	}{{"B", 0}, {"A", 1}} {
 		if _, err := a.Send(ctx, c.to, req); err != nil { // warm the pools
 			t.Fatal(err)
 		}
@@ -158,5 +157,39 @@ func TestUDPSendAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("Send to %s allocates %.1f/op, want <= %.0f", c.to, allocs, c.max)
 		}
+	}
+}
+
+// TestSimSendAllocs pins a Send from one Sim endpoint to a peer: the round
+// trip runs on the switch — encode, the switch's pooled copy, the delivery
+// heap, the peer's pooled decode and replier, the response's decode — and
+// allocates at most maxSimSendAllocs. Before the switch, a Sim delivered the
+// struct itself through a goroutine, two channels, a reply closure and two
+// sleeps per message: 10.0 allocs/op.
+func TestSimSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the plain run enforces the pin")
+	}
+	sim := NewSim(NewTopology("A", "B"), SimConfig{Seed: 1, Scale: 0.01})
+	defer sim.Close()
+	answer := func(from string, req Message, reply func(Message)) {
+		reply(Message{Kind: KindStatus, OK: true, TS: req.TS})
+	}
+	a := sim.EndpointAsync("A", answer)
+	sim.EndpointAsync("B", answer)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req := Message{Kind: KindReadPos, Group: "entity-group"}
+	if _, err := a.Send(ctx, "B", req); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := a.Send(ctx, "B", req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxSimSendAllocs = 0
+	if allocs > maxSimSendAllocs {
+		t.Fatalf("Send over the switch allocates %.1f/op, want <= %d", allocs, maxSimSendAllocs)
 	}
 }

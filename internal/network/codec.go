@@ -356,24 +356,28 @@ func (r *wireReader) bools(scratch *[]bool) ([]bool, error) {
 	return out, nil
 }
 
-// readMessage decodes one Message from the reader.
-func (r *wireReader) readMessage() (Message, error) {
-	var m Message
+// kind decodes a message's kind: a kindTable code, or kindOther and a string.
+func (r *wireReader) kind() (Kind, error) {
 	kb, err := r.byte()
 	if err != nil {
-		return Message{}, err
+		return "", err
 	}
 	switch {
 	case kb == kindOther:
 		s, err := r.str()
-		if err != nil {
-			return Message{}, err
-		}
-		m.Kind = Kind(s)
+		return Kind(s), err
 	case int(kb) < len(kindTable):
-		m.Kind = kindTable[kb]
-	default:
-		return Message{}, fmt.Errorf("%w: unknown kind code %#x", ErrBadWire, kb)
+		return kindTable[kb], nil
+	}
+	return "", fmt.Errorf("%w: unknown kind code %#x", ErrBadWire, kb)
+}
+
+// readMessage decodes one Message from the reader.
+func (r *wireReader) readMessage() (Message, error) {
+	var m Message
+	var err error
+	if m.Kind, err = r.kind(); err != nil {
+		return Message{}, err
 	}
 	flags, err := r.byte()
 	if err != nil {
@@ -493,4 +497,24 @@ func decodeEnvelope(data []byte, d *decoder) (envelope, error) {
 		return envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrBadWire, len(r.buf))
 	}
 	return env, nil
+}
+
+// envelopeKind reads the kind of an encoded envelope's message from the
+// header in front of it, decoding nothing else. A malformed envelope has
+// the empty kind.
+func envelopeKind(data []byte) Kind {
+	if len(data) < 2 {
+		return ""
+	}
+	r := wireReader{buf: data[2:]}
+	if _, err := r.uvarint(); err != nil { // the ID
+		return ""
+	}
+	n, err := r.uvarint() // the sender's name
+	if err != nil || uint64(len(r.buf)) < n {
+		return ""
+	}
+	r.buf = r.buf[n:]
+	k, _ := r.kind()
+	return k
 }

@@ -1,59 +1,9 @@
 package network
 
-import "sync"
-
-// Counters tallies messages by kind. It backs the paper's §5 claim check that
-// Paxos-CP has "the same per instance message complexity as the basic Paxos
-// protocol" (ablation A2 in DESIGN.md). The zero value is ready to use.
-type Counters struct {
-	mu   sync.Mutex
-	sent map[Kind]int64
-	lost map[Kind]int64
-}
-
-// Sent records one message of the given kind put on the wire.
-func (c *Counters) Sent(k Kind) {
-	c.mu.Lock()
-	if c.sent == nil {
-		c.sent = make(map[Kind]int64)
-	}
-	c.sent[k]++
-	c.mu.Unlock()
-}
-
-// Lost records one dropped message of the given kind.
-func (c *Counters) Lost(k Kind) {
-	c.mu.Lock()
-	if c.lost == nil {
-		c.lost = make(map[Kind]int64)
-	}
-	c.lost[k]++
-	c.mu.Unlock()
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.mu.Lock()
-	c.sent = make(map[Kind]int64)
-	c.lost = make(map[Kind]int64)
-	c.mu.Unlock()
-}
-
-// Snapshot returns a copy of the current tallies.
-func (c *Counters) Snapshot() CounterSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := CounterSnapshot{Sent: make(map[Kind]int64, len(c.sent)), Lost: make(map[Kind]int64, len(c.lost))}
-	for k, v := range c.sent {
-		s.Sent[k] = v
-	}
-	for k, v := range c.lost {
-		s.Lost[k] = v
-	}
-	return s
-}
-
-// CounterSnapshot is a point-in-time copy of message tallies.
+// CounterSnapshot is a point-in-time copy of a Sim's message tallies, by
+// kind. It backs the paper's §5 claim check that Paxos-CP has "the same per
+// instance message complexity as the basic Paxos protocol" (ablation A2 in
+// DESIGN.md).
 type CounterSnapshot struct {
 	Sent map[Kind]int64
 	Lost map[Kind]int64

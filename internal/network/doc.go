@@ -2,19 +2,21 @@
 // (paper §2.2, "Transaction tier"): unreliable request/response messaging
 // where a message either arrives before a known timeout or is lost.
 //
-// Two interchangeable transports implement the same Transport interface:
+// One transport implements the Transport interface, UDP: binary datagrams,
+// a pending-call table, no retransmission below the request/response layer
+// (the paper's prototype used UDP). Its datagram conn is either
 //
-//   - Sim: an in-process network that reproduces the paper's testbed — each
-//     datacenter pair has a configurable round-trip time (Virginia–Virginia
-//     1.5 ms, Virginia–Oregon/California 90 ms, Oregon–California 20 ms),
-//     plus jitter, message loss, datacenter outages, and partitions, with
-//     per-kind message counters.
-//   - UDP: a real UDP transport (the paper's prototype used UDP), one
-//     socket per datacenter, no retransmission below the request/response
-//     layer.
+//   - a socket, one per datacenter (NewUDPAsync), or
+//   - a port on Sim, an in-process datagram switch that reproduces the
+//     paper's testbed — each datacenter pair has a configurable round-trip
+//     time (Virginia–Virginia 1.5 ms, Virginia–Oregon/California 90 ms,
+//     Oregon–California 20 ms), plus jitter, message loss, datacenter
+//     outages, and partitions, with per-kind message counters
+//     (Sim.EndpointAsync).
 //
-// The transaction tier is written against the Transport interface only, so
-// protocol behaviour is identical over both.
+// The transaction tier is written against the Transport interface only, and
+// a simulated deployment runs the same codec, envelope and pending-call
+// table as a socket deployment.
 //
 // Message is the single wire unit; the UDP transport encodes it with a
 // compact length-prefixed binary codec (codec.go, DESIGN.md §9) behind a

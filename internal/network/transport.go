@@ -28,7 +28,9 @@ const DefaultTimeout = 2 * time.Second
 // dropped while nothing has reused the reply, but UDP pools what stands
 // behind it and reuses it for another request once it has been called, so a
 // late second call could answer that one. Handlers must be safe for
-// concurrent use.
+// concurrent use, and must not block: a handler runs on its endpoint's read
+// loop, so one that blocks stalls every datagram to that endpoint — the
+// responses to its own requests included.
 //
 // The paper serves "each client request in its own service process". The
 // transport gives no request a goroutine of its own; the handler chooses
@@ -41,10 +43,10 @@ const DefaultTimeout = 2 * time.Second
 //
 // req — including the backing arrays of Payload, Keys, Vals, and Founds — is
 // only valid until reply is called; a handler that retains any of it past
-// the reply must copy first. It is also read-only: Sim, and UDP for a
-// request a transport sends to itself, pass the sender's own Message, so
-// those backing arrays are the sender's — not a copy — and the handler may
-// be running on the sender's goroutine.
+// the reply must copy first. It is also read-only: for a request a socket's
+// transport sends to itself, UDP passes the sender's own Message, so those
+// backing arrays are the sender's — not a copy — and the handler may be
+// running on the sender's goroutine.
 type AsyncHandler func(from string, req Message, reply func(Message))
 
 // Transport sends a request to a peer datacenter and waits for its response.

@@ -236,9 +236,8 @@ func TestUDPPeersListing(t *testing.T) {
 func TestUDPMalformedDatagramIgnored(t *testing.T) {
 	a, b := newUDPPair(t)
 	// Fire a garbage datagram at B's socket; B must survive and keep serving.
-	conn := a.conn
-	baddr := b.conn.LocalAddr()
-	if _, err := conn.WriteTo([]byte("garbage!"), baddr); err != nil {
+	baddr := netip.MustParseAddrPort(b.LocalAddr())
+	if _, err := a.conn.WriteToUDPAddrPort([]byte("garbage!"), baddr); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)

@@ -101,3 +101,33 @@ func TestDrainAllocatesWhatTheStoreKeeps(t *testing.T) {
 		t.Errorf("a drain pass of a 4-write entry allocates %.1f objects, want at most %d", per, budget)
 	}
 }
+
+// TestReadMultiAllocatesOnlyItsResult: a 4-key ReadMulti — the read-scan
+// workload's commonest op — pins its rows on the stack, by ApplyBatch's
+// walk, and allocates only the result it returns. A walk of its own, with a
+// list per touched shard and a row list beside the result, made 6.
+func TestReadMultiAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the plain run enforces the pin")
+	}
+	store := kvstore.New()
+	keys := []string{"attr1", "attr17", "attr42", "attr63"}
+	for i, k := range keys[:3] { // the last key is missing
+		if _, err := store.Write(k, kvstore.Value{"v": k}, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var res []kvstore.MultiResult
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if res, err = store.ReadMulti(keys, kvstore.Latest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res[0].Found || res[3].Found {
+		t.Fatalf("ReadMulti = %+v, want the first key found and the last missing", res)
+	}
+	if allocs > 1 {
+		t.Errorf("a 4-key ReadMulti allocates %.1f objects, want 1 (its result)", allocs)
+	}
+}
