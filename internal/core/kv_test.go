@@ -138,16 +138,225 @@ type groupFilterTransport struct {
 	network.Transport
 	group string
 	reply func() (network.Message, error)
+	// script, when set, answers the group's data requests instead: it
+	// refuses them as scripted and lets the rest through.
+	script *verdictScript
 }
 
 func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
 	switch {
 	case req.Group != g.group:
 		return g.Transport.Send(ctx, to, req)
+	case g.script != nil:
+		if resp, ok := g.script.next(req); ok {
+			return resp, nil
+		}
+		return g.Transport.Send(ctx, to, req)
 	case g.reply != nil:
 		return g.reply()
 	}
 	return network.Message{}, fmt.Errorf("injected: group %s unreachable", g.group)
+}
+
+// verdictScript refuses a group's reads, multi-key reads and submits — the
+// requests a migration verdict answers — with the n-th request's scripted
+// refusal, and counts the requests it refused. Every other request passes.
+type verdictScript struct {
+	refuse  func(n int) (network.Message, bool)
+	mu      sync.Mutex
+	n       int
+	refused int
+}
+
+func (s *verdictScript) next(req network.Message) (network.Message, bool) {
+	switch req.Kind {
+	case network.KindRead, network.KindReadMulti, network.KindSubmit:
+	default:
+		return network.Message{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	resp, ok := s.refuse(s.n)
+	s.n++
+	if ok {
+		s.refused++
+	}
+	return resp, ok
+}
+
+func (s *verdictScript) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refused
+}
+
+// movedTo is a VerdictMoved refusal naming the destination group and keys.
+func movedTo(group string, keys ...string) network.Message {
+	resp := network.Refuse(network.VerdictMoved, "")
+	resp.Value, resp.Keys = group, keys
+	return resp
+}
+
+// refuseFirst refuses the first k requests with resp and serves the rest;
+// k < 0 refuses every request.
+func refuseFirst(k int, resp network.Message) func(int) (network.Message, bool) {
+	return func(n int) (network.Message, bool) { return resp, k < 0 || n < k }
+}
+
+// TestKVFollowsMigrationVerdicts pins how every keyed KV operation follows
+// the migration verdicts of its group's replicas (DESIGN.md §15). Groups
+// g0, g1 and g2 each hold a, b and c valued "<key>@<group>"; the router puts
+// a and b in g0 and c in g1, and g0's reads and submits are refused as
+// scripted. A VerdictMoved refusal re-routes the keys it names — all of the
+// leg's keys when it names none — to the group its hint names, and
+// VerdictMigrating waits and asks again. Each operation gives up after
+// kvMovedHops hops or kvMigratingRetries waits, and a context cancelled
+// during a wait ends it with the context's error.
+func TestKVFollowsMigrationVerdicts(t *testing.T) {
+	services, sim := newServiceRing(t, 3, kvDCs)
+	groups := []string{"g0", "g1", "g2"}
+	for _, g := range groups {
+		b := entryBytes("seed-"+g, 0, map[string]string{"a": "a@" + g, "b": "b@" + g, "c": "c@" + g})
+		for _, dc := range kvDCs {
+			if err := services[dc].ApplyDecided(g, 1, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	router := &mapRouter{byKey: map[string]string{"c": "g1"}, def: "g0", groups: groups}
+	newKV := func(script *verdictScript, timeout time.Duration) *KV {
+		tr := &groupFilterTransport{Transport: sim.EndpointAsync("A", services["A"].AsyncHandler()), group: "g0", script: script}
+		return NewKV(NewClient(1, "A", tr, Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: timeout}), router)
+	}
+	ctx := context.Background()
+	wrote := func(group, key, val string) bool {
+		for _, e := range services["A"].LogSnapshot(group) {
+			if e.Writes()[key] == val {
+				return true
+			}
+		}
+		return false
+	}
+
+	t.Run("readmulti", func(t *testing.T) {
+		for _, tc := range []struct {
+			name    string
+			refuse  func(int) (network.Message, bool)
+			want    []string
+			groups  []string // the groups Positions names
+			refused int
+		}{
+			{"moved names b", refuseFirst(1, movedTo("g2", "b")), []string{"a@g0", "b@g2", "c@g1"}, []string{"g0", "g1", "g2"}, 1},
+			{"moved names no key", refuseFirst(1, movedTo("g2")), []string{"a@g2", "b@g2", "c@g1"}, []string{"g1", "g2"}, 1},
+			{"migrating three times", refuseFirst(3, network.Refuse(network.VerdictMigrating, "")), []string{"a@g0", "b@g0", "c@g1"}, []string{"g0", "g1"}, 3},
+		} {
+			script := &verdictScript{refuse: tc.refuse}
+			res, err := newKV(script, 200*time.Millisecond).ReadMulti(ctx, "a", "b", "c")
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if fmt.Sprint(res.Vals) != fmt.Sprint(tc.want) {
+				t.Errorf("%s: values %v, want %v", tc.name, res.Vals, tc.want)
+			}
+			var got []string
+			for _, g := range groups {
+				if _, ok := res.Positions[g]; ok {
+					got = append(got, g)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.groups) {
+				t.Errorf("%s: positions %v, want groups %v", tc.name, res.Positions, tc.groups)
+			}
+			if n := script.count(); n != tc.refused {
+				t.Errorf("%s: %d requests refused, want %d", tc.name, n, tc.refused)
+			}
+		}
+	})
+
+	t.Run("get", func(t *testing.T) {
+		for _, tc := range []struct {
+			name, key string
+			refuse    func(int) (network.Message, bool)
+			want      string
+		}{
+			{"moved names the key", "b", refuseFirst(1, movedTo("g2", "b")), "b@g2"},
+			{"moved names no key", "a", refuseFirst(1, movedTo("g2")), "a@g2"},
+			{"migrating twice", "a", refuseFirst(2, network.Refuse(network.VerdictMigrating, "")), "a@g0"},
+		} {
+			if v, found, err := newKV(&verdictScript{refuse: tc.refuse}, 200*time.Millisecond).Get(ctx, tc.key); err != nil || !found || v != tc.want {
+				t.Errorf("%s: get %s = (%q, %v, %v), want %q", tc.name, tc.key, v, found, err, tc.want)
+			}
+		}
+	})
+
+	t.Run("update", func(t *testing.T) {
+		var seen string
+		res, err := newKV(&verdictScript{refuse: refuseFirst(1, movedTo("g1", "a"))}, 200*time.Millisecond).
+			Update(ctx, "a", 0, func(cur string, _ bool) (string, error) { seen = cur; return "updated", nil })
+		if err != nil || res.Status != stats.Committed {
+			t.Fatalf("update: %+v %v", res, err)
+		}
+		if seen != "a@g1" || !wrote("g1", "a", "updated") || wrote("g0", "a", "updated") {
+			t.Errorf("update read %q and wrote g1: %v, g0: %v; want it read and written at g1 only",
+				seen, wrote("g1", "a", "updated"), wrote("g0", "a", "updated"))
+		}
+	})
+
+	t.Run("put", func(t *testing.T) {
+		// A submit refused VerdictMoved is handed back (verdictRules) and names
+		// no keys: Put re-routes it whole.
+		res, err := newKV(&verdictScript{refuse: refuseFirst(1, movedTo("g2"))}, 200*time.Millisecond).Put(ctx, "a", "put")
+		if err != nil || res.Status != stats.Committed {
+			t.Fatalf("put: %+v %v", res, err)
+		}
+		if !wrote("g2", "a", "put") || wrote("g0", "a", "put") {
+			t.Errorf("put wrote g2: %v, g0: %v; want g2 only", wrote("g2", "a", "put"), wrote("g0", "a", "put"))
+		}
+	})
+
+	keyed := map[string]func(ctx context.Context, kv *KV) error{
+		"get":       func(ctx context.Context, kv *KV) error { _, _, err := kv.Get(ctx, "a"); return err },
+		"readmulti": func(ctx context.Context, kv *KV) error { _, err := kv.ReadMulti(ctx, "a", "b"); return err },
+		"put":       func(ctx context.Context, kv *KV) error { _, err := kv.Put(ctx, "a", "x"); return err },
+		"update": func(ctx context.Context, kv *KV) error {
+			_, err := kv.Update(ctx, "a", 0, func(string, bool) (string, error) { return "x", nil })
+			return err
+		},
+	}
+	migrating := network.Refuse(network.VerdictMigrating, "")
+
+	t.Run("hop budget", func(t *testing.T) {
+		for name, op := range keyed {
+			script := &verdictScript{refuse: refuseFirst(-1, movedTo("g0"))}
+			if err := op(ctx, newKV(script, 200*time.Millisecond)); err == nil || script.count() != kvMovedHops+1 {
+				t.Errorf("%s: %d refusals, error %v; want %d refusals and an error", name, script.count(), err, kvMovedHops+1)
+			}
+		}
+	})
+
+	t.Run("wait budget", func(t *testing.T) {
+		for name, op := range keyed {
+			// 8 ms: the wait between tries is its eighth, the 1 ms floor.
+			script := &verdictScript{refuse: refuseFirst(-1, migrating)}
+			if err := op(ctx, newKV(script, 8*time.Millisecond)); err == nil || script.count() != kvMigratingRetries+1 {
+				t.Errorf("%s: %d refusals, error %v; want %d refusals and an error", name, script.count(), err, kvMigratingRetries+1)
+			}
+		}
+	})
+
+	t.Run("cancelled during a wait", func(t *testing.T) {
+		for name, op := range keyed {
+			// 200 ms: each wait is 25 ms, and the context ends in the second.
+			cctx, cancel := context.WithCancel(ctx)
+			stop := time.AfterFunc(40*time.Millisecond, cancel)
+			err := op(cctx, newKV(&verdictScript{refuse: refuseFirst(-1, migrating)}, 200*time.Millisecond))
+			stop.Stop()
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: %v, want the context's error", name, err)
+			}
+		}
+	})
 }
 
 // TestKVReadMultiOneGroupUnavailable: when exactly one owning group's legs
