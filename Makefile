@@ -69,7 +69,9 @@ test:
 ## calls, broadcast rounds, the completion list) then run five more times: a
 ## reuse race that needs an unlucky interleaving gets more than one chance
 ## per run. So do the dispatcher's tests: its pooled request item is
-## released by the goroutine it started.
+## released by the goroutine it started. So do core.KV's and the scans':
+## their fan-out runs the legs of a round concurrently, and each leg writes
+## its own slots of the shared result.
 ## So does kvstore: ApplyBatch pins rows, and re-resolves one a concurrent
 ## Delete took, without creating it before the batch is validated.
 ## The fencing and multi-group nemeses run twice more: under Sim they drive
@@ -77,7 +79,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

@@ -16,10 +16,8 @@
 //	txn OP...          run a multi-operation transaction; each OP is
 //	                   "get KEY" or "set KEY VALUE"
 //	scan PREFIX        ordered range scan: every key with the prefix, in key
-//	                   order, at one snapshot per group (DESIGN.md §16). With
-//	                   -groups it merges one scan per owning group and follows
-//	                   live-migration hints; without, it pages one group
-//	                   (-group) directly
+//	                   order, at one snapshot per group (DESIGN.md §16): one
+//	                   scan per group, merged, following live-migration hints
 //	status             print every replica's view of the group (applied and
 //	                   compaction horizons, log/data sizes, computed leader,
 //	                   and the full group set the replica serves)
@@ -32,14 +30,16 @@
 //	migrations         print every group's applied handoff records (the
 //	                   operator-facing migration status), one group per line
 //
+// get, set and scan run through the routed key-value client (core.KV) over a
+// placement. Without -groups the placement is the one group -group names.
 // With -groups N the keyspace is sharded over N transaction groups
-// (g0..gN-1, DESIGN.md §12) and get/set route each key to its owning group
-// through the same rendezvous placement every other process computes: get
-// fans out one batched read per owning group (per-group snapshot positions
-// are printed), set commits on the key's owning group, -protocol master
-// spreads per-group masterships across the sorted peer list, and status
-// probes the first placement group (its reply lists every group the replica
-// serves). grow and migrations also require -groups: -groups names the
+// (g0..gN-1, DESIGN.md §12) and each key routes to its owning group through
+// the same rendezvous placement every other process computes: get fans out
+// one batched read per owning group, set commits on the key's owning group,
+// -protocol master spreads per-group masterships across the sorted peer
+// list, and status probes the first placement group (its reply lists every
+// group the replica serves). get and scan print each group's snapshot
+// position. grow and migrations also require -groups: -groups names the
 // current placement, grow's TARGET the new one. txn and compact stay
 // group-scoped: cross-group transactions do not exist in the data model
 // (§2.1), and group logs have independent compaction horizons — use -group
@@ -106,8 +106,11 @@ func main() {
 	}
 	defer transport.Close()
 
+	if *group == "" {
+		log.Fatal("txkvctl: -group must name a group")
+	}
 	cfg := core.Config{Timeout: *timeout}
-	var place *placement.Placement
+	place := placement.New([]string{*group})
 	if *groups > 0 {
 		place = placement.NewN(*groups)
 	}
@@ -118,7 +121,7 @@ func main() {
 	case "master":
 		cfg.Protocol = core.Master
 		cfg.MasterDC = *masterDC
-		if place != nil && *masterDC == "" {
+		if *groups > 0 && *masterDC == "" {
 			// Routed mode spreads per-group masterships across the sorted
 			// peer list, the same deterministic spread every routed client
 			// computes (DESIGN.md §12).
@@ -133,6 +136,7 @@ func main() {
 		log.Fatalf("txkvctl: unknown protocol %q (basic | cp | master)", *protocol)
 	}
 	client := core.NewClient(*clientID, *local, transport, cfg)
+	kv := core.NewKV(client, place)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -141,39 +145,24 @@ func main() {
 		if len(args) < 2 {
 			log.Fatal("txkvctl: get KEY...")
 		}
-		if place != nil {
-			runRoutedGet(ctx, core.NewKV(client, place), args[1:])
-			return
-		}
-		runGet(ctx, client, *group, args[1:])
+		runGet(ctx, kv, args[1:])
 	case "set":
 		if len(args) != 3 {
 			log.Fatal("txkvctl: set KEY VALUE")
 		}
-		if place != nil {
-			runRoutedSet(ctx, core.NewKV(client, place), args[1], args[2])
-			return
-		}
-		runTxn(ctx, client, *group, []string{"set " + args[1] + " " + args[2]})
+		runSet(ctx, kv, args[1], args[2])
 	case "txn":
 		runTxn(ctx, client, *group, args[1:])
 	case "scan":
 		if len(args) != 2 {
 			log.Fatal("txkvctl: scan PREFIX")
 		}
-		if place != nil {
-			runRoutedScan(ctx, core.NewKV(client, place), args[1])
-			return
-		}
-		runScan(ctx, client, *group, args[1])
+		runScan(ctx, kv, args[1])
 	case "status":
-		// In routed mode, probe a real placement group: querying the
+		// Probe a real placement group: in routed mode, querying the
 		// single-group default would lazily materialize a phantom "default"
 		// group on every replica and pollute the discovery output.
-		statusGroup := *group
-		if place != nil {
-			statusGroup = place.Groups()[0]
-		}
+		statusGroup := place.Groups()[0]
 		for name := range peerMap {
 			cctx, cancel := context.WithTimeout(ctx, *timeout)
 			resp, err := transport.Send(cctx, name, network.Message{Kind: network.KindStats, Group: statusGroup})
@@ -216,7 +205,7 @@ func main() {
 				st.DC, st.LastApplied, st.CompactedTo, st.LogEntries, st.DataKeys, st.Leader, lease, discovered, migs, health)
 		}
 	case "grow":
-		if place == nil {
+		if *groups == 0 {
 			log.Fatal("txkvctl: grow requires -groups N (the current group count)")
 		}
 		if len(args) != 2 {
@@ -231,7 +220,7 @@ func main() {
 			return core.NewClient(*clientID, *local, transport, cfg)
 		})
 	case "migrations":
-		if place == nil {
+		if *groups == 0 {
 			log.Fatal("txkvctl: migrations requires -groups N")
 		}
 		runMigrations(ctx, transport, dcs, place, *timeout)
@@ -239,7 +228,7 @@ func main() {
 		if len(args) != 2 {
 			log.Fatal("txkvctl: compact HORIZON")
 		}
-		if place != nil {
+		if *groups > 0 {
 			// Group logs have independent heights, so one horizon cannot
 			// apply across a sharded deployment; compaction stays group-
 			// scoped (and must not materialize the single-group default).
@@ -339,10 +328,10 @@ func runMigrations(ctx context.Context, transport network.Transport, dcs []strin
 	}
 }
 
-// runRoutedGet reads keys across their owning groups: one batched read per
-// group, concurrent legs, results in input order with the per-group
-// snapshot positions printed.
-func runRoutedGet(ctx context.Context, kv *core.KV, keys []string) {
+// runGet reads keys across their owning groups: one batched read per group,
+// concurrent legs, results in input order with the per-group snapshot
+// positions printed.
+func runGet(ctx context.Context, kv *core.KV, keys []string) {
 	res, err := kv.ReadMulti(ctx, keys...)
 	if err != nil {
 		log.Fatalf("txkvctl: read: %v", err)
@@ -365,8 +354,8 @@ func runRoutedGet(ctx context.Context, kv *core.KV, keys []string) {
 	}
 }
 
-// runRoutedSet writes one key on its owning group.
-func runRoutedSet(ctx context.Context, kv *core.KV, key, value string) {
+// runSet writes one key on its owning group.
+func runSet(ctx context.Context, kv *core.KV, key, value string) {
 	group := kv.Router().GroupFor(key)
 	res, err := kv.Put(ctx, key, value)
 	if err != nil {
@@ -383,10 +372,10 @@ func runRoutedSet(ctx context.Context, kv *core.KV, key, value string) {
 	}
 }
 
-// runRoutedScan reads every key with the prefix across its owning groups:
-// one ordered scan per group merged into one ascending key order, following
+// runScan reads every key with the prefix across its owning groups: one
+// ordered scan per group merged into one ascending key order, following
 // migration hints so the scan stays complete during a live grow.
-func runRoutedScan(ctx context.Context, kv *core.KV, prefix string) {
+func runScan(ctx context.Context, kv *core.KV, prefix string) {
 	res, err := kv.Scan(ctx, prefix)
 	if err != nil {
 		log.Fatalf("txkvctl: scan %q: %v", prefix, err)
@@ -403,48 +392,6 @@ func runRoutedScan(ctx context.Context, kv *core.KV, prefix string) {
 		fmt.Printf("group %s scan position %d\n", g, res.Positions[g])
 	}
 	fmt.Printf("%d keys\n", len(res.Entries))
-}
-
-// runScan pages one group's prefix region in a read-only transaction: every
-// page is served at the transaction's read position, so the whole scan is one
-// snapshot.
-func runScan(ctx context.Context, client *core.Client, group, prefix string) {
-	tx, err := client.Begin(ctx, group)
-	if err != nil {
-		log.Fatalf("txkvctl: begin: %v", err)
-	}
-	defer tx.Abort()
-	sc := tx.Scan(prefix)
-	n := 0
-	for sc.Next(ctx) {
-		fmt.Printf("%s = %q\n", sc.Key(), sc.Value())
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("txkvctl: scan %q: %v", prefix, err)
-	}
-	fmt.Printf("%d keys at read position %d\n", n, tx.ReadPos())
-}
-
-// runGet reads one or more keys in a single read-only transaction; multiple
-// keys travel as one batched ReadMulti round trip served at one snapshot.
-func runGet(ctx context.Context, client *core.Client, group string, keys []string) {
-	tx, err := client.Begin(ctx, group)
-	if err != nil {
-		log.Fatalf("txkvctl: begin: %v", err)
-	}
-	vals, found, err := tx.ReadMulti(ctx, keys...)
-	if err != nil {
-		log.Fatalf("txkvctl: read: %v", err)
-	}
-	for i, k := range keys {
-		if found[i] {
-			fmt.Printf("%s = %q\n", k, vals[i])
-		} else {
-			fmt.Printf("%s = (unset)\n", k)
-		}
-	}
-	fmt.Printf("read position %d\n", tx.ReadPos())
 }
 
 func runTxn(ctx context.Context, client *core.Client, group string, ops []string) {

@@ -71,10 +71,12 @@
 // # Sharded keyspace
 //
 // KV is the routed facade over many transaction groups (kv.go, DESIGN.md
-// §12): a Router (internal/placement) maps each key to its owning group,
-// Get/Put/Update run on that group, and ReadMulti fans one batched read out
-// per owning group concurrently, merging replies into input order with
-// per-group snapshot positions reported. Config.MasterFor routes one
+// §12): a Router (internal/placement) maps each key to its owning group, and
+// one loop runs Get, Put, Update and ReadMulti as one leg per owning group,
+// concurrently, following a live migration's moved and migrating verdicts
+// between groups (DESIGN.md §15). ReadMulti merges replies into input order
+// with per-group snapshot positions reported; Scan shares the loop's fan-out
+// and budget. Config.MasterFor routes one
 // client's Master-protocol commits to each group's own master. Group-local
 // transaction semantics are untouched — there is no cross-group
 // serializability to offer (§2.1), and the facade does not pretend

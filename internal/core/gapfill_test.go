@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"paxoscp/internal/network"
 	"paxoscp/internal/paxos"
 	"paxoscp/internal/stats"
+	"paxoscp/internal/wal"
 )
 
 // TestGapTriggersCatchUp: a follower that misses one apply message must not
@@ -146,5 +148,54 @@ func TestFetchLogServesQueuedEntry(t *testing.T) {
 	close(eng.hold)
 	if err := <-applied; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatchUpKeepsDecidedBytes: a replica that catches up stores the bytes
+// its peers hold, not a re-encoding of them. B and C hold at position 1 an
+// entry whose write keys are out of order: the decoder accepts it, and
+// wal.Encode would write it the other way round. Whether A learns it by
+// CatchUp, by Recover or by its gap watch, A must then hold the same bytes,
+// so that an apply message carrying them is the duplicate it is and not a
+// second value for a decided position (invariant R1).
+func TestCatchUpKeepsDecidedBytes(t *testing.T) {
+	decided := []byte{0x57, 0x43, 1, // magic, version 1
+		1,                 // one transaction
+		1, 't', 0, 1, 'o', // id "t", read position 0, origin "o"
+		0,                                 // no reads
+		2, 1, 'z', 1, '1', 1, 'a', 1, '2', // writes z=1, then a=2
+	}
+	if e, err := wal.Decode(decided); err != nil || bytes.Equal(wal.Encode(e), decided) {
+		t.Fatalf("the planted entry must decode (%v) and re-encode to other bytes", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for name, learn := range map[string]func(a *Service) error{
+		"catch-up": func(a *Service) error { return a.CatchUp(ctx, "g", 1) },
+		"recover":  func(a *Service) error { return a.Recover(ctx, "g") },
+		"gap watch": func(a *Service) error {
+			// An entry above the gap arms the watch, which fetches position 1.
+			if err := a.ApplyDecided("g", 2, entryBytes("t2", 1, map[string]string{"k": "v"})); err != nil {
+				return err
+			}
+			return a.log("g").WaitApplied(ctx, 2)
+		},
+	} {
+		services, _ := newServiceRing(t, 3, []string{"A", "B", "C"})
+		for _, dc := range []string{"B", "C"} {
+			if err := services[dc].ApplyDecided("g", 1, decided); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := services["A"]
+		if err := learn(a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, _ := a.log("g").EntryBytes(1); !bytes.Equal(got, decided) {
+			t.Errorf("%s: A holds %x at position 1, its peers %x", name, got, decided)
+		}
+		if err := a.ApplyDecided("g", 1, decided); err != nil {
+			t.Errorf("%s: applying the peers' bytes again: %v", name, err)
+		}
 	}
 }

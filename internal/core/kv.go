@@ -66,66 +66,148 @@ const kvMovedHops = 8
 // absorbs while a range is mid-cutover at its new group.
 const kvMigratingRetries = 64
 
-// retryDelay is the wait between those retries: a fraction of the
-// client timeout — cutover is a few log entries, not a few round trips.
-func (kv *KV) retryDelay() time.Duration {
-	d := kv.client.cfg.timeout()
-	if d /= 8; d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+// redirects is one routed operation's budget for migration verdicts
+// (DESIGN.md §15).
+type redirects struct {
+	op          string
+	wait        time.Duration
+	hops, waits int
 }
 
-// follow runs op against key's owning group, following live-migration
-// redirects (DESIGN.md §15): a Refusal with VerdictMoved re-routes to the
-// destination group its hint names (the key's range migrated), one with
-// VerdictMigrating waits briefly and retries in place (the range is
-// mid-cutover). Any other outcome returns as-is.
-func (kv *KV) follow(ctx context.Context, key string, op func(group string) error) error {
-	group := kv.router.GroupFor(key)
-	hops, waits := 0, 0
+// redirects starts op's budget. A wait is a fraction of the client timeout:
+// cutover is a few log entries, not a few round trips.
+func (kv *KV) redirects(op string) redirects {
+	return redirects{op: op, wait: max(kv.client.cfg.timeout()/8, time.Millisecond)}
+}
+
+// settle ends a round that hopped (moved is its cause: keys re-routed, or a
+// scan destination added) or waited (migrating: a range mid-cutover). A hop
+// spends one of kvMovedHops; a round that only waits spends one of
+// kvMigratingRetries and sleeps. A spent budget fails the operation with an
+// error naming it and the budget and wrapping the cause.
+func (r *redirects) settle(ctx context.Context, moved, migrating error) error {
+	switch {
+	case moved != nil:
+		if r.hops++; r.hops > kvMovedHops {
+			return fmt.Errorf("core: kv %s: still moved after %d hops: %w", r.op, kvMovedHops, moved)
+		}
+	case migrating != nil:
+		if r.waits++; r.waits > kvMigratingRetries {
+			return fmt.Errorf("core: kv %s: still migrating after %d waits: %w", r.op, kvMigratingRetries, migrating)
+		}
+		return sleepCtx(ctx, r.wait)
+	}
+	return nil
+}
+
+// fanOut runs leg(0) to leg(n-1) and returns once all have: leg(0) on the
+// caller's goroutine and each other on its own, so a round of one leg starts
+// no goroutine.
+func fanOut(n int, leg func(i int)) {
+	if n == 1 {
+		leg(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			leg(i)
+		}()
+	}
+	leg(0)
+	wg.Wait()
+}
+
+// keyLeg is one round's leg of a keyed operation: the keys it serves at one
+// group, as indexes into the operation's keys, and how it went.
+type keyLeg struct {
+	group string
+	slots []int
+	pos   int64
+	err   error
+}
+
+// route serves Get, Put, Update and ReadMulti: each round groups the keys
+// not yet served by owning group and runs serve once per group, with the
+// keys' indexes in input order, concurrently (fanOut). A leg refused
+// VerdictMoved re-routes the keys the refusal names — all of the leg's keys
+// when it names none — to the group its hint names; one refused
+// VerdictMigrating runs again after a wait (DESIGN.md §15). Any other leg
+// error fails the operation, naming every group that failed. A served leg's
+// position goes to positions, if not nil.
+func (kv *KV) route(ctx context.Context, op string, keys []string, positions map[string]int64, serve func(group string, slots []int) (int64, error)) error {
+	groupOf := make([]string, len(keys))
+	for i, key := range keys {
+		groupOf[i] = kv.router.GroupFor(key)
+	}
+	served := make([]bool, len(keys))
+	budget := kv.redirects(op)
 	for {
-		err := op(group)
-		var ref *Refusal
-		errors.As(err, &ref)
-		switch {
-		case ref != nil && ref.Verdict == network.VerdictMoved:
-			if hops++; hops > kvMovedHops {
-				return err
+		var legs []keyLeg
+		for i, g := range groupOf {
+			if served[i] {
+				continue
 			}
-			group = ref.Hint
-		case ref != nil && ref.Verdict == network.VerdictMigrating:
-			if waits++; waits > kvMigratingRetries {
-				return err
+			j := slices.IndexFunc(legs, func(l keyLeg) bool { return l.group == g })
+			if j < 0 {
+				j = len(legs)
+				legs = append(legs, keyLeg{group: g})
 			}
-			if serr := sleepCtx(ctx, kv.retryDelay()); serr != nil {
-				return serr
+			legs[j].slots = append(legs[j].slots, i)
+		}
+		if len(legs) == 0 {
+			return nil
+		}
+		fanOut(len(legs), func(i int) { legs[i].pos, legs[i].err = serve(legs[i].group, legs[i].slots) })
+		var moved, migrating error
+		var failed map[string]error
+		for _, l := range legs {
+			var ref *Refusal
+			errors.As(l.err, &ref)
+			switch {
+			case l.err == nil:
+				for _, i := range l.slots {
+					served[i] = true
+				}
+				if positions != nil {
+					positions[l.group] = l.pos
+				}
+			case ref != nil && ref.Verdict == network.VerdictMoved:
+				moved = l.err
+				for _, i := range l.slots {
+					if len(ref.Keys) == 0 || slices.Contains(ref.Keys, keys[i]) {
+						groupOf[i] = ref.Hint
+					}
+				}
+			case ref != nil && ref.Verdict == network.VerdictMigrating:
+				migrating = l.err
+			default:
+				if failed == nil {
+					failed = make(map[string]error)
+				}
+				failed[l.group] = l.err
 			}
-		default:
+		}
+		if failed != nil {
+			return unavailable(op, len(legs), failed)
+		}
+		if err := budget.settle(ctx, moved, migrating); err != nil {
 			return err
 		}
 	}
 }
 
-// Get reads one key: a read-only transaction on the owning group, following
-// live-migration redirects to the key's current owner. The bool reports
-// whether the key exists.
+// Get reads one key: a one-key ReadMulti, so a read-only transaction on the
+// key's owning group that follows live-migration redirects to its current
+// owner. The bool reports whether the key exists.
 func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
-	var val string
-	var found bool
-	err := kv.follow(ctx, key, func(group string) error {
-		tx, err := kv.client.Begin(ctx, group)
-		if err != nil {
-			return err
-		}
-		defer tx.Abort()
-		val, found, err = tx.Read(ctx, key)
-		return err
-	})
+	res, err := kv.readMulti(ctx, "get", []string{key})
 	if err != nil {
 		return "", false, err
 	}
-	return val, found, nil
+	return res.Vals[0], res.Founds[0], nil
 }
 
 // Put writes one key: a write-only transaction on the owning group
@@ -133,16 +215,14 @@ func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
 // configured protocol.
 func (kv *KV) Put(ctx context.Context, key, value string) (CommitResult, error) {
 	var res CommitResult
-	err := kv.follow(ctx, key, func(group string) error {
+	err := kv.route(ctx, "put", []string{key}, nil, func(group string, _ []int) (int64, error) {
 		tx, err := kv.client.Begin(ctx, group)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := tx.Write(key, value); err != nil {
-			return err
-		}
+		tx.Write(key, value)
 		res, err = tx.Commit(ctx)
-		return err
+		return res.Pos, err
 	})
 	return res, err
 }
@@ -154,44 +234,47 @@ func (kv *KV) Put(ctx context.Context, key, value string) (CommitResult, error) 
 // commit protocols' own do: the read is served by the nearest replica, and
 // one still a few milliseconds of applies behind the entry that won serves
 // the losing position again — sixteen immediate retries fit inside that lag.
+// fn's error, or running out of attempts, is returned as it is.
 func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur string, found bool) (string, error)) (CommitResult, error) {
 	if attempts <= 0 {
 		attempts = 16
 	}
 	var last CommitResult
-	err := kv.follow(ctx, key, func(group string) error {
+	var own error // not the group's failure
+	err := kv.route(ctx, "update", []string{key}, nil, func(group string, _ []int) (int64, error) {
 		for i := 0; i < attempts; i++ {
 			if i > 0 {
 				if err := kv.client.backoff.pause(ctx, i); err != nil {
-					return err
+					return 0, err
 				}
 			}
 			tx, err := kv.client.Begin(ctx, group)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			cur, found, err := tx.Read(ctx, key)
 			if err != nil {
 				tx.Abort()
-				return err
+				return 0, err
 			}
 			next, err := fn(cur, found)
 			if err != nil {
 				tx.Abort()
-				return err
+				own = err
+				return 0, nil
 			}
 			tx.Write(key, next)
-			last, err = tx.Commit(ctx)
-			if err != nil {
-				return err
-			}
-			if last.Status != stats.Aborted {
-				return nil
+			if last, err = tx.Commit(ctx); err != nil || last.Status != stats.Aborted {
+				return last.Pos, err
 			}
 			// Aborted: another transaction wrote first; reread and retry.
 		}
-		return fmt.Errorf("core: kv update %q: conflicted %d times", key, attempts)
+		own = fmt.Errorf("core: kv update %q: conflicted %d times", key, attempts)
+		return 0, nil
 	})
+	if err == nil {
+		err = own
+	}
 	return last, err
 }
 
@@ -215,129 +298,47 @@ type MultiRead struct {
 // group's leg fails the whole read fails, with the error naming every group
 // that failed — a partial result would silently narrow the caller's view.
 //
-// Live-migration redirects are followed per key (DESIGN.md §15): a leg
-// refused with VerdictMoved re-routes exactly the moved keys to the destination
-// group and retries; VerdictMigrating waits briefly and retries in place. A read
-// that straddles a cutover can therefore serve one group's keys across two
-// legs — each leg is still one snapshot, but a group re-read after a redirect
-// reports the later leg's position in Positions.
+// Live-migration redirects are followed per key (route): a leg refused with
+// VerdictMoved re-routes exactly the moved keys to the destination group;
+// VerdictMigrating waits briefly and retries in place. A read that straddles
+// a cutover can therefore serve one group's keys across two legs — each leg
+// is still one snapshot, but a group re-read after a redirect reports the
+// later leg's position in Positions.
 func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error) {
+	return kv.readMulti(ctx, "readmulti", keys)
+}
+
+// readMulti is ReadMulti under op's name; each leg writes its own keys'
+// slots of the result.
+func (kv *KV) readMulti(ctx context.Context, op string, keys []string) (*MultiRead, error) {
 	out := &MultiRead{
 		Vals:      make([]string, len(keys)),
 		Founds:    make([]bool, len(keys)),
 		Positions: make(map[string]int64),
 	}
-	if len(keys) == 0 {
-		return out, nil
+	err := kv.route(ctx, op, keys, out.Positions, func(group string, slots []int) (int64, error) {
+		tx, err := kv.client.Begin(ctx, group)
+		if err != nil {
+			return 0, err
+		}
+		defer tx.Abort()
+		gkeys := make([]string, len(slots))
+		for i, slot := range slots {
+			gkeys[i] = keys[slot]
+		}
+		vals, founds, err := tx.ReadMulti(ctx, gkeys...)
+		if err != nil {
+			return 0, err
+		}
+		for i, slot := range slots {
+			out.Vals[slot], out.Founds[slot] = vals[i], founds[i]
+		}
+		return tx.ReadPos(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	groupOf := make([]string, len(keys))
-	for i, key := range keys {
-		groupOf[i] = kv.router.GroupFor(key)
-	}
-	done := make([]bool, len(keys))
-	hops, waits := 0, 0
-	for {
-		// Partition the pending slots preserving input order per group (the
-		// per-group reply is parallel to the per-group request slice, so
-		// order round-trips).
-		slots := make(map[string][]int)
-		for i := range keys {
-			if !done[i] {
-				slots[groupOf[i]] = append(slots[groupOf[i]], i)
-			}
-		}
-		if len(slots) == 0 {
-			return out, nil
-		}
-
-		type legResult struct {
-			group string
-			idx   []int
-			pos   int64
-			err   error
-		}
-		var wg sync.WaitGroup
-		results := make(chan legResult, len(slots))
-		var mu sync.Mutex // guards out.Vals/out.Founds slot writes
-		for g, idx := range slots {
-			wg.Add(1)
-			go func(group string, idx []int) {
-				defer wg.Done()
-				tx, err := kv.client.Begin(ctx, group)
-				if err != nil {
-					results <- legResult{group: group, idx: idx, err: err}
-					return
-				}
-				defer tx.Abort()
-				gkeys := make([]string, len(idx))
-				for i, slot := range idx {
-					gkeys[i] = keys[slot]
-				}
-				vals, founds, err := tx.ReadMulti(ctx, gkeys...)
-				if err != nil {
-					results <- legResult{group: group, idx: idx, err: err}
-					return
-				}
-				mu.Lock()
-				for i, slot := range idx {
-					out.Vals[slot] = vals[i]
-					out.Founds[slot] = founds[i]
-				}
-				mu.Unlock()
-				results <- legResult{group: group, idx: idx, pos: tx.ReadPos()}
-			}(g, idx)
-		}
-		wg.Wait()
-		close(results)
-
-		errByGroup := make(map[string]error)
-		moved, migrating := false, false
-		for r := range results {
-			var ref *Refusal
-			errors.As(r.err, &ref)
-			switch {
-			case r.err == nil:
-				out.Positions[r.group] = r.pos
-				for _, slot := range r.idx {
-					done[slot] = true
-				}
-			case ref != nil && ref.Verdict == network.VerdictMoved:
-				moved = true
-				// Re-route exactly the moved keys; the leg's other keys
-				// retry on the same group. A hint without keys moves the
-				// whole leg (conservative: the destination re-fences).
-				movedKeys := make(map[string]bool, len(ref.Keys))
-				for _, k := range ref.Keys {
-					movedKeys[k] = true
-				}
-				for _, slot := range r.idx {
-					if len(ref.Keys) == 0 || movedKeys[keys[slot]] {
-						groupOf[slot] = ref.Hint
-					}
-				}
-			case ref != nil && ref.Verdict == network.VerdictMigrating:
-				migrating = true
-			default:
-				errByGroup[r.group] = r.err
-			}
-		}
-		if len(errByGroup) > 0 {
-			return nil, unavailable("readmulti", len(slots), errByGroup)
-		}
-		if moved {
-			if hops++; hops > kvMovedHops {
-				return nil, fmt.Errorf("core: kv readmulti: moved %d times without settling", hops-1)
-			}
-		}
-		if migrating && !moved {
-			if waits++; waits > kvMigratingRetries {
-				return nil, fmt.Errorf("core: kv readmulti: range still migrating after %d retries", waits-1)
-			}
-			if err := sleepCtx(ctx, kv.retryDelay()); err != nil {
-				return nil, err
-			}
-		}
-	}
+	return out, nil
 }
 
 // unavailable is the error of a routed operation some of whose legs failed:

@@ -533,3 +533,39 @@ func TestUpdateOutlastsALaggingReplica(t *testing.T) {
 		t.Fatalf("k = %q %v, want three updates applied in turn", v, err)
 	}
 }
+
+// TestKVSpentBudgetKeepsRefusal: an operation that runs out of hops or waits
+// fails with one error for every keyed operation: it names the operation and
+// the budget, and wraps the last refusal, so errors.As finds its verdict.
+func TestKVSpentBudgetKeepsRefusal(t *testing.T) {
+	services, sim := newServiceRing(t, 3, kvDCs)
+	router := &mapRouter{def: "g0", groups: []string{"g0"}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		refusal network.Message
+		budget  string
+	}{
+		{movedTo("g0"), fmt.Sprintf("still moved after %d hops: ", kvMovedHops)},
+		{network.Refuse(network.VerdictMigrating, ""), fmt.Sprintf("still migrating after %d waits: ", kvMigratingRetries)},
+	} {
+		for name, op := range map[string]func(kv *KV) error{
+			"get":       func(kv *KV) error { _, _, err := kv.Get(ctx, "k"); return err },
+			"readmulti": func(kv *KV) error { _, err := kv.ReadMulti(ctx, "k", "j"); return err },
+			"put":       func(kv *KV) error { _, err := kv.Put(ctx, "k", "v"); return err },
+			"update": func(kv *KV) error {
+				_, err := kv.Update(ctx, "k", 0, func(string, bool) (string, error) { return "v", nil })
+				return err
+			},
+		} {
+			tr := &groupFilterTransport{Transport: sim.EndpointAsync("A", services["A"].AsyncHandler()), group: "g0",
+				script: &verdictScript{refuse: refuseFirst(-1, tc.refusal)}}
+			// 8 ms: the wait between tries is the 1 ms floor.
+			kv := NewKV(NewClient(1, "A", tr, Config{Seed: 1, Protocol: Master, MasterDC: "A", Timeout: 8 * time.Millisecond}), router)
+			err := op(kv)
+			var ref *Refusal
+			if !errors.As(err, &ref) || ref.Verdict != tc.refusal.Verdict || !strings.HasPrefix(fmt.Sprint(err), "core: kv "+name+": "+tc.budget) {
+				t.Errorf("%s: %v; want %q and a %s refusal", name, err, "core: kv "+name+": "+tc.budget+"…", tc.refusal.Verdict)
+			}
+		}
+	}
+}

@@ -310,14 +310,14 @@ func (s *Service) peersApplied(ctx context.Context, group string) int64 {
 // transient learn failures (a racing proposer mid-decision) retry with
 // backoff until ctx expires.
 func (s *Service) absorbTo(ctx context.Context, group string, target int64) error {
-	return s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+	return s.advance(ctx, group, target, func(pos int64) ([]byte, error) {
 		for attempt := 1; ; attempt++ {
-			entry, err := s.learn(ctx, group, pos, true)
+			decided, err := s.learn(ctx, group, pos, true)
 			if err == nil || errors.Is(err, errSnapshotRequired) {
-				return entry, err
+				return decided, err
 			}
 			if err := s.backoff.pause(ctx, attempt); err != nil {
-				return wal.Entry{}, err
+				return nil, err
 			}
 		}
 	})

@@ -165,7 +165,8 @@ func TestDecidedRowsAnswerLearners(t *testing.T) {
 		if got, err := cl.runInstance(ctx, "g", 1, own, choose, waitAll); err != nil || !got.Contains("winner") || got.Contains("own") {
 			t.Fatalf("%v: runInstance = %v %v, want the decided entry", proto, got, err)
 		}
-		if got, err := services["A"].learn(ctx, "g", 1, true); err != nil || !got.Contains("winner") {
+		learned, err := services["A"].learn(ctx, "g", 1, true)
+		if got, derr := wal.Decode(learned); err != nil || derr != nil || !got.Contains("winner") {
 			t.Fatalf("%v: learn = %v %v, want the decided entry", proto, got, err)
 		}
 		for dc, s := range services {

@@ -575,14 +575,17 @@ func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
 // decision and fills a genuinely undecided position with a no-op, so new
 // transactions are never placed above an unresolved gap (invariant W4).
 func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error) {
-	entry, err := p.svc.learn(ctx, p.group, pos, true)
+	decided, err := p.svc.learn(ctx, p.group, pos, true)
 	if err != nil {
 		return wal.Entry{}, err
 	}
-	if err := p.svc.ApplyDecided(p.group, pos, wal.Encode(entry)); err != nil {
+	if err := p.svc.ApplyDecided(p.group, pos, decided); err != nil {
 		return wal.Entry{}, err
 	}
-	return entry, nil
+	if entry, ok := p.lg.Entry(pos); ok {
+		return entry, nil
+	}
+	return wal.Entry{}, fmt.Errorf("position %d compacted once resolved", pos)
 }
 
 // replicate drives one position's entry to decision (fast accept round,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -278,6 +279,59 @@ func TestKVScanMergesGroups(t *testing.T) {
 // group's rows through KindRangeSnapshot must examine O(rows) index entries
 // in total, not O(rows) per page (the old full-store key walk per page made
 // an N-row backfill quadratic — 4x the rows cost ~16x the work; the cursor
+// TestScanRound: a routed scan's next round, decided from the legs it has
+// and the destinations hinted so far, and what the round spends of the
+// budget. A round that hops and waits spends a hop and does not sleep.
+func TestScanRound(t *testing.T) {
+	leg := func(pending bool, movedIn ...bool) scanLeg {
+		l := scanLeg{pending: pending}
+		for i, m := range movedIn {
+			l.entries = append(l.entries, ScanEntry{Key: fmt.Sprint(i), MovedIn: m})
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		name      string
+		legs      map[string]scanLeg
+		hinted    []string
+		next      []string
+		hop, wait bool
+	}{
+		{"settled", map[string]scanLeg{"g0": leg(false, false), "g1": leg(false)}, nil, nil, false, false},
+		{"a pending leg", map[string]scanLeg{"g0": leg(false), "g1": leg(true)}, nil, []string{"g1"}, false, true},
+		{"a new hinted destination", map[string]scanLeg{"g0": leg(false, false)}, []string{"g2"}, []string{"g2"}, true, false},
+		{"a hinted leg that saw no migration", map[string]scanLeg{"g0": leg(false), "g2": leg(false, false, false)}, []string{"g2"}, []string{"g2"}, false, true},
+		{"a hinted leg that saw one", map[string]scanLeg{"g0": leg(false), "g2": leg(false, false, true)}, []string{"g2"}, nil, false, false},
+		{"a hinted pending leg is scanned once", map[string]scanLeg{"g0": leg(false), "g2": leg(true)}, []string{"g2"}, []string{"g2"}, false, true},
+		{"hop and wait in one round", map[string]scanLeg{"g0": leg(true), "g2": leg(false, true)}, []string{"g2", "g3"}, []string{"g0", "g3"}, true, true},
+	} {
+		hinted := make(map[string]bool)
+		for _, d := range tc.hinted {
+			hinted[d] = true
+		}
+		next, hop, wait := scanRound(tc.legs, hinted)
+		if !slices.Equal(next, tc.next) || (hop != nil) != tc.hop || (wait != nil) != tc.wait {
+			t.Errorf("%s: next %v hop %v wait %v; want %v hop %t wait %t", tc.name, next, hop, wait, tc.next, tc.hop, tc.wait)
+			continue
+		}
+		// An hour's wait: a round that sleeps ends at the context's deadline.
+		budget := redirects{op: "scan", wait: time.Hour}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := budget.settle(ctx, hop, wait)
+		cancel()
+		if sleeps := tc.wait && !tc.hop; (err != nil) != sleeps || budget.hops != btoi(tc.hop) || budget.waits != btoi(sleeps) {
+			t.Errorf("%s: settle %v, %d hops, %d waits; want a sleep: %t", tc.name, err, budget.hops, budget.waits, sleeps)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // seek keeps the ratio linear).
 func TestRangeSnapshotPagingLinear(t *testing.T) {
 	pageAll := func(s *Service, n int) int64 {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -255,99 +257,81 @@ type scanLeg struct {
 }
 
 // Scan reads every key with the given prefix across the placement: one
-// ordered scan per group, run concurrently, merged into one ascending key
-// order. Migration hints are followed exactly like ReadMulti's redirects: a
-// leg naming departed-range destinations adds those groups' legs (bounded by
-// kvMovedHops rounds), a leg flagging a pending inbound range is retried
-// after a short wait (bounded by kvMigratingRetries), and any leg failure
-// fails the whole scan naming the groups — a partial result would silently
-// narrow the caller's view. When source and destination legs pin on opposite
-// sides of a cutover and both serve a key, the merge keeps the destination's
-// copy (marked MovedIn — it includes the final delta).
+// ordered scan per group, run concurrently (fanOut), merged into one
+// ascending key order. Migration hints are followed under the same budget as
+// ReadMulti's redirects: each round's next groups come from scanRound, a
+// round that adds a destination spends a hop and one that only waits spends
+// a wait, and any leg failure fails the whole scan naming the groups — a
+// partial result would silently narrow the caller's view. When source and
+// destination legs pin on opposite sides of a cutover and both serve a key,
+// the merge keeps the destination's copy (marked MovedIn — it includes the
+// final delta).
 func (kv *KV) Scan(ctx context.Context, prefix string) (*ScanResult, error) {
 	legs := make(map[string]scanLeg)
-	// hinted accumulates every destination a leg named across rounds: a hint
-	// means a row of the prefix departed there, so that group's leg must
-	// exist AND must itself observe the migration (pending inbound range or
-	// rows marked moved-in). A destination leg that shows neither was served
-	// by a replica whose pin predates its HandoffPrepare — rescanning it pins
-	// a later position, closing the window where a row would appear in no
-	// leg at all (skipped at the source, invisible at the destination).
 	hinted := make(map[string]bool)
-	inboundAware := func(l scanLeg) bool {
-		if l.pending {
-			return true
-		}
-		for _, e := range l.entries {
-			if e.MovedIn {
-				return true
-			}
-		}
-		return false
-	}
-	pendingSet := make(map[string]bool)
-	for _, g := range kv.router.Groups() {
-		pendingSet[g] = true
-	}
-	hops, waits := 0, 0
-	for len(pendingSet) > 0 {
-		todo := make([]string, 0, len(pendingSet))
-		for g := range pendingSet {
-			todo = append(todo, g)
-		}
-		sort.Strings(todo)
-		pendingSet = make(map[string]bool)
-
-		results := make(chan scanLeg, len(todo))
-		for _, g := range todo {
-			go func(group string) { results <- kv.scanGroup(ctx, group, prefix) }(g)
-		}
-		errByGroup := make(map[string]error)
-		grew, waiting := false, false
-		for range todo {
-			r := <-results
-			if r.err != nil {
-				errByGroup[r.group] = r.err
+	budget := kv.redirects("scan")
+	for next := kv.router.Groups(); len(next) > 0; {
+		round := make([]scanLeg, len(next))
+		fanOut(len(next), func(i int) { round[i] = kv.scanGroup(ctx, next[i], prefix) })
+		var failed map[string]error
+		for _, l := range round {
+			if l.err != nil {
+				if failed == nil {
+					failed = make(map[string]error)
+				}
+				failed[l.group] = l.err
 				continue
 			}
-			legs[r.group] = r
-			for _, d := range r.dests {
+			legs[l.group] = l
+			for _, d := range l.dests {
 				hinted[d] = true
 			}
-			if r.pending {
-				// Mid-cutover rows were hidden; re-scan this group after its
-				// HandoffIn applies (the retry pins a later position).
-				pendingSet[r.group] = true
-				waiting = true
-			}
 		}
-		for d := range hinted {
-			if _, have := legs[d]; !have {
-				pendingSet[d] = true
-				grew = true
-			} else if !inboundAware(legs[d]) && !pendingSet[d] {
-				pendingSet[d] = true
-				waiting = true
-			}
+		if failed != nil {
+			return nil, unavailable("scan", len(round), failed)
 		}
-		if len(errByGroup) > 0 {
-			return nil, unavailable("scan", len(todo), errByGroup)
-		}
-		if grew {
-			if hops++; hops > kvMovedHops {
-				return nil, fmt.Errorf("core: kv scan: destinations grew %d times without settling", hops-1)
-			}
-		}
-		if waiting && !grew {
-			if waits++; waits > kvMigratingRetries {
-				return nil, fmt.Errorf("core: kv scan: range still migrating after %d retries", waits-1)
-			}
-			if err := sleepCtx(ctx, kv.retryDelay()); err != nil {
-				return nil, err
-			}
+		var hop, wait error
+		next, hop, wait = scanRound(legs, hinted)
+		if err := budget.settle(ctx, hop, wait); err != nil {
+			return nil, err
 		}
 	}
 	return mergeScanLegs(legs), nil
+}
+
+// The causes scanRound gives a round, for the budget's error: a scan leg
+// carries no refusal.
+var (
+	errScanDestination = errors.New("a leg named a destination not scanned yet")
+	errScanMigrating   = errors.New("a migration is not settled at a scanned group")
+)
+
+// scanRound decides a routed scan's next round from legs, the newest leg of
+// each group, and hinted, every destination a leg has named; next is empty
+// when the scan is done. A pending leg hid an inbound range mid-cutover: it
+// is scanned again, and the round waits. A hinted destination with no leg is
+// scanned: the round hops. A hinted destination whose leg saw no migration —
+// nothing pending, no row moved in — was pinned before its HandoffPrepare,
+// where a departed row is in no leg at all: it is scanned again at a later
+// pin, and the round waits. That test is per group, not per handoff, which
+// TestScanStaleDestinationLeg shows too weak. hop and wait are the round's
+// causes for settle, or nil.
+func scanRound(legs map[string]scanLeg, hinted map[string]bool) (next []string, hop, wait error) {
+	for g, l := range legs {
+		if l.pending {
+			next, wait = append(next, g), errScanMigrating
+		}
+	}
+	for d := range hinted {
+		switch l, have := legs[d]; {
+		case !have:
+			next, hop = append(next, d), errScanDestination
+		case !l.pending && !slices.ContainsFunc(l.entries, func(e ScanEntry) bool { return e.MovedIn }):
+			next, wait = append(next, d), errScanMigrating
+		}
+	}
+	slices.Sort(next)
+	return next, hop, wait
 }
 
 // scanGroup materializes one group's leg with a fresh read-only transaction.

@@ -713,7 +713,7 @@ func (s *Service) Leader(group string, pos int64) string {
 // not receive all Paxos messages for a log position ... it executes a Paxos
 // instance for the missing log entry to learn the winning value", §4.1).
 func (s *Service) CatchUp(ctx context.Context, group string, target int64) error {
-	return s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+	return s.advance(ctx, group, target, func(pos int64) ([]byte, error) {
 		return s.learn(ctx, group, pos, false)
 	})
 }
@@ -723,8 +723,9 @@ func (s *Service) CatchUp(ctx context.Context, group string, target int64) error
 // until a drain has landed them; each missing one comes from get
 // and is applied; and where get reports that the peers have compacted past
 // the position, a snapshot is installed and per-entry catch-up resumes above
-// its horizon.
-func (s *Service) advance(ctx context.Context, group string, target int64, get func(pos int64) (wal.Entry, error)) error {
+// its horizon. Each entry is applied as the bytes get returns — the peers'
+// bytes, which the decided position holds (invariant R1).
+func (s *Service) advance(ctx context.Context, group string, target int64, get func(pos int64) ([]byte, error)) error {
 	lg := s.log(group)
 	for {
 		pos := lg.Applied() + 1
@@ -737,7 +738,7 @@ func (s *Service) advance(ctx context.Context, group string, target int64, get f
 			}
 			continue
 		}
-		entry, err := get(pos)
+		decided, err := get(pos)
 		if errors.Is(err, errSnapshotRequired) {
 			if err := s.fetchSnapshot(ctx, group); err != nil {
 				return fmt.Errorf("core: snapshot catch-up %s: %w", group, err)
@@ -747,7 +748,7 @@ func (s *Service) advance(ctx context.Context, group string, target int64, get f
 		if err != nil {
 			return fmt.Errorf("core: catch up %s/%d: %w", group, pos, err)
 		}
-		if err := s.ApplyDecided(group, pos, wal.Encode(entry)); err != nil {
+		if err := s.ApplyDecided(group, pos, decided); err != nil {
 			return err
 		}
 	}
@@ -786,7 +787,7 @@ func (s *Service) fillGapLater(g *groupState) {
 			return
 		}
 		// Best effort: a failed fetch leaves the gap for the next trigger.
-		_ = s.advance(s.bgCtx, group, g.log.DecidedMax(), func(pos int64) (wal.Entry, error) {
+		_ = s.advance(s.bgCtx, group, g.log.DecidedMax(), func(pos int64) ([]byte, error) {
 			return s.fetchDecided(s.bgCtx, group, pos)
 		})
 	}()
@@ -799,7 +800,7 @@ func (s *Service) fillGapLater(g *groupState) {
 func (s *Service) Recover(ctx context.Context, group string) error {
 	lg := s.log(group)
 	target := max(lg.Applied(), s.peersApplied(ctx, group))
-	err := s.advance(ctx, group, target, func(pos int64) (wal.Entry, error) {
+	err := s.advance(ctx, group, target, func(pos int64) ([]byte, error) {
 		return s.learn(ctx, group, pos, true)
 	})
 	if err != nil {
@@ -815,7 +816,7 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 	// Service" — recovery is that service.
 	for {
 		pos := lg.Applied() + 1
-		entry, err := s.learn(ctx, group, pos, false)
+		decided, err := s.learn(ctx, group, pos, false)
 		if err != nil {
 			if errors.Is(err, errSnapshotRequired) {
 				if err := s.fetchSnapshot(ctx, group); err != nil {
@@ -826,7 +827,7 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 			// Undecided or unreachable: nothing more to complete.
 			return nil
 		}
-		if err := s.ApplyDecided(group, pos, wal.Encode(entry)); err != nil {
+		if err := s.ApplyDecided(group, pos, decided); err != nil {
 			return err
 		}
 	}
@@ -836,20 +837,20 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 // being learned; the caller must install a snapshot instead.
 var errSnapshotRequired = errors.New("core: position compacted at peers; snapshot required")
 
-// learn discovers the decided value of one log position: fetch from peers
+// learn discovers the decided bytes of one log position: fetch from peers
 // first, then drive the service's Paxos instance (Service.instance) to
 // completion, proposing the highest vote a full prepare finds. When fillNoOp
 // is true (explicit recovery) an undecided position is decided as a no-op
 // entry; otherwise learning an undecided position fails. If any peer reports
 // the position compacted, learn returns errSnapshotRequired — running Paxos
 // there would resurrect a scavenged instance as a no-op.
-func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp bool) (wal.Entry, error) {
+func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp bool) ([]byte, error) {
 	if s.transport == nil {
-		return wal.Entry{}, fmt.Errorf("position %d not decided locally and no peers", pos)
+		return nil, fmt.Errorf("position %d not decided locally and no peers", pos)
 	}
 	// Fast path: a peer already knows the decided entry.
-	if entry, err := s.fetchDecided(ctx, group, pos); !errors.Is(err, errNotFetched) {
-		return entry, err
+	if decided, err := s.fetchDecided(ctx, group, pos); !errors.Is(err, errNotFetched) {
+		return decided, err
 	}
 	in := s.instance(group, pos)
 	in.WaitAll = true
@@ -864,21 +865,21 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 	}
 	value, chosenAt, err := s.proposer.Decide(ctx, in)
 	if err != nil {
-		return wal.Entry{}, err
+		return nil, err
 	}
 	s.proposer.Apply(ctx, group, pos, chosenAt, value)
-	return wal.Decode(value)
+	return value, nil
 }
 
 // errNotFetched reports that no reachable peer served the decided entry.
 var errNotFetched = errors.New("core: no peer holds the decided entry")
 
-// fetchDecided asks the peers for the decided entry at pos (KindFetchLog):
-// errNotFetched when none of them has it, errSnapshotRequired when one has
-// compacted past it. The last peer that served a fetch goes first — during
+// fetchDecided asks the peers for the decided entry at pos (KindFetchLog) and
+// returns the first payload that decodes, as it came: errNotFetched when none
+// of them has it, errSnapshotRequired when one has compacted past it. The last peer that served a fetch goes first — during
 // bulk catch-up an unreachable peer earlier in the list would otherwise cost
 // one timeout per position.
-func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wal.Entry, error) {
+func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) ([]byte, error) {
 	peers := s.transport.Peers()
 	if last, ok := s.fetchPeer.Load().(string); ok && len(peers) > 1 {
 		order := make([]string, 0, len(peers))
@@ -898,14 +899,14 @@ func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) (wa
 		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindFetchLog, Group: group, Pos: pos})
 		cctx.End()
 		if err == nil && resp.OK {
-			if entry, derr := wal.Decode(resp.Payload); derr == nil {
+			if _, derr := wal.Decode(resp.Payload); derr == nil {
 				s.fetchPeer.Store(dc)
-				return entry, nil
+				return resp.Payload, nil
 			}
 		}
 		if err == nil && !resp.OK && resp.Verdict == network.VerdictCompacted {
-			return wal.Entry{}, errSnapshotRequired
+			return nil, errSnapshotRequired
 		}
 	}
-	return wal.Entry{}, errNotFetched
+	return nil, errNotFetched
 }

@@ -299,7 +299,7 @@ func TestConcurrentLearnersAgree(t *testing.T) {
 	defer cancel()
 	failed := 0
 	for pos := int64(1); pos <= positions; pos++ {
-		learned := make([]wal.Entry, len(dcs))
+		learned := make([][]byte, len(dcs))
 		errs := make([]error, len(dcs))
 		var wg sync.WaitGroup
 		for i, dc := range dcs {
