@@ -82,13 +82,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	peerMap := map[string]string{}
-	for _, part := range strings.Split(*peers, ",") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			log.Fatalf("txkvctl: bad peer entry %q", part)
-		}
-		peerMap[kv[0]] = kv[1]
+	peerMap, err := network.ParsePeers(*peers)
+	if err != nil {
+		log.Fatalf("txkvctl: %v", err)
 	}
 	// The sorted peer list is the deterministic datacenter order every routed
 	// client computes master spreads over (DESIGN.md §12); grow seeds the

@@ -15,7 +15,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -48,7 +47,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	peerMap, err := parsePeers(*peers)
+	peerMap, err := network.ParsePeers(*peers)
 	if err != nil {
 		log.Fatalf("txkvd: %v", err)
 	}
@@ -142,33 +141,4 @@ func main() {
 		log.Printf("txkvd: state durable in %s", *dataDir)
 	}
 	time.Sleep(50 * time.Millisecond)
-}
-
-func parsePeers(s string) (map[string]string, error) {
-	out := make(map[string]string)
-	for _, part := range splitNonEmpty(s, ',') {
-		kv := splitNonEmpty(part, '=')
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer entry %q (want name=addr)", part)
-		}
-		out[kv[0]] = kv[1]
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty peer list")
-	}
-	return out, nil
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -463,7 +463,7 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 
 	c.Partition("V3", "V1")
 	c.Partition("V3", "V2")
-	tx, err := cl.Begin(ctx, "g") // local readpos still answers
+	tx, err := cl.Begin(ctx, "g") // the local read position still answers
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestMasterPipelineWindowFullNoDeadlock(t *testing.T) {
 	}
 
 	// While the pipeline is saturated, the apply and read paths must answer
-	// promptly: a gapped decided entry lands, and readpos still serves.
+	// promptly: a gapped decided entry lands, and the read position still serves.
 	applied := make(chan error, 1)
 	go func() {
 		entry := wal.Encode(wal.NewEntry(wal.Txn{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -144,8 +145,8 @@ func (c *Client) recentShown(group string) (int64, bool) {
 	return s.pos, ok && time.Since(s.at) <= c.cfg.timeout()
 }
 
-// sendPreferLocal sends a transaction API request — readpos, read, readmulti,
-// scan — to the local service first and falls back to the other datacenters
+// sendPreferLocal sends a transaction API request — a readmulti or a scan
+// page — to the local service first and falls back to the other datacenters
 // (sender.toAny, route.go).
 func (c *Client) sendPreferLocal(ctx context.Context, req network.Message) (network.Message, error) {
 	return sender{c: c}.toAny(ctx, req)
@@ -229,7 +230,7 @@ func (t *Tx) resolved() bool { return t.readPos != unresolvedPos }
 // be: no read ever piggybacked the resolution.
 //
 // Under Basic and CP the read position is the position competed for, so it
-// is asked for: the readpos round trip of transaction protocol step 1. Under
+// is asked for: a read of no keys (transaction protocol step 1). Under
 // Master the master assigns the position and an empty read set conflicts
 // with nothing, so the read position is only the floor of the master's walk
 // for an earlier attempt of the same transaction (pipeline invariant W5).
@@ -246,57 +247,103 @@ func (t *Tx) resolveReadPos(ctx context.Context) error {
 		t.readPos = pos
 		return nil
 	}
-	resp, err := t.client.sendPreferLocal(ctx, network.Message{Kind: network.KindReadPos, Group: t.group})
-	if err != nil {
+	if err := t.fetch(ctx, nil); err != nil {
 		return fmt.Errorf("core: read position: %w", err)
 	}
-	t.readPos = resp.TS
 	return nil
+}
+
+// readPosRequest asks a service for its read position of group — its applied
+// watermark — in the reply's TS: a read of no keys at network.ResolvePos.
+func readPosRequest(group string) network.Message {
+	return network.Message{Kind: network.KindReadMulti, Group: group, TS: network.ResolvePos}
 }
 
 // errTxDone reports use of a finished transaction.
 var errTxDone = errors.New("core: transaction already finished")
 
-// Read returns the value of key. A key written earlier in this transaction
-// returns the written value (property A1); otherwise the read is served at
-// the transaction's read position (property A2). A key that has never been
-// written reads as the empty string with found=false.
+// Read returns the value of key: a one-key ReadMulti. A key that has never
+// been written reads as the empty string with found=false.
+func (t *Tx) Read(ctx context.Context, key string) (string, bool, error) {
+	vals, found, err := t.ReadMulti(ctx, key)
+	if err != nil {
+		return "", false, err
+	}
+	return vals[0], found[0], nil
+}
+
+// ReadMulti reads keys, all at the transaction's read position (one
+// snapshot, property A2), and returns their values and found-ness parallel
+// to keys. A key written earlier in the transaction returns the written
+// value (property A1), and a key already read repeats what it showed — its
+// value, and that it was missing if it was. Only the rest go on the wire, as
+// one KindReadMulti request that the service serves with one watermark check
+// and one multi-key store pass.
 //
 // The transaction's first read also resolves its read position: the request
 // carries network.ResolvePos and the service serves the read at its applied
-// watermark, returning that position in the reply — the readpos round trip
-// that Begin used to spend is folded into this message (DESIGN.md §9).
-func (t *Tx) Read(ctx context.Context, key string) (string, bool, error) {
+// watermark, returning that position in the reply — the round trip of step 1
+// is folded into this message (DESIGN.md §9).
+func (t *Tx) ReadMulti(ctx context.Context, keys ...string) ([]string, []bool, error) {
 	if t.done {
-		return "", false, errTxDone
+		return nil, nil, errTxDone
 	}
-	if v, ok := t.writes[key]; ok {
-		return v, true, nil
+	var fetch []string // the keys the service must serve, each once
+	for _, key := range keys {
+		if _, ok := t.writes[key]; ok {
+			continue
+		}
+		if _, ok := t.reads[key]; !ok && !slices.Contains(fetch, key) {
+			if fetch == nil {
+				fetch = make([]string, 0, len(keys))
+			}
+			fetch = append(fetch, key)
+		}
 	}
-	if v, ok := t.reads[key]; ok {
-		// Repeated read within the transaction: same position, same value
-		// (and the same found-ness — a key read as missing stays missing).
-		return v, !t.misses[key], nil
+	if len(fetch) > 0 {
+		if err := t.fetch(ctx, fetch); err != nil {
+			return nil, nil, fmt.Errorf("core: read %d keys: %w", len(fetch), err)
+		}
 	}
-	ts := t.readPos // unresolvedPos == network.ResolvePos on the wire
+	vals := make([]string, len(keys))
+	found := make([]bool, len(keys))
+	for i, key := range keys {
+		if v, ok := t.writes[key]; ok {
+			vals[i], found[i] = v, true
+		} else if !t.misses[key] {
+			vals[i], found[i] = t.reads[key], true
+		}
+	}
+	return vals, found, nil
+}
+
+// fetch reads keys at the transaction's read position with one KindReadMulti
+// request, resolving the position if it is not yet, and adds them to the
+// read set. Of no keys, it only resolves the position.
+func (t *Tx) fetch(ctx context.Context, keys []string) error {
 	resp, err := t.client.sendPreferLocal(ctx, network.Message{
-		Kind: network.KindRead, Group: t.group, Key: key, TS: ts,
+		Kind: network.KindReadMulti, Group: t.group, Keys: keys, TS: t.readPos, // unresolvedPos == network.ResolvePos
 	})
 	if err != nil {
-		return "", false, fmt.Errorf("core: read %q: %w", key, err)
+		return err
+	}
+	if len(resp.Vals) != len(keys) || len(resp.Founds) != len(keys) {
+		return fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
+			len(keys), len(resp.Vals), len(resp.Founds))
 	}
 	if !t.resolved() {
 		t.readPos = resp.TS
 	}
-	val := ""
-	if resp.Found {
-		val = resp.Value
+	for i, key := range keys {
+		val := ""
+		if resp.Founds[i] {
+			val = resp.Vals[i]
+		} else {
+			t.markMiss(key)
+		}
+		t.reads[key] = val
 	}
-	t.reads[key] = val
-	if !resp.Found {
-		t.markMiss(key)
-	}
-	return val, resp.Found, nil
+	return nil
 }
 
 // markMiss records that key was read as missing at the read position.
@@ -305,80 +352,6 @@ func (t *Tx) markMiss(key string) {
 		t.misses = make(map[string]bool)
 	}
 	t.misses[key] = true
-}
-
-// ReadMulti reads many keys in one round trip, all served at the
-// transaction's read position (one snapshot). Results are returned parallel
-// to keys, with the same per-key semantics as Read: keys written earlier in
-// the transaction return the buffered value (A1), keys already read repeat
-// their observed value, and only the remainder goes on the wire as a single
-// KindReadMulti request whose server side does one watermark check and one
-// multi-key store pass. Like the first Read, the first ReadMulti of a
-// transaction also resolves its read position.
-func (t *Tx) ReadMulti(ctx context.Context, keys ...string) ([]string, []bool, error) {
-	if t.done {
-		return nil, nil, errTxDone
-	}
-	vals := make([]string, len(keys))
-	found := make([]bool, len(keys))
-	var fetch []string                  // deduplicated keys that must go to the service
-	var slotOf map[string]int           // key -> slot in fetch, built on first miss
-	fetchSlot := make([]int, len(keys)) // result index -> fetch slot (-1 = satisfied locally)
-	for i, key := range keys {
-		fetchSlot[i] = -1
-		if v, ok := t.writes[key]; ok {
-			vals[i], found[i] = v, true
-			continue
-		}
-		if v, ok := t.reads[key]; ok {
-			vals[i], found[i] = v, !t.misses[key]
-			continue
-		}
-		if slotOf == nil {
-			slotOf = make(map[string]int)
-		}
-		slot, dup := slotOf[key]
-		if !dup {
-			slot = len(fetch)
-			slotOf[key] = slot
-			fetch = append(fetch, key)
-		}
-		fetchSlot[i] = slot
-	}
-	if len(fetch) == 0 {
-		return vals, found, nil
-	}
-	resp, err := t.client.sendPreferLocal(ctx, network.Message{
-		Kind: network.KindReadMulti, Group: t.group, Keys: fetch, TS: t.readPos,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: read %d keys: %w", len(fetch), err)
-	}
-	if len(resp.Vals) != len(fetch) || len(resp.Founds) != len(fetch) {
-		return nil, nil, fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
-			len(fetch), len(resp.Vals), len(resp.Founds))
-	}
-	if !t.resolved() {
-		t.readPos = resp.TS
-	}
-	for fi, key := range fetch {
-		val := ""
-		if resp.Founds[fi] {
-			val = resp.Vals[fi]
-		} else {
-			t.markMiss(key)
-		}
-		t.reads[key] = val
-	}
-	for i, slot := range fetchSlot {
-		if slot < 0 {
-			continue
-		}
-		if resp.Founds[slot] {
-			vals[i], found[i] = resp.Vals[slot], true
-		}
-	}
-	return vals, found, nil
 }
 
 // Write buffers (key, value); it is applied only if the transaction commits.

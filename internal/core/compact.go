@@ -84,9 +84,11 @@ func (s *Service) CompactedTo(group string) int64 {
 // passed is refused, so a laggard never stitches two horizons together.
 
 const (
-	// snapshotPageBytes is a page's record budget: with the reply's envelope,
-	// well inside the UDP transport's 64 KiB datagram. A page carries at least
-	// one record, whatever its size.
+	// snapshotPageBytes is every paged handler's byte budget: a snapshot
+	// page's records, or a scan or range-snapshot page's keys and values.
+	// With the reply's envelope and length prefixes it is well inside the
+	// transport's 65 507-byte datagram. A page carries at least one row,
+	// whatever its size.
 	snapshotPageBytes = 32 << 10
 	// snapshotRestarts bounds how often one transfer starts over because the
 	// peer compacted past its pin between pages.

@@ -59,7 +59,7 @@ func TestCompactScavengesBelowHorizon(t *testing.T) {
 		}
 	}
 	// Reads at or above the horizon still work.
-	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 8})
+	resp := askRead(t, s, "A", "g", "k", 8)
 	if !resp.OK || resp.Value != "v8" {
 		t.Fatalf("read@8 after compact = %+v", resp)
 	}
@@ -120,7 +120,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := services["B"].LastApplied("g"); got != 6 {
 		t.Fatalf("B horizon after install = %d, want 6", got)
 	}
-	resp := ask(t, services["B"], "c", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 6})
+	resp := askRead(t, services["B"], "c", "g", "k", 6)
 	if !resp.OK || resp.Value != "v6" {
 		t.Fatalf("read from installed snapshot = %+v", resp)
 	}
@@ -243,7 +243,7 @@ func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
 		}
 	}
 	// C must serve a read at position 10.
-	resp := ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 10})
+	resp := askRead(t, services["C"], "client", "g", "k", 10)
 	if !resp.OK || resp.Value != "v10" {
 		t.Fatalf("read after snapshot catch-up = %+v", resp)
 	}
@@ -251,7 +251,7 @@ func TestLaggardCatchesUpViaSnapshot(t *testing.T) {
 		t.Fatalf("C horizon = %d, want 10", got)
 	}
 	// Data written only in compacted entries is present via the snapshot.
-	resp = ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "u3", TS: 10})
+	resp = askRead(t, services["C"], "client", "g", "u3", 10)
 	if !resp.OK || !resp.Found || resp.Value != "once" {
 		t.Fatalf("snapshot-only key = %+v", resp)
 	}

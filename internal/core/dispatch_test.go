@@ -47,6 +47,21 @@ func ask(t testing.TB, s *Service, from string, req network.Message) network.Mes
 	return awaitReply(t, ch)
 }
 
+// askRead sends s the read Tx.Read sends — a one-key KindReadMulti of key at
+// ts — and returns the reply with the key's value and found-ness in Value and
+// Found.
+func askRead(t testing.TB, s *Service, from, group, key string, ts int64) network.Message {
+	t.Helper()
+	resp := ask(t, s, from, network.Message{Kind: network.KindReadMulti, Group: group, Keys: []string{key}, TS: ts})
+	if resp.OK {
+		if len(resp.Vals) != 1 || len(resp.Founds) != 1 {
+			t.Fatalf("one-key read of %q: reply %+v", key, resp)
+		}
+		resp.Value, resp.Found = resp.Vals[0], resp.Founds[0]
+	}
+	return resp
+}
+
 // wireKinds lists every Kind the wire codec has a code for, in code order.
 // An encoded message starts with its kind's code, so the codes that decode
 // are the codec's table.
@@ -88,13 +103,19 @@ func TestAsyncHandlerServesHotKinds(t *testing.T) {
 		// it durable.
 		{network.Message{Kind: network.KindApply, Group: "g", Pos: 2,
 			Payload: entryBytes("t2", 1, map[string]string{"x": "2"})}, ok},
+		// The retired kinds are refused by name, as any kind the service does
+		// not serve: an old client's read, an old service's read-position probe.
 		{network.Message{Kind: network.KindReadPos, Group: "g"},
-			func(m network.Message) bool { return m.OK && m.TS == 2 }},
+			func(m network.Message) bool { return !m.OK && m.Err == `unknown kind "readpos"` }},
 		{network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1},
-			func(m network.Message) bool { return m.OK && m.Value == "1" }},
+			func(m network.Message) bool { return !m.OK && m.Err == `unknown kind "read"` }},
+		// The read position: a read of no keys.
+		{readPosRequest("g"), func(m network.Message) bool { return m.OK && m.TS == 2 }},
+		{network.Message{Kind: network.KindReadMulti, Group: "g", Keys: []string{"x"}, TS: 1},
+			func(m network.Message) bool { return m.OK && m.Vals[0] == "1" }},
 		// A read ahead of the watermark takes the catch-up path (here: fails,
 		// no peers) but still must reply rather than strand the client.
-		{network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 9}, refused},
+		{network.Message{Kind: network.KindReadMulti, Group: "g", Keys: []string{"x"}, TS: 9}, refused},
 		// Lazy read position: TS = ResolvePos serves at the watermark inline.
 		{network.Message{Kind: network.KindReadMulti, Group: "g", TS: network.ResolvePos, Keys: []string{"x", "y"}},
 			func(m network.Message) bool { return m.OK && m.TS == 2 && m.Vals[0] == "2" && !m.Founds[1] }},
@@ -199,9 +220,9 @@ func TestAsyncHandlerParallelGroups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				reply, ch := collectReply()
-				ah("B", network.Message{Kind: network.KindRead, Group: group, Key: "k", TS: 1}, reply)
+				ah("B", network.Message{Kind: network.KindReadMulti, Group: group, Keys: []string{"k"}, TS: 1}, reply)
 				m := awaitReply(t, ch)
-				if !m.OK || m.Value != group {
+				if !m.OK || m.Vals[0] != group {
 					t.Errorf("group %s read = %+v", group, m)
 					return
 				}
@@ -246,7 +267,7 @@ func TestMasterAsyncSubmitEndToEnd(t *testing.T) {
 // TestAsyncHandlerDispatchAllocs: a request served on a goroutine of its
 // own costs no allocation on its way through AsyncHandler — no closure, no
 // copy of its Message on the heap, a pooled item — nor, for a read-position
-// request, in the handler and the reply.
+// request (a read of no keys), in the handler and the reply.
 func TestAsyncHandlerDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates, and sync.Pool drops items under it")
@@ -257,14 +278,14 @@ func TestAsyncHandlerDispatchAllocs(t *testing.T) {
 	ah := s.AsyncHandler()
 	ch := make(chan network.Message, 1)
 	reply := func(m network.Message) { ch <- m }
-	req := network.Message{Kind: network.KindReadPos, Group: "g"}
+	req := readPosRequest("g")
 	if allocs := testing.AllocsPerRun(200, func() {
 		ah("B", req, reply)
 		if m := <-ch; !m.OK {
-			t.Fatalf("readpos = %+v", m)
+			t.Fatalf("read position = %+v", m)
 		}
 	}); allocs != 0 {
-		t.Errorf("a shard-dispatched readpos allocates %.1f times, want 0", allocs)
+		t.Errorf("a dispatched read-position request allocates %.1f times, want 0", allocs)
 	}
 }
 

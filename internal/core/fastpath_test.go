@@ -161,9 +161,8 @@ func TestCPLeaderCommitMessages(t *testing.T) {
 		network.KindClaimLeader: 1,
 		network.KindAccept:      3,
 		network.KindApply:       3,
-		network.KindRead:        1,
+		network.KindReadMulti:   1,
 		network.KindPrepare:     0,
-		network.KindReadPos:     0,
 	} {
 		if sent[kind] != want {
 			t.Errorf("%d %s requests, want %d (all sent: %v)", sent[kind], kind, want, sent)

@@ -59,14 +59,14 @@ func TestFenceVerdictsAtTheService(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  network.Message
-		want network.Message // OK, Verdict, Value, Keys and Combined are compared
+		want network.Message // OK, Verdict, Value, Keys, Combined and, where set, Vals are compared
 	}{
-		{"read of a moved key at the Out position", network.Message{Kind: network.KindRead, Group: "g0", Key: m, TS: 2}, moved(m)},
-		{"read of a moved key below the Out position", network.Message{Kind: network.KindRead, Group: "g0", Key: m, TS: 1},
-			network.Message{OK: true, Value: "old"}},
+		{"read of a moved key at the Out position", network.Message{Kind: network.KindReadMulti, Group: "g0", Keys: []string{m}, TS: 2}, moved(m)},
+		{"read of a moved key below the Out position", network.Message{Kind: network.KindReadMulti, Group: "g0", Keys: []string{m}, TS: 1},
+			network.Message{OK: true, Vals: []string{"old"}}},
 		{"readmulti names only the moved keys", network.Message{Kind: network.KindReadMulti, Group: "g0", Keys: []string{stay, m}, TS: 2}, moved(m)},
-		{"read of a pending key at the prepare", network.Message{Kind: network.KindRead, Group: "g1", Key: m, TS: 2}, migrating},
-		{"read of a pending key below the prepare", network.Message{Kind: network.KindRead, Group: "g1", Key: m, TS: 1}, migrating},
+		{"read of a pending key at the prepare", network.Message{Kind: network.KindReadMulti, Group: "g1", Keys: []string{m}, TS: 2}, migrating},
+		{"read of a pending key below the prepare", network.Message{Kind: network.KindReadMulti, Group: "g1", Keys: []string{m}, TS: 1}, migrating},
 		{"scan page pinned below the prepare", network.Message{Kind: network.KindScan, Group: "g1", TS: 1},
 			network.Message{OK: true, Keys: []string{m}}},
 		{"scan page pinned at the prepare", network.Message{Kind: network.KindScan, Group: "g1", TS: 2},
@@ -78,7 +78,8 @@ func TestFenceVerdictsAtTheService(t *testing.T) {
 	} {
 		resp, w := ask(t, services["A"], "T", tc.req), tc.want
 		if resp.OK != w.OK || resp.Verdict != w.Verdict || resp.Value != w.Value ||
-			!slices.Equal(resp.Keys, w.Keys) || resp.Combined != w.Combined {
+			!slices.Equal(resp.Keys, w.Keys) || resp.Combined != w.Combined ||
+			w.Vals != nil && !slices.Equal(resp.Vals, w.Vals) {
 			t.Errorf("%s: %+v, want OK=%t verdict %q value %q keys %v combined %t",
 				tc.name, resp, w.OK, w.Verdict, w.Value, w.Keys, w.Combined)
 		}

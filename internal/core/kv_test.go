@@ -158,9 +158,10 @@ func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.
 	return network.Message{}, fmt.Errorf("injected: group %s unreachable", g.group)
 }
 
-// verdictScript refuses a group's reads, multi-key reads and submits — the
-// requests a migration verdict answers — with the n-th request's scripted
-// refusal, and counts the requests it refused. Every other request passes.
+// verdictScript refuses a group's reads of keys and submits — the requests a
+// migration verdict answers — with the n-th request's scripted refusal, and
+// counts the requests it refused. Every other request passes, a read of no
+// keys (a read position) among them.
 type verdictScript struct {
 	refuse  func(n int) (network.Message, bool)
 	mu      sync.Mutex
@@ -169,8 +170,8 @@ type verdictScript struct {
 }
 
 func (s *verdictScript) next(req network.Message) (network.Message, bool) {
-	switch req.Kind {
-	case network.KindRead, network.KindReadMulti, network.KindSubmit:
+	switch {
+	case req.Kind == network.KindReadMulti && len(req.Keys) > 0, req.Kind == network.KindSubmit:
 	default:
 		return network.Message{}, false
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"paxoscp/internal/deadline"
-	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
 	"paxoscp/internal/wal"
 )
@@ -133,9 +132,10 @@ func (s *Service) ClaimMastership(ctx context.Context, group string) (int64, err
 		committedToClaim = true
 		// Place the claim above every position we know to be decided or
 		// applied anywhere: the local ceiling, plus each reachable peer's
-		// applied horizon (a cheap readpos probe — full catch-up would lose
-		// a race against a live master before it ever proposed). A failed
-		// attempt means the old master is ahead and winning; lead further.
+		// applied horizon (a cheap read-position probe — full catch-up would
+		// lose a race against a live master before it ever proposed). A
+		// failed attempt means the old master is ahead and winning; lead
+		// further.
 		lead := claimLead(proposals)
 		proposals++
 		pos := lg.DecidedMax() + 1 + lead
@@ -289,7 +289,7 @@ func (s *Service) peersApplied(ctx context.Context, group string) int64 {
 		wg.Add(1)
 		go func(dc string) {
 			defer wg.Done()
-			resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindReadPos, Group: group})
+			resp, err := s.transport.Send(cctx, dc, readPosRequest(group))
 			if err == nil && resp.OK {
 				mu.Lock()
 				if resp.TS > tip {

@@ -82,7 +82,7 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 	if req.Found {
 		after = prefix + req.Key // resume after the cursor
 	}
-	examined := 0
+	examined, size, prev := 0, 0, ""
 	for row, err := range s.store.Rows(prefix, after, ts) {
 		if err != nil {
 			return network.Status(false, err.Error())
@@ -90,13 +90,19 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 		bare := row.Key[len(prefix):]
 		examined++
 		if set.Moves(bare) && row.TS > req.Pos {
+			v := row.Val.Get("v")
+			if size += len(bare) + len(v); size > snapshotPageBytes && len(resp.Keys) > 0 {
+				resp.Key, resp.Found = prev, true // full: this row opens the next page
+				break
+			}
 			resp.Keys = append(resp.Keys, bare)
-			resp.Vals = append(resp.Vals, row.Val.Get("v"))
+			resp.Vals = append(resp.Vals, v)
 		}
 		if len(resp.Keys) >= scanDefaultPageRows || examined >= scanExamineBudget {
 			resp.Key, resp.Found = bare, true // more pages may follow
 			break
 		}
+		prev = bare
 	}
 	return resp
 }
@@ -281,7 +287,7 @@ func (m *Migrator) copyRange(ctx context.Context, from, to string, destGroups []
 // the next batch's.
 func (m *Migrator) backfill(ctx context.Context, to string, keys, vals []string, readPos *int64) error {
 	if *readPos < 0 {
-		resp, err := m.sender().toAny(ctx, network.Message{Kind: network.KindReadPos, Group: to})
+		resp, err := m.sender().toAny(ctx, readPosRequest(to))
 		if err != nil {
 			return fmt.Errorf("destination read position: %w", err)
 		}

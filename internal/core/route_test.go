@@ -176,7 +176,7 @@ func TestVerdictTable(t *testing.T) {
 			var resp network.Message
 			var err error
 			if r.mode == anyBounded || r.mode == anyPersistent {
-				resp, err = s.toAny(context.Background(), network.Message{Kind: network.KindReadPos, Group: "g"})
+				resp, err = s.toAny(context.Background(), readPosRequest("g"))
 			} else {
 				resp, err = s.toMaster(context.Background(), "g", network.Message{Kind: network.KindSubmit, Group: "g"})
 			}

@@ -19,7 +19,8 @@ import (
 // cutovers apply). Every paged handler — this one, the backfill's range
 // snapshot and the snapshot transfer — opens with pinPage, ranges over
 // kvstore.Store.Rows from the cursor, and leaves the loop when its page is
-// cut: by rows, by the examine budget, or by bytes.
+// cut: by rows, by the examine budget, or by bytes — one budget for the
+// three, snapshotPageBytes, so that every page fits a datagram.
 
 const (
 	// scanDefaultPageRows is the page size served when the request leaves
@@ -109,7 +110,8 @@ func (s *Service) handleScan(req network.Message) network.Message {
 	// not every departed range, keeps steady-state scans from chasing groups
 	// that hold nothing of the prefix.
 	var dests map[string]bool
-	examined := 0
+	examined, size, prev := 0, 0, ""
+rows:
 	for row, err := range s.store.Rows(prefix+req.Value, after, ts) {
 		if err != nil {
 			return network.Status(false, err.Error())
@@ -127,11 +129,16 @@ func (s *Service) handleScan(req network.Message) network.Message {
 		case fence.Pending(bare):
 			// A half-copied backfill row; Combined says retry.
 		default:
+			v := row.Val.Get("v")
+			if size += len(bare) + len(v); size > snapshotPageBytes && len(resp.Keys) > 0 {
+				resp.Key, resp.Found = prev, true // full: this row opens the next page
+				break rows
+			}
 			if len(resp.Keys) == cap(resp.Keys) {
 				growColumns(&resp, min(limit, 4*len(resp.Keys)))
 			}
 			resp.Keys = append(resp.Keys, bare)
-			resp.Vals = append(resp.Vals, row.Val.Get("v"))
+			resp.Vals = append(resp.Vals, v)
 			resp.Founds = append(resp.Founds, fence.MovedIn(bare))
 		}
 		// A skipped row counts against the budget too: a budget-bounded
@@ -140,6 +147,7 @@ func (s *Service) handleScan(req network.Message) network.Message {
 			resp.Key, resp.Found = bare, true
 			break
 		}
+		prev = bare
 	}
 	if len(dests) > 0 {
 		hints := make([]string, 0, len(dests))

@@ -460,16 +460,20 @@ func TestScanPageAllocs(t *testing.T) {
 // any of them: the prefix or destination (Value), the cursor (Key, Found),
 // the page size or version floor (Pos) and the pin (TS). Whatever they say, a
 // handler does not panic; an OK page holds rows in key order, inside the
-// region, strictly after the cursor and no more than the page allows; and a
-// Found reply's cursor lies past the request's and past the page's rows, so
-// following the chain ends within the region's rows plus one pages.
+// region, strictly after the cursor and no more than the page allows, and it
+// encodes within one datagram, though the seed rows under the scanned prefix
+// s/ take more than two; and a Found reply's cursor lies past the request's
+// and past the page's rows, so following the chain ends within the region's
+// rows plus one pages.
 func FuzzPagedHandlers(f *testing.F) {
 	s := NewService("A", kvstore.New(), nil)
 	f.Cleanup(s.Close)
 	groups := []string{"g", "g1"}
 	writes := map[string]string{}
+	for i := 0; i < 100; i++ {
+		writes[fmt.Sprintf("s/k%02d", i)] = strings.Repeat("v", 1500) // 150 KB: every handler takes pages
+	}
 	for i := 0; i < 40; i++ {
-		writes[fmt.Sprintf("s/k%02d", i)] = strings.Repeat("v", 1500) // 60 KB: the transfer takes pages
 		writes[fmt.Sprintf("t/k%02d", i)] = "w"
 	}
 	if err := s.ApplyDecided("g", 1, entryBytes("seed", 0, writes)); err != nil {
@@ -503,6 +507,11 @@ func FuzzPagedHandlers(f *testing.F) {
 			}
 			if pages > 0 && resp.TS != req.TS {
 				t.Fatalf("%+v: page served at %d", req, resp.TS)
+			}
+			// The transport's send limit, the IPv4 UDP payload maximum, less
+			// room for the envelope around the reply.
+			if n := len(network.MarshalBinary(resp)); n > 65507-64 {
+				t.Fatalf("%+v: a page of %d keys encodes to %d bytes, over one datagram", req, len(resp.Keys), n)
 			}
 			var keys []string
 			limit := scanDefaultPageRows
@@ -604,7 +613,7 @@ func TestServiceCloseMidBurstRepliesNotTimeouts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ah("B", network.Message{Kind: network.KindRead, Group: "g", Key: "k", TS: 1},
+			ah("B", network.Message{Kind: network.KindReadMulti, Group: "g", Keys: []string{"k"}, TS: 1},
 				func(m network.Message) { replies <- m })
 		}()
 		if i == burst/2 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -346,10 +347,6 @@ func (s *Service) handle(from string, req network.Message) network.Message {
 		return resp
 	}
 	switch req.Kind {
-	case network.KindReadPos:
-		return s.handleReadPos(req)
-	case network.KindRead:
-		return s.handleRead(req)
 	case network.KindReadMulti:
 		return s.handleReadMulti(req)
 	case network.KindClaimLeader:
@@ -499,12 +496,6 @@ func (s *Service) DecidedEntry(group string, pos int64) (wal.Entry, bool) {
 
 // --- transaction API handlers -------------------------------------------
 
-// handleReadPos returns the read position for a new transaction: the last
-// contiguously applied log position (transaction protocol step 1).
-func (s *Service) handleReadPos(req network.Message) network.Message {
-	return network.Message{Kind: network.KindValue, OK: true, TS: s.lastApplied(req.Group)}
-}
-
 // resolveReadTS turns a request's TS into the position the read is served
 // at. TS = network.ResolvePos means "serve at the current applied watermark
 // and tell me where" — the lazy read-position piggyback (DESIGN.md §9). A
@@ -524,31 +515,10 @@ func (s *Service) resolveReadTS(group string, ts int64) (int64, error) {
 	return ts, nil
 }
 
-// handleRead serves a read at the requested read position (transaction
-// protocol step 2). If this datacenter's log lags the position, it first
-// catches up from its peers; entries already decided locally are waited on
-// through the replog watermark instead.
-func (s *Service) handleRead(req network.Message) network.Message {
-	ts, err := s.resolveReadTS(req.Group, req.TS)
-	if err != nil {
-		return network.Status(false, err.Error())
-	}
-	if refusal, fenced := s.readFence(req.Group, ts, req.Key); fenced {
-		return refusal
-	}
-	v, _, err := s.store.ReadPacked(dataKey(req.Group, req.Key), ts)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return network.Message{Kind: network.KindValue, OK: true, Found: false, TS: ts}
-	}
-	if err != nil {
-		return network.Status(false, err.Error())
-	}
-	return network.Message{Kind: network.KindValue, OK: true, Found: true, Value: v.Get("v"), TS: ts}
-}
-
-// handleReadMulti serves a batched multi-key read at one log position: one
-// watermark check (plus at most one catch-up round) and one multi-key store
-// pass, instead of the per-key lock round a loop of single reads pays. All
+// handleReadMulti serves the one positioned read (transaction protocol step
+// 2, and step 1 when it names no keys): the keys at one log position, with
+// one watermark check (plus at most one catch-up round, if this
+// datacenter's log lags the position) and one multi-key store pass. All
 // keys are served at the same position, so the batch observes one snapshot
 // (the replog watermark only advances after a batch of entries fully
 // lands).
@@ -814,24 +784,21 @@ func (s *Service) Recover(ctx context.Context, group string) error {
 	// undecided position. This mirrors §4.1: the decided value "will
 	// eventually be completed, either by another client or by a Transaction
 	// Service" — recovery is that service.
-	for {
-		pos := lg.Applied() + 1
+	err = s.advance(ctx, group, math.MaxInt64, func(pos int64) ([]byte, error) {
 		decided, err := s.learn(ctx, group, pos, false)
-		if err != nil {
-			if errors.Is(err, errSnapshotRequired) {
-				if err := s.fetchSnapshot(ctx, group); err != nil {
-					return err
-				}
-				continue
-			}
-			// Undecided or unreachable: nothing more to complete.
-			return nil
+		if err != nil && !errors.Is(err, errSnapshotRequired) {
+			return nil, errProbeEnd // undecided or unreachable: nothing more to complete
 		}
-		if err := s.ApplyDecided(group, pos, decided); err != nil {
-			return err
-		}
+		return decided, err
+	})
+	if errors.Is(err, errProbeEnd) {
+		return nil
 	}
+	return err
 }
+
+// errProbeEnd ends Recover's probe at the first position no peer has decided.
+var errProbeEnd = errors.New("core: no decided entry above the log")
 
 // errSnapshotRequired reports that peers have compacted past the position
 // being learned; the caller must install a snapshot instead.

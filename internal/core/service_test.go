@@ -56,11 +56,11 @@ func TestServiceApplyAdvancesHorizonInOrder(t *testing.T) {
 		t.Fatalf("horizon = %d, want 2", got)
 	}
 	// Data visible at each position.
-	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 1})
+	resp := askRead(t, s, "A", "g", "x", 1)
 	if !resp.OK || !resp.Found || resp.Value != "1" {
 		t.Fatalf("read@1 = %+v", resp)
 	}
-	resp = ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 2})
+	resp = askRead(t, s, "A", "g", "x", 2)
 	if resp.Value != "2" {
 		t.Fatalf("read@2 = %+v", resp)
 	}
@@ -113,21 +113,21 @@ func TestServiceApplyRejectsGarbage(t *testing.T) {
 func TestServiceReadPos(t *testing.T) {
 	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := ask(t, s, "A", network.Message{Kind: network.KindReadPos, Group: "g"})
+	resp := ask(t, s, "A", readPosRequest("g"))
 	if !resp.OK || resp.TS != 0 {
-		t.Fatalf("empty readpos = %+v", resp)
+		t.Fatalf("empty read position = %+v", resp)
 	}
 	s.ApplyDecided("g", 1, entryBytes("t1", 0, map[string]string{"x": "1"}))
-	resp = ask(t, s, "A", network.Message{Kind: network.KindReadPos, Group: "g"})
+	resp = ask(t, s, "A", readPosRequest("g"))
 	if resp.TS != 1 {
-		t.Fatalf("readpos = %+v", resp)
+		t.Fatalf("read position = %+v", resp)
 	}
 }
 
 func TestServiceReadMissingKey(t *testing.T) {
 	services, _ := newServiceRing(t, 3, []string{"A"})
 	s := services["A"]
-	resp := ask(t, s, "A", network.Message{Kind: network.KindRead, Group: "g", Key: "nope", TS: 0})
+	resp := askRead(t, s, "A", "g", "nope", 0)
 	if !resp.OK || resp.Found {
 		t.Fatalf("missing key read = %+v", resp)
 	}
@@ -142,7 +142,7 @@ func TestServiceCatchUpFromPeer(t *testing.T) {
 		services["B"].ApplyDecided("g", pos, b)
 	}
 	// A read at position 3 against C triggers catch-up.
-	resp := ask(t, services["C"], "client", network.Message{Kind: network.KindRead, Group: "g", Key: "x", TS: 3})
+	resp := askRead(t, services["C"], "client", "g", "x", 3)
 	if !resp.OK || resp.Value != "3" {
 		t.Fatalf("read after catch-up = %+v", resp)
 	}

@@ -14,12 +14,14 @@ import (
 	"paxoscp/internal/wal"
 )
 
-// kindCounter counts the requests a client sends, by kind, and keeps every
-// submit's payload.
+// kindCounter counts the requests a client sends, by kind, and the reads of
+// no keys among them — the read-position requests — and keeps every submit's
+// payload.
 type kindCounter struct {
 	network.Transport
 	mu      sync.Mutex
 	sent    map[network.Kind]int
+	readPos int
 	submits [][]byte
 }
 
@@ -29,6 +31,9 @@ func (k *kindCounter) Send(ctx context.Context, to string, req network.Message) 
 		k.sent = make(map[network.Kind]int)
 	}
 	k.sent[req.Kind]++
+	if req.Kind == network.KindReadMulti && len(req.Keys) == 0 {
+		k.readPos++
+	}
 	if req.Kind == network.KindSubmit {
 		k.submits = append(k.submits, append([]byte(nil), req.Payload...))
 	}
@@ -40,6 +45,13 @@ func (k *kindCounter) count(kind network.Kind) int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.sent[kind]
+}
+
+// readPositions counts the read-position requests sent: reads of no keys.
+func (k *kindCounter) readPositions() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.readPos
 }
 
 // countingClient returns a client homed at dc whose sends are counted, with
@@ -84,8 +96,8 @@ func TestMasterBlindWritesReuseShownPosition(t *testing.T) {
 	for i := 0; i < n; i++ {
 		commitWrites(t, cl, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
 	}
-	if got := kc.count(network.KindReadPos); got != 1 {
-		t.Fatalf("%d blind-write commits sent %d readpos requests, want 1", n, got)
+	if got := kc.readPositions(); got != 1 {
+		t.Fatalf("%d blind-write commits sent %d read-position requests, want 1", n, got)
 	}
 	if got := kc.count(network.KindSubmit); got != n {
 		t.Fatalf("%d commits sent %d submits", n, got)
@@ -101,20 +113,20 @@ func TestMasterBlindWritesReuseShownPosition(t *testing.T) {
 
 	cl.ageShown(201 * time.Millisecond)
 	commitWrites(t, cl, "g", map[string]string{"idle": "v"})
-	if got := kc.count(network.KindReadPos); got != 2 {
-		t.Fatalf("after idling past the timeout: %d readpos requests in all, want 2", got)
+	if got := kc.readPositions(); got != 2 {
+		t.Fatalf("after idling past the timeout: %d read-position requests in all, want 2", got)
 	}
 }
 
 // TestReadingTxnKeepsItsReadPosition: a transaction whose read or scan
 // resolved its position commits with that position — not with a newer one
 // the client has been shown since, which would hide a conflicting write in
-// between from the master's check — and sends no readpos.
+// between from the master's check — and sends no read-position request.
 func TestReadingTxnKeepsItsReadPosition(t *testing.T) {
 	services, sim := newServiceRing(t, 3, []string{"A", "B", "C"})
 	cl, kc, commits := countingClient(t, sim, services, 1, "A", Config{Protocol: Master, MasterDC: "A"})
 	ctx := context.Background()
-	commitWrites(t, cl, "g", map[string]string{"s/a": "1"}) // the one readpos
+	commitWrites(t, cl, "g", map[string]string{"s/a": "1"}) // the one read-position request
 
 	for _, how := range []string{"read", "scan"} {
 		tx, _ := cl.Begin(ctx, "g")
@@ -142,8 +154,8 @@ func TestReadingTxnKeepsItsReadPosition(t *testing.T) {
 				how, last.ReadPos, how, at, later)
 		}
 	}
-	if got := kc.count(network.KindReadPos); got != 1 {
-		t.Fatalf("%d readpos requests, want only the first blind write's", got)
+	if got := kc.readPositions(); got != 1 {
+		t.Fatalf("%d read-position requests, want only the first blind write's", got)
 	}
 }
 
@@ -157,8 +169,8 @@ func TestBasicAndCPStillAskForTheirPosition(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			commitWrites(t, cl, "g", map[string]string{fmt.Sprintf("k%d", i): "v"})
 		}
-		if got := kc.count(network.KindReadPos); got != 3 {
-			t.Errorf("%v: 3 blind-write commits sent %d readpos requests, want 3", proto, got)
+		if got := kc.readPositions(); got != 3 {
+			t.Errorf("%v: 3 blind-write commits sent %d read-position requests, want 3", proto, got)
 		}
 		if cl.shown != nil {
 			t.Errorf("%v: the client recorded shown positions %v", proto, cl.shown)
@@ -232,7 +244,7 @@ func TestResubmittedBlindWriteCommitsOnce(t *testing.T) {
 	commitWrites(t, cl, "g", map[string]string{"a": "1"})
 	first := commitWrites(t, cl, "g", map[string]string{"b": "2"}) // floor reused
 	commitWrites(t, cl, "g", map[string]string{"c": "3"})          // the log moves on
-	if again := (*commits)[1]; again.ReadPos >= first || kc.count(network.KindReadPos) != 1 {
+	if again := (*commits)[1]; again.ReadPos >= first || kc.readPositions() != 1 {
 		t.Fatalf("the transaction to resubmit did not reuse a floor: %+v", again)
 	}
 	resp, err := kc.Transport.Send(ctx, "A", network.Message{Kind: network.KindSubmit, Group: "g", Payload: kc.submits[1]})
@@ -280,8 +292,8 @@ func TestReusedFloorAheadOfNewMaster(t *testing.T) {
 	if last.ReadPos != floor || pos <= floor {
 		t.Fatalf("committed at %d with read position %d, want above the reused floor %d", pos, last.ReadPos, floor)
 	}
-	if got := kc.count(network.KindReadPos); got != 1 {
-		t.Fatalf("%d readpos requests, want 1: the floor was to be reused", got)
+	if got := kc.readPositions(); got != 1 {
+		t.Fatalf("%d read-position requests, want 1: the floor was to be reused", got)
 	}
 	if got := services["B"].LastApplied("g"); got < floor {
 		t.Fatalf("B placed above a floor it has not applied: watermark %d, floor %d", got, floor)
@@ -312,8 +324,8 @@ func TestShownPositionSharedByConcurrentTxs(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := kc.count(network.KindReadPos); got != 1 {
-		t.Fatalf("%d readpos requests, want the first commit's only", got)
+	if got := kc.readPositions(); got != 1 {
+		t.Fatalf("%d read-position requests, want the first commit's only", got)
 	}
 	var top int64
 	for _, c := range *commits {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,18 +287,18 @@ func TestMasterCommitDatagrams(t *testing.T) {
 		}
 	}
 	self := func() {
-		resp, err := uc.transports["V1"].Send(ctx, "V1", network.Message{Kind: network.KindReadPos, Group: "g"})
+		resp, err := uc.transports["V1"].Send(ctx, "V1", readPosRequest("g"))
 		if err != nil || !resp.OK || resp.TS < 6 {
-			t.Fatalf("self-addressed readpos: %+v %v", resp, err)
+			t.Fatalf("self-addressed read position: %+v %v", resp, err)
 		}
 	}
 	if got := moved(0, self); got != 0 {
 		t.Fatalf("a self-addressed Send moved %d datagrams, want none", got)
 	}
-	// A client that sat idle for more than its timeout asks readpos again.
+	// A client that sat idle for more than its timeout asks for its read position again.
 	cl.ageShown(501 * time.Millisecond)
 	if got := moved(12, commit); got != 12 {
-		t.Fatalf("commit after an idle timeout moved %d datagrams, want 12 (a readpos round trip more)", got)
+		t.Fatalf("commit after an idle timeout moved %d datagrams, want 12 (a read-position round trip more)", got)
 	}
 }
 
@@ -334,15 +335,70 @@ func TestUDPRejoinViaPagedSnapshot(t *testing.T) {
 		t.Fatalf("C's watermark = %d, want the tip %d", got, tip)
 	}
 	// r001-07 was written once, at position 1: only the snapshot has it.
-	resp := ask(t, c, "client", network.Message{Kind: network.KindRead, Group: "g", Key: "r001-07", TS: tip})
+	resp := askRead(t, c, "client", "g", "r001-07", tip)
 	if !resp.OK || !resp.Found || len(resp.Value) != 100 {
 		t.Fatalf("read of a row below the horizon = %+v", resp)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// 64 KiB is the transport's datagram bound; the envelope around a reply
-	// is a few dozen bytes.
+	// The transport sends at most 65 507 bytes a datagram; the envelope
+	// around a reply is a few dozen bytes.
 	if pages < 4 || largest > 64<<10-256 {
 		t.Fatalf("%d snapshot pages, largest reply %d bytes; want several pages, each inside a datagram", pages, largest)
+	}
+}
+
+// overLimit is the text of the transport's refusal of a datagram over its
+// send limit, which names the datagram's size before it.
+const overLimit = "bytes over the 65507-byte limit"
+
+// TestOversizedWriteFailsFast: a transaction whose entry encodes over the
+// transport's datagram limit fails within one message timeout, with an error
+// naming the size: under CP the accept round that cannot be sent ends the
+// instance, and under Master the submit cannot be sent.
+func TestOversizedWriteFailsFast(t *testing.T) {
+	uc := newUDPCluster(t, "V1", "V2", "V3")
+	ctx := context.Background()
+	for i, proto := range []Protocol{CP, Master} {
+		cl := uc.client(t, i+1, "V1", Config{Protocol: proto, MasterDC: "V1"})
+		start := time.Now()
+		tx, _ := cl.Begin(ctx, "g")
+		tx.Write("big", strings.Repeat("x", 70_000))
+		res, err := tx.Commit(ctx)
+		if took := time.Since(start); took >= cl.cfg.timeout() {
+			t.Errorf("%v: the commit took %v, a message timeout or more", proto, took)
+		}
+		if res.Status != stats.Failed || err == nil || !strings.Contains(err.Error(), overLimit) {
+			t.Errorf("%v: commit = %+v, %v; want a failure naming the size", proto, res, err)
+		}
+	}
+}
+
+// TestOversizedReadFailsFast: a ReadMulti whose reply encodes over the
+// datagram limit — 100 keys of 1 KB — is refused by every replica at once
+// with the size named.
+func TestOversizedReadFailsFast(t *testing.T) {
+	uc := newUDPCluster(t, "V1", "V2", "V3")
+	ctx := context.Background()
+	cl := uc.client(t, 1, "V1", Config{Protocol: CP})
+	keys := make([]string, 100)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+	}
+	for b := 0; b < len(keys); b += 25 { // entries that fit a datagram
+		writes := make(map[string]string)
+		for _, k := range keys[b : b+25] {
+			writes[k] = strings.Repeat("v", 1000)
+		}
+		commitWrites(t, cl, "g", writes)
+	}
+	start := time.Now()
+	tx, _ := cl.Begin(ctx, "g")
+	_, _, err := tx.ReadMulti(ctx, keys...)
+	if took := time.Since(start); took >= cl.cfg.timeout() {
+		t.Errorf("the read took %v, a message timeout or more", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), overLimit) {
+		t.Fatalf("100-key read of 1 KB values: %v; want a refusal naming the size", err)
 	}
 }

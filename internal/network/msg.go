@@ -18,14 +18,21 @@ const (
 	KindAccept  Kind = "accept"  // propNum=Ballot, value=Payload; the status reply's Found = the row was already decided
 	KindApply   Kind = "apply"   // Ballot=a ballot the value was chosen at (paxos.DecidedBallot: unknown), value=Payload
 
-	// Transaction API (transaction protocol steps 1–2).
-	KindReadPos Kind = "readpos" // ask for last written log position
-	KindRead    Kind = "read"    // Key at TS=read position
-	// KindReadMulti reads Keys at one log position in a single round trip;
-	// the reply carries parallel Vals/Founds slices. With TS=ResolvePos the
-	// service serves at its applied watermark and reports the position in
-	// the reply's TS (the lazy read-position piggyback; DESIGN.md §9).
+	// Transaction API (transaction protocol steps 1–2). KindReadMulti is the
+	// one positioned read: it reads Keys at one log position (TS) in a single
+	// round trip, and the reply carries Vals/Founds parallel to Keys. With
+	// TS=ResolvePos the service serves at its applied watermark and reports
+	// the position in the reply's TS (the lazy read-position piggyback;
+	// DESIGN.md §9), so a read of no keys at ResolvePos asks for the read
+	// position alone (step 1).
 	KindReadMulti Kind = "readmulti"
+	// KindReadPos and KindRead are retired. Nothing sends them and a service
+	// refuses them as unknown kinds; they keep their kindTable bytes, which
+	// are wire format. KindReadPos asked for the read position, now a
+	// KindReadMulti of no keys; KindRead read one key, now a KindReadMulti of
+	// one.
+	KindReadPos Kind = "readpos"
+	KindRead    Kind = "read"
 
 	// Leader optimization (§4.1 "Paxos Optimizations").
 	KindClaimLeader Kind = "claim" // first claimant of Pos gets fast path
@@ -86,7 +93,7 @@ const (
 	// Responses.
 	KindLastVote Kind = "lastvote" // prepare reply: Ballot=lastVote ballot, Payload=vote
 	KindStatus   Kind = "status"   // generic success/failure reply
-	KindValue    Kind = "value"    // read/readpos/fetchlog reply
+	KindValue    Kind = "value"    // readmulti/scan/snapshot/fetchlog reply
 )
 
 // Verdict says why a reply with OK unset refused its request: the one thing
@@ -151,7 +158,7 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("Verdict(%d)", uint8(v))
 }
 
-// ResolvePos, sent as the TS of a read or readmulti request, asks the
+// ResolvePos, sent as the TS of a readmulti or scan request, asks the
 // service to serve the read at its current applied watermark and return that
 // position in the reply's TS. Clients use it to piggyback the transaction's
 // read-position fetch on its first read (DESIGN.md §9).

@@ -2,7 +2,6 @@ package network
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -310,11 +309,9 @@ func (s *Sim) cut(a, b string) bool {
 	return s.down[a] || s.down[b] || s.blocked[pairKey(a, b)]
 }
 
-// errTooLong refuses a datagram no UDP socket could send.
-var errTooLong = errors.New("network: datagram too long")
-
 // send puts one datagram from p on the switch: counted, then lost, or
-// copied into the delivery heap at its one-way delay.
+// copied into the delivery heap at its one-way delay. One over sendLimit is
+// refused, as a socket refuses it.
 func (s *Sim) send(from *port, b []byte, to netip.AddrPort) (int, error) {
 	kind := envelopeKind(b)
 	s.mu.Lock()
@@ -323,9 +320,9 @@ func (s *Sim) send(from *port, b []byte, to netip.AddrPort) (int, error) {
 		return 0, net.ErrClosed
 	}
 	s.sent[kind]++
-	if len(b) > maxDatagram {
+	if len(b) > sendLimit {
 		s.lost[kind]++
-		return 0, errTooLong
+		return 0, tooLong(len(b))
 	}
 	dc, _ := s.route(to)
 	if dc == "" || s.cut(from.dc, dc) || s.lossRate > 0 && s.rng.Float64() < s.lossRate {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +97,25 @@ func NewUDPAsync(local, bindAddr string, peers map[string]string, h AsyncHandler
 	return u, nil
 }
 
+// ParsePeers parses a peer list, "name=addr,name=addr,...", into the map
+// NewUDPAsync takes. It refuses an entry without a name or an address and a
+// name given twice: keeping one of two addresses would drop a datacenter from
+// the process's topology without a word.
+func ParsePeers(s string) (map[string]string, error) {
+	out := make(map[string]string)
+	for _, part := range strings.Split(s, ",") {
+		name, addr, ok := strings.Cut(part, "=")
+		if !ok || name == "" || addr == "" || strings.Contains(addr, "=") {
+			return nil, fmt.Errorf("network: bad peer entry %q (want name=addr)", part)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("network: peer %q named twice", name)
+		}
+		out[name] = addr
+	}
+	return out, nil
+}
+
 // datagramConn is what a UDP transport writes datagrams through: a socket
 // (*net.UDPConn), or a port on a Sim switch. What it reads comes from the
 // socket's read loop (readLoop) or the port's (port.serve).
@@ -181,9 +201,20 @@ func (u *UDP) Datagrams() (written, read int64) {
 	return u.written.Load(), u.read.Load()
 }
 
-// maxDatagram bounds inbound datagram size; combined entries for the paper's
-// workloads are far below this.
+// maxDatagram is the read buffer's size: no datagram is longer.
 const maxDatagram = 64 * 1024
+
+// sendLimit is the longest datagram the transport writes: the IPv4 UDP
+// payload maximum, 65 535 bytes less the 8-byte UDP and 20-byte IP headers.
+// Nothing longer is written, because a socket refuses it and a datagram's
+// loss would cost its sender a timeout: Send fails at once, and a reply is
+// replaced by a refusal, each naming the size (DESIGN.md §6).
+const sendLimit = 65507
+
+// tooLong is the error of an n-byte datagram, over sendLimit.
+func tooLong(n int) error {
+	return fmt.Errorf("network: datagram of %d bytes over the %d-byte limit", n, sendLimit)
+}
 
 // readLoop serves the socket's datagrams until it closes.
 func (u *UDP) readLoop(conn *net.UDPConn) {
@@ -262,9 +293,10 @@ type replier struct {
 var repliers sync.Pool
 
 // send is the reply callback. The first call returns the request's decode
-// scratch to the pool, sends the response from a pooled encode buffer, and
-// pools the replier; a later call is dropped until serve hands the replier
-// out again (AsyncHandler: reply exactly once).
+// scratch to the pool, sends the response from a pooled encode buffer — or,
+// if it encodes over sendLimit, a refusal naming its size — and pools the
+// replier; a later call is dropped until serve hands the replier out again
+// (AsyncHandler: reply exactly once).
 func (r *replier) send(resp Message) {
 	if !r.replied.CompareAndSwap(false, true) {
 		return
@@ -273,19 +305,27 @@ func (r *replier) send(resp Message) {
 	decoderPool.Put(r.dec)
 	bp := getEncBuf()
 	out := appendEnvelope((*bp)[:0], envelope{ID: r.id, From: u.local, Resp: true, Msg: resp})
-	u.write(out, r.raddr)
+	if err := u.write(out, r.raddr); err != nil {
+		out = appendEnvelope(out[:0], envelope{ID: r.id, From: u.local, Resp: true, Msg: Status(false, err.Error())})
+		u.write(out, r.raddr)
+	}
 	*bp = out
 	putEncBuf(bp)
 	r.u, r.dec = nil, nil
 	repliers.Put(r)
 }
 
-// write sends one datagram and counts it. A failed write is loss, the
-// failure model: nobody is told.
-func (u *UDP) write(b []byte, addr netip.AddrPort) {
+// write sends one datagram and counts it. One over sendLimit is not sent:
+// write returns its error. A failed write is loss, the failure model: nobody
+// is told.
+func (u *UDP) write(b []byte, addr netip.AddrPort) error {
+	if len(b) > sendLimit {
+		return tooLong(len(b))
+	}
 	if _, err := u.writeTo(b, addr); err == nil {
 		u.written.Add(1)
 	}
+	return nil
 }
 
 // call is one Send waiting for its response: a pooled entry of the
@@ -344,7 +384,8 @@ func (u *UDP) hangUp(id uint64, c *call) {
 //
 // Either way the call waits in the pending-call table, where a response is
 // delivered by request ID, and where Close fails it with ErrClosed at once.
-// Send keeps no reference to ctx once it returns.
+// A request that encodes over sendLimit is not written: Send fails at once,
+// naming its size. Send keeps no reference to ctx once it returns.
 func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
 	id := u.nextID.Add(1)
 	c := calls.Get().(*call)
@@ -376,10 +417,14 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
 		// A failed write is loss: the call waits out its deadline like a
 		// lost datagram's. A write failed by Close is not: Close has
-		// already failed the call, so the wait below ends at once.
-		u.write(out, addr)
+		// already failed the call, so the wait below ends at once. A
+		// datagram over sendLimit is not written, and Send fails now.
+		err := u.write(out, addr)
 		*bp = out
 		putEncBuf(bp)
+		if err != nil {
+			return Message{}, err
+		}
 	}
 	select {
 	case r := <-c.ch:

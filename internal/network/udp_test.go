@@ -3,7 +3,9 @@ package network
 import (
 	"context"
 	"errors"
+	"maps"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,5 +245,87 @@ func TestUDPMalformedDatagramIgnored(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if _, err := a.Send(context.Background(), "B", Message{}); err != nil {
 		t.Fatalf("B stopped serving after garbage: %v", err)
+	}
+}
+
+// TestUDPOverLimitFailsAtOnce: over sockets and over a Sim switch, a request
+// that encodes over the send limit, 65 507 bytes, is not written — Send fails
+// at once with an error naming its size, not at its deadline — and a reply
+// that would be is replaced by a refusal naming its size. The switch itself
+// refuses such a datagram too.
+func TestUDPOverLimitFailsAtOnce(t *testing.T) {
+	const overLimit = "bytes over the 65507-byte limit"
+	big := strings.Repeat("x", 70_000)
+	bigReply := func(from string, req Message, reply func(Message)) {
+		reply(Message{Kind: KindValue, OK: true, Value: big})
+	}
+	sockA, err := NewUDPAsync("A", "127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sockB, err := NewUDPAsync("B", "127.0.0.1:0", nil, bigReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sockA.Close(); sockB.Close() })
+	if err := sockA.SetPeer("B", sockB.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSim(testTopo(), SimConfig{Seed: 1})
+	t.Cleanup(sim.Close)
+	simA := sim.EndpointAsync("A", nil)
+	sim.EndpointAsync("B", bigReply)
+
+	for _, tc := range []struct {
+		name string
+		from Transport
+	}{{"sockets", sockA}, {"sim", simA}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		start := time.Now()
+		_, err := tc.from.Send(ctx, "B", Message{Kind: KindAccept, Payload: []byte(big)})
+		if took := time.Since(start); err == nil || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "datagram of 70") || !strings.Contains(err.Error(), overLimit) {
+			t.Errorf("%s: an oversized request: %v after %v, want a send error naming its size", tc.name, err, took)
+		}
+		resp, err := tc.from.Send(ctx, "B", Message{Kind: KindReadMulti})
+		if err != nil || resp.OK || !strings.Contains(resp.Err, overLimit) {
+			t.Errorf("%s: an oversized reply: %+v, %v; want a refusal naming its size", tc.name, resp, err)
+		}
+		cancel()
+	}
+	port := simA.(*UDP).conn.(*port)
+	if _, err := port.WriteToUDPAddrPort(make([]byte, sendLimit+1), netip.AddrPortFrom(dcNet, 1)); err == nil || !strings.Contains(err.Error(), overLimit) {
+		t.Errorf("the switch took a %d-byte datagram: %v", sendLimit+1, err)
+	}
+}
+
+// TestParsePeers: the one peer-list parser of txkvd and txkvctl refuses an
+// entry without a name or an address and a name given twice.
+func TestParsePeers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[string]string
+		err  string
+	}{
+		{in: "V1=127.0.0.1:7001", want: map[string]string{"V1": "127.0.0.1:7001"}},
+		{in: "V1=127.0.0.1:7001,V2=127.0.0.1:7002,V3=localhost:7003",
+			want: map[string]string{"V1": "127.0.0.1:7001", "V2": "127.0.0.1:7002", "V3": "localhost:7003"}},
+		{in: "V1=a:1,V1=b:2", err: `network: peer "V1" named twice`},
+		{in: "V1=a:1,V2=b:2,V1=a:1", err: `network: peer "V1" named twice`},
+		{in: "", err: `network: bad peer entry "" (want name=addr)`},
+		{in: "V1=a:1,", err: `network: bad peer entry "" (want name=addr)`},
+		{in: "V1=a:1,,V2=b:2", err: `network: bad peer entry "" (want name=addr)`},
+		{in: "V1", err: `network: bad peer entry "V1" (want name=addr)`},
+		{in: "=a:1", err: `network: bad peer entry "=a:1" (want name=addr)`},
+		{in: "V1=", err: `network: bad peer entry "V1=" (want name=addr)`},
+		{in: "V1==a:1", err: `network: bad peer entry "V1==a:1" (want name=addr)`},
+		{in: "V1=a:1=b", err: `network: bad peer entry "V1=a:1=b" (want name=addr)`},
+	} {
+		got, err := ParsePeers(tc.in)
+		switch {
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("ParsePeers(%q) = %v, %v; want error %q", tc.in, got, err, tc.err)
+		case tc.err == "" && (err != nil || !maps.Equal(got, tc.want)):
+			t.Errorf("ParsePeers(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -62,6 +63,10 @@ type AcceptOutcome struct {
 	// peer is unreachable — unanimity is impossible until it returns).
 	Refused     int
 	Unreachable int
+	// unsent is the first failed send's error that was not a timeout: the
+	// transport refused the request itself (a datagram over its size limit,
+	// a closed transport), so no later round can do better.
+	unsent error
 }
 
 // Quorum reports whether a majority of datacenters voted for the proposal.
@@ -265,7 +270,9 @@ func (e ErrUndecided) Error() string {
 
 // Decide runs Algorithm 2's classic rounds for the instance: prepare, choose
 // the value, accept; on a refusal in either phase pick the next proposal
-// number above every ballot seen, pause, go again. It returns the decided
+// number above every ballot seen, pause, go again. An accept round short of
+// a majority because the transport would not send it (AcceptOutcome.unsent)
+// ends the run with that error. It returns the decided
 // value and the ballot to announce it under (AcceptOutcome.ChosenAt).
 // Announcing is the caller's: a Transaction Client notifies (Notify), a
 // service applies (Apply).
@@ -291,6 +298,9 @@ func (p *Proposer) Decide(ctx context.Context, in Instance) (value []byte, chose
 		}
 		acc := p.Accept(ctx, in.Group, in.Pos, ballot, value)
 		if !acc.Quorum() {
+			if acc.unsent != nil {
+				return nil, 0, acc.unsent
+			}
 			ballot = NextBallot(max(acc.MaxSeen, ballot), in.ID)
 			continue
 		}
@@ -354,6 +364,9 @@ func (p *Proposer) accept(ctx context.Context, group string, pos int64, ballot i
 	p.broadcast(ctx, req, func(dc string, resp network.Message, err error) bool {
 		if err != nil {
 			out.Unreachable++
+			if out.unsent == nil && !errors.Is(err, network.ErrTimeout) {
+				out.unsent = err
+			}
 		} else {
 			out.MaxSeen = max(out.MaxSeen, resp.Ballot)
 			if resp.OK {
