@@ -43,7 +43,7 @@ func (c *Client) commitCP(ctx context.Context, t *Tx) (CommitResult, error) {
 		if c.cfg.DisablePromotion {
 			return CommitResult{Status: stats.Aborted, Round: round}, nil
 		}
-		if txn.ReadsAny(decided.WriteKeys()) {
+		if decided.WritesAny(txn.ReadSet) {
 			return CommitResult{Status: stats.Aborted, Round: round}, nil
 		}
 		if c.cfg.MaxPromotions > 0 && round >= c.cfg.MaxPromotions {

@@ -59,6 +59,7 @@ const (
 // in-flight entry's member list — so it receives exactly one verdict.
 type pendingSubmit struct {
 	txn      wal.Txn
+	size     int // wal.TxnLen(txn): what txn adds to an entry's bytes
 	attempts int // positions competed for so far
 
 	// handoff, when non-nil, marks a migration control entry (DESIGN.md
@@ -110,6 +111,10 @@ type pipeline struct {
 	lg         *replog.Log
 	limit      int // in-flight window size (SubmitWindow)
 	maxCombine int
+	// room is the longest entry whose accept, apply, vote and fetch reply
+	// each fit one datagram (network.PayloadRoom): combination stops short
+	// of it, and a transaction that cannot fit alone is refused.
+	room int
 
 	mu      sync.Mutex
 	queue   []*pendingSubmit
@@ -147,11 +152,26 @@ func (s *Service) pipeline(group string) *pipeline {
 			lg:         g.log,
 			limit:      s.submitWindow,
 			maxCombine: s.submitCombine,
+			room:       s.entryRoom(group),
 			inflight:   make(map[int64]wal.Entry),
 			closed:     s.closed,
 		}
 	}
 	return g.pipe
+}
+
+// entryRoom is the longest entry of group whose messages fit one datagram
+// between any two of the service's peers: PayloadRoom for the longest name.
+func (s *Service) entryRoom(group string) int {
+	name := s.dc
+	if s.transport != nil {
+		for _, peer := range s.transport.Peers() {
+			if len(peer) > len(name) {
+				name = peer
+			}
+		}
+	}
+	return network.PayloadRoom(group, name)
 }
 
 // SubmitAsync runs admission control and queues the transaction; deliver
@@ -160,7 +180,13 @@ func (s *Service) pipeline(group string) *pipeline {
 // immediately: a submit in flight holds no goroutine while its position
 // replicates (DESIGN.md §13).
 func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
-	ps := &pendingSubmit{txn: txn, deliver: deliver}
+	ps := &pendingSubmit{txn: txn, size: wal.TxnLen(txn), deliver: deliver}
+	if n := wal.MaxHeaderLen + ps.size; n > p.room {
+		// No entry could carry it: placed, it would be a vote no follower
+		// can receive, and its position a hole nothing can learn.
+		ps.reply(network.Status(false, fmt.Sprintf("master: a transaction of %d bytes does not fit one %d-byte log entry", n, p.room)))
+		return
+	}
 	if err := p.svc.replicaFault(); err != nil {
 		// Fail-stopped storage: refuse before any protocol work, with the
 		// verdict that tells the client to go elsewhere (health.go). The
@@ -253,8 +279,9 @@ func (p *pipeline) dispatch() {
 	}
 }
 
-// take removes up to maxCombine submissions from the queue head, or marks
-// the dispatcher stopped and returns nil when there is nothing it may place.
+// take removes up to maxCombine submissions from the queue head — no more
+// than an entry of room bytes holds — or marks the dispatcher stopped and
+// returns nil when there is nothing it may place.
 // A batch taken owns a window slot until place registers its position or
 // drops it: only this one dispatcher adds to the window, so the room seen
 // here can only grow before then.
@@ -270,12 +297,15 @@ func (p *pipeline) take() []*pendingSubmit {
 		n = p.maxCombine
 	}
 	// Handoff entries never combine: one travels alone, and a batch of
-	// transactions stops short of one (DESIGN.md §15).
+	// transactions stops short of one (DESIGN.md §15) — and short of the
+	// transaction that would carry its entry past room bytes. The first
+	// always fits: SubmitAsync refused any that does not alone.
 	if p.queue[0].handoff != nil {
 		n = 1
 	} else {
+		size := wal.MaxHeaderLen + p.queue[0].size
 		for i := 1; i < n; i++ {
-			if p.queue[i].handoff != nil {
+			if size += p.queue[i].size; p.queue[i].handoff != nil || size > p.room {
 				n = i
 				break
 			}
@@ -529,14 +559,14 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 			}
 			continue
 		}
-		if txn.ReadsAny(prev.WriteKeys()) {
+		if prev.WritesAny(txn.ReadSet) {
 			return admitConflict, 0, nil
 		}
 	}
 	if txn.ID != "" && entrySoFar.Contains(txn.ID) {
 		return admitInFlight, pos, nil
 	}
-	if txn.ReadsAny(entrySoFar.WriteKeys()) {
+	if entrySoFar.WritesAny(txn.ReadSet) {
 		return admitConflict, 0, nil
 	}
 	return admitOK, 0, nil
@@ -687,7 +717,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	for _, ps := range members {
 		ps.attempts++
 		switch {
-		case ps.txn.ReadsAny(decEntry.WriteKeys()):
+		case decEntry.WritesAny(ps.txn.ReadSet):
 			ps.reply(network.Refuse(network.VerdictConflict, ""))
 		case ps.attempts >= submitAttempts:
 			ps.reply(network.Status(false, "master could not place transaction"))

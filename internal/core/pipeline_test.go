@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,5 +317,43 @@ func TestSubmitWindowIgnoresNonPositive(t *testing.T) {
 			t.Errorf("WithSubmitWindow(%d): window %d, want %d", n, got, DefaultSubmitWindow)
 		}
 		s.Close()
+	}
+}
+
+// TestPipelineTakeStaysWithinRoom: take combines queued submissions only
+// while their entry fits room bytes, and a transaction too long for any
+// entry is refused at admission, naming its size, and never queued.
+func TestPipelineTakeStaysWithinRoom(t *testing.T) {
+	s := NewService("A", kvstore.New(), nil)
+	defer s.Close()
+	p := s.pipeline("g")
+	p.mu.Lock()
+	p.running = true // no dispatcher: this test takes by hand
+	p.room = 1000
+	p.mu.Unlock()
+	txn := func(id string, n int) wal.Txn {
+		return wal.Txn{ID: id, Writes: map[string]string{id: string(make([]byte, n))}}
+	}
+	var refusal network.Message
+	p.SubmitAsync(txn("huge", 1000), func(m network.Message) { refusal = m })
+	if refusal.OK || !strings.Contains(refusal.Err, "does not fit one 1000-byte log entry") {
+		t.Fatalf("a transaction over room: %+v, want a refusal naming its size", refusal)
+	}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		p.SubmitAsync(txn(id, 400), func(network.Message) {})
+	}
+	var sizes []int
+	for batch := p.take(); len(batch) > 0; batch = p.take() {
+		size := wal.MaxHeaderLen
+		for _, ps := range batch {
+			size += ps.size
+		}
+		if size > p.room {
+			t.Errorf("a batch of %d takes %d bytes, over room %d", len(batch), size, p.room)
+		}
+		sizes = append(sizes, len(batch))
+	}
+	if !slices.Equal(sizes, []int{2, 2}) {
+		t.Errorf("batches of %v, want [2 2]", sizes)
 	}
 }

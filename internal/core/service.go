@@ -653,7 +653,8 @@ func (s *Service) handleClaim(req network.Message) network.Message {
 // winning proposer of position pos-1 (the first transaction in the decided
 // entry — under combination the proposer's own transaction heads the list).
 // When pos-1 is unknown locally or is a no-op, there is no usable leader and
-// Leader returns "".
+// Leader returns "". The origin is read from the entry's bytes (Log.Origin):
+// nothing is decoded.
 func (s *Service) Leader(group string, pos int64) string {
 	if pos <= 1 {
 		// First position: no previous winner. By convention the smallest
@@ -668,11 +669,8 @@ func (s *Service) Leader(group string, pos int64) string {
 		}
 		return peers[0]
 	}
-	entry, ok := s.DecidedEntry(group, pos-1)
-	if !ok || entry.IsNoOp() {
-		return ""
-	}
-	return entry.Txns[0].Origin
+	origin, _ := s.log(group).Origin(pos - 1)
+	return origin
 }
 
 // --- catch-up and recovery ------------------------------------------------

@@ -29,6 +29,12 @@ type udpCluster struct {
 
 func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 	t.Helper()
+	return newUDPClusterWith(t, nil, dcs...)
+}
+
+// newUDPClusterWith is newUDPCluster with opts given to every service.
+func newUDPClusterWith(t *testing.T, opts []ServiceOption, dcs ...string) *udpCluster {
+	t.Helper()
 	uc := &udpCluster{
 		services:   make(map[string]*Service),
 		transports: make(map[string]*network.UDP),
@@ -82,7 +88,7 @@ func newUDPCluster(t *testing.T, dcs ...string) *udpCluster {
 	uc.mu.Lock()
 	for _, dc := range dcs {
 		uc.services[dc] = NewService(dc, kvstore.New(), uc.transports[dc],
-			WithServiceTimeout(500*time.Millisecond))
+			append([]ServiceOption{WithServiceTimeout(500 * time.Millisecond)}, opts...)...)
 	}
 	uc.mu.Unlock()
 	return uc
@@ -371,6 +377,49 @@ func TestOversizedWriteFailsFast(t *testing.T) {
 		if res.Status != stats.Failed || err == nil || !strings.Contains(err.Error(), overLimit) {
 			t.Errorf("%v: commit = %+v, %v; want a failure naming the size", proto, res, err)
 		}
+	}
+}
+
+// TestMasterCombinesWithinADatagram: with one position in flight the master
+// combines the submits queued behind it, and eight concurrent 25 000-byte
+// writes would combine four to an entry of 100 KB — a vote no follower can
+// receive, which wedged the group: every later admission re-proposed it to
+// learn the hole. Combination stops short of one datagram, so each write
+// commits (or is refused, naming its size) and the group commits after them.
+func TestMasterCombinesWithinADatagram(t *testing.T) {
+	uc := newUDPClusterWith(t, []ServiceOption{WithSubmitWindow(1)}, "V1", "V2", "V3")
+	ctx := context.Background()
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		cl := uc.client(t, i+1, "V1", Config{Protocol: Master, MasterDC: "V1"})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx, err := cl.Begin(ctx, "g")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			tx.Write(fmt.Sprintf("c%d", i), strings.Repeat("x", 25_000))
+			res, err := tx.Commit(ctx)
+			if err == nil && res.Status != stats.Committed {
+				err = fmt.Errorf("commit = %+v", res)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil && !strings.Contains(err.Error(), "does not fit one") {
+			t.Errorf("write %d: %v; want a commit or a refusal naming its size", i, err)
+		}
+	}
+	cl := uc.client(t, 9, "V1", Config{Protocol: Master, MasterDC: "V1"})
+	tx, _ := cl.Begin(ctx, "g")
+	tx.Write("after", "1")
+	if res, err := tx.Commit(ctx); err != nil || res.Status != stats.Committed {
+		t.Fatalf("the commit after the big writes = %+v, %v; the group is wedged", res, err)
 	}
 }
 

@@ -29,6 +29,37 @@ func TestApplyBatchBasic(t *testing.T) {
 	}
 }
 
+// TestApplyBatchKeyBytes: a write named by KeyBytes lands under that name,
+// the store keeps its own copy of the name of a row it adds — the caller
+// reuses its buffer — and a write to a row that exists allocates no name.
+func TestApplyBatchKeyBytes(t *testing.T) {
+	s := New()
+	buf := []byte("row-a")
+	if err := s.ApplyBatch([]BatchWrite{{KeyBytes: buf, Value: Value{"v": "1"}, TS: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "row-b")
+	if v, _, err := s.Read("row-a", Latest); err != nil || v["v"] != "1" {
+		t.Fatalf("row-a = %v %v", v, err)
+	}
+	rows, _, err := s.ScanPrefix("", "", 0, Latest)
+	if err != nil || len(rows) != 1 || rows[0].Key != "row-a" {
+		t.Fatalf("rows after the buffer changed = %+v %v, want row-a alone", rows, err)
+	}
+	val := Pack(Value{"v": "2"})
+	ts := int64(1)
+	copy(buf, "row-a")
+	allocs := testing.AllocsPerRun(100, func() {
+		ts++
+		if err := s.ApplyBatch([]BatchWrite{{KeyBytes: buf, Value: &val, TS: ts}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 { // the version the row keeps
+		t.Errorf("a KeyBytes write to an existing row allocates %.0f times, want at most 1", allocs)
+	}
+}
+
 func TestApplyBatchEmpty(t *testing.T) {
 	s := New()
 	if err := s.ApplyBatch(nil); err != nil {

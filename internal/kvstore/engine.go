@@ -84,7 +84,9 @@ type Mutation struct {
 // only if an acceptor never forgets one it has answered.
 type Engine interface {
 	// Append encodes and enqueues muts, returning the sequence number
-	// assigned to the last record. It must not block on I/O completion.
+	// assigned to the last record. It must not block on I/O completion, nor
+	// keep muts or their Keys past the call: a Key may view bytes the
+	// store's caller reuses (BatchWrite.KeyBytes).
 	Append(muts []Mutation) (seq uint64, err error)
 	// Sync returns once every record at or below seq is durable. A failed
 	// Sync is sticky: the engine and the

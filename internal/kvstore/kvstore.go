@@ -7,8 +7,10 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Common errors returned by Store operations.
@@ -199,12 +201,13 @@ func (s *Store) lockRow(key string) *row {
 // lockPinned locks a row pinned earlier (ApplyBatch pins all rows of a
 // batch with one shard-lock round per shard), re-resolving it
 // through the shard map when a concurrent Delete scavenged it between the
-// pin and the lock.
+// pin and the lock. key may be a view of a write's KeyBytes, so the row it
+// adds in that race gets a copy.
 func (s *Store) lockPinned(r *row, key string) *row {
 	r.mu.Lock()
 	for r.gone {
 		r.mu.Unlock()
-		r = s.getRow(key, true)
+		r = s.getRow(strings.Clone(key), true)
 		r.mu.Lock()
 	}
 	return r
@@ -473,11 +476,27 @@ func (s *Store) WriteIdempotent(key string, value Contents, ts int64) error {
 // a replace-latest write that leaves (TS, Value) as the row's only version.
 // Replace suits a row that is only ever read at Latest (the replicated
 // log's meta row): it keeps no history, in memory or through recovery.
+//
+// A write names its row by Key or, when Key is empty, by KeyBytes: bytes the
+// caller may reuse once ApplyBatch returns, which the store copies into a
+// string only for a row the write adds. A caller that builds row names per
+// write (the replicated log's drain) builds them in one reused buffer, and a
+// write to a row that exists allocates no name.
 type BatchWrite struct {
-	Key     string
-	Value   Contents
-	TS      int64
-	Replace bool
+	Key      string
+	KeyBytes []byte
+	Value    Contents
+	TS       int64
+	Replace  bool
+}
+
+// key returns the write's row name: Key, or a view of KeyBytes that lives
+// only as long as the caller leaves them unchanged.
+func (w *BatchWrite) key() (key string, view bool) {
+	if w.Key != "" || len(w.KeyBytes) == 0 {
+		return w.Key, false
+	}
+	return unsafe.String(unsafe.SliceData(w.KeyBytes), len(w.KeyBytes)), true
 }
 
 // ApplyBatch applies a batch of explicitly-timestamped writes with one
@@ -498,8 +517,9 @@ type BatchWrite struct {
 // Elements are applied, and logged to the engine, in slice order, and one
 // Sync covers them all: when a later element of a batch is durable, so is
 // every earlier one. ApplyBatch allocates only what the store keeps — the
-// rows it adds, their versions, and the packing of a Value — and, for a
-// batch of more than 64 writes, one scratch slice.
+// rows it adds, a KeyBytes name of a row it adds, their versions, and the
+// packing of a Value — and, for a batch of more than 64 writes, one scratch
+// slice.
 func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	if err := s.mutGate(); err != nil {
 		return err
@@ -507,10 +527,11 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	var pinBuf [64]pin
 	pins := pinBuf[:0]
 	for i := range writes {
+		key, view := writes[i].key()
 		if writes[i].TS < 0 {
-			return fmt.Errorf("kvstore: ApplyBatch requires explicit timestamps (key %q)", writes[i].Key)
+			return fmt.Errorf("kvstore: ApplyBatch requires explicit timestamps (key %q)", key)
 		}
-		pins = append(pins, pin{key: writes[i].Key, shard: shardFor(writes[i].Key), val: packOf(writes[i].Value)})
+		pins = append(pins, pin{key: key, view: view, shard: shardFor(key), val: packOf(writes[i].Value)})
 	}
 	s.pinRows(pins, false)
 	// Validate everything against the rows that exist before anything is
@@ -522,7 +543,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 		r := pins[i].r
 		if r.mu.Lock(); r.gone {
 			r.mu.Unlock()
-			if r = s.lockLive(writes[i].Key); r == nil {
+			if r = s.lockLive(pins[i].key); r == nil {
 				pins[i].r = nil
 				continue
 			}
@@ -531,7 +552,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 		err := r.checkIdempotent(writes[i].TS, pins[i].val)
 		r.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("%w key=%q", err, writes[i].Key)
+			return fmt.Errorf("%w key=%q", err, pins[i].key)
 		}
 	}
 	s.pinRows(pins, true)
@@ -545,8 +566,8 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	var seq uint64
 	logged := false
 	for i := range writes {
-		r := s.lockPinned(pins[i].r, writes[i].Key)
-		m := Mutation{Op: OpWrite, Key: writes[i].Key, TS: writes[i].TS, Value: pins[i].val}
+		r := s.lockPinned(pins[i].r, pins[i].key)
+		m := Mutation{Op: OpWrite, Key: pins[i].key, TS: writes[i].TS, Value: pins[i].val}
 		var changed bool
 		if writes[i].Replace {
 			m.Op = OpReplace
@@ -555,7 +576,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 			var err error
 			if changed, err = r.applyIdempotent(m.TS, m.Value); err != nil {
 				r.mu.Unlock()
-				return fmt.Errorf("%w key=%q", err, writes[i].Key)
+				return fmt.Errorf("%w key=%q", err, pins[i].key)
 			}
 		}
 		if changed && s.engine != nil {
@@ -578,11 +599,13 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 
 // pin is one key of an ApplyBatch or a ReadMulti: its row once resolved,
 // the shard the key hashes to, and — for a write — its contents, packed once.
+// view marks a key over a write's KeyBytes, copied when its row is added.
 type pin struct {
 	key   string
 	r     *row
 	val   Packed
 	shard uint32
+	view  bool
 }
 
 // The shards a batch touches are a bit set in one uint32.
@@ -612,6 +635,9 @@ func (s *Store) pinRows(pins []pin, create bool) {
 			}
 			r := sh.rows[pins[i].key]
 			if r == nil && create {
+				if pins[i].view {
+					pins[i].key, pins[i].view = strings.Clone(pins[i].key), false
+				}
 				r = &row{}
 				sh.rows[pins[i].key] = r
 				s.idx.insert(pins[i].key)

@@ -310,7 +310,7 @@ func (s *Sim) cut(a, b string) bool {
 }
 
 // send puts one datagram from p on the switch: counted, then lost, or
-// copied into the delivery heap at its one-way delay. One over sendLimit is
+// copied into the delivery heap at its one-way delay. One over SendLimit is
 // refused, as a socket refuses it.
 func (s *Sim) send(from *port, b []byte, to netip.AddrPort) (int, error) {
 	kind := envelopeKind(b)
@@ -320,7 +320,7 @@ func (s *Sim) send(from *port, b []byte, to netip.AddrPort) (int, error) {
 		return 0, net.ErrClosed
 	}
 	s.sent[kind]++
-	if len(b) > sendLimit {
+	if len(b) > SendLimit {
 		s.lost[kind]++
 		return 0, tooLong(len(b))
 	}

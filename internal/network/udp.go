@@ -3,6 +3,7 @@ package network
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"sort"
@@ -204,16 +205,30 @@ func (u *UDP) Datagrams() (written, read int64) {
 // maxDatagram is the read buffer's size: no datagram is longer.
 const maxDatagram = 64 * 1024
 
-// sendLimit is the longest datagram the transport writes: the IPv4 UDP
+// SendLimit is the longest datagram the transport writes: the IPv4 UDP
 // payload maximum, 65 535 bytes less the 8-byte UDP and 20-byte IP headers.
 // Nothing longer is written, because a socket refuses it and a datagram's
 // loss would cost its sender a timeout: Send fails at once, and a reply is
 // replaced by a refusal, each naming the size (DESIGN.md §6).
-const sendLimit = 65507
+const SendLimit = 65507
 
-// tooLong is the error of an n-byte datagram, over sendLimit.
+// PayloadRoom is the longest Payload a message of group between peers named
+// at most as long as name can carry and still be sent: SendLimit less the
+// envelope, the payload's length prefix and every other field at its widest,
+// its strings but Group empty — the shape of the messages that carry a log
+// entry (accept, apply, a vote in a prepare's reply, a catch-up fetch's
+// reply). The master's pipeline builds no entry longer (DESIGN.md §8).
+func PayloadRoom(group, name string) int {
+	const wide = math.MinInt64 // the widest varint
+	m := Message{Kind: KindAccept, Group: group, Pos: wide, Ballot: wide, TS: wide, Epoch: wide}
+	frame := len(appendEnvelope(nil, envelope{ID: math.MaxUint64, From: name, Msg: m}))
+	// The empty payload's one-byte length prefix becomes at most three.
+	return SendLimit - frame - 2
+}
+
+// tooLong is the error of an n-byte datagram, over SendLimit.
 func tooLong(n int) error {
-	return fmt.Errorf("network: datagram of %d bytes over the %d-byte limit", n, sendLimit)
+	return fmt.Errorf("network: datagram of %d bytes over the %d-byte limit", n, SendLimit)
 }
 
 // readLoop serves the socket's datagrams until it closes.
@@ -294,7 +309,7 @@ var repliers sync.Pool
 
 // send is the reply callback. The first call returns the request's decode
 // scratch to the pool, sends the response from a pooled encode buffer — or,
-// if it encodes over sendLimit, a refusal naming its size — and pools the
+// if it encodes over SendLimit, a refusal naming its size — and pools the
 // replier; a later call is dropped until serve hands the replier out again
 // (AsyncHandler: reply exactly once).
 func (r *replier) send(resp Message) {
@@ -315,11 +330,11 @@ func (r *replier) send(resp Message) {
 	repliers.Put(r)
 }
 
-// write sends one datagram and counts it. One over sendLimit is not sent:
+// write sends one datagram and counts it. One over SendLimit is not sent:
 // write returns its error. A failed write is loss, the failure model: nobody
 // is told.
 func (u *UDP) write(b []byte, addr netip.AddrPort) error {
-	if len(b) > sendLimit {
+	if len(b) > SendLimit {
 		return tooLong(len(b))
 	}
 	if _, err := u.writeTo(b, addr); err == nil {
@@ -384,7 +399,7 @@ func (u *UDP) hangUp(id uint64, c *call) {
 //
 // Either way the call waits in the pending-call table, where a response is
 // delivered by request ID, and where Close fails it with ErrClosed at once.
-// A request that encodes over sendLimit is not written: Send fails at once,
+// A request that encodes over SendLimit is not written: Send fails at once,
 // naming its size. Send keeps no reference to ctx once it returns.
 func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
 	id := u.nextID.Add(1)
@@ -418,7 +433,7 @@ func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error)
 		// A failed write is loss: the call waits out its deadline like a
 		// lost datagram's. A write failed by Close is not: Close has
 		// already failed the call, so the wait below ends at once. A
-		// datagram over sendLimit is not written, and Send fails now.
+		// datagram over SendLimit is not written, and Send fails now.
 		err := u.write(out, addr)
 		*bp = out
 		putEncBuf(bp)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"math"
 	"net/netip"
 	"strings"
 	"sync"
@@ -293,8 +294,8 @@ func TestUDPOverLimitFailsAtOnce(t *testing.T) {
 		cancel()
 	}
 	port := simA.(*UDP).conn.(*port)
-	if _, err := port.WriteToUDPAddrPort(make([]byte, sendLimit+1), netip.AddrPortFrom(dcNet, 1)); err == nil || !strings.Contains(err.Error(), overLimit) {
-		t.Errorf("the switch took a %d-byte datagram: %v", sendLimit+1, err)
+	if _, err := port.WriteToUDPAddrPort(make([]byte, SendLimit+1), netip.AddrPortFrom(dcNet, 1)); err == nil || !strings.Contains(err.Error(), overLimit) {
+		t.Errorf("the switch took a %d-byte datagram: %v", SendLimit+1, err)
 	}
 }
 
@@ -326,6 +327,20 @@ func TestParsePeers(t *testing.T) {
 			t.Errorf("ParsePeers(%q) = %v, %v; want error %q", tc.in, got, err, tc.err)
 		case tc.err == "" && (err != nil || !maps.Equal(got, tc.want)):
 			t.Errorf("ParsePeers(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestPayloadRoomFillsADatagram: a payload of PayloadRoom bytes, in a message
+// whose other fields are at their widest, encodes to exactly SendLimit bytes.
+func TestPayloadRoomFillsADatagram(t *testing.T) {
+	for _, c := range []struct{ group, name string }{{"g", "V1"}, {"orders-7", "datacenter-east"}} {
+		room := PayloadRoom(c.group, c.name)
+		const wide = math.MinInt64
+		m := Message{Kind: KindLastVote, Group: c.group, Pos: wide, Ballot: wide, TS: wide, Epoch: wide,
+			Payload: make([]byte, room)}
+		if n := len(appendEnvelope(nil, envelope{ID: math.MaxUint64, From: c.name, Msg: m})); n != SendLimit {
+			t.Errorf("%q from %q: a %d-byte payload encodes to %d bytes, want %d", c.group, c.name, room, n, SendLimit)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func heapDelta(fn func()) (bytes, objects uint64) {
 
 // TestAppendChosenSharesTheStandingVote: a replica keeps one copy of an
 // entry. When its own row of the position already holds the entry's bytes —
-// the vote its accept cast — AppendChosen queues and decodes over the row's
+// the vote its accept cast — AppendChosen queues over the row's
 // string; only a replica that missed the accept copies the bytes it is
 // handed.
 func TestAppendChosenSharesTheStandingVote(t *testing.T) {
@@ -64,8 +64,9 @@ func TestAppendChosenSharesTheStandingVote(t *testing.T) {
 
 // TestDrainAllocatesWhatTheStoreKeeps: a drain pass applying a 4-write entry
 // over a standing vote allocates the values the store keeps and the names it
-// looks rows up by — no per-entry map, per-pass list or batch scratch, and
-// no box per write.
+// looks the log and meta rows up by — no decoded entry, no per-entry map,
+// per-pass list or batch scratch, no box per write, and no name for a data
+// row that exists.
 func TestDrainAllocatesWhatTheStoreKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the plain run enforces the pin")
@@ -91,14 +92,47 @@ func TestDrainAllocatesWhatTheStoreKeeps(t *testing.T) {
 			t.Fatalf("applied %d, want %d", l.Applied(), pos)
 		}
 	}
-	// Kept: the 4 packed values and the meta row's. Built and dropped: the 4
-	// data rows' names (a write that adds its row keeps its name), the log
-	// row's name for the vote check, and the meta row's name, box and
-	// watermark digits. A version slice that grows adds one now and then.
-	const budget = 4 + 1 + 4 + 1 + 3
+	// Kept: the 4 packed values and the meta row's. Built and dropped: the
+	// log row's name for the vote check, and the meta row's name, box and
+	// watermark digits. The data rows' names are built in the drain's
+	// reused buffer (a write that adds its row copies its name). A version
+	// slice that grows adds one now and then.
+	const budget = 4 + 1 + 1 + 3
 	t.Logf("a drain pass allocates %.2f objects", float64(objects)/runs)
 	if per := float64(objects) / runs; per > budget+0.5 {
 		t.Errorf("a drain pass of a 4-write entry allocates %.1f objects, want at most %d", per, budget)
+	}
+}
+
+// TestAppendChosenAllocatesOnlyTheRowName: queuing a fresh position whose
+// vote stands checks the bytes and holds the vote's string — no decode, no
+// copy — so the one allocation is the log row's name, built to read the vote.
+func TestAppendChosenAllocatesOnlyTheRowName(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the plain run enforces the pin")
+	}
+	store := kvstore.New()
+	acc := paxos.NewAcceptor(store)
+	l := Open(store, "g")
+	l.Close() // drains stopped, so only the appends allocate
+	entry := testEntry("t1", 0, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
+	const runs = 200
+	var objects uint64
+	for pos := int64(1); pos <= runs; pos++ {
+		if res, err := acc.Accept("g", pos, paxos.FastBallot, entry); err != nil || !res.OK {
+			t.Fatalf("accept %d: %+v %v", pos, res, err)
+		}
+		_, n := heapDelta(func() {
+			if _, err := l.AppendChosen(pos, paxos.FastBallot, entry); err != nil {
+				t.Fatal(err)
+			}
+		})
+		objects += n
+	}
+	// The pending set and its list of unlogged positions grow now and then.
+	t.Logf("an append allocates %.2f objects", float64(objects)/runs)
+	if per := float64(objects) / runs; per > 1.5 {
+		t.Errorf("an append over a standing vote allocates %.1f objects, want the row's name alone", per)
 	}
 }
 

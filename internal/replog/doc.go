@@ -22,8 +22,9 @@
 //
 // A position has one row, and the vote is the entry: the row is the Paxos
 // acceptor's state (internal/paxos) until the position is decided, and the
-// log entry from then on. AppendChosen validates an entry, refuses a second
-// value for a decided position (invariant R1) and queues it, in memory; the
+// log entry from then on. AppendChosen checks an entry's bytes (wal.Check,
+// decoding nothing), refuses a second value for a decided position
+// (invariant R1) and queues the bytes, in memory; the
 // drain lands one kvstore.ApplyBatch — one sync — per pass, however many
 // apply messages delivered the entries: the rows, in their decided form, of
 // the queued positions whose stored vote cannot stand as the entry

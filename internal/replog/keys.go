@@ -21,6 +21,15 @@ import "paxoscp/internal/paxos"
 // DataKey is the row holding versions of one data item of a group.
 func DataKey(group, key string) string { return "data/" + group + "/" + key }
 
+// appendDataKey appends DataKey(group, key) to b: the drain builds its rows'
+// names in one reused buffer instead of a string each.
+func appendDataKey(b []byte, group, key string) []byte {
+	b = append(b, "data/"...)
+	b = append(b, group...)
+	b = append(b, '/')
+	return append(b, key...)
+}
+
 // DataPrefix is the common prefix of a group's data rows.
 func DataPrefix(group string) string { return "data/" + group + "/" }
 

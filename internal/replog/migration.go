@@ -3,6 +3,8 @@ package replog
 import (
 	"encoding/json"
 	"fmt"
+	"iter"
+	"maps"
 	"slices"
 
 	"paxoscp/internal/placement"
@@ -133,17 +135,30 @@ func (m migState) deepCopy() migState {
 // "migrating" retry verdict). Read-only transactions never reach the log,
 // so writes are the only surface the rules need.
 func (m *migState) voidsTxn(t wal.Txn) (to string, voided bool) {
-	if len(m.out) == 0 && len(m.inPend) == 0 {
+	if !m.fencing() {
 		return "", false
 	}
-	for k := range t.Writes {
-		if r, ok := find(m.out, k); ok {
+	return m.voids(t.Backfill, maps.Keys(t.Writes))
+}
+
+// fencing reports whether any migration rule can void a transaction.
+func (m *migState) fencing() bool { return len(m.out) > 0 || len(m.inPend) > 0 }
+
+// voids is voidsTxn over a transaction writing keys, a backfill or not —
+// the drain walks them from the entry's bytes (wal.TxnView.WriteKeys).
+// Callers ask fencing first, so a group that fences nothing builds no walk.
+func (m *migState) voids(backfill bool, keys iter.Seq[string]) (to string, voided bool) {
+	// The loop bodies capture out and inPend, not m: a drain's migState
+	// stays on its stack.
+	out, inPend := m.out, m.inPend
+	for k := range keys {
+		if r, ok := find(out, k); ok {
 			return r.rec.To, true // M1: the range departed before this position
 		}
 	}
-	if !t.Backfill {
-		for k := range t.Writes {
-			if _, ok := find(m.inPend, k); ok {
+	if !backfill {
+		for k := range keys {
+			if _, ok := find(inPend, k); ok {
 				return "", true // M2: the range is not open here yet
 			}
 		}

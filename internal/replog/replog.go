@@ -19,8 +19,10 @@ import (
 // ErrClosed is returned by operations on a closed Log.
 var ErrClosed = errors.New("replog: log closed")
 
-// cacheLimit bounds the decoded-entry cache per group. Entries this far
-// behind the newest cached position are evicted; compaction evicts eagerly.
+// cacheLimit bounds the decoded-entry cache per group (Entry fills it).
+// Entries this far behind the newest cached position are evicted; compaction
+// evicts eagerly. It bounds the fencing and migration records kept per
+// position too.
 const cacheLimit = 4096
 
 // Log is one group's replicated log at one datacenter. All methods are safe
@@ -36,13 +38,14 @@ type Log struct {
 	// drain's batch+meta write and snapshot installation.
 	ioMu sync.Mutex
 	// batch is drain's reusable write buffer, run its reusable list of the
-	// entries a pass applies, kv an entry's writes before they go in the
-	// batch, and vals the packed values the batch's data writes point at
-	// (guarded by ioMu).
+	// encoded entries a pass applies, kv an entry's writes before they go in
+	// the batch, vals the packed values the batch's data writes point at, and
+	// names the data rows' names their KeyBytes view (guarded by ioMu).
 	batch []kvstore.BatchWrite
-	run   []wal.Entry
+	run   []string
 	kv    []keyVal
 	vals  []kvstore.Packed
+	names []byte
 	// due is the reusable list of completions a drain pass fires (guarded
 	// by ioMu).
 	due []completion
@@ -59,7 +62,7 @@ type Log struct {
 	compacted  int64               // compaction horizon
 	pending    map[int64]queued    // decided but not yet applied (pos > applied)
 	unlogged   []int64             // pending positions queued since the last drain: no drain has looked at their rows yet
-	cache      map[int64]wal.Entry // decoded entries (read-only, shared)
+	cache      map[int64]wal.Entry // entries Entry decoded (read-only, shared)
 	cacheTop   int64               // highest cached position (eviction anchor)
 	pins       map[int64]time.Time // read-pin position -> expiry (PinReads)
 	pinsKept   int                 // len(pins) after the last walk dropped the expired ones
@@ -100,12 +103,11 @@ type Log struct {
 	movedTxns map[int64]map[string]string
 }
 
-// queued is one decided entry in the pending set: the decoded entry the drain
-// applies, its encoded bytes, a ballot they were chosen at (AppendChosen), and
-// whether the position's row is durable in its decided form — written by a
-// drain or, before a restart, by an earlier process.
+// queued is one decided entry in the pending set: its encoded bytes, checked
+// (wal.Check), which the drain applies from; a ballot they were chosen at
+// (AppendChosen); and whether the position's row is durable in its decided
+// form — written by a drain or, before a restart, by an earlier process.
 type queued struct {
-	entry    wal.Entry
 	bytes    string
 	chosenAt int64
 	logged   bool
@@ -231,8 +233,8 @@ func open(store *kvstore.Store, group string, pool *Pool) *Log {
 			return
 		}
 		raw := paxos.RowEntry(row)
-		if entry, err := wal.DecodeString(raw); err == nil {
-			l.pending[pos] = queued{entry: entry, bytes: raw, logged: true}
+		if wal.Check(raw) == nil {
+			l.pending[pos] = queued{bytes: raw, logged: true}
 			if pos > l.decidedMax {
 				l.decidedMax = pos
 			}
@@ -340,7 +342,8 @@ func (l *Log) Append(pos int64, entryBytes []byte) (int64, error) {
 // (paxos.VoteStands). Nothing is durable when AppendChosen returns;
 // WaitApplied, or WaitLogged for an entry above a gap, is the durability
 // point. Bytes that will not be queued — a duplicate, a position already
-// below the watermark — are compared, not decoded. Bytes that are queued are
+// below the watermark — are compared, not checked. Bytes that are queued are
+// checked (wal.Check: corrupt bytes are refused, and nothing is decoded) and
 // held once: over the string of the replica's own row of pos when that
 // holds the same bytes — its vote, or a decided row — and copied only when
 // it does not, as when the replica missed the accept. entryBytes is never
@@ -360,17 +363,17 @@ func (l *Log) AppendChosen(pos, chosenAt int64, entryBytes []byte) (int64, error
 	if pos < 1 {
 		return 0, fmt.Errorf("replog: append at invalid position %d", pos)
 	}
-	// Only a position that is new gets decoded, and outside l.mu: the master
+	// Only a position that is new gets checked, and outside l.mu: the master
 	// appends every position twice by design (its local apply leg, then
 	// pipeline.replicate), and a duplicate is settled by comparing bytes. The
-	// queued bytes and every string of the decoded entry share one string:
-	// the replica's own row's (held), or a copy when it has none to share.
+	// queued bytes are the replica's own row's string (held), or a copy when
+	// it has none to share.
 	h, fresh, err := l.offer(pos, entryBytes, nil)
 	if !fresh || err != nil {
 		return h, err
 	}
 	q := queued{bytes: l.held(pos, entryBytes), chosenAt: chosenAt}
-	if q.entry, err = wal.DecodeString(q.bytes); err != nil {
+	if err := wal.Check(q.bytes); err != nil {
 		return 0, fmt.Errorf("replog: entry %s/%d: %w", l.group, pos, err)
 	}
 	h, _, err = l.offer(pos, entryBytes, &q)
@@ -393,8 +396,8 @@ func (l *Log) held(pos int64, entryBytes []byte) string {
 }
 
 // offer is AppendChosen's critical section. With q nil it only looks: fresh
-// reports that pos is new here and must be decoded and offered again. With
-// the decoded entry it queues pos, unless another appender got there between
+// reports that pos is new here and must be checked and offered again. With
+// the checked bytes it queues pos, unless another appender got there between
 // the two calls — then it is the duplicate.
 func (l *Log) offer(pos int64, entryBytes []byte, q *queued) (h int64, fresh bool, err error) {
 	l.mu.Lock()
@@ -614,17 +617,13 @@ func (l *Log) Has(pos int64) bool {
 	return ok
 }
 
-// Entry returns the decided entry at pos, if known locally. The returned
-// entry may be shared with the cache and other callers: treat it as
-// read-only (Clone before mutating). Serving from the cache avoids
-// re-decoding entry bytes on catch-up, leader computation, and the master's
-// promotion-conflict checks.
+// Entry returns the decided entry at pos, if known locally, decoded from its
+// bytes on the first ask and cached: applying an entry decodes nothing, so
+// the cache holds only the entries asked for — the master's admission walk,
+// and tooling. The returned entry may be shared with the cache and other
+// callers: treat it as read-only (Clone before mutating).
 func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 	l.mu.Lock()
-	if q, ok := l.pending[pos]; ok {
-		l.mu.Unlock()
-		return q.entry, true
-	}
 	if e, ok := l.cache[pos]; ok {
 		l.mu.Unlock()
 		return e, true
@@ -644,6 +643,24 @@ func (l *Log) Entry(pos int64) (wal.Entry, bool) {
 	return entry, true
 }
 
+// Origin returns the origin of the first transaction of the decided entry at
+// pos, read from its bytes — "" for an entry of none — and false when pos is
+// not decided here: the position's leader (paper §5) without a decode.
+func (l *Log) Origin(pos int64) (string, bool) {
+	l.mu.Lock()
+	raw, ok := l.bytesLocked(pos)
+	l.mu.Unlock()
+	if !ok {
+		return "", false
+	}
+	r, err := wal.NewReader(raw)
+	if err != nil || !r.More() {
+		return "", err == nil
+	}
+	t, err := r.Next()
+	return t.Origin, err == nil
+}
+
 // EntryBytes returns the encoded decided entry at pos, for serving catch-up
 // fetches — from the pending set when no drain has written its row yet.
 func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
@@ -656,20 +673,28 @@ func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
 	return []byte(raw), true
 }
 
-// Snapshot returns every decided log entry known locally, keyed by position.
-// Entries are deep copies; intended for the history checker and tooling.
+// Snapshot returns every decided log entry known locally, keyed by position,
+// each decoded from its bytes for the caller (the cache is not consulted nor
+// filled); intended for the history checker and tooling.
 func (l *Log) Snapshot() map[int64]wal.Entry {
 	out := make(map[int64]wal.Entry)
+	decode := func(pos int64, raw string) {
+		if entry, err := wal.DecodeString(raw); err == nil {
+			out[pos] = entry
+		}
+	}
 	l.mu.Lock()
+	pending := make(map[int64]string, len(l.pending))
 	for pos, q := range l.pending {
-		out[pos] = q.entry.Clone()
+		pending[pos] = q.bytes
 	}
 	compacted, applied := l.compacted, l.applied
 	l.mu.Unlock()
+	for pos, raw := range pending {
+		decode(pos, raw)
+	}
 	l.walkApplied(compacted, applied, func(pos int64, row kvstore.Packed) {
-		if entry, err := wal.DecodeString(paxos.RowEntry(row)); err == nil {
-			out[pos] = entry
-		}
+		decode(pos, paxos.RowEntry(row))
 	})
 	return out
 }
@@ -960,7 +985,7 @@ func (l *Log) drain() {
 				break
 			}
 			pos++
-			entries = append(entries, q.entry)
+			entries = append(entries, q.bytes)
 		}
 		l.run = entries
 		writes, vals := l.batch[:0], l.vals[:0]
@@ -991,9 +1016,20 @@ func (l *Log) drain() {
 		migDirty := false
 		var newVoid []int64
 		var newMoved map[int64]map[string]string
-		for i, e := range entries {
+		var walkErr error
+		names := l.names[:0]
+	entries:
+		for i, raw := range entries {
 			p := start + 1 + int64(i)
-			if e.IsClaim() {
+			// The bytes were checked when they were queued (wal.Check), so
+			// the walk cannot fail short of a bug; if it does, the pass fails
+			// as a store error would.
+			e, err := wal.NewReader(raw)
+			if err != nil {
+				walkErr = fmt.Errorf("entry %d: %w", p, err)
+				break
+			}
+			if e.Master != "" {
 				switch {
 				case e.Epoch > epoch.Epoch:
 					epoch = EpochState{Epoch: e.Epoch, Master: e.Master, Pos: p}
@@ -1021,11 +1057,10 @@ func (l *Log) drain() {
 					mig = mig.deepCopy()
 					migDirty = true
 				}
-				h := e.Handoff
+				h := e.Handoff()
 				mig.apply(l.group, HandoffRecord{
 					Phase: uint8(h.Phase), From: h.From, To: h.To,
-					Groups:  append([]string(nil), h.Groups...),
-					Version: h.Version, Pos: p,
+					Groups: h.Groups, Version: h.Version, Pos: p,
 				})
 				continue
 			}
@@ -1034,28 +1069,42 @@ func (l *Log) drain() {
 			// entry may mix moved and unmoved write sets). Later
 			// transactions still overwrite earlier ones within the entry.
 			kv := l.kv[:0]
-			for _, t := range e.Txns {
-				if to, voided := mig.voidsTxn(t); voided {
-					if newMoved == nil {
-						newMoved = make(map[int64]map[string]string)
-					}
-					if newMoved[p] == nil {
-						newMoved[p] = make(map[string]string)
-					}
-					newMoved[p][t.ID] = to
-					continue
+			for e.More() {
+				t, err := e.Next()
+				if err != nil {
+					walkErr = fmt.Errorf("entry %d: %w", p, err)
+					break entries
 				}
-				for k, v := range t.Writes {
+				if mig.fencing() {
+					if to, voided := mig.voids(t.Backfill, t.WriteKeys()); voided {
+						if newMoved == nil {
+							newMoved = make(map[int64]map[string]string)
+						}
+						if newMoved[p] == nil {
+							newMoved[p] = make(map[string]string)
+						}
+						newMoved[p][t.ID] = to
+						continue
+					}
+				}
+				for w := t.Writes(); ; {
+					k, v, ok := w.Next()
+					if !ok {
+						break
+					}
 					kv = append(kv, keyVal{k, v})
 				}
 			}
 			l.kv = kv
 			for _, w := range lastWins(kv) {
-				// Value points into vals, so the write boxes no copy of it.
-				// An append that moves vals leaves the pointers taken before
-				// on the old array, which keeps its values.
+				// Value points into vals, and KeyBytes into names, so the
+				// write boxes no copy of either and builds no name string. An
+				// append that moves vals or names leaves what was taken
+				// before on the old array, which keeps it.
 				vals = append(vals, kvstore.PackAttrs("v", w.val))
-				writes = append(writes, kvstore.BatchWrite{Key: DataKey(l.group, w.key), Value: &vals[len(vals)-1], TS: p})
+				at := len(names)
+				names = appendDataKey(names, l.group, w.key)
+				writes = append(writes, kvstore.BatchWrite{KeyBytes: names[at:], Value: &vals[len(vals)-1], TS: p})
 			}
 		}
 		meta := l.meta
@@ -1066,8 +1115,11 @@ func (l *Log) drain() {
 			}
 			writes = append(writes, meta.write(l.group))
 		}
-		l.batch, l.vals = writes, vals
-		err := l.store.ApplyBatch(writes)
+		l.batch, l.vals, l.names = writes, vals, names
+		err := walkErr
+		if err == nil {
+			err = l.store.ApplyBatch(writes)
+		}
 		if err == nil {
 			l.meta = meta
 		}
@@ -1087,10 +1139,7 @@ func (l *Log) drain() {
 			}
 		}
 		for p := start + 1; p <= pos; p++ {
-			if q, ok := l.pending[p]; ok {
-				l.cacheLocked(p, q.entry)
-				delete(l.pending, p)
-			}
+			delete(l.pending, p)
 		}
 		for _, p := range newVoid {
 			l.voided[p] = true

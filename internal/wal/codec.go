@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // The binary codec serializes Entries for two purposes: as the Paxos value
@@ -31,13 +32,18 @@ import (
 // and all three versions decode.
 //
 // Allocation contract (DESIGN.md §9). Encode sizes its output exactly and
-// allocates it once. DecodeString allocates no string: every string of the
-// entry it returns is a substring of its input, so the only allocations are
-// the Txns slice and each transaction's read set and write map. Decode is one
-// copy of its input and then DecodeString, so the entry never aliases the
-// caller's bytes — a pooled datagram buffer may be reused the moment Decode
-// returns. Every element count is bounded by the bytes left to carry it, so
-// a payload cannot make the decoder allocate more than what it sends pays for.
+// allocates it once. A Reader (NewReader, Check) walks an encoded entry and
+// allocates nothing: every string it returns is a substring of its input,
+// and it checks every bound Decode does — DecodeString is a Reader's walk
+// that builds what it reads, so there is one parser. A replica applies a
+// decided entry from its bytes through a Reader and decodes one only when
+// asked for the entry itself. DecodeString allocates no string, so its only
+// allocations are the Txns slice and each transaction's read set and write
+// map. Decode is one copy of its input and then DecodeString, so the entry
+// never aliases the caller's bytes — a pooled datagram buffer may be reused
+// the moment Decode returns. Every element count is bounded by the bytes
+// left to carry it, so a payload cannot make the decoder allocate more than
+// what it sends pays for.
 
 const (
 	codecMagic   = 0x5743 // "WC"
@@ -124,21 +130,37 @@ func encodedLen(e Entry, ver byte) int {
 	}
 	n += uvarintLen(uint64(len(e.Txns)))
 	for _, t := range e.Txns {
-		n += strLen(t.ID) + varintLen(t.ReadPos) + strLen(t.Origin)
-		if ver >= codecVersionMigrate {
-			n++ // flags
-		}
-		n += uvarintLen(uint64(len(t.ReadSet)))
-		for _, k := range t.ReadSet {
-			n += strLen(k)
-		}
-		n += uvarintLen(uint64(len(t.Writes)))
-		for k, v := range t.Writes {
-			n += strLen(k) + strLen(v)
-		}
+		n += txnLen(t, ver)
 	}
 	return n
 }
+
+// txnLen is the exact length of t's encoding at the given layout.
+func txnLen(t Txn, ver byte) int {
+	n := strLen(t.ID) + varintLen(t.ReadPos) + strLen(t.Origin)
+	if ver >= codecVersionMigrate {
+		n++ // flags
+	}
+	n += uvarintLen(uint64(len(t.ReadSet)))
+	for _, k := range t.ReadSet {
+		n += strLen(k)
+	}
+	n += uvarintLen(uint64(len(t.Writes)))
+	for k, v := range t.Writes {
+		n += strLen(k) + strLen(v)
+	}
+	return n
+}
+
+// TxnLen is the most bytes t takes in an encoded entry: its length at the
+// migration layout, which spends one flags byte more than the older ones.
+func TxnLen(t Txn) int { return txnLen(t, codecVersionMigrate) }
+
+// MaxHeaderLen bounds what an encoded transaction entry takes besides its
+// transactions: magic, version, epoch, an empty master, the handoff flag and
+// a transaction count up to maxCount. An entry of transactions ts encodes in
+// at most MaxHeaderLen plus the sum of their TxnLen bytes.
+const MaxHeaderLen = 2 + 1 + binary.MaxVarintLen64 + 1 + 1 + 3
 
 // Encode serializes e to the compact binary format, in one allocation.
 func Encode(e Entry) []byte {
@@ -290,90 +312,267 @@ func Decode(data []byte) (Entry, error) {
 	return DecodeString(string(data))
 }
 
-// DecodeString parses an encoded entry held in a string. Every string of the
-// returned entry is a substring of s.
+// DecodeString parses an encoded entry held in a string: a Reader's walk,
+// building what it reads. Every string of the returned entry is a substring
+// of s.
 func DecodeString(s string) (Entry, error) {
-	r := reader{s: s}
-	if len(r.s) < 2 {
-		return Entry{}, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	if magic := uint16(r.s[0])<<8 | uint16(r.s[1]); magic != codecMagic {
-		return Entry{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
-	}
-	r.s = r.s[2:]
-	ver, err := r.byte("version")
-	if err != nil || ver < codecVersion || ver > codecVersionMigrate {
-		return Entry{}, fmt.Errorf("%w: bad version", ErrCorrupt)
-	}
-	var e Entry
-	if ver >= codecVersionEpoch {
-		if e.Epoch, err = r.varint(); err != nil {
-			return Entry{}, err
-		}
-		if e.Master, err = r.str(); err != nil {
-			return Entry{}, err
-		}
-	}
-	if ver >= codecVersionMigrate {
-		if e.Handoff, err = r.handoff(); err != nil {
-			return Entry{}, err
-		}
-	}
-	ntxns, err := r.count("txn count", minTxnBytes)
+	r, err := NewReader(s)
 	if err != nil {
 		return Entry{}, err
 	}
-	e.Txns = make([]Txn, ntxns)
+	e := Entry{Epoch: r.Epoch, Master: r.Master, Handoff: r.Handoff(), Txns: make([]Txn, r.left)}
+	var t TxnView
 	for i := range e.Txns {
-		if err := r.txn(&e.Txns[i], ver); err != nil {
+		if err := r.next(&t, &e.Txns[i]); err != nil {
 			return Entry{}, err
 		}
-	}
-	if len(r.s) != 0 {
-		return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.s))
 	}
 	return e, nil
 }
 
-// handoff reads the v3 handoff flag and, when it is set, the handoff.
-func (r *reader) handoff() (*Handoff, error) {
-	flag, err := r.byte("handoff")
-	if err != nil || flag > 1 {
-		return nil, fmt.Errorf("%w: bad handoff flag", ErrCorrupt)
+// Check reports whether s is an entry Decode would accept, allocating
+// nothing: a Reader's walk to the end.
+func Check(s string) error {
+	r, err := NewReader(s)
+	for err == nil && r.More() {
+		_, err = r.Next()
 	}
-	if flag == 0 {
-		return nil, nil
-	}
-	h := &Handoff{}
-	phase, err := r.byte("handoff")
-	if err != nil {
-		return nil, err
-	}
-	h.Phase = HandoffPhase(phase)
-	if h.From, err = r.str(); err != nil {
-		return nil, err
-	}
-	if h.To, err = r.str(); err != nil {
-		return nil, err
-	}
-	if h.Version, err = r.varint(); err != nil {
-		return nil, err
-	}
-	ng, err := r.count("handoff group count", minGroupBytes)
-	if err != nil {
-		return nil, err
-	}
-	h.Groups = make([]string, ng)
-	for i := range h.Groups {
-		if h.Groups[i], err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+	return err
 }
 
-// txn reads one transaction of a ver-layout entry into t.
-func (r *reader) txn(t *Txn, ver byte) error {
+// Reader walks an encoded entry without building it: the header's fields,
+// then one transaction per Next, each checked as it is read — every bound
+// Decode enforces is enforced here, DecodeString being a walk of a Reader —
+// and nothing allocated. Every string it returns is a substring of its
+// input. A walk that ends without an error has checked the whole entry.
+type Reader struct {
+	// Epoch and Master are the header's fencing fields (zero before v2).
+	Epoch  int64
+	Master string
+
+	ver     byte
+	handoff handoffView // valid when hasHand
+	hasHand bool
+	r       reader // the transactions not yet read
+	left    int    // how many
+}
+
+// handoffView is a checked handoff record, its groups still encoded.
+type handoffView struct {
+	phase    HandoffPhase
+	from, to string
+	version  int64
+	groups   Keys
+}
+
+// NewReader checks the header of the encoded entry s — magic, version,
+// fencing fields, handoff record and transaction count — and returns a
+// Reader positioned at the first transaction.
+func NewReader(s string) (Reader, error) {
+	r := Reader{r: reader{s: s}}
+	if len(s) < 2 {
+		return Reader{}, fmt.Errorf("%w: short header", ErrCorrupt)
+	}
+	if magic := uint16(s[0])<<8 | uint16(s[1]); magic != codecMagic {
+		return Reader{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
+	}
+	r.r.s = s[2:]
+	var err error
+	r.ver, err = r.r.byte("version")
+	if err != nil || r.ver < codecVersion || r.ver > codecVersionMigrate {
+		return Reader{}, fmt.Errorf("%w: bad version", ErrCorrupt)
+	}
+	if r.ver >= codecVersionEpoch {
+		if r.Epoch, err = r.r.varint(); err != nil {
+			return Reader{}, err
+		}
+		if r.Master, err = r.r.str(); err != nil {
+			return Reader{}, err
+		}
+	}
+	if r.ver >= codecVersionMigrate {
+		if r.hasHand, err = r.r.handoff(&r.handoff); err != nil {
+			return Reader{}, err
+		}
+	}
+	if r.left, err = r.r.count("txn count", minTxnBytes); err != nil {
+		return Reader{}, err
+	}
+	if err := r.end(); err != nil {
+		return Reader{}, err
+	}
+	return r, nil
+}
+
+// More reports whether a transaction is left to read.
+func (r *Reader) More() bool { return r.left > 0 }
+
+// IsHandoff reports whether the entry is a migration handoff entry.
+func (r *Reader) IsHandoff() bool { return r.hasHand }
+
+// Handoff builds the entry's handoff record, nil when it has none.
+func (r *Reader) Handoff() *Handoff {
+	if !r.hasHand {
+		return nil
+	}
+	v := r.handoff
+	h := &Handoff{Phase: v.phase, From: v.from, To: v.to, Version: v.version, Groups: make([]string, v.groups.Len())}
+	for i := range h.Groups {
+		h.Groups[i], _ = v.groups.Next()
+	}
+	return h
+}
+
+// Next reads and checks the next transaction. After the last one it checks
+// that nothing trails the entry.
+func (r *Reader) Next() (TxnView, error) {
+	var t TxnView
+	err := r.next(&t, nil)
+	return t, err
+}
+
+// next is Next into t, building the transaction into build when it is not
+// nil — DecodeString's one walk.
+func (r *Reader) next(t *TxnView, build *Txn) error {
+	if r.left == 0 {
+		return fmt.Errorf("%w: no transaction left", ErrCorrupt)
+	}
+	if err := r.r.txn(t, r.ver, build); err != nil {
+		r.left = 0
+		return err
+	}
+	r.left--
+	return r.end()
+}
+
+// end refuses bytes trailing the last transaction.
+func (r *Reader) end() error {
+	if r.left == 0 && len(r.r.s) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.r.s))
+	}
+	return nil
+}
+
+// TxnView is one transaction of an encoded entry as a Reader read it: its
+// fields, and its read keys and writes still encoded, walked by Reads and
+// Writes.
+type TxnView struct {
+	ID, Origin string
+	ReadPos    int64
+	Backfill   bool
+	reads      Keys
+	writes     Writes
+}
+
+// Reads returns a walk of the transaction's read keys.
+func (t TxnView) Reads() Keys { return t.reads }
+
+// Writes returns a walk of the transaction's writes, in the order they were
+// encoded: increasing key order, as Encode writes them.
+func (t TxnView) Writes() Writes { return t.writes }
+
+// WriteKeys returns the transaction's written keys, in Writes' order.
+func (t TxnView) WriteKeys() iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for w := t.writes; ; {
+			k, _, ok := w.Next()
+			if !ok || !yield(k) {
+				return
+			}
+		}
+	}
+}
+
+// Keys walks an encoded list of strings a Reader has checked.
+type Keys struct {
+	r reader
+	n int
+}
+
+// Len is the number of keys not yet walked.
+func (k Keys) Len() int { return k.n }
+
+// Next returns the next key, or false at the end.
+func (k *Keys) Next() (string, bool) {
+	if k.n == 0 {
+		return "", false
+	}
+	k.n--
+	s, _ := k.r.str()
+	return s, true
+}
+
+// Writes walks the encoded writes of a transaction a Reader has checked:
+// key-value pairs in the order they were encoded. Encode writes them in
+// increasing key order; of bytes repeating a key, the last pair wins, as in
+// the write map DecodeString builds.
+type Writes struct {
+	r reader
+	n int
+}
+
+// Len is the number of writes not yet walked.
+func (w Writes) Len() int { return w.n }
+
+// Next returns the next write, or false at the end.
+func (w *Writes) Next() (key, val string, ok bool) {
+	if w.n == 0 {
+		return "", "", false
+	}
+	w.n--
+	key, _ = w.r.str()
+	val, _ = w.r.str()
+	return key, val, true
+}
+
+// handoff reads the v3 handoff flag and, when it is set, the handoff into h.
+func (r *reader) handoff(h *handoffView) (bool, error) {
+	flag, err := r.byte("handoff")
+	if err != nil || flag > 1 {
+		return false, fmt.Errorf("%w: bad handoff flag", ErrCorrupt)
+	}
+	if flag == 0 {
+		return false, nil
+	}
+	phase, err := r.byte("handoff")
+	if err != nil {
+		return false, err
+	}
+	h.phase = HandoffPhase(phase)
+	if h.from, err = r.str(); err != nil {
+		return false, err
+	}
+	if h.to, err = r.str(); err != nil {
+		return false, err
+	}
+	if h.version, err = r.varint(); err != nil {
+		return false, err
+	}
+	h.groups, err = r.keys("handoff group count", minGroupBytes)
+	return err == nil, err
+}
+
+// keys reads a counted list of strings whose elements take at least min
+// bytes each, checking every one, and returns a walk of it (a handoff's
+// groups).
+func (r *reader) keys(what string, min int) (Keys, error) {
+	n, err := r.count(what, min)
+	if err != nil {
+		return Keys{}, err
+	}
+	k := Keys{r: *r, n: n}
+	for ; n > 0; n-- {
+		if _, err := r.str(); err != nil {
+			return Keys{}, err
+		}
+	}
+	return k, nil
+}
+
+// txn reads and checks one transaction of a ver-layout entry into t and,
+// when build is not nil, builds it there: its fields, a read set slice and,
+// when it writes, a write map (a repeated key's last value wins).
+func (r *reader) txn(t *TxnView, ver byte, build *Txn) error {
 	var err error
 	if t.ID, err = r.str(); err != nil {
 		return err
@@ -395,17 +594,28 @@ func (r *reader) txn(t *Txn, ver byte) error {
 	if err != nil {
 		return err
 	}
-	t.ReadSet = make([]string, nr)
-	for i := range t.ReadSet {
-		if t.ReadSet[i], err = r.str(); err != nil {
+	t.reads = Keys{r: *r, n: nr}
+	if build != nil {
+		build.ID, build.Origin, build.ReadPos, build.Backfill = t.ID, t.Origin, t.ReadPos, t.Backfill
+		build.ReadSet = make([]string, nr)
+	}
+	for i := 0; i < nr; i++ {
+		k, err := r.str()
+		if err != nil {
 			return err
+		}
+		if build != nil {
+			build.ReadSet[i] = k
 		}
 	}
 	nw, err := r.count("write set size", minWriteBytes)
-	if err != nil || nw == 0 {
+	if err != nil {
 		return err
 	}
-	t.Writes = make(map[string]string, nw)
+	t.writes = Writes{r: *r, n: nw}
+	if build != nil && nw > 0 {
+		build.Writes = make(map[string]string, nw)
+	}
 	for ; nw > 0; nw-- {
 		k, err := r.str()
 		if err != nil {
@@ -415,7 +625,9 @@ func (r *reader) txn(t *Txn, ver byte) error {
 		if err != nil {
 			return err
 		}
-		t.Writes[k] = v
+		if build != nil {
+			build.Writes[k] = v
+		}
 	}
 	return nil
 }

@@ -84,6 +84,49 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestReaderAllocatesNothing: walking an entry — its header, and every read
+// key and write of a 2-transaction, 4-write entry — allocates nothing, and
+// Check, the walk AppendChosen runs on every decided entry, neither.
+func TestReaderAllocatesNothing(t *testing.T) {
+	s := string(Encode(Entry{Epoch: 3, Txns: []Txn{
+		{ID: "t1", Origin: "V1", ReadPos: 3, ReadSet: []string{"r1"}, Writes: map[string]string{"attr1": "v1", "attr2": "v2"}},
+		{ID: "t2", Origin: "V2", ReadPos: 3, ReadSet: []string{"r2", "r3"}, Writes: map[string]string{"attr3": "v3", "attr4": "v4"}},
+	}}))
+	var reads, writes int
+	walk := func() {
+		reads, writes = 0, 0
+		r, err := NewReader(s)
+		for err == nil && r.More() {
+			var v TxnView
+			if v, err = r.Next(); err != nil {
+				break
+			}
+			for k := v.Reads(); ; reads++ {
+				if _, ok := k.Next(); !ok {
+					break
+				}
+			}
+			for w := v.Writes(); ; writes++ {
+				if _, _, ok := w.Next(); !ok {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+		t.Errorf("walking the entry allocates %.0f times, want 0", allocs)
+	}
+	if reads != 3 || writes != 4 {
+		t.Errorf("the walk read %d keys and %d writes, want 3 and 4", reads, writes)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Check(s) }); allocs != 0 {
+		t.Errorf("Check allocates %.0f times, want 0", allocs)
+	}
+}
+
 // TestDecodeOwnsItsBytes: the entry Decode returns shares nothing with the
 // bytes it was given. A transport hands a handler a pooled datagram buffer
 // that is reused once the handler returns; the decoded entry outlives it.

@@ -41,25 +41,6 @@ func (t Txn) Clone() Txn {
 	return out
 }
 
-// ReadsAny reports whether t reads any key in keys.
-func (t Txn) ReadsAny(keys map[string]struct{}) bool {
-	for _, k := range t.ReadSet {
-		if _, ok := keys[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// WriteKeys returns t's written keys as a set.
-func (t Txn) WriteKeys() map[string]struct{} {
-	out := make(map[string]struct{}, len(t.Writes))
-	for k := range t.Writes {
-		out[k] = struct{}{}
-	}
-	return out
-}
-
 // IsReadOnly reports whether t contains no writes. Read-only transactions are
 // never written to the log (paper §3.2).
 func (t Txn) IsReadOnly() bool { return len(t.Writes) == 0 }
@@ -162,15 +143,17 @@ func (e Entry) Writes() map[string]string {
 	return out
 }
 
-// WriteKeys returns the union of written keys as a set.
-func (e Entry) WriteKeys() map[string]struct{} {
-	out := make(map[string]struct{})
+// WritesAny reports whether a transaction of e writes any of keys: whether a
+// transaction reading keys conflicts with e.
+func (e Entry) WritesAny(keys []string) bool {
 	for _, t := range e.Txns {
-		for k := range t.Writes {
-			out[k] = struct{}{}
+		for _, k := range keys {
+			if _, ok := t.Writes[k]; ok {
+				return true
+			}
 		}
 	}
-	return out
+	return false
 }
 
 // SerializableOrder reports whether the list order of e is one-copy
@@ -179,23 +162,12 @@ func (e Entry) WriteKeys() map[string]struct{} {
 // in a combined entry share the same read position, so a read of a key
 // written earlier in the list would observe a stale version.
 func (e Entry) SerializableOrder() bool {
-	written := make(map[string]struct{})
-	for _, t := range e.Txns {
-		if t.ReadsAny(written) {
+	for i, t := range e.Txns {
+		if (Entry{Txns: e.Txns[:i]}).WritesAny(t.ReadSet) {
 			return false
-		}
-		for k := range t.Writes {
-			written[k] = struct{}{}
 		}
 	}
 	return true
-}
-
-// Conflicts reports whether candidate reads any key written by the
-// transactions already in e, i.e. whether appending candidate would violate
-// SerializableOrder.
-func (e Entry) Conflicts(candidate Txn) bool {
-	return candidate.ReadsAny(e.WriteKeys())
 }
 
 // String renders the entry as "[t1[...] t2[...]]", claim entries as

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // must allocate by the bytes that arrived — decodeBytesPerByte per byte plus
 // slack — not by the counts they claim, and anything it accepts must
 // re-encode to a decodable, equivalent entry (decode∘encode is the identity
-// on the codec's image).
+// on the codec's image). The Reader agrees with DecodeString on every input:
+// Check refuses exactly what DecodeString refuses, and a walk of an accepted
+// entry reads the fields the decoded entry holds.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(NoOp()))
@@ -28,8 +31,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d (err %v)", len(data), grew, err)
 		}
 		entry, err := Decode(data)
+		if cerr := Check(string(data)); (cerr == nil) != (err == nil) {
+			t.Fatalf("Check says %v, DecodeString says %v", cerr, err)
+		}
 		if err != nil {
 			return
+		}
+		if diff := readerDiff(string(data), entry); diff != "" {
+			t.Fatalf("the Reader and DecodeString disagree: %s", diff)
 		}
 		re := Encode(entry)
 		back, err := Decode(re)
@@ -60,4 +69,57 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", e, got)
 		}
 	})
+}
+
+// readerDiff walks s with a Reader, through its Keys and Writes walks, and
+// describes the first field that differs from e ("" when none does).
+func readerDiff(s string, e Entry) string {
+	r, err := NewReader(s)
+	if err != nil {
+		return "NewReader: " + err.Error()
+	}
+	if r.Epoch != e.Epoch || r.Master != e.Master || r.IsHandoff() != (e.Handoff != nil) {
+		return fmt.Sprintf("header epoch %d master %q handoff %v", r.Epoch, r.Master, r.IsHandoff())
+	}
+	if !reflect.DeepEqual(r.Handoff(), e.Handoff) {
+		return fmt.Sprintf("handoff %#v", r.Handoff())
+	}
+	for i, want := range e.Txns {
+		if !r.More() {
+			return fmt.Sprintf("%d transactions, want %d", i, len(e.Txns))
+		}
+		v, err := r.Next()
+		if err != nil {
+			return fmt.Sprintf("transaction %d: %v", i, err)
+		}
+		if v.ID != want.ID || v.Origin != want.Origin || v.ReadPos != want.ReadPos || v.Backfill != want.Backfill {
+			return fmt.Sprintf("transaction %d: %+v", i, v)
+		}
+		var reads []string
+		for k := v.Reads(); ; {
+			key, ok := k.Next()
+			if !ok {
+				break
+			}
+			reads = append(reads, key)
+		}
+		if len(reads) != len(want.ReadSet) || (len(reads) > 0 && !reflect.DeepEqual(reads, want.ReadSet)) {
+			return fmt.Sprintf("transaction %d: reads %q, want %q", i, reads, want.ReadSet)
+		}
+		writes := make(map[string]string)
+		for w := v.Writes(); ; {
+			k, val, ok := w.Next()
+			if !ok {
+				break
+			}
+			writes[k] = val // the last of a repeated key wins, as in DecodeString
+		}
+		if len(writes) != len(want.Writes) || (len(writes) > 0 && !reflect.DeepEqual(writes, want.Writes)) {
+			return fmt.Sprintf("transaction %d: writes %q, want %q", i, writes, want.Writes)
+		}
+	}
+	if r.More() {
+		return "transactions left over"
+	}
+	return ""
 }

@@ -52,10 +52,10 @@ func TestEntrySerializableOrder(t *testing.T) {
 func TestEntryConflicts(t *testing.T) {
 	t1 := txn("t1", 0, nil, map[string]string{"x": "1"})
 	e := NewEntry(t1)
-	if !e.Conflicts(txn("t2", 0, []string{"x"}, nil)) {
+	if !e.WritesAny(txn("t2", 0, []string{"x"}, nil).ReadSet) {
 		t.Fatal("reader of x must conflict with writer of x")
 	}
-	if e.Conflicts(txn("t3", 0, []string{"y"}, map[string]string{"x": "2"})) {
+	if e.WritesAny(txn("t3", 0, []string{"y"}, map[string]string{"x": "2"}).ReadSet) {
 		t.Fatal("write-write is not a combination conflict (list order resolves it)")
 	}
 }
