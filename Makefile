@@ -71,7 +71,9 @@ test:
 ## per run. So do the dispatcher's tests: its pooled request item is
 ## released by the goroutine it started. So do core.KV's and the scans':
 ## their fan-out runs the legs of a round concurrently, and each leg writes
-## its own slots of the shared result.
+## its own slots of the shared result. So do the submit pipeline's: its
+## in-flight window holds each entry's bytes, placed by the dispatcher and
+## read by admission while replication goroutines resolve positions.
 ## So does kvstore: ApplyBatch pins rows, and re-resolves one a concurrent
 ## Delete took, without creating it before the batch is validated.
 ## The fencing and multi-group nemeses run twice more: under Sim they drive
@@ -79,7 +81,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|Pipeline' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

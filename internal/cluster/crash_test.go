@@ -167,7 +167,7 @@ func TestCrashRestartDeterministic(t *testing.T) {
 	if err := c.Recover(ctx, "V2", "g"); err != nil {
 		t.Fatalf("recover after restart: %v", err)
 	}
-	if _, ok := c.Service("V2").DecidedEntry("g", 5); !ok {
+	if _, ok := c.Service("V2").LogSnapshot("g")[5]; !ok {
 		t.Fatal("restarted replica missed the entry committed during its outage")
 	}
 	// And it participates in brand-new commits.
@@ -180,7 +180,7 @@ func TestCrashRestartDeterministic(t *testing.T) {
 	if err := c.Service("V2").CatchUp(ctx, "g", res.Pos); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Service("V2").DecidedEntry("g", res.Pos); !ok {
+	if _, ok := c.Service("V2").LogSnapshot("g")[res.Pos]; !ok {
 		t.Fatal("restarted replica missed the post-restart entry")
 	}
 	checkHistory(t, c, "g", rec)

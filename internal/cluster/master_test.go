@@ -42,7 +42,7 @@ func TestMasterSingleCommit(t *testing.T) {
 		if err := c.Service(dc).CatchUp(ctx, "g", 2); err != nil {
 			t.Fatalf("catch up %s: %v", dc, err)
 		}
-		if _, ok := c.Service(dc).DecidedEntry("g", 2); !ok {
+		if _, ok := c.Service(dc).LogSnapshot("g")[2]; !ok {
 			t.Fatalf("entry missing at %s", dc)
 		}
 		if st, _ := c.Service(dc).Mastership("g"); st.Epoch != 1 || st.Master != "V1" {

@@ -209,7 +209,7 @@ func TestServiceRestartFromSnapshot(t *testing.T) {
 	if err := svc2.CatchUp(ctx, "g", 5); err != nil {
 		t.Fatalf("catch up restarted replica: %v", err)
 	}
-	if _, ok := svc2.DecidedEntry("g", 5); !ok {
+	if _, ok := svc2.LogSnapshot("g")[5]; !ok {
 		t.Fatal("restarted replica missed the new entry")
 	}
 }

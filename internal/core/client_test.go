@@ -151,7 +151,7 @@ func TestBeginAtStaleWriterLosesUnderBasic(t *testing.T) {
 	if res.Status != stats.Aborted {
 		t.Fatalf("stale writer result = %+v, want abort", res)
 	}
-	entry, _ := services["A"].DecidedEntry("g", 2)
+	entry, _ := services["A"].log("g").Entry(2)
 	if entry.Contains(tx.ID()) {
 		t.Fatalf("position 2 rewritten by stale writer: %v", entry)
 	}

@@ -46,7 +46,7 @@ func (c *Client) commitBasic(ctx context.Context, t *Tx) (CommitResult, error) {
 	if err != nil {
 		return CommitResult{Status: stats.Failed}, err
 	}
-	if decided.Contains(txn.ID) {
+	if wal.Contains(decided, txn.ID) {
 		return CommitResult{Status: stats.Committed, Pos: pos}, nil
 	}
 	return CommitResult{Status: stats.Aborted}, nil
@@ -86,7 +86,8 @@ func maxBallotVote(votes []paxos.Vote) (paxos.Vote, bool) {
 }
 
 // runInstance drives one Paxos instance to a decision and returns the
-// decided entry. waitAllPrepare selects the prepare collection mode (CP
+// decided entry's bytes, checked (wal.Check): the outcome is asked of them,
+// not decoded. waitAllPrepare selects the prepare collection mode (CP
 // inspects the full vote set; Basic proceeds at a majority). A run that uses
 // up Config.MaxRetries rounds fails with paxos.ErrUndecided.
 //
@@ -95,7 +96,7 @@ func maxBallotVote(votes []paxos.Vote) (paxos.Vote, bool) {
 // steps of the protocol to learn the winning value" (§4.1). This also makes
 // Paxos-CP's promotion sound: the conflict check runs against the actual
 // decided entry, never a guess.
-func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn wal.Txn, choose valueChooser, waitAllPrepare bool) (wal.Entry, error) {
+func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn wal.Txn, choose valueChooser, waitAllPrepare bool) (string, error) {
 	own := wal.Entry{Txns: []wal.Txn{txn}}
 	ownBytes := wal.Encode(own)
 
@@ -119,7 +120,7 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 			acc := c.proposer.Accept(ctx, group, pos, paxos.FastBallot, ownBytes)
 			if acc.Quorum() {
 				c.proposer.Notify(ctx, c.dc, group, pos, acc.ChosenAt, ownBytes)
-				return own, nil
+				return view(ownBytes), nil
 			}
 			// Contention or loss: fall back to the full protocol.
 		}
@@ -131,13 +132,13 @@ func (c *Client) runInstance(ctx context.Context, group string, pos int64, txn w
 		Choose: func(prep paxos.PrepareOutcome) ([]byte, error) { return choose(prep, own), nil },
 	})
 	if err != nil {
-		return wal.Entry{}, err
+		return "", err
 	}
 	// Apply phase: the value is decided, and the rest is notification.
 	c.proposer.Notify(ctx, c.dc, group, pos, chosenAt, value)
-	decided, err := wal.Decode(value)
-	if err != nil {
-		return wal.Entry{}, fmt.Errorf("core: decided value corrupt: %w", err)
+	decided := string(value)
+	if err := wal.Check(decided); err != nil {
+		return "", fmt.Errorf("core: decided value corrupt: %w", err)
 	}
 	return decided, nil
 }

@@ -50,11 +50,11 @@ func TestCompactScavengesBelowHorizon(t *testing.T) {
 		t.Fatalf("CompactedTo = %d, want 7", got)
 	}
 	// Entries below the horizon are gone; horizon and above survive.
-	if _, ok := s.DecidedEntry("g", 6); ok {
+	if _, ok := s.log("g").Entry(6); ok {
 		t.Fatal("entry 6 survived compaction")
 	}
 	for pos := int64(7); pos <= 10; pos++ {
-		if _, ok := s.DecidedEntry("g", pos); !ok {
+		if _, ok := s.log("g").Entry(pos); !ok {
 			t.Fatalf("entry %d lost by compaction", pos)
 		}
 	}

@@ -27,12 +27,13 @@ func (c *Client) commitCP(ctx context.Context, t *Tx) (CommitResult, error) {
 		if err != nil {
 			return CommitResult{Status: stats.Failed, Round: round}, err
 		}
-		if decided.Contains(txn.ID) {
+		if wal.Contains(decided, txn.ID) {
+			r, _ := wal.NewReader(decided)
 			return CommitResult{
 				Status:   stats.Committed,
 				Pos:      pos,
 				Round:    round,
-				Combined: len(decided.Txns) > 1,
+				Combined: r.Len() > 1,
 			}, nil
 		}
 		// Lost the position. Promotion is allowed only when the winners do
@@ -43,7 +44,7 @@ func (c *Client) commitCP(ctx context.Context, t *Tx) (CommitResult, error) {
 		if c.cfg.DisablePromotion {
 			return CommitResult{Status: stats.Aborted, Round: round}, nil
 		}
-		if decided.WritesAny(txn.ReadSet) {
+		if wal.WritesAny(decided, txn.ReadSet) {
 			return CommitResult{Status: stats.Aborted, Round: round}, nil
 		}
 		if c.cfg.MaxPromotions > 0 && round >= c.cfg.MaxPromotions {
@@ -84,7 +85,7 @@ func (c *Client) chooseCP(prep paxos.PrepareOutcome, own wal.Entry) []byte {
 		return wal.Encode(c.combine(own, prep.Votes))
 	}
 	if maxVotes > d/2 {
-		if decided, err := wal.Decode(maxVal); err == nil && !decided.Contains(own.Txns[0].ID) {
+		if won := string(maxVal); wal.Check(won) == nil && !wal.Contains(won, own.Txns[0].ID) {
 			// Another value has already won; drive it to decision and try
 			// for promotion afterwards.
 			return maxVal

@@ -14,6 +14,7 @@ import (
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
 	"paxoscp/internal/stats"
+	"paxoscp/internal/wal"
 )
 
 // collectReply returns a reply callback and a channel carrying the verdict.
@@ -130,6 +131,14 @@ func TestAsyncHandlerServesHotKinds(t *testing.T) {
 			func(m network.Message) bool { return m.OK && m.TS == 1 }},
 		{network.Message{Kind: network.KindRangeSnapshot, Group: "g", Value: "g1", Keys: []string{"g", "g1"}, TS: network.ResolvePos}, ok},
 		{network.Message{Kind: network.KindMigrate, Group: "g", Payload: []byte("junk")},
+			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
+		// A well-formed entry that is not a handoff alone: a transaction
+		// entry, and a handoff carrying a transaction.
+		{network.Message{Kind: network.KindMigrate, Group: "g", Payload: entryBytes("t6", 1, nil)},
+			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
+		{network.Message{Kind: network.KindMigrate, Group: "g", Payload: wal.Encode(wal.Entry{
+			Handoff: wal.NewHandoff(wal.HandoffOut, "g", "g1", []string{"g", "g1"}).Handoff,
+			Txns:    []wal.Txn{{ID: "t7", Writes: map[string]string{"x": "7"}}}})},
 			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
 		{network.Message{Kind: network.KindScan, Group: "g", Value: "", TS: network.ResolvePos},
 			func(m network.Message) bool { return m.OK && m.TS == 2 && len(m.Keys) == 1 }},

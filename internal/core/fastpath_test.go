@@ -328,7 +328,7 @@ func TestLostRemoteAppliesAreRecovered(t *testing.T) {
 				t.Fatalf("%s applied %s up to %d; the test needs position 2's notification lost", dc, group, got)
 			}
 		}
-		entry, _ := services["A"].DecidedEntry(group, 2)
+		entry, _ := services["A"].log(group).Entry(2)
 		return entry
 	}
 
@@ -351,7 +351,7 @@ func TestLostRemoteAppliesAreRecovered(t *testing.T) {
 	if err := services["C"].CatchUp(ctx, "g", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := services["C"].DecidedEntry("g", 2); !ok || !reflect.DeepEqual(got, want) {
+	if got, ok := services["C"].log("g").Entry(2); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("C caught up to %v ok=%v, want %v", got, ok, want)
 	}
 
@@ -377,7 +377,7 @@ func TestLostRemoteAppliesAreRecovered(t *testing.T) {
 	}
 	waitApplied(t, services, "h", 3)
 	for _, dc := range []string{"B", "C"} {
-		if got, ok := services[dc].DecidedEntry("h", 2); !ok || !reflect.DeepEqual(got, want) {
+		if got, ok := services[dc].log("h").Entry(2); !ok || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s holds %v ok=%v at h/2, want the entry A acknowledged, %v", dc, got, ok, want)
 		}
 	}

@@ -191,7 +191,7 @@ func TestCatchUpKeepsDecidedBytes(t *testing.T) {
 		if err := learn(a); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got, _ := a.log("g").EntryBytes(1); !bytes.Equal(got, decided) {
+		if got, _ := a.log("g").EntryBytes(1); got != string(decided) {
 			t.Errorf("%s: A holds %x at position 1, its peers %x", name, got, decided)
 		}
 		if err := a.ApplyDecided("g", 1, decided); err != nil {

@@ -100,11 +100,11 @@ func TestSubmitAutoClaimsAndStampsEpoch(t *testing.T) {
 	if res.Pos != 2 || res.Epoch != 1 {
 		t.Fatalf("commit pos/epoch = %d/%d, want 2/1 (claim at 1)", res.Pos, res.Epoch)
 	}
-	claim, ok := services["A"].DecidedEntry("g", 1)
+	claim, ok := services["A"].log("g").Entry(1)
 	if !ok || !claim.IsClaim() || claim.Epoch != 1 || claim.Master != "A" {
 		t.Fatalf("position 1 = %v ok=%v, want epoch-1 claim by A", claim, ok)
 	}
-	entry, ok := services["A"].DecidedEntry("g", 2)
+	entry, ok := services["A"].log("g").Entry(2)
 	if !ok || entry.Epoch != 1 || !entry.Contains(tx.ID()) {
 		t.Fatalf("position 2 = %v ok=%v, want epoch-1 stamped txn", entry, ok)
 	}

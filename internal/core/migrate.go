@@ -111,14 +111,16 @@ func (s *Service) handleRangeSnapshot(req network.Message) network.Message {
 // pipeline, whose verdict reaches reply as a submit's does; OK replies carry
 // the entry's log position in TS (the HandoffOut position is the frontier the
 // coordinator pins its final delta to). A non-master refuses with the usual
-// VerdictNotMaster hint.
+// VerdictNotMaster hint. The handoff is read from the payload's header: a
+// payload that is not a handoff entry, or one that carries transactions, is
+// refused.
 func (s *Service) handleMigrate(req network.Message, reply func(network.Message)) {
-	entry, err := wal.Decode(req.Payload)
-	if err != nil || !entry.IsHandoff() {
+	r, err := wal.NewReader(string(req.Payload))
+	if err != nil || !r.IsHandoff() || r.More() {
 		reply(network.Status(false, "bad migrate payload"))
 		return
 	}
-	s.pipeline(req.Group).SubmitHandoffAsync(entry.Handoff, reply)
+	s.pipeline(req.Group).SubmitHandoffAsync(r.Handoff(), reply)
 }
 
 // --- Migrator ---------------------------------------------------------------

@@ -162,7 +162,7 @@ func TestDecidedRowsAnswerLearners(t *testing.T) {
 			choose, waitAll = cl.chooseCP, true
 		}
 		own := wal.Txn{ID: "own", Origin: "A", Writes: map[string]string{"y": "2"}}
-		if got, err := cl.runInstance(ctx, "g", 1, own, choose, waitAll); err != nil || !got.Contains("winner") || got.Contains("own") {
+		if got, err := cl.runInstance(ctx, "g", 1, own, choose, waitAll); err != nil || !wal.Contains(got, "winner") || wal.Contains(got, "own") {
 			t.Fatalf("%v: runInstance = %v %v, want the decided entry", proto, got, err)
 		}
 		learned, err := services["A"].learn(ctx, "g", 1, true)
@@ -175,7 +175,7 @@ func TestDecidedRowsAnswerLearners(t *testing.T) {
 			}
 			// The instance's apply reached the log, which takes the planted
 			// row for what it is.
-			if e, ok := s.DecidedEntry("g", 1); !ok || !e.Contains("winner") {
+			if e, ok := s.log("g").Entry(1); !ok || !e.Contains("winner") {
 				t.Fatalf("%v: %s's log reads %v %v at the position", proto, dc, e, ok)
 			}
 		}

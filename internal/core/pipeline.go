@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"paxoscp/internal/deadline"
 	"paxoscp/internal/network"
@@ -30,9 +31,11 @@ import (
 //     foreign entry invalidated abort.
 //
 // Up to SubmitWindow positions replicate concurrently; the pipeline keeps
-// their entries as its in-flight window, conflict checks run speculatively
-// against it, and replog's out-of-order Append plus watermark apply retire
-// decided positions in order. The pipeline assumes one active master per
+// their encoded entries as its in-flight window, conflict checks run
+// speculatively against it — every entry they walk, in the window or in the
+// log, is asked from its bytes (wal.Contains, wal.WritesAny) — and replog's
+// out-of-order Append plus watermark apply retire decided positions in
+// order. The pipeline assumes one active master per
 // group at a time (the paper's long-term master, §7); see DESIGN.md §8 for
 // the invariants and the failover analysis.
 
@@ -120,10 +123,10 @@ type pipeline struct {
 	queue   []*pendingSubmit
 	running bool // dispatcher goroutine live
 	closed  bool
-	// inflight holds the entry proposed at each position whose Paxos
-	// instance has not resolved; issued is the highest position ever
+	// inflight holds the encoded entry proposed at each position whose
+	// Paxos instance has not resolved; issued is the highest position ever
 	// placed, so none is issued twice (invariant W1).
-	inflight map[int64]wal.Entry
+	inflight map[int64]string
 	issued   int64
 	// epoch is the master epoch this pipeline stamps entries with (0 until
 	// mastership is claimed). deposed is set when a higher epoch is
@@ -153,7 +156,7 @@ func (s *Service) pipeline(group string) *pipeline {
 			limit:      s.submitWindow,
 			maxCombine: s.submitCombine,
 			room:       s.entryRoom(group),
-			inflight:   make(map[int64]wal.Entry),
+			inflight:   make(map[int64]string),
 			closed:     s.closed,
 		}
 	}
@@ -465,6 +468,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	if len(members) == 0 {
 		return
 	}
+	raw := wal.Encode(entry)
 	p.mu.Lock()
 	if p.closed {
 		// Closed while the batch was being admitted: nothing of it has
@@ -473,10 +477,18 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 		p.fail(members, network.Refuse(network.VerdictShutdown, ""))
 		return
 	}
-	p.inflight[pos] = entry
+	p.inflight[pos] = view(raw)
 	p.issued = pos
 	p.mu.Unlock()
-	go p.replicate(pos, entry, members)
+	go p.replicate(pos, epoch, raw, members)
+}
+
+// view returns an entry this service encoded as a string sharing its bytes,
+// for a Reader to walk. Nothing writes an encoded entry once it is sent: a
+// transport's request is read-only (network.AsyncHandler), and the log
+// compares or copies what it appends.
+func view(encoded []byte) string {
+	return unsafe.String(unsafe.SliceData(encoded), len(encoded))
 }
 
 // SubmitHandoffAsync queues a migration handoff entry for placement
@@ -534,7 +546,8 @@ const (
 // against unknown history. The same walk finds an earlier attempt of txn
 // itself (a resubmission carries the same read position, so every earlier
 // placement lies inside the walked range); one that was fenced at apply
-// committed nothing and is stepped over.
+// committed nothing and is stepped over. Each entry walked — in the window,
+// pending or applied in the log — is asked from its bytes.
 func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar wal.Entry) (admission, int64, error) {
 	for q := txn.ReadPos + 1; q < pos; q++ {
 		p.mu.Lock()
@@ -542,7 +555,7 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 		p.mu.Unlock()
 		ok := inFlight
 		if !ok {
-			prev, ok = p.lg.Entry(q)
+			prev, ok = p.lg.EntryBytes(q)
 		}
 		if !ok {
 			var err error
@@ -550,7 +563,7 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 				return admitOK, 0, fmt.Errorf("log hole at %d: %v", q, err)
 			}
 		}
-		if txn.ID != "" && prev.Contains(txn.ID) {
+		if txn.ID != "" && wal.Contains(prev, txn.ID) {
 			switch {
 			case inFlight:
 				return admitInFlight, q, nil
@@ -559,7 +572,7 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 			}
 			continue
 		}
-		if prev.WritesAny(txn.ReadSet) {
+		if wal.WritesAny(prev, txn.ReadSet) {
 			return admitConflict, 0, nil
 		}
 	}
@@ -584,7 +597,8 @@ func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
 		ps.reply(network.Status(false, "earlier attempt's verdict unavailable: "+err.Error()))
 		return
 	}
-	entry, _ := p.lg.Entry(pos)
+	raw, _ := p.lg.EntryBytes(pos)
+	entry, _ := wal.NewReader(raw)
 	switch to, moved := p.lg.MovedTxn(pos, ps.txn.ID); {
 	case p.lg.Voided(pos):
 		ps.reply(network.Status(false, "earlier attempt was fenced; resubmit"))
@@ -593,7 +607,7 @@ func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
 	default:
 		ps.reply(network.Message{
 			Kind: network.KindValue, OK: true, TS: pos,
-			Combined: len(entry.Txns) > 1, Epoch: entry.Epoch,
+			Combined: entry.Len() > 1, Epoch: entry.Epoch,
 		})
 	}
 }
@@ -603,34 +617,35 @@ func (p *pipeline) settleDuplicate(ps *pendingSubmit, pos int64) {
 // message was lost, or one of this master's own positions whose replication
 // outcome stayed unknown. Learning drives a partially accepted value to
 // decision and fills a genuinely undecided position with a no-op, so new
-// transactions are never placed above an unresolved gap (invariant W4).
-func (p *pipeline) resolveHole(ctx context.Context, pos int64) (wal.Entry, error) {
+// transactions are never placed above an unresolved gap (invariant W4). It
+// returns the decided entry's bytes as the log holds them.
+func (p *pipeline) resolveHole(ctx context.Context, pos int64) (string, error) {
 	decided, err := p.svc.learn(ctx, p.group, pos, true)
 	if err != nil {
-		return wal.Entry{}, err
+		return "", err
 	}
 	if err := p.svc.ApplyDecided(p.group, pos, decided); err != nil {
-		return wal.Entry{}, err
+		return "", err
 	}
-	if entry, ok := p.lg.Entry(pos); ok {
-		return entry, nil
+	if raw, ok := p.lg.EntryBytes(pos); ok {
+		return raw, nil
 	}
-	return wal.Entry{}, fmt.Errorf("position %d compacted once resolved", pos)
+	return "", fmt.Errorf("position %d compacted once resolved", pos)
 }
 
-// replicate drives one position's entry to decision (fast accept round,
-// full Paxos fallback), lands it in the local log, frees the window slot,
-// and settles every member: commit on a won race, promotion or conflict
-// abort on a lost one, failure when the outcome is unknown. "Decided with our
-// value" is not yet "committed": the entry may have been fenced by a claim
-// that landed below it, or a transaction voided by a handoff, so the verdict
-// waits for the apply watermark to cover the position and consults the
-// apply-time record.
-func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmit) {
+// replicate drives one position's entry — raw, stamped with epoch — to
+// decision (fast accept round, full Paxos fallback), lands it in the local
+// log, frees the window slot, and settles every member: commit on a won
+// race, promotion or conflict abort on a lost one, failure when the outcome
+// is unknown. "Decided with our value" is not yet "committed": the entry may
+// have been fenced by a claim that landed below it, or a transaction voided
+// by a handoff, so the verdict waits for the apply watermark to cover the
+// position and consults the apply-time record.
+func (p *pipeline) replicate(pos, epoch int64, raw []byte, members []*pendingSubmit) {
 	ctx := deadline.Start(context.Background(), 4*p.svc.timeout)
 	defer ctx.End()
 	skipFast := time.Now().UnixNano() < p.fastOff.Load()
-	decided, committed, fast, err := p.svc.replicateMaster(ctx, p.group, pos, wal.Encode(entry), skipFast)
+	decided, committed, fast, err := p.svc.replicateMaster(ctx, p.group, pos, raw, skipFast)
 	if fast == fastDegraded {
 		// A peer is unreachable, so unanimity is impossible: skip the fast
 		// round for a while rather than paying a doomed wait on every
@@ -676,7 +691,8 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 			p.fail(members, network.Refuse(network.VerdictDeposed, ""))
 			return
 		}
-		combined := len(entry.Txns) > 1
+		// The members are the entry's transactions, one each.
+		combined := len(members) > 1
 		for _, ps := range members {
 			// A handoff below pos may have voided this transaction (rules
 			// M1/M2): its writes applied nowhere, so the verdict is the
@@ -687,7 +703,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 			}
 			ps.reply(network.Message{
 				Kind: network.KindValue, OK: true, TS: pos,
-				Combined: combined, Epoch: entry.Epoch,
+				Combined: combined, Epoch: epoch,
 			})
 		}
 		return
@@ -696,13 +712,12 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	// or recovery interference). Promote the members to compete for the
 	// next position instead of aborting (invariant W3) — except those whose
 	// reads the decided entry invalidated, the paper's §5 promotion rule,
-	// and those whose attempt budget is spent.
-	decEntry, derr := wal.Decode(decided)
-	if derr != nil {
-		p.fail(members, network.Status(false, "decided value corrupt: "+derr.Error()))
-		return
-	}
-	if decEntry.IsClaim() && decEntry.Epoch > entry.Epoch {
+	// and those whose attempt budget is spent. The decided bytes are asked,
+	// not decoded: ApplyDecided checked them, and bytes that do not hold
+	// write every key (wal.WritesAny), so no member is promoted past them.
+	won := string(decided)
+	dec, _ := wal.NewReader(won)
+	if dec.Master != "" && dec.Epoch > epoch {
 		// Beaten by a takeover claim: we are deposed. Promotion would only
 		// place fenced entries; drain with definitive failures (F3).
 		p.noteDeposed()
@@ -717,7 +732,7 @@ func (p *pipeline) replicate(pos int64, entry wal.Entry, members []*pendingSubmi
 	for _, ps := range members {
 		ps.attempts++
 		switch {
-		case decEntry.WritesAny(ps.txn.ReadSet):
+		case wal.WritesAny(won, ps.txn.ReadSet):
 			ps.reply(network.Refuse(network.VerdictConflict, ""))
 		case ps.attempts >= submitAttempts:
 			ps.reply(network.Status(false, "master could not place transaction"))

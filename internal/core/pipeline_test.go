@@ -357,3 +357,75 @@ func TestPipelineTakeStaysWithinRoom(t *testing.T) {
 		t.Errorf("batches of %v, want [2 2]", sizes)
 	}
 }
+
+// TestPipelineAdmitOverEachPlace: admission asks each entry after the read
+// position from its bytes, wherever the entry is — the in-flight window, the
+// log's pending set, or an applied store row — for a conflict, an earlier
+// attempt of the same transaction, or nothing. The log: 1 a claim at epoch
+// 2; 2 an entry stamped epoch 1, fenced at apply; 3 applied; 4 a hole; 5
+// pending above it; 6 in flight.
+func TestPipelineAdmitOverEachPlace(t *testing.T) {
+	s := NewService("A", kvstore.New(), nil)
+	defer s.Close()
+	p := s.pipeline("g")
+	entry := func(epoch int64, id, key string) []byte {
+		return wal.Encode(wal.Entry{Epoch: epoch, Txns: []wal.Txn{{ID: id, Origin: "A", Writes: map[string]string{key: "1"}}}})
+	}
+	for pos, b := range map[int64][]byte{
+		1: wal.Encode(wal.NewClaim(2, "A")),
+		2: entry(1, "void", "v"),
+		3: entry(2, "applied", "a"),
+		5: entry(2, "pending", "p"),
+	} {
+		if _, err := p.lg.Append(pos, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.lg.WaitApplied(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !p.lg.Voided(2) || p.lg.Applied() != 3 || !p.lg.Has(5) {
+		t.Fatalf("log: voided(2) %v, applied %d, has(5) %v; want true, 3, true", p.lg.Voided(2), p.lg.Applied(), p.lg.Has(5))
+	}
+	flight := entry(2, "flight", "f")
+	p.mu.Lock()
+	p.inflight[6] = string(flight)
+	p.mu.Unlock()
+
+	for _, tc := range []struct {
+		name     string
+		id       string
+		readPos  int64 // the walk covers (readPos, pos)
+		pos      int64
+		reads    []string
+		want     admission
+		wantAt   int64
+		inEntry  string // a transaction ID already admitted to the entry
+		entryKey string // ... and the key it writes
+	}{
+		{name: "applied conflict", id: "x", readPos: 2, pos: 4, reads: []string{"a"}, want: admitConflict},
+		{name: "applied duplicate", id: "applied", readPos: 2, pos: 4, want: admitDecided, wantAt: 3},
+		{name: "voided duplicate stepped over", id: "void", readPos: 1, pos: 4, reads: []string{"q"}, want: admitOK},
+		{name: "applied no conflict", id: "x", readPos: 1, pos: 4, reads: []string{"q"}, want: admitOK},
+		{name: "pending conflict", id: "x", readPos: 4, pos: 6, reads: []string{"p"}, want: admitConflict},
+		{name: "pending duplicate", id: "pending", readPos: 4, pos: 6, want: admitDecided, wantAt: 5},
+		{name: "pending no conflict", id: "x", readPos: 4, pos: 6, reads: []string{"a"}, want: admitOK},
+		{name: "in-flight conflict", id: "x", readPos: 5, pos: 7, reads: []string{"f"}, want: admitConflict},
+		{name: "in-flight duplicate", id: "flight", readPos: 5, pos: 7, want: admitInFlight, wantAt: 6},
+		{name: "in-flight no conflict", id: "x", readPos: 5, pos: 7, reads: []string{"p"}, want: admitOK},
+		{name: "entry conflict", id: "x", readPos: 6, pos: 7, reads: []string{"e"}, inEntry: "y", entryKey: "e", want: admitConflict},
+		{name: "entry duplicate", id: "y", readPos: 6, pos: 7, inEntry: "y", entryKey: "e", want: admitInFlight, wantAt: 7},
+	} {
+		var soFar wal.Entry
+		if tc.inEntry != "" {
+			soFar.Txns = []wal.Txn{{ID: tc.inEntry, Writes: map[string]string{tc.entryKey: "1"}}}
+		}
+		txn := wal.Txn{ID: tc.id, Origin: "A", ReadPos: tc.readPos, ReadSet: tc.reads}
+		got, at, err := p.admit(ctx, txn, tc.pos, soFar)
+		if err != nil || got != tc.want || at != tc.wantAt {
+			t.Errorf("%s: admit = %v at %d (%v), want %v at %d", tc.name, got, at, err, tc.want, tc.wantAt)
+		}
+	}
+}

@@ -487,13 +487,6 @@ func (s *Service) LogSnapshot(group string) map[int64]wal.Entry {
 	return s.log(group).Snapshot()
 }
 
-// DecidedEntry returns the decided log entry at pos, if this datacenter has
-// learned it. The entry may be served from the replog cache: treat it as
-// read-only.
-func (s *Service) DecidedEntry(group string, pos int64) (wal.Entry, bool) {
-	return s.log(group).Entry(pos)
-}
-
 // --- transaction API handlers -------------------------------------------
 
 // resolveReadTS turns a request's TS into the position the read is served
@@ -601,7 +594,7 @@ func (s *Service) handleFetchLog(req network.Message) network.Message {
 		}
 		return network.Message{Kind: network.KindValue, OK: false}
 	}
-	return network.Message{Kind: network.KindValue, OK: true, Payload: raw}
+	return network.Message{Kind: network.KindValue, OK: true, Payload: []byte(raw)}
 }
 
 // --- leader fast path -----------------------------------------------------
@@ -653,8 +646,8 @@ func (s *Service) handleClaim(req network.Message) network.Message {
 // winning proposer of position pos-1 (the first transaction in the decided
 // entry — under combination the proposer's own transaction heads the list).
 // When pos-1 is unknown locally or is a no-op, there is no usable leader and
-// Leader returns "". The origin is read from the entry's bytes (Log.Origin):
-// nothing is decoded.
+// Leader returns "". The origin is read from the entry's bytes: nothing is
+// decoded.
 func (s *Service) Leader(group string, pos int64) string {
 	if pos <= 1 {
 		// First position: no previous winner. By convention the smallest
@@ -669,8 +662,13 @@ func (s *Service) Leader(group string, pos int64) string {
 		}
 		return peers[0]
 	}
-	origin, _ := s.log(group).Origin(pos - 1)
-	return origin
+	raw, _ := s.log(group).EntryBytes(pos - 1)
+	r, err := wal.NewReader(raw)
+	if err != nil || !r.More() {
+		return ""
+	}
+	t, _ := r.Next() // the log checked the bytes when it queued them
+	return t.Origin
 }
 
 // --- catch-up and recovery ------------------------------------------------
@@ -840,7 +838,7 @@ func (s *Service) learn(ctx context.Context, group string, pos int64, fillNoOp b
 var errNotFetched = errors.New("core: no peer holds the decided entry")
 
 // fetchDecided asks the peers for the decided entry at pos (KindFetchLog) and
-// returns the first payload that decodes, as it came: errNotFetched when none
+// returns the first payload that parses (wal.Check), as it came: errNotFetched when none
 // of them has it, errSnapshotRequired when one has compacted past it. The last peer that served a fetch goes first — during
 // bulk catch-up an unreachable peer earlier in the list would otherwise cost
 // one timeout per position.
@@ -864,7 +862,7 @@ func (s *Service) fetchDecided(ctx context.Context, group string, pos int64) ([]
 		resp, err := s.transport.Send(cctx, dc, network.Message{Kind: network.KindFetchLog, Group: group, Pos: pos})
 		cctx.End()
 		if err == nil && resp.OK {
-			if _, derr := wal.Decode(resp.Payload); derr == nil {
+			if wal.Check(string(resp.Payload)) == nil {
 				s.fetchPeer.Store(dc)
 				return resp.Payload, nil
 			}

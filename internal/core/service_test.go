@@ -91,7 +91,7 @@ func TestServiceApplyConflictingEntryRejected(t *testing.T) {
 	if err := s.ApplyDecided("g", 1, entryBytes("OTHER", 0, map[string]string{"x": "9"})); err == nil {
 		t.Fatal("conflicting rewrite of decided position accepted")
 	}
-	entry, ok := s.DecidedEntry("g", 1)
+	entry, ok := s.log("g").Entry(1)
 	if !ok || !entry.Contains("t1") {
 		t.Fatalf("original entry lost: %v %v", entry, ok)
 	}
@@ -258,7 +258,7 @@ func TestServiceRecoverLearnsMissedEntries(t *testing.T) {
 	if got := services["C"].LastApplied("g"); got != 4 {
 		t.Fatalf("C horizon after recovery = %d, want 4", got)
 	}
-	entry, ok := services["C"].DecidedEntry("g", 4)
+	entry, ok := services["C"].log("g").Entry(4)
 	if !ok || !entry.Contains("t4") {
 		t.Fatalf("C log position 4 = %v %v", entry, ok)
 	}
@@ -329,8 +329,8 @@ func TestConcurrentLearnersAgree(t *testing.T) {
 			t.Fatalf("%s: %v", dc, err)
 		}
 		for pos := int64(1); pos <= positions; pos++ {
-			got, _ := services[dc].DecidedEntry("g", pos)
-			want, _ := services[dcs[0]].DecidedEntry("g", pos)
+			got, _ := services[dc].log("g").Entry(pos)
+			want, _ := services[dcs[0]].log("g").Entry(pos)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("position %d: %s holds %+v, %s holds %+v", pos, dc, got, dcs[0], want)
 			}

@@ -1,7 +1,6 @@
 // Package replog is the per-group replicated-log subsystem of the
 // transaction tier (DESIGN.md §4). A Log owns one group's decided-entry
-// log, its contiguously-applied watermark, and a decoded-entry cache;
-// decided positions drain into kvstore write batches on a Pool, and only
+// log and its contiguously-applied watermark; decided positions drain into kvstore write batches on a Pool, and only
 // there: a Transaction Service opens every group's Log on one shared Pool
 // (Pool.Open) — GOMAXPROCS workers, each group's log pinned to one of them
 // by a hash of its name, so one worker drains a given log at a time and
@@ -16,8 +15,7 @@
 // keeps its durable state in store rows (see keys.go) — services stay
 // stateless in the paper's sense, a restart rebuilds the Log from the store,
 // and on a disk-backed store (DESIGN.md §14) that covers real crashes — but
-// the hot-path state (watermark, pending entries, decoded cache) lives in
-// memory, and readers block on the watermark through WaitApplied instead of
+// the hot-path state (watermark, pending entries) lives in memory, and readers block on the watermark through WaitApplied instead of
 // polling the meta row.
 //
 // A position has one row, and the vote is the entry: the row is the Paxos
@@ -59,6 +57,11 @@
 // forbid (MovedTxn reports them). Every other question about that state goes
 // to a Fence, an immutable value taken at the applied watermark (Log.Fence)
 // or at a pin (Log.FenceAt).
+//
+// A Log keeps no decoded entry. It hands out a decided entry's bytes
+// (EntryBytes), checked when they were queued, and the protocols ask them
+// everything through a wal.Reader; Entry and Snapshot decode on demand, for
+// tests and tooling.
 //
 // A Log holds decided entries only. The positions a master has proposed and
 // not yet resolved are its submit pipeline's in-flight window, kept in

@@ -173,7 +173,7 @@ func TestInstallSnapshotDropsRowsItJumpsOver(t *testing.T) {
 	if err := l.WaitApplied(waitCtx(t), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.Entry(3); !ok { // into the decoded cache
+	if _, ok := l.Entry(3); !ok {
 		t.Fatal("entry 3 unreadable before the install")
 	}
 	if err := l.InstallSnapshot(20, EpochState{}, MigrationState{}); err != nil {

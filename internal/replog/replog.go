@@ -19,11 +19,11 @@ import (
 // ErrClosed is returned by operations on a closed Log.
 var ErrClosed = errors.New("replog: log closed")
 
-// cacheLimit bounds the decoded-entry cache per group (Entry fills it).
-// Entries this far behind the newest cached position are evicted; compaction
-// evicts eagerly. It bounds the fencing and migration records kept per
-// position too.
-const cacheLimit = 4096
+// recordLimit bounds how far behind the applied watermark the per-position
+// apply-time records — voided and movedTxns — are kept: the pipeline asks
+// them of positions it placed moments ago. Compaction drops voided's below
+// its horizon at once.
+const recordLimit = 4096
 
 // Log is one group's replicated log at one datacenter. All methods are safe
 // for concurrent use. Construct with Open or Pool.Open.
@@ -62,8 +62,6 @@ type Log struct {
 	compacted  int64               // compaction horizon
 	pending    map[int64]queued    // decided but not yet applied (pos > applied)
 	unlogged   []int64             // pending positions queued since the last drain: no drain has looked at their rows yet
-	cache      map[int64]wal.Entry // entries Entry decoded (read-only, shared)
-	cacheTop   int64               // highest cached position (eviction anchor)
 	pins       map[int64]time.Time // read-pin position -> expiry (PinReads)
 	pinsKept   int                 // len(pins) after the last walk dropped the expired ones
 	pinVisits  int                 // pins those walks have looked at, for the cost test
@@ -90,7 +88,7 @@ type Log struct {
 	// a restart resets it to the Open time, which only delays takeover.
 	epoch     EpochState
 	renewedAt time.Time
-	voided    map[int64]bool // positions fenced at apply (entries that committed nothing)
+	voided    map[int64]bool // positions fenced at apply (entries that committed nothing); recordLimit bounds it
 
 	// Live-migration state (DESIGN.md §15), maintained by drain exactly like
 	// the epoch state: mig is the derived view of every applied handoff
@@ -98,7 +96,8 @@ type Log struct {
 	// mutated in place), and movedTxns records transactions
 	// voided by the migration rules M1/M2 — pos -> txn ID -> destination
 	// group ("" = inbound-unopened here) — so the pipeline can answer them
-	// with the retryable moved/migrating verdicts instead of commits.
+	// with the retryable moved/migrating verdicts instead of commits;
+	// recordLimit bounds it.
 	mig       migState
 	movedTxns map[int64]map[string]string
 }
@@ -212,7 +211,6 @@ func open(store *kvstore.Store, group string, pool *Pool) *Log {
 		pool:      pool,
 		shard:     groupShard(group),
 		pending:   make(map[int64]queued),
-		cache:     make(map[int64]wal.Entry),
 		pins:      make(map[int64]time.Time),
 		voided:    make(map[int64]bool),
 		movedTxns: make(map[int64]map[string]string),
@@ -605,77 +603,39 @@ func (l *Log) wait(ctx context.Context, pos int64, logged bool) error {
 	}
 }
 
-// Has reports whether the decided entry at pos is known locally (pending,
-// cached, or in the store), without decoding it.
+// Has reports whether the decided entry at pos is known locally — pending,
+// or in the store.
 func (l *Log) Has(pos int64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, inCache := l.cache[pos]; inCache {
-		return true
-	}
-	_, ok := l.bytesLocked(pos)
+	_, ok := l.EntryBytes(pos)
 	return ok
 }
 
 // Entry returns the decided entry at pos, if known locally, decoded from its
-// bytes on the first ask and cached: applying an entry decodes nothing, so
-// the cache holds only the entries asked for — the master's admission walk,
-// and tooling. The returned entry may be shared with the cache and other
-// callers: treat it as read-only (Clone before mutating).
+// bytes on every ask, for tests and tooling: the protocols ask a decided
+// entry everything from its bytes (EntryBytes, wal.Reader).
 func (l *Log) Entry(pos int64) (wal.Entry, bool) {
-	l.mu.Lock()
-	if e, ok := l.cache[pos]; ok {
-		l.mu.Unlock()
-		return e, true
-	}
-	raw, ok := l.bytesLocked(pos)
-	l.mu.Unlock()
+	raw, ok := l.EntryBytes(pos)
 	if !ok {
 		return wal.Entry{}, false
 	}
 	entry, err := wal.DecodeString(raw)
-	if err != nil {
-		return wal.Entry{}, false
-	}
-	l.mu.Lock()
-	l.cacheLocked(pos, entry)
-	l.mu.Unlock()
-	return entry, true
+	return entry, err == nil
 }
 
-// Origin returns the origin of the first transaction of the decided entry at
-// pos, read from its bytes — "" for an entry of none — and false when pos is
-// not decided here: the position's leader (paper §5) without a decode.
-func (l *Log) Origin(pos int64) (string, bool) {
+// EntryBytes returns the encoded decided entry at pos, if known locally —
+// the queued bytes while pos is pending, the stored row's once it is applied
+// — with no copy: stored contents are immutable. It was checked when it was
+// queued (wal.Check), so every question asked of it through a wal.Reader
+// walks bytes that hold.
+func (l *Log) EntryBytes(pos int64) (string, bool) {
 	l.mu.Lock()
-	raw, ok := l.bytesLocked(pos)
-	l.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	r, err := wal.NewReader(raw)
-	if err != nil || !r.More() {
-		return "", err == nil
-	}
-	t, err := r.Next()
-	return t.Origin, err == nil
-}
-
-// EntryBytes returns the encoded decided entry at pos, for serving catch-up
-// fetches — from the pending set when no drain has written its row yet.
-func (l *Log) EntryBytes(pos int64) ([]byte, bool) {
-	l.mu.Lock()
-	raw, ok := l.bytesLocked(pos)
-	l.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return []byte(raw), true
+	defer l.mu.Unlock()
+	return l.bytesLocked(pos)
 }
 
 // Snapshot returns every decided log entry known locally, keyed by position,
-// each decoded from its bytes for the caller (the cache is not consulted nor
-// filled); intended for the history checker and tooling.
+// each decoded from its bytes for the caller; intended for the history
+// checker and tooling.
 func (l *Log) Snapshot() map[int64]wal.Entry {
 	out := make(map[int64]wal.Entry)
 	decode := func(pos int64, raw string) {
@@ -799,11 +759,6 @@ func (l *Log) Compact(horizon int64, scavenge func(from, to int64)) (int64, erro
 	if horizon > l.compacted {
 		l.compacted = horizon
 	}
-	for pos := range l.cache {
-		if pos < horizon {
-			delete(l.cache, pos)
-		}
-	}
 	for pos := range l.voided {
 		if pos < horizon {
 			delete(l.voided, pos)
@@ -897,11 +852,6 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 			delete(l.pending, pos)
 		}
 	}
-	for pos := range l.cache {
-		if pos <= horizon {
-			delete(l.cache, pos)
-		}
-	}
 	l.due = l.settleLocked(l.due)
 	l.mu.Unlock()
 	l.due = fire(l.due)
@@ -918,27 +868,6 @@ func (l *Log) InstallSnapshot(horizon int64, epoch EpochState, mig MigrationStat
 
 // notify schedules a drain of the log on its pool.
 func (l *Log) notify() { l.pool.schedule(l) }
-
-// cacheLocked inserts a decoded entry, keeping the cache bounded: the
-// position trailing the newest by cacheLimit is dropped eagerly, and when
-// scattered reads (e.g. a full log scan) still push the size over the
-// limit, arbitrary entries are evicted — hot positions simply re-enter on
-// their next read. Caller holds l.mu.
-func (l *Log) cacheLocked(pos int64, entry wal.Entry) {
-	if pos > l.cacheTop {
-		l.cacheTop = pos
-	}
-	delete(l.cache, l.cacheTop-cacheLimit)
-	if len(l.cache) >= cacheLimit {
-		for p := range l.cache {
-			delete(l.cache, p)
-			if len(l.cache) < cacheLimit {
-				break
-			}
-		}
-	}
-	l.cache[pos] = entry
-}
 
 // drain is what makes a decided entry durable. Each pass lands one
 // kvstore.ApplyBatch: the rows, in their decided form, of the positions
@@ -1144,9 +1073,9 @@ func (l *Log) drain() {
 		for _, p := range newVoid {
 			l.voided[p] = true
 		}
-		if len(l.voided) > cacheLimit {
+		if len(l.voided) > recordLimit {
 			for p := range l.voided {
-				if p <= pos-cacheLimit {
+				if p <= pos-recordLimit {
 					delete(l.voided, p)
 				}
 			}
@@ -1154,9 +1083,9 @@ func (l *Log) drain() {
 		for p, m := range newMoved {
 			l.movedTxns[p] = m
 		}
-		if len(l.movedTxns) > cacheLimit {
+		if len(l.movedTxns) > recordLimit {
 			for p := range l.movedTxns {
-				if p <= pos-cacheLimit {
+				if p <= pos-recordLimit {
 					delete(l.movedTxns, p)
 				}
 			}

@@ -402,56 +402,6 @@ func TestLogBatchedApplyWritesDataRows(t *testing.T) {
 	}
 }
 
-func TestLogEntryServedFromCacheAfterStoreDelete(t *testing.T) {
-	l, store := openLog(t)
-	b := testEntry("t1", 0, map[string]string{"x": "1"})
-	if _, err := l.Append(1, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WaitApplied(waitCtx(t), 1); err != nil {
-		t.Fatal(err)
-	}
-	// The first Entry decodes the row's bytes into the cache (applying
-	// decoded nothing). Deleting the durable row behind the cache's back:
-	// Entry still serves the decoded entry, proving no store round-trip or
-	// re-decode happens.
-	if entry, ok := l.Entry(1); !ok || !entry.Contains("t1") {
-		t.Fatalf("entry = %v %v", entry, ok)
-	}
-	store.Delete(paxos.StateKey("g", 1))
-	entry, ok := l.Entry(1)
-	if !ok || !entry.Contains("t1") {
-		t.Fatalf("cached entry = %v %v", entry, ok)
-	}
-}
-
-// TestLogEntryCacheBounded scans a log larger than the cache limit in
-// descending position order (the pattern a full LogSnapshot produces) and
-// checks the decoded-entry cache stays bounded.
-func TestLogEntryCacheBounded(t *testing.T) {
-	l, _ := openLog(t)
-	n := int64(cacheLimit + 128)
-	for pos := int64(1); pos <= n; pos++ {
-		if _, err := l.Append(pos, testEntry(fmt.Sprintf("t%d", pos), pos-1, map[string]string{"k": "v"})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.WaitApplied(waitCtx(t), n); err != nil {
-		t.Fatal(err)
-	}
-	for pos := n; pos >= 1; pos-- {
-		if _, ok := l.Entry(pos); !ok {
-			t.Fatalf("entry %d missing", pos)
-		}
-	}
-	l.mu.Lock()
-	size := len(l.cache)
-	l.mu.Unlock()
-	if size > cacheLimit {
-		t.Fatalf("cache holds %d entries, limit is %d", size, cacheLimit)
-	}
-}
-
 func TestLogReopenRecoversWatermarkAndPending(t *testing.T) {
 	store := kvstore.New()
 	l := Open(store, "g")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // The binary codec serializes Entries for two purposes: as the Paxos value
@@ -32,12 +33,15 @@ import (
 // and all three versions decode.
 //
 // Allocation contract (DESIGN.md §9). Encode sizes its output exactly and
-// allocates it once. A Reader (NewReader, Check) walks an encoded entry and
-// allocates nothing: every string it returns is a substring of its input,
-// and it checks every bound Decode does — DecodeString is a Reader's walk
-// that builds what it reads, so there is one parser. A replica applies a
-// decided entry from its bytes through a Reader and decodes one only when
-// asked for the entry itself. DecodeString allocates no string, so its only
+// allocates it once. A Reader (NewReader, Check, Contains, WritesAny) walks
+// an encoded entry and allocates nothing: every string it returns is a
+// substring of its input, and it checks every bound Decode does —
+// DecodeString is a Reader's walk that builds what it reads, so there is one
+// parser. A decided or proposed entry is asked everything from its bytes: a
+// replica applies it, the master admits against it and a client learns its
+// outcome through a Reader. Only an entry being built — a submit, the
+// master's entry under construction, CP's combination — and tooling decode
+// one. DecodeString allocates no string, so its only
 // allocations are the Txns slice and each transaction's read set and write
 // map. Decode is one copy of its input and then DecodeString, so the entry
 // never aliases the caller's bytes — a pooled datagram buffer may be reused
@@ -340,6 +344,40 @@ func Check(s string) error {
 	return err
 }
 
+// Contains is Entry.Contains asked of the encoded entry s: whether a
+// transaction of it has ID id. A Reader walks all of s, allocating nothing;
+// bytes Check refuses hold no transaction.
+func Contains(s, id string) bool {
+	r, err := NewReader(s)
+	found := false
+	for err == nil && r.More() {
+		var t TxnView
+		t, err = r.Next()
+		found = found || t.ID == id
+	}
+	return found && err == nil
+}
+
+// WritesAny is Entry.WritesAny asked of the encoded entry s: whether a
+// transaction of it writes any of keys. A Reader walks all of s, allocating
+// nothing; bytes Check refuses write every key — a conflict, the answer that
+// commits nothing.
+func WritesAny(s string, keys []string) bool {
+	r, err := NewReader(s)
+	hit := false
+	for err == nil && r.More() {
+		var t TxnView
+		if t, err = r.Next(); err == nil && !hit {
+			for k := range t.WriteKeys() {
+				if hit = slices.Contains(keys, k); hit {
+					break
+				}
+			}
+		}
+	}
+	return hit || err != nil
+}
+
 // Reader walks an encoded entry without building it: the header's fields,
 // then one transaction per Next, each checked as it is read — every bound
 // Decode enforces is enforced here, DecodeString being a walk of a Reader —
@@ -406,6 +444,10 @@ func NewReader(s string) (Reader, error) {
 
 // More reports whether a transaction is left to read.
 func (r *Reader) More() bool { return r.left > 0 }
+
+// Len is the number of transactions not yet read: before the first Next,
+// how many the entry holds.
+func (r *Reader) Len() int { return r.left }
 
 // IsHandoff reports whether the entry is a migration handoff entry.
 func (r *Reader) IsHandoff() bool { return r.hasHand }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +125,56 @@ func TestReaderAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = Check(s) }); allocs != 0 {
 		t.Errorf("Check allocates %.0f times, want 0", allocs)
+	}
+	// The questions the master and the clients ask of a decided entry, each
+	// answered by a walk to the entry's end whatever it finds.
+	keys := []string{"r9", "attr4"}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Contains(s, "t1") }); allocs != 0 {
+		t.Errorf("Contains allocates %.0f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = WritesAny(s, keys) }); allocs != 0 {
+		t.Errorf("WritesAny allocates %.0f times, want 0", allocs)
+	}
+	if !Contains(s, "t2") || Contains(s, "t3") || !WritesAny(s, keys) || WritesAny(s, []string{"r1"}) {
+		t.Error("Contains or WritesAny gives the wrong answer on a well-formed entry")
+	}
+}
+
+// TestByteWalksOnCorruptBytes: a walk that meets a fault answers what
+// commits nothing — the transaction is not there, and every key is written —
+// even when the ID or key it looks for came before the fault.
+func TestByteWalksOnCorruptBytes(t *testing.T) {
+	good := string(Encode(NewEntry(
+		Txn{ID: "t1", Origin: "V1", Writes: map[string]string{"a": "1"}},
+		Txn{ID: "t2", Origin: "V1", Writes: map[string]string{"b": "2"}},
+	)))
+	for _, s := range []string{good[:len(good)-1], good + "x", "junk"} {
+		if Contains(s, "t1") {
+			t.Errorf("Contains(%q, t1) = true on bytes Check refuses", s)
+		}
+		if !WritesAny(s, []string{"zz"}) {
+			t.Errorf("WritesAny(%q) = false on bytes Check refuses", s)
+		}
+	}
+}
+
+// BenchmarkDecode decodes the 4-write, one-transaction entry every commit
+// workload replicates — the shape benchmarks/e2e/micro.go times as
+// wal.decode_ns — through Decode, as that loop does.
+func BenchmarkDecode(b *testing.B) {
+	t := Txn{ID: "V1-0-12345", Origin: "V1", ReadPos: 12344, Writes: make(map[string]string)}
+	for _, k := range []string{"k00417", "k03312", "k05910", "k09051"} {
+		t.Writes[k] = strings.Repeat("q7", 20) // a 40-byte value
+	}
+	enc := Encode(NewEntry(t))
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		e, _ := Decode(enc)
+		n += len(e.Txns)
+	}
+	if n != b.N {
+		b.Fatalf("decoded %d transactions in %d runs", n, b.N)
 	}
 }
 

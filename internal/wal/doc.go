@@ -18,13 +18,15 @@
 // encode byte-identically with pre-fencing versions. Encode allocates once.
 // A Reader walks an encoded entry — header, then each transaction's fields,
 // read keys and writes — checking it as it goes and allocating nothing;
-// replicas apply decided entries from their bytes through it. DecodeString
+// replicas apply decided entries from their bytes through it, and Contains
+// and WritesAny ask an encoded entry what Entry's methods of the same names
+// ask a decoded one. DecodeString
 // is a Reader's walk that builds the entry over its input — every string of
 // the entry is a substring of it — and Decode is one copy of its bytes and
 // then DecodeString, so a decoded entry never aliases a caller's buffer.
 // Counts are bounded by the bytes left to carry them (DESIGN.md §9).
 //
 // Entries are read-only once built: a decoded entry shares its strings with
-// the bytes it came from, and the log, its cache and the master's pipeline
-// share one entry's transactions without copying them.
+// the bytes it came from, and the master's pipeline shares a submitted
+// transaction with the entry it builds without copying it.
 package wal

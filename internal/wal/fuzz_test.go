@@ -11,8 +11,10 @@ import (
 // slack — not by the counts they claim, and anything it accepts must
 // re-encode to a decodable, equivalent entry (decode∘encode is the identity
 // on the codec's image). The Reader agrees with DecodeString on every input:
-// Check refuses exactly what DecodeString refuses, and a walk of an accepted
-// entry reads the fields the decoded entry holds.
+// Check refuses exactly what DecodeString refuses, a walk of an accepted
+// entry reads the fields the decoded entry holds, and the byte walks Contains
+// and WritesAny answer as the decoded entry's methods do — for every ID and
+// key the entry holds, and for ones it does not.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(NoOp()))
@@ -39,6 +41,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if diff := readerDiff(string(data), entry); diff != "" {
 			t.Fatalf("the Reader and DecodeString disagree: %s", diff)
+		}
+		if diff := walksDiff(string(data), entry); diff != "" {
+			t.Fatalf("a byte walk and the decoded entry disagree: %s", diff)
 		}
 		re := Encode(entry)
 		back, err := Decode(re)
@@ -120,6 +125,37 @@ func readerDiff(s string, e Entry) string {
 	}
 	if r.More() {
 		return "transactions left over"
+	}
+	return ""
+}
+
+// walksDiff asks Contains and WritesAny of s and the same questions of e —
+// every transaction's ID, each of its read and written keys alone, each read
+// set whole, and an ID and a key e does not hold — and describes the first
+// answer that differs ("" when none does).
+func walksDiff(s string, e Entry) string {
+	const absent = "\x00absent"
+	ids := []string{absent}
+	keySets := [][]string{nil, {absent}}
+	for _, t := range e.Txns {
+		ids = append(ids, t.ID)
+		keySets = append(keySets, t.ReadSet)
+		for _, k := range t.ReadSet {
+			keySets = append(keySets, []string{k})
+		}
+		for k := range t.Writes {
+			keySets = append(keySets, []string{k}, []string{absent, k})
+		}
+	}
+	for _, id := range ids {
+		if got, want := Contains(s, id), e.Contains(id); got != want {
+			return fmt.Sprintf("Contains(%q) = %v, want %v", id, got, want)
+		}
+	}
+	for _, keys := range keySets {
+		if got, want := WritesAny(s, keys), e.WritesAny(keys); got != want {
+			return fmt.Sprintf("WritesAny(%q) = %v, want %v", keys, got, want)
+		}
 	}
 	return ""
 }
