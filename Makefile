@@ -73,7 +73,10 @@ test:
 ## their fan-out runs the legs of a round concurrently, and each leg writes
 ## its own slots of the shared result. So do the submit pipeline's: its
 ## in-flight window holds each entry's bytes, placed by the dispatcher and
-## read by admission while replication goroutines resolve positions.
+## read by admission while replication goroutines resolve positions. So do
+## the UDP submit tests: a submit's transaction is a view of one copy of
+## the pooled datagram it arrived in, and its entry is spliced from it, so a
+## missing copy would be a datagram-pool reuse race.
 ## So does kvstore: ApplyBatch pins rows, and re-resolves one a concurrent
 ## Delete took, without creating it before the batch is validated.
 ## The fencing and multi-group nemeses run twice more: under Sim they drive
@@ -81,7 +84,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|Pipeline' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

@@ -72,13 +72,15 @@ func (c *Client) commitMaster(ctx context.Context, t *Tx) (CommitResult, error) 
 // held across the replication round trip, so the master's own apply fan-out
 // (which loops back to this service) proceeds independently of the submit
 // path even with the window full (TestMasterPipelineWindowFullNoDeadlock).
+// Nothing is decoded: wal.OneTxn reads one copy of the pooled payload, and
+// the pipeline splices the entry from those bytes.
 func (s *Service) handleSubmit(req network.Message, reply func(network.Message)) {
-	entry, err := wal.Decode(req.Payload)
-	if err != nil || len(entry.Txns) != 1 {
+	txn, err := wal.OneTxn(string(req.Payload))
+	if err != nil {
 		reply(network.Status(false, "bad submit payload"))
 		return
 	}
-	s.pipeline(req.Group).SubmitAsync(entry.Txns[0], reply)
+	s.pipeline(req.Group).SubmitAsync(txn, reply)
 }
 
 // fastOutcome classifies the fast round of one master replication, so the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,11 +34,11 @@ import (
 // Up to SubmitWindow positions replicate concurrently; the pipeline keeps
 // their encoded entries as its in-flight window, conflict checks run
 // speculatively against it — every entry they walk, in the window or in the
-// log, is asked from its bytes (wal.Contains, wal.WritesAny) — and replog's
+// log, is asked from its bytes (wal.Contains, wal.Invalidates) — and replog's
 // out-of-order Append plus watermark apply retire decided positions in
-// order. The pipeline assumes one active master per
-// group at a time (the paper's long-term master, §7); see DESIGN.md §8 for
-// the invariants and the failover analysis.
+// order. The pipeline assumes one active master per group at a time (the
+// paper's long-term master, §7); see DESIGN.md §8 for the invariants and the
+// failover analysis.
 
 const (
 	// DefaultSubmitWindow is how many Paxos positions the master keeps in
@@ -61,9 +62,8 @@ const (
 // lives in exactly one place at a time — the queue, a dispatch batch, or an
 // in-flight entry's member list — so it receives exactly one verdict.
 type pendingSubmit struct {
-	txn      wal.Txn
-	size     int // wal.TxnLen(txn): what txn adds to an entry's bytes
-	attempts int // positions competed for so far
+	txn      wal.TxnView // the submit's bytes, its entry spliced from them
+	attempts int         // positions competed for so far
 
 	// handoff, when non-nil, marks a migration control entry (DESIGN.md
 	// §15): the pipeline places it alone — never combined with transactions
@@ -181,10 +181,10 @@ func (s *Service) entryRoom(group string) int {
 // receives exactly one verdict — the pipeline's, or a timeout once the
 // master-side budget expires. The caller's goroutine is released
 // immediately: a submit in flight holds no goroutine while its position
-// replicates (DESIGN.md §13).
-func (p *pipeline) SubmitAsync(txn wal.Txn, deliver func(network.Message)) {
-	ps := &pendingSubmit{txn: txn, size: wal.TxnLen(txn), deliver: deliver}
-	if n := wal.MaxHeaderLen + ps.size; n > p.room {
+// replicates (DESIGN.md §13). txn must not alias a buffer reused meanwhile.
+func (p *pipeline) SubmitAsync(txn wal.TxnView, deliver func(network.Message)) {
+	ps := &pendingSubmit{txn: txn, deliver: deliver}
+	if n := wal.MaxHeaderLen + txn.Size(); n > p.room {
 		// No entry could carry it: placed, it would be a vote no follower
 		// can receive, and its position a hole nothing can learn.
 		ps.reply(network.Status(false, fmt.Sprintf("master: a transaction of %d bytes does not fit one %d-byte log entry", n, p.room)))
@@ -306,9 +306,9 @@ func (p *pipeline) take() []*pendingSubmit {
 	if p.queue[0].handoff != nil {
 		n = 1
 	} else {
-		size := wal.MaxHeaderLen + p.queue[0].size
+		size := wal.MaxHeaderLen + p.queue[0].txn.Size()
 		for i := 1; i < n; i++ {
-			if size += p.queue[i].size; p.queue[i].handoff != nil || size > p.room {
+			if size += p.queue[i].txn.Size(); p.queue[i].handoff != nil || size > p.room {
 				n = i
 				break
 			}
@@ -428,15 +428,14 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	// checked against the full log suffix after its read position —
 	// applied, decided-pending, and in-flight speculative entries alike —
 	// and against the entry under construction (invariant W2). Admitted
-	// transactions merge into one multi-transaction entry; the list order
-	// is serializable by construction.
-	var entry wal.Entry
-	entry.Epoch = epoch
-	var members []*pendingSubmit
-	if h := batch[0].handoff; h != nil {
+	// transactions are spliced into one multi-transaction entry; the list
+	// order is serializable by construction.
+	handoff := batch[0].handoff
+	var stack [DefaultSubmitCombine]wal.TxnView
+	txns, members := stack[:0], batch[:0]
+	if handoff != nil {
 		// A handoff entry travels alone (take() guarantees the singleton
 		// batch): it has no reads to conflict-check and no writes to admit.
-		entry.Handoff = h.Clone()
 		members = batch
 	} else {
 		// A transaction the migration rules (replog M1/M2, DESIGN.md §15)
@@ -449,7 +448,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 				ps.reply(migrationVerdict(to))
 				continue
 			}
-			verdict, at, err := p.admit(ctx, ps.txn, pos, entry)
+			verdict, at, err := p.admit(ctx, ps.txn, pos, txns)
 			switch {
 			case err != nil:
 				ps.reply(network.Status(false, err.Error()))
@@ -460,7 +459,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 			case verdict == admitDecided:
 				go p.settleDuplicate(ps, at)
 			default:
-				entry.Txns = append(entry.Txns, ps.txn) // read-only, as every entry is
+				txns = append(txns, ps.txn)
 				members = append(members, ps)
 			}
 		}
@@ -468,7 +467,7 @@ func (p *pipeline) place(batch []*pendingSubmit) {
 	if len(members) == 0 {
 		return
 	}
-	raw := wal.Encode(entry)
+	raw := wal.Splice(epoch, handoff, txns)
 	p.mu.Lock()
 	if p.closed {
 		// Closed while the batch was being admitted: nothing of it has
@@ -495,9 +494,9 @@ func view(encoded []byte) string {
 // (DESIGN.md §15). It bypasses the admission cap — a saturated data plane
 // must not starve the migration control plane — but pays the same verdict
 // budget as any submit. The OK verdict's TS carries the entry's log
-// position.
+// position. h is the pipeline's once passed: the entry is spliced from it.
 func (p *pipeline) SubmitHandoffAsync(h *wal.Handoff, deliver func(network.Message)) {
-	ps := &pendingSubmit{handoff: h.Clone(), deliver: deliver}
+	ps := &pendingSubmit{handoff: h, deliver: deliver}
 	if err := p.svc.replicaFault(); err != nil {
 		ps.reply(network.Refuse(network.VerdictReplicaFailed, err.Error()))
 		return
@@ -539,16 +538,17 @@ const (
 )
 
 // admit runs the speculative fine-grained conflict check for txn competing
-// at pos with entrySoFar admitted ahead of it in the same entry: the
-// transaction aborts iff some entry after its read position — or an earlier
-// transaction in its own entry — wrote a key it read. A hole below the
-// decided ceiling is resolved before checking so admission never runs
-// against unknown history. The same walk finds an earlier attempt of txn
-// itself (a resubmission carries the same read position, so every earlier
-// placement lies inside the walked range); one that was fenced at apply
-// committed nothing and is stepped over. Each entry walked — in the window,
-// pending or applied in the log — is asked from its bytes.
-func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar wal.Entry) (admission, int64, error) {
+// at pos with soFar admitted ahead of it in the same entry: the transaction
+// aborts iff some entry after its read position — or an earlier transaction
+// in its own entry — wrote a key it read. A hole below the decided ceiling
+// is resolved before checking so admission never runs against unknown
+// history. The same walk finds an earlier attempt of txn itself (a
+// resubmission carries the same read position, so every earlier placement
+// lies inside the walked range); one that was fenced at apply committed
+// nothing and is stepped over. Each entry walked — in the window, pending or
+// applied in the log — and each transaction admitted so far is asked from
+// its bytes.
+func (p *pipeline) admit(ctx context.Context, txn wal.TxnView, pos int64, soFar []wal.TxnView) (admission, int64, error) {
 	for q := txn.ReadPos + 1; q < pos; q++ {
 		p.mu.Lock()
 		prev, inFlight := p.inflight[q]
@@ -572,14 +572,14 @@ func (p *pipeline) admit(ctx context.Context, txn wal.Txn, pos int64, entrySoFar
 			}
 			continue
 		}
-		if wal.WritesAny(prev, txn.ReadSet) {
+		if wal.Invalidates(prev, txn) {
 			return admitConflict, 0, nil
 		}
 	}
-	if txn.ID != "" && entrySoFar.Contains(txn.ID) {
+	if txn.ID != "" && slices.ContainsFunc(soFar, func(t wal.TxnView) bool { return t.ID == txn.ID }) {
 		return admitInFlight, pos, nil
 	}
-	if entrySoFar.WritesAny(txn.ReadSet) {
+	if slices.ContainsFunc(soFar, func(t wal.TxnView) bool { return t.Invalidates(txn) }) {
 		return admitConflict, 0, nil
 	}
 	return admitOK, 0, nil
@@ -714,7 +714,7 @@ func (p *pipeline) replicate(pos, epoch int64, raw []byte, members []*pendingSub
 	// reads the decided entry invalidated, the paper's §5 promotion rule,
 	// and those whose attempt budget is spent. The decided bytes are asked,
 	// not decoded: ApplyDecided checked them, and bytes that do not hold
-	// write every key (wal.WritesAny), so no member is promoted past them.
+	// write every key (wal.Invalidates), so no member is promoted past them.
 	won := string(decided)
 	dec, _ := wal.NewReader(won)
 	if dec.Master != "" && dec.Epoch > epoch {
@@ -732,7 +732,7 @@ func (p *pipeline) replicate(pos, epoch int64, raw []byte, members []*pendingSub
 	for _, ps := range members {
 		ps.attempts++
 		switch {
-		case wal.WritesAny(won, ps.txn.ReadSet):
+		case wal.Invalidates(won, ps.txn):
 			ps.reply(network.Refuse(network.VerdictConflict, ""))
 		case ps.attempts >= submitAttempts:
 			ps.reply(network.Status(false, "master could not place transaction"))

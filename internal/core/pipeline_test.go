@@ -28,7 +28,7 @@ func TestPipelineEnqueueFrontPreservesBatchOrder(t *testing.T) {
 	p.mu.Unlock()
 
 	ps := func(id string) *pendingSubmit {
-		return &pendingSubmit{txn: wal.Txn{ID: id}, deliver: func(network.Message) {}}
+		return &pendingSubmit{txn: submitted(wal.Txn{ID: id}), deliver: func(network.Message) {}}
 	}
 	a, b, c := ps("a"), ps("b"), ps("c")
 	if !p.enqueue(false, c) {
@@ -54,12 +54,12 @@ func TestPipelineEnqueueRefusedAfterClose(t *testing.T) {
 	s := NewService("A", kvstore.New(), nil)
 	p := s.pipeline("g")
 	s.Close()
-	ps := &pendingSubmit{txn: wal.Txn{ID: "x"}, deliver: func(network.Message) {}}
+	ps := &pendingSubmit{txn: submitted(wal.Txn{ID: "x"}), deliver: func(network.Message) {}}
 	if p.enqueue(false, ps) {
 		t.Fatal("enqueue accepted on closed pipeline")
 	}
 	reply, ch := collectReply()
-	p.SubmitAsync(wal.Txn{ID: "y"}, reply)
+	p.SubmitAsync(submitted(wal.Txn{ID: "y"}), reply)
 	if resp := awaitReply(t, ch); resp.OK || resp.Verdict != network.VerdictShutdown {
 		t.Fatalf("SubmitAsync on closed pipeline = %+v, want a shutdown refusal", resp)
 	}
@@ -79,11 +79,11 @@ func TestPipelineAdmissionControl(t *testing.T) {
 	p.mu.Unlock()
 
 	for i := 0; i < 2; i++ {
-		p.SubmitAsync(wal.Txn{ID: "q"}, func(network.Message) {})
+		p.SubmitAsync(submitted(wal.Txn{ID: "q"}), func(network.Message) {})
 	}
 	var verdict network.Message
 	delivered := false
-	p.SubmitAsync(wal.Txn{ID: "extra"}, func(m network.Message) { verdict = m; delivered = true })
+	p.SubmitAsync(submitted(wal.Txn{ID: "extra"}), func(m network.Message) { verdict = m; delivered = true })
 	if !delivered {
 		t.Fatal("overload verdict not delivered synchronously")
 	}
@@ -94,7 +94,7 @@ func TestPipelineAdmissionControl(t *testing.T) {
 		t.Fatalf("queue-depth hint = %d, want 2", verdict.TS)
 	}
 	// Promotion path: front enqueue is exempt from the cap.
-	if !p.enqueue(true, &pendingSubmit{txn: wal.Txn{ID: "p"}, deliver: func(network.Message) {}}) {
+	if !p.enqueue(true, &pendingSubmit{txn: submitted(wal.Txn{ID: "p"}), deliver: func(network.Message) {}}) {
 		t.Fatal("front enqueue refused by admission cap")
 	}
 	p.mu.Lock()
@@ -139,9 +139,19 @@ func heal(sim *network.Sim) {
 	sim.Unpartition("A", "C")
 }
 
-// txnAfterClaim is a transaction read at the claim's position, 1.
-func txnAfterClaim(id string, reads []string, writes map[string]string) wal.Txn {
-	return wal.Txn{ID: id, Origin: "A", ReadPos: 1, ReadSet: reads, Writes: writes}
+// txnAfterClaim is a transaction read at the claim's position, 1, as the
+// master reads it from its submit.
+func txnAfterClaim(id string, reads []string, writes map[string]string) wal.TxnView {
+	return submitted(wal.Txn{ID: id, Origin: "A", ReadPos: 1, ReadSet: reads, Writes: writes})
+}
+
+// submitted is t as handleSubmit reads it from a client's submit payload.
+func submitted(t wal.Txn) wal.TxnView {
+	v, err := wal.OneTxn(string(wal.Encode(wal.Entry{Txns: []wal.Txn{t}})))
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // windowState returns the positions in flight, in order, and the queue depth.
@@ -290,7 +300,7 @@ func TestPipelineCloseDuringPlaceAnswersShutdown(t *testing.T) {
 	reply, ch := collectReply()
 	// A holds no mastership, so placing the batch starts a claim, which
 	// cannot finish while A is cut off.
-	p.SubmitAsync(wal.Txn{ID: "t1", Origin: "A", Writes: map[string]string{"a": "1"}}, reply)
+	p.SubmitAsync(submitted(wal.Txn{ID: "t1", Origin: "A", Writes: map[string]string{"a": "1"}}), reply)
 	waitWindow(t, p, nil, 0)
 	p.mu.Lock()
 	placing := p.running
@@ -331,8 +341,8 @@ func TestPipelineTakeStaysWithinRoom(t *testing.T) {
 	p.running = true // no dispatcher: this test takes by hand
 	p.room = 1000
 	p.mu.Unlock()
-	txn := func(id string, n int) wal.Txn {
-		return wal.Txn{ID: id, Writes: map[string]string{id: string(make([]byte, n))}}
+	txn := func(id string, n int) wal.TxnView {
+		return submitted(wal.Txn{ID: id, Writes: map[string]string{id: string(make([]byte, n))}})
 	}
 	var refusal network.Message
 	p.SubmitAsync(txn("huge", 1000), func(m network.Message) { refusal = m })
@@ -346,7 +356,7 @@ func TestPipelineTakeStaysWithinRoom(t *testing.T) {
 	for batch := p.take(); len(batch) > 0; batch = p.take() {
 		size := wal.MaxHeaderLen
 		for _, ps := range batch {
-			size += ps.size
+			size += ps.txn.Size()
 		}
 		if size > p.room {
 			t.Errorf("a batch of %d takes %d bytes, over room %d", len(batch), size, p.room)
@@ -418,11 +428,11 @@ func TestPipelineAdmitOverEachPlace(t *testing.T) {
 		{name: "entry conflict", id: "x", readPos: 6, pos: 7, reads: []string{"e"}, inEntry: "y", entryKey: "e", want: admitConflict},
 		{name: "entry duplicate", id: "y", readPos: 6, pos: 7, inEntry: "y", entryKey: "e", want: admitInFlight, wantAt: 7},
 	} {
-		var soFar wal.Entry
+		var soFar []wal.TxnView
 		if tc.inEntry != "" {
-			soFar.Txns = []wal.Txn{{ID: tc.inEntry, Writes: map[string]string{tc.entryKey: "1"}}}
+			soFar = append(soFar, submitted(wal.Txn{ID: tc.inEntry, Writes: map[string]string{tc.entryKey: "1"}}))
 		}
-		txn := wal.Txn{ID: tc.id, Origin: "A", ReadPos: tc.readPos, ReadSet: tc.reads}
+		txn := submitted(wal.Txn{ID: tc.id, Origin: "A", ReadPos: tc.readPos, ReadSet: tc.reads})
 		got, at, err := p.admit(ctx, txn, tc.pos, soFar)
 		if err != nil || got != tc.want || at != tc.wantAt {
 			t.Errorf("%s: admit = %v at %d (%v), want %v at %d", tc.name, got, at, err, tc.want, tc.wantAt)

@@ -194,7 +194,8 @@ func migrationVoids(merged map[int64]wal.Entry, fenced map[int64]bool) map[int64
 	return voided
 }
 
-// voidsTxn is replog migState.voidsTxn restated over the checker's state.
+// voidsTxn is replog's migration rules (migState.voids) restated over the
+// checker's state.
 func voidsTxn(t wal.Txn, out, inPend []migRangeAt) bool {
 	for k := range t.Writes {
 		for _, r := range out {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
-	"maps"
 	"slices"
 
 	"paxoscp/internal/placement"
@@ -128,25 +127,18 @@ func (m migState) deepCopy() migState {
 	}
 }
 
-// voidsTxn applies the migration rules to one transaction at apply time:
-// M1 — any write into a departed range voids the transaction, with the
-// destination group as the verdict hint; M2 — a non-backfill write into a
-// prepared-but-unopened inbound range voids it with no destination (the
-// "migrating" retry verdict). Read-only transactions never reach the log,
-// so writes are the only surface the rules need.
-func (m *migState) voidsTxn(t wal.Txn) (to string, voided bool) {
-	if !m.fencing() {
-		return "", false
-	}
-	return m.voids(t.Backfill, maps.Keys(t.Writes))
-}
-
 // fencing reports whether any migration rule can void a transaction.
 func (m *migState) fencing() bool { return len(m.out) > 0 || len(m.inPend) > 0 }
 
-// voids is voidsTxn over a transaction writing keys, a backfill or not —
-// the drain walks them from the entry's bytes (wal.TxnView.WriteKeys).
-// Callers ask fencing first, so a group that fences nothing builds no walk.
+// voids applies the migration rules to one transaction writing keys, a
+// backfill or not: M1 — any write into a departed range voids the
+// transaction, with the destination group as the verdict hint; M2 — a
+// non-backfill write into a prepared-but-unopened inbound range voids it
+// with no destination (the "migrating" retry verdict). Read-only
+// transactions never reach the log, so writes are the only surface the
+// rules need. The drain and Fence.Voids walk the keys from the
+// transaction's bytes (wal.TxnView.WriteKeys); they ask fencing first, so a
+// group that fences nothing builds no walk.
 func (m *migState) voids(backfill bool, keys iter.Seq[string]) (to string, voided bool) {
 	// The loop bodies capture out and inPend, not m: a drain's migState
 	// stays on its stack.
@@ -286,7 +278,12 @@ func (f Fence) HasPending() bool { return len(f.st.inPend) > 0 }
 // Voids reports whether the migration rules M1/M2 would void txn, and the
 // destination to hint ("" = migrating): the rule drain applies, asked before
 // a transaction is placed.
-func (f Fence) Voids(txn wal.Txn) (to string, voided bool) { return f.st.voidsTxn(txn) }
+func (f Fence) Voids(txn wal.TxnView) (to string, voided bool) {
+	if !f.st.fencing() {
+		return "", false
+	}
+	return f.st.voids(txn.Backfill, txn.WriteKeys())
+}
 
 // Records returns the applied handoff records in log order — the durable form
 // of the state (meta row, snapshot header) and the operator's view. Shared:

@@ -33,21 +33,29 @@ import (
 // and all three versions decode.
 //
 // Allocation contract (DESIGN.md §9). Encode sizes its output exactly and
-// allocates it once. A Reader (NewReader, Check, Contains, WritesAny) walks
-// an encoded entry and allocates nothing: every string it returns is a
-// substring of its input, and it checks every bound Decode does —
-// DecodeString is a Reader's walk that builds what it reads, so there is one
-// parser. A decided or proposed entry is asked everything from its bytes: a
-// replica applies it, the master admits against it and a client learns its
-// outcome through a Reader. Only an entry being built — a submit, the
-// master's entry under construction, CP's combination — and tooling decode
-// one. DecodeString allocates no string, so its only
-// allocations are the Txns slice and each transaction's read set and write
-// map. Decode is one copy of its input and then DecodeString, so the entry
-// never aliases the caller's bytes — a pooled datagram buffer may be reused
-// the moment Decode returns. Every element count is bounded by the bytes
-// left to carry it, so a payload cannot make the decoder allocate more than
-// what it sends pays for.
+// allocates it once, and so does Splice, which builds an entry from the
+// bytes of transactions a Reader read. A Reader (NewReader, Check, OneTxn,
+// Contains, WritesAny, Invalidates) walks an encoded entry and allocates
+// nothing: every string it returns is a substring of its input, and it
+// checks every bound Decode does — DecodeString is a Reader's walk that
+// builds what it reads, so there is one parser. A decided or proposed entry
+// is asked everything from its bytes: a replica applies it, the master
+// admits against it and a client learns its outcome through a Reader. The
+// master decodes no submit either: OneTxn reads its one transaction, and
+// the entry that carries it is spliced from its bytes. Only CP's
+// combination search and tooling decode an entry. DecodeString allocates no
+// string, so its only allocations are the Txns slice and each transaction's
+// read set and write map. Decode is one copy of its input and then
+// DecodeString, so the entry never aliases the caller's bytes — a pooled
+// datagram buffer may be reused the moment Decode returns. Every element
+// count is bounded by the bytes left to carry it, so a payload cannot make
+// the decoder allocate more than what it sends pays for.
+//
+// Canonical bytes. Every varint is read only in its shortest form, the one
+// Encode writes, and OneTxn takes a transaction only with its write keys in
+// strictly increasing order, as Encode writes a write map's. So a spliced
+// entry is byte for byte the one Encode writes for the entry of its
+// transactions decoded: the bytes a master decides are always Encode's.
 
 const (
 	codecMagic   = 0x5743 // "WC"
@@ -117,8 +125,22 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// encodedLen is the exact length of e's encoding at the given layout.
-func encodedLen(e Entry, ver byte) int {
+// layout is the version Encode picks for an entry: the migration layout
+// when it uses a v3 field, the fencing layout when it carries an epoch or a
+// claim, else the first.
+func layout(migrate bool, epoch int64, master string) byte {
+	switch {
+	case migrate:
+		return codecVersionMigrate
+	case epoch != 0 || master != "":
+		return codecVersionEpoch
+	}
+	return codecVersion
+}
+
+// headerLen is the exact length of e's header at the given layout, through
+// a count of ntxns transactions.
+func headerLen(e Entry, ver byte, ntxns int) int {
 	n := 3 // magic, version
 	if ver >= codecVersionEpoch {
 		n += varintLen(e.Epoch) + strLen(e.Master)
@@ -132,50 +154,12 @@ func encodedLen(e Entry, ver byte) int {
 			}
 		}
 	}
-	n += uvarintLen(uint64(len(e.Txns)))
-	for _, t := range e.Txns {
-		n += txnLen(t, ver)
-	}
-	return n
+	return n + uvarintLen(uint64(ntxns))
 }
 
-// txnLen is the exact length of t's encoding at the given layout.
-func txnLen(t Txn, ver byte) int {
-	n := strLen(t.ID) + varintLen(t.ReadPos) + strLen(t.Origin)
-	if ver >= codecVersionMigrate {
-		n++ // flags
-	}
-	n += uvarintLen(uint64(len(t.ReadSet)))
-	for _, k := range t.ReadSet {
-		n += strLen(k)
-	}
-	n += uvarintLen(uint64(len(t.Writes)))
-	for k, v := range t.Writes {
-		n += strLen(k) + strLen(v)
-	}
-	return n
-}
-
-// TxnLen is the most bytes t takes in an encoded entry: its length at the
-// migration layout, which spends one flags byte more than the older ones.
-func TxnLen(t Txn) int { return txnLen(t, codecVersionMigrate) }
-
-// MaxHeaderLen bounds what an encoded transaction entry takes besides its
-// transactions: magic, version, epoch, an empty master, the handoff flag and
-// a transaction count up to maxCount. An entry of transactions ts encodes in
-// at most MaxHeaderLen plus the sum of their TxnLen bytes.
-const MaxHeaderLen = 2 + 1 + binary.MaxVarintLen64 + 1 + 1 + 3
-
-// Encode serializes e to the compact binary format, in one allocation.
-func Encode(e Entry) []byte {
-	var ver byte = codecVersion
-	switch {
-	case needsMigrate(e):
-		ver = codecVersionMigrate
-	case e.Epoch != 0 || e.Master != "":
-		ver = codecVersionEpoch
-	}
-	b := make([]byte, 0, encodedLen(e, ver))
+// appendHeader appends e's header at the given layout, through a count of
+// ntxns transactions: headerLen bytes.
+func appendHeader(b []byte, e Entry, ver byte, ntxns int) []byte {
 	b = binary.BigEndian.AppendUint16(b, codecMagic)
 	b = append(b, ver)
 	if ver >= codecVersionEpoch {
@@ -196,17 +180,54 @@ func Encode(e Entry) []byte {
 			b = append(b, 0)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(e.Txns)))
+	return binary.AppendUvarint(b, uint64(ntxns))
+}
+
+// txnFlags is the v3 flags byte of a transaction.
+func txnFlags(backfill bool) byte {
+	if backfill {
+		return txnFlagBackfill
+	}
+	return 0
+}
+
+// txnLen is the exact length of t's encoding at the given layout.
+func txnLen(t Txn, ver byte) int {
+	n := strLen(t.ID) + varintLen(t.ReadPos) + strLen(t.Origin)
+	if ver >= codecVersionMigrate {
+		n++ // flags
+	}
+	n += uvarintLen(uint64(len(t.ReadSet)))
+	for _, k := range t.ReadSet {
+		n += strLen(k)
+	}
+	n += uvarintLen(uint64(len(t.Writes)))
+	for k, v := range t.Writes {
+		n += strLen(k) + strLen(v)
+	}
+	return n
+}
+
+// MaxHeaderLen bounds what an encoded transaction entry takes besides its
+// transactions: magic, version, epoch, an empty master, the handoff flag and
+// a transaction count up to maxCount. An entry of transactions ts encodes in
+// at most MaxHeaderLen plus the sum of their TxnView.Size bytes.
+const MaxHeaderLen = 2 + 1 + binary.MaxVarintLen64 + 1 + 1 + 3
+
+// Encode serializes e to the compact binary format, in one allocation.
+func Encode(e Entry) []byte {
+	ver := layout(needsMigrate(e), e.Epoch, e.Master)
+	n := headerLen(e, ver, len(e.Txns))
+	for _, t := range e.Txns {
+		n += txnLen(t, ver)
+	}
+	b := appendHeader(make([]byte, 0, n), e, ver, len(e.Txns))
 	for _, t := range e.Txns {
 		b = appendString(b, t.ID)
 		b = binary.AppendVarint(b, t.ReadPos)
 		b = appendString(b, t.Origin)
 		if ver >= codecVersionMigrate {
-			var flags byte
-			if t.Backfill {
-				flags |= txnFlagBackfill
-			}
-			b = append(b, flags)
+			b = append(b, txnFlags(t.Backfill))
 		}
 		b = binary.AppendUvarint(b, uint64(len(t.ReadSet)))
 		for _, k := range t.ReadSet {
@@ -225,6 +246,35 @@ func Encode(e Entry) []byte {
 			b = appendString(b, k)
 			b = appendString(b, t.Writes[k])
 		}
+	}
+	return b
+}
+
+// Splice builds the entry of transactions txns, stamped with epoch, or the
+// handoff entry h (txns empty), in one allocation: the header Encode writes,
+// then each transaction's bytes as a Reader read them, with the flags byte
+// the layout wants put in or left out. The layout is the one Encode picks,
+// so for transactions read from entries Encode wrote — OneTxn reads a
+// submit so — Splice writes Encode's bytes for the entry of their decoded
+// transactions (FuzzSplice).
+func Splice(epoch int64, h *Handoff, txns []TxnView) []byte {
+	head := Entry{Epoch: epoch, Handoff: h}
+	migrate, n := h != nil, 0
+	for _, t := range txns {
+		migrate = migrate || t.Backfill
+		n += len(t.head) + len(t.body)
+	}
+	ver := layout(migrate, epoch, "")
+	if ver >= codecVersionMigrate {
+		n += len(txns) // flags
+	}
+	b := appendHeader(make([]byte, 0, headerLen(head, ver, len(txns))+n), head, ver, len(txns))
+	for _, t := range txns {
+		b = append(b, t.head...)
+		if ver >= codecVersionMigrate {
+			b = append(b, txnFlags(t.Backfill))
+		}
+		b = append(b, t.body...)
 	}
 	return b
 }
@@ -251,8 +301,11 @@ func (r *reader) byte(what string) (byte, error) {
 	return c, nil
 }
 
-// uvarint reads one uvarint with binary.Uvarint's semantics: at most
-// binary.MaxVarintLen64 bytes, no overflow past 64 bits.
+// uvarint reads one uvarint with binary.Uvarint's semantics — at most
+// binary.MaxVarintLen64 bytes, no overflow past 64 bits — in the shortest
+// form, the one binary.AppendUvarint writes: a value padded with a zero
+// last group is refused, so every varint of an accepted entry is the one
+// Encode writes.
 func (r *reader) uvarint() (uint64, error) {
 	var x uint64
 	var shift uint
@@ -264,6 +317,9 @@ func (r *reader) uvarint() (uint64, error) {
 		if c < 0x80 {
 			if i == binary.MaxVarintLen64-1 && c > 1 {
 				return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+			}
+			if c == 0 && i > 0 {
+				return 0, fmt.Errorf("%w: overlong varint", ErrCorrupt)
 			}
 			r.s = r.s[i+1:]
 			return x | uint64(c)<<shift, nil
@@ -344,6 +400,28 @@ func Check(s string) error {
 	return err
 }
 
+// OneTxn reads s as a submit carries its transaction to the master: an
+// entry holding exactly one transaction and no handoff, its write keys in
+// strictly increasing order — what Encode writes for one transaction, whose
+// write set is a map. It returns the transaction as a Reader read it, a view
+// of s, allocating nothing; Splice writes it back as Encode would. The
+// header's fencing fields are the sender's, not the transaction's, and are
+// not kept.
+func OneTxn(s string) (TxnView, error) {
+	r, err := NewReader(s)
+	if err != nil {
+		return TxnView{}, err
+	}
+	if r.IsHandoff() || r.Len() != 1 {
+		return TxnView{}, fmt.Errorf("%w: %d transactions (handoff %v), want one", ErrCorrupt, r.Len(), r.IsHandoff())
+	}
+	t, err := r.Next()
+	if err == nil && !t.sortedWrites() {
+		err = fmt.Errorf("%w: write keys not in increasing order", ErrCorrupt)
+	}
+	return t, err
+}
+
 // Contains is Entry.Contains asked of the encoded entry s: whether a
 // transaction of it has ID id. A Reader walks all of s, allocating nothing;
 // bytes Check refuses hold no transaction.
@@ -363,16 +441,23 @@ func Contains(s, id string) bool {
 // nothing; bytes Check refuses write every key — a conflict, the answer that
 // commits nothing.
 func WritesAny(s string, keys []string) bool {
+	return writesAny(s, func(k string) bool { return slices.Contains(keys, k) })
+}
+
+// Invalidates is WritesAny asked for the keys t reads: whether a transaction
+// of the encoded entry s writes a key t read, so that t, read below s, may
+// not commit above it.
+func Invalidates(s string, t TxnView) bool { return writesAny(s, t.reads.contains) }
+
+// writesAny walks all of the encoded entry s and reports whether a
+// transaction of it writes a key read holds, or s is bytes Check refuses.
+func writesAny(s string, read func(string) bool) bool {
 	r, err := NewReader(s)
 	hit := false
 	for err == nil && r.More() {
 		var t TxnView
 		if t, err = r.Next(); err == nil && !hit {
-			for k := range t.WriteKeys() {
-				if hit = slices.Contains(keys, k); hit {
-					break
-				}
-			}
+			hit = t.writesAny(read)
 		}
 	}
 	return hit || err != nil
@@ -497,13 +582,50 @@ func (r *Reader) end() error {
 
 // TxnView is one transaction of an encoded entry as a Reader read it: its
 // fields, and its read keys and writes still encoded, walked by Reads and
-// Writes.
+// Writes. It keeps its bytes, for Splice to write into another entry.
 type TxnView struct {
 	ID, Origin string
 	ReadPos    int64
 	Backfill   bool
 	reads      Keys
 	writes     Writes
+	// head and body are the transaction's bytes before and after the v3
+	// flags byte, which they leave out: ID, read position and origin, then
+	// read keys and writes.
+	head, body string
+}
+
+// Size is the most bytes t takes in an encoded entry: its length at the
+// migration layout, which spends one flags byte more than the older ones.
+func (t TxnView) Size() int { return len(t.head) + 1 + len(t.body) }
+
+// Invalidates reports whether t writes a key r reads: whether r, read
+// before t, conflicts with it.
+func (t TxnView) Invalidates(r TxnView) bool { return t.writesAny(r.reads.contains) }
+
+// writesAny reports whether t writes a key read holds.
+func (t TxnView) writesAny(read func(string) bool) bool {
+	for k := range t.WriteKeys() {
+		if read(k) {
+			return true
+		}
+	}
+	return false
+}
+
+// sortedWrites reports whether t's write keys are in strictly increasing
+// order, as Encode writes a write map's.
+func (t TxnView) sortedWrites() bool {
+	w := t.writes
+	prev, _, ok := w.Next()
+	for ok {
+		var k string
+		if k, _, ok = w.Next(); ok && k <= prev {
+			return false
+		}
+		prev = k
+	}
+	return true
 }
 
 // Reads returns a walk of the transaction's read keys.
@@ -542,6 +664,16 @@ func (k *Keys) Next() (string, bool) {
 	k.n--
 	s, _ := k.r.str()
 	return s, true
+}
+
+// contains reports whether key is among the keys k has not walked.
+func (k Keys) contains(key string) bool {
+	for {
+		s, ok := k.Next()
+		if !ok || s == key {
+			return ok
+		}
+	}
 }
 
 // Writes walks the encoded writes of a transaction a Reader has checked:
@@ -615,6 +747,7 @@ func (r *reader) keys(what string, min int) (Keys, error) {
 // when build is not nil, builds it there: its fields, a read set slice and,
 // when it writes, a write map (a repeated key's last value wins).
 func (r *reader) txn(t *TxnView, ver byte, build *Txn) error {
+	start := r.s
 	var err error
 	if t.ID, err = r.str(); err != nil {
 		return err
@@ -625,6 +758,7 @@ func (r *reader) txn(t *TxnView, ver byte, build *Txn) error {
 	if t.Origin, err = r.str(); err != nil {
 		return err
 	}
+	t.head = start[:len(start)-len(r.s)]
 	if ver >= codecVersionMigrate {
 		flags, err := r.byte("txn flags")
 		if err != nil {
@@ -632,6 +766,7 @@ func (r *reader) txn(t *TxnView, ver byte, build *Txn) error {
 		}
 		t.Backfill = flags&txnFlagBackfill != 0
 	}
+	body := r.s
 	nr, err := r.count("read set size", minReadBytes)
 	if err != nil {
 		return err
@@ -671,5 +806,6 @@ func (r *reader) txn(t *TxnView, ver byte, build *Txn) error {
 			build.Writes[k] = v
 		}
 	}
+	t.body = body[:len(body)-len(r.s)]
 	return nil
 }

@@ -26,7 +26,15 @@
 // then DecodeString, so a decoded entry never aliases a caller's buffer.
 // Counts are bounded by the bytes left to carry them (DESIGN.md §9).
 //
-// Entries are read-only once built: a decoded entry shares its strings with
-// the bytes it came from, and the master's pipeline shares a submitted
-// transaction with the entry it builds without copying it.
+// The master builds its entries without decoding: OneTxn reads a submit's
+// one transaction as a TxnView, which keeps its bytes, and Splice writes
+// the entry of such views — the header Encode would write, then each
+// transaction's bytes — in one allocation. The Reader accepts only the
+// bytes Encode writes for what it reads (shortest varints; OneTxn also
+// wants write keys in increasing order), so a spliced entry is the one
+// Encode writes for its decoded transactions (FuzzSplice).
+//
+// Entries are read-only once built: a decoded entry and a TxnView share
+// their strings with the bytes they came from, and Splice copies a view's
+// bytes into the entry it builds.
 package wal
