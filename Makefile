@@ -71,7 +71,10 @@ test:
 ## per run. So do the dispatcher's tests: its pooled request item is
 ## released by the goroutine it started. So do core.KV's and the scans':
 ## their fan-out runs the legs of a round concurrently, and each leg writes
-## its own slots of the shared result. So do the submit pipeline's: its
+## its own slots of the shared result. So do the positioned reads': a
+## transaction's fetch and a KV read leg send through one request helper, and
+## the serving replica names its rows in a pooled buffer. So do the submit
+## pipeline's: its
 ## in-flight window holds each entry's bytes, placed by the dispatcher and
 ## read by admission while replication goroutines resolve positions. So do
 ## the UDP submit tests: a submit's transaction is a view of one copy of
@@ -84,7 +87,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|ReadMulti|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

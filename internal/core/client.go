@@ -165,6 +165,8 @@ type Tx struct {
 	id      string
 	readPos int64 // unresolvedPos until the first read (or commit) fixes it
 
+	// The read and write sets are made by the first read and the first
+	// write: a transaction that only scans, or only reads, makes one or none.
 	reads  map[string]string // key -> value observed (read set + values)
 	misses map[string]bool   // keys read as missing (found=false) at the read position
 	writes map[string]string // key -> pending value
@@ -204,14 +206,7 @@ func (c *Client) newTx(group string, readPos int64) *Tx {
 	// (TestTxnIDAllocs guards the technique).
 	var buf [32]byte
 	id := c.txnPrefix + string(strconv.AppendInt(buf[:0], seq, 10))
-	return &Tx{
-		client:  c,
-		group:   group,
-		id:      id,
-		readPos: readPos,
-		reads:   make(map[string]string),
-		writes:  make(map[string]string),
-	}
+	return &Tx{client: c, group: group, id: id, readPos: readPos}
 }
 
 // ID returns the transaction's unique identifier.
@@ -265,11 +260,12 @@ var errTxDone = errors.New("core: transaction already finished")
 // Read returns the value of key: a one-key ReadMulti. A key that has never
 // been written reads as the empty string with found=false.
 func (t *Tx) Read(ctx context.Context, key string) (string, bool, error) {
-	vals, found, err := t.ReadMulti(ctx, key)
-	if err != nil {
+	var val [1]string
+	var found [1]bool
+	if err := t.readInto(ctx, []string{key}, val[:], found[:]); err != nil {
 		return "", false, err
 	}
-	return vals[0], found[0], nil
+	return val[0], found[0], nil
 }
 
 // ReadMulti reads keys, all at the transaction's read position (one
@@ -285,28 +281,42 @@ func (t *Tx) Read(ctx context.Context, key string) (string, bool, error) {
 // watermark, returning that position in the reply — the round trip of step 1
 // is folded into this message (DESIGN.md §9).
 func (t *Tx) ReadMulti(ctx context.Context, keys ...string) ([]string, []bool, error) {
-	if t.done {
-		return nil, nil, errTxDone
+	vals := make([]string, len(keys))
+	found := make([]bool, len(keys))
+	if err := t.readInto(ctx, keys, vals, found); err != nil {
+		return nil, nil, err
 	}
-	var fetch []string // the keys the service must serve, each once
-	for _, key := range keys {
-		if _, ok := t.writes[key]; ok {
-			continue
-		}
-		if _, ok := t.reads[key]; !ok && !slices.Contains(fetch, key) {
-			if fetch == nil {
-				fetch = make([]string, 0, len(keys))
+	return vals, found, nil
+}
+
+// readInto is ReadMulti answering into vals and found, parallel to keys: the
+// A1, repeat-read and miss rules.
+func (t *Tx) readInto(ctx context.Context, keys, vals []string, found []bool) error {
+	if t.done {
+		return errTxDone
+	}
+	// fetch is the keys the service must serve, each once. It is keys
+	// itself, uncopied, until a key is written, read already or repeated.
+	fetch, own := keys[:0], false
+	for i, key := range keys {
+		_, written := t.writes[key]
+		_, read := t.reads[key]
+		switch {
+		case written || read || slices.Contains(fetch, key):
+			if !own {
+				fetch, own = append(make([]string, 0, len(keys)), fetch...), true
 			}
+		case own:
 			fetch = append(fetch, key)
+		default:
+			fetch = keys[:i+1]
 		}
 	}
 	if len(fetch) > 0 {
 		if err := t.fetch(ctx, fetch); err != nil {
-			return nil, nil, fmt.Errorf("core: read %d keys: %w", len(fetch), err)
+			return fmt.Errorf("core: read %d keys: %w", len(fetch), err)
 		}
 	}
-	vals := make([]string, len(keys))
-	found := make([]bool, len(keys))
 	for i, key := range keys {
 		if v, ok := t.writes[key]; ok {
 			vals[i], found[i] = v, true
@@ -314,25 +324,22 @@ func (t *Tx) ReadMulti(ctx context.Context, keys ...string) ([]string, []bool, e
 			vals[i], found[i] = t.reads[key], true
 		}
 	}
-	return vals, found, nil
+	return nil
 }
 
 // fetch reads keys at the transaction's read position with one KindReadMulti
 // request, resolving the position if it is not yet, and adds them to the
 // read set. Of no keys, it only resolves the position.
 func (t *Tx) fetch(ctx context.Context, keys []string) error {
-	resp, err := t.client.sendPreferLocal(ctx, network.Message{
-		Kind: network.KindReadMulti, Group: t.group, Keys: keys, TS: t.readPos, // unresolvedPos == network.ResolvePos
-	})
+	resp, err := t.client.readAt(ctx, t.group, keys, t.readPos) // unresolvedPos == network.ResolvePos
 	if err != nil {
 		return err
 	}
-	if len(resp.Vals) != len(keys) || len(resp.Founds) != len(keys) {
-		return fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
-			len(keys), len(resp.Vals), len(resp.Founds))
-	}
 	if !t.resolved() {
 		t.readPos = resp.TS
+	}
+	if t.reads == nil && len(keys) > 0 {
+		t.reads = make(map[string]string, len(keys))
 	}
 	for i, key := range keys {
 		val := ""
@@ -344,6 +351,25 @@ func (t *Tx) fetch(ctx context.Context, keys []string) error {
 		t.reads[key] = val
 	}
 	return nil
+}
+
+// readAt is the one positioned read (transaction protocol step 2): it asks
+// for keys of group at pos — network.ResolvePos serves them at the replica's
+// applied watermark and names it in the reply's TS — and returns the reply,
+// whose Vals and Founds it has checked are parallel to keys. A transaction's
+// fetch and a KV read leg both read through it.
+func (c *Client) readAt(ctx context.Context, group string, keys []string, pos int64) (network.Message, error) {
+	resp, err := c.sendPreferLocal(ctx, network.Message{
+		Kind: network.KindReadMulti, Group: group, Keys: keys, TS: pos,
+	})
+	if err != nil {
+		return resp, err
+	}
+	if len(resp.Vals) != len(keys) || len(resp.Founds) != len(keys) {
+		return resp, fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
+			len(keys), len(resp.Vals), len(resp.Founds))
+	}
+	return resp, nil
 }
 
 // markMiss records that key was read as missing at the read position.
@@ -358,6 +384,9 @@ func (t *Tx) markMiss(key string) {
 func (t *Tx) Write(key, value string) error {
 	if t.done {
 		return errTxDone
+	}
+	if t.writes == nil {
+		t.writes = make(map[string]string)
 	}
 	t.writes[key] = value
 	return nil

@@ -15,6 +15,7 @@ import (
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
+	"paxoscp/internal/replog"
 	"paxoscp/internal/wal"
 )
 
@@ -64,7 +65,7 @@ func TestCompactScavengesBelowHorizon(t *testing.T) {
 		t.Fatalf("read@8 after compact = %+v", resp)
 	}
 	// Multi-version history below the horizon is gone.
-	if _, _, err := s.store.Read(dataKey("g", "k"), 3); !errors.Is(err, kvstore.ErrNotFound) {
+	if _, _, err := s.store.Read(replog.DataKey("g", "k"), 3); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("old version survived GC: %v", err)
 	}
 	// The applied horizon is untouched.
@@ -398,7 +399,7 @@ func TestSnapshotPagesAreOneSnapshot(t *testing.T) {
 		}
 		sameImage(t, a, c, "g", tip)
 		for _, key := range []string{"r003-00", fmt.Sprintf("r%03d-49", tip)} {
-			if _, ts, err := c.store.ReadPacked(dataKey("g", key), kvstore.Latest); err != nil || ts > tip {
+			if _, ts, err := c.store.ReadPacked(replog.DataKey("g", key), kvstore.Latest); err != nil || ts > tip {
 				t.Fatalf("%s at the laggard: version %d (%v); the version committed mid-transfer leaked", key, ts, err)
 			}
 		}

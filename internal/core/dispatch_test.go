@@ -13,6 +13,7 @@ import (
 	"paxoscp/internal/kvstore"
 	"paxoscp/internal/kvstore/disk"
 	"paxoscp/internal/network"
+	"paxoscp/internal/replog"
 	"paxoscp/internal/stats"
 	"paxoscp/internal/wal"
 )
@@ -266,7 +267,7 @@ func TestMasterAsyncSubmitEndToEnd(t *testing.T) {
 	}
 	// The committed value is readable at every replica.
 	for _, dc := range dcs {
-		v, _, err := services[dc].Store().Read(dataKey("g", "k"), kvstore.Latest)
+		v, _, err := services[dc].Store().Read(replog.DataKey("g", "k"), kvstore.Latest)
 		if err != nil || v["v"] != "v" {
 			t.Fatalf("%s: k = %v (%v)", dc, v, err)
 		}

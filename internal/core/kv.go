@@ -147,33 +147,42 @@ func (kv *KV) route(ctx context.Context, op string, keys []string, positions map
 	for {
 		var legs []keyLeg
 		for i, g := range groupOf {
-			if served[i] {
-				continue
-			}
-			j := slices.IndexFunc(legs, func(l keyLeg) bool { return l.group == g })
-			if j < 0 {
-				j = len(legs)
+			if !served[i] && !slices.ContainsFunc(legs, func(l keyLeg) bool { return l.group == g }) {
+				if legs == nil {
+					legs = make([]keyLeg, 0, len(keys)-i) // a leg per key left, at most
+				}
 				legs = append(legs, keyLeg{group: g})
 			}
-			legs[j].slots = append(legs[j].slots, i)
 		}
 		if len(legs) == 0 {
 			return nil
+		}
+		slots := make([]int, 0, len(keys)) // every leg's slots, cut in turn
+		for j := range legs {
+			at := len(slots)
+			for i, g := range groupOf {
+				if !served[i] && g == legs[j].group {
+					slots = append(slots, i)
+				}
+			}
+			legs[j].slots = slots[at:len(slots):len(slots)]
 		}
 		fanOut(len(legs), func(i int) { legs[i].pos, legs[i].err = serve(legs[i].group, legs[i].slots) })
 		var moved, migrating error
 		var failed map[string]error
 		for _, l := range legs {
-			var ref *Refusal
-			errors.As(l.err, &ref)
-			switch {
-			case l.err == nil:
+			if l.err == nil {
 				for _, i := range l.slots {
 					served[i] = true
 				}
 				if positions != nil {
 					positions[l.group] = l.pos
 				}
+				continue
+			}
+			var ref *Refusal
+			errors.As(l.err, &ref)
+			switch {
 			case ref != nil && ref.Verdict == network.VerdictMoved:
 				moved = l.err
 				for _, i := range l.slots {
@@ -308,8 +317,11 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 	return kv.readMulti(ctx, "readmulti", keys)
 }
 
-// readMulti is ReadMulti under op's name; each leg writes its own keys'
-// slots of the result.
+// readMulti is ReadMulti under op's name. A leg is one positioned read, not
+// a transaction: it has no writes and no earlier reads for Tx.ReadMulti's
+// rules to answer from, so it sends its keys as they are, at
+// network.ResolvePos, and writes the reply's columns into its own keys' slots
+// of the result. Its position is the reply's.
 func (kv *KV) readMulti(ctx context.Context, op string, keys []string) (*MultiRead, error) {
 	out := &MultiRead{
 		Vals:      make([]string, len(keys)),
@@ -317,23 +329,21 @@ func (kv *KV) readMulti(ctx context.Context, op string, keys []string) (*MultiRe
 		Positions: make(map[string]int64),
 	}
 	err := kv.route(ctx, op, keys, out.Positions, func(group string, slots []int) (int64, error) {
-		tx, err := kv.client.Begin(ctx, group)
-		if err != nil {
-			return 0, err
+		gkeys := keys
+		if len(slots) < len(keys) {
+			gkeys = make([]string, len(slots))
+			for i, slot := range slots {
+				gkeys[i] = keys[slot]
+			}
 		}
-		defer tx.Abort()
-		gkeys := make([]string, len(slots))
-		for i, slot := range slots {
-			gkeys[i] = keys[slot]
-		}
-		vals, founds, err := tx.ReadMulti(ctx, gkeys...)
+		resp, err := kv.client.readAt(ctx, group, gkeys, network.ResolvePos)
 		if err != nil {
 			return 0, err
 		}
 		for i, slot := range slots {
-			out.Vals[slot], out.Founds[slot] = vals[i], founds[i]
+			out.Vals[slot], out.Founds[slot] = resp.Vals[i], resp.Founds[i]
 		}
-		return tx.ReadPos(), nil
+		return resp.TS, nil
 	})
 	if err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ type Scanner struct {
 // transaction's group. The cursor is lazy: no message is sent until the
 // first Next.
 func (t *Tx) Scan(prefix string) *Scanner {
-	sc := &Scanner{tx: t, prefix: prefix, dests: make(map[string]bool)}
+	sc := &Scanner{tx: t, prefix: prefix}
 	if t.done {
 		sc.err = errTxDone
 		return sc
@@ -117,9 +117,11 @@ func (sc *Scanner) Next(ctx context.Context) bool {
 	}
 	for {
 		if sc.idx >= len(sc.page) && !sc.exhausted {
-			if !sc.fetch(ctx) {
+			var ok bool
+			if sc.page, ok = sc.fetch(ctx, sc.page[:0]); !ok {
 				return false
 			}
+			sc.idx = 0
 			continue // a progress page may carry zero rows
 		}
 		wireOK := sc.idx < len(sc.page)
@@ -161,8 +163,9 @@ func (sc *Scanner) Next(ctx context.Context) bool {
 	}
 }
 
-// fetch pulls one wire page; false means sc.err is set.
-func (sc *Scanner) fetch(ctx context.Context) bool {
+// fetch pulls one wire page and appends its rows to page, grown once to
+// hold them; false means sc.err is set.
+func (sc *Scanner) fetch(ctx context.Context, page []ScanEntry) ([]ScanEntry, bool) {
 	t := sc.tx
 	resp, err := t.client.sendPreferLocal(ctx, network.Message{
 		Kind: network.KindScan, Group: t.group, Value: sc.prefix,
@@ -170,23 +173,26 @@ func (sc *Scanner) fetch(ctx context.Context) bool {
 	})
 	if err != nil {
 		sc.err = fmt.Errorf("core: scan %q: %w", sc.prefix, err)
-		return false
+		return page, false
 	}
 	if len(resp.Vals) != len(resp.Keys) {
 		sc.err = fmt.Errorf("core: scan %q reply shape: %d keys, %d vals", sc.prefix, len(resp.Keys), len(resp.Vals))
-		return false
+		return page, false
 	}
 	if !t.resolved() {
 		t.readPos = resp.TS // first page pins the scan; later pages reuse it
 	}
-	sc.page, sc.idx = sc.page[:0], 0
+	page = slices.Grow(page, len(resp.Keys))
 	for i, k := range resp.Keys {
-		sc.page = append(sc.page, ScanEntry{
+		page = append(page, ScanEntry{
 			Key: k, Value: resp.Vals[i],
 			MovedIn: i < len(resp.Founds) && resp.Founds[i],
 		})
 	}
 	if resp.Value != "" {
+		if sc.dests == nil {
+			sc.dests = make(map[string]bool)
+		}
 		for _, d := range strings.Split(resp.Value, ",") {
 			sc.dests[d] = true
 		}
@@ -199,7 +205,7 @@ func (sc *Scanner) fetch(ctx context.Context) bool {
 	} else {
 		sc.exhausted = true
 	}
-	return true
+	return page, true
 }
 
 // Key returns the current row's key (valid after a true Next).
@@ -334,7 +340,8 @@ func scanRound(legs map[string]scanLeg, hinted map[string]bool) (next []string, 
 	return next, hop, wait
 }
 
-// scanGroup materializes one group's leg with a fresh read-only transaction.
+// scanGroup materializes one group's leg with a fresh read-only transaction,
+// its rows copied once, from each page's reply into the leg.
 func (kv *KV) scanGroup(ctx context.Context, group, prefix string) scanLeg {
 	leg := scanLeg{group: group}
 	tx, err := kv.client.Begin(ctx, group)
@@ -344,11 +351,13 @@ func (kv *KV) scanGroup(ctx context.Context, group, prefix string) scanLeg {
 	}
 	defer tx.Abort()
 	sc := tx.Scan(prefix)
-	for sc.Next(ctx) {
-		leg.entries = append(leg.entries, sc.Entry())
-	}
-	if leg.err = sc.Err(); leg.err != nil {
-		return leg
+	for !sc.exhausted {
+		// The transaction has no writes to overlay: its pages are the leg.
+		var ok bool
+		if leg.entries, ok = sc.fetch(ctx, leg.entries); !ok {
+			leg.err = sc.err
+			return leg
+		}
 	}
 	leg.pos = tx.ReadPos()
 	leg.dests = sc.Dests()
@@ -357,41 +366,47 @@ func (kv *KV) scanGroup(ctx context.Context, group, prefix string) scanLeg {
 }
 
 // mergeScanLegs merges the per-group legs into one ascending key order, each
-// key exactly once. A key served by two legs (source pinned before a
-// cutover, destination after) keeps the MovedIn copy; among equals the
-// lexicographically smallest group wins, making the merge deterministic.
+// key exactly once. Each leg is ascending already, so the merge is k-way:
+// it takes the least key at the legs' heads, copies that row once into the
+// result and moves past the key in every leg that has it. A key served by two
+// legs (source pinned before a cutover, destination after) keeps the MovedIn
+// copy; among equals the lexicographically smallest group wins, making the
+// merge deterministic.
 func mergeScanLegs(legs map[string]scanLeg) *ScanResult {
 	out := &ScanResult{Positions: make(map[string]int64, len(legs))}
-	type tagged struct {
-		ScanEntry
+	type head struct {
 		group string
+		rest  []ScanEntry
 	}
-	rows := 0
-	for _, leg := range legs {
-		rows += len(leg.entries)
-	}
-	all := make([]tagged, 0, rows)
+	var buf [8]head // up to eight legs' heads need no allocation
+	heads, rows := buf[:0], 0
 	for _, leg := range legs {
 		out.Positions[leg.group] = leg.pos
-		for _, e := range leg.entries {
-			all = append(all, tagged{ScanEntry: e, group: leg.group})
+		if len(leg.entries) > 0 {
+			heads = append(heads, head{leg.group, leg.entries})
+			rows += len(leg.entries)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Key != all[j].Key {
-			return all[i].Key < all[j].Key
-		}
-		if all[i].MovedIn != all[j].MovedIn {
-			return all[i].MovedIn // preferred copy first
-		}
-		return all[i].group < all[j].group
-	})
+	slices.SortFunc(heads, func(a, b head) int { return strings.Compare(a.group, b.group) })
 	out.Entries = make([]ScanEntry, 0, rows)
-	for _, e := range all {
-		if n := len(out.Entries); n > 0 && out.Entries[n-1].Key == e.Key {
-			continue // duplicate from a leg pinned across the cutover
+	for len(heads) > 0 {
+		best := &heads[0].rest[0]
+		for _, h := range heads[1:] {
+			if e := &h.rest[0]; e.Key < best.Key || e.Key == best.Key && e.MovedIn && !best.MovedIn {
+				best = e
+			}
 		}
-		out.Entries = append(out.Entries, e.ScanEntry)
+		out.Entries = append(out.Entries, *best)
+		key, live := best.Key, heads[:0]
+		for _, h := range heads {
+			if h.rest[0].Key == key {
+				h.rest = h.rest[1:]
+			}
+			if len(h.rest) > 0 {
+				live = append(live, h)
+			}
+		}
+		heads = live
 	}
 	return out
 }

@@ -31,8 +31,6 @@ import (
 // It is written on the commit hot path, so it is built by the allocation-free
 // kvstore.PosKey, not fmt.Sprintf (BenchmarkKeyEncoding in internal/replog
 // guards the technique).
-func dataKey(group, key string) string { return replog.DataKey(group, key) }
-
 const claimPrefix = "claim/"
 
 func claimKey(group string, pos int64) string {
@@ -523,27 +521,36 @@ func (s *Service) handleReadMulti(req network.Message) network.Message {
 	if refusal, fenced := s.readFence(req.Group, ts, req.Keys...); fenced {
 		return refusal
 	}
-	keys := make([]string, len(req.Keys))
-	for i, k := range req.Keys {
-		keys[i] = dataKey(req.Group, k)
+	resp := network.Message{
+		Kind: network.KindValue, OK: true, TS: ts,
+		Vals:   make([]string, len(req.Keys)),
+		Founds: make([]bool, len(req.Keys)),
 	}
-	results, err := s.store.ReadMulti(keys, ts)
+	rn := readNamesPool.Get().(*readNames)
+	for _, k := range req.Keys {
+		at := len(rn.buf)
+		rn.buf = replog.AppendDataKey(rn.buf, req.Group, k)
+		rn.names = append(rn.names, rn.buf[at:])
+	}
+	err = s.store.ReadAttr(rn.names, ts, "v", resp.Vals, resp.Founds)
+	rn.buf, rn.names = rn.buf[:0], rn.names[:0]
+	readNamesPool.Put(rn)
 	if err != nil {
 		return network.Status(false, err.Error())
 	}
-	resp := network.Message{
-		Kind: network.KindValue, OK: true, TS: ts,
-		Vals:   make([]string, len(results)),
-		Founds: make([]bool, len(results)),
-	}
-	for i, r := range results {
-		if r.Found {
-			resp.Vals[i] = r.Value.Get("v")
-			resp.Founds[i] = true
-		}
-	}
 	return resp
 }
+
+// readNames holds a positioned read's row names: built in one buffer, which
+// a later read reuses, and read by the store only during the read. An append
+// that moves buf leaves the names taken before on the old array, which keeps
+// them. The reply's columns share the store's memory, not these.
+type readNames struct {
+	buf   []byte
+	names [][]byte
+}
+
+var readNamesPool = sync.Pool{New: func() any { return new(readNames) }}
 
 // readFence applies the migration read fences (DESIGN.md §15) to a read
 // served at position ts, asking the fence at the applied watermark. A key of

@@ -323,6 +323,35 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 	for _, k := range keys {
 		pins = append(pins, pin{key: k, shard: shardFor(k)})
 	}
+	s.readPins(pins, ts, func(i int, v *version) { out[i] = MultiResult{Value: v.val, TS: v.ts, Found: true} })
+	return out, nil
+}
+
+// ReadAttr reads attribute attr of many rows at one timestamp, as ReadMulti
+// reads their versions, into vals and founds, parallel to names: a row with a
+// version at or before ts sets vals[i] to the attribute's value (sharing the
+// store's memory) and founds[i] to true, and one with none leaves both as
+// they are. A name is bytes the store reads only during the call, so a caller
+// builds its rows' names in one reused buffer (the transaction service's
+// positioned read does). Up to 64 names, ReadAttr allocates nothing.
+func (s *Store) ReadAttr(names [][]byte, ts int64, attr string, vals []string, founds []bool) error {
+	if s.isClosed() {
+		return ErrClosed
+	}
+	var pinBuf [64]pin
+	pins := pinBuf[:0]
+	for _, name := range names {
+		k := unsafe.String(unsafe.SliceData(name), len(name))
+		pins = append(pins, pin{key: k, view: true, shard: shardFor(k)})
+	}
+	s.readPins(pins, ts, func(i int, v *version) { vals[i], founds[i] = v.val.Get(attr), true })
+	return nil
+}
+
+// readPins pins the rows of pins by ApplyBatch's walk (pinRows), adding none,
+// and calls got with each pin's index and its row's version at ts, under the
+// row's lock, for every row that has one.
+func (s *Store) readPins(pins []pin, ts int64, got func(i int, v *version)) {
 	s.pinRows(pins, false)
 	for i := range pins {
 		r := pins[i].r
@@ -331,11 +360,10 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 		}
 		r.mu.Lock()
 		if v := r.at(ts); v != nil {
-			out[i] = MultiResult{Value: v.val, TS: v.ts, Found: true}
+			got(i, v)
 		}
 		r.mu.Unlock()
 	}
-	return out, nil
 }
 
 // logUnlock finishes a single-row mutation: still under r.mu it appends m to

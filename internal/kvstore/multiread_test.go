@@ -19,8 +19,13 @@ func TestReadMultiMatchesRead(t *testing.T) {
 		}
 	}
 	var keys []string
+	var names [][]byte // ReadAttr's names of keys, in one buffer
+	var buf []byte
 	for i := 0; i < nkeys+5; i++ { // +5 never-written keys
 		keys = append(keys, fmt.Sprintf("k%d", i))
+		at := len(buf)
+		buf = fmt.Appendf(buf, "k%d", i)
+		names = append(names, buf[at:])
 	}
 	for _, ts := range []int64{Latest, 0, 1, 2, 3, 10} {
 		got, err := s.ReadMulti(keys, ts)
@@ -30,11 +35,15 @@ func TestReadMultiMatchesRead(t *testing.T) {
 		if len(got) != len(keys) {
 			t.Fatalf("ts=%d: %d results for %d keys", ts, len(got), len(keys))
 		}
+		vals, founds := make([]string, len(keys)), make([]bool, len(keys))
+		if err := s.ReadAttr(names, ts, "v", vals, founds); err != nil {
+			t.Fatal(err)
+		}
 		for i, k := range keys {
 			v, vts, err := s.Read(k, ts)
 			if err == ErrNotFound {
-				if got[i].Found {
-					t.Fatalf("ts=%d key=%s: ReadMulti found, Read did not", ts, k)
+				if got[i].Found || founds[i] || vals[i] != "" {
+					t.Fatalf("ts=%d key=%s: ReadMulti found=%v, ReadAttr (%q, %v), Read did not", ts, k, got[i].Found, vals[i], founds[i])
 				}
 				continue
 			}
@@ -44,7 +53,14 @@ func TestReadMultiMatchesRead(t *testing.T) {
 			if !got[i].Found || got[i].TS != vts || !got[i].Value.Unpack().Equal(v) {
 				t.Fatalf("ts=%d key=%s: ReadMulti %+v, Read %v@%d", ts, k, got[i], v, vts)
 			}
+			if !founds[i] || vals[i] != v["v"] {
+				t.Fatalf("ts=%d key=%s: ReadAttr (%q, %v), Read %v@%d", ts, k, vals[i], founds[i], v, vts)
+			}
 		}
+	}
+	vals, founds := make([]string, len(keys)), make([]bool, len(keys))
+	if n := testing.AllocsPerRun(100, func() { _ = s.ReadAttr(names, Latest, "v", vals, founds) }); n != 0 {
+		t.Fatalf("ReadAttr of %d names allocates %v times per call, want none", len(names), n)
 	}
 }
 
@@ -53,9 +69,15 @@ func TestReadMultiEmptyAndClosed(t *testing.T) {
 	if res, err := s.ReadMulti(nil, Latest); err != nil || len(res) != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
+	if err := s.ReadAttr(nil, Latest, "v", nil, nil); err != nil {
+		t.Fatalf("empty ReadAttr: %v", err)
+	}
 	s.Close()
 	if _, err := s.ReadMulti([]string{"a"}, Latest); err != ErrClosed {
 		t.Fatalf("closed: %v", err)
+	}
+	if err := s.ReadAttr([][]byte{[]byte("a")}, Latest, "v", make([]string, 1), make([]bool, 1)); err != ErrClosed {
+		t.Fatalf("closed ReadAttr: %v", err)
 	}
 }
 

@@ -21,9 +21,10 @@ import "paxoscp/internal/paxos"
 // DataKey is the row holding versions of one data item of a group.
 func DataKey(group, key string) string { return "data/" + group + "/" + key }
 
-// appendDataKey appends DataKey(group, key) to b: the drain builds its rows'
-// names in one reused buffer instead of a string each.
-func appendDataKey(b []byte, group, key string) []byte {
+// AppendDataKey appends DataKey(group, key) to b: the drain and the
+// transaction service's positioned read build their rows' names in one reused
+// buffer instead of a string each.
+func AppendDataKey(b []byte, group, key string) []byte {
 	b = append(b, "data/"...)
 	b = append(b, group...)
 	b = append(b, '/')

@@ -1032,7 +1032,7 @@ func (l *Log) drain() {
 				// before on the old array, which keeps it.
 				vals = append(vals, kvstore.PackAttrs("v", w.val))
 				at := len(names)
-				names = appendDataKey(names, l.group, w.key)
+				names = AppendDataKey(names, l.group, w.key)
 				writes = append(writes, kvstore.BatchWrite{KeyBytes: names[at:], Value: &vals[len(vals)-1], TS: p})
 			}
 		}
