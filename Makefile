@@ -65,11 +65,14 @@ test:
 
 ## race: the CI "test" job. -shuffle=on randomizes test order every run so
 ## inter-test state dependencies surface instead of hiding behind file order.
-## The packages that pool per-message objects (deadline phases, pending
-## calls, broadcast rounds, the completion list) then run five more times: a
+## The packages that pool per-message objects (deadline phases, the pending
+## calls whose done callbacks deliver, hang-ups and Close race for, the
+## broadcast rounds whose legs' callbacks were bound once and answer from
+## the read loops, the completion list) then run five more times: a
 ## reuse race that needs an unlucky interleaving gets more than one chance
 ## per run. So do the dispatcher's tests: its pooled request item is
-## released by the goroutine it started. So do core.KV's and the scans':
+## released by the goroutine it started. So do the votes': on a memory
+## store they run on the caller's goroutine, beside the drain's ApplyBatch. So do core.KV's and the scans':
 ## their fan-out runs the legs of a round concurrently, and each leg writes
 ## its own slots of the shared result. So do the positioned reads': a
 ## transaction's fetch and a KV read leg send through one request helper, and
@@ -87,7 +90,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|KV|Scan|ReadMulti|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|Vote|KV|Scan|ReadMulti|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

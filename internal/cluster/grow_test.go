@@ -166,9 +166,25 @@ func (d *verdictDropper) Send(ctx context.Context, to string, req network.Messag
 	if req.Kind != network.KindSubmit {
 		return resp, err
 	}
-	d.sends[string(req.Payload)]++
+	return d.verdict(string(req.Payload), resp, err)
+}
+
+func (d *verdictDropper) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	if req.Kind != network.KindSubmit {
+		return d.Transport.Go(to, req, done)
+	}
+	payload := string(req.Payload) // req is the caller's once Go returns
+	return d.Transport.Go(to, req, func(resp network.Message, err error) {
+		done(d.verdict(payload, resp, err))
+	})
+}
+
+// verdict counts a verdict of the submission of payload and loses the first
+// that commits.
+func (d *verdictDropper) verdict(payload string, resp network.Message, err error) (network.Message, error) {
+	d.sends[payload]++
 	if err == nil && resp.OK && d.dropped == "" {
-		d.dropped = string(req.Payload)
+		d.dropped = payload
 		return network.Message{}, network.ErrTimeout
 	}
 	return resp, err

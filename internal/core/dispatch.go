@@ -11,7 +11,8 @@ import (
 // request entry point. AsyncHandler runs each request where its blocking
 // profile allows: applies land in the group's log at once and are answered by
 // the drain that makes them durable, submits enter the group pipeline
-// asynchronously — neither holds a goroutine while it waits — and every other
+// asynchronously — neither holds a goroutine while it waits — votes over a
+// store without an engine are answered where they arrive, and every other
 // request runs on a goroutine of its own, as the paper's Transaction Service
 // serves each client request in its own service process.
 
@@ -79,7 +80,19 @@ func (d *dispatcher) spawn(it *dispatchItem) {
 	go it.run()
 }
 
-// close makes every later spawn a refusal. Only called on Service shutdown.
+// inline serves a request on the caller's goroutine, for a handler that
+// cannot block there. After close it refuses it with VerdictShutdown, as
+// spawn does.
+func (d *dispatcher) inline(from string, req network.Message, reply func(network.Message)) {
+	if d.closed.Load() {
+		reply(network.Refuse(network.VerdictShutdown, ""))
+		return
+	}
+	reply(d.handle(from, req))
+}
+
+// close makes every later spawn and inline a refusal. Only called on Service
+// shutdown.
 func (d *dispatcher) close() { d.closed.Store(true) }
 
 // AsyncHandler returns the non-blocking request entry point the transports'
@@ -92,9 +105,14 @@ func (d *dispatcher) close() { d.closed.Store(true) }
 //     group's pipeline; the verdict callback fires when replication settles,
 //     so a submit holds no goroutine while its position replicates
 //     (DESIGN.md §13).
-//   - Every other kind runs on its own goroutine: Paxos prepare/accept,
-//     reads (with catch-up when ahead of the local log), read-position,
-//     leader claims, log fetches, snapshots, compaction, stats and scans.
+//   - Paxos prepare/accept run inline when the store has no engine: the
+//     acceptor's load and compare-and-swap then take row and shard locks
+//     and nothing else, so the vote is answered before AsyncHandler
+//     returns. Over a disk engine the CAS waits for its fsync, and a vote
+//     runs on its own goroutine like the kinds below.
+//   - Every other kind runs on its own goroutine: reads (with catch-up when
+//     ahead of the local log), read-position, leader claims, log fetches,
+//     snapshots, compaction, stats and scans.
 //
 // A closing service refuses a request that arrives once dispatcher shutdown
 // has begun (the pipeline's close does the same for queued submits, and a
@@ -108,6 +126,12 @@ func (s *Service) AsyncHandler() network.AsyncHandler {
 			s.handleMigrate(req, reply)
 		case network.KindApply:
 			s.handleApply(req, reply)
+		case network.KindPrepare, network.KindAccept:
+			if s.store.Engine() == nil {
+				s.disp.inline(from, req, reply)
+			} else {
+				s.disp.spawn(s.disp.item(from, req, reply))
+			}
 		default:
 			s.disp.spawn(s.disp.item(from, req, reply))
 		}

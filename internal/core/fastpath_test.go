@@ -34,10 +34,19 @@ type sentRecorder struct {
 }
 
 func (r *sentRecorder) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
+	r.record(req)
+	return r.Transport.Send(ctx, to, req)
+}
+
+func (r *sentRecorder) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	r.record(req)
+	return r.Transport.Go(to, req, done)
+}
+
+func (r *sentRecorder) record(req network.Message) {
 	r.mu.Lock()
 	r.sent = append(r.sent, sentReq{req.Kind, req.Pos, req.Ballot})
 	r.mu.Unlock()
-	return r.Transport.Send(ctx, to, req)
 }
 
 // paxosRounds returns the prepare and accept requests sent since the last
@@ -291,15 +300,27 @@ func TestCommitAnsweredBeforeRemoteApplies(t *testing.T) {
 }
 
 // lostApplies loses every apply message sent to another datacenter: the send
-// waits out its context, as a send into a dead link does.
+// waits out its context, and the call is never answered, as a request into a
+// dead link is.
 type lostApplies struct{ network.Transport }
 
 func (l lostApplies) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
-	if req.Kind == network.KindApply && to != l.Local() {
+	if l.lost(to, req) {
 		<-ctx.Done()
 		return network.Message{}, network.ErrTimeout
 	}
 	return l.Transport.Send(ctx, to, req)
+}
+
+func (l lostApplies) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	if l.lost(to, req) {
+		return network.Call{}
+	}
+	return l.Transport.Go(to, req, done)
+}
+
+func (l lostApplies) lost(to string, req network.Message) bool {
+	return req.Kind == network.KindApply && to != l.Local()
 }
 
 // TestLostRemoteAppliesAreRecovered: the decision does not rest on the

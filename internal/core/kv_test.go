@@ -144,18 +144,34 @@ type groupFilterTransport struct {
 }
 
 func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
+	if resp, filtered, err := g.filter(req); filtered {
+		return resp, err
+	}
+	return g.Transport.Send(ctx, to, req)
+}
+
+func (g *groupFilterTransport) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	if resp, filtered, err := g.filter(req); filtered {
+		done(resp, err)
+		return network.Call{}
+	}
+	return g.Transport.Go(to, req, done)
+}
+
+// filter answers req itself when it concerns the group, and reports whether
+// it did; a request it lets through is the underlying transport's.
+func (g *groupFilterTransport) filter(req network.Message) (network.Message, bool, error) {
 	switch {
 	case req.Group != g.group:
-		return g.Transport.Send(ctx, to, req)
+		return network.Message{}, false, nil
 	case g.script != nil:
-		if resp, ok := g.script.next(req); ok {
-			return resp, nil
-		}
-		return g.Transport.Send(ctx, to, req)
+		resp, ok := g.script.next(req)
+		return resp, ok, nil
 	case g.reply != nil:
-		return g.reply()
+		resp, err := g.reply()
+		return resp, true, err
 	}
-	return network.Message{}, fmt.Errorf("injected: group %s unreachable", g.group)
+	return network.Message{}, true, fmt.Errorf("injected: group %s unreachable", g.group)
 }
 
 // verdictScript refuses a group's reads of keys and submits — the requests a

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"paxoscp/internal/deadline"
+	"paxoscp/internal/network"
 	"paxoscp/internal/replog"
 	"paxoscp/internal/wal"
 )
@@ -272,34 +272,42 @@ func claimLead(attempt int) int64 {
 
 // peersApplied probes every peer for its applied horizon concurrently —
 // unreachable peers cost one shared timeout, not one each — and returns the
-// maximum (0 when no peer answers).
+// maximum (0 when no peer answers). Each probe is one asynchronous call whose
+// done leaves its answer in a channel with room for all of them; the calls
+// still out at the timeout are hung up.
 func (s *Service) peersApplied(ctx context.Context, group string) int64 {
 	if s.transport == nil {
 		return 0
 	}
 	cctx := deadline.Start(ctx, s.timeout)
 	defer cctx.End()
-	var mu sync.Mutex
-	var tip int64
-	var wg sync.WaitGroup
-	for _, dc := range s.transport.Peers() {
-		if dc == s.dc {
-			continue
+	peers := s.transport.Peers()
+	tips := make(chan int64, len(peers))
+	calls := make([]network.Call, 0, len(peers))
+	req := readPosRequest(group)
+	answer := func(resp network.Message, err error) {
+		if err != nil || !resp.OK {
+			resp.TS = 0
 		}
-		wg.Add(1)
-		go func(dc string) {
-			defer wg.Done()
-			resp, err := s.transport.Send(cctx, dc, readPosRequest(group))
-			if err == nil && resp.OK {
-				mu.Lock()
-				if resp.TS > tip {
-					tip = resp.TS
-				}
-				mu.Unlock()
-			}
-		}(dc)
+		tips <- resp.TS
 	}
-	wg.Wait()
+	for _, dc := range peers {
+		if dc != s.dc {
+			calls = append(calls, s.transport.Go(dc, req, answer))
+		}
+	}
+	var tip int64
+	for heard := 0; heard < len(calls); heard++ {
+		select {
+		case t := <-tips:
+			tip = max(tip, t)
+		case <-cctx.Done():
+			heard = len(calls)
+		}
+	}
+	for _, c := range calls {
+		c.HangUp()
+	}
 	return tip
 }
 

@@ -35,6 +35,12 @@ func (s *scripted) Send(_ context.Context, to string, _ network.Message) (networ
 	return network.Message{Kind: network.KindValue, OK: true, TS: 7}, nil
 }
 
+// Go answers from the script, as Send does, before it returns.
+func (s *scripted) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	done(s.Send(context.Background(), to, req))
+	return network.Call{}
+}
+
 func (s *scripted) Local() string   { return "A" }
 func (s *scripted) Peers() []string { return []string{"A", "B", "C"} }
 func (s *scripted) Close() error    { return nil }

@@ -26,6 +26,17 @@ type kindCounter struct {
 }
 
 func (k *kindCounter) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
+	k.note(req)
+	return k.Transport.Send(ctx, to, req)
+}
+
+func (k *kindCounter) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	k.note(req)
+	return k.Transport.Go(to, req, done)
+}
+
+// note counts req.
+func (k *kindCounter) note(req network.Message) {
 	k.mu.Lock()
 	if k.sent == nil {
 		k.sent = make(map[network.Kind]int)
@@ -38,7 +49,6 @@ func (k *kindCounter) Send(ctx context.Context, to string, req network.Message) 
 		k.submits = append(k.submits, append([]byte(nil), req.Payload...))
 	}
 	k.mu.Unlock()
-	return k.Transport.Send(ctx, to, req)
 }
 
 func (k *kindCounter) count(kind network.Kind) int {

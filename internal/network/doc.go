@@ -4,7 +4,9 @@
 //
 // One transport implements the Transport interface, UDP: binary datagrams,
 // a pending-call table, no retransmission below the request/response layer
-// (the paper's prototype used UDP). Its datagram conn is either
+// (the paper's prototype used UDP). A request goes out one way, Go, which
+// calls back with the response from whichever goroutine delivers it and
+// can be hung up; Send is Go plus a wait. Its datagram conn is either
 //
 //   - a socket, one per datacenter (NewUDPAsync), or
 //   - a port on Sim, an in-process datagram switch that reproduces the

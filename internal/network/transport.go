@@ -49,7 +49,8 @@ const DefaultTimeout = 2 * time.Second
 // running on the sender's goroutine.
 type AsyncHandler func(from string, req Message, reply func(Message))
 
-// Transport sends a request to a peer datacenter and waits for its response.
+// Transport sends a request to a peer datacenter and delivers its response:
+// to a caller that waits for it (Send), or to a callback (Go).
 type Transport interface {
 	// Send delivers req to the named peer and returns its response. It
 	// returns ErrTimeout if the request or response is lost or the peer does
@@ -58,6 +59,22 @@ type Transport interface {
 	// derived from it, once Send returns: the caller's context may be a
 	// pooled deadline.Phase, which its owner ends and reuses.
 	Send(ctx context.Context, to string, req Message) (Message, error)
+	// Go sends req to the named peer and calls done with its response, or
+	// with the error that ended the call (an unknown peer, a closed
+	// transport, a request too long to send), at most once. done runs on
+	// whichever goroutine delivers: a read loop, a handler's reply for a
+	// request to the transport's own name (which may be the caller's, before
+	// Go returns), or Close. It must not block, and must not hang up its own
+	// call.
+	//
+	// Go has no deadline: a call to a silent peer waits until its caller
+	// hangs it up (Call.HangUp), and no callback runs after that returns.
+	// Every call that may still be unanswered must be hung up, or its entry
+	// stays in the pending-call table until Close. req is the transport's
+	// until Go returns; for a request to the transport's own name, its
+	// backing arrays are the handler's to read until it replies
+	// (AsyncHandler).
+	Go(to string, req Message, done func(Message, error)) Call
 	// Local returns the name of the datacenter this endpoint belongs to.
 	Local() string
 	// Peers returns the names of all datacenters in the topology, including
@@ -65,4 +82,23 @@ type Transport interface {
 	Peers() []string
 	// Close releases resources. Subsequent Sends return ErrClosed.
 	Close() error
+}
+
+// Call is one request Go started: the handle its caller hangs it up with.
+// The zero Call has nothing to hang up; a transport that answered a request
+// before Go returned, or never will, may return it.
+type Call struct {
+	u  *UDP
+	p  *pendingCall
+	id uint64
+}
+
+// HangUp ends the call. Once it returns, the call's done is not running and
+// never runs again: a response that arrives later is dropped. Hanging up a
+// call that has been answered only waits, if its done is still running, for
+// that to return.
+func (c Call) HangUp() {
+	if c.u != nil {
+		c.u.hangUp(c.id, c.p)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"net/netip"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -35,13 +36,16 @@ type envelope struct {
 // into pooled scratch that lives until the handler replies, and replies
 // encode into pooled buffers. Responses to our own requests are decoded with
 // fresh allocations because they outlive the loop iteration (they travel
-// through the pending-call table to a waiting Send).
+// through the pending-call table to the call's done).
+//
+// Every request in flight is one entry of the pending-call table, and there
+// is one way in: Go, which calls its done with the response. Send is Go plus
+// a wait on a pooled channel.
 //
 // A request a socket's transport addresses to its own name never reaches the
-// socket: Send hands it to the handler directly (see Send), and the
-// handler's reply reaches the waiting Send through the same table. A
-// transport on a Sim switch (Sim.EndpointAsync) sends it across the switch
-// like any other.
+// socket: Go hands it to the handler directly, and the handler's reply
+// reaches the call through the same table. A transport on a Sim switch
+// (Sim.EndpointAsync) sends it across the switch like any other.
 type UDP struct {
 	local   string
 	conn    datagramConn
@@ -58,10 +62,11 @@ type UDP struct {
 	// names is the sorted key set of peers, rebuilt (never edited in place)
 	// when a peer is added, so Peers can hand it out without a copy.
 	names []string
-	// pending is the pending-call table: every Send in flight, by request ID.
-	// A response is delivered under the read lock; Send removes its entry
-	// under the write lock before it pools the call (deliver, hangUp).
-	pending map[uint64]*call
+	// pending is the pending-call table: every call in flight, by request ID.
+	// Whoever takes an entry out — the response's deliver, the caller's
+	// hang-up, Close — does so under the write lock, so exactly one of them
+	// ends each call.
+	pending map[uint64]*pendingCall
 	closed  bool
 
 	nextID atomic.Uint64
@@ -134,7 +139,7 @@ func newUDP(local string, conn datagramConn, h AsyncHandler, selfCall bool, peer
 		handler:  h,
 		selfCall: selfCall,
 		peers:    make(map[string]netip.AddrPort, len(peers)),
-		pending:  make(map[uint64]*call),
+		pending:  make(map[uint64]*pendingCall),
 	}
 	u.writeTo = conn.WriteToUDPAddrPort
 	for name, a := range peers {
@@ -261,7 +266,7 @@ func (u *UDP) handleDatagram(data []byte, raddr netip.AddrPort) {
 		// Response: decoded without scratch because the message escapes to
 		// the waiting sender through the pending-call table.
 		if env, err := decodeEnvelope(data, nil); err == nil {
-			u.deliver(env.ID, result{msg: env.Msg})
+			u.deliver(env.ID, env.Msg, nil)
 		}
 		return
 	}
@@ -279,13 +284,7 @@ func (u *UDP) handleDatagram(data []byte, raddr netip.AddrPort) {
 // serve hands one decoded request to the handler, with a pooled replier's
 // reply as the callback.
 func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
-	r, _ := repliers.Get().(*replier)
-	if r == nil {
-		r = new(replier)
-		r.reply = r.send
-	}
-	r.u, r.dec, r.id, r.raddr = u, dec, env.ID, raddr
-	r.replied.Store(false)
+	r := u.replier(env.ID, dec, raddr)
 	if u.handler == nil {
 		r.reply(Status(false, "no handler"))
 		return
@@ -293,12 +292,25 @@ func (u *UDP) serve(env envelope, dec *decoder, raddr netip.AddrPort) {
 	u.handler(env.From, env.Msg, r.reply)
 }
 
+// replier takes a pooled replier for request id: one from raddr decoded into
+// dec, or, with dec nil, one of the transport's own calls (Go).
+func (u *UDP) replier(id uint64, dec *decoder, raddr netip.AddrPort) *replier {
+	r, _ := repliers.Get().(*replier)
+	if r == nil {
+		r = new(replier)
+		r.reply = r.send
+	}
+	r.u, r.dec, r.id, r.raddr = u, dec, id, raddr
+	r.replied.Store(false)
+	return r
+}
+
 // replier answers one inbound request. Repliers are pooled, and reply is
 // bound to send once, when the replier is first made, so serving a request
 // builds no closure.
 type replier struct {
 	u       *UDP
-	dec     *decoder
+	dec     *decoder // nil for a request the transport sent itself
 	id      uint64
 	raddr   netip.AddrPort
 	replied atomic.Bool
@@ -307,26 +319,32 @@ type replier struct {
 
 var repliers sync.Pool
 
-// send is the reply callback. The first call returns the request's decode
-// scratch to the pool, sends the response from a pooled encode buffer — or,
-// if it encodes over SendLimit, a refusal naming its size — and pools the
-// replier; a later call is dropped until serve hands the replier out again
-// (AsyncHandler: reply exactly once).
+// send is the reply callback. The first call pools the replier and answers:
+// a request the transport sent itself by delivering the response to its
+// call; one from a peer by returning the request's decode scratch to the
+// pool and sending the response from a pooled encode buffer — or, if it
+// encodes over SendLimit, a refusal naming its size. A later call is dropped
+// until the replier is handed out again (AsyncHandler: reply exactly once).
 func (r *replier) send(resp Message) {
 	if !r.replied.CompareAndSwap(false, true) {
 		return
 	}
-	u := r.u
-	decoderPool.Put(r.dec)
+	u, dec, id := r.u, r.dec, r.id
+	r.u, r.dec = nil, nil
+	if dec == nil {
+		repliers.Put(r)
+		u.deliver(id, resp, nil)
+		return
+	}
+	decoderPool.Put(dec)
 	bp := getEncBuf()
-	out := appendEnvelope((*bp)[:0], envelope{ID: r.id, From: u.local, Resp: true, Msg: resp})
+	out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Resp: true, Msg: resp})
 	if err := u.write(out, r.raddr); err != nil {
-		out = appendEnvelope(out[:0], envelope{ID: r.id, From: u.local, Resp: true, Msg: Status(false, err.Error())})
+		out = appendEnvelope(out[:0], envelope{ID: id, From: u.local, Resp: true, Msg: Status(false, err.Error())})
 		u.write(out, r.raddr)
 	}
 	*bp = out
 	putEncBuf(bp)
-	r.u, r.dec = nil, nil
 	repliers.Put(r)
 }
 
@@ -343,113 +361,164 @@ func (u *UDP) write(b []byte, addr netip.AddrPort) error {
 	return nil
 }
 
-// call is one Send waiting for its response: a pooled entry of the
-// pending-call table. Its channel has room for one result; a second is
-// dropped, so the first response (or Close's ErrClosed) wins.
-type call struct {
-	ch chan result
+// pendingCall is one entry of the pending-call table: the done of a call Go
+// started. Entries are pooled. Whoever takes one out of the table — deliver,
+// a hang-up, Close — pools it once its done has run or is known never to.
+type pendingCall struct {
+	done func(Message, error)
+	// firing is the ID of the call whose done is running, 0 when none: a
+	// hang-up that finds its entry already taken waits that done out.
+	firing atomic.Uint64
 }
 
-// result is what a pending call receives: a response, or ErrClosed.
+var calls = sync.Pool{New: func() any { return new(pendingCall) }}
+
+// result is one call's outcome, as a waiting Send receives it.
 type result struct {
 	msg Message
 	err error
 }
 
-var calls = sync.Pool{New: func() any { return &call{ch: make(chan result, 1)} }}
-
-// deliver hands res to the Send waiting on id, if it still waits. The
-// hand-off happens under the table's read lock and hangUp removes an entry
-// under the write lock before it pools the call, so a late or duplicate
-// response can never reach the call's next use.
-func (u *UDP) deliver(id uint64, res result) {
-	u.mu.RLock()
-	if c := u.pending[id]; c != nil {
-		select {
-		case c.ch <- res:
-		default: // duplicate or late response; drop
-		}
-	}
-	u.mu.RUnlock()
+// waiter is a Send waiting for its call: a pooled channel with room for the
+// one result, and put, the call's done, bound to it once.
+type waiter struct {
+	ch  chan result
+	put func(Message, error) // w.deliver
 }
 
-// hangUp removes the call registered under id and pools it, emptied: no
-// response can arrive once the entry is gone, and the drained channel pins
-// no payload.
-func (u *UDP) hangUp(id uint64, c *call) {
+func (w *waiter) deliver(msg Message, err error) { w.ch <- result{msg, err} }
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan result, 1)}
+	w.put = w.deliver
+	return w
+}}
+
+// deliver ends call id with resp or err, if it is still in the table: it
+// takes the entry out under the write lock — so a late or duplicate response,
+// a hang-up and Close find it gone — and runs its done outside the lock.
+func (u *UDP) deliver(id uint64, resp Message, err error) {
 	u.mu.Lock()
-	delete(u.pending, id)
-	u.mu.Unlock()
-	select {
-	case <-c.ch:
-	default:
+	p := u.pending[id]
+	if p != nil {
+		delete(u.pending, id)
+		p.firing.Store(id)
 	}
-	calls.Put(c)
+	u.mu.Unlock()
+	if p != nil {
+		p.fire(resp, err)
+	}
 }
 
-// Send implements Transport. A request a socket's transport addresses to its
-// own name is a call, not a datagram: Send invokes the handler on the caller's
-// goroutine under the read loop's contract — the handler must not block, req
-// (the caller's own Message, backing arrays included) is the handler's to
-// read until it replies, and a reply that comes after the caller's deadline
-// is dropped. The caller sees what a peer's sender sees: the reply, or
-// ErrTimeout at the deadline. A transport without a handler (a client's
-// socket) has nobody to call, and one on a Sim switch crosses the switch;
-// both send to their own address like any other.
+// fire runs the done of a call taken out of the table, then pools p.
+func (p *pendingCall) fire(resp Message, err error) {
+	done := p.done
+	p.done = nil
+	done(resp, err)
+	p.firing.Store(0)
+	calls.Put(p)
+}
+
+// hangUp ends call id, whose entry is p: it takes the entry out, or, if
+// deliver or Close took it first, waits until its done has returned. p may
+// have been pooled and reused since: firing names the call, not the entry.
+func (u *UDP) hangUp(id uint64, p *pendingCall) {
+	u.mu.Lock()
+	_, waiting := u.pending[id]
+	if waiting {
+		delete(u.pending, id)
+	}
+	u.mu.Unlock()
+	if waiting {
+		p.done = nil
+		calls.Put(p)
+		return
+	}
+	for p.firing.Load() == id {
+		runtime.Gosched() // a done does not block: it is returning
+	}
+}
+
+// Go implements Transport. A request a socket's transport addresses to its
+// own name is a call, not a datagram: Go invokes the handler on the caller's
+// goroutine under the read loop's contract — the handler must not block, and
+// req (the caller's own Message, backing arrays included) is the handler's to
+// read until it replies — with a pooled replier whose reply delivers to the
+// call, so done may run before Go returns. A transport without a handler (a
+// client's socket) has nobody to call, and one on a Sim switch crosses the
+// switch; both send to their own address like any other.
 //
-// Either way the call waits in the pending-call table, where a response is
-// delivered by request ID, and where Close fails it with ErrClosed at once.
-// A request that encodes over SendLimit is not written: Send fails at once,
-// naming its size. Send keeps no reference to ctx once it returns.
-func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
+// A request that encodes over SendLimit is not written: done gets the error,
+// naming its size, before Go returns. So do a request to an unknown peer and
+// one on a closed transport.
+func (u *UDP) Go(to string, req Message, done func(Message, error)) Call {
 	id := u.nextID.Add(1)
-	c := calls.Get().(*call)
+	p := calls.Get().(*pendingCall)
+	p.done = done
 	u.mu.Lock()
 	addr, ok := u.peers[to]
 	closed := u.closed
 	if ok && !closed {
-		u.pending[id] = c
+		u.pending[id] = p
 	}
 	u.mu.Unlock()
 	if closed || !ok {
-		calls.Put(c)
+		p.done = nil
+		calls.Put(p)
 		if closed {
-			return Message{}, ErrClosed
+			done(Message{}, ErrClosed)
+		} else {
+			done(Message{}, fmt.Errorf("%w: %q", ErrUnknownPeer, to))
 		}
-		return Message{}, fmt.Errorf("%w: %q", ErrUnknownPeer, to)
+		return Call{}
 	}
-	defer u.hangUp(id, c)
+	if to == u.local && u.handler != nil && u.selfCall {
+		u.handler(u.local, req, u.replier(id, nil, netip.AddrPort{}).reply)
+	} else {
+		bp := getEncBuf()
+		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
+		// A failed write is loss: the call waits for its caller's hang-up
+		// like a lost datagram's. A write failed by Close is not: Close has
+		// already ended the call with ErrClosed. A datagram over SendLimit
+		// is not written, and the call ends now with its error.
+		err := u.write(out, addr)
+		*bp = out
+		putEncBuf(bp)
+		if err != nil {
+			u.deliver(id, Message{}, err)
+		}
+	}
+	return Call{u: u, p: p, id: id}
+}
+
+// Send implements Transport: Go, with a pooled waiter's put as done, and a
+// wait on its channel until the response or the context's end — which hangs
+// the call up and returns ErrTimeout. Send keeps no reference to ctx once it
+// returns.
+func (u *UDP) Send(ctx context.Context, to string, req Message) (Message, error) {
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		ph := deadline.Start(ctx, DefaultTimeout)
 		defer ph.End()
 		ctx = ph
 	}
-
-	if to == u.local && u.handler != nil && u.selfCall {
-		u.handler(u.local, req, func(resp Message) { u.deliver(id, result{msg: resp}) })
-	} else {
-		bp := getEncBuf()
-		out := appendEnvelope((*bp)[:0], envelope{ID: id, From: u.local, Msg: req})
-		// A failed write is loss: the call waits out its deadline like a
-		// lost datagram's. A write failed by Close is not: Close has
-		// already failed the call, so the wait below ends at once. A
-		// datagram over SendLimit is not written, and Send fails now.
-		err := u.write(out, addr)
-		*bp = out
-		putEncBuf(bp)
-		if err != nil {
-			return Message{}, err
+	w := waiters.Get().(*waiter)
+	c := u.Go(to, req, w.put)
+	var res result
+	select {
+	case res = <-w.ch:
+	case <-ctx.Done():
+		c.HangUp()
+		select {
+		case res = <-w.ch: // answered before the hang-up
+		default:
+			res.err = ErrTimeout
 		}
 	}
-	select {
-	case r := <-c.ch:
-		return r.msg, r.err
-	case <-ctx.Done():
-		return Message{}, ErrTimeout
-	}
+	waiters.Put(w)
+	return res.msg, res.err
 }
 
-// Close shuts the conn down, fails every pending call with ErrClosed, and
+// Close shuts the conn down, ends every pending call with ErrClosed, and
 // waits for the read loop to exit.
 func (u *UDP) Close() error {
 	u.mu.Lock()
@@ -458,13 +527,16 @@ func (u *UDP) Close() error {
 		return nil
 	}
 	u.closed = true
-	for _, c := range u.pending {
-		select {
-		case c.ch <- result{err: ErrClosed}:
-		default: // already answered
-		}
+	pending := make([]*pendingCall, 0, len(u.pending))
+	for id, p := range u.pending {
+		p.firing.Store(id)
+		pending = append(pending, p)
 	}
+	clear(u.pending)
 	u.mu.Unlock()
+	for _, p := range pending {
+		p.fire(Message{}, ErrClosed)
+	}
 	err := u.conn.Close()
 	u.wg.Wait()
 	return err

@@ -30,6 +30,18 @@ func (s *scripted) Send(_ context.Context, to string, req network.Message) (netw
 	return s.reply(to, req)
 }
 
+// Go answers from the script before it returns, unless the script says
+// errNoAnswer: then done never runs.
+func (s *scripted) Go(to string, req network.Message, done func(network.Message, error)) network.Call {
+	if resp, err := s.Send(context.Background(), to, req); err != errNoAnswer {
+		done(resp, err)
+	}
+	return network.Call{}
+}
+
+// errNoAnswer is a script's silent peer: a request it gets is never answered.
+var errNoAnswer = errors.New("no answer")
+
 func (s *scripted) Local() string   { return "A" }
 func (s *scripted) Peers() []string { return []string{"A", "B", "C"} }
 func (s *scripted) Close() error    { return nil }
@@ -235,12 +247,9 @@ func TestDecideSeenOpensAboveFastRound(t *testing.T) {
 // of three peers fail returns as soon as they have — the third, silent, peer
 // is not waited for — with the failures counted unreachable.
 func TestAcceptStopsWhenMajorityImpossible(t *testing.T) {
-	silent := make(chan struct{})
-	defer close(silent)
 	tr := &scripted{reply: func(to string, req network.Message) (network.Message, error) {
 		if to == "A" {
-			<-silent // answers only once the test is over
-			return grant(req), nil
+			return network.Message{}, errNoAnswer
 		}
 		return network.Message{}, network.ErrTimeout
 	}}

@@ -11,9 +11,11 @@
 //     prepare and accept messages with all state transitions made atomic
 //     through the kvstore's conditional write (the seq CAS, DESIGN.md §2).
 //   - Proposer: the messaging core of Algorithm 2 — fans prepare/accept/
-//     apply out to every datacenter and tallies responses — and its one
-//     driver, Decide, which runs the algorithm's rounds (prepare, choose,
-//     accept; on a refusal a higher ballot and a pause) for a Transaction
+//     apply out to every datacenter and tallies responses, on a pooled
+//     round of asynchronous calls (network.Transport.Go) that starts no
+//     goroutine — and its one driver, Decide, which runs the algorithm's
+//     rounds (prepare, choose, accept; on a refusal a higher ballot and a
+//     pause) for a Transaction
 //     Client and for a Transaction Service alike. What differs between them
 //     is passed in an Instance: the ballot identity, the value rule
 //     (findWinningVal and the Paxos-CP enhancedFindWinningVal live in

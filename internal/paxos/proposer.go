@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,52 +116,85 @@ func (p *Proposer) timeout() time.Duration {
 	return network.DefaultTimeout
 }
 
-// broadcast sends req to every datacenter in parallel and streams responses
-// to collect until all datacenters answered or the phase timeout expires.
-// collect returns true to stop early (e.g. majority reached and waiting
-// longer cannot change the decision); the senders still out then have their
-// Sends cancelled and leave their replies in the round, which has a slot
-// for each of them.
+// broadcast sends req to every datacenter and streams the responses to
+// collect until all datacenters answered or the phase timeout expires, when
+// every datacenter not heard from is reported with ErrTimeout. collect
+// returns true to stop early (e.g. majority reached and waiting longer cannot
+// change the decision); the calls still out are then hung up.
 func (p *Proposer) broadcast(ctx context.Context, req network.Message, collect func(dc string, resp network.Message, err error) (stop bool)) {
-	r := p.startRound(ctx, req, "")
-	defer r.release()
-	for heard := 1; heard <= len(r.dcs); heard++ {
-		if rep := <-r.ch; collect(rep.dc, rep.resp, rep.err) {
-			if heard < len(r.dcs) {
-				// Senders still out: cancel their Sends. A round heard from
-				// in full is not cancelled, so the Done channel its Sends
-				// waited on stays open and is pooled with the phase.
-				r.phase.Cancel()
-			}
+	r := p.startRound(req)
+	r.phase = deadline.Start(ctx, p.timeout())
+	r.issue("")
+	defer r.end()
+	expired := r.phase.Done()
+	for heard := 0; heard < len(r.dcs); heard++ {
+		var rep roundReply
+		select {
+		case rep = <-r.ch:
+		case <-expired:
+			r.expire()
+			expired = nil
+			rep = <-r.ch
+		}
+		r.legs[rep.slot].heard = true
+		if collect(r.dcs[rep.slot], rep.resp, rep.err) {
 			return
 		}
 	}
 }
 
 // round is one fan-out of a request to every datacenter (but one, for
-// Notify). Rounds are pooled, and nothing in one is made per message: the
-// phase timeout is a pooled deadline.Phase, the channel has a slot per
-// destination and is reused while it is big enough, and every sender
-// goroutine runs the function bound when the round was first made, taking
-// its destination by index. The caller and each sender hold a reference; the
-// last to let go ends the phase and pools the round, so a straggler that
-// answers after the caller stopped listening still has its slot and its
-// context, and the round is pooled exactly once.
+// Notify), one asynchronous call (network.Transport.Go) per destination and
+// no goroutine. Rounds are pooled, and nothing in one is made per message:
+// each destination slot has a leg whose done was bound when the leg was
+// first made, a collected round's phase timeout is a pooled deadline.Phase,
+// and its channel has a slot per destination and is reused while it is big
+// enough.
+//
+// A collected round (broadcast) belongs to its collector, which reads the
+// legs' replies from ch, hangs up the calls it no longer waits for, and
+// pools the round. A forgotten round (Notify) has no collector: its legs
+// each hold a reference, and so does its issuer until every call is out;
+// the last to let go — the last leg to be answered, or the round's expiry,
+// which hangs up the calls still out — pools it. Either way a round is
+// pooled exactly once, with no callback left to run.
 type round struct {
 	transport network.Transport
-	phase     *deadline.Phase
 	req       network.Message
 	dcs       []string
-	skip      string // a datacenter in dcs the round does not send to, or ""
-	ch        chan roundReply
-	next      atomic.Int32 // index into dcs of the next sender's destination
+	legs      []*leg // one per slot of dcs, and more: legs are kept as made
+
+	// A collected round's.
+	phase *deadline.Phase
+	ch    chan roundReply
+
+	// A forgotten round's.
+	forgotten bool
+	skip      string // the datacenter it does not send to
 	refs      atomic.Int32
-	send      func() // r.sendNext
+	// when is the current use's expiry on roundClock, MaxInt64 until its
+	// calls are out and while the round is idle, so a late Expire — for an
+	// earlier use, or its own after the last leg pooled the round — finds
+	// nothing due.
+	when   atomic.Int64
+	expiry deadline.Entry
+}
+
+// leg is one destination slot of a round: its call, and the done that
+// answers into the round.
+type leg struct {
+	r    *round
+	slot int
+	call network.Call
+	// answered is set by done; heard, by the collector when it takes the
+	// reply from ch.
+	answered, heard bool
+	done            func(network.Message, error) // l.answer
 }
 
 // roundReply is one destination's answer.
 type roundReply struct {
-	dc   string
+	slot int
 	resp network.Message
 	err  error
 }
@@ -172,60 +206,164 @@ var rounds sync.Pool
 // returned to the pool: the tests of the one-release rule count with it.
 var roundPooled atomic.Pointer[func(network.Transport)]
 
-// startRound takes a pooled round and starts one sender per datacenter but
-// skip, under one phase timeout from ctx.
-func (p *Proposer) startRound(ctx context.Context, req network.Message, skip string) *round {
+// roundEpoch anchors roundClock, the monotonic clock of a round's when.
+var roundEpoch = time.Now()
+
+func roundClock() int64 { return int64(time.Since(roundEpoch)) }
+
+// startRound takes a pooled round for req over every datacenter, with a leg
+// for each.
+func (p *Proposer) startRound(req network.Message) *round {
 	r, _ := rounds.Get().(*round)
 	if r == nil {
 		r = new(round)
-		r.send = r.sendNext
+		r.when.Store(math.MaxInt64)
 	}
-	r.transport, r.req, r.dcs, r.skip = p.Transport, req, p.Transport.Peers(), skip
-	r.phase = deadline.Start(ctx, p.timeout())
+	r.transport, r.req, r.dcs = p.Transport, req, p.Transport.Peers()
+	for len(r.legs) < len(r.dcs) {
+		l := &leg{r: r, slot: len(r.legs)}
+		l.done = l.answer
+		r.legs = append(r.legs, l)
+	}
 	if cap(r.ch) < len(r.dcs) {
 		r.ch = make(chan roundReply, len(r.dcs))
-	}
-	n := 0
-	for _, dc := range r.dcs {
-		if dc != skip {
-			n++
-		}
-	}
-	r.next.Store(0)
-	r.refs.Store(int32(n) + 1)
-	for range n {
-		go r.send()
 	}
 	return r
 }
 
-// sendNext is one sender: it sends to the next destination, leaves the
-// answer in the round and lets go of it. Every sender takes an index of its
-// own, and one of them steps over skip's.
-func (r *round) sendNext() {
-	dc := r.dcs[r.next.Add(1)-1]
-	if dc == r.skip {
-		dc = r.dcs[r.next.Add(1)-1]
+// issue sends the round's request to every datacenter but skip: the remote
+// ones first, then the transport's own, whose handler may answer on this
+// goroutine before Go returns.
+func (r *round) issue(skip string) {
+	local, self := r.transport.Local(), -1
+	for i, dc := range r.dcs {
+		switch dc {
+		case skip:
+		case local:
+			self = i
+		default:
+			r.legs[i].call = r.transport.Go(dc, r.req, r.legs[i].done)
+		}
 	}
-	resp, err := r.transport.Send(r.phase, dc, r.req)
-	r.ch <- roundReply{dc, resp, err}
-	r.release()
+	if self >= 0 {
+		r.legs[self].call = r.transport.Go(local, r.req, r.legs[self].done)
+	}
 }
 
-// release drops one reference. The last one ends the round's phase, empties
-// the channel, and pools the round holding no request or response.
-func (r *round) release() {
-	if r.refs.Add(-1) != 0 {
+// answer is a leg's done: a collected round's reply goes to the collector,
+// a forgotten round's leg lets go of the round.
+func (l *leg) answer(resp network.Message, err error) {
+	r := l.r
+	l.answered = true
+	if r.forgotten {
+		r.release()
 		return
+	}
+	r.ch <- roundReply{l.slot, resp, err}
+}
+
+// expire is a collected round's phase expiry: it hangs up every call not yet
+// heard and, for each destination whose call went unanswered, leaves an
+// ErrTimeout in ch after the replies already there.
+func (r *round) expire() {
+	for _, l := range r.legs[:len(r.dcs)] {
+		if !l.heard {
+			l.call.HangUp()
+			l.call = network.Call{}
+		}
+	}
+	for _, l := range r.legs[:len(r.dcs)] {
+		if !l.heard && !l.answered {
+			r.ch <- roundReply{l.slot, network.Message{}, network.ErrTimeout}
+		}
+	}
+}
+
+// end is the collector's last word: it hangs up the calls it did not hear,
+// ends the phase, and pools the round.
+func (r *round) end() {
+	for _, l := range r.legs[:len(r.dcs)] {
+		if !l.heard {
+			l.call.HangUp()
+		}
 	}
 	r.phase.End()
 	for len(r.ch) > 0 {
 		<-r.ch
 	}
+	r.pool()
+}
+
+// forget issues the round to every datacenter but skip and leaves it to end
+// itself, timeout from now at the latest.
+func (r *round) forget(skip string, timeout time.Duration) {
+	r.forgotten, r.skip = true, skip
+	r.when.Store(math.MaxInt64)
+	n := int32(1) // the issuer's reference
+	for _, dc := range r.dcs {
+		if dc != skip {
+			n++
+		}
+	}
+	r.refs.Store(n)
+	r.issue(skip)
+	r.when.Store(roundClock() + int64(timeout))
+	r.expiry.Arm(timeout, (*roundExpiry)(r))
+	r.release()
+}
+
+// release drops one reference to a forgotten round; the last pools it.
+func (r *round) release() {
+	if r.refs.Add(-1) == 0 {
+		r.expiry.Stop()
+		r.pool()
+	}
+}
+
+// roundExpiry is a forgotten round as its expiry's Expirer.
+type roundExpiry round
+
+// Expire hangs up the calls of a forgotten round still out at its expiry,
+// and lets go of the reference of each leg left unanswered. It holds a
+// reference of its own meanwhile, taken only while the round is in use, and
+// acts only if the use's expiry is due and it is the one to take when back
+// to MaxInt64: a late call finds the round idle, or in a later use whose
+// when is still ahead, or that use's expiry already taken.
+func (x *roundExpiry) Expire() {
+	r := (*round)(x)
+	for {
+		n := r.refs.Load()
+		if n == 0 {
+			return
+		}
+		if r.refs.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	if w := r.when.Load(); roundClock() >= w && r.when.CompareAndSwap(w, math.MaxInt64) {
+		for i, l := range r.legs[:len(r.dcs)] {
+			if r.dcs[i] == r.skip {
+				continue
+			}
+			l.call.HangUp()
+			if !l.answered {
+				r.release()
+			}
+		}
+	}
+	r.release()
+}
+
+// pool returns the round to the pool holding no request, response or call.
+func (r *round) pool() {
+	for _, l := range r.legs[:len(r.dcs)] {
+		l.call, l.answered, l.heard = network.Call{}, false, false
+	}
 	if f := roundPooled.Load(); f != nil {
 		(*f)(r.transport)
 	}
-	r.transport, r.phase, r.req, r.dcs, r.skip = nil, nil, network.Message{}, nil, ""
+	r.when.Store(math.MaxInt64)
+	r.transport, r.phase, r.req, r.dcs, r.forgotten, r.skip = nil, nil, network.Message{}, nil, false, ""
 	rounds.Put(r)
 }
 
@@ -415,14 +553,15 @@ func (p *Proposer) Apply(ctx context.Context, group string, pos int64, ballot in
 // waits for home only, the proposing client's own datacenter — whose replica
 // then serves the client's next read position at or above this one. A
 // datacenter the notification never reaches learns the value by catch-up
-// (§4.1). The other sends run on a round of their own, under a deadline one
-// message timeout from now, not under ctx: the caller's round is over once
-// Notify returns, and its context with it. Home's is sent from the caller's
-// goroutine, so its answer wakes the caller with no hand-off between.
+// (§4.1). The other datacenters' calls go out first, on a forgotten round
+// that ends itself at its last answer or one message timeout from now, not
+// under ctx: the caller's round is over once Notify returns, and its context
+// with it. Home's is sent from the caller's goroutine, so its answer wakes
+// the caller with no hand-off between.
 func (p *Proposer) Notify(ctx context.Context, home, group string, pos int64, ballot int64, value []byte) {
 	req := network.Message{Kind: network.KindApply, Group: group, Pos: pos, Ballot: ballot, Payload: value}
 	// Nobody waits for the other legs; a lost notification is catch-up's.
-	p.startRound(context.WithoutCancel(ctx), req, home).release()
+	p.startRound(req).forget(home, p.timeout())
 	hctx := deadline.Start(ctx, p.timeout())
 	defer hctx.End()
 	_, _ = p.Transport.Send(hctx, home, req)
