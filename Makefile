@@ -76,8 +76,10 @@ test:
 ## their fan-out runs the legs of a round concurrently, and each leg writes
 ## its own slots of the shared result. So do the positioned reads': a
 ## transaction's fetch and a KV read leg send through one request helper, and
-## the serving replica names its rows in a pooled buffer. So do the submit
-## pipeline's: its
+## the serving replica names its rows in a pooled buffer. So do the read
+## batches': a client's batch payload and a replica's reply buffer are
+## pooled, and a batch's requests decode into one pooled decoder. So do the
+## submit pipeline's: its
 ## in-flight window holds each entry's bytes, placed by the dispatcher and
 ## read by admission while replication goroutines resolve positions. So do
 ## the UDP submit tests: a submit's transaction is a view of one copy of
@@ -90,7 +92,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=5 ./internal/deadline ./internal/network ./internal/paxos ./internal/replog
-	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|Vote|KV|Scan|ReadMulti|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
+	$(GO) test -race -count=5 -run 'Dispatch|AsyncHandler|Vote|KV|Scan|ReadMulti|Batch|Pipeline|MasterCommitDatagrams|MasterCombines|UDPEndToEnd' ./internal/core
 	$(GO) test -race -count=5 ./internal/kvstore
 	$(GO) test -race -count=2 -run 'MasterLeaseFencingNemesis|MultiGroupNemesis' ./internal/cluster
 

@@ -357,19 +357,29 @@ func (t *Tx) fetch(ctx context.Context, keys []string) error {
 // for keys of group at pos — network.ResolvePos serves them at the replica's
 // applied watermark and names it in the reply's TS — and returns the reply,
 // whose Vals and Founds it has checked are parallel to keys. A transaction's
-// fetch and a KV read leg both read through it.
+// fetch and a KV read leg both read through it, and a routed read's batch
+// (KV.readLegs) carries the same request.
 func (c *Client) readAt(ctx context.Context, group string, keys []string, pos int64) (network.Message, error) {
-	resp, err := c.sendPreferLocal(ctx, network.Message{
-		Kind: network.KindReadMulti, Group: group, Keys: keys, TS: pos,
-	})
+	resp, err := c.sendPreferLocal(ctx, readRequest(group, keys, pos))
 	if err != nil {
 		return resp, err
 	}
-	if len(resp.Vals) != len(keys) || len(resp.Founds) != len(keys) {
-		return resp, fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
-			len(keys), len(resp.Vals), len(resp.Founds))
+	return resp, readShape(resp, len(keys))
+}
+
+// readRequest is the positioned read's request: keys of group at pos.
+func readRequest(group string, keys []string, pos int64) network.Message {
+	return network.Message{Kind: network.KindReadMulti, Group: group, Keys: keys, TS: pos}
+}
+
+// readShape checks that the reply to a read of n keys has Vals and Founds
+// parallel to them.
+func readShape(resp network.Message, n int) error {
+	if len(resp.Vals) != n || len(resp.Founds) != n {
+		return fmt.Errorf("core: readmulti reply shape: %d keys, %d vals, %d founds",
+			n, len(resp.Vals), len(resp.Founds))
 	}
-	return resp, nil
+	return nil
 }
 
 // markMiss records that key was read as missing at the read position.

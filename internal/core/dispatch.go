@@ -31,19 +31,22 @@ type dispatchItem struct {
 // dispatchItems holds the pooled items; item makes one when it is empty.
 var dispatchItems sync.Pool
 
-// dispatcher serves requests with handle, each on its own goroutine, and
-// refuses them once closed.
+// dispatcher serves requests with handle, and batches (network.KindBatch)
+// with batch, each on its own goroutine, and refuses them once closed.
 type dispatcher struct {
 	handle func(from string, req network.Message) network.Message
+	batch  func(from string, req network.Message) network.Message
 	closed atomic.Bool
 }
 
-// newDispatcher returns a dispatcher serving requests with handle.
+// newDispatcher returns a dispatcher serving requests with handle; its owner
+// sets batch before it serves one.
 func newDispatcher(handle func(string, network.Message) network.Message) *dispatcher {
 	return &dispatcher{handle: handle}
 }
 
-// item takes a pooled item holding one request.
+// item takes a pooled item holding one request: for batch if it is a
+// batch, else for handle.
 func (d *dispatcher) item(from string, req network.Message, reply func(network.Message)) *dispatchItem {
 	it, _ := dispatchItems.Get().(*dispatchItem)
 	if it == nil {
@@ -51,6 +54,9 @@ func (d *dispatcher) item(from string, req network.Message, reply func(network.M
 		it.run = it.serve
 	}
 	it.from, it.req, it.reply, it.handle = from, req, reply, d.handle
+	if req.Kind == network.KindBatch {
+		it.handle = d.batch
+	}
 	return it
 }
 
@@ -112,7 +118,8 @@ func (d *dispatcher) close() { d.closed.Store(true) }
 //     runs on its own goroutine like the kinds below.
 //   - Every other kind runs on its own goroutine: reads (with catch-up when
 //     ahead of the local log), read-position, leader claims, log fetches,
-//     snapshots, compaction, stats and scans.
+//     snapshots, compaction, stats and scans. A batch of reads is one
+//     request: one goroutine serves every read in it (Service.handleBatch).
 //
 // A closing service refuses a request that arrives once dispatcher shutdown
 // has begun (the pipeline's close does the same for queued submits, and a

@@ -143,6 +143,10 @@ func TestAsyncHandlerServesHotKinds(t *testing.T) {
 			func(m network.Message) bool { return !m.OK && m.Err == "bad migrate payload" }},
 		{network.Message{Kind: network.KindScan, Group: "g", Value: "", TS: network.ResolvePos},
 			func(m network.Message) bool { return m.OK && m.TS == 2 && len(m.Keys) == 1 }},
+		// A batch of reads is one request, answered with one reply per read.
+		{network.Message{Kind: network.KindBatch, Payload: network.AppendBatchItem(nil,
+			network.Message{Kind: network.KindReadMulti, Group: "g", TS: network.ResolvePos, Keys: []string{"x"}})},
+			func(m network.Message) bool { return m.OK && len(batchReplies(t, m)) == 1 }},
 		// Unknown kinds still answer (the default arm, on a goroutine of their own).
 		{network.Message{Kind: network.Kind("future"), Group: "g"}, refused},
 	}

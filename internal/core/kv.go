@@ -130,14 +130,15 @@ type keyLeg struct {
 }
 
 // route serves Get, Put, Update and ReadMulti: each round groups the keys
-// not yet served by owning group and runs serve once per group, with the
-// keys' indexes in input order, concurrently (fanOut). A leg refused
+// not yet served by owning group, one leg per group with the keys' indexes
+// in input order, and runs round, which serves every leg and sets its
+// position or error (eachLeg, KV.readLegs). A leg refused
 // VerdictMoved re-routes the keys the refusal names — all of the leg's keys
 // when it names none — to the group its hint names; one refused
 // VerdictMigrating runs again after a wait (DESIGN.md §15). Any other leg
 // error fails the operation, naming every group that failed. A served leg's
 // position goes to positions, if not nil.
-func (kv *KV) route(ctx context.Context, op string, keys []string, positions map[string]int64, serve func(group string, slots []int) (int64, error)) error {
+func (kv *KV) route(ctx context.Context, op string, keys []string, positions map[string]int64, round func(legs []keyLeg)) error {
 	groupOf := make([]string, len(keys))
 	for i, key := range keys {
 		groupOf[i] = kv.router.GroupFor(key)
@@ -167,7 +168,7 @@ func (kv *KV) route(ctx context.Context, op string, keys []string, positions map
 			}
 			legs[j].slots = slots[at:len(slots):len(slots)]
 		}
-		fanOut(len(legs), func(i int) { legs[i].pos, legs[i].err = serve(legs[i].group, legs[i].slots) })
+		round(legs)
 		var moved, migrating error
 		var failed map[string]error
 		for _, l := range legs {
@@ -208,6 +209,14 @@ func (kv *KV) route(ctx context.Context, op string, keys []string, positions map
 	}
 }
 
+// eachLeg is the round of an operation whose legs are served one at a time:
+// serve runs once per leg, the legs concurrently (fanOut).
+func eachLeg(serve func(group string, slots []int) (int64, error)) func([]keyLeg) {
+	return func(legs []keyLeg) {
+		fanOut(len(legs), func(i int) { legs[i].pos, legs[i].err = serve(legs[i].group, legs[i].slots) })
+	}
+}
+
 // Get reads one key: a one-key ReadMulti, so a read-only transaction on the
 // key's owning group that follows live-migration redirects to its current
 // owner. The bool reports whether the key exists.
@@ -224,7 +233,7 @@ func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
 // configured protocol.
 func (kv *KV) Put(ctx context.Context, key, value string) (CommitResult, error) {
 	var res CommitResult
-	err := kv.route(ctx, "put", []string{key}, nil, func(group string, _ []int) (int64, error) {
+	err := kv.route(ctx, "put", []string{key}, nil, eachLeg(func(group string, _ []int) (int64, error) {
 		tx, err := kv.client.Begin(ctx, group)
 		if err != nil {
 			return 0, err
@@ -232,7 +241,7 @@ func (kv *KV) Put(ctx context.Context, key, value string) (CommitResult, error) 
 		tx.Write(key, value)
 		res, err = tx.Commit(ctx)
 		return res.Pos, err
-	})
+	}))
 	return res, err
 }
 
@@ -250,7 +259,7 @@ func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur 
 	}
 	var last CommitResult
 	var own error // not the group's failure
-	err := kv.route(ctx, "update", []string{key}, nil, func(group string, _ []int) (int64, error) {
+	err := kv.route(ctx, "update", []string{key}, nil, eachLeg(func(group string, _ []int) (int64, error) {
 		for i := 0; i < attempts; i++ {
 			if i > 0 {
 				if err := kv.client.backoff.pause(ctx, i); err != nil {
@@ -280,7 +289,7 @@ func (kv *KV) Update(ctx context.Context, key string, attempts int, fn func(cur 
 		}
 		own = fmt.Errorf("core: kv update %q: conflicted %d times", key, attempts)
 		return 0, nil
-	})
+	}))
 	if err == nil {
 		err = own
 	}
@@ -317,38 +326,146 @@ func (kv *KV) ReadMulti(ctx context.Context, keys ...string) (*MultiRead, error)
 	return kv.readMulti(ctx, "readmulti", keys)
 }
 
-// readMulti is ReadMulti under op's name. A leg is one positioned read, not
-// a transaction: it has no writes and no earlier reads for Tx.ReadMulti's
-// rules to answer from, so it sends its keys as they are, at
-// network.ResolvePos, and writes the reply's columns into its own keys' slots
-// of the result. Its position is the reply's.
+// readMulti is ReadMulti under op's name: route's rounds are readLegs.
 func (kv *KV) readMulti(ctx context.Context, op string, keys []string) (*MultiRead, error) {
 	out := &MultiRead{
 		Vals:      make([]string, len(keys)),
 		Founds:    make([]bool, len(keys)),
 		Positions: make(map[string]int64),
 	}
-	err := kv.route(ctx, op, keys, out.Positions, func(group string, slots []int) (int64, error) {
-		gkeys := keys
-		if len(slots) < len(keys) {
-			gkeys = make([]string, len(slots))
-			for i, slot := range slots {
-				gkeys[i] = keys[slot]
-			}
-		}
-		resp, err := kv.client.readAt(ctx, group, gkeys, network.ResolvePos)
-		if err != nil {
-			return 0, err
-		}
-		for i, slot := range slots {
-			out.Vals[slot], out.Founds[slot] = resp.Vals[i], resp.Founds[i]
-		}
-		return resp.TS, nil
-	})
+	err := kv.route(ctx, op, keys, out.Positions, func(legs []keyLeg) { kv.readLegs(ctx, keys, legs, out) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// readLegs serves one round of a routed read. A leg is one positioned read,
+// not a transaction: it has no writes and no earlier reads for
+// Tx.ReadMulti's rules to answer from, so it sends its keys as they are, at
+// network.ResolvePos, in the request Client.readAt sends, and writes the
+// reply's columns into its own keys' slots of out. Its position is the
+// reply's.
+//
+// Every datacenter holds a replica of every group, so a round of several
+// legs sends its first hop as one batch to the local replica (readBatch).
+// A leg the batch did not serve walks on as toAny would have, the legs
+// concurrently (fanOut); a round of one leg is that walk alone.
+func (kv *KV) readLegs(ctx context.Context, keys []string, legs []keyLeg, out *MultiRead) {
+	if len(legs) == 1 {
+		kv.readLeg(ctx, keys, &legs[0], out, 0, errAllServicesUnavailable)
+		return
+	}
+	from, walk := kv.readBatch(ctx, keys, legs, out)
+	if len(walk) > 0 {
+		fanOut(len(walk), func(i int) {
+			l := &legs[walk[i]]
+			kv.readLeg(ctx, keys, l, out, from, l.err)
+		})
+	}
+}
+
+// readLeg serves one leg by toAny's walk from sendOrder[from], last its
+// failure so far.
+func (kv *KV) readLeg(ctx context.Context, keys []string, l *keyLeg, out *MultiRead, from int, last error) {
+	lkeys := keys
+	if len(l.slots) < len(keys) {
+		lkeys = make([]string, len(l.slots))
+		for i, slot := range l.slots {
+			lkeys[i] = keys[slot]
+		}
+	}
+	resp, err := sender{c: kv.client}.toAnyFrom(ctx, readRequest(l.group, lkeys, network.ResolvePos), from, last)
+	if err == nil {
+		err = readShape(resp, len(lkeys))
+	}
+	if l.err = err; err == nil {
+		l.serve(resp, out)
+	}
+}
+
+// serve writes a read reply's columns into the leg's slots of out.
+func (l *keyLeg) serve(resp network.Message, out *MultiRead) {
+	for i, slot := range l.slots {
+		out.Vals[slot], out.Founds[slot] = resp.Vals[i], resp.Founds[i]
+	}
+	l.pos = resp.TS
+}
+
+// errBatchShort is the failure of a leg whose reply a batch's answer lacks.
+var errBatchShort = errors.New("core: batch answer lacks the request's reply")
+
+// readBatch sends every leg's read to the local replica in one request
+// (network.KindBatch) and serves the legs its answer settles. Each reply in
+// the answer goes through the rule toAny applies to a reply
+// (sender.anyAnswer): an answer serves its leg, and a refusal every replica
+// would give — moved, migrating — is the leg's error, which route acts on. A
+// leg it does not settle — a refusal about this replica, a reply the answer
+// lacks, a batch that failed — is returned in walk, with its failure in its
+// err, to walk on from the next datacenter (from = 1). A batch refused
+// whole with VerdictFailed — replies over one datagram, or a payload the
+// replica could not parse — is sent again one leg per request from the local
+// replica (from = 0), where each leg meets what its request meets alone.
+func (kv *KV) readBatch(ctx context.Context, keys []string, legs []keyLeg, out *MultiRead) (from int, walk []int) {
+	c := kv.client
+	s := sender{c: c}
+	dc := c.sendOrder[0]
+	bp := batchBufs.Get().(*[]byte)
+	payload := (*bp)[:0]
+	var stack [8]string
+	lkeys := stack[:0] // each leg's keys in turn
+	for _, l := range legs {
+		lkeys = lkeys[:0]
+		for _, slot := range l.slots {
+			lkeys = append(lkeys, keys[slot])
+		}
+		payload = network.AppendBatchItem(payload, readRequest(l.group, lkeys, network.ResolvePos))
+	}
+	resp, err := s.ask(ctx, dc, network.Message{Kind: network.KindBatch, Payload: payload}, c.cfg.timeout())
+	if err == nil {
+		// Answered: the replica has read the payload, which a request to the
+		// transport's own name shares with it.
+		*bp = payload[:0]
+		batchBufs.Put(bp)
+	}
+	if err == nil && resp.OK {
+		n := 0
+		perr := network.EachReply(resp.Payload, func(m network.Message) bool {
+			l := &legs[n]
+			done, err := s.anyAnswer(dc, l.group, m, nil)
+			if done && err == nil {
+				if err = readShape(m, len(l.slots)); err == nil {
+					l.serve(m, out)
+				}
+			}
+			if l.err = err; !done {
+				walk = append(walk, n)
+			}
+			n++
+			return n < len(legs)
+		})
+		if perr == nil {
+			perr = errBatchShort
+		}
+		for ; n < len(legs); n++ {
+			legs[n].err = perr
+			walk = append(walk, n)
+		}
+		return 1, walk
+	}
+	from, cause := 1, err
+	if err == nil {
+		ref := newRefusal(dc, resp)
+		if cause = ref; ref.Verdict == network.VerdictFailed {
+			from, cause = 0, errAllServicesUnavailable
+		}
+	}
+	walk = make([]int, len(legs))
+	for i := range legs {
+		legs[i].err = cause
+		walk[i] = i
+	}
+	return from, walk
 }
 
 // unavailable is the error of a routed operation some of whose legs failed:

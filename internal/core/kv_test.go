@@ -133,7 +133,8 @@ func TestKVReadMultiReportsPerGroupPositions(t *testing.T) {
 // datacenter — "the owning group is unavailable" distilled to its wire
 // signature (e.g. every replica's handler refusing that group) while all
 // other groups keep working. reply, when set, is the answer instead of an
-// unreachable error.
+// unreachable error. A batch's requests meet the rule one by one
+// (answerBatch).
 type groupFilterTransport struct {
 	network.Transport
 	group string
@@ -144,6 +145,9 @@ type groupFilterTransport struct {
 }
 
 func (g *groupFilterTransport) Send(ctx context.Context, to string, req network.Message) (network.Message, error) {
+	if req.Kind == network.KindBatch {
+		return answerBatch(req, func(m network.Message) (network.Message, error) { return g.Send(ctx, to, m) })
+	}
 	if resp, filtered, err := g.filter(req); filtered {
 		return resp, err
 	}
@@ -172,6 +176,29 @@ func (g *groupFilterTransport) filter(req network.Message) (network.Message, boo
 		return resp, true, err
 	}
 	return network.Message{}, true, fmt.Errorf("injected: group %s unreachable", g.group)
+}
+
+// answerBatch answers a batch request (network.KindBatch) the way a test
+// transport answers its requests one at a time: each request in it gets
+// answer's reply in its slot, and an error of answer's is the whole
+// batch's, as if the datagram had been lost.
+func answerBatch(req network.Message, answer func(network.Message) (network.Message, error)) (network.Message, error) {
+	var payload []byte
+	var failed error
+	err := network.EachRequest(req.Payload, func(m network.Message) bool {
+		resp, err := answer(m)
+		if failed = err; err == nil {
+			payload = network.AppendBatchItem(payload, resp)
+		}
+		return err == nil
+	})
+	if err == nil {
+		err = failed
+	}
+	if err != nil {
+		return network.Message{}, err
+	}
+	return network.Message{Kind: network.KindValue, OK: true, Payload: payload}, nil
 }
 
 // verdictScript refuses a group's reads of keys and submits — the requests a

@@ -52,9 +52,16 @@ func TestReadPathAllocs(t *testing.T) {
 		max  float64
 		op   func() error
 	}{
-		{"KV.ReadMulti 4 keys, 2 groups", 32, func() error {
+		{"KV.ReadMulti 4 keys, 2 groups", 18, func() error {
 			res, err := kv.ReadMulti(ctx, "g0a", "g1a", "g0b", "g1b")
 			if err == nil && (!res.Founds[3] || res.Vals[3] != "vb" || len(res.Positions) != 2) {
+				err = fmt.Errorf("read = %+v", res)
+			}
+			return err
+		}},
+		{"KV.ReadMulti 4 keys, 4 groups", 22, func() error {
+			res, err := kv.ReadMulti(ctx, "g0a", "g1b", "g2a", "g3b")
+			if err == nil && (!res.Founds[3] || res.Vals[3] != "vb" || len(res.Positions) != 4) {
 				err = fmt.Errorf("read = %+v", res)
 			}
 			return err

@@ -146,23 +146,24 @@ func (s sender) pause(ctx context.Context, last error) error {
 // the per-read hot path, and peer sets are fixed for a client's lifetime
 // (cluster topology changes mint new clients).
 func (s sender) toAny(ctx context.Context, req network.Message) (network.Message, error) {
-	var last error = errAllServicesUnavailable
+	return s.toAnyFrom(ctx, req, 0, errAllServicesUnavailable)
+}
+
+// toAnyFrom is toAny whose first pass starts at sendOrder[from], with last
+// the failure so far: the walk of a routed read's leg that its batch did not
+// settle (KV.readLegs).
+func (s sender) toAnyFrom(ctx context.Context, req network.Message, from int, last error) (network.Message, error) {
 	for {
-		for _, dc := range s.c.sendOrder {
+		for _, dc := range s.c.sendOrder[from:] {
 			resp, err := s.ask(ctx, dc, req, s.c.cfg.timeout())
+			done, err := s.anyAnswer(dc, req.Group, resp, err)
 			switch {
-			case err != nil:
-				last = err
-			case resp.OK:
-				s.c.noteShown(req.Group, resp.TS)
+			case done && err == nil:
 				return resp, nil
-			default:
-				ref := newRefusal(dc, resp)
-				if verdictRules[ref.Verdict].everywhere && !s.persist {
-					return network.Message{}, ref
-				}
-				last = ref
+			case done:
+				return network.Message{}, err
 			}
+			last = err
 		}
 		if !s.persist {
 			return network.Message{}, last
@@ -170,7 +171,27 @@ func (s sender) toAny(ctx context.Context, req network.Message) (network.Message
 		if err := s.pause(ctx, last); err != nil {
 			return network.Message{}, err
 		}
+		from = 0
 	}
+}
+
+// anyAnswer is the rule toAny applies to what dc answered a request of group
+// any replica serves, and to each reply in a batch (KV.readLegs): an answer
+// ends the walk (done, with a nil error), and the client notes the position
+// it was served at (noteShown). A refusal every replica would give ends a
+// bounded walk too, handed back as the error. Anything else — a send error,
+// a refusal about this replica — is the walk's latest failure, and the
+// sender asks the next datacenter.
+func (s sender) anyAnswer(dc, group string, resp network.Message, err error) (done bool, _ error) {
+	switch {
+	case err != nil:
+		return false, err
+	case resp.OK:
+		s.c.noteShown(group, resp.TS)
+		return true, nil
+	}
+	ref := newRefusal(dc, resp)
+	return verdictRules[ref.Verdict].everywhere && !s.persist, ref
 }
 
 // toMaster sends a request only group's master serves — a submit, a handoff

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -84,6 +85,9 @@ type Service struct {
 	// disp serves every request AsyncHandler does not answer itself, each on
 	// its own goroutine (dispatch.go); used by AsyncHandler only.
 	disp *dispatcher
+	// batchRoom is the longest payload of replies a batch's answer carries
+	// (handleBatch): what fits one datagram from this replica.
+	batchRoom int
 
 	// leaseDur is the master lease duration; 0 means DefaultLeaseFactor
 	// times the service timeout.
@@ -205,6 +209,8 @@ func NewService(dc string, store *kvstore.Store, transport network.Transport, op
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 	s.disp = newDispatcher(s.handle)
+	s.disp.batch = s.handleBatch
+	s.batchRoom = network.PayloadRoom("", dc)
 	for _, o := range opts {
 		o(s)
 	}
@@ -365,6 +371,48 @@ func (s *Service) handle(from string, req network.Message) network.Message {
 		return network.Status(false, fmt.Sprintf("unknown kind %q", req.Kind))
 	}
 }
+
+// handleBatch serves a batch of reads (network.KindBatch) on one goroutine:
+// each request in it in order, all decoded into one pooled decoder, a read as
+// handleReadMulti serves it, and answers with their replies in one KindValue.
+// A request of any other kind is refused in its own slot: a batch is for
+// reads, not for votes or submits, whose handlers AsyncHandler places
+// itself, nor for another batch. A payload that does not parse, or replies
+// that would not fit one datagram, get one refusal for the whole batch; the
+// client then sends its requests one by one.
+func (s *Service) handleBatch(_ string, req network.Message) network.Message {
+	bp := batchBufs.Get().(*[]byte)
+	out, over := (*bp)[:0], false
+	err := network.EachRequest(req.Payload, func(m network.Message) bool {
+		var resp network.Message
+		if m.Kind == network.KindReadMulti {
+			resp = s.handleReadMulti(m)
+		} else {
+			resp = network.Status(false, fmt.Sprintf("a %q request in a batch", m.Kind))
+		}
+		out = network.AppendBatchItem(out, resp)
+		over = len(out) > s.batchRoom
+		return !over
+	})
+	var resp network.Message
+	switch {
+	case err != nil:
+		resp = network.Status(false, "batch: "+err.Error())
+	case over:
+		resp = network.Status(false, fmt.Sprintf("batch replies over the %d bytes a datagram carries", s.batchRoom))
+	default:
+		resp = network.Message{Kind: network.KindValue, OK: true, Payload: bytes.Clone(out)}
+	}
+	*bp = out[:0]
+	batchBufs.Put(bp)
+	return resp
+}
+
+// batchBufs holds the buffers a batch's requests (KV.readBatch) and replies
+// (handleBatch) are encoded into. A replica copies its answer out at its
+// exact length: the transport may hand it on without encoding it (a request
+// to a socket's own name).
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // --- log application ---------------------------------------------------
 

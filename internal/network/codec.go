@@ -55,6 +55,7 @@ var kindTable = []Kind{
 	KindLastVote, KindStatus, KindValue,
 	KindRangeSnapshot, KindMigrate,
 	KindScan,
+	KindBatch,
 }
 
 // kindOther marks a Kind outside kindTable, encoded as a string.
@@ -97,6 +98,11 @@ type decoder struct {
 	keys     []string
 	vals     []string
 	founds   []bool
+	// view, when set, is the bytes being decoded as a string, of which the
+	// reader's buf is a suffix: strings are its substrings (EachReply). A
+	// string never aliases buf itself, which may be a read loop's stack
+	// buffer (readLoop) that a leak through str would move to the heap.
+	view string
 }
 
 // intern returns b as a string, reusing a previously allocated copy when the
@@ -214,7 +220,8 @@ func AppendMessage(dst []byte, m Message) []byte {
 }
 
 // wireReader decodes the binary layout from a byte slice. With a decoder
-// attached it reuses that decoder's scratch; without one every string and
+// attached it reuses that decoder's scratch and interns strings, or, while
+// the decoder has a view, takes them from it; without one every string and
 // slice is freshly allocated.
 type wireReader struct {
 	buf []byte
@@ -261,7 +268,11 @@ func (r *wireReader) str() (string, error) {
 	}
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	if r.d != nil {
+	switch {
+	case r.d != nil && r.d.view != "":
+		at := uint64(len(r.d.view) - len(r.buf))
+		return r.d.view[at-n : at], nil
+	case r.d != nil:
 		return r.d.intern(b), nil
 	}
 	return string(b), nil

@@ -90,6 +90,20 @@ const (
 	// prepared but unopened at the pin (retry this group after its cutover).
 	KindScan Kind = "scan"
 
+	// KindBatch carries several requests to one replica in one datagram
+	// (DESIGN.md §9, §12). Its Payload is the requests in order, each a
+	// uvarint length and then its AppendMessage encoding (AppendBatchItem);
+	// no other field is read. The answer is a KindValue with OK set whose
+	// Payload holds one reply per request, in the same order and the same
+	// framing. A replica serves only KindReadMulti requests in a batch, each
+	// as if it had arrived alone; any other kind, a nested batch included, is
+	// refused (VerdictFailed) in its own slot, and the others are served. A
+	// payload that does not parse, and replies that would not fit one
+	// datagram, get one VerdictFailed refusal for the whole batch instead: the
+	// client then sends the requests one by one. A replica older than the
+	// kind drops the datagram, so the client's batch times out.
+	KindBatch Kind = "batch"
+
 	// Responses.
 	KindLastVote Kind = "lastvote" // prepare reply: Ballot=lastVote ballot, Payload=vote
 	KindStatus   Kind = "status"   // generic success/failure reply
